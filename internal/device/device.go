@@ -8,11 +8,13 @@
 //
 // Everything the device simulates is admitted by one RunQueue — a
 // counting semaphore granting slots longest-job-first (see queue.go).
-// Device.Run, stream launches (stream.go), RunSuite entries and the
-// CTA waves of partitioned grids all acquire a slot there for the
-// duration of their SM simulation, so interactive streams and batch
-// suites share a single fairness/cost policy and one host-parallelism
-// bound. Run itself is sugar for a one-launch stream:
+// Device.Run, stream launches (stream.go) and RunSuite entries all
+// reach it through the wave engine, which acquires one slot per
+// contention domain of the launch — the whole launch, or each CTA wave
+// of a flat-partitioned grid — for the duration of its SM simulation,
+// so interactive streams and batch suites share a single fairness/cost
+// policy and one host-parallelism bound. Run itself is sugar for a
+// one-launch stream:
 //
 //	func (d *Device) Run(ctx, l) { return d.NewStream().Launch(ctx, l).Wait() }
 //
@@ -21,30 +23,29 @@
 //
 // # Execution model
 //
-// By default a launch runs whole on one SM instance, cycle-exact with
-// the classic sm.Run path — Stats are bit-identical to it for every
-// kernel, whatever the SM or worker count, which keeps the paper
-// reproduction stable while RunSuite fans independent launches out
+// One engine simulates every launch (memsys.go): the launch becomes a
+// plan of CTA waves, the waves are grouped into contention domains — the
+// SM slots sharing one lower memory level — and one driver steps each
+// domain's SMs in device-time order. By default the plan is a single
+// wave: the launch runs whole on one SM over its live memory image,
+// cycle-exact with the classic sm.Run path — Stats are bit-identical to
+// it for every kernel, whatever the SM or worker count, which keeps the
+// paper reproduction stable while RunSuite fans independent launches out
 // across the worker pool.
 //
 // With WithGridPartition the grid is instead split into waves of
-// contiguous CTAs, each wave sized to fill one SM's warp contexts
-// (sm.ResidentCTAs), and dispatched across the device's SMs. Every wave
-// is simulated on a fresh, independent SM instance starting from a
-// snapshot of the pre-launch global image; the per-wave memory images
-// are then folded back with exec.MergeWaves, which asserts the
-// write-sharing contract (different CTAs may only write the same
-// location with the same value), and the per-wave statistics are merged
-// in wave order with Stats.Merge. Under the default flat-latency
-// memory model the wave decomposition depends only on the launch and
-// the SM configuration — never on the SM count or the host worker pool
-// — so partitioned Stats are bit-identical for any WithSMs/WithWorkers
-// setting; relative to the unpartitioned path they trade the
-// cross-wave pipelining of one big SM run for wave-level parallel
-// scaling (each wave starts on a cold SM), leaving functional results
-// untouched. The SM count decides the modeled wall-clock: wave j runs
-// on SM j mod N, and Result.SMCycles/DeviceCycles report how the waves
-// pack onto the configured SMs.
+// contiguous CTAs, each sized to fill one SM's warp contexts
+// (sm.ResidentCTAs); wave j runs on SM j mod N. Every wave is simulated
+// on a fresh SM instance starting from a snapshot of the pre-launch
+// global image; the per-wave images are then folded back with
+// exec.MergeWaves, which asserts the write-sharing contract (different
+// CTAs may only write the same location with the same value), and the
+// per-wave statistics are merged in wave order with Stats.Merge.
+// Relative to the unpartitioned shape this trades the cross-wave
+// pipelining of one big SM run for wave-level parallel scaling (each
+// wave starts on a cold SM), leaving functional results untouched.
+// Result.SMCycles/DeviceCycles report how the waves pack onto the
+// configured SMs.
 //
 // # Batch scheduling and memoization
 //
@@ -58,7 +59,7 @@
 // with concurrent streams. With
 // WithAutoPartition the heavy tail itself is decomposed: entries whose
 // static cost exceeds the batch mean and whose grids span several CTA
-// waves run through the partitioned engine, so even a single dominant
+// waves run in the wave-partitioned shape, so even a single dominant
 // kernel spreads across the pool. With WithSimCache, oracle-validated
 // entries are memoized by (benchmark, configuration fingerprint,
 // partitioning, memory system, SM count) and shared across passes and
@@ -74,23 +75,20 @@
 // with a modeled hierarchy: every SM's L1 misses and write-through
 // stores cross a crossbar port (package noc) into a banked,
 // MSHR-backed shared L2 (mem.L2) in front of the single DRAM port —
-// inline, at the cycle each transaction leaves its L1, with the
-// returned ready time flowing straight back into scoreboard wake-up.
-// Unpartitioned runs wire the single SM to a one-port crossbar;
-// partitioned runs interleave every CTA wave against one shared
-// memory-system clock on a single driving goroutine, so all waves
-// contend for the same L2/NoC/DRAM state as they execute (see
-// memsys.go for the interleaver and its determinism argument).
-// Contention-aware results — Stats.Mem.L2, Stats.Mem.NoC, per-wave
-// Stats, SMCycles and DeviceCycles — are bit-identical across host
-// worker counts and repeat runs; they depend on the SM count, which is
-// an architectural parameter deciding how many waves share the
-// hierarchy at once. Both options are off by default, keeping every
-// default-path number seed-exact.
+// inline, at the cycle each transaction leaves its L1. Under the flat
+// model nothing is shared below the L1s, so the waves of a partitioned
+// launch are independent domains simulated in parallel and their Stats
+// never depend on the SM count; with the hierarchy modeled all SMs form
+// one domain contending on one device clock, and contention-aware
+// results — Stats.Mem.L2, Stats.Mem.NoC, per-wave Stats, SMCycles and
+// DeviceCycles — depend on the SM count, an architectural parameter
+// deciding how many waves share the hierarchy at once. Either way every
+// result is bit-identical across host worker counts and repeat runs
+// (memsys.go gives the argument). Both options are off by default,
+// keeping every default-path number seed-exact.
 package device
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -107,7 +105,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/noc"
-	"repro/internal/replay"
 	"repro/internal/sm"
 )
 
@@ -257,11 +254,11 @@ func WithGridPartition(on bool) Option {
 }
 
 // WithAutoPartition lets RunSuite route individual heavy entries
-// through the wave-partitioned engine on its own: an entry whose
+// through the wave-partitioned shape on its own: an entry whose
 // static cost estimate exceeds the batch mean and whose grid
 // decomposes into at least two CTA waves is simulated as parallel
 // waves (exactly as under WithGridPartition), while light entries keep
-// the whole-grid path. The decision is a pure function of the batch —
+// the whole-grid shape. The decision is a pure function of the batch —
 // never of the worker count, the SM count or measured timings — so
 // RunSuite results remain bit-identical across every parallelism
 // setting and across passes. Off by default: the default suite path
@@ -405,204 +402,12 @@ func (d *Device) Workers() int { return d.workers }
 // concurrent Run calls interleave with streams and suites under the
 // run queue's single admission policy. Global memory is mutated in
 // place, exactly like sm.Run. The context cancels the simulation
-// promptly (the SM model polls it about every 1k cycles); a cancelled
-// partitioned run leaves the launch's memory image unchanged, while
-// the unpartitioned path may have partially mutated it just as sm.Run
-// would.
+// promptly (the wave engine polls it about every 1k steps); a cancelled
+// or failed partitioned run leaves the launch's memory image unchanged,
+// while the unpartitioned shape may have partially mutated it just as
+// sm.Run would.
 func (d *Device) Run(ctx context.Context, l *exec.Launch) (*sm.Result, error) {
 	return d.NewStream().Launch(ctx, l).Wait()
-}
-
-// run simulates one launch with the wave-partitioning decision made
-// explicit (RunSuite routes heavy entries through the partitioned
-// engine under WithAutoPartition while light entries keep the
-// whole-grid path) and the admission cost chosen by the caller: raw
-// thread count for ad-hoc launches, measured-or-calibrated estimates
-// for suite entries.
-func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, cost int64) (*sm.Result, error) {
-	return d.runTraced(ctx, l, partition, cost, nil, nil)
-}
-
-// waveOpts threads the trace-replay machinery into one CTA range's SM
-// run: a fresh recorder sink when recording, a cursor session over the
-// range's threads when replaying (see package replay). Both nil is the
-// ordinary full simulation.
-func waveOpts(rec *replay.Recorder, tr *replay.Trace, ctaStart, ctaEnd int) (sm.RunOpts, error) {
-	var o sm.RunOpts
-	if rec != nil {
-		o.Record = rec.Sink()
-	}
-	if tr != nil {
-		s, err := replay.NewSession(tr, ctaStart, ctaEnd)
-		if err != nil {
-			return o, err
-		}
-		o.Replay = s
-	}
-	return o, nil
-}
-
-// runTraced is run with the trace-replay machinery made explicit: with
-// rec the full simulation additionally records per-thread traces; with
-// tr the functional layer is replaced by the recorded streams — global
-// memory is neither read nor written (so wave snapshots and the merge
-// are skipped) while every timing path runs exactly as in a full
-// simulation. At most one of rec/tr may be non-nil.
-func (d *Device) runTraced(ctx context.Context, l *exec.Launch, partition bool, cost int64, rec *replay.Recorder, tr *replay.Trace) (*sm.Result, error) {
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	if d.launchTimeout > 0 {
-		// The watchdog bounds this launch end to end: queueing, admission
-		// and simulation (guard.go).
-		var stop func()
-		ctx, stop = watchdogCtx(ctx, d.launchTimeout)
-		defer stop()
-	}
-	wave := sm.ResidentCTAs(d.cfg, l)
-	var waves [][2]int
-	if partition {
-		waves = exec.PartitionWaves(l.GridDim, wave)
-	}
-	if !partition || wave <= 0 || len(waves) <= 1 {
-		// Unpartitioned launch, a grid that fits in a single wave, or an
-		// over-subscribed block the SM will reject with its precise
-		// error: run whole on one SM over the live image, cycle-exact
-		// with the classic one-SM path. With the memory system modeled,
-		// the single SM's L1 talks to the L2 through its NoC port
-		// inline — one goroutine, so timing stays deterministic.
-		if err := d.acquireSlot(ctx, cost); err != nil {
-			return nil, err
-		}
-		defer d.queue.release()
-		opts, err := waveOpts(rec, tr, 0, l.GridDim)
-		if err != nil {
-			return nil, err
-		}
-		if !d.memsys {
-			return sm.RunRangeOpts(ctx, d.cfg, l, 0, l.GridDim, opts)
-		}
-		l2 := mem.NewL2(d.l2cfg, d.cfg.Mem)
-		xbar := noc.New(d.noccfg, 1)
-		opts.Lower = &l2Port{xbar: xbar, port: 0, l2: l2, blockBytes: d.cfg.Mem.BlockBytes, faults: d.faults}
-		res, err := sm.RunRangeOpts(ctx, d.cfg, l, 0, l.GridDim, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Stats.Mem.L2 = l2.Stats
-		res.Stats.Mem.NoC = xbar.Stats()
-		res.NoCPorts = []noc.Stats{xbar.PortStats(0)}
-		return res, nil
-	}
-
-	if d.memsys {
-		// Waves share one L2/NoC/DRAM pipeline inline on a single
-		// driving goroutine; see memsys.go.
-		return d.runWavesShared(ctx, l, waves, cost, rec, tr)
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// A replayed launch never touches memory, so the waves share the
-	// launch as-is instead of each cloning the pre-launch image.
-	var base []byte
-	if tr == nil {
-		base = make([]byte, len(l.Global))
-		copy(base, l.Global)
-	}
-
-	type waveRun struct {
-		res    *sm.Result
-		global []byte
-		err    error
-	}
-	runs := make([]waveRun, len(waves))
-	var wg sync.WaitGroup
-	for i, w := range waves {
-		wg.Add(1)
-		i, start, end := i, w[0], w[1]
-		op := fmt.Sprintf("CTA wave %d of %s", i, l.Prog.Name)
-		go guarded(op, nil, func() {
-			defer wg.Done()
-			// Recover before wg.Done runs (defers are LIFO): a panicking
-			// wave must have failed itself — and cancelled its siblings —
-			// by the time wg.Wait returns.
-			defer func() {
-				if v := recover(); v != nil {
-					runs[i].err = newPanicError(op, v)
-					cancel()
-				}
-			}()
-			// Each wave competes in the run queue at its share of the
-			// launch's admission cost.
-			waveCost := cost * int64(end-start) / int64(l.GridDim)
-			if err := d.acquireSlot(ctx, waveCost); err != nil {
-				runs[i].err = err
-				return
-			}
-			defer d.queue.release()
-			opts, err := waveOpts(rec, tr, start, end)
-			if err != nil {
-				runs[i].err = err
-				cancel()
-				return
-			}
-			wl := l
-			if tr == nil {
-				wl = l.CloneWithGlobal(base)
-			}
-			res, err := sm.RunRangeOpts(ctx, d.cfg, wl, start, end, opts)
-			if err != nil {
-				runs[i].err = err
-				cancel()
-				return
-			}
-			runs[i] = waveRun{res: res, global: wl.Global}
-		})()
-	}
-	wg.Wait()
-
-	// Surface the first error in wave order so failures are
-	// deterministic too; prefer a real simulation error over the
-	// cancellations it triggered in sibling waves.
-	var firstErr error
-	for _, r := range runs {
-		if r.err == nil {
-			continue
-		}
-		if firstErr == nil || (isCtxErr(firstErr) && !isCtxErr(r.err)) {
-			firstErr = r.err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	if tr == nil {
-		if err := d.fire(faultinject.SiteWaveMerge); err != nil {
-			return nil, err
-		}
-		images := make([][]byte, len(runs))
-		for i := range runs {
-			images[i] = runs[i].global
-		}
-		if err := exec.MergeWaves(l.Global, base, images); err != nil {
-			return nil, fmt.Errorf("device: %s: %w", l.Prog.Name, err)
-		}
-	}
-
-	out := &sm.Result{
-		Trace:    runs[0].res.Trace, // wave clocks are independent; keep the first wave's trace
-		Waves:    make([]sm.Stats, len(runs)),
-		SMCycles: make([]int64, d.sms),
-	}
-	for i, r := range runs {
-		out.Waves[i] = r.res.Stats
-		out.Stats.Merge(&r.res.Stats)
-		out.SMCycles[i%d.sms] += r.res.Stats.Cycles
-	}
-	return out, nil
 }
 
 // SuiteResult is the outcome of one benchmark within a RunSuite batch.
@@ -721,7 +526,7 @@ func (d *Device) RunSuite(ctx context.Context, suite []*kernels.Benchmark) ([]*S
 }
 
 // partitionPlan decides, per suite entry, whether it runs through the
-// wave-partitioned engine. With WithGridPartition everything does;
+// wave-partitioned shape. With WithGridPartition everything does;
 // with WithAutoPartition exactly the heavy tail does: entries whose
 // static cost estimate exceeds the batch mean and whose grid spans at
 // least two CTA waves. The plan reads only static batch properties —
@@ -782,39 +587,17 @@ func (d *Device) suiteAttempt(ctx context.Context, b *kernels.Benchmark, partiti
 		return nil, err
 	}
 	if d.cache == nil {
-		return d.runBenchmark(ctx, b, partition)
+		return d.runBenchmark(ctx, b, partition, nil, nil)
 	}
-	fill := func() (*sm.Result, error) {
+	return d.cache.results.do(ctx, d.simKeyFor(b, partition), func() (*sm.Result, error) {
 		if err := d.fire(faultinject.SiteCacheFill); err != nil {
 			return nil, err
 		}
 		if d.traceReplay {
 			return d.runBenchmarkTraced(ctx, b, partition)
 		}
-		return d.runBenchmark(ctx, b, partition)
-	}
-	return d.cache.getOrRun(ctx, d.simKeyFor(b, partition), fill)
-}
-
-// runBenchmark builds the benchmark's launch for the device's
-// architecture, runs it (partitioned into CTA waves when asked), and
-// checks the oracle. Admission is weighted by the entry's estimated
-// cost — measured cycles after the cell has run once in this process,
-// the calibrated static estimate cold.
-func (d *Device) runBenchmark(ctx context.Context, b *kernels.Benchmark, partition bool) (*sm.Result, error) {
-	l, err := b.NewLaunch(d.cfg.Arch != sm.ArchBaseline)
-	if err != nil {
-		return nil, err
-	}
-	res, err := d.run(ctx, l, partition, estimatedCost(b, d.cfgFP))
-	if err != nil {
-		return nil, fmt.Errorf("device: %s on %s: %w", b.Name, d.cfg.Arch, err)
-	}
-	if !bytes.Equal(l.Global, b.Expected()) {
-		return nil, fmt.Errorf("device: %s on %s: simulation diverged from reference", b.Name, d.cfg.Arch)
-	}
-	recordCost(b, d.cfgFP, res)
-	return res, nil
+		return d.runBenchmark(ctx, b, partition, nil, nil)
+	})
 }
 
 // isCtxErr reports whether err is a context cancellation or deadline.

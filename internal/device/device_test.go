@@ -1,16 +1,20 @@
 package device
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/leakcheck"
+	"repro/internal/mem"
 	"repro/internal/sm"
 )
 
@@ -133,19 +137,18 @@ func TestPartitionedRunMatchesFunctionally(t *testing.T) {
 	}
 }
 
-func TestPartitionedRunDetectsWriteConflicts(t *testing.T) {
-	// Every CTA writes a CTA-dependent value to the same global word —
-	// the contract violation the merge must catch.
-	prog := mustProgram(t, "conflict", `
+// conflictingStores has every CTA write a CTA-dependent value to the
+// same global word — the contract violation the merge must catch.
+const conflictingStores = `
 	mov  r1, %ctaid
 	iadd r1, r1, 1
 	mov  r2, %p0
 	st.g [r2], r1
 	exit
-`)
-	// block 256 -> 4 warps per CTA -> 4 resident CTAs, so grid 8 spans
-	// two waves whose CTAs write different values to the same word.
-	l := &exec.Launch{Prog: prog, GridDim: 8, BlockDim: 256, Global: make([]byte, 64)}
+`
+
+func TestPartitionedRunDetectsWriteConflicts(t *testing.T) {
+	l := twoWaveLaunch(t, "conflict", conflictingStores)
 	dev, err := New(WithArch(sm.ArchSBISWI), WithSMs(2), WithGridPartition(true))
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +157,168 @@ func TestPartitionedRunDetectsWriteConflicts(t *testing.T) {
 	var conflict *exec.WriteConflict
 	if !errors.As(err, &conflict) {
 		t.Fatalf("err = %v, want a WriteConflict", err)
+	}
+}
+
+// The three shapes a launch can take in the wave engine (memsys.go), as
+// device options on two SMs.
+var engineShapes = []struct {
+	name string
+	opts []Option
+}{
+	{"whole-grid", nil},
+	{"flat-partitioned", []Option{WithGridPartition(true)}},
+	{"memsys-partitioned", []Option{WithGridPartition(true), WithL2(mem.DefaultL2())}},
+}
+
+// twoWaveLaunch builds a launch of src spanning two CTA waves: block 256
+// is 4 warps per CTA, so 4 CTAs are resident and grid 8 is two waves.
+func twoWaveLaunch(t *testing.T, name, src string) *exec.Launch {
+	t.Helper()
+	return &exec.Launch{Prog: mustProgram(t, name, src), GridDim: 8, BlockDim: 256, Global: make([]byte, 64)}
+}
+
+// storeThenSpin writes 1 to the word at %p0 from every thread — the
+// same value everywhere, so no merge conflict — and then never retires.
+const storeThenSpin = `
+	mov  r1, 1
+	mov  r2, %p0
+	st.g [r2], r1
+spin:
+	bra  spin
+	exit
+`
+
+// TestFailedPartitionedRunLeavesImageUntouched pins Device.Run's
+// documented promise: a partitioned launch that fails or is cancelled
+// mid-run leaves the caller's memory image exactly as it was, because
+// its waves only ever wrote to private clones. The whole-grid shape is
+// the control showing the kernel really stores before it fails: it runs
+// on the live image and may leave it partially written.
+func TestFailedPartitionedRunLeavesImageUntouched(t *testing.T) {
+	leakcheck.Check(t)
+	for _, shape := range engineShapes {
+		for _, abort := range []string{"livelock", "cancel"} {
+			t.Run(shape.name+"/"+abort, func(t *testing.T) {
+				opts := append([]Option{WithArch(sm.ArchSBISWI), WithSMs(2), WithWorkers(2)}, shape.opts...)
+				if abort == "livelock" {
+					opts = append(opts, WithModifier(func(c *sm.Config) { c.MaxCycles = 5000 }))
+				}
+				dev, err := New(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l := twoWaveLaunch(t, "store-then-spin", storeThenSpin)
+				before := bytes.Clone(l.Global)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				p := dev.NewStream().Launch(ctx, l)
+				if abort == "cancel" {
+					// Cancel once the run queue has admitted the launch and
+					// its SMs have had time to execute the stores.
+					for dev.queue.busy() == 0 {
+						time.Sleep(100 * time.Microsecond)
+					}
+					time.Sleep(5 * time.Millisecond)
+					cancel()
+				}
+				_, err = p.Wait()
+				var le *sm.LivelockError
+				if abort == "livelock" && !errors.As(err, &le) {
+					t.Fatalf("err = %v, want *sm.LivelockError", err)
+				}
+				if abort == "cancel" && !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				if untouched := bytes.Equal(l.Global, before); shape.opts != nil && !untouched {
+					t.Errorf("failed partitioned launch changed the caller's image: %v", l.Global[:4])
+				} else if shape.opts == nil && abort == "livelock" && untouched {
+					t.Error("control: the whole-grid run never stored, so this test proves nothing")
+				}
+			})
+		}
+	}
+}
+
+// busy returns the number of granted slots (test hook).
+func (q *RunQueue) busy() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.slots - q.free
+}
+
+// TestShapesAgreeOnErrors: whatever shape the wave engine gives a
+// launch, and however many host workers it has, a livelocking kernel
+// fails with *sm.LivelockError, a write-conflicting kernel with the
+// merge's *exec.WriteConflict (except whole-grid, which has nothing to
+// merge), and a pre-cancelled context with context.Canceled.
+func TestShapesAgreeOnErrors(t *testing.T) {
+	leakcheck.Check(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name, src string
+		ctx       context.Context
+		check     func(shape string, err error) bool
+	}{
+		{"livelock", storeThenSpin, context.Background(), func(_ string, err error) bool {
+			var le *sm.LivelockError
+			return errors.As(err, &le)
+		}},
+		{"write-conflict", conflictingStores, context.Background(), func(shape string, err error) bool {
+			var wc *exec.WriteConflict
+			return errors.As(err, &wc) || (shape == "whole-grid" && err == nil)
+		}},
+		{"pre-cancelled", storeThenSpin, cancelled, func(_ string, err error) bool {
+			return errors.Is(err, context.Canceled)
+		}},
+	}
+	for _, shape := range engineShapes {
+		for _, workers := range []int{1, 4} {
+			opts := append([]Option{WithArch(sm.ArchSBISWI), WithSMs(2), WithWorkers(workers),
+				WithModifier(func(c *sm.Config) { c.MaxCycles = 5000 })}, shape.opts...)
+			dev, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range cases {
+				t.Run(fmt.Sprintf("%s/workers%d/%s", shape.name, workers, c.name), func(t *testing.T) {
+					// Device.run directly: Stream.Launch would turn the
+					// pre-cancelled context away before the engine saw it.
+					l := twoWaveLaunch(t, c.name, c.src)
+					if _, err := dev.run(c.ctx, l, dev.partition, launchCost(l), nil, nil); !c.check(shape.name, err) {
+						t.Errorf("err = %v (%T)", err, err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestMemsysPartitionIdleSMs: a memsys-partitioned launch with fewer
+// waves than SMs still reports every configured SM — zeros for the ones
+// that never received a wave.
+func TestMemsysPartitionIdleSMs(t *testing.T) {
+	dev, err := New(WithArch(sm.ArchSBISWI), WithSMs(4), WithGridPartition(true), WithL2(mem.DefaultL2()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dev.Run(context.Background(), twoWaveLaunch(t, "store", `
+	mov  r1, 1
+	mov  r2, %p0
+	st.g [r2], r1
+	exit
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Waves) != 2 || len(res.SMCycles) != 4 || len(res.NoCPorts) != 4 {
+		t.Fatalf("%d waves, %d SMCycles, %d NoCPorts; want 2 waves reported over all 4 SMs", len(res.Waves), len(res.SMCycles), len(res.NoCPorts))
+	}
+	for i := range res.SMCycles {
+		if busy := i < 2; (res.SMCycles[i] != 0) != busy || (res.NoCPorts[i].Requests != 0) != busy {
+			t.Errorf("SM %d: %d cycles, %d NoC requests; want nonzero exactly for the two SMs that ran a wave", i, res.SMCycles[i], res.NoCPorts[i].Requests)
+		}
 	}
 }
 

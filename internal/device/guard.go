@@ -34,10 +34,9 @@ import (
 //
 // WithLaunchTimeout(d) bounds each launch's host wall-clock time —
 // queueing, admission and simulation. The watchdog cancels the launch's
-// context with a cause wrapping sm.ErrLaunchTimeout; the SM poll loop
-// (and the memsys interleaver via sm.Runner.Diagnose) converts that
-// cause into a *sm.TimeoutError carrying the dumpState partial-state
-// snapshot. Wall-clock state never reaches modeled cycles: the watchdog
+// context with a cause wrapping sm.ErrLaunchTimeout; the wave engine's
+// step loop converts that cause (via sm.Runner.Diagnose) into a
+// *sm.TimeoutError carrying the dumpState partial-state snapshot. Wall-clock state never reaches modeled cycles: the watchdog
 // can only abort a simulation, not change what it computes.
 //
 // # Transient retry
@@ -191,9 +190,9 @@ func watchdogErr(ctx context.Context, err error) error {
 
 // watchdogCtx derives a launch's watchdog context: after d of host
 // wall-clock time it cancels the context with a cause wrapping
-// sm.ErrLaunchTimeout, which the SM poll loop (or the memsys
-// interleaver via Runner.Diagnose) converts into a partial-state
-// *sm.TimeoutError. stop releases the timer and must be deferred.
+// sm.ErrLaunchTimeout, which the wave engine's step loop converts (via
+// Runner.Diagnose) into a partial-state *sm.TimeoutError. stop releases
+// the timer and must be deferred.
 func watchdogCtx(ctx context.Context, d time.Duration) (context.Context, func()) {
 	ctx, cancel := context.WithCancelCause(ctx)
 	//sbwi:wallclock-ok the watchdog bounds host wall-clock only; it aborts a launch, it never reaches modeled cycles

@@ -328,6 +328,42 @@ func TestRetryRecoversMemAccessPanic(t *testing.T) {
 	}
 }
 
+// TestRunTraceReplayPanicIsolation: a panic below the *recording* half
+// of RunTraceReplay (the hot memory-access site raises error-class
+// faults as panics) must come back as a *PanicError exactly as it does
+// from Run, not escape into the caller's goroutine, and leave the
+// device usable.
+func TestRunTraceReplayPanicIsolation(t *testing.T) {
+	leakcheck.Check(t)
+	ctx := context.Background()
+	for _, entry := range []string{"Run", "RunTraceReplay"} {
+		plan := faultinject.NewPlan(5, faultinject.Spec{
+			{Site: faultinject.SiteMemAccess, Kind: faultinject.KindError, Hits: []uint64{1}},
+		})
+		dev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(2),
+			WithL2(mem.DefaultL2()), WithInterconnect(noc.Default()),
+			WithFaultPlan(plan), WithReplayLog(&bytes.Buffer{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := dev.Run
+		if entry == "RunTraceReplay" {
+			run = dev.RunTraceReplay
+		}
+		var pe *PanicError
+		if _, err := run(ctx, mustLaunch(t, "Transpose")); !errors.As(err, &pe) || !faultinject.IsInjected(err) {
+			t.Fatalf("%s behind a mem-access fault: err %v, want a *PanicError carrying the injected fault", entry, err)
+		}
+		// Hit 1 was the only scheduled fault: the same device runs clean.
+		if _, err := run(ctx, mustLaunch(t, "Transpose")); err != nil {
+			t.Errorf("%s on the same device after the panic: %v", entry, err)
+		}
+		if err := dev.Synchronize(ctx); err != nil {
+			t.Errorf("Synchronize after %s panic: %v", entry, err)
+		}
+	}
+}
+
 // TestReplayFaultFallsBackLoudly: a fault injected into the replay
 // path degrades to full simulation with the fallback logged — never a
 // silent wrong (or missing) number.

@@ -3,6 +3,7 @@ package device
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/faultinject"
@@ -12,45 +13,59 @@ import (
 	"repro/internal/sm"
 )
 
-// The modeled shared memory system (WithL2 / WithInterconnect).
+// The wave engine: the one way a launch is simulated.
 //
-// Every run that models the hierarchy times it inline: an SM's L1
-// misses and write-through stores enter a crossbar port (package noc),
-// cross into the banked, MSHR-backed shared L2 (mem.L2) and the single
-// DRAM port behind it at the cycle they leave the L1, and the returned
-// ready time flows straight back into scoreboard wake-up — contention
-// feeds back into issue timing instead of being estimated post-hoc
-// from recorded traces.
+// A launch becomes a wave plan — [0, GridDim) when it is unpartitioned
+// or fits one SM, exec.PartitionWaves otherwise — grouped into
+// contention domains: the SM slots that share one lower memory level.
+// One driver, runDomain, executes a domain on one goroutine: it is
+// admitted by the run queue at the domain's share of the launch's cost,
+// puts a steppable sm.Runner on every SM slot, and always advances the
+// slot whose local clock maps to the earliest device time. Waves on one
+// slot run back-to-back: each starts at the device time its predecessor
+// ended. The shapes a launch can take are only data to that driver:
 //
-// Unpartitioned runs wire the single SM's L1 to port 0 of a
-// one-port crossbar (l2Port below); one goroutine drives the whole
-// system, so timing is naturally deterministic.
+//   - whole grid: one wave, so one domain with one slot, simulated on
+//     the launch's live memory image (no snapshot, no merge), cycle-exact
+//     with sm.Run. With the memory system modeled (WithL2 /
+//     WithInterconnect) the slot's L1 talks to a one-port crossbar.
+//   - flat partitioning: under the flat-latency DRAM model nothing is
+//     shared below the L1s, so every wave is its own single-slot domain
+//     and the domains fan out across goroutines, bounded by the run
+//     queue. Wave j counts toward SM j mod N in Result.SMCycles.
+//   - memsys partitioning: every SM's L1 misses and write-through stores
+//     cross its crossbar port (package noc) into the banked, MSHR-backed
+//     shared L2 (mem.L2) and the single DRAM port behind it, inline — at
+//     the cycle they leave the L1, the returned ready time flowing
+//     straight back into scoreboard wake-up. All d.sms slots share that
+//     hierarchy, so the whole plan is one domain: wave j runs on SM
+//     j mod N and all waves contend on one device clock.
 //
-// Partitioned runs interleave all CTA waves against one shared
-// memory-system clock: wave j runs on SM j mod N, waves on one SM
-// execute back-to-back (each wave's SM-local start offset is the sum of
-// its predecessors' cycles), and a single goroutine drives the N
-// resident wave simulations as steppable sm.Runner instances, always
-// advancing the SM whose local clock maps to the earliest device time
-// (runWavesShared below). Each SM's l2Port carries that device-time
-// offset, so the shared L2 and crossbar observe one globally ordered,
-// non-decreasing access stream — the idle fast-forward inside a step
-// emits no traffic, so single-step granularity cannot reorder accesses
-// across SMs. Because the driver is serial and its pick rule is a pure
+// Waves of a partitioned launch each start from a snapshot of the
+// pre-launch image and are folded back with exec.MergeWaves, which
+// asserts the write-sharing contract, so a failed or cancelled
+// partitioned launch leaves the caller's image untouched. A replayed
+// launch (tr) never touches memory, so it skips snapshot and merge.
+//
+// Determinism. A domain's driver is serial and its pick rule is a pure
 // function of the configuration — minimum device time, lowest SM index
-// on ties — the access order, every contention counter and all merged
-// Stats are bit-identical across host worker counts and repeat runs.
-// They do (intentionally) depend on the SM count: how many waves share
-// the hierarchy at once is an architectural parameter, and more SMs
-// mean more interleaved traffic, more queueing and different hit/miss
-// interleavings. The default flat-latency path never enters this file
-// and stays seed-exact.
+// on ties. Each slot's l2Port carries its wave's device-time offset, so
+// the shared L2 and crossbar observe one globally ordered,
+// non-decreasing access stream (the idle fast-forward inside a step
+// emits no traffic, so single-step granularity cannot reorder accesses
+// across SMs). Domains share nothing, and their results are combined in
+// wave order. Hence every counter is bit-identical across host worker
+// counts and repeat runs. The wave plan depends only on the launch and
+// the SM configuration, so flat-partitioned Stats are also identical for
+// every SM count; with the memory system modeled the SM count is an
+// architectural parameter — how many waves share the hierarchy at once —
+// and contention counters and timing legitimately depend on it.
 
 // l2Port is the mem.Lower an SM's L1 talks to: one crossbar port in
 // front of the shared L2. offset maps the driving SM's wave-local clock
-// onto the shared device clock (zero for unpartitioned runs); the port
-// translates outgoing cycles into device time and returned ready times
-// back, so the SM never observes the shared clock directly.
+// onto the shared device clock; the port translates outgoing cycles
+// into device time and returned ready times back, so the SM never
+// observes the shared clock directly.
 type l2Port struct {
 	xbar       *noc.Crossbar
 	port       int
@@ -61,7 +76,7 @@ type l2Port struct {
 	// faults, when armed, fires the mem-access fault site on every
 	// access. Access cannot return an error, so error-class faults are
 	// raised as panics (faultinject.Plan.MustFire) and recovered at the
-	// owning launch's guard boundary.
+	// owning domain's boundary.
 	faults *faultinject.Plan
 }
 
@@ -74,159 +89,272 @@ func (p *l2Port) Access(now int64, store bool, block uint32) int64 {
 	return p.l2.Access(deliver, block, store) - p.offset
 }
 
-// smSlot is one SM's place in the shared-clock interleaver: the wave
-// currently simulating on it, the crossbar port its L1 uses, and the
-// device cycle at which that wave started (the sum of its predecessors'
-// cycles on this SM).
+// smSlot is one SM's place in a contention domain: the wave currently
+// simulating on it, the crossbar port its L1 uses (nil under the
+// flat-latency model), and the device cycle at which that wave started
+// (the sum of its predecessors' cycles on this SM).
 type smSlot struct {
-	run    *sm.Runner
+	run    *sm.Runner // nil once the slot has no wave left
 	port   *l2Port
-	global []byte
-	wave   int   // index into waves of the running wave
+	wave   int   // index into the plan of the running wave
 	offset int64 // device-time start of the running wave
 }
 
-// runWavesShared simulates a partitioned launch against the shared
-// memory system: one goroutine interleaves every CTA wave on the
-// configured SMs so all of them contend for one L2/crossbar/DRAM
-// pipeline inline. See the file comment for the model and the
-// determinism argument. rec/tr thread the trace-replay machinery into
-// every wave (see Device.runTraced): a replayed run skips the per-wave
-// image snapshots and the final merge because no wave touches memory.
-func (d *Device) runWavesShared(ctx context.Context, l *exec.Launch, waves [][2]int, cost int64, rec *replay.Recorder, tr *replay.Trace) (*sm.Result, error) {
-	// The driver is one goroutine however many SMs it interleaves, so it
-	// occupies a single run-queue slot at the launch's full cost.
-	if err := d.acquireSlot(ctx, cost); err != nil {
+// waveRun is one wave's outcome; err is set on the first wave of a
+// failed domain.
+type waveRun struct {
+	res *sm.Result
+	err error
+}
+
+// launchRun is one launch's pass through the wave engine.
+type launchRun struct {
+	d      *Device
+	l      *exec.Launch
+	cost   int64
+	rec    *replay.Recorder
+	tr     *replay.Trace
+	cancel context.CancelFunc
+
+	waves [][2]int // the wave plan: CTA ranges
+	span  int      // waves per contention domain
+	slots int      // SM slots per contention domain
+	runs  []waveRun
+
+	// base is the pre-launch snapshot every wave clones and images the
+	// per-wave clones awaiting the merge; nil when the waves run on l
+	// itself.
+	base   []byte
+	images [][]byte
+
+	// The modeled lower level, built by the launch's only domain.
+	l2   *mem.L2
+	xbar *noc.Crossbar
+}
+
+// run simulates one launch. partition is explicit because RunSuite
+// routes heavy entries through the wave-partitioned shape under
+// WithAutoPartition, and cost is the caller's admission weight: raw
+// thread count for ad-hoc launches, measured-or-calibrated estimates for
+// suite entries. With rec the simulation additionally records per-thread
+// traces; with tr the functional layer is replaced by the recorded
+// streams while every timing path runs exactly as in a full simulation.
+// At most one of rec/tr may be non-nil.
+func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, cost int64, rec *replay.Recorder, tr *replay.Trace) (*sm.Result, error) {
+	if err := l.Validate(); err != nil {
 		return nil, err
+	}
+	if d.launchTimeout > 0 {
+		// The watchdog bounds this launch end to end: queueing, admission
+		// and simulation (guard.go).
+		var stop func()
+		ctx, stop = watchdogCtx(ctx, d.launchTimeout)
+		defer stop()
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	// An over-subscribed block yields no plan; it runs whole so the SM
+	// rejects it with its precise error.
+	e := &launchRun{d: d, l: l, cost: cost, rec: rec, tr: tr, cancel: cancel, span: 1, slots: 1}
+	e.waves = [][2]int{{0, l.GridDim}}
+	if partition {
+		if plan := exec.PartitionWaves(l.GridDim, sm.ResidentCTAs(d.cfg, l)); len(plan) > 1 {
+			e.waves = plan
+		}
+	}
+	n := len(e.waves)
+	if n > 1 {
+		if d.memsys {
+			e.span, e.slots = n, d.sms
+		}
+		if tr == nil {
+			e.base = make([]byte, len(l.Global))
+			copy(e.base, l.Global)
+			e.images = make([][]byte, n)
+		}
+	}
+	e.runs = make([]waveRun, n)
+
+	// The first domain runs here, the others beside it.
+	var wg sync.WaitGroup
+	for lo := e.span; lo < n; lo += e.span {
+		wg.Add(1)
+		go guarded("CTA wave domain", nil, func() {
+			defer wg.Done()
+			e.runs[lo].err = e.runDomain(ctx, lo, lo+e.span)
+		})()
+	}
+	e.runs[0].err = e.runDomain(ctx, 0, e.span)
+	wg.Wait()
+
+	// Surface the first error in wave order so failures are
+	// deterministic too; prefer a real simulation error over the
+	// cancellations it triggered in sibling domains.
+	var firstErr error
+	for i := range e.runs {
+		if err := e.runs[i].err; err != nil && (firstErr == nil || (isCtxErr(firstErr) && !isCtxErr(err))) {
+			firstErr = err
+		}
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+
+	if e.base != nil {
+		if err := d.fire(faultinject.SiteWaveMerge); err != nil {
+			return nil, err
+		}
+		if err := exec.MergeWaves(l.Global, e.base, e.images); err != nil {
+			return nil, fmt.Errorf("device: %s: %w", l.Prog.Name, err)
+		}
+	}
+
+	out := e.runs[0].res
+	if n > 1 {
+		out = &sm.Result{
+			Trace:    out.Trace, // wave clocks are not comparable; keep the first wave's trace
+			Waves:    make([]sm.Stats, n),
+			SMCycles: make([]int64, d.sms),
+		}
+		for i := range e.runs {
+			st := &e.runs[i].res.Stats
+			out.Waves[i] = *st
+			out.Stats.Merge(st)
+			out.SMCycles[i%d.sms] += st.Cycles
+		}
+	}
+	if e.xbar != nil {
+		out.Stats.Mem.L2 = e.l2.Stats
+		out.Stats.Mem.NoC = e.xbar.Stats()
+		out.NoCPorts = make([]noc.Stats, e.slots)
+		for i := range out.NoCPorts {
+			out.NoCPorts[i] = e.xbar.PortStats(i)
+		}
+	}
+	return out, nil
+}
+
+// runDomain simulates the waves [lo, hi) of the plan on the domain's SM
+// slots: slot s runs waves lo+s, lo+s+slots, ... back-to-back. A panic
+// below it becomes a *PanicError, and any failure cancels the launch's
+// other domains.
+func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = newPanicError(fmt.Sprintf("CTA waves %d-%d of %s", lo, hi-1, e.l.Prog.Name), v)
+		}
+		if err != nil {
+			e.cancel()
+		}
+	}()
+	// The domain is one goroutine however many SMs it interleaves, so it
+	// occupies one run-queue slot, at its share of the launch's cost.
+	d := e.d
+	ctas := e.waves[hi-1][1] - e.waves[lo][0]
+	if err := d.acquireSlot(ctx, e.cost*int64(ctas)/int64(e.l.GridDim)); err != nil {
+		return err
 	}
 	defer d.queue.release()
 
-	var base []byte
-	if tr == nil {
-		base = make([]byte, len(l.Global))
-		copy(base, l.Global)
-	}
-
-	l2 := mem.NewL2(d.l2cfg, d.cfg.Mem)
-	xbar := noc.New(d.noccfg, d.sms)
-
-	type waveRun struct {
-		res    *sm.Result
-		global []byte
-	}
-	runs := make([]waveRun, len(waves))
-
-	slots := make([]smSlot, d.sms)
-	start := func(sl *smSlot, w int) error {
-		wl := l
-		if tr == nil {
-			wl = l.CloneWithGlobal(base)
+	slots := make([]smSlot, e.slots)
+	if d.memsys {
+		e.l2 = mem.NewL2(d.l2cfg, d.cfg.Mem)
+		e.xbar = noc.New(d.noccfg, e.slots)
+		for i := range slots {
+			slots[i].port = &l2Port{xbar: e.xbar, port: i, l2: e.l2, blockBytes: d.cfg.Mem.BlockBytes, faults: d.faults}
 		}
-		sl.port.offset = sl.offset
-		opts, err := waveOpts(rec, tr, waves[w][0], waves[w][1])
-		if err != nil {
-			return err
-		}
-		opts.Lower = sl.port
-		run, err := sm.NewRunner(d.cfg, wl, waves[w][0], waves[w][1], opts)
-		if err != nil {
-			return err
-		}
-		sl.run, sl.global, sl.wave = run, wl.Global, w
-		return nil
 	}
 	for i := range slots {
-		slots[i].port = &l2Port{xbar: xbar, port: i, l2: l2, blockBytes: d.cfg.Mem.BlockBytes, faults: d.faults}
-		if i < len(waves) {
-			if err := start(&slots[i], i); err != nil {
-				return nil, err
+		if lo+i < hi {
+			if err := e.start(&slots[i], lo+i); err != nil {
+				return err
 			}
 		}
 	}
-
-	remaining := len(waves)
-	for steps := 0; remaining > 0; steps++ {
-		if steps&1023 == 0 {
-			select {
-			case <-ctx.Done():
-				return nil, diagnoseAbort(ctx, slots)
-			default:
+	for live := hi - lo; live > 0; live-- {
+		sl, err := stepToWaveEnd(ctx, slots)
+		if err != nil {
+			return err
+		}
+		res := sl.run.Result()
+		e.runs[sl.wave].res = res
+		sl.offset += res.Stats.Cycles
+		sl.run = nil
+		if next := sl.wave + e.slots; next < hi {
+			if err := e.start(sl, next); err != nil {
+				return err
 			}
 		}
-		// Advance the SM whose local clock maps to the earliest device
-		// time; strict < makes ties resolve to the lowest SM index.
-		best := -1
+	}
+	return nil
+}
+
+// start puts wave w of the plan on the slot: a fresh SM over a private
+// clone of the pre-launch image (or the launch itself when there is no
+// snapshot), wired to the slot's port and the trace-replay machinery —
+// a fresh recorder sink when recording, a cursor session over the
+// wave's threads when replaying.
+func (e *launchRun) start(sl *smSlot, w int) error {
+	wl, from, to := e.l, e.waves[w][0], e.waves[w][1]
+	if e.base != nil {
+		wl = e.l.CloneWithGlobal(e.base)
+		e.images[w] = wl.Global
+	}
+	var opts sm.RunOpts
+	if sl.port != nil {
+		sl.port.offset = sl.offset
+		opts.Lower = sl.port
+	}
+	if e.rec != nil {
+		opts.Record = e.rec.Sink()
+	}
+	if e.tr != nil {
+		s, err := replay.NewSession(e.tr, from, to)
+		if err != nil {
+			return err
+		}
+		opts.Replay = s
+	}
+	run, err := sm.NewRunner(e.d.cfg, wl, from, to, opts)
+	if err != nil {
+		return err
+	}
+	sl.run, sl.wave = run, w
+	return nil
+}
+
+// stepToWaveEnd advances the domain until one of its waves completes
+// and returns that wave's slot. Each step goes to the live slot whose
+// local clock maps to the earliest device time; strict < makes ties
+// resolve to the lowest SM index. The context is polled before the
+// first step and about every 1k steps; an abort is rendered through the
+// slot about to step (sm.Runner.Diagnose), so a watchdog cancellation
+// carries that SM's partial-state snapshot.
+//
+//sbwi:hotpath
+func stepToWaveEnd(ctx context.Context, slots []smSlot) (*smSlot, error) {
+	for steps := 0; ; steps++ {
+		var best *smSlot
 		var bestT int64
 		for i := range slots {
 			sl := &slots[i]
 			if sl.run == nil {
 				continue
 			}
-			if t := sl.offset + sl.run.Now(); best < 0 || t < bestT {
-				best, bestT = i, t
+			if t := sl.offset + sl.run.Now(); best == nil || t < bestT {
+				best, bestT = sl, t
 			}
 		}
-		sl := &slots[best]
-		done, err := sl.run.Step()
-		if err != nil {
-			return nil, err
-		}
-		if !done {
-			continue
-		}
-		res := sl.run.Result()
-		runs[sl.wave] = waveRun{res: res, global: sl.global}
-		sl.offset += res.Stats.Cycles
-		sl.run = nil
-		remaining--
-		if next := sl.wave + d.sms; next < len(waves) {
-			if err := start(sl, next); err != nil {
-				return nil, err
+		if steps&1023 == 0 {
+			select {
+			case <-ctx.Done():
+				return nil, best.run.Diagnose(ctx)
+			default:
 			}
 		}
-	}
-
-	if tr == nil {
-		if err := d.fire(faultinject.SiteWaveMerge); err != nil {
-			return nil, err
-		}
-		images := make([][]byte, len(runs))
-		for i := range runs {
-			images[i] = runs[i].global
-		}
-		if err := exec.MergeWaves(l.Global, base, images); err != nil {
-			return nil, fmt.Errorf("device: %s: %w", l.Prog.Name, err)
+		if done, err := best.run.Step(); err != nil || done {
+			return best, err
 		}
 	}
-
-	out := &sm.Result{
-		Trace:    runs[0].res.Trace, // wave clocks overlap; keep the first wave's trace
-		Waves:    make([]sm.Stats, len(runs)),
-		SMCycles: make([]int64, d.sms),
-		NoCPorts: make([]noc.Stats, d.sms),
-	}
-	for i := range runs {
-		out.Waves[i] = runs[i].res.Stats
-		out.Stats.Merge(&runs[i].res.Stats)
-	}
-	for i := range slots {
-		out.SMCycles[i] = slots[i].offset
-		out.NoCPorts[i] = xbar.PortStats(i)
-	}
-	out.Stats.Mem.L2 = l2.Stats
-	out.Stats.Mem.NoC = xbar.Stats()
-	return out, nil
-}
-
-// diagnoseAbort renders an abort observed by the interleaving driver
-// through the first still-live SM, so a watchdog cancellation carries
-// that SM's partial-state snapshot (sm.Runner.Diagnose) instead of a
-// bare context error.
-func diagnoseAbort(ctx context.Context, slots []smSlot) error {
-	for i := range slots {
-		if slots[i].run != nil {
-			return slots[i].run.Diagnose(ctx)
-		}
-	}
-	return ctx.Err()
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/kernels"
@@ -203,149 +202,47 @@ func TestStoreSaturationStretch(t *testing.T) {
 	}
 }
 
-// recLower reconstructs the retired two-pass model's first pass for
-// TestTwoPassVsInlineEquivalence: it services the L1's traffic with the
-// same flat-latency DRAM link the seed used — so the SM runs on the
-// undisturbed flat schedule — while recording every transaction it is
-// shown for a post-hoc contention replay.
-type recLower struct {
-	port       noc.Link
-	blockBytes int
-	evs        []recEvent
-}
-
-type recEvent struct {
-	now   int64
-	block uint32
-	store bool
-}
-
-func (r *recLower) Access(now int64, store bool, block uint32) int64 {
-	r.evs = append(r.evs, recEvent{now: now, block: block, store: store})
-	return r.port.Reserve(now, r.blockBytes)
-}
-
-// TestTwoPassVsInlineEquivalence is the equivalence harness between the
-// retired two-pass record/replay contention model and the inline
-// shared-clock model that replaced it, over the whole benchmark suite.
-// The two-pass side is reconstructed locally: pass one runs the SM on
-// the flat-latency schedule while recording its L1→memory transactions
-// (recLower), pass two replays the time-sorted record through a fresh
-// canonical crossbar+L2 — exactly the shape of the deleted
-// modelContention path. The harness then asserts what must agree and
-// documents what intentionally diverges:
-//
-//   - Conservation holds in both models: every L2 access entered
-//     through a crossbar port (NoC.Requests == L2 loads + stores, bytes
-//     == requests × block size), every L1 store transaction reaches the
-//     L2 (the store-blindness fix), and the L2 sees at most the L1's
-//     misses as loads, short at most the L1's MSHR merges.
-//   - The replay itself is deterministic: replaying the same record
-//     twice produces bit-identical canonical counters.
-//   - For kernels whose instruction stream is timing-independent, the
-//     two models execute identical per-thread work (ThreadInstrs and
-//     its per-unit breakdown, including the LSU class).
-//
-// Intended divergences — logged, never asserted: the canonical L2/NoC
-// counters themselves (hits, misses, queue cycles) differ because the
-// inline model's contention feeds back into issue timing and MSHR
-// merging while the replay observes the flat schedule; L1 transaction
-// counts differ even for identical instruction streams because the
-// coalescer merges per warp-split and split grouping is itself
-// timing-dependent under SWI; and kernels that communicate through
-// global memory (BFS's frontier, the TMD task queues) may shift
-// instruction counts by a few under any timing change, so nothing
-// instruction-derived is comparable for them at all.
-func TestTwoPassVsInlineEquivalence(t *testing.T) {
+// TestMemsysConservation pins the conservation laws of the inline
+// memory system over the whole benchmark suite, for the whole-grid shape
+// (one SM slot, one-port crossbar) and a 4-SM partitioned shape (one
+// multi-slot domain, the L1 side summed over its waves): every L2 access
+// entered through a crossbar port (NoC.Requests == L2 loads + stores,
+// bytes == requests × block size), every L1 store transaction reaches
+// the L2 — the store blindness the retired two-pass contention replay
+// had — and the L2 sees at most the L1s' misses as loads, short at most
+// their MSHR merges.
+func TestMemsysConservation(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-suite equivalence harness")
+		t.Skip("full-suite conservation sweep")
 	}
-	cfg := sm.Configure(sm.ArchSBISWI)
-	bb := uint64(cfg.Mem.BlockBytes)
-	check := func(t *testing.T, model string, l1 *mem.Stats, l2 mem.L2Stats, nc noc.Stats) {
-		t.Helper()
-		if nc.Requests != l2.Loads+l2.Stores {
-			t.Errorf("%s: %d NoC requests, want the %d+%d L2 loads+stores", model, nc.Requests, l2.Loads, l2.Stores)
+	for _, shape := range []string{"whole-grid", "partitioned"} {
+		dev, err := New(WithArch(sm.ArchSBISWI), WithL2(mem.DefaultL2()), WithInterconnect(noc.Default()),
+			WithSMs(4), WithGridPartition(shape == "partitioned"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if nc.Bytes != nc.Requests*bb {
-			t.Errorf("%s: %d NoC bytes, want requests×blockBytes = %d", model, nc.Bytes, nc.Requests*bb)
-		}
-		if l2.Stores != l1.Stores {
-			t.Errorf("%s: L2 saw %d stores, L1 sent %d: store traffic lost below the L1", model, l2.Stores, l1.Stores)
-		}
-		if l2.Loads > l1.Misses || l2.Loads+l1.MSHRMerges < l1.Misses {
-			t.Errorf("%s: L2 saw %d loads for %d L1 misses (%d merges)", model, l2.Loads, l1.Misses, l1.MSHRMerges)
-		}
-	}
-	for _, b := range kernels.All() {
-		t.Run(b.Name, func(t *testing.T) {
-			// Pass 1 of the retired model: flat-latency schedule, traffic
-			// recorded.
-			l1, err := b.NewLaunch(true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := &recLower{
-				port:       noc.NewLink(cfg.Mem.BytesPerCycle, cfg.Mem.MemLatency),
-				blockBytes: cfg.Mem.BlockBytes,
-			}
-			twoPass, err := sm.RunRangeOpts(context.Background(), cfg, l1, 0, l1.GridDim, sm.RunOpts{Lower: rec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Pass 2: replay the time-sorted record through the canonical
-			// shared hierarchy, twice to pin the replay's own determinism.
-			sort.SliceStable(rec.evs, func(i, j int) bool { return rec.evs[i].now < rec.evs[j].now })
-			replay := func() (mem.L2Stats, noc.Stats) {
-				l2 := mem.NewL2(mem.DefaultL2(), cfg.Mem)
-				xbar := noc.New(noc.Default(), 1)
-				for _, e := range rec.evs {
-					l2.Access(xbar.Send(0, e.now, cfg.Mem.BlockBytes), e.block, e.store)
+		bb := uint64(dev.Config().Mem.BlockBytes)
+		for _, b := range kernels.All() {
+			t.Run(shape+"/"+b.Name, func(t *testing.T) {
+				res, err := dev.Run(context.Background(), mustLaunch(t, b.Name))
+				if err != nil {
+					t.Fatal(err)
 				}
-				return l2.Stats, xbar.Stats()
-			}
-			rl2, rnc := replay()
-			rl2b, rncb := replay()
-			if !reflect.DeepEqual(rl2, rl2b) || !reflect.DeepEqual(rnc, rncb) {
-				t.Errorf("replay of the same record is not deterministic:\n%+v %+v\n%+v %+v", rl2, rnc, rl2b, rncb)
-			}
-
-			// The inline single-pass model on the same launch.
-			dev, err := New(WithArch(sm.ArchSBISWI), WithL2(mem.DefaultL2()), WithInterconnect(noc.Default()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			l2, err := b.NewLaunch(true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inline, err := dev.Run(context.Background(), l2)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			check(t, "two-pass", &twoPass.Stats.Mem, rl2, rnc)
-			check(t, "inline", &inline.Stats.Mem, inline.Stats.Mem.L2, inline.Stats.Mem.NoC)
-
-			if twoPass.Stats.ThreadInstrs == inline.Stats.ThreadInstrs {
-				if twoPass.Stats.UnitThreadInstrs != inline.Stats.UnitThreadInstrs {
-					t.Errorf("identical instruction counts but different per-unit work: two-pass %v, inline %v",
-						twoPass.Stats.UnitThreadInstrs, inline.Stats.UnitThreadInstrs)
+				l1, l2, nc := &res.Stats.Mem, &res.Stats.Mem.L2, &res.Stats.Mem.NoC
+				if nc.Requests != l2.Loads+l2.Stores {
+					t.Errorf("%d NoC requests, want the %d+%d L2 loads+stores", nc.Requests, l2.Loads, l2.Stores)
 				}
-				if tp, in := &twoPass.Stats.Mem, &inline.Stats.Mem; tp.Loads != in.Loads || tp.Stores != in.Stores {
-					t.Logf("intended divergence: L1 transactions two-pass %d/%d, inline %d/%d (loads/stores) — coalescing follows timing-dependent warp-split grouping",
-						tp.Loads, tp.Stores, in.Loads, in.Stores)
+				if nc.Bytes != nc.Requests*bb {
+					t.Errorf("%d NoC bytes, want requests×blockBytes = %d", nc.Bytes, nc.Requests*bb)
 				}
-			} else {
-				t.Logf("instruction counts differ (%d vs %d): kernel communicates through global memory, totals not comparable across timing models",
-					twoPass.Stats.ThreadInstrs, inline.Stats.ThreadInstrs)
-			}
-			if rl2.Hits != inline.Stats.Mem.L2.Hits || rnc.QueueCycles != inline.Stats.Mem.NoC.QueueCycles {
-				t.Logf("intended divergence: two-pass L2 %d/%d hit/miss, %d queue cycles; inline %d/%d, %d — inline contention feeds back into issue timing",
-					rl2.Hits, rl2.Misses, rnc.QueueCycles,
-					inline.Stats.Mem.L2.Hits, inline.Stats.Mem.L2.Misses, inline.Stats.Mem.NoC.QueueCycles)
-			}
-		})
+				if l2.Stores != l1.Stores {
+					t.Errorf("L2 saw %d stores, L1 sent %d: store traffic lost below the L1", l2.Stores, l1.Stores)
+				}
+				if l2.Loads > l1.Misses || l2.Loads+l1.MSHRMerges < l1.Misses {
+					t.Errorf("L2 saw %d loads for %d L1 misses (%d merges)", l2.Loads, l1.Misses, l1.MSHRMerges)
+				}
+			})
+		}
 	}
 }
 

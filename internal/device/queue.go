@@ -11,10 +11,12 @@ import (
 // whose waiters are granted slots in descending estimated-cost order
 // (longest job first, FIFO on ties) instead of arrival order. Every
 // simulation the device performs — a Device.Run launch, a stream
-// launch, a RunSuite entry, an individual CTA wave of a partitioned
-// grid — acquires one slot for the duration of its SM simulation, so
-// suite batches and interactive streams share a single fairness/cost
-// policy and a single host-parallelism bound.
+// launch, a RunSuite entry — acquires one slot per contention domain of
+// its wave plan (memsys.go: the whole launch, or each CTA wave of a
+// flat-partitioned grid, weighted by its share of the launch's CTAs)
+// for the duration of that domain's SM simulation, so suite batches and
+// interactive streams share a single fairness/cost policy and a single
+// host-parallelism bound.
 //
 // The queue only ever decides *when* a simulation starts, never what
 // it computes: results are bit-identical for every slot count and

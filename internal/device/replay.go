@@ -73,25 +73,36 @@ func WithReplayLog(w io.Writer) Option {
 // one, full simulation when the benchmark is out of the validity
 // domain.
 func (d *Device) runBenchmarkTraced(ctx context.Context, b *kernels.Benchmark, partition bool) (*sm.Result, error) {
-	tr, res, err := d.cache.traceOrRecord(ctx, traceKey{b.Name, d.funcFP}, func() (*replay.Trace, *sm.Result, error) {
-		return d.recordBenchmark(ctx, b, partition)
+	// Only the call that performs the recording sees recorded set; its
+	// full-simulation result doubles as this sweep point's result.
+	var recorded *sm.Result
+	tr, err := d.cache.traces.do(ctx, traceKey{b.Name, d.funcFP}, func() (*replay.Trace, error) {
+		rec := replay.NewRecorder(b.Grid, b.Block)
+		res, err := d.runBenchmark(ctx, b, partition, rec, nil)
+		if err != nil {
+			return nil, err
+		}
+		tr := rec.Finalize()
+		if !tr.Replayable {
+			d.degradef("device: %s on %s is outside the trace-replay validity domain, sweep points run full simulations: %s", b.Name, d.cfg.Arch, tr.Reason)
+		}
+		recorded = res
+		return tr, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if res != nil {
-		// This call performed the recording; its full-simulation result
-		// is the sweep point's result.
-		return res, nil
+	if err != nil || recorded != nil {
+		return recorded, err
 	}
 	if !tr.Replayable {
 		// The reason was logged once when the trace was recorded.
-		return d.runBenchmark(ctx, b, partition)
+		return d.runBenchmark(ctx, b, partition, nil, nil)
 	}
 	// A panicking replay degrades exactly like a desynced one: safeRun
 	// converts the panic, the uniform fallback below re-runs in full.
-	res, err = safeRun("trace replay of "+b.Name, func() (*sm.Result, error) {
-		return d.replayBenchmark(ctx, b, partition, tr)
+	res, err := safeRun("trace replay of "+b.Name, func() (*sm.Result, error) {
+		if err := d.fire(faultinject.SiteReplayFallback); err != nil {
+			return nil, err
+		}
+		return d.runBenchmark(ctx, b, partition, nil, tr)
 	})
 	if err != nil {
 		if isCtxErr(err) {
@@ -101,52 +112,33 @@ func (d *Device) runBenchmarkTraced(ctx context.Context, b *kernels.Benchmark, p
 		// domain at runtime — and an injected fault in the replay path is
 		// made to look the same way; fall back loudly rather than guess.
 		d.degradef("device: trace replay of %s on %s fell back to full simulation: %v", b.Name, d.cfg.Arch, err)
-		return d.runBenchmark(ctx, b, partition)
+		return d.runBenchmark(ctx, b, partition, nil, nil)
 	}
 	return res, nil
 }
 
-// recordBenchmark runs one full, oracle-checked simulation of the
-// benchmark while recording its per-thread trace, and finalizes the
-// trace (including the race analysis deciding replayability).
-func (d *Device) recordBenchmark(ctx context.Context, b *kernels.Benchmark, partition bool) (*replay.Trace, *sm.Result, error) {
-	l, err := b.NewLaunch(d.cfg.Arch != sm.ArchBaseline)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec := replay.NewRecorder(l.GridDim, l.BlockDim)
-	res, err := d.runTraced(ctx, l, partition, estimatedCost(b, d.cfgFP), rec, nil)
-	if err != nil {
-		return nil, nil, fmt.Errorf("device: %s on %s: %w", b.Name, d.cfg.Arch, err)
-	}
-	if !bytes.Equal(l.Global, b.Expected()) {
-		return nil, nil, fmt.Errorf("device: %s on %s: simulation diverged from reference", b.Name, d.cfg.Arch)
-	}
-	recordCost(b, d.cfgFP, res)
-	tr := rec.Finalize()
-	if !tr.Replayable {
-		d.degradef("device: %s on %s is outside the trace-replay validity domain, sweep points run full simulations: %s", b.Name, d.cfg.Arch, tr.Reason)
-	}
-	return tr, res, nil
-}
-
-// replayBenchmark re-times the benchmark from its recorded trace. The
-// oracle check is skipped by design: a replay never touches the global
-// image (the recording run already validated the functional behavior
-// the trace encodes).
-func (d *Device) replayBenchmark(ctx context.Context, b *kernels.Benchmark, partition bool, tr *replay.Trace) (*sm.Result, error) {
-	if err := d.fire(faultinject.SiteReplayFallback); err != nil {
-		return nil, err
-	}
+// runBenchmark builds the benchmark's launch for the device's
+// architecture, runs it (partitioned into CTA waves when asked;
+// recording into rec or replaying tr as Device.run describes), and
+// checks the oracle — except on a replay, which never touches the
+// global image: the recording run already validated the functional
+// behavior the trace encodes. Admission is weighted by the entry's
+// estimated cost — measured cycles after the cell has run once in this
+// process, the calibrated static estimate cold.
+func (d *Device) runBenchmark(ctx context.Context, b *kernels.Benchmark, partition bool, rec *replay.Recorder, tr *replay.Trace) (*sm.Result, error) {
 	l, err := b.NewLaunch(d.cfg.Arch != sm.ArchBaseline)
 	if err != nil {
 		return nil, err
 	}
-	res, err := d.runTraced(ctx, l, partition, estimatedCost(b, d.cfgFP), nil, tr)
+	res, err := d.run(ctx, l, partition, estimatedCost(b, d.cfgFP), rec, tr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("device: %s on %s: %w", b.Name, d.cfg.Arch, err)
 	}
-	res.Replayed = true
+	if tr != nil {
+		res.Replayed = true
+	} else if !bytes.Equal(l.Global, b.Expected()) {
+		return nil, fmt.Errorf("device: %s on %s: simulation diverged from reference", b.Name, d.cfg.Arch)
+	}
 	recordCost(b, d.cfgFP, res)
 	return res, nil
 }
@@ -167,7 +159,9 @@ func (d *Device) RunTraceReplay(ctx context.Context, l *exec.Launch) (*sm.Result
 	defer d.inflight.finish()
 
 	rec := replay.NewRecorder(l.GridDim, l.BlockDim)
-	res, err := d.runTraced(ctx, l, d.partition, launchCost(l), rec, nil)
+	res, err := safeRun("trace recording of "+l.Prog.Name, func() (*sm.Result, error) {
+		return d.run(ctx, l, d.partition, launchCost(l), rec, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +174,7 @@ func (d *Device) RunTraceReplay(ctx context.Context, l *exec.Launch) (*sm.Result
 		if err := d.fire(faultinject.SiteReplayFallback); err != nil {
 			return nil, err
 		}
-		return d.runTraced(ctx, l, d.partition, launchCost(l), nil, tr)
+		return d.run(ctx, l, d.partition, launchCost(l), nil, tr)
 	})
 	if err != nil {
 		if isCtxErr(err) {

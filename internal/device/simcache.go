@@ -3,6 +3,7 @@ package device
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/fingerprint"
 	"repro/internal/kernels"
@@ -71,24 +72,17 @@ func (d *Device) simKeyFor(b *kernels.Benchmark, partitioned bool) simKey {
 // above) and the simulator is deterministic. Memory is bounded by the
 // number of distinct (benchmark, configuration) cells actually run.
 type SimCache struct {
-	mu sync.Mutex
-	m  map[simKey]*simEntry //sbwi:guardedby mu
+	results flight[simKey, *sm.Result]
 
 	// traces memoizes recorded per-thread execution traces for the
 	// trace-replay engine (WithTraceReplay). The key is deliberately
 	// coarser than simKey — just the benchmark and the *functional*
 	// fingerprint — because a trace is valid for every timing
 	// configuration (sm.Config.FunctionalFingerprint documents the
-	// split): one recording serves a whole sweep.
-	traces map[traceKey]*traceEntry //sbwi:guardedby mu
-
-	hits, misses uint64 //sbwi:guardedby mu
-}
-
-type simEntry struct {
-	done chan struct{} // closed once the fill attempt finished
-	//sbwi:nolock guarded by the owning SimCache's mu; reads also gated by the done close
-	res *sm.Result // nil if the fill failed (entry already removed)
+	// split): one recording serves a whole sweep. A non-replayable trace
+	// is still a cached verdict: later points skip straight to full
+	// simulation without re-deriving (or re-logging) the reason.
+	traces flight[traceKey, *replay.Trace]
 }
 
 // traceKey identifies one recorded trace: the benchmark (deterministic
@@ -99,166 +93,107 @@ type traceKey struct {
 	funcFP uint64
 }
 
-type traceEntry struct {
-	done chan struct{} // closed once the recording attempt finished
-	//sbwi:nolock guarded by the owning SimCache's mu; reads also gated by the done close
-	tr *replay.Trace // nil if the recording failed (entry already removed)
-}
-
 // NewSimCache returns an empty simulation cache.
 func NewSimCache() *SimCache {
-	return &SimCache{m: make(map[simKey]*simEntry), traces: make(map[traceKey]*traceEntry)}
+	return &SimCache{
+		results: flight[simKey, *sm.Result]{m: make(map[simKey]*flightEntry[*sm.Result])},
+		traces:  flight[traceKey, *replay.Trace]{m: make(map[traceKey]*flightEntry[*replay.Trace])},
+	}
 }
 
-// Hits returns how many lookups were served from a completed entry.
-func (c *SimCache) Hits() uint64 { c.mu.Lock(); defer c.mu.Unlock(); return c.hits }
+// Hits returns how many result lookups were served from a completed
+// entry.
+func (c *SimCache) Hits() uint64 { return c.results.hits.Load() }
 
-// Misses returns how many lookups started a fill.
-func (c *SimCache) Misses() uint64 { c.mu.Lock(); defer c.mu.Unlock(); return c.misses }
+// Misses returns how many result lookups started a fill.
+func (c *SimCache) Misses() uint64 { return c.results.misses.Load() }
 
-// Len returns the number of completed entries.
-func (c *SimCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, e := range c.m { //sbwi:unordered pure count; result independent of visit order
+// Len returns the number of completed result entries.
+func (c *SimCache) Len() int { return c.results.completed() }
+
+// flight is a single-flight memo table: do returns the value cached for
+// a key, or runs fill once and caches what it returns, with concurrent
+// callers of the same key waiting for the in-flight fill instead of
+// duplicating it.
+type flight[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*flightEntry[V] //sbwi:guardedby mu
+
+	hits, misses atomic.Uint64 // lookups served from a completed entry / that started a fill
+}
+
+// flightEntry is one key's fill. val and ok are written once, under the
+// owning flight's mu, before done is closed; readers either hold that
+// mutex or have seen done closed.
+type flightEntry[V any] struct {
+	done chan struct{} // closed once the fill attempt finished
+	val  V
+	ok   bool // false if the fill failed (entry already removed)
+}
+
+// do returns the cached value for key, or runs fill once and caches its
+// value. If the fill fails its error goes to the filling caller and
+// waiters retry (or become the next filler): a failed or aborted fill
+// is never cached, also when fill panics — the deferred publish below
+// runs during the unwind, removing the entry and closing done so
+// waiters do not hang on a never-closed channel, while the panic itself
+// keeps propagating to the caller's recover boundary for attribution.
+// The returned value is shared: callers must not mutate it.
+func (f *flight[K, V]) do(ctx context.Context, key K, fill func() (V, error)) (val V, err error) {
+	for {
+		f.mu.Lock()
+		e, found := f.m[key]
+		if !found {
+			e = &flightEntry[V]{done: make(chan struct{})}
+			f.m[key] = e
+			f.misses.Add(1)
+			f.mu.Unlock()
+			filled := false
+			defer func() {
+				f.mu.Lock()
+				if filled && err == nil {
+					e.val, e.ok = val, true
+				} else {
+					delete(f.m, key) // let a waiter (or the next pass) retry
+				}
+				close(e.done)
+				f.mu.Unlock()
+			}()
+			val, err = fill()
+			filled = true
+			return val, err
+		}
+		f.mu.Unlock()
 		select {
-		case <-e.done:
-			if e.res != nil {
-				n++
-			}
+		case <-e.done: // a finished fill is served even to a cancelled caller
 		default:
+			select {
+			case <-e.done:
+			case <-ctx.Done():
+				return val, ctx.Err()
+			}
+		}
+		if e.ok {
+			f.hits.Add(1)
+			return e.val, nil
+		}
+		// The fill we waited on failed (its filler already removed the
+		// entry, unless a new filler replaced it); loop to pick up the
+		// replacement or become the new filler ourselves.
+	}
+}
+
+// completed returns the number of successfully filled entries.
+func (f *flight[K, V]) completed() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := 0
+	for _, e := range f.m { //sbwi:unordered pure count; result independent of visit order
+		if e.ok {
+			n++
 		}
 	}
 	return n
-}
-
-// getOrRun returns the cached result for key, or runs fill once and
-// caches its result. Concurrent callers with the same key wait for the
-// in-flight fill instead of duplicating it; if the fill fails its
-// error goes to the filling caller and waiters retry (a failed or
-// aborted result is never cached — see fill below, which also holds
-// when the filler panics). The returned Result is shared: callers must
-// not mutate it.
-func (c *SimCache) getOrRun(ctx context.Context, key simKey, fill func() (*sm.Result, error)) (*sm.Result, error) {
-	for {
-		c.mu.Lock()
-		e, ok := c.m[key]
-		if !ok {
-			e = &simEntry{done: make(chan struct{})}
-			c.m[key] = e
-			c.misses++
-			c.mu.Unlock()
-			return c.fill(key, e, fill)
-		}
-		select {
-		case <-e.done:
-			if e.res != nil {
-				c.hits++
-				c.mu.Unlock()
-				return e.res, nil
-			}
-			// The fill we would have waited on failed (its goroutine
-			// already removed the entry, unless a new filler replaced
-			// it); loop to pick up the replacement or become the new
-			// filler ourselves.
-			c.mu.Unlock()
-			continue
-		default:
-		}
-		c.mu.Unlock()
-		select {
-		case <-e.done:
-			// Loop: either pick up the result or become the new filler.
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// fill runs one cache fill and publishes its outcome exactly once —
-// also when fn panics: the deferred cleanup runs during the unwind,
-// removing the entry and closing done so waiters retry (or become the
-// next filler) instead of hanging on a never-closed channel, while the
-// panic itself keeps propagating to the caller's recover boundary for
-// attribution. Failed or aborted results are never stored.
-func (c *SimCache) fill(key simKey, e *simEntry, fn func() (*sm.Result, error)) (res *sm.Result, err error) {
-	completed := false
-	defer func() {
-		c.mu.Lock()
-		if completed && err == nil {
-			e.res = res
-		} else {
-			delete(c.m, key) // let a waiter (or the next pass) retry
-		}
-		close(e.done)
-		c.mu.Unlock()
-	}()
-	res, err = fn()
-	completed = true
-	return res, err
-}
-
-// traceOrRecord returns the cached execution trace for key, or calls
-// record once to produce it (alongside the recording run's full
-// result, which doubles as that sweep point's result). Concurrent
-// callers with the same key wait for the in-flight recording instead
-// of duplicating it, exactly like getOrRun; a failed recording is not
-// cached, so a waiter (or the next pass) retries. On a hit the result
-// is (trace, nil, nil) — only the recording caller ever sees a
-// non-nil *sm.Result. Note that a non-replayable trace is still a
-// cached verdict: later points skip straight to full simulation
-// without re-deriving (or re-logging) the reason.
-func (c *SimCache) traceOrRecord(ctx context.Context, key traceKey, record func() (*replay.Trace, *sm.Result, error)) (*replay.Trace, *sm.Result, error) {
-	for {
-		c.mu.Lock()
-		e, ok := c.traces[key]
-		if !ok {
-			e = &traceEntry{done: make(chan struct{})}
-			c.traces[key] = e
-			c.mu.Unlock()
-			return c.record(key, e, record)
-		}
-		select {
-		case <-e.done:
-			if e.tr != nil {
-				c.mu.Unlock()
-				return e.tr, nil, nil
-			}
-			// The recording we would have waited on failed; loop to pick
-			// up a replacement or become the new recorder ourselves.
-			c.mu.Unlock()
-			continue
-		default:
-		}
-		c.mu.Unlock()
-		select {
-		case <-e.done:
-			// Loop: either pick up the trace or become the new recorder.
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
-		}
-	}
-}
-
-// record is fill's twin for the trace cache: publish exactly once, keep
-// failed recordings out of the cache, and survive a panicking recorder
-// without stranding waiters.
-func (c *SimCache) record(key traceKey, e *traceEntry, fn func() (*replay.Trace, *sm.Result, error)) (tr *replay.Trace, res *sm.Result, err error) {
-	completed := false
-	defer func() {
-		c.mu.Lock()
-		if completed && err == nil {
-			e.tr = tr
-		} else {
-			delete(c.traces, key) // let a waiter (or the next pass) retry
-		}
-		close(e.done)
-		c.mu.Unlock()
-	}()
-	tr, res, err = fn()
-	completed = true
-	return tr, res, err
 }
 
 // The cost registry: measured per-cell simulation costs feed the

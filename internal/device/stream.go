@@ -159,7 +159,7 @@ func (s *Stream) Launch(ctx context.Context, l *exec.Launch) *Pending {
 		if err := s.dev.fire(faultinject.SiteStreamDispatch); err != nil {
 			return nil, err
 		}
-		return s.dev.run(ctx, l, s.dev.partition, launchCost(l))
+		return s.dev.run(ctx, l, s.dev.partition, launchCost(l), nil, nil)
 	}, ctx, s.depth != nil)
 	return p
 }

@@ -17,7 +17,7 @@ import (
 // abort. The device layer cancels a launch's context with a cause
 // wrapping it; errors.Is(err, ErrLaunchTimeout) identifies a timed-out
 // launch through every layer of wrapping, including the *TimeoutError
-// the SM poll loop builds around it.
+// Runner.Diagnose builds around it.
 var ErrLaunchTimeout = errors.New("launch exceeded its wall-clock watchdog")
 
 // LivelockError reports a run that exceeded its modeled-cycle bound

@@ -7,14 +7,15 @@ import (
 )
 
 // Runner exposes a single SM's simulation as an incrementally steppable
-// process, so the device layer can interleave several SMs against one
-// shared memory-system clock: the driver repeatedly steps the SM whose
-// local clock maps to the earliest device time, and each Step's memory
-// traffic enters the shared L2/NoC (through RunOpts.Lower) at exactly
-// that moment. A Runner is not safe for concurrent use; the device's
-// interleaver drives every Runner of a launch from one goroutine, which
-// is what makes the shared access order — and therefore all contention
-// counters — a pure function of the configuration.
+// process. RunRangeOpts steps one to completion; the device layer
+// interleaves several against one shared memory-system clock: its driver
+// repeatedly steps the SM whose local clock maps to the earliest device
+// time, and each Step's memory traffic enters the shared L2/NoC (through
+// RunOpts.Lower) at exactly that moment. A Runner is not safe for
+// concurrent use; the device drives every Runner sharing a lower level
+// from one goroutine, which is what makes the shared access order — and
+// therefore all contention counters — a pure function of the
+// configuration.
 type Runner struct {
 	s    *SM
 	max  int64
@@ -72,9 +73,9 @@ func (r *Runner) Step() (bool, error) {
 // Done.
 func (r *Runner) Result() *Result { return r.s.result() }
 
-// Diagnose converts an externally observed context abort into the same
-// typed error a self-running SM produces: the interleaving driver
-// (device memsys) polls the context between Steps, and on abort calls
-// Diagnose so a watchdog cancellation still yields a TimeoutError with
-// this SM's partial-state snapshot instead of a bare context error.
+// Diagnose converts a context abort observed between Steps into the
+// run's typed error: whoever drives the Runner (RunRangeOpts, the device
+// layer's wave driver) polls the context itself, and on abort calls
+// Diagnose so a watchdog cancellation yields a TimeoutError with this
+// SM's partial-state snapshot instead of a bare context error.
 func (r *Runner) Diagnose(ctx context.Context) error { return r.s.abortErr(ctx) }

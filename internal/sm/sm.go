@@ -42,7 +42,6 @@ type SM struct {
 	slotOf   []int8
 	setBits  []warpBits // SWI: per-buddy-set warp masks
 	memberOf []int      // SWI: buddy-set index containing each warp
-	nextPoll int64      // next context-poll cycle
 
 	// srcsOf caches each instruction's source-register list, indexed by
 	// PC — static per program, recomputed by the seed on every probe.
@@ -196,22 +195,37 @@ type RunOpts struct {
 // as each operates on its own global-memory image (see the Launch
 // write-sharing contract in package exec). Thread environments still
 // see the full grid (%nctaid is l.GridDim), so functional behavior is
-// position-independent. The context is polled about every 1k cycles;
+// position-independent. The context is polled about every 1k steps;
 // cancellation aborts the simulation with ctx.Err().
 func RunRange(ctx context.Context, cfg Config, l *exec.Launch, ctaStart, ctaEnd int) (*Result, error) {
 	return RunRangeOpts(ctx, cfg, l, ctaStart, ctaEnd, RunOpts{})
 }
 
-// RunRangeOpts is RunRange with explicit memory-system wiring.
+// RunRangeOpts is RunRange with explicit memory-system wiring: a Runner
+// stepped to completion, with the context polled before the first step
+// and about every 1k steps after (see Runner.Diagnose for how an abort
+// is reported).
 func RunRangeOpts(ctx context.Context, cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) (*Result, error) {
-	s, err := newSM(cfg, l, ctaStart, ctaEnd, opts)
+	r, err := NewRunner(cfg, l, ctaStart, ctaEnd, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.run(ctx); err != nil {
-		return nil, err
+	for steps := 0; ; steps++ {
+		if steps&1023 == 0 {
+			select {
+			case <-ctx.Done():
+				return nil, r.Diagnose(ctx)
+			default:
+			}
+		}
+		done, err := r.Step()
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			return r.Result(), nil
+		}
 	}
-	return s.result(), nil
 }
 
 // newSM validates the configuration and launch and builds a fresh SM
@@ -306,32 +320,6 @@ func newSM(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) (*SM,
 		}
 	}
 	return s, nil
-}
-
-// run drives the simulation to completion (or error), polling the
-// context about every 1k cycles.
-func (s *SM) run(ctx context.Context) error {
-	maxCycles := s.cfg.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = defaultMaxCycles
-	}
-	for {
-		if s.now >= s.nextPoll {
-			select {
-			case <-ctx.Done():
-				return s.abortErr(ctx)
-			default:
-			}
-			s.nextPoll = (s.now &^ 1023) + 1024
-		}
-		done, err := s.step(maxCycles)
-		if err != nil {
-			return err
-		}
-		if done {
-			return s.finishReplay()
-		}
-	}
 }
 
 // finishReplay verifies, at completion of a replayed run, that every
