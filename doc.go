@@ -234,16 +234,16 @@
 //
 // # Simulation speed
 //
-// The SM's scheduling loop is event-driven but cycle-exact: candidate
-// eligibility is maintained incrementally at the events that change it
-// (issues, barrier releases, block launch/retire) rather than re-derived
-// from every warp context each cycle, spans in which no instruction can
-// issue are fast-forwarded in one step, and the steady-state issue path
-// performs no heap allocation. None of this changes any number — the
-// modeled cycle count, every statistic and every PRNG tie-break are
-// bit-identical to a naive per-cycle rescan, by construction (the
-// incremental walk probes the same candidates in the same order) and
-// pinned by the golden-stats fixture. See the README's Performance
+// The SM's scheduling loop is event-driven but cycle-exact: a per-warp
+// issue-candidate cache, read by the primary walk, the SWI lookup and
+// the idle-span fast-forward, replaces the per-cycle rescan of every
+// warp context and its scoreboard query on every probe (described once,
+// in the header of internal/sm/schedfast.go), and the steady-state
+// issue path performs no heap allocation. None of this changes any
+// number — the modeled cycle count, every statistic and every PRNG
+// tie-break are bit-identical to a naive per-cycle rescan, by
+// construction (the walk probes the same candidates in the same order)
+// and pinned by the golden-stats fixture. See the README's Performance
 // section for how to benchmark and profile.
 //
 // # Static analysis

@@ -137,10 +137,19 @@ func NewScoreboard(mode DepMode, numWarps, perWarp int) *Scoreboard {
 // Mode returns the dependency mode.
 func (s *Scoreboard) Mode() DepMode { return s.mode }
 
-// prune drops entries whose writeback time has passed. The common case
-// — every entry still in flight — returns without rewriting the slice,
-// since prune runs on every scoreboard query.
-func (s *Scoreboard) prune(warp int, now int64) {
+// Prune drops the entries of a warp whose writeback time has passed. It
+// is invisible to every later verdict (a warp's query times never
+// decrease, so an entry dead at now stays dead) and exists only to keep
+// entries[warp] short. ReadyAt and InFlight prune before they read the
+// table; Horizon does not, and the SM — which asks Horizon once per
+// issue and answers every other probe from the cached result — calls
+// Prune itself when it selects a warp. Either way every Issue follows a
+// prune of that warp in the same cycle, and an instruction that
+// allocates an entry has just passed the structural check (fewer than
+// perWarp live entries), so entries[warp] cannot outgrow perWarp live
+// entries plus one cycle's issues. The common case — every entry still
+// in flight — returns without rewriting the slice.
+func (s *Scoreboard) Prune(warp int, now int64) {
 	es := s.entries[warp]
 	i := 0
 	for i < len(es) && es[i].WB > now {
@@ -176,7 +185,7 @@ func (s *Scoreboard) depends(e *Entry, slot int, mask uint64) bool {
 // and the structural entry limit. A result <= now means "ready now".
 // srcs must hold the candidate's source registers (isa.SrcRegs).
 func (s *Scoreboard) ReadyAt(warp int, ins *isa.Instruction, srcs []isa.Reg, slot int, mask uint64, now int64) int64 {
-	s.prune(warp, now)
+	s.Prune(warp, now)
 	s.Stats.Checks++
 	ready := now
 	es := s.entries[warp]
@@ -215,23 +224,24 @@ func (s *Scoreboard) ReadyAt(warp int, ins *isa.Instruction, srcs []isa.Reg, slo
 	return ready
 }
 
-// Horizon reports, without touching statistics or pruning, the
-// quantities that govern a frozen candidate's readiness while no new
-// entries are allocated (the SM's idle-span invariant). Entries whose
-// writeback time is at or before q are ignored — they are dead for
-// every query after q.
+// Horizon reports, without touching statistics or the table, the two
+// writeback times that decide every later ReadyAt verdict for a
+// candidate until the warp's table next changes (Issue or Transition on
+// that warp): for any q” >= q, ReadyAt at q” stalls exactly while
+// q” < max(hazardWB, structWB), and counts the stall as structural
+// exactly while hazardWB <= q” < structWB. The SM's issue-candidate
+// cache turns one such call into the thresholds every probe of the
+// warp compares against. Entries written back at or before q are dead
+// for every such q” and are ignored, pruned or not (see Prune).
 //
 //   - hazardWB is the latest writeback time among live entries that
 //     conflict with the candidate (thread-sharing per the dependency
-//     mode and a RAW or WAW register match): a ReadyAt query at q' < q”
-//     stalls on a hazard exactly while q” < hazardWB. hasHazard is
-//     false when no live entry conflicts.
+//     mode and a RAW or WAW register match). hasHazard is false when no
+//     live entry conflicts.
 //   - structWB is the writeback time at which the entry table stops
-//     being structurally full for a destination-writing candidate:
-//     ReadyAt at q” reports a structural stall exactly while
-//     q” < structWB and no hazard stall applies. hasStruct is false
-//     when the candidate writes no destination or the table is not
-//     full.
+//     being structurally full for a destination-writing candidate.
+//     hasStruct is false when the candidate writes no destination or
+//     the table is not full.
 func (s *Scoreboard) Horizon(warp int, ins *isa.Instruction, srcs []isa.Reg, slot int, mask uint64, q int64) (hazardWB int64, hasHazard bool, structWB int64, hasStruct bool) {
 	es := s.entries[warp]
 	live := s.horizon[:0]
@@ -300,6 +310,6 @@ func (s *Scoreboard) Transition(warp int, t Matrix) {
 
 // InFlight returns the number of live entries for a warp.
 func (s *Scoreboard) InFlight(warp int, now int64) int {
-	s.prune(warp, now)
+	s.Prune(warp, now)
 	return len(s.entries[warp])
 }

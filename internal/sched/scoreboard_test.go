@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -225,5 +227,86 @@ func TestScoreboardInFlight(t *testing.T) {
 	}
 	if got := sb.InFlight(0, 50); got != 0 {
 		t.Errorf("InFlight after all WB = %d, want 0", got)
+	}
+}
+
+// Horizon's contract, which the SM's issue-candidate cache rests on: the
+// two writeback times from one call at q decide every ReadyAt verdict —
+// and which counters it ticks — at any later query time, as long as no
+// Issue intervenes; and pruning dead entries first changes nothing.
+func TestHorizonPredictsReadyAt(t *testing.T) {
+	rng := rand.New(rand.NewPCG(13, 0))
+	for _, mode := range []DepMode{DepWarp, DepMatrix, DepMask} {
+		for iter := 0; iter < 300; iter++ {
+			perWarp := 1 + rng.IntN(6)
+			q := int64(rng.IntN(40))
+			type write struct {
+				ins  *isa.Instruction
+				slot int
+				mask uint64
+				wb   int64
+			}
+			writes := make([]write, rng.IntN(perWarp+3)) // up to two past full, as dead entries allow
+			for i := range writes {
+				writes[i] = write{mkIns(isa.OpIAdd, isa.Reg(rng.IntN(6)), 30, 30), rng.IntN(3), rng.Uint64() & 0xFF, q - 4 + int64(rng.IntN(30))}
+			}
+			var tr Matrix
+			for i := range tr {
+				for j := range tr[i] {
+					tr[i][j] = rng.IntN(2) == 0
+				}
+			}
+			build := func() *Scoreboard {
+				sb := NewScoreboard(mode, 1, perWarp)
+				for _, w := range writes {
+					sb.Issue(0, w.ins, w.slot, w.mask, w.wb)
+				}
+				sb.Transition(0, tr)
+				return sb
+			}
+			cand := mkIns(isa.OpIMul, isa.Reg(rng.IntN(6)), isa.Reg(rng.IntN(6)), isa.Reg(rng.IntN(6)))
+			if rng.IntN(4) == 0 {
+				cand = &isa.Instruction{Op: isa.OpStG, Dst: isa.RegNone, SrcA: isa.Reg(rng.IntN(6)), SrcC: isa.Reg(rng.IntN(6))}
+			}
+			srcs, slot, mask := srcsOf(cand), rng.IntN(3), rng.Uint64()&0xFF
+
+			hz := build()
+			hazWB, hasHaz, structWB, hasStruct := hz.Horizon(0, cand, srcs, slot, mask, q)
+			if hz.Stats != (Stats{}) {
+				t.Fatalf("%v iter %d: Horizon touched the statistics: %+v", mode, iter, hz.Stats)
+			}
+			pruned := build()
+			pruned.InFlight(0, q)
+			if a, b, c, d := pruned.Horizon(0, cand, srcs, slot, mask, q); a != hazWB || b != hasHaz || c != structWB || d != hasStruct {
+				t.Fatalf("%v iter %d: Horizon after pruning = (%d %v %d %v), unpruned (%d %v %d %v)",
+					mode, iter, a, b, c, d, hazWB, hasHaz, structWB, hasStruct)
+			}
+			if !hasHaz {
+				hazWB = math.MinInt64
+			}
+			if !hasStruct {
+				structWB = math.MinInt64
+			}
+
+			running := hz // ascending queries on the table Horizon itself pruned
+			for q2 := q; q2 < q+32; q2++ {
+				for _, sb := range []*Scoreboard{build(), running} {
+					before := sb.Stats
+					stalled := sb.ReadyAt(0, cand, srcs, slot, mask, q2) > q2
+					if want := q2 < max(hazWB, structWB); stalled != want {
+						t.Fatalf("%v iter %d: ReadyAt(%d) stalled = %v, Horizon(%d) = (%d, %d) predicts %v",
+							mode, iter, q2, stalled, q, hazWB, structWB, want)
+					}
+					structural := sb.Stats.Structural != before.Structural
+					if want := hazWB <= q2 && q2 < structWB; structural != want {
+						t.Fatalf("%v iter %d: ReadyAt(%d) structural = %v, Horizon(%d) = (%d, %d) predicts %v",
+							mode, iter, q2, structural, q, hazWB, structWB, want)
+					}
+					if sb.Stats.Checks != before.Checks+1 || (sb.Stats.Stalls != before.Stalls) != stalled {
+						t.Fatalf("%v iter %d: ReadyAt(%d) counters %+v -> %+v, stalled %v", mode, iter, q2, before, sb.Stats, stalled)
+					}
+				}
+			}
+		}
 	}
 }

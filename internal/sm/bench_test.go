@@ -27,14 +27,13 @@ func assembleBench(src string, a Arch) (*isa.Program, error) {
 // BenchmarkCycleLoop measures the scheduling core itself — the
 // per-cycle cost of the front-ends, scoreboard and reconvergence
 // machinery — on the divergence-heavy compute loop used by the
-// zero-allocation guard, across the stack baseline and the
-// thread-frontier architectures. The companion /mem variant is
-// memory-latency-bound, so it measures the idle-cycle fast-forward
-// rather than the issue path. Compare against main with:
+// zero-allocation guard, on every architecture. The companion /mem
+// variant is memory-latency-bound, so it measures the idle-cycle
+// fast-forward rather than the issue path. Compare against main with:
 //
 //	go test ./internal/sm -bench CycleLoop -benchmem -count 6 | benchstat
 func BenchmarkCycleLoop(b *testing.B) {
-	archs := []Arch{ArchBaseline, ArchSBI, ArchSWI, ArchSBISWI}
+	archs := Architectures()
 	for _, a := range archs {
 		a := a
 		b.Run(a.String(), func(b *testing.B) {

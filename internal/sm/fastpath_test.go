@@ -72,7 +72,7 @@ loop:
 // (*SM).step and asserts the steady-state issue path performs zero heap
 // allocations per cycle, for both a divergence-heavy compute loop and a
 // memory-latency-bound loop (which exercises the idle fast-forward),
-// across the stack baseline and the thread-frontier architectures.
+// on every architecture.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	kernelsUnderTest := []struct {
 		name, src string
@@ -83,7 +83,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		{"mem-idle", memIdleLoopSrc, []uint32{0, 4 * 256 * 4}, 4*256 + 65536},
 	}
 	for _, k := range kernelsUnderTest {
-		for _, a := range []Arch{ArchBaseline, ArchSBI, ArchSWI, ArchSBISWI} {
+		for _, a := range Architectures() {
 			t.Run(k.name+"/"+a.String(), func(t *testing.T) {
 				cfg := Configure(a)
 				p := assembleFor(t, k.name, k.src, a)
@@ -131,7 +131,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		{"mem-idle", benchmarkMemSrc, []uint32{0, 4 * 256 * 4}, 4*256 + 65536},
 	}
 	for _, k := range replayKernels {
-		for _, a := range []Arch{ArchBaseline, ArchSBI, ArchSWI, ArchSBISWI} {
+		for _, a := range Architectures() {
 			t.Run("replay/"+k.name+"/"+a.String(), func(t *testing.T) {
 				cfg := Configure(a)
 				p := assembleFor(t, k.name, k.src, a)

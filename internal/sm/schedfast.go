@@ -1,33 +1,60 @@
 package sm
 
-// This file holds the incrementally maintained scheduler state and the
-// idle-cycle fast-forward. Together they replace the seed's per-cycle
-// full rescan of every warp context with event-driven bookkeeping:
+// This file holds the incrementally maintained scheduler state. It
+// replaces the seed's per-cycle full rescan of every warp context — and
+// its scoreboard table scan on every probe — with per-warp bookkeeping
+// refreshed by events:
 //
 //   - readySet / slotOf cache, per warp, whether the front-end's
 //     pre-scoreboard checks pass (resident, not at a barrier, primary
 //     slot exists and is not suspended) and which hot slot the primary
-//     front-end follows. The cache is refreshed at exactly the events
-//     that can change it — an issue on the warp (heap mutation, barrier
-//     arrival, thread exit), a barrier release, a block launch or
-//     retire — so per-cycle scheduling walks only live candidates.
-//   - fastForward advances s.now across spans in which no candidate can
-//     issue. During such a span every scheduler-visible input is frozen
-//     (issues are the only events, and none happen), so the wake-up
-//     cycle is computable in closed form from the scoreboard writeback
-//     times and the unit free times, and the scoreboard counters the
-//     skipped probes would have incremented are reproduced arithmetically.
+//     front-end follows.
+//   - cands holds, per ready warp, its issue candidate (issueCand): the
+//     primary slot's pc, mask, lane mask, unit and last-issue cycle, and
+//     the scoreboard's verdict as two cycle thresholds taken from one
+//     sched.Scoreboard.Horizon call. Writeback times are fixed at issue
+//     and a warp's entry rows change only in its own heap mutations, so
+//     the verdict is a step function of the cycle until the warp's next
+//     event: a probe is two integer compares plus the unit check.
 //
-// Both layers are cycle- and statistics-exact with the seed's rescan
-// loop by construction: they probe the same candidates in the same
-// ascending-warp order, so scoreboard counters and tie-breaking draws
-// are identical. (The retained reference loop that used to pin this
-// equivalence in-tree was retired once its history was established;
-// the golden-stats fixture still pins absolute results.)
+// Invalidation. Everything above reads only the warp's own state —
+// block residency, barrier flag, heap or stack, scoreboard entries — so
+// refreshWarp, called at every event that can change any of it (an
+// issue on the warp: heap mutation, barrier arrival, thread exit, new
+// scoreboard entry; a barrier release; a block launch or retire),
+// recomputes readySet/slotOf and drops the warp's record. The record is
+// refilled at the warp's next probe (cand), never for a warp outside
+// readySet. TestCandidateCacheCoherent checks after every step that
+// each live record equals a fresh computation.
+//
+// Readers. The record is the only way the per-cycle walk asks the
+// scoreboard, and it has three readers, all probing in ascending warp
+// order — the seed rescan's order — and ticking the scoreboard counters
+// from the thresholds exactly as a ReadyAt call would, so counters,
+// tie-breaking draws and cycles are bit-identical with the seed (the
+// golden-stats fixture pins absolute results):
+//
+//   - selectPrimary, the oldest-first primary walk;
+//   - swiSecondary, both the buddy-set search beside a primary and the
+//     substitute search when no primary issued;
+//   - fastForward, which after a cycle that issued nothing advances
+//     s.now across the idle span: with no issue every record is frozen,
+//     so the wake-up cycle is the minimum over records of
+//     max(thresholds, unit free time), and the counters the skipped
+//     probes would have ticked follow arithmetically (accountIdle).
+//
+// Splits off the primary slot — the same-cycle SBI and sequential
+// secondaries, probed at most once per cycle — query ReadyAt directly
+// (finishCandidate). ReadyAt retires the warp's dead scoreboard entries
+// as it goes; for a cached candidate the walk does that when it selects
+// the warp (pick), so every issue follows a prune of its warp's table
+// in the same cycle — the bound on the table's length (sched.Prune).
 
 import (
 	"math"
 	"math/bits"
+
+	"repro/internal/isa"
 )
 
 // warpBits is a bitset over the SM's warp contexts, iterated in
@@ -41,12 +68,10 @@ func (b warpBits) set(i int)   { b[i>>6] |= 1 << uint(i&63) }
 func (b warpBits) clear(i int) { b[i>>6] &^= 1 << uint(i&63) }
 
 // refreshWarp recomputes the cached schedulability of one warp after an
-// event that may have changed it. The invariant maintained: a warp's
-// readySet bit is set if and only if the reference scheduler's
-// pre-scoreboard checks would pass for it this cycle, and slotOf holds
-// its primary front-end slot. Everything the checks read — block
-// residency, barrier state, the warp's own heap or stack — is local to
-// the warp, so refreshing on the warp's own events suffices.
+// event that may have changed it, and drops its issue-candidate record.
+// The invariant maintained: a warp's readySet bit is set if and only if
+// the reference scheduler's pre-scoreboard checks would pass for it this
+// cycle, and slotOf holds its primary front-end slot.
 //
 //sbwi:hotpath
 func (s *SM) refreshWarp(w *warp) {
@@ -69,6 +94,7 @@ func (s *SM) refreshWarp(w *warp) {
 		}
 	}
 	s.slotOf[w.id] = int8(slot)
+	s.cands[w.id].valid = false
 	if ok {
 		s.readySet.set(w.id)
 	} else {
@@ -76,28 +102,107 @@ func (s *SM) refreshWarp(w *warp) {
 	}
 }
 
-// idleCand summarizes one schedulable (warp, slot) candidate during an
-// idle span. With all scheduler inputs frozen, each per-cycle probe's
-// outcome is a step function of the cycle t:
+// issueCand is one ready warp's cached issue candidate. With the warp's
+// state frozen between its own events, a probe at cycle t answers:
 //
 //	t <  hazT:            the scoreboard reports a data-hazard stall
 //	hazT <= t < structT:  the entry table is structurally full (counted
 //	                      as both a stall and a structural stall)
-//	t >= stallT:          the scoreboard is clear; only the target
+//	otherwise:            the scoreboard is clear; only the target
 //	                      unit's busy time holds the candidate back
 //
-// where stallT = max(hazT, structT) and wake folds in the unit.
-type idleCand struct {
-	hazT    int64
-	structT int64
-	stallT  int64
-	wake    int64
-	residue int64 // substitute-probe residue mod numSets; -1 when none
+// The full candidate is rebuilt from pc/mask/lane on selection (pick),
+// which keeps the record at 48 bytes per warp context.
+type issueCand struct {
+	valid     bool
+	unit      isa.Unit
+	pc        int32
+	mask      uint64
+	lane      uint64
+	lastIssue int64 // oldest-first age key and once-per-cycle issue guard
+	hazT      int64 // negInf when no live entry conflicts
+	structT   int64 // negInf when the table is not full or nothing is written
 }
 
 // negInf is a sentinel "always in the past" threshold, kept far from
-// the int64 edge so adding IssueDelay cannot overflow.
+// the int64 edge so the interval arithmetic on it cannot overflow.
 const negInf = math.MinInt64 / 4
+
+// cand returns the issue-candidate record of a warp in readySet, filling
+// it when an event on the warp dropped it.
+//
+//sbwi:hotpath
+func (s *SM) cand(id int) *issueCand {
+	r := &s.cands[id]
+	if !r.valid {
+		s.fillCand(id, r)
+	}
+	return r
+}
+
+// fillCand is the walk's single scoreboard query. s.now is the first
+// cycle the record is probed at, so entries written back by
+// s.now-IssueDelay are dead to it.
+//
+//sbwi:hotpath
+func (s *SM) fillCand(id int, r *issueCand) {
+	w := s.warps[id]
+	slot := int(s.slotOf[id])
+	var pc int
+	var mask uint64
+	last := w.lastIssue
+	if w.heap != nil {
+		c := w.heap.Slot(slot)
+		pc, mask, last = c.PC, c.Mask, c.LastIssue
+	} else {
+		pc, mask, _ = w.stack.Active()
+	}
+	ins := s.prog.At(pc)
+	d := s.cfg.IssueDelay
+	hazWB, hasHaz, structWB, hasStruct := s.sb.Horizon(id, ins, s.srcsOf[pc], slot, mask, s.now-d)
+	*r = issueCand{valid: true, unit: ins.Op.Unit(), pc: int32(pc), mask: mask, lane: w.laneMask(mask),
+		lastIssue: last, hazT: negInf, structT: negInf}
+	if hasHaz {
+		r.hazT = hazWB + d
+	}
+	if hasStruct {
+		r.structT = structWB + d
+	}
+}
+
+// ready is one scheduler probe of a record at the current cycle: the
+// once-per-cycle issue guard, the scoreboard verdict — ticking the
+// counters the equivalent ReadyAt call would — and the unit capacity.
+//
+//sbwi:hotpath
+func (s *SM) ready(r *issueCand) bool {
+	if r.lastIssue >= s.now {
+		return false
+	}
+	st := &s.sb.Stats
+	st.Checks++
+	switch {
+	case s.now < r.hazT:
+		st.Stalls++
+		return false
+	case s.now < r.structT:
+		st.Stalls++
+		st.Structural++
+		return false
+	}
+	return s.units.canIssue(r.unit, r.lane, s.now)
+}
+
+// pick rebuilds the full candidate of a selected warp from its record
+// and retires the warp's dead scoreboard entries ahead of the issue.
+//
+//sbwi:hotpath
+func (s *SM) pick(id int, out *candidate) {
+	s.sb.Prune(id, s.now-s.cfg.IssueDelay)
+	r := &s.cands[id]
+	pc := int(r.pc)
+	*out = candidate{w: s.warps[id], slot: int(s.slotOf[id]), pc: pc, mask: r.mask, lane: r.lane, ins: s.prog.At(pc)}
+}
 
 // fastForward is called after a cycle that issued nothing. It computes
 // the earliest cycle at which any candidate can issue, accounts the
@@ -108,72 +213,19 @@ const negInf = math.MinInt64 / 4
 //
 //sbwi:hotpath
 func (s *SM) fastForward(maxCycles int64) error {
-	d := s.cfg.IssueDelay
-	qf := s.now - d - 1 // scoreboard entries written back by qf are dead for the whole span
-	swi := s.cfg.Arch == ArchSWI || s.cfg.Arch == ArchSBISWI
-	numSets := int64(1)
-	if swi {
-		numSets = int64(s.lookup.NumSets())
-	}
-
-	cands := s.idleBuf[:0]
-	wake := int64(math.MaxInt64)
-	for base, word := range s.readySet {
-		for ; word != 0; word &= word - 1 {
-			id := base<<6 | bits.TrailingZeros64(word)
-			w := s.warps[id]
-			slot := int(s.slotOf[id])
-			var pc int
-			var mask uint64
-			if w.heap != nil {
-				c := w.heap.Slot(slot)
-				pc, mask = c.PC, c.Mask
-			} else {
-				pc, mask, _ = w.stack.Active()
-			}
-			ins := s.prog.At(pc)
-			hazWB, hasHaz, structWB, hasStruct := s.sb.Horizon(w.id, ins, s.srcsOf[pc], slot, mask, qf)
-
-			hazT := int64(negInf)
-			if hasHaz {
-				hazT = hazWB + d
-			}
-			structT := hazT // empty structural window by default
-			if hasStruct {
-				structT = structWB + d
-			}
-			stallT := hazT
-			if structT > stallT {
-				stallT = structT
-			}
-			wakeC := stallT
-			if u := s.units.freeAt(ins.Op.Unit()); u > wakeC {
-				wakeC = u
-			}
-			if wakeC < s.now {
-				wakeC = s.now
-			}
-			residue := int64(-1)
-			if swi {
-				residue = int64(s.memberOf[id])
-			}
-			cands = append(cands, idleCand{hazT: hazT, structT: structT, stallT: stallT, wake: wakeC, residue: residue}) //sbwi:alloc-ok fills s.idleBuf scratch; cap reaches steady state after warm-up
-			if wakeC < wake {
-				wake = wakeC
-			}
-		}
-	}
-	s.idleBuf = cands
-
 	// The reference loop would burn idle cycles one at a time until the
 	// wake-up — or until the cycle limit trips with s.now just past it.
-	if wake > maxCycles+1 {
-		wake = maxCycles + 1
+	wake := maxCycles + 1
+	for base, word := range s.readySet {
+		for ; word != 0; word &= word - 1 {
+			r := s.cand(base<<6 | bits.TrailingZeros64(word))
+			wake = min(wake, max(r.hazT, r.structT, s.units.freeAt(r.unit)))
+		}
 	}
 	if wake <= s.now {
 		return nil
 	}
-	s.accountIdle(cands, s.now, wake-1, numSets)
+	s.accountIdle(s.now, wake-1)
 	s.now = wake
 	if s.now > maxCycles {
 		return s.livelockErr(maxCycles)
@@ -186,25 +238,30 @@ func (s *SM) fastForward(maxCycles int64) error {
 // each cycle the primary scheduler probes every schedulable candidate
 // once, and — on the SWI architectures, with no primary found — the
 // substitute secondary probes the candidates of buddy set (cycle mod
-// numSets) a second time.
+// numSets) a second time. fastForward has just filled every record.
 //
 //sbwi:hotpath
-func (s *SM) accountIdle(cands []idleCand, a, b int64, numSets int64) {
+func (s *SM) accountIdle(a, b int64) {
 	st := &s.sb.Stats
-	for i := range cands {
-		c := &cands[i]
-		stallHi := min(b, c.stallT-1)
-		structLo := max(a, c.hazT)
-		structHi := min(b, c.structT-1)
+	numSets := int64(len(s.setBits)) // 0 without SWI
+	for base, word := range s.readySet {
+		for ; word != 0; word &= word - 1 {
+			id := base<<6 | bits.TrailingZeros64(word)
+			r := &s.cands[id]
+			stallHi := min(b, max(r.hazT, r.structT)-1)
+			structLo := max(a, r.hazT)
+			structHi := min(b, r.structT-1)
 
-		st.Checks += count(a, b)
-		st.Stalls += count(a, stallHi)
-		st.Structural += count(structLo, structHi)
+			st.Checks += count(a, b)
+			st.Stalls += count(a, stallHi)
+			st.Structural += count(structLo, structHi)
 
-		if c.residue >= 0 {
-			st.Checks += countResidue(a, b, c.residue, numSets)
-			st.Stalls += countResidue(a, stallHi, c.residue, numSets)
-			st.Structural += countResidue(structLo, structHi, c.residue, numSets)
+			if numSets > 0 {
+				residue := int64(s.memberOf[id])
+				st.Checks += countResidue(a, b, residue, numSets)
+				st.Stalls += countResidue(a, stallHi, residue, numSets)
+				st.Structural += countResidue(structLo, structHi, residue, numSets)
+			}
 		}
 	}
 }

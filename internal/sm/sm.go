@@ -35,11 +35,13 @@ type SM struct {
 	// Incrementally maintained scheduler state (see schedfast.go):
 	// readySet holds exactly the warps the per-cycle rescan would probe
 	// past its pre-scoreboard checks, slotOf their primary front-end
-	// slot. Both are refreshed at the events that change eligibility —
-	// issue, barrier release, block launch and retire — instead of being
-	// re-derived from every warp context each cycle.
+	// slot and cands their cached issue candidate. All three are
+	// refreshed at the events that change them — issue, barrier release,
+	// block launch and retire — instead of being re-derived from every
+	// warp context each cycle.
 	readySet warpBits
 	slotOf   []int8
+	cands    []issueCand
 	setBits  []warpBits // SWI: per-buddy-set warp masks
 	memberOf []int      // SWI: buddy-set index containing each warp
 
@@ -49,11 +51,10 @@ type SM struct {
 
 	// Reusable scratch buffers: the steady-state issue path performs no
 	// heap allocation (enforced by TestSteadyStateZeroAllocs).
-	swiTies  []candidate
+	swiTies  []int // warp ids
 	freeBuf  []*warp
 	txnBuf   []uint32
 	txnReady []int64
-	idleBuf  []idleCand
 
 	// rec / rp wire the trace-replay engine (package replay): with rec,
 	// this full simulation additionally streams per-thread branch
@@ -301,9 +302,9 @@ func newSM(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) (*SM,
 
 	s.readySet = newWarpBits(cfg.NumWarps)
 	s.slotOf = make([]int8, cfg.NumWarps)
-	s.swiTies = make([]candidate, 0, cfg.NumWarps)
+	s.cands = make([]issueCand, cfg.NumWarps)
+	s.swiTies = make([]int, 0, cfg.NumWarps)
 	s.freeBuf = make([]*warp, 0, cfg.NumWarps)
-	s.idleBuf = make([]idleCand, 0, cfg.NumWarps)
 	s.txnBuf = make([]uint32, 0, cfg.WarpWidth)
 	s.txnReady = make([]int64, 0, cfg.WarpWidth)
 	if cfg.Arch == ArchSWI || cfg.Arch == ArchSBISWI {
@@ -638,7 +639,7 @@ func (s *SM) cycle() (bool, error) {
 		// searching one buddy set selected round-robin.
 		if s.cfg.Arch == ArchSWI || s.cfg.Arch == ArchSBISWI {
 			var sub candidate
-			if s.swiSecondary(int(s.now)%s.lookup.NumSets(), nil, isa.UnitCTRL, 0, &sub) {
+			if s.swiSecondary(int(s.now)%s.lookup.NumSets(), -1, isa.UnitCTRL, 0, &sub) {
 				return true, s.issue(&sub, true, provSWI)
 			}
 		}
@@ -680,7 +681,7 @@ func (s *SM) cycle() (bool, error) {
 	// (b) SWI: another warp from the buddy set.
 	if s.cfg.Arch == ArchSWI || s.cfg.Arch == ArchSBISWI {
 		primLane := pw.laneMask(primMask)
-		if s.swiSecondary(s.lookup.SetOf(pw.id), pw, primIns.Op.Unit(), primLane, &sec) {
+		if s.swiSecondary(s.lookup.SetOf(pw.id), pw.id, primIns.Op.Unit(), primLane, &sec) {
 			return true, s.issue(&sec, true, provSWI)
 		}
 	}
@@ -730,67 +731,30 @@ func (s *SM) primarySlot(w *warp) int {
 //sbwi:hotpath
 func (s *SM) selectPrimary(pool int, out *candidate) bool {
 	parity := s.cfg.pools() == 2
-	found := false
+	best := -1
 	var bestAge int64
-	var cur candidate
 	for base, word := range s.readySet {
 		for ; word != 0; word &= word - 1 {
 			id := base<<6 | bits.TrailingZeros64(word)
 			if parity && id&1 != pool {
 				continue
 			}
-			w := s.warps[id]
-			slot := int(s.slotOf[id])
-			if !s.probe(w, slot, &cur) {
-				continue
-			}
-			age := s.lastIssueOf(w, slot)
-			if !found || age < bestAge {
-				*out, bestAge, found = cur, age, true
+			if r := s.cand(id); s.ready(r) && (best < 0 || r.lastIssue < bestAge) {
+				best, bestAge = id, r.lastIssue
 			}
 		}
 	}
-	return found
-}
-
-// lastIssueOf returns the age key used for oldest-first selection.
-//
-//sbwi:hotpath
-func (s *SM) lastIssueOf(w *warp, slot int) int64 {
-	if w.heap != nil {
-		if c := w.heap.Slot(slot); c != nil {
-			return c.LastIssue
-		}
+	if best < 0 {
+		return false
 	}
-	return w.lastIssue
+	s.pick(best, out)
+	return true
 }
 
-// probe builds the candidate for a warp taken from the issuable set:
-// the cached eligibility already holds, leaving only the per-cycle
-// checks — the once-per-cycle issue guard, the scoreboard query and the
-// unit capacity.
-//
-//sbwi:hotpath
-func (s *SM) probe(w *warp, slot int, out *candidate) bool {
-	var pc int
-	var mask uint64
-	if w.heap != nil {
-		c := w.heap.Slot(slot)
-		if c.LastIssue >= s.now {
-			return false
-		}
-		pc, mask = c.PC, c.Mask
-	} else {
-		if w.lastIssue >= s.now {
-			return false
-		}
-		pc, mask, _ = w.stack.Active()
-	}
-	return s.finishCandidate(w, slot, pc, mask, out)
-}
-
-// finishCandidate applies the scoreboard and unit checks shared by all
-// schedulers, filling out on success.
+// finishCandidate applies the scoreboard and unit checks to a split off
+// the primary slot — the same-cycle SBI and sequential secondaries,
+// probed at most once per cycle, which the per-warp record (schedfast.go)
+// does not cover — filling out on success.
 //
 //sbwi:hotpath
 func (s *SM) finishCandidate(w *warp, slot int, pc int, mask uint64, out *candidate) bool {
@@ -890,36 +854,34 @@ func (s *SM) seqCandidate(w *warp, primIns *isa.Instruction, primPC int, primMas
 // free distinct unit (§4). Best fit maximizes occupied lanes; ties
 // break pseudo-randomly. The bitset walk visits warps in ascending id —
 // the order the seed's rescan used — so the tie list, and therefore the
-// PRNG draw sequence, matches the original loop.
+// PRNG draw sequence, matches the original loop. exclude is the primary
+// warp's id, -1 when the search substitutes for a missing primary.
 //
 //sbwi:hotpath
-func (s *SM) swiSecondary(setIdx int, exclude *warp, primUnit isa.Unit, primLane uint64, out *candidate) bool {
+func (s *SM) swiSecondary(setIdx, exclude int, primUnit isa.Unit, primLane uint64, out *candidate) bool {
 	ties := s.swiTies[:0]
 	bestFit := -1
-	var cur candidate
-	set := s.setBits[setIdx]
-	for base, word := range set {
+	for base, word := range s.setBits[setIdx] {
 		word &= s.readySet[base]
 		for ; word != 0; word &= word - 1 {
 			id := base<<6 | bits.TrailingZeros64(word)
-			w := s.warps[id]
-			if w == exclude || w.heap == nil {
+			if id == exclude {
 				continue
 			}
-			slot := int(s.slotOf[id])
-			c := w.heap.Slot(slot)
-			if c.LastIssue >= s.now {
+			r := s.cand(id)
+			// The MAD-row lane-collision filter comes before the scoreboard
+			// probe, as in hardware (and so before the counters tick).
+			if r.unit == isa.UnitMAD && primUnit == isa.UnitMAD && r.lane&primLane != 0 {
 				continue
 			}
-			fit, ok := s.swiProbe(w, slot, c.PC, c.Mask, primUnit, primLane, &cur)
-			if !ok {
+			if !s.ready(r) {
 				continue
 			}
-			switch {
+			switch fit := popcount(r.lane); {
 			case fit > bestFit:
-				ties, bestFit = append(ties[:0], cur), fit //sbwi:alloc-ok reuses s.swiTies scratch
+				ties, bestFit = append(ties[:0], id), fit //sbwi:alloc-ok reuses s.swiTies scratch
 			case fit == bestFit:
-				ties = append(ties, cur) //sbwi:alloc-ok reuses s.swiTies scratch
+				ties = append(ties, id) //sbwi:alloc-ok reuses s.swiTies scratch
 			}
 		}
 	}
@@ -928,30 +890,11 @@ func (s *SM) swiSecondary(setIdx int, exclude *warp, primUnit isa.Unit, primLane
 	case 0:
 		return false
 	case 1:
-		*out = ties[0]
+		s.pick(ties[0], out)
 	default:
-		*out = ties[s.rng.Intn(len(ties))]
+		s.pick(ties[s.rng.Intn(len(ties))], out)
 	}
 	return true
-}
-
-// swiProbe applies the §4 secondary constraints to one buddy-set
-// candidate — the MAD-row lane-collision filter happens before the
-// scoreboard probe, exactly as in hardware (and so before the
-// scoreboard counters tick) — and returns its lane fit.
-//
-//sbwi:hotpath
-func (s *SM) swiProbe(w *warp, slot, pc int, mask uint64, primUnit isa.Unit, primLane uint64, out *candidate) (int, bool) {
-	ins := s.prog.At(pc)
-	unit := ins.Op.Unit()
-	lane := w.laneMask(mask)
-	if unit == isa.UnitMAD && primUnit == isa.UnitMAD && lane&primLane != 0 {
-		return 0, false // would collide on the shared row
-	}
-	if !s.finishCandidate(w, slot, pc, mask, out) {
-		return 0, false
-	}
-	return popcount(lane), true
 }
 
 // issue commits a candidate: functional execution, timing bookkeeping,
