@@ -238,8 +238,11 @@
 // issue-candidate cache, read by the primary walk, the SWI lookup and
 // the idle-span fast-forward, replaces the per-cycle rescan of every
 // warp context and its scoreboard query on every probe (described once,
-// in the header of internal/sm/schedfast.go), and the steady-state
-// issue path performs no heap allocation. None of this changes any
+// in the header of internal/sm/schedfast.go), an issued instruction
+// executes as one warp-wide operation over a register-major register
+// file (the two execution forms are described once, in package
+// internal/exec's comment), and the steady-state issue path performs no
+// heap allocation. None of this changes any
 // number — the modeled cycle count, every statistic and every PRNG
 // tie-break are bit-identical to a naive per-cycle rescan, by
 // construction (the walk probes the same candidates in the same order)

@@ -1,7 +1,35 @@
 // Package exec implements the architectural semantics of the mini-ISA:
-// per-thread instruction evaluation, the flat global/shared memory model,
-// and kernel launch descriptors shared by the functional reference
-// simulator (funcsim.go) and the cycle-level SM model (internal/core).
+// instruction evaluation, the flat global/shared memory model, and the
+// kernel launch descriptor shared by the functional reference simulator
+// (funcsim.go) and the cycle-level SM model (internal/sm).
+//
+// # Two execution forms
+//
+// The semantics exist in two forms over two register layouts.
+//
+// The scalar form is the ISA's specification: EvalALU, BranchTaken,
+// EffAddr, Load32 and Store32 evaluate one instruction for one thread
+// over a thread-major register file (Regs, one thread's 32 registers)
+// and a per-thread special-register environment (Env). RunReference,
+// the oracle every simulated result is compared against, and the Go
+// reference kernels run on it and on nothing else.
+//
+// The warp form (warp.go) is what the SM runs. A warp-instruction is one
+// SIMD operation over the active lanes, so EvalWarp, BranchTakenWarp,
+// EffAddrWarp and LoadStoreWarp decode the instruction once — the opcode
+// switch and the operand resolution sit outside the lane loop — and then
+// sweep the lanes the mask names. Their register file, WarpRegs, is
+// register-major: R[reg][lane], one contiguous row of WarpWidth lanes
+// per architectural register, so a source operand is a row, an invalid
+// source register (RegNone) is the shared all-zero row — what Regs.get
+// returns for it — and an immediate is a row read with stride 0. The
+// environment, WarpEnv, is warp-uniform: %tid is the warp's base plus
+// the lane, every other special is broadcast.
+//
+// The two forms share only the arithmetic with edge cases (evalCold,
+// cmpI, Load32/Store32); everything else is written twice on purpose,
+// and TestWarpKernelsMatchScalar and FuzzEvalWarp hold the warp form to
+// the scalar one bit for bit.
 package exec
 
 import (
@@ -27,7 +55,10 @@ type Launch struct {
 	Global   []byte
 }
 
-// Validate checks the launch shape.
+// Validate checks the launch shape and the program's structural
+// invariants (an *isa.ProgramError when the program breaks one): a
+// validated launch cannot make either simulator index a register row
+// that does not exist or dispatch an opcode that does not exist.
 func (l *Launch) Validate() error {
 	if l.Prog == nil {
 		return fmt.Errorf("exec: launch has no program")
@@ -35,7 +66,7 @@ func (l *Launch) Validate() error {
 	if l.GridDim <= 0 || l.BlockDim <= 0 {
 		return fmt.Errorf("exec: launch %q: grid %d x block %d invalid", l.Prog.Name, l.GridDim, l.BlockDim)
 	}
-	return nil
+	return l.Prog.Validate()
 }
 
 // Env carries the values of special registers for one thread.
@@ -152,26 +183,6 @@ func EvalALU(ins *isa.Instruction, r *Regs, env *Env) uint32 {
 			return a
 		}
 		return b
-	case isa.OpIDiv:
-		b := int32(srcB(ins, r))
-		ia := int32(a)
-		if b == 0 {
-			return 0
-		}
-		if ia == math.MinInt32 && b == -1 {
-			return uint32(ia)
-		}
-		return uint32(ia / b)
-	case isa.OpIMod:
-		b := int32(srcB(ins, r))
-		ia := int32(a)
-		if b == 0 {
-			return 0
-		}
-		if ia == math.MinInt32 && b == -1 {
-			return 0
-		}
-		return uint32(ia % b)
 	case isa.OpAnd:
 		return a & srcB(ins, r)
 	case isa.OpOr:
@@ -213,12 +224,41 @@ func EvalALU(ins *isa.Instruction, r *Regs, env *Env) uint32 {
 		// The explicit float32 conversion forbids fusing the multiply and
 		// add (Go spec), keeping results identical across platforms.
 		return f(float32(ff(a)*ff(srcB(ins, r))) + ff(r.get(ins.SrcC)))
+	}
+	return evalCold(ins.Op, ins.Cmp, a, srcB(ins, r))
+}
+
+// evalCold is the arithmetic of the opcodes whose cost is the operation
+// itself (division, math-library calls) or that have a saturating or
+// zero-divisor edge case. It exists once: the scalar EvalALU and the
+// warp kernel (EvalWarp) both end here for these opcodes, so they cannot
+// disagree on an edge case. None of them reads SrcC.
+func evalCold(op isa.Opcode, cmp isa.CmpOp, a, b uint32) uint32 {
+	switch op {
+	case isa.OpIDiv:
+		ia, ib := int32(a), int32(b)
+		if ib == 0 {
+			return 0
+		}
+		if ia == math.MinInt32 && ib == -1 {
+			return uint32(ia)
+		}
+		return uint32(ia / ib)
+	case isa.OpIMod:
+		ia, ib := int32(a), int32(b)
+		if ib == 0 {
+			return 0
+		}
+		if ia == math.MinInt32 && ib == -1 {
+			return 0
+		}
+		return uint32(ia % ib)
 	case isa.OpFMin:
-		return f(float32(math.Min(float64(ff(a)), float64(ff(srcB(ins, r))))))
+		return f(float32(math.Min(float64(ff(a)), float64(ff(b)))))
 	case isa.OpFMax:
-		return f(float32(math.Max(float64(ff(a)), float64(ff(srcB(ins, r))))))
+		return f(float32(math.Max(float64(ff(a)), float64(ff(b)))))
 	case isa.OpFSetp:
-		return boolVal(cmpF(ins.Cmp, ff(a), ff(srcB(ins, r))))
+		return boolVal(cmpF(cmp, ff(a), ff(b)))
 	case isa.OpFAbs:
 		return f(float32(math.Abs(float64(ff(a)))))
 	case isa.OpFNeg:
@@ -243,7 +283,7 @@ func EvalALU(ins *isa.Instruction, r *Regs, env *Env) uint32 {
 	case isa.OpLg2:
 		return f(float32(math.Log2(float64(ff(a)))))
 	}
-	panic(fmt.Sprintf("exec: EvalALU called for %s", ins.Op))
+	panic(fmt.Sprintf("exec: EvalALU called for %s", op))
 }
 
 func ff(bits uint32) float32 { return math.Float32frombits(bits) }

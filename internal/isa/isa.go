@@ -509,37 +509,56 @@ func sortedStrings(s []string) []string {
 	return s
 }
 
-// Validate checks structural invariants of the program: branch and sync
-// targets in range, register operands valid, and a terminating
-// instruction present on every path end (the last instruction must be an
-// unconditional branch or exit).
+// ProgramError reports a structural invariant a program violates. PC is
+// the offending instruction, or -1 when the defect is the program's
+// shape (empty, or control can fall off the end).
+type ProgramError struct {
+	Prog   string
+	PC     int
+	Reason string
+}
+
+func (e *ProgramError) Error() string {
+	if e.PC < 0 {
+		return fmt.Sprintf("isa: %s: %s", e.Prog, e.Reason)
+	}
+	return fmt.Sprintf("isa: %s pc %d: %s", e.Prog, e.PC, e.Reason)
+}
+
+// Validate checks structural invariants of the program: opcodes known,
+// branch and sync targets in range, every register an instruction
+// indexes without a fallback valid (the destination, and the data
+// register of a store), and a terminating instruction present on every
+// path end (the last instruction must be an unconditional branch or
+// exit). Source registers may be RegNone: they read as zero. A violation
+// is reported as a *ProgramError.
 func (p *Program) Validate() error {
 	n := len(p.Code)
 	if n == 0 {
-		return fmt.Errorf("isa: program %q is empty", p.Name)
+		return &ProgramError{Prog: p.Name, PC: -1, Reason: "program is empty"}
 	}
 	for pc := range p.Code {
 		ins := &p.Code[pc]
-		if ins.Op >= opcodeCount {
-			return fmt.Errorf("isa: %s pc %d: invalid opcode %d", p.Name, pc, ins.Op)
+		var reason string
+		switch {
+		case ins.Op >= opcodeCount:
+			reason = fmt.Sprintf("invalid opcode %d", ins.Op)
+		case ins.Op == OpBra && (ins.Target < 0 || ins.Target >= n):
+			reason = fmt.Sprintf("branch target %d out of range", ins.Target)
+		case ins.Op == OpSync && (ins.Target < 0 || ins.Target >= n):
+			reason = fmt.Sprintf("sync PCdiv %d out of range", ins.Target)
+		case ins.Op.HasDst() && !ins.Dst.Valid():
+			reason = "missing destination register"
+		case ins.Op.IsStore() && !ins.SrcC.Valid():
+			reason = "missing store data register"
+		default:
+			continue
 		}
-		if ins.Op == OpBra {
-			if ins.Target < 0 || ins.Target >= n {
-				return fmt.Errorf("isa: %s pc %d: branch target %d out of range", p.Name, pc, ins.Target)
-			}
-		}
-		if ins.Op == OpSync {
-			if ins.Target < 0 || ins.Target >= n {
-				return fmt.Errorf("isa: %s pc %d: sync PCdiv %d out of range", p.Name, pc, ins.Target)
-			}
-		}
-		if ins.Op.HasDst() && !ins.Dst.Valid() {
-			return fmt.Errorf("isa: %s pc %d: missing destination register", p.Name, pc)
-		}
+		return &ProgramError{Prog: p.Name, PC: pc, Reason: reason}
 	}
 	last := &p.Code[n-1]
 	if last.Op != OpExit && !(last.Op == OpBra && last.SrcA == RegNone) {
-		return fmt.Errorf("isa: %s: control can fall off the end (last op %s)", p.Name, last.Op)
+		return &ProgramError{Prog: p.Name, PC: -1, Reason: fmt.Sprintf("control can fall off the end (last op %s)", last.Op)}
 	}
 	return nil
 }

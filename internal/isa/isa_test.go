@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -169,6 +170,31 @@ func TestProgramValidate(t *testing.T) {
 	}
 	if err := badTarget.Validate(); err == nil {
 		t.Error("out-of-range branch target accepted")
+	}
+
+	// The registers the simulators index without a fallback, and the
+	// opcode they dispatch on: the error names the offending PC.
+	for _, bad := range []Instruction{
+		{Op: OpIAdd, Dst: RegNone, SrcA: 0, SrcB: 0},
+		{Op: OpLdS, Dst: 32, SrcA: 0},
+		{Op: OpStG, SrcA: 0, SrcC: RegNone},
+		{Op: OpStS, SrcA: 0, SrcC: 32},
+		{Op: opcodeCount},
+	} {
+		p := &Program{Name: "bad", Code: []Instruction{{Op: OpNop}, bad, {Op: OpExit}}}
+		var pe *ProgramError
+		if err := p.Validate(); !errors.As(err, &pe) || pe.PC != 1 {
+			t.Errorf("%v: got %v, want a *ProgramError at pc 1", &bad, err)
+		}
+	}
+	// A store names no destination and a source may be absent.
+	fine := &Program{Name: "fine", Code: []Instruction{
+		{Op: OpStG, Dst: RegNone, SrcA: RegNone, SrcC: 3},
+		{Op: OpIAdd, Dst: 1, SrcA: RegNone, SrcB: RegNone},
+		{Op: OpExit},
+	}}
+	if err := fine.Validate(); err != nil {
+		t.Errorf("absent sources rejected: %v", err)
 	}
 }
 

@@ -50,10 +50,7 @@ func (s *SM) execMem(c *candidate) error {
 		// timing depends only on the thread mask (lsuWaves), and the
 		// shared image is never touched.
 	} else {
-		for m := c.mask; m != 0; m &= m - 1 {
-			t := bits.TrailingZeros64(m)
-			addrs[t] = exec.EffAddr(ins, &w.regs[t])
-		}
+		exec.EffAddrWarp(ins, &w.regs, c.mask, addrs[:])
 	}
 	// apply commits the architectural effect for the threads that
 	// advance past the instruction. Replaying, the effect is consuming
@@ -70,18 +67,8 @@ func (s *SM) execMem(c *candidate) error {
 			}
 			return nil
 		}
-		for m := mask; m != 0; m &= m - 1 {
-			t := bits.TrailingZeros64(m)
-			r := &w.regs[t]
-			if ins.Op.IsLoad() {
-				v, err := exec.Load32(space, image, addrs[t], c.pc)
-				if err != nil {
-					return err
-				}
-				r[ins.Dst] = v
-			} else if err := exec.Store32(space, image, addrs[t], r[ins.SrcC], c.pc); err != nil {
-				return err
-			}
+		if err := exec.LoadStoreWarp(ins, &w.regs, space, image, addrs[:], mask, c.pc); err != nil {
+			return err
 		}
 		if s.rec != nil {
 			base := s.gtidBase(w)

@@ -79,7 +79,9 @@ func (s *SM) refreshWarp(w *warp) {
 		// First observation of the warp's completion: fold it into the
 		// block's live counter for the O(blocks) retire/barrier sweeps.
 		w.deadCounted = true
-		w.block.live--
+		if w.block.live--; w.block.live == 0 {
+			s.finished++
+		}
 	}
 	slot := 0
 	ok := false

@@ -32,6 +32,14 @@ type SM struct {
 	ctaEnd  int
 	now     int64
 
+	// freeWarps counts warp contexts without a block and finished counts
+	// resident blocks whose last warp completed; both change only in
+	// startBlock, retireBlocks and refreshWarp, and let the per-step
+	// launch and retire sweeps return before scanning anything.
+	warpsPerBlock int
+	freeWarps     int
+	finished      int
+
 	// Incrementally maintained scheduler state (see schedfast.go):
 	// readySet holds exactly the warps the per-cycle rescan would probe
 	// past its pre-scoreboard checks, slotOf their primary front-end
@@ -143,9 +151,6 @@ type candidate struct {
 // returns the statistics. The launch's global memory is mutated in
 // place; callers needing the initial image should use CloneGlobal.
 func Run(cfg Config, l *exec.Launch) (*Result, error) {
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
 	return RunRange(context.Background(), cfg, l, 0, l.GridDim)
 }
 
@@ -268,6 +273,9 @@ func newSM(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) (*SM,
 		warps:   make([]*warp, cfg.NumWarps),
 		nextCTA: ctaStart,
 		ctaEnd:  ctaEnd,
+
+		warpsPerBlock: warpsPerBlock,
+		freeWarps:     cfg.NumWarps,
 	}
 	lk, err := sched.NewLookup(cfg.NumWarps, cfg.Assoc)
 	if err != nil {
@@ -452,6 +460,9 @@ func (s *SM) dumpState() string {
 //
 //sbwi:hotpath
 func (s *SM) retireBlocks() {
+	if s.finished == 0 {
+		return
+	}
 	out := s.blocks[:0]
 	for _, b := range s.blocks {
 		if b.live > 0 {
@@ -463,28 +474,28 @@ func (s *SM) retireBlocks() {
 			w.block = nil
 			s.refreshWarp(w)
 		}
+		s.freeWarps += len(b.warps)
 		s.stats.BlocksRun++
 	}
 	s.blocks = out
+	s.finished = 0
 }
 
 // launchBlocks assigns pending CTAs to free warp contexts.
 //
 //sbwi:hotpath
 func (s *SM) launchBlocks() {
-	warpsPerBlock := (s.launch.BlockDim + s.cfg.WarpWidth - 1) / s.cfg.WarpWidth
-	for s.nextCTA < s.ctaEnd {
+	for s.nextCTA < s.ctaEnd && s.freeWarps >= s.warpsPerBlock {
+		// The lowest-numbered free contexts, in order: which contexts a CTA
+		// lands on decides scheduling order and lane shuffles.
 		free := s.freeBuf[:0]
 		for _, w := range s.warps {
 			if w.block == nil {
 				free = append(free, w) //sbwi:alloc-ok fills s.freeBuf scratch sized to the warp contexts
-				if len(free) == warpsPerBlock {
+				if len(free) == s.warpsPerBlock {
 					break
 				}
 			}
-		}
-		if len(free) < warpsPerBlock {
-			return
 		}
 		s.startBlock(s.nextCTA, free)
 		s.nextCTA++
@@ -492,8 +503,8 @@ func (s *SM) launchBlocks() {
 }
 
 // startBlock initializes warp state for one CTA. ws may be scratch; the
-// block keeps its own copy. A replayed run skips the per-thread
-// register and environment setup (and the shared-memory image): the
+// block keeps its own copy. A replayed run skips the register file,
+// the special-register environment and the shared-memory image: the
 // functional layer never executes, so none of it would be read.
 func (s *SM) startBlock(cta int, ws []*warp) {
 	b := &block{cta: cta, warps: append([]*warp(nil), ws...)}
@@ -501,10 +512,13 @@ func (s *SM) startBlock(cta int, ws []*warp) {
 		b.shared = make([]byte, s.prog.SharedMem)
 	}
 	b.live = len(b.warps)
+	s.freeWarps -= len(b.warps)
 	for wi, w := range b.warps {
 		w.block = b
 		w.base = wi * s.cfg.WarpWidth
-		w.valid = 0
+		// The block's threads fill warps in order, so a warp's valid lanes
+		// are a prefix; a width of 64 shifts to 0 and yields every bit.
+		w.valid = 1<<uint(min(s.cfg.WarpWidth, s.launch.BlockDim-w.base)) - 1
 		w.atBarrier = false
 		w.deadCounted = false
 		w.lastIssue = -1
@@ -518,41 +532,14 @@ func (s *SM) startBlock(cta int, ws []*warp) {
 				}
 			}
 		}
-		if s.rp != nil {
-			for t := 0; t < s.cfg.WarpWidth; t++ {
-				if w.base+t < s.launch.BlockDim {
-					w.valid |= 1 << uint(t)
-				}
-			}
-			if s.cfg.usesHeap() {
-				w.heap = reconv.NewHeap(w.valid, s.cfg.CCTCap)
-				w.stack = nil
-			} else {
-				w.stack = reconv.NewStack(w.valid)
-				w.heap = nil
-			}
-			s.refreshWarp(w)
-			continue
-		}
-		if cap(w.regs) < s.cfg.WarpWidth {
-			w.regs = make([]exec.Regs, s.cfg.WarpWidth)
-			w.envs = make([]exec.Env, s.cfg.WarpWidth)
-		}
-		w.regs = w.regs[:s.cfg.WarpWidth]
-		w.envs = w.envs[:s.cfg.WarpWidth]
-		for t := 0; t < s.cfg.WarpWidth; t++ {
-			tid := w.base + t
-			w.regs[t] = exec.Regs{}
-			if tid >= s.launch.BlockDim {
-				continue
-			}
-			w.valid |= 1 << uint(t)
-			w.envs[t] = exec.Env{
-				Tid:    uint32(tid),
-				NTid:   uint32(s.launch.BlockDim),
-				Ctaid:  uint32(cta),
-				NCta:   uint32(s.launch.GridDim),
-				Params: &s.launch.Params,
+		if s.rp == nil {
+			w.regs.Reset(s.cfg.WarpWidth)
+			w.env = exec.WarpEnv{
+				TidBase: uint32(w.base),
+				NTid:    uint32(s.launch.BlockDim),
+				Ctaid:   uint32(cta),
+				NCta:    uint32(s.launch.GridDim),
+				Params:  &s.launch.Params,
 			}
 		}
 		if s.cfg.usesHeap() {
@@ -992,18 +979,15 @@ func (s *SM) advance(c *candidate, nextPC int) {
 
 // execALU evaluates a MAD- or SFU-class instruction for the active
 // threads and schedules its writeback. A replayed run skips the
-// per-lane evaluation — ALU results only feed later branch outcomes
-// and addresses, which the trace already holds — and keeps the
-// identical scoreboard and control bookkeeping.
+// evaluation — ALU results only feed later branch outcomes and
+// addresses, which the trace already holds — and keeps the identical
+// scoreboard and control bookkeeping.
 //
 //sbwi:hotpath
 func (s *SM) execALU(c *candidate) {
 	w, ins := c.w, c.ins
 	if s.rp == nil {
-		for m := c.mask; m != 0; m &= m - 1 {
-			t := bits.TrailingZeros64(m)
-			w.regs[t][ins.Dst] = exec.EvalALU(ins, &w.regs[t], &w.envs[t])
-		}
+		exec.EvalWarp(ins, &w.regs, &w.env, c.mask)
 	}
 	s.sb.Issue(w.id, ins, c.slot, c.mask, s.now+s.cfg.ExecLatency)
 	s.advance(c, c.pc+1)
@@ -1026,8 +1010,8 @@ func (s *SM) replayDesync(pc, tid int) error {
 
 // execBranch resolves a branch; a divergent outcome is the cycle's
 // single warp-split creation event. Conditional outcomes come from the
-// per-lane predicate evaluation, or — replaying — from the recorded
-// per-thread outcome stream; recording logs each evaluated outcome.
+// predicate evaluation, or — replaying — from the recorded per-thread
+// outcome stream; recording logs each evaluated outcome.
 //
 //sbwi:hotpath
 func (s *SM) execBranch(c *candidate) error {
@@ -1050,12 +1034,7 @@ func (s *SM) execBranch(c *candidate) error {
 			}
 		}
 	} else {
-		for m := c.mask; m != 0; m &= m - 1 {
-			t := bits.TrailingZeros64(m)
-			if exec.BranchTaken(ins, &w.regs[t]) {
-				taken |= 1 << uint(t)
-			}
-		}
+		taken = exec.BranchTakenWarp(ins, &w.regs, c.mask)
 		if s.rec != nil {
 			base := s.gtidBase(w)
 			for m := c.mask; m != 0; m &= m - 1 {

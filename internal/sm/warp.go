@@ -38,9 +38,11 @@ type warp struct {
 	block *block
 	base  int // first thread index within the block
 
+	// regs and env are the functional state (register-major, see package
+	// exec); a replayed run never touches them.
 	valid uint64
-	regs  []exec.Regs
-	envs  []exec.Env
+	regs  exec.WarpRegs
+	env   exec.WarpEnv
 
 	stack *reconv.Stack
 	heap  *reconv.Heap

@@ -2,8 +2,12 @@ package sbwi
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/isa"
+	"repro/internal/sm"
 )
 
 const scaleSrc = `
@@ -209,5 +213,46 @@ func TestTraceFromFacade(t *testing.T) {
 	}
 	if res.Trace.Lanes(64) == "" {
 		t.Error("empty lane rendering")
+	}
+}
+
+// TestMalformedProgramIsTypedError pins the three hand-built programs
+// that used to reach a panic (index out of range [255] in the register
+// file, "EvalALU called for op(200)") on every entry point that takes a
+// Launch: each now fails validation with a *ProgramError at the
+// offending PC.
+func TestMalformedProgramIsTypedError(t *testing.T) {
+	exit := isa.Instruction{Op: isa.OpExit}
+	cases := []struct {
+		name   string
+		ins    isa.Instruction
+		reason string
+	}{
+		{"alu-without-destination", isa.Instruction{Op: isa.OpIAdd, Dst: isa.RegNone, SrcA: 1, SrcB: 2}, "destination"},
+		{"store-without-data", isa.Instruction{Op: isa.OpStG, SrcA: 1, SrcC: isa.RegNone}, "store data"},
+		{"unknown-opcode", isa.Instruction{Op: isa.Opcode(200), Dst: 0, SrcA: 1, SrcB: 2}, "opcode"},
+	}
+	dev, err := NewDevice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		prog := &Program{Name: c.name, Code: []isa.Instruction{{Op: isa.OpNop}, c.ins, exit}}
+		entries := map[string]func(l *Launch) error{
+			"RunReference": func(l *Launch) error { return RunReference(l, 32) },
+			"sm.Run":       func(l *Launch) error { _, err := sm.Run(sm.Configure(sm.ArchSBISWI), l); return err },
+			"Device.Run":   func(l *Launch) error { _, err := dev.Run(context.Background(), l); return err },
+		}
+		for entry, run := range entries {
+			err := run(NewLaunch(prog, 1, 32, make([]byte, 256)))
+			var pe *ProgramError
+			if !errors.As(err, &pe) {
+				t.Errorf("%s/%s: error %v (%T), want a *ProgramError", c.name, entry, err, err)
+				continue
+			}
+			if pe.PC != 1 || !strings.Contains(pe.Reason, c.reason) {
+				t.Errorf("%s/%s: %v, want pc 1 and a reason naming the %s", c.name, entry, pe, c.reason)
+			}
+		}
 	}
 }
