@@ -8,7 +8,6 @@ package sbwi
 //	go test -bench=. -benchmem
 //
 // both exercises the full pipeline and prints the reproduced numbers.
-// EXPERIMENTS.md records the paper-versus-measured comparison.
 
 import (
 	"bytes"

@@ -22,8 +22,8 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchjson -bench SuiteRunner -count 6 -o BENCH_PR7.json .
-//	go run ./cmd/benchjson -bench SuiteRunner -compare BENCH_PR7.json -max-regress 10 .
+//	go run ./cmd/benchjson -bench SuiteRunner -count 6 -o BENCH_PR14.json .
+//	go run ./cmd/benchjson -bench SuiteRunner -compare BENCH_PR14.json -max-regress 10 .
 //	go run ./cmd/benchjson -bench CycleLoop ./internal/sm
 package main
 

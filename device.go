@@ -52,14 +52,14 @@ type Pending = device.Pending
 // later entries.
 type Event = device.Event
 
-// RunQueue is a device admission queue: a bounded pool of simulation
-// slots granted longest-job-first. Every device has a private one
+// RunQueue bounds concurrency: a pool of simulation slots, granted
+// first-come (RunSuite orders by cost). Every device has a private one
 // sized by WithWorkers; build one explicitly (NewRunQueue) and pass it
 // to several devices via WithRunQueue to bound their combined load by
-// a single pool under one cost policy.
+// a single pool.
 type RunQueue = device.RunQueue
 
-// NewRunQueue builds an admission queue with the given number of
+// NewRunQueue builds a run queue with the given number of
 // concurrent simulation slots (<= 0 means GOMAXPROCS), for sharing
 // across devices via WithRunQueue.
 func NewRunQueue(workers int) *RunQueue { return device.NewRunQueue(workers) }

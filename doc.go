@@ -90,13 +90,13 @@
 // The execution model:
 //
 //   - Launches within one stream execute in enqueue order; launches on
-//     different streams run concurrently, admitted by the
-//     device-global run queue — one bounded worker pool (WithWorkers)
-//     with a single longest-job-first cost policy shared by streams,
-//     Run calls and RunSuite batches. A RunQueue can be shared across
-//     devices (NewRunQueue + WithRunQueue) to bound their combined
-//     load; WithStreamQueueDepth bounds each stream's launch queue for
-//     producer backpressure.
+//     different streams run concurrently, each taking a slot of the
+//     device-global run queue. The queue bounds concurrency — one
+//     worker pool (WithWorkers) shared by streams, Run calls and
+//     RunSuite batches; RunSuite orders by cost. A RunQueue can be
+//     shared across devices (NewRunQueue + WithRunQueue) to bound
+//     their combined load; WithStreamQueueDepth bounds each stream's
+//     launch queue for producer backpressure.
 //   - Determinism: streams never change what a simulation computes.
 //     Every launch's Stats are bit-identical to the synchronous
 //     Device.Run path for any interleaving, stream count or worker
@@ -113,8 +113,7 @@
 // Migration note: Device.Run is now literally sugar for a one-launch
 // stream (NewStream().Launch(ctx, l).Wait()), so existing synchronous
 // code keeps its exact numbers and its concurrency semantics —
-// concurrent Run calls interleave with streams under the same
-// admission queue.
+// concurrent Run calls share the run queue's slots with streams.
 //
 // # Batch scheduling and memoization
 //
@@ -122,11 +121,10 @@
 // weighted by measured modeled cycles once a cell has run in the
 // process (before that, a static estimate calibrated per suite
 // benchmark — measured cycles-per-thread × thread count — so even a
-// cold batch orders by realistic relative cost), and each entry
-// acquires a run-queue slot for its simulation, so a batch's
-// wall-clock is no longer bound by whichever heavy kernel a naive
-// schedule starts last and the batch shares the pool with concurrent
-// streams. Two options extend it:
+// cold batch orders by realistic relative cost), so a batch's
+// wall-clock is not bound by whichever heavy kernel a naive schedule
+// starts last. The run queue only bounds concurrency: each claimed
+// entry takes a slot like any stream launch. Two options extend it:
 //
 //   - WithAutoPartition(true) routes the batch's heavy tail — entries
 //     whose static cost exceeds the batch mean and whose grids span
@@ -267,22 +265,5 @@
 // bare waiver is itself reported. See the README's "Static analysis"
 // section for the analyzer catalogue and the directive table.
 //
-// # Migrating from the v0 API
-//
-// The original one-shot entry points — sbwi.Run and sbwi.Configure —
-// were deprecated in the Device release and have now been removed:
-//
-//	res, err := sbwi.Run(sbwi.Configure(sbwi.SBI), l)   // removed
-//
-//	dev, err := sbwi.NewDevice(sbwi.WithArch(sbwi.SBI)) // current
-//	res, err := dev.Run(ctx, l)
-//
-// A single-SM unpartitioned Device.Run is cycle-exact with the old
-// sbwi.Run, so migrating changes no numbers. Config fields map to
-// options (WithShuffle, WithAssoc, WithConstraints, WithTrace,
-// WithSeed, ...); WithConfig bridges anything without a dedicated
-// option. Verify likewise takes options now: Verify(l, WithArch(a)).
-//
-// See the examples directory for runnable programs and EXPERIMENTS.md
-// for the paper-versus-measured record.
+// See the examples directory for runnable programs.
 package sbwi

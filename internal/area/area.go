@@ -4,7 +4,7 @@
 //
 // The paper synthesized RTL with a production compiler and scaled the
 // results to Fermi's 40 nm process. We cannot run RTL synthesis, so the
-// substitution (recorded in DESIGN.md) is an analytical model: bit
+// substitution is an analytical model: bit
 // counts are computed from first principles for any geometry, and area
 // is bits x a per-component, per-organization coefficient calibrated so
 // the paper's default geometry reproduces the paper's table 4. Changing

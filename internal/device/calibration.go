@@ -31,9 +31,9 @@ import "repro/internal/kernels"
 // (TestCalibrationCoversSuite fails when a suite benchmark is missing
 // from the table, so new benchmarks cannot silently fall back.)
 //
-// Calibration only ever steers admission order and the auto-partition
-// heavy-tail routing — both pure functions of the batch — so a stale
-// weight degrades scheduling, never results. Once a cell has run in
+// Calibration only ever steers RunSuite's claim order and the
+// auto-partition heavy-tail routing — both pure functions of the batch —
+// so a stale weight degrades scheduling, never results. Once a cell has run in
 // this process its measured cycles replace the estimate entirely
 // (estimatedCost in simcache.go).
 var calibratedCyclesPerThread = map[string]float64{

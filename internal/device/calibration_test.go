@@ -1,10 +1,14 @@
 package device
 
 import (
+	"context"
 	"sort"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/kernels"
+	"repro/internal/leakcheck"
+	"repro/internal/sm"
 )
 
 // TestCalibrationCoversSuite keeps the cost table honest: every suite
@@ -62,5 +66,47 @@ func TestCalibratedCostOrdersTheTail(t *testing.T) {
 	custom := &kernels.Benchmark{Name: "NotInTable", Grid: 3, Block: 64}
 	if got, want := staticCost(custom), int64(3*64); got != want {
 		t.Errorf("uncalibrated staticCost = %d, want thread count %d", got, want)
+	}
+}
+
+// TestRunSuiteClaimsLongestFirst pins the one place work is ranked: with
+// a single worker the first entry RunSuite claims — the one that meets
+// hit 1 of the suite-worker fault site — is the entry with the largest
+// estimated cost, wherever it stands in the input.
+func TestRunSuiteClaimsLongestFirst(t *testing.T) {
+	leakcheck.Check(t)
+	suite := []*kernels.Benchmark{mustBench(t, "Transpose"), mustBench(t, "Histogram"), mustBench(t, "BFS")}
+	warm, err := New(WithArch(sm.ArchSBISWI), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRunSuite(t, warm, suite) // records every cell's measured cost
+
+	heaviest := 0
+	for i, b := range suite {
+		if estimatedCost(b, warm.cfgFP) > estimatedCost(suite[heaviest], warm.cfgFP) {
+			heaviest = i
+		}
+	}
+	if heaviest == 0 {
+		t.Fatal("test premise broken: the heaviest entry must not be first in input order")
+	}
+
+	plan := faultinject.NewPlan(1, faultinject.Spec{
+		{Site: faultinject.SiteSuiteWorker, Kind: faultinject.KindError, Hits: []uint64{1}},
+	})
+	dev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(1), WithFaultPlan(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := dev.RunSuite(context.Background(), suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if failed := faultinject.IsInjected(r.Err); failed != (i == heaviest) {
+			t.Errorf("%s (cost %d): err %v; the first claim must be %s, the largest estimated cost",
+				r.Name(), estimatedCost(r.Bench, dev.cfgFP), r.Err, suite[heaviest].Name)
+		}
 	}
 }

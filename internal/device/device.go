@@ -4,22 +4,23 @@
 // executes whole benchmark suites concurrently on a bounded worker
 // pool.
 //
-// # Admission: the device-global run queue
+// # Admission and ordering
 //
-// Everything the device simulates is admitted by one RunQueue — a
-// counting semaphore granting slots longest-job-first (see queue.go).
-// Device.Run, stream launches (stream.go) and RunSuite entries all
-// reach it through the wave engine, which acquires one slot per
-// contention domain of the launch — the whole launch, or each CTA wave
-// of a flat-partitioned grid — for the duration of its SM simulation,
-// so interactive streams and batch suites share a single fairness/cost
-// policy and one host-parallelism bound. Run itself is sugar for a
-// one-launch stream:
+// Two mechanisms, one job each. The RunQueue (queue.go) bounds
+// concurrency: a counting semaphore of worker slots, and every
+// contention domain of every launch — the whole launch, or each CTA
+// wave of a flat-partitioned grid — holds one slot while its SMs
+// simulate. Device.Run, stream launches (stream.go) and RunSuite entries
+// all reach it through the wave engine, so interactive streams and batch
+// suites share one host-parallelism bound; slots are granted first-come.
+// RunSuite orders by cost: it is the only place that ranks work, claiming
+// its entries longest-job-first (below), so the heaviest entries are the
+// first to ask for a slot. Run itself is sugar for a one-launch stream:
 //
 //	func (d *Device) Run(ctx, l) { return d.NewStream().Launch(ctx, l).Wait() }
 //
-// The queue decides only when a simulation starts — never what it
-// computes — so every result stays bit-identical to a serial run.
+// Neither mechanism decides what a simulation computes — only when it
+// starts — so every result stays bit-identical to a serial run.
 //
 // # Execution model
 //
@@ -52,11 +53,11 @@
 // RunSuite claims its entries longest-job-first, weighting each by its
 // memoized measured cost (modeled cycles from an earlier run in this
 // process) or the calibrated static estimate before one exists (see
-// calibration.go), and every entry acquires a run-queue slot for its
-// simulation — keeping a batch's wall-clock near max(heaviest entry,
-// total/workers) instead of tail-bound by whichever heavy kernel a
-// naive schedule dispatched last, while the batch shares the pool
-// with concurrent streams. With
+// calibration.go) — keeping a batch's wall-clock near max(heaviest
+// entry, total/workers) instead of tail-bound by whichever heavy kernel
+// a naive schedule dispatched last. Each claimed entry then takes a
+// run-queue slot like any other launch, so the batch shares the pool
+// with concurrent streams and with other batches on a shared queue. With
 // WithAutoPartition the heavy tail itself is decomposed: entries whose
 // static cost exceeds the batch mean and whose grids span several CTA
 // waves run in the wave-partitioned shape, so even a single dominant
@@ -94,7 +95,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -116,11 +116,10 @@ import (
 type Device struct {
 	cfg       sm.Config
 	sms       int
-	workers   int
 	partition bool
 	autoPart  bool
 
-	// queue admits every simulation the device performs (see queue.go);
+	// queue bounds the simulations the device runs at once (queue.go);
 	// it is private unless WithRunQueue shared one across devices.
 	queue *RunQueue
 
@@ -216,21 +215,21 @@ func WithSMs(n int) Option {
 	return func(s *settings) { s.sms = n }
 }
 
-// WithWorkers bounds the host goroutines simulating concurrently across
-// everything the device runs (stream launches, waves and suite entries
-// alike). Default: GOMAXPROCS. Worker count never changes results.
-// Ignored when WithRunQueue shares a queue — the queue's slot count is
-// the bound then.
+// WithWorkers sets the slot count of the device's private run queue:
+// the bound on host goroutines simulating concurrently across everything
+// the device runs (stream launches, waves and suite entries alike).
+// Default: GOMAXPROCS. Worker count never changes results. Ignored when
+// WithRunQueue shares a queue — that queue's slot count is the bound.
 func WithWorkers(n int) Option {
 	return func(s *settings) { s.workers = n }
 }
 
-// WithRunQueue makes the device admit its simulations through a shared
+// WithRunQueue makes the device take its simulation slots from a shared
 // queue instead of a private one, so several devices' combined load —
-// streams and suites alike — stays bounded by one worker pool under
-// one longest-job-first policy. The experiments runner shares one
-// queue across every device it builds. Grant order never changes
-// results; a nil queue keeps the default private queue.
+// streams and suites alike — stays bounded by one worker pool (the
+// queue bounds concurrency; each device's RunSuite still orders its own
+// batch by cost). The experiments runner shares one queue across every
+// device it builds. A nil queue keeps the default private queue.
 func WithRunQueue(q *RunQueue) Option {
 	return func(s *settings) { s.queue = q }
 }
@@ -333,9 +332,6 @@ func New(opts ...Option) (*Device, error) {
 	if st.retries < 0 {
 		return nil, fmt.Errorf("device: retry budget %d must be non-negative (0 = no retry)", st.retries)
 	}
-	if st.workers <= 0 {
-		st.workers = runtime.GOMAXPROCS(0)
-	}
 	queue := st.queue
 	if queue == nil {
 		queue = NewRunQueue(st.workers)
@@ -343,7 +339,6 @@ func New(opts ...Option) (*Device, error) {
 	d := &Device{
 		cfg:           cfg,
 		sms:           st.sms,
-		workers:       queue.Workers(),
 		partition:     st.partition,
 		autoPart:      st.autoPart,
 		cache:         st.cache,
@@ -394,13 +389,13 @@ func (d *Device) SMs() int { return d.sms }
 
 // Workers returns the host worker-pool bound: the device's run-queue
 // slot count.
-func (d *Device) Workers() int { return d.workers }
+func (d *Device) Workers() int { return d.queue.Workers() }
 
 // Run simulates the launch to completion on the device and returns the
 // result (merged across CTA waves when grid partitioning is enabled).
 // It is sugar for a one-launch stream — enqueue, then wait — so
-// concurrent Run calls interleave with streams and suites under the
-// run queue's single admission policy. Global memory is mutated in
+// concurrent Run calls share the run queue's slots with streams and
+// suites. Global memory is mutated in
 // place, exactly like sm.Run. The context cancels the simulation
 // promptly (the wave engine polls it about every 1k steps); a cancelled
 // or failed partitioned run leaves the launch's memory image unchanged,
@@ -434,10 +429,9 @@ func (r *SuiteResult) Name() string { return r.Bench.Name }
 // simulation cost (measured modeled cycles once a cell has run in this
 // process, the calibrated static estimate before — the sort is stable,
 // so a cold batch dispatches deterministically), and every entry then
-// acquires a device-global run-queue slot for its simulation, so suite
-// batches share the worker pool — and the queue's cost policy — with
-// any streams running on the device. Dispatch order can never change
-// results — only which worker simulates what, when.
+// takes a run-queue slot for its simulation, so suite batches share the
+// worker pool with any streams running on the device. Dispatch order
+// can never change results — only which worker simulates what, when.
 //
 // With WithAutoPartition, heavy entries additionally run as parallel
 // CTA waves (see the option's comment); with WithSimCache, entries are
@@ -450,11 +444,8 @@ func (d *Device) RunSuite(ctx context.Context, suite []*kernels.Benchmark) ([]*S
 	partitioned := d.partitionPlan(suite)
 
 	// Longest-job-first claim order: descending estimated cost, input
-	// order on ties. Claiming in sorted order (rather than submitting
-	// everything and leaving admission to the queue's grant policy)
-	// keeps the cold dispatch deterministic: a freshly idle queue
-	// grants its free slots first-come, so the heaviest entries must be
-	// the first to ask.
+	// order on ties. The run queue grants its slots first-come, so the
+	// heaviest entries must be the first to ask.
 	order := make([]int, len(suite))
 	for i := range order {
 		order[i] = i
@@ -472,7 +463,7 @@ func (d *Device) RunSuite(ctx context.Context, suite []*kernels.Benchmark) ([]*S
 	d.inflight.add()
 	defer d.inflight.finish()
 
-	workers := d.workers
+	workers := d.queue.Workers()
 	if workers > len(suite) {
 		workers = len(suite)
 	}
@@ -481,7 +472,7 @@ func (d *Device) RunSuite(ctx context.Context, suite []*kernels.Benchmark) ([]*S
 	var workerPanic atomic.Pointer[PanicError]
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go guarded("suite worker", nil, func() {
+		go guarded("suite worker", func() {
 			defer wg.Done()
 			// A panic escaping an entry's safeRun means the claim loop
 			// itself broke; record it before wg.Done (defers are LIFO) so

@@ -80,27 +80,19 @@ func newPanicError(op string, v any) *PanicError {
 // guarded wraps fn as a panic-isolated goroutine body; every device
 // goroutine spawns one:
 //
-//	go guarded(op, catch, fn)()
+//	go guarded(op, fn)()
 //
-// The form is enforced by the sbwi-lint goguard analyzer. If a panic
-// escapes fn it is converted to a *PanicError and handed to catch; with
-// a nil catch it is reported to stderr — the process survives either
-// way. Spawn sites whose recovery must be ordered before their
-// completion bookkeeping (see the file comment) recover inline within
-// fn and use guarded purely as the backstop.
-func guarded(op string, catch func(*PanicError), fn func()) func() {
+// The form is enforced by the sbwi-lint goguard analyzer. Every spawn
+// site recovers inline within fn, ordered before its completion
+// bookkeeping (see the file comment); guarded is the backstop for a
+// panic escaping that recovery: it reports to stderr and the process
+// survives.
+func guarded(op string, fn func()) func() {
 	return func() {
 		defer func() {
-			v := recover()
-			if v == nil {
-				return
+			if v := recover(); v != nil {
+				fmt.Fprintf(os.Stderr, "device: unhandled panic in %s: %v\n%s", op, v, debug.Stack())
 			}
-			pe := newPanicError(op, v)
-			if catch != nil {
-				catch(pe)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "device: unhandled panic in %s: %v\n%s", op, pe.Value, pe.Stack)
 		}()
 		fn()
 	}
@@ -140,7 +132,7 @@ func WithLaunchTimeout(d time.Duration) Option {
 	return func(s *settings) { s.launchTimeout = d }
 }
 
-// WithRetry lets RunSuite/SubmitBenchmark entries re-run after
+// WithRetry lets RunSuite entries re-run after
 // transient-class failures (faultinject.IsTransient) up to n extra
 // attempts, with exponential backoff starting at 1ms between attempts.
 // Each attempt is a fresh launch built from the benchmark's generator,
@@ -160,15 +152,15 @@ func (d *Device) fire(site faultinject.Site) error {
 	return d.faults.Fire(site)
 }
 
-// acquireSlot admits one simulation through the device's run queue,
-// with the queue-acquire fault site in front and watchdog-cause mapping
-// behind: a slot wait aborted by the launch watchdog reports the
-// timeout, not a bare cancellation.
-func (d *Device) acquireSlot(ctx context.Context, cost int64) error {
+// acquireSlot takes one run-queue slot for a simulation, with the
+// queue-acquire fault site in front and watchdog-cause mapping behind: a
+// slot wait aborted by the launch watchdog reports the timeout, not a
+// bare cancellation.
+func (d *Device) acquireSlot(ctx context.Context) error {
 	if err := d.fire(faultinject.SiteQueueAcquire); err != nil {
 		return err
 	}
-	if err := d.queue.acquire(ctx, cost); err != nil {
+	if err := d.queue.acquire(ctx); err != nil {
 		return watchdogErr(ctx, err)
 	}
 	return nil

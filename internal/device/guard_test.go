@@ -271,7 +271,7 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dev.SubmitBenchmark(context.Background(), mustBench(t, "Transpose")).Wait()
+	res, err := runOneEntry(t, dev, "Transpose")
 	if err != nil || res == nil {
 		t.Fatalf("entry behind two transient faults: res %v err %v, want success", res, err)
 	}
@@ -295,7 +295,7 @@ func TestRetryBudgetExhaustionSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = dev.SubmitBenchmark(context.Background(), mustBench(t, "Transpose")).Wait()
+	_, err = runOneEntry(t, dev, "Transpose")
 	if !faultinject.IsInjected(err) || !faultinject.IsTransient(err) {
 		t.Fatalf("exhausted retries: err %v, want the injected transient fault", err)
 	}
@@ -319,7 +319,7 @@ func TestRetryRecoversMemAccessPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dev.SubmitBenchmark(context.Background(), mustBench(t, "Transpose")).Wait()
+	res, err := runOneEntry(t, dev, "Transpose")
 	if err != nil || res == nil {
 		t.Fatalf("entry behind a mem-access fault panic: res %v err %v, want success", res, err)
 	}
@@ -396,6 +396,17 @@ func TestReplayFaultFallsBackLoudly(t *testing.T) {
 	if !strings.Contains(diag.String(), "fell back") {
 		t.Errorf("replay degradation was silent; diagnostics: %q", diag.String())
 	}
+}
+
+// runOneEntry runs the named benchmark as a one-entry RunSuite batch and
+// returns that entry's outcome.
+func runOneEntry(t *testing.T, dev *Device, name string) (*sm.Result, error) {
+	t.Helper()
+	results, err := dev.RunSuite(context.Background(), []*kernels.Benchmark{mustBench(t, name)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results[0].Result, results[0].Err
 }
 
 // mustBench fetches a suite benchmark by name.

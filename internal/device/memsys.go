@@ -18,12 +18,12 @@ import (
 // A launch becomes a wave plan — [0, GridDim) when it is unpartitioned
 // or fits one SM, exec.PartitionWaves otherwise — grouped into
 // contention domains: the SM slots that share one lower memory level.
-// One driver, runDomain, executes a domain on one goroutine: it is
-// admitted by the run queue at the domain's share of the launch's cost,
-// puts a steppable sm.Runner on every SM slot, and always advances the
-// slot whose local clock maps to the earliest device time. Waves on one
-// slot run back-to-back: each starts at the device time its predecessor
-// ended. The shapes a launch can take are only data to that driver:
+// One driver, runDomain, executes a domain on one goroutine: it takes
+// one run-queue slot, puts a steppable sm.Runner on every SM slot, and
+// always advances the slot whose local clock maps to the earliest device
+// time. Waves on one slot run back-to-back: each starts at the device
+// time its predecessor ended. The shapes a launch can take are only data
+// to that driver:
 //
 //   - whole grid: one wave, so one domain with one slot, simulated on
 //     the launch's live memory image (no snapshot, no merge), cycle-exact
@@ -111,7 +111,6 @@ type waveRun struct {
 type launchRun struct {
 	d      *Device
 	l      *exec.Launch
-	cost   int64
 	rec    *replay.Recorder
 	tr     *replay.Trace
 	cancel context.CancelFunc
@@ -134,13 +133,11 @@ type launchRun struct {
 
 // run simulates one launch. partition is explicit because RunSuite
 // routes heavy entries through the wave-partitioned shape under
-// WithAutoPartition, and cost is the caller's admission weight: raw
-// thread count for ad-hoc launches, measured-or-calibrated estimates for
-// suite entries. With rec the simulation additionally records per-thread
-// traces; with tr the functional layer is replaced by the recorded
-// streams while every timing path runs exactly as in a full simulation.
-// At most one of rec/tr may be non-nil.
-func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, cost int64, rec *replay.Recorder, tr *replay.Trace) (*sm.Result, error) {
+// WithAutoPartition. With rec the simulation additionally records
+// per-thread traces; with tr the functional layer is replaced by the
+// recorded streams while every timing path runs exactly as in a full
+// simulation. At most one of rec/tr may be non-nil.
+func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *replay.Recorder, tr *replay.Trace) (*sm.Result, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
@@ -156,7 +153,7 @@ func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, cost i
 
 	// An over-subscribed block yields no plan; it runs whole so the SM
 	// rejects it with its precise error.
-	e := &launchRun{d: d, l: l, cost: cost, rec: rec, tr: tr, cancel: cancel, span: 1, slots: 1}
+	e := &launchRun{d: d, l: l, rec: rec, tr: tr, cancel: cancel, span: 1, slots: 1}
 	e.waves = [][2]int{{0, l.GridDim}}
 	if partition {
 		if plan := exec.PartitionWaves(l.GridDim, sm.ResidentCTAs(d.cfg, l)); len(plan) > 1 {
@@ -180,7 +177,7 @@ func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, cost i
 	var wg sync.WaitGroup
 	for lo := e.span; lo < n; lo += e.span {
 		wg.Add(1)
-		go guarded("CTA wave domain", nil, func() {
+		go guarded("CTA wave domain", func() {
 			defer wg.Done()
 			e.runs[lo].err = e.runDomain(ctx, lo, lo+e.span)
 		})()
@@ -249,10 +246,9 @@ func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
 		}
 	}()
 	// The domain is one goroutine however many SMs it interleaves, so it
-	// occupies one run-queue slot, at its share of the launch's cost.
+	// occupies one run-queue slot.
 	d := e.d
-	ctas := e.waves[hi-1][1] - e.waves[lo][0]
-	if err := d.acquireSlot(ctx, e.cost*int64(ctas)/int64(e.l.GridDim)); err != nil {
+	if err := d.acquireSlot(ctx); err != nil {
 		return err
 	}
 	defer d.queue.release()

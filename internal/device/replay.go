@@ -122,15 +122,14 @@ func (d *Device) runBenchmarkTraced(ctx context.Context, b *kernels.Benchmark, p
 // recording into rec or replaying tr as Device.run describes), and
 // checks the oracle — except on a replay, which never touches the
 // global image: the recording run already validated the functional
-// behavior the trace encodes. Admission is weighted by the entry's
-// estimated cost — measured cycles after the cell has run once in this
-// process, the calibrated static estimate cold.
+// behavior the trace encodes. A completed run's modeled cycles are
+// recorded as the cell's cost for RunSuite's next claim order.
 func (d *Device) runBenchmark(ctx context.Context, b *kernels.Benchmark, partition bool, rec *replay.Recorder, tr *replay.Trace) (*sm.Result, error) {
 	l, err := b.NewLaunch(d.cfg.Arch != sm.ArchBaseline)
 	if err != nil {
 		return nil, err
 	}
-	res, err := d.run(ctx, l, partition, estimatedCost(b, d.cfgFP), rec, tr)
+	res, err := d.run(ctx, l, partition, rec, tr)
 	if err != nil {
 		return nil, fmt.Errorf("device: %s on %s: %w", b.Name, d.cfg.Arch, err)
 	}
@@ -160,7 +159,7 @@ func (d *Device) RunTraceReplay(ctx context.Context, l *exec.Launch) (*sm.Result
 
 	rec := replay.NewRecorder(l.GridDim, l.BlockDim)
 	res, err := safeRun("trace recording of "+l.Prog.Name, func() (*sm.Result, error) {
-		return d.run(ctx, l, d.partition, launchCost(l), rec, nil)
+		return d.run(ctx, l, d.partition, rec, nil)
 	})
 	if err != nil {
 		return nil, err
@@ -174,7 +173,7 @@ func (d *Device) RunTraceReplay(ctx context.Context, l *exec.Launch) (*sm.Result
 		if err := d.fire(faultinject.SiteReplayFallback); err != nil {
 			return nil, err
 		}
-		return d.run(ctx, l, d.partition, launchCost(l), nil, tr)
+		return d.run(ctx, l, d.partition, nil, tr)
 	})
 	if err != nil {
 		if isCtxErr(err) {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/faultinject"
-	"repro/internal/kernels"
 	"repro/internal/sm"
 )
 
@@ -44,9 +43,8 @@ import (
 // B waits on an event of A) deadlock those streams; nothing detects
 // this for you.
 
-// Pending is the future of one asynchronous operation: a stream
-// launch, a stream event-wait marker, or an internal suite entry. It
-// completes exactly once.
+// Pending is the future of one asynchronous operation: a stream launch
+// or a stream event-wait marker. It completes exactly once.
 type Pending struct {
 	done chan struct{}
 	once sync.Once
@@ -159,7 +157,7 @@ func (s *Stream) Launch(ctx context.Context, l *exec.Launch) *Pending {
 		if err := s.dev.fire(faultinject.SiteStreamDispatch); err != nil {
 			return nil, err
 		}
-		return s.dev.run(ctx, l, s.dev.partition, launchCost(l), nil, nil)
+		return s.dev.run(ctx, l, s.dev.partition, nil, nil)
 	}, ctx, s.depth != nil)
 	return p
 }
@@ -195,7 +193,7 @@ func (s *Stream) enqueue(p *Pending, op string, fn func() (*sm.Result, error), c
 	s.tail = p
 	s.mu.Unlock()
 
-	go guarded(op, nil, func() {
+	go guarded(op, func() {
 		// Declared first so it runs last (defers are LIFO): the future
 		// must be complete before the inflight count drops, or a
 		// concurrent Synchronize could observe an idle device while p is
@@ -271,39 +269,6 @@ func (d *Device) Synchronize(ctx context.Context) error {
 	return d.inflight.wait(ctx)
 }
 
-// SubmitBenchmark enqueues one suite benchmark on its own implicit
-// stream: the run is admitted by the device-global queue at the
-// benchmark's estimated cost, oracle-validated, served from the
-// simulation cache when one is attached, and cost-recorded — exactly
-// like a one-entry RunSuite batch. Partitioning follows the device's
-// WithGridPartition setting (WithAutoPartition is a batch-level
-// heuristic and needs RunSuite). The experiments runner submits every
-// figure's prefetch matrix through this, overlapping work across
-// configurations.
-func (d *Device) SubmitBenchmark(ctx context.Context, b *kernels.Benchmark) *Pending {
-	return d.submit("submitted benchmark "+b.Name, func() (*sm.Result, error) {
-		return d.runSuiteEntry(ctx, b, d.partition)
-	})
-}
-
-// submit runs fn on its own goroutine, tracked for Synchronize; a panic
-// fails only this submission's Pending.
-func (d *Device) submit(op string, fn func() (*sm.Result, error)) *Pending {
-	p := newPending()
-	d.inflight.add()
-	go guarded(op, nil, func() {
-		// Complete before the inflight count drops; see enqueue.
-		defer d.inflight.finish()
-		defer func() {
-			if v := recover(); v != nil {
-				p.complete(nil, newPanicError(op, v))
-			}
-		}()
-		p.complete(fn())
-	})()
-	return p
-}
-
 // inflight counts the device's outstanding asynchronous operations and
 // lets Synchronize wait for zero.
 type inflight struct {
@@ -346,11 +311,4 @@ func (f *inflight) wait(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}
-}
-
-// launchCost is the admission weight of a raw launch: its thread
-// count. Suite entries go through estimatedCost instead, which knows
-// measured cycles and the per-benchmark calibration table.
-func launchCost(l *exec.Launch) int64 {
-	return int64(l.GridDim) * int64(l.BlockDim)
 }

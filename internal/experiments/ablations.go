@@ -6,9 +6,9 @@ import (
 	"repro/internal/sm"
 )
 
-// Ablation studies for the design choices DESIGN.md calls out. These
-// go beyond the paper's published figures: they quantify the cost of
-// each approximation the paper's hardware makes.
+// Ablation studies for the simulator's design choices. These go beyond
+// the paper's published figures: they quantify the cost of each
+// approximation the paper's hardware makes.
 
 // AblationScoreboard compares the three dependency-tracking rules on
 // the SBI architecture over the irregular suite: the paper's
@@ -116,8 +116,8 @@ func (r *Runner) AblationMemSplit() (*Table, error) {
 // HeapPressure reports the thread-frontier heap statistics per
 // irregular kernel under SBI: peak live warp-splits, merges per 1000
 // issues, and the insertions a bounded-throughput sideband sorter
-// would have had to defer (DESIGN.md records the perfect-sort
-// substitution this quantifies).
+// would have had to defer (this quantifies the perfect-sort
+// substitution reconv.Heap makes).
 func (r *Runner) HeapPressure() (*Table, error) {
 	if err := r.prefetchMatrix(kernels.Irregular(), []sm.Config{sm.Configure(sm.ArchSBI)}); err != nil {
 		return nil, err

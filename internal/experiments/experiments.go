@@ -21,15 +21,14 @@ import (
 
 // Runner executes benchmark simulations with memoization (several
 // figures share configurations). Simulation and oracle validation are
-// delegated to the device engine: each figure submits its whole
-// (benchmark, configuration) request set as asynchronous stream
-// submissions — one device per configuration, every entry enqueued
-// before any result is awaited — so the simulations of all
-// configurations fan out together across the host's cores, admitted
-// longest-job-first by one run queue shared across every device the
-// runner builds; table assembly then reads from the cache. Both cache
-// layers — the runner's per-cell Stats table and the device-level
-// simulation cache shared across all the runner's figures — key on
+// delegated to the device engine: each figure hands over its whole
+// (benchmark, configuration) request set, Prefetch runs one
+// Device.RunSuite per configuration, all of them at once, and table
+// assembly then reads from the cache. One run queue shared across every
+// device the runner builds bounds the concurrent simulations; each
+// RunSuite orders its own batch by cost. Both cache layers — the
+// runner's per-cell Stats table and the device-level simulation cache
+// shared across all the runner's figures — key on
 // sm.Config.Fingerprint, which digests every configuration field, so
 // two different configurations can never alias a cell. The runner is
 // safe for concurrent use.
@@ -96,23 +95,29 @@ func (r *Runner) runQueue() *device.RunQueue {
 	return r.queue
 }
 
-// Prefetch simulates every not-yet-cached request as asynchronous
-// stream submissions: one device per distinct configuration, every
-// benchmark enqueued up front (Device.SubmitBenchmark), all admitted
-// by the runner's shared run queue — so the heavy cells of one
-// configuration overlap the light cells of another instead of the
-// configurations running batch-by-batch. Each simulation's final
-// memory is checked against the benchmark's Go reference by the
-// device; a mismatch is an error, never a silent wrong figure.
-// Prefetch is deterministic: results do not depend on the worker count
-// or on completion order.
+// Prefetch simulates every not-yet-cached request: one device per
+// distinct configuration, one Device.RunSuite per device, all running
+// concurrently on the runner's shared run queue — so the heavy cells of
+// one configuration overlap the light cells of another instead of the
+// configurations running batch-by-batch. Each simulation's final memory
+// is checked against the benchmark's Go reference by the device; a
+// mismatch is an error, never a silent wrong figure. Every device is
+// built before any simulation starts, and every batch is awaited even
+// after a failure, so nothing is running (and filling the shared cache)
+// once Prefetch returns; the first error in configuration-major request
+// order is reported, successful cells are cached regardless. Prefetch is
+// deterministic: results, and the order of the Progress lines, do not
+// depend on the worker count or on completion order.
 func (r *Runner) Prefetch(ctx context.Context, reqs []Request) error {
 	type group struct {
 		cfg     sm.Config
 		benches []*kernels.Benchmark
+		dev     *device.Device
+		results []*device.SuiteResult
+		err     error
 	}
-	var groups []group
-	index := make(map[runKey]int)
+	var groups []*group
+	index := make(map[runKey]*group)
 	seen := make(map[runKey]bool)
 	r.mu.Lock()
 	for i := range reqs {
@@ -127,56 +132,55 @@ func (r *Runner) Prefetch(ctx context.Context, reqs []Request) error {
 		}
 		ck := k
 		ck.bench = ""
-		gi, ok := index[ck]
+		g, ok := index[ck]
 		if !ok {
-			gi = len(groups)
-			index[ck] = gi
-			groups = append(groups, group{cfg: q.Cfg})
+			g = &group{cfg: q.Cfg}
+			index[ck] = g
+			groups = append(groups, g)
 		}
-		groups[gi].benches = append(groups[gi].benches, q.Bench)
+		g.benches = append(g.benches, q.Bench)
 	}
 	r.mu.Unlock()
 
-	type submission struct {
-		bench   *kernels.Benchmark
-		cfg     *sm.Config
-		pending *device.Pending
-	}
-	var subs []submission
-	for gi := range groups {
-		g := &groups[gi]
-		dev, err := device.New(device.WithConfig(g.cfg), device.WithRunQueue(r.runQueue()),
-			device.WithSimCache(r.sims))
+	queue := r.runQueue()
+	for _, g := range groups {
+		var err error
+		g.dev, err = device.New(device.WithConfig(g.cfg), device.WithRunQueue(queue), device.WithSimCache(r.sims))
 		if err != nil {
 			return fmt.Errorf("experiments: %w", err)
 		}
-		for _, b := range g.benches {
-			subs = append(subs, submission{bench: b, cfg: &g.cfg, pending: dev.SubmitBenchmark(ctx, b)})
-		}
 	}
 
-	// Await in submission order — completion order is irrelevant to the
-	// cached values, and a deterministic wait order keeps the Progress
-	// log stable. Every submission is awaited even after a failure, so
-	// no simulation keeps running (and mutating the shared cache and
-	// queue) after Prefetch returns; the first error in submission
-	// order is reported, successful cells are cached regardless.
+	var wg sync.WaitGroup
+	for _, g := range groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.results, g.err = g.dev.RunSuite(ctx, g.benches)
+		}()
+	}
+	wg.Wait()
+
 	var firstErr error
-	for _, sub := range subs {
-		res, err := sub.pending.Wait()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("experiments: %w", err)
+	for _, g := range groups {
+		for _, res := range g.results {
+			if res.Err != nil {
+				if firstErr == nil {
+					firstErr = fmt.Errorf("experiments: %w", res.Err)
+				}
+				continue
 			}
-			continue
+			s := res.Result.Stats
+			r.mu.Lock()
+			r.cache[configKey(res.Bench.Name, &g.cfg)] = &s
+			r.mu.Unlock()
+			if r.Progress != nil {
+				fmt.Fprintf(r.Progress, "  %-22s %-10s IPC %6.2f  (%d cycles)\n",
+					res.Bench.Name, g.cfg.Arch, s.IPC(), s.Cycles)
+			}
 		}
-		s := res.Stats
-		r.mu.Lock()
-		r.cache[configKey(sub.bench.Name, sub.cfg)] = &s
-		r.mu.Unlock()
-		if r.Progress != nil {
-			fmt.Fprintf(r.Progress, "  %-22s %-10s IPC %6.2f  (%d cycles)\n",
-				sub.bench.Name, sub.cfg.Arch, s.IPC(), s.Cycles)
+		if g.err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("experiments: %w", g.err)
 		}
 	}
 	return firstErr

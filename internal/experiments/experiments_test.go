@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/kernels"
+	"repro/internal/leakcheck"
 	"repro/internal/sm"
 )
 
@@ -82,6 +85,86 @@ func TestRunnerProgress(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Histogram") {
 		t.Error("progress line missing")
+	}
+}
+
+// TestPrefetchProgressOrder: whatever order the requests arrive in and
+// the simulations finish in, Prefetch reports one line per new cell,
+// configuration by configuration in first-request order, and nothing for
+// cells it already holds.
+func TestPrefetchProgressOrder(t *testing.T) {
+	leakcheck.Check(t)
+	var buf bytes.Buffer
+	r := NewRunner()
+	r.Progress = &buf
+	archs := []sm.Arch{sm.ArchSBI, sm.ArchSWI}
+	names := []string{"Transpose", "Histogram", "BlackScholes"}
+	var reqs []Request
+	var want []string
+	for _, name := range names {
+		b, ok := kernels.ByName(name)
+		if !ok {
+			t.Fatalf("benchmark %s missing", name)
+		}
+		for _, a := range archs { // benchmark-major: the groups interleave
+			reqs = append(reqs, Request{Bench: b, Cfg: sm.Configure(a)})
+		}
+	}
+	for _, a := range archs {
+		for _, name := range names {
+			want = append(want, name+" "+a.String())
+		}
+	}
+	if err := r.Prefetch(context.Background(), reqs); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 {
+			got = append(got, f[0]+" "+f[1])
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("progress lines = %q, want config-major %q", got, want)
+	}
+	buf.Reset()
+	if err := r.Prefetch(context.Background(), reqs); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("second Prefetch of cached cells reported %q, want nothing", buf.String())
+	}
+}
+
+// TestPrefetchBuildsEveryDeviceFirst: a configuration the device rejects
+// fails the whole Prefetch before any simulation of any other
+// configuration starts — nothing may still be running, and filling the
+// shared cache, once Prefetch has returned.
+func TestPrefetchBuildsEveryDeviceFirst(t *testing.T) {
+	r := NewRunner()
+	// Registered before leakcheck so it runs after leakcheck has waited
+	// for any straggling simulation to finish and count its miss.
+	t.Cleanup(func() {
+		if n := r.sims.Misses(); n != 0 {
+			t.Errorf("%d simulations started behind a failed Prefetch, want 0", n)
+		}
+	})
+	leakcheck.Check(t)
+	b, _ := kernels.ByName("Transpose")
+	bad := sm.Configure(sm.ArchSWI)
+	bad.WarpWidth = 3
+	err := r.Prefetch(context.Background(), []Request{
+		{Bench: b, Cfg: sm.Configure(sm.ArchSBI)},
+		{Bench: b, Cfg: bad},
+	})
+	if err == nil || !strings.Contains(err.Error(), "power of two") {
+		t.Fatalf("Prefetch with an invalid configuration returned %v, want the validation error", err)
+	}
+	r.mu.Lock()
+	n := len(r.cache)
+	r.mu.Unlock()
+	if n != 0 {
+		t.Errorf("%d cells cached behind a failed Prefetch, want 0", n)
 	}
 }
 

@@ -9,7 +9,7 @@
 //
 // The ports reproduce each benchmark's control-flow and memory-access
 // structure (the properties SBI/SWI react to) rather than its full
-// numerics; DESIGN.md §6 records the correspondence.
+// numerics.
 package kernels
 
 import (

@@ -14,8 +14,8 @@ import (
 // stream/suite plumbing installs and takes the process down.
 //
 // The check is structural: the spawned expression must be a call of
-// the closure returned by guarded, i.e. `go guarded(op, catch, fn)()`.
-// The near-miss `go guarded(op, catch, fn)` — spawning the wrapper
+// the closure returned by guarded, i.e. `go guarded(op, fn)()`.
+// The near-miss `go guarded(op, fn)` — spawning the wrapper
 // constructor itself, which builds the protected closure and then
 // discards it without ever running fn — gets its own diagnostic,
 // because it type-checks and "works" right up until the first panic.
@@ -70,7 +70,7 @@ func runGoGuard(pass *Pass) {
 				return true
 			}
 			pass.Reportf(g.Pos(),
-				"goroutine in device package %s must run under the panic guard: go %s(op, catch, fn)() (or waive with //sbwi:unguarded <why>)",
+				"goroutine in device package %s must run under the panic guard: go %s(op, fn)() (or waive with //sbwi:unguarded <why>)",
 				pass.Path, guardWrapperName)
 			return true
 		})

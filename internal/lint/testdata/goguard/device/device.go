@@ -2,13 +2,9 @@ package device
 
 // guarded mirrors the production panic-guard wrapper: it builds the
 // protected closure the goroutine must actually invoke.
-func guarded(op string, catch func(any), fn func()) func() {
+func guarded(op string, fn func()) func() {
 	return func() {
-		defer func() {
-			if v := recover(); v != nil && catch != nil {
-				catch(v)
-			}
-		}()
+		defer func() { _ = recover() }()
 		fn()
 	}
 }
@@ -17,12 +13,12 @@ func work() {}
 
 // spawnGuarded is the contract's shape: wrapper built and invoked.
 func spawnGuarded() {
-	go guarded("work", nil, work)()
+	go guarded("work", work)()
 }
 
 // spawnGuardedParen still invokes the wrapper, through parentheses.
 func spawnGuardedParen() {
-	go (guarded("work", nil, work))()
+	go (guarded("work", work))()
 }
 
 func spawnRaw() {
@@ -36,7 +32,7 @@ func spawnClosure() {
 // spawnUninvoked builds the protected closure and discards it: the
 // goroutine runs the constructor, never fn under recover.
 func spawnUninvoked() {
-	go guarded("work", nil, work) // want "spawns the wrapper without invoking it"
+	go guarded("work", work) // want "spawns the wrapper without invoking it"
 }
 
 // spawnWaived documents why this goroutine may run unguarded.

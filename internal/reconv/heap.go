@@ -47,7 +47,7 @@ type HeapStats struct {
 // and secondary warp-splits scheduled by SBI) and a Cold Context Table
 // holding the rest, sorted ascending by PC.
 //
-// Departure from the hardware proposal, recorded in DESIGN.md: the
+// Departure from the hardware proposal: the
 // paper's sideband sorter has bounded throughput and degrades the CCT to
 // LIFO order under pressure; the paper notes the order affects only
 // reconvergence quality, never correctness, and that real programs

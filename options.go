@@ -53,18 +53,19 @@ func WithConfig(cfg Config) Option { return device.WithConfig(cfg) }
 // bit-identical for every SM count by construction.
 func WithSMs(n int) Option { return device.WithSMs(n) }
 
-// WithWorkers bounds the host goroutines simulating concurrently
-// across everything the device runs — stream launches, CTA waves and
-// RunSuite entries alike (default: GOMAXPROCS). The worker count never
-// changes results, only wall-clock. Ignored when WithRunQueue shares a
-// queue: the queue's slot count is the bound then.
+// WithWorkers sets the slot count of the device's private run queue:
+// the bound on host goroutines simulating concurrently across
+// everything the device runs — stream launches, CTA waves and RunSuite
+// entries alike (default: GOMAXPROCS). The worker count never changes
+// results, only wall-clock. Ignored when WithRunQueue shares a queue:
+// that queue's slot count is the bound then.
 func WithWorkers(n int) Option { return device.WithWorkers(n) }
 
-// WithRunQueue admits the device's simulations through a shared
-// RunQueue instead of a private one, bounding several devices'
-// combined load — streams and suites alike — by one worker pool under
-// one longest-job-first policy. Grant order never changes results. A
-// nil queue keeps the default private queue.
+// WithRunQueue makes the device take its simulation slots from a
+// shared RunQueue instead of a private one, bounding several devices'
+// combined load — streams and suites alike — by one worker pool (the
+// queue bounds concurrency; RunSuite orders by cost). A nil queue keeps
+// the default private queue.
 func WithRunQueue(q *RunQueue) Option { return device.WithRunQueue(q) }
 
 // WithStreamQueueDepth bounds how many enqueued-but-incomplete
@@ -129,7 +130,7 @@ func WithReplayLog(w io.Writer) Option { return device.WithReplayLog(w) }
 // run, never retime it.
 func WithLaunchTimeout(d time.Duration) Option { return device.WithLaunchTimeout(d) }
 
-// WithRetry lets RunSuite/SubmitBenchmark entries re-run after
+// WithRetry lets RunSuite entries re-run after
 // transient-class failures up to n extra attempts, with exponential
 // backoff between attempts. Every attempt builds a fresh launch from
 // the benchmark generator, so a retry never observes partial state;
