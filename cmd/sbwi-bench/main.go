@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -31,20 +32,23 @@ func main() {
 	// run carries the real logic so its defers — in particular
 	// pprof.StopCPUProfile — flush before os.Exit on the error path: a
 	// profile of a failing run is exactly when the flag matters.
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sbwi-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	exp := flag.String("exp", "all", "experiment: "+strings.Join(sbwi.ExperimentNames(), ", ")+", or all")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	workers := flag.Int("workers", 0, "host worker-pool bound (0 = GOMAXPROCS)")
-	verbose := flag.Bool("v", false, "log each simulation to stderr")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulations to `file`")
-	memprofile := flag.String("memprofile", "", "write a heap profile taken after the simulations to `file`")
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sbwi-bench", flag.ExitOnError)
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(sbwi.ExperimentNames(), ", ")+", or all")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
+	workers := fs.Int("workers", 0, "host worker-pool bound (0 = GOMAXPROCS)")
+	verbose := fs.Bool("v", false, "log each simulation to stderr")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the simulations to `file`")
+	memprofile := fs.String("memprofile", "", "write a heap profile taken after the simulations to `file`")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -74,9 +78,9 @@ func run() error {
 			return err
 		}
 		if *csv {
-			fmt.Print(t.CSV())
+			fmt.Fprint(stdout, t.CSV())
 		} else {
-			fmt.Println(t.Text())
+			fmt.Fprintln(stdout, t.Text())
 		}
 	}
 

@@ -52,6 +52,12 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"replay with streams", []string{"-kernel", "Transpose", "-trace-replay", "-streams", "2"}, "cannot be combined with -streams 2"},
 		{"negative noc bandwidth", []string{"-kernel", "Transpose", "-noc-bw", "-1"}, "port bandwidth must be positive"},
 		{"17 params", tooManyParams, "17 -param flags exceed"},
+		// The same message whichever door the launch goes through:
+		// -trace-replay used to die in makeslice sizing its recorder.
+		{"negative grid", []string{"-file", asm, "-grid", "-1"}, "grid -1 x block 256 invalid"},
+		{"negative grid replayed", []string{"-file", asm, "-grid", "-1", "-trace-replay"}, "grid -1 x block 256 invalid"},
+		{"zero grid", []string{"-file", asm, "-grid", "0"}, "grid 0 x block 256 invalid"},
+		{"zero grid replayed", []string{"-file", asm, "-grid", "0", "-trace-replay"}, "grid 0 x block 256 invalid"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -75,195 +75,85 @@
 //
 // # Streams: asynchronous launches
 //
-// Device.Run is synchronous. To pipeline independent work on one
-// device, open streams — FIFO lanes in the CUDA mold:
-//
-//	s1, s2 := dev.NewStream(), dev.NewStream()
-//	p1 := s1.Launch(ctx, a)      // enqueues, returns immediately
-//	p2 := s1.Launch(ctx, b)      // runs after a (same stream = FIFO)
-//	p3 := s2.Launch(ctx, c)      // runs concurrently with stream s1
-//	ev := s1.Record()            // marks s1's position after a, b
-//	s2.WaitEvent(ev)             // s2's later entries wait for it
-//	res, err := p2.Wait()        // Pending: future with Wait / Done
-//	err = dev.Synchronize(ctx)   // drain everything in flight
-//
-// The execution model:
-//
-//   - Launches within one stream execute in enqueue order; launches on
-//     different streams run concurrently, each taking a slot of the
-//     device-global run queue. The queue bounds concurrency — one
-//     worker pool (WithWorkers) shared by streams, Run calls and
-//     RunSuite batches; RunSuite orders by cost. A RunQueue can be
-//     shared across devices (NewRunQueue + WithRunQueue) to bound
-//     their combined load; WithStreamQueueDepth bounds each stream's
-//     launch queue for producer backpressure.
-//   - Determinism: streams never change what a simulation computes.
-//     Every launch's Stats are bit-identical to the synchronous
-//     Device.Run path for any interleaving, stream count or worker
-//     count (asserted under -race by the interleaving-determinism
-//     test). Launches sharing a global memory image must be ordered by
-//     one stream or by events, exactly as concurrent Run calls would.
-//   - Failure: a failed or cancelled operation completes its Pending
-//     with the error (a cancelled launch returns the context's error)
-//     and poisons the stream — later FIFO entries fail fast with a
-//     wrapping error, errors.Is still sees context.Canceled through
-//     the wrap, and other streams are unaffected. Poison is sticky:
-//     discard the stream and open a new one.
-//
-// Migration note: Device.Run is now literally sugar for a one-launch
-// stream (NewStream().Launch(ctx, l).Wait()), so existing synchronous
-// code keeps its exact numbers and its concurrency semantics —
-// concurrent Run calls share the run queue's slots with streams.
+// Device.Run is synchronous, and sugar for a one-launch stream. To
+// pipeline independent work open streams (Device.NewStream): FIFO lanes
+// in the CUDA mold whose Launch returns a Pending future, ordered
+// across streams by Record/WaitEvent and drained by Synchronize, all
+// sharing the device's run queue (WithWorkers, WithRunQueue,
+// WithStreamQueueDepth). Streams never change what a simulation
+// computes, and a failed operation poisons only its own stream. The
+// contract — ordering, determinism, poison — is the header of
+// internal/device/stream.go; the README's "Streams" section has a
+// worked example, examples/streams a runnable one.
 //
 // # Batch scheduling and memoization
 //
-// RunSuite is cost-aware: entries are claimed longest-job-first,
-// weighted by measured modeled cycles once a cell has run in the
-// process (before that, a static estimate calibrated per suite
-// benchmark — measured cycles-per-thread × thread count — so even a
-// cold batch orders by realistic relative cost), so a batch's
-// wall-clock is not bound by whichever heavy kernel a naive schedule
-// starts last. The run queue only bounds concurrency: each claimed
-// entry takes a slot like any stream launch. Two options extend it:
-//
-//   - WithAutoPartition(true) routes the batch's heavy tail — entries
-//     whose static cost exceeds the batch mean and whose grids span
-//     several CTA waves — through the wave-partitioned engine, so even
-//     one dominant kernel spreads across workers. The decision is a
-//     pure function of the batch (never of worker/SM counts or
-//     measured timings): results stay bit-identical for every
-//     parallelism setting, but auto-partitioned entries carry the
-//     partitioned timing model's numbers, which is why the option is
-//     off by default.
-//   - WithSimCache(NewSimCache()) memoizes oracle-validated entries
-//     across RunSuite passes and across devices sharing the cache. The
-//     key digests the benchmark, the full configuration
-//     (Config.Fingerprint covers every field reflectively — a cache
-//     key that cannot go stale as Config grows), the partitioning
-//     mode, the modeled memory system and, where it matters, the SM
-//     count. What invalidates the cache is therefore exactly "any of
-//     those changed"; worker counts never do, because they never
-//     change results. Concurrent passes deduplicate in-flight cells.
-//     Results served from the cache are shared and must be treated as
-//     read-only.
-//
-// The experiments runner uses both layers implicitly: every figure's
-// simulations go through one shared cache, and benchmark inputs and
-// oracle images are memoized per benchmark, so a full experiments pass
-// derives each (kernel, configuration) cell exactly once.
+// RunSuite claims its entries longest-job-first by measured or
+// calibrated cost, WithAutoPartition spreads a batch's heavy tail
+// across CTA waves, and WithSimCache memoizes oracle-validated entries
+// under a key that digests the whole configuration; none of the three
+// can change a result. Package internal/device's comment ("Admission
+// and ordering", "Batch scheduling and memoization") owns the
+// description, internal/device/simcache.go the cache-key argument.
 //
 // # Trace replay
 //
-// Timing sweeps re-simulate the same kernel while only parameters that
-// decide *when* things happen change — never what the threads compute.
-// WithTraceReplay(true) exploits that: the first configuration to run
-// a benchmark records a compact per-thread execution trace during one
-// full oracle-validated simulation (one bit per conditional-branch
-// execution, one effective address per global memory operation), and
-// every later timing configuration replays the trace — the complete
-// scheduling and timing machinery runs unchanged, but branch outcomes
-// and addresses come from the table, so the replay never decodes
-// operands, evaluates ALU lanes, or touches the global memory image.
-// Replayed statistics are bit-identical to full simulation for every
-// configuration in the trace's validity domain; Result.Replayed
-// reports which path produced a result.
-//
-// The validity domain is policed, never assumed. Traces are cached by
-// (benchmark, Config.FunctionalFingerprint) — the functional/timing
-// split of the reflection-exhaustive fingerprint — and a record-time
-// race analysis over the logged (block, barrier-epoch) access sets
-// marks kernels whose per-thread behavior is timing-dependent (BFS's
-// racy relaxation updates) as non-replayable: those fall back to full
-// simulation with the reason logged once (WithReplayLog), and a replay
-// whose streams desync at runtime fails loudly and falls back too.
-// The memory-hierarchy and exec-latency experiments route through the
-// engine; Device.RunTraceReplay is the one-launch entry point behind
-// `sbwi run -trace-replay`.
+// WithTraceReplay(true) records a per-thread trace (branch bits and
+// memory addresses) during a benchmark's first full simulation and
+// replays it for every later configuration that differs only in
+// timing: bit-identical statistics without the functional layer
+// (Result.Replayed says which path ran). Kernels whose behavior is
+// timing-dependent are detected at record time and, like a replay that
+// desyncs, fall back to full simulation with the reason logged
+// (WithReplayLog). Device.RunTraceReplay is the one-launch form behind
+// `sbwi run -trace-replay`. The header of internal/device/replay.go
+// owns the validity-domain argument, package internal/replay the trace
+// format and the race analysis.
 //
 // # Memory hierarchy
 //
-// By default every SM sees the paper's memory model: a private 48 KB
-// L1 in front of a flat-latency, bandwidth-limited DRAM port — the
-// configuration the reproduced figures assume. WithL2 and
-// WithInterconnect replace the flat model with a modeled multi-SM
-// hierarchy,
-//
-//	L1 (per SM) → NoC crossbar port → shared banked L2 → DRAM,
-//
-// where the crossbar charges per-port queueing and traversal latency
-// (NoCConfig), and the L2 is set-associative, banked and MSHR-backed
-// (L2Config) in front of the single shared DRAM port. Every run times
-// that path inline: L1 misses and write-through stores enter the
-// hierarchy at the cycle they leave their L1 and the returned ready
-// time flows straight back into warp wake-up, so contention shapes
-// issue timing as it happens. Partitioned runs interleave all CTA
-// waves against one shared memory-system clock on a single driving
-// goroutine (wave j on SM j mod N), making Result.DeviceCycles
-// contention-aware — it grows as interconnect ports narrow — and all
-// results (merged statistics, the Stats.Mem.L2 / Stats.Mem.NoC
-// counters, Result.NoCPorts per-SM port breakdowns) bit-identical
-// across host worker counts and repeat runs. They legitimately depend
-// on the SM count, which decides how many waves share the hierarchy at
-// once. Stores occupy a finite L1 write buffer until the L2 drains
-// them, so store-saturated streams exert the same back-pressure as
-// load streams. Both options are off by default, which keeps default
-// runs cycle-exact with the seed reproduction; the "memory-hierarchy"
-// experiment sweeps the port bandwidth on the bandwidth-bound suite
-// kernels and reports the per-SM queueing skew.
+// By default every SM has the paper's private L1 over a flat-latency,
+// bandwidth-limited DRAM port, which keeps default runs cycle-exact
+// with the reproduced figures. WithL2 and WithInterconnect put a NoC
+// crossbar and a shared banked L2 between the L1s and DRAM, timed
+// inline, so Result.DeviceCycles and the Stats.Mem.L2 / Stats.Mem.NoC
+// counters become contention-aware: still bit-identical across worker
+// counts and repeat runs, but dependent on the SM count. Package
+// internal/device's comment ("Shared memory system") and
+// internal/device/memsys.go own the model and its determinism argument.
 //
 // # Failure semantics
 //
-// Every failure is typed and contained. A panic in any device
-// goroutine converts to a *PanicError failing only its owning launch,
-// stream or suite entry — the device and its other streams stay
-// usable. A simulation exceeding Config.MaxCycles fails with a
-// *LivelockError, and WithLaunchTimeout(d) adds a host wall-clock
-// watchdog producing a *TimeoutError (errors.Is(err,
-// ErrLaunchTimeout)); both carry a partial-state snapshot of the stuck
-// SM. The simulation cache never stores failed results, WithRetry(n)
-// re-runs transiently failed suite entries with exponential backoff,
-// and trace-replay failures fall back to full simulation with the
-// reason logged. A failed stream operation poisons the entries
-// enqueued after it on that stream (wrapping the original error);
-// other streams are unaffected. The hardening is exercised by the
-// seeded fault-injection plane in internal/faultinject and the chaos
-// suite in internal/device; see the README's "Failure semantics"
-// section.
+// Every failure is typed and contained: a panic becomes a *PanicError
+// failing only its launch, stream or suite entry; Config.MaxCycles
+// yields a *LivelockError and WithLaunchTimeout a *TimeoutError, both
+// with a snapshot of the stuck SM; the cache never stores a failure;
+// WithRetry re-runs transient ones; a launch that cannot start (nil, no
+// program, an empty grid) is an error at the call. The header of
+// internal/device/guard.go owns the contract, internal/faultinject the
+// fault plane that exercises it.
 //
-// # Simulation speed
+// # Simulation speed and measuring it
 //
-// The SM's scheduling loop is event-driven but cycle-exact: a per-warp
-// issue-candidate cache, read by the primary walk, the SWI lookup and
-// the idle-span fast-forward, replaces the per-cycle rescan of every
-// warp context and its scoreboard query on every probe (described once,
-// in the header of internal/sm/schedfast.go), an issued instruction
-// executes as one warp-wide operation over a register-major register
-// file (the two execution forms are described once, in package
-// internal/exec's comment), and the steady-state issue path performs no
-// heap allocation. None of this changes any
-// number — the modeled cycle count, every statistic and every PRNG
-// tie-break are bit-identical to a naive per-cycle rescan, by
-// construction (the walk probes the same candidates in the same order)
-// and pinned by the golden-stats fixture. See the README's Performance
-// section for how to benchmark and profile.
+// The scheduling loop is event-driven but cycle-exact (a per-warp
+// issue-candidate cache, described in the header of
+// internal/sm/schedfast.go), an issued instruction executes warp-wide
+// over a register-major register file (package internal/exec's
+// comment), and the steady-state issue path does not allocate; the
+// golden-stats fixture pins that none of it moves a number. The
+// repository measures itself one way: the bench/ module (bench/README.md
+// defines the workloads and metrics), compared between two commits with
+// .github/scripts/bench-pair.sh.
 //
 // # Static analysis
 //
 // The invariants above — bit-identical statistics, a zero-allocation
-// issue path, complete Merge aggregation — are additionally enforced
-// at vet time by the repository's own analyzer suite (internal/lint,
-// run as `go run ./cmd/sbwi-lint ./...` or as a `go vet -vettool`;
-// `-json` emits machine-readable findings). The suite includes a
-// flow-sensitive lock-discipline analyzer, lockcheck: struct fields
-// annotated //sbwi:guardedby <mutexField> may only be accessed where
-// a CFG dataflow analysis proves the named mutex held, so the mutex
-// regime of the concurrent device stack is checked at vet time rather
-// than sampled by the -race suites. The //sbwi: comment directives
-// appearing in the sources (hotpath, unordered, alloc-ok,
-// wallclock-ok, nomerge, unguarded, guardedby, nolock) belong to that
-// suite; each waiver carries its one-line justification inline — a
-// bare waiver is itself reported. See the README's "Static analysis"
-// section for the analyzer catalogue and the directive table.
+// issue path, complete Merge aggregation, lock discipline — are also
+// enforced at vet time by the repository's analyzer suite (`go run
+// ./cmd/sbwi-lint ./...`, or as a `go vet -vettool`); the //sbwi:
+// comment directives in the sources belong to it. Package
+// internal/lint's comment lists the analyzers, the README's "Static
+// analysis" section the directives.
 //
 // See the examples directory for runnable programs.
 package sbwi

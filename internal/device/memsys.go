@@ -136,7 +136,8 @@ type launchRun struct {
 // WithAutoPartition. With rec the simulation additionally records
 // per-thread traces; with tr the functional layer is replaced by the
 // recorded streams while every timing path runs exactly as in a full
-// simulation. At most one of rec/tr may be non-nil.
+// simulation, and the result says so (Replayed). At most one of rec/tr
+// may be non-nil.
 func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *replay.Recorder, tr *replay.Trace) (*sm.Result, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -229,6 +230,7 @@ func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *r
 			out.NoCPorts[i] = e.xbar.PortStats(i)
 		}
 	}
+	out.Replayed = tr != nil
 	return out, nil
 }
 

@@ -92,29 +92,34 @@ func (d *Device) runBenchmarkTraced(ctx context.Context, b *kernels.Benchmark, p
 	if err != nil || recorded != nil {
 		return recorded, err
 	}
-	if !tr.Replayable {
-		// The reason was logged once when the trace was recorded.
-		return d.runBenchmark(ctx, b, partition, nil, nil)
-	}
-	// A panicking replay degrades exactly like a desynced one: safeRun
-	// converts the panic, the uniform fallback below re-runs in full.
-	res, err := safeRun("trace replay of "+b.Name, func() (*sm.Result, error) {
-		if err := d.fire(faultinject.SiteReplayFallback); err != nil {
-			return nil, err
-		}
+	return d.replayOrFull(b.Name, tr, func(tr *replay.Trace) (*sm.Result, error) {
 		return d.runBenchmark(ctx, b, partition, nil, tr)
 	})
-	if err != nil {
-		if isCtxErr(err) {
-			return nil, err
+}
+
+// replayOrFull is the replay → fall-back half every door to trace
+// replay shares: run simulates by replaying the trace it is handed, or
+// in full when handed nil. A trace outside the validity domain (its
+// reason was logged when it was recorded) goes straight to the full
+// simulation. A replay attempt sits behind the SiteReplayFallback hook;
+// a context error passes through, and any other failure — a desync
+// means this configuration left the validity domain at runtime; a
+// panic (safeRun converts it) and an injected fault are made to look
+// the same way — falls back loudly rather than guess.
+func (d *Device) replayOrFull(name string, tr *replay.Trace, run func(*replay.Trace) (*sm.Result, error)) (*sm.Result, error) {
+	if tr.Replayable {
+		res, err := safeRun("trace replay of "+name, func() (*sm.Result, error) {
+			if err := d.fire(faultinject.SiteReplayFallback); err != nil {
+				return nil, err
+			}
+			return run(tr)
+		})
+		if err == nil || isCtxErr(err) {
+			return res, err
 		}
-		// A desynced replay means this configuration left the validity
-		// domain at runtime — and an injected fault in the replay path is
-		// made to look the same way; fall back loudly rather than guess.
-		d.degradef("device: trace replay of %s on %s fell back to full simulation: %v", b.Name, d.cfg.Arch, err)
-		return d.runBenchmark(ctx, b, partition, nil, nil)
+		d.degradef("device: trace replay of %s on %s fell back to full simulation: %v", name, d.cfg.Arch, err)
 	}
-	return res, nil
+	return run(nil)
 }
 
 // runBenchmark builds the benchmark's launch for the device's
@@ -133,9 +138,7 @@ func (d *Device) runBenchmark(ctx context.Context, b *kernels.Benchmark, partiti
 	if err != nil {
 		return nil, fmt.Errorf("device: %s on %s: %w", b.Name, d.cfg.Arch, err)
 	}
-	if tr != nil {
-		res.Replayed = true
-	} else if !bytes.Equal(l.Global, b.Expected()) {
+	if tr == nil && !bytes.Equal(l.Global, b.Expected()) {
 		return nil, fmt.Errorf("device: %s on %s: simulation diverged from reference", b.Name, d.cfg.Arch)
 	}
 	recordCost(b, d.cfgFP, res)
@@ -154,6 +157,10 @@ func (d *Device) runBenchmark(ctx context.Context, b *kernels.Benchmark, partiti
 // WithTraceReplay device instead, where recording happens once per
 // benchmark rather than once per call.
 func (d *Device) RunTraceReplay(ctx context.Context, l *exec.Launch) (*sm.Result, error) {
+	// Validated before a recorder is sized from it.
+	if err := l.Validate(); err != nil {
+		return nil, err
+	}
 	d.inflight.add()
 	defer d.inflight.finish()
 
@@ -167,24 +174,19 @@ func (d *Device) RunTraceReplay(ctx context.Context, l *exec.Launch) (*sm.Result
 	tr := rec.Finalize()
 	if !tr.Replayable {
 		d.degradef("device: %s is outside the trace-replay validity domain, ran a full simulation: %s", l.Prog.Name, tr.Reason)
-		return res, nil
 	}
-	rres, err := safeRun("trace replay of "+l.Prog.Name, func() (*sm.Result, error) {
-		if err := d.fire(faultinject.SiteReplayFallback); err != nil {
-			return nil, err
+	rres, err := d.replayOrFull(l.Prog.Name, tr, func(tr *replay.Trace) (*sm.Result, error) {
+		if tr == nil {
+			// The recording run was this launch's full simulation.
+			return res, nil
 		}
 		return d.run(ctx, l, d.partition, nil, tr)
 	})
-	if err != nil {
-		if isCtxErr(err) {
-			return nil, err
-		}
-		d.degradef("device: trace replay of %s fell back to the full simulation's result: %v", l.Prog.Name, err)
-		return res, nil
+	if err != nil || !rres.Replayed {
+		return rres, err
 	}
 	if rres.Stats != res.Stats {
 		return nil, fmt.Errorf("device: %s: replayed statistics diverged from the recorded run", l.Prog.Name)
 	}
-	rres.Replayed = true
 	return rres, nil
 }

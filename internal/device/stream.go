@@ -126,7 +126,9 @@ func (d *Device) NewStream() *Stream {
 // With WithStreamQueueDepth set, Launch blocks while the stream
 // already has that many incomplete launches — backpressure for
 // producers that outrun the device — and returns an already-failed
-// Pending if ctx is cancelled during the wait.
+// Pending if ctx is cancelled during the wait. A launch that fails
+// exec.Launch.Validate (nil included) also returns an already-failed
+// Pending, without joining the FIFO chain or poisoning the stream.
 //
 // Global memory is mutated in place exactly as Device.Run mutates it.
 // Launches sharing a global slice must be ordered — by one stream or
@@ -135,8 +137,14 @@ func (s *Stream) Launch(ctx context.Context, l *exec.Launch) *Pending {
 	p := newPending()
 	// A launch whose context is already dead fails before it joins the
 	// FIFO chain: deterministic (no race between the depth gate and the
-	// cancellation) and poison-free — the stream stays usable.
+	// cancellation) and poison-free — the stream stays usable. So does a
+	// launch that cannot start (nil, no program, an empty grid): a bad
+	// argument, like CUDA's invalid-configuration error, is the caller's
+	// to fix and says nothing about the work already queued.
 	if err := ctx.Err(); err != nil {
+		return p.failNow(err)
+	}
+	if err := l.Validate(); err != nil {
 		return p.failNow(err)
 	}
 	if s.depth != nil {
@@ -146,11 +154,7 @@ func (s *Stream) Launch(ctx context.Context, l *exec.Launch) *Pending {
 			return p.failNow(ctx.Err())
 		}
 	}
-	op := "stream launch"
-	if l.Prog != nil {
-		op = "stream launch of " + l.Prog.Name
-	}
-	s.enqueue(p, op, func() (*sm.Result, error) {
+	s.enqueue(p, "stream launch of "+l.Prog.Name, func() (*sm.Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -55,12 +55,13 @@ type Launch struct {
 	Global   []byte
 }
 
-// Validate checks the launch shape and the program's structural
-// invariants (an *isa.ProgramError when the program breaks one): a
-// validated launch cannot make either simulator index a register row
-// that does not exist or dispatch an opcode that does not exist.
+// Validate checks the launch (nil is an error, not a crash), its shape
+// and the program's structural invariants (an *isa.ProgramError when
+// the program breaks one): a validated launch cannot make either
+// simulator index a register row that does not exist or dispatch an
+// opcode that does not exist.
 func (l *Launch) Validate() error {
-	if l.Prog == nil {
+	if l == nil || l.Prog == nil {
 		return fmt.Errorf("exec: launch has no program")
 	}
 	if l.GridDim <= 0 || l.BlockDim <= 0 {

@@ -80,10 +80,10 @@ func TestCandidateCacheCoherent(t *testing.T) {
 		}
 	}
 	loop := func(a Arch) *exec.Launch {
-		return newLaunch(assembleFor(t, "loop", benchmarkLoopSrc, a), 4, 256, 4*256, 0)
+		return newLaunch(assembleFor(t, "loop", shortLoopSrc, a), 4, 256, 4*256, 0)
 	}
 	memIdle := func(a Arch) *exec.Launch {
-		return newLaunch(assembleFor(t, "mem", benchmarkMemSrc, a), 4, 256, 4*256+65536, 0, 4*256*4)
+		return newLaunch(assembleFor(t, "mem", shortMemSrc, a), 4, 256, 4*256+65536, 0, 4*256*4)
 	}
 	for _, a := range Architectures() {
 		t.Run(a.String(), func(t *testing.T) {

@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -68,6 +69,14 @@ loop:
 	exit
 `
 
+// shortLoopSrc and shortMemSrc are the two kernels above with a shorter
+// trip count: the same steady state, cheap enough to run to completion
+// many times (replay recording, candidate-cache coherence).
+var (
+	shortLoopSrc = strings.Replace(divergentLoopSrc, "20000", "500", 1)
+	shortMemSrc  = strings.Replace(memIdleLoopSrc, "4000", "100", 1)
+)
+
 // TestSteadyStateZeroAllocs drives the hot loop directly through
 // (*SM).step and asserts the steady-state issue path performs zero heap
 // allocations per cycle, for both a divergence-heavy compute loop and a
@@ -119,7 +128,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	// Replay mode must be equally allocation-free: the replay-walk
 	// cursors (Branch, PeekAddr, ConsumeAddr) replace the functional
 	// layer in the same hot loop, so a replayed event gets the same
-	// zero-allocation budget as a simulated one. The shorter benchmark
+	// zero-allocation budget as a simulated one. The shorter
 	// kernels keep the record-time full run cheap; 1000 steps stay well
 	// inside their steady state.
 	replayKernels := []struct {
@@ -127,8 +136,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		params    []uint32
 		words     int
 	}{
-		{"divergent-loop", benchmarkLoopSrc, []uint32{0}, 4 * 256},
-		{"mem-idle", benchmarkMemSrc, []uint32{0, 4 * 256 * 4}, 4*256 + 65536},
+		{"divergent-loop", shortLoopSrc, []uint32{0}, 4 * 256},
+		{"mem-idle", shortMemSrc, []uint32{0, 4 * 256 * 4}, 4*256 + 65536},
 	}
 	for _, k := range replayKernels {
 		for _, a := range Architectures() {

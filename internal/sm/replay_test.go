@@ -79,8 +79,8 @@ func TestReplayMatchesFullSimulation(t *testing.T) {
 		params    []uint32
 		words     int
 	}{
-		{"divergent-loop", benchmarkLoopSrc, []uint32{0}, 4 * 256},
-		{"mem-idle", benchmarkMemSrc, []uint32{0, 4 * 256 * 4}, 4*256 + 65536},
+		{"divergent-loop", shortLoopSrc, []uint32{0}, 4 * 256},
+		{"mem-idle", shortMemSrc, []uint32{0, 4 * 256 * 4}, 4*256 + 65536},
 	}
 	for _, k := range kernelsUnderTest {
 		for _, a := range []Arch{ArchBaseline, ArchSBISWI} {
@@ -120,7 +120,7 @@ func TestReplayMatchesFullSimulation(t *testing.T) {
 // replayed run never reads or writes the global image.
 func TestReplayLeavesMemoryUntouched(t *testing.T) {
 	cfg := Configure(ArchSBISWI)
-	p := assembleFor(t, "divergent-loop", benchmarkLoopSrc, ArchSBISWI)
+	p := assembleFor(t, "divergent-loop", shortLoopSrc, ArchSBISWI)
 	mk := func() *exec.Launch { return newLaunch(p, 4, 256, 4*256, 0) }
 	tr, _ := recordTrace(t, cfg, mk)
 
@@ -173,11 +173,11 @@ func TestRecordFlagsRacyKernel(t *testing.T) {
 // statistics silently computed from the wrong table.
 func TestReplayDesyncIsLoud(t *testing.T) {
 	cfg := Configure(ArchSBISWI)
-	pRec := assembleFor(t, "mem-idle", benchmarkMemSrc, ArchSBISWI)
+	pRec := assembleFor(t, "mem-idle", shortMemSrc, ArchSBISWI)
 	mkRec := func() *exec.Launch { return newLaunch(pRec, 4, 256, 4*256+65536, 0, 4*256*4) }
 	tr, _ := recordTrace(t, cfg, mkRec)
 
-	pOther := assembleFor(t, "divergent-loop", benchmarkLoopSrc, ArchSBISWI)
+	pOther := assembleFor(t, "divergent-loop", shortLoopSrc, ArchSBISWI)
 	l := newLaunch(pOther, 4, 256, 4*256, 0)
 	s, err := replay.NewSession(tr, 0, l.GridDim)
 	if err != nil {
@@ -190,7 +190,7 @@ func TestReplayDesyncIsLoud(t *testing.T) {
 
 func TestRunOptsValidation(t *testing.T) {
 	cfg := Configure(ArchSBISWI)
-	p := assembleFor(t, "divergent-loop", benchmarkLoopSrc, ArchSBISWI)
+	p := assembleFor(t, "divergent-loop", shortLoopSrc, ArchSBISWI)
 	l := newLaunch(p, 4, 256, 4*256, 0)
 
 	rec := replay.NewRecorder(4, 256)

@@ -239,9 +239,10 @@ func TestMalformedProgramIsTypedError(t *testing.T) {
 	for _, c := range cases {
 		prog := &Program{Name: c.name, Code: []isa.Instruction{{Op: isa.OpNop}, c.ins, exit}}
 		entries := map[string]func(l *Launch) error{
-			"RunReference": func(l *Launch) error { return RunReference(l, 32) },
-			"sm.Run":       func(l *Launch) error { _, err := sm.Run(sm.Configure(sm.ArchSBISWI), l); return err },
-			"Device.Run":   func(l *Launch) error { _, err := dev.Run(context.Background(), l); return err },
+			"RunReference":   func(l *Launch) error { return RunReference(l, 32) },
+			"sm.Run":         func(l *Launch) error { _, err := sm.Run(sm.Configure(sm.ArchSBISWI), l); return err },
+			"Device.Run":     func(l *Launch) error { _, err := dev.Run(context.Background(), l); return err },
+			"RunTraceReplay": func(l *Launch) error { _, err := dev.RunTraceReplay(context.Background(), l); return err },
 		}
 		for entry, run := range entries {
 			err := run(NewLaunch(prog, 1, 32, make([]byte, 256)))
@@ -254,5 +255,31 @@ func TestMalformedProgramIsTypedError(t *testing.T) {
 				t.Errorf("%s/%s: %v, want pc 1 and a reason naming the %s", c.name, entry, pe, c.reason)
 			}
 		}
+	}
+
+	// A launch that is not there, names no program or has no grid used
+	// to panic on the caller's goroutine (a nil dereference in
+	// Stream.Launch, makeslice in the trace recorder). Each is a plain
+	// error on every door, and one that leaves the stream usable.
+	ctx := context.Background()
+	good := &Program{Name: "good", Code: []isa.Instruction{exit}}
+	stream := dev.NewStream()
+	for name, l := range map[string]*Launch{
+		"nil":           nil,
+		"empty":         {},
+		"negative-grid": NewLaunch(good, -1, 32, nil),
+	} {
+		if _, err := dev.Run(ctx, l); err == nil {
+			t.Errorf("Run(%s launch) succeeded, want an error", name)
+		}
+		if _, err := dev.RunTraceReplay(ctx, l); err == nil {
+			t.Errorf("RunTraceReplay(%s launch) succeeded, want an error", name)
+		}
+		if _, err := stream.Launch(ctx, l).Wait(); err == nil {
+			t.Errorf("Stream.Launch(%s launch) succeeded, want an error", name)
+		}
+	}
+	if _, err := stream.Launch(ctx, NewLaunch(good, 1, 32, nil)).Wait(); err != nil {
+		t.Errorf("a launch behind three rejected ones failed: %v — a bad argument must not poison the stream", err)
 	}
 }
