@@ -174,6 +174,9 @@ func run(args []string) error {
 		return fmt.Errorf("-noc-lat %d: traversal latency must be non-negative (-1 leaves it unset)", *nocLat)
 	}
 	memsys := *l2 || *nocBW > 0 || *nocLat >= 0
+	if *globalBytes < 0 {
+		return fmt.Errorf("-global %d: size must be non-negative", *globalBytes)
+	}
 	if *streams < 1 {
 		return fmt.Errorf("-streams %d: need at least one stream", *streams)
 	}

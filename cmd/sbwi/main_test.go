@@ -58,6 +58,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"negative grid replayed", []string{"-file", asm, "-grid", "-1", "-trace-replay"}, "grid -1 x block 256 invalid"},
 		{"zero grid", []string{"-file", asm, "-grid", "0"}, "grid 0 x block 256 invalid"},
 		{"zero grid replayed", []string{"-file", asm, "-grid", "0", "-trace-replay"}, "grid 0 x block 256 invalid"},
+		{"negative global", []string{"-file", asm, "-global", "-1"}, "-global -1: size must be non-negative"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

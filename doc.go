@@ -140,7 +140,12 @@
 // internal/sm/schedfast.go), an issued instruction executes warp-wide
 // over a register-major register file (package internal/exec's
 // comment), and the steady-state issue path does not allocate; the
-// golden-stats fixture pins that none of it moves a number. The
+// golden-stats fixture pins that none of it moves a number. A launch
+// does not build its SMs either: each worker slot of the run queue keeps
+// the SM shells of the last launch that finished cleanly on it, and the
+// next launch re-arms them in place (internal/sm's Runner.Reset) — the
+// result is bit-identical to a newly built SM's, and a launch that
+// fails in any way leaves nothing behind for reuse. The
 // repository measures itself one way: the bench/ module (bench/README.md
 // defines the workloads and metrics), compared between two commits with
 // .github/scripts/bench-pair.sh.

@@ -37,8 +37,8 @@
 // With WithGridPartition the grid is instead split into waves of
 // contiguous CTAs, each sized to fill one SM's warp contexts
 // (sm.ResidentCTAs); wave j runs on SM j mod N. Every wave is simulated
-// on a fresh SM instance starting from a snapshot of the pre-launch
-// global image; the per-wave images are then folded back with
+// on a cold SM starting from a snapshot of the pre-launch global
+// image; the per-wave images are then folded back with
 // exec.MergeWaves, which asserts the write-sharing contract (different
 // CTAs may only write the same location with the same value), and the
 // per-wave statistics are merged in wave order with Stats.Merge.
@@ -109,10 +109,13 @@ import (
 )
 
 // Device is an N-SM simulation engine. It is immutable after New and
-// safe for concurrent use: every Run gets fresh SM instances (and,
-// when the shared memory system is modeled, fresh L2/NoC instances);
-// the only shared state is the device-wide worker semaphore and the
-// optional simulation cache, both concurrency-safe.
+// safe for concurrent use: every Run simulates on SM instances it holds
+// alone — the shells of the run-queue slot it was granted, re-armed so
+// that results are bit-identical to newly built SMs', and never the
+// leftovers of a failed launch (queue.go) — and, when the shared memory
+// system is modeled, on fresh L2/NoC instances; the only shared state is
+// the device-wide run queue and the optional simulation cache, both
+// concurrency-safe.
 type Device struct {
 	cfg       sm.Config
 	sms       int

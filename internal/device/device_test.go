@@ -241,7 +241,7 @@ func TestFailedPartitionedRunLeavesImageUntouched(t *testing.T) {
 }
 
 // busy returns the number of granted slots (test hook).
-func (q *RunQueue) busy() int { return len(q.slots) }
+func (q *RunQueue) busy() int { return cap(q.slots) - len(q.slots) }
 
 // TestShapesAgreeOnErrors: whatever shape the wave engine gives a
 // launch, and however many host workers it has, a livelocking kernel

@@ -28,7 +28,9 @@ import (
 // Synchronize could observe an idle device while a future is still
 // unresolved. guarded itself is the last-resort backstop for a panic
 // escaping a site's own recovery (a bug in the recovery path): it keeps
-// the process alive and reports to stderr.
+// the process alive and reports to stderr. The SM shells a contention
+// domain was simulating on die with it: runDomain hands them back to
+// its run-queue slot only from its clean return (memsys.go).
 //
 // # Watchdog
 //
@@ -152,18 +154,16 @@ func (d *Device) fire(site faultinject.Site) error {
 	return d.faults.Fire(site)
 }
 
-// acquireSlot takes one run-queue slot for a simulation, with the
-// queue-acquire fault site in front and watchdog-cause mapping behind: a
-// slot wait aborted by the launch watchdog reports the timeout, not a
-// bare cancellation.
-func (d *Device) acquireSlot(ctx context.Context) error {
+// acquireSlot takes one run-queue slot, and the SM shells on it, for a
+// simulation, with the queue-acquire fault site in front and
+// watchdog-cause mapping behind: a slot wait aborted by the launch
+// watchdog reports the timeout, not a bare cancellation.
+func (d *Device) acquireSlot(ctx context.Context) ([]*sm.Runner, error) {
 	if err := d.fire(faultinject.SiteQueueAcquire); err != nil {
-		return err
+		return nil, err
 	}
-	if err := d.queue.acquire(ctx); err != nil {
-		return watchdogErr(ctx, err)
-	}
-	return nil
+	shells, err := d.queue.acquire(ctx)
+	return shells, watchdogErr(ctx, err)
 }
 
 // watchdogErr upgrades a bare context error to the context's

@@ -19,7 +19,8 @@ import (
 // or fits one SM, exec.PartitionWaves otherwise — grouped into
 // contention domains: the SM slots that share one lower memory level.
 // One driver, runDomain, executes a domain on one goroutine: it takes
-// one run-queue slot, puts a steppable sm.Runner on every SM slot, and
+// one run-queue slot, re-arms the slot's sm.Runner shells — one per SM
+// slot, built on the queue slot's first use — for the waves, and
 // always advances the slot whose local clock maps to the earliest device
 // time. Waves on one slot run back-to-back: each starts at the device
 // time its predecessor ended. The shapes a launch can take are only data
@@ -89,12 +90,14 @@ func (p *l2Port) Access(now int64, store bool, block uint32) int64 {
 	return p.l2.Access(deliver, block, store) - p.offset
 }
 
-// smSlot is one SM's place in a contention domain: the wave currently
-// simulating on it, the crossbar port its L1 uses (nil under the
-// flat-latency model), and the device cycle at which that wave started
-// (the sum of its predecessors' cycles on this SM).
+// smSlot is one SM's place in a contention domain: the SM shell that
+// simulates its waves one after the other, the wave currently on it,
+// the crossbar port its L1 uses (nil under the flat-latency model), and
+// the device cycle at which that wave started (the sum of its
+// predecessors' cycles on this SM).
 type smSlot struct {
-	run    *sm.Runner // nil once the slot has no wave left
+	run    *sm.Runner
+	live   bool // a wave is simulating; false once the slot has none left
 	port   *l2Port
 	wave   int   // index into the plan of the running wave
 	offset int64 // device-time start of the running wave
@@ -248,12 +251,19 @@ func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
 		}
 	}()
 	// The domain is one goroutine however many SMs it interleaves, so it
-	// occupies one run-queue slot.
+	// occupies one run-queue slot. The slot's SM shells come with it and
+	// go back only from the clean return at the bottom: an error, an
+	// abort or a panic drops them with the failed run.
 	d := e.d
-	if err := d.acquireSlot(ctx); err != nil {
+	shells, err := d.acquireSlot(ctx)
+	if err != nil {
 		return err
 	}
-	defer d.queue.release()
+	var donate []*sm.Runner
+	defer func() { d.queue.release(donate) }()
+	for len(shells) < e.slots {
+		shells = append(shells, new(sm.Runner))
+	}
 
 	slots := make([]smSlot, e.slots)
 	if d.memsys {
@@ -264,6 +274,7 @@ func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
 		}
 	}
 	for i := range slots {
+		slots[i].run = shells[i]
 		if lo+i < hi {
 			if err := e.start(&slots[i], lo+i); err != nil {
 				return err
@@ -278,21 +289,22 @@ func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
 		res := sl.run.Result()
 		e.runs[sl.wave].res = res
 		sl.offset += res.Stats.Cycles
-		sl.run = nil
+		sl.live = false
 		if next := sl.wave + e.slots; next < hi {
 			if err := e.start(sl, next); err != nil {
 				return err
 			}
 		}
 	}
+	donate = shells
 	return nil
 }
 
-// start puts wave w of the plan on the slot: a fresh SM over a private
-// clone of the pre-launch image (or the launch itself when there is no
-// snapshot), wired to the slot's port and the trace-replay machinery —
-// a fresh recorder sink when recording, a cursor session over the
-// wave's threads when replaying.
+// start puts wave w of the plan on the slot: the slot's SM re-armed
+// over a private clone of the pre-launch image (or the launch itself
+// when there is no snapshot), wired to the slot's port and the
+// trace-replay machinery — a fresh recorder sink when recording, a
+// cursor session over the wave's threads when replaying.
 func (e *launchRun) start(sl *smSlot, w int) error {
 	wl, from, to := e.l, e.waves[w][0], e.waves[w][1]
 	if e.base != nil {
@@ -314,11 +326,10 @@ func (e *launchRun) start(sl *smSlot, w int) error {
 		}
 		opts.Replay = s
 	}
-	run, err := sm.NewRunner(e.d.cfg, wl, from, to, opts)
-	if err != nil {
+	if err := sl.run.Reset(e.d.cfg, wl, from, to, opts); err != nil {
 		return err
 	}
-	sl.run, sl.wave = run, w
+	sl.live, sl.wave = true, w
 	return nil
 }
 
@@ -337,7 +348,7 @@ func stepToWaveEnd(ctx context.Context, slots []smSlot) (*smSlot, error) {
 		var bestT int64
 		for i := range slots {
 			sl := &slots[i]
-			if sl.run == nil {
+			if !sl.live {
 				continue
 			}
 			if t := sl.offset + sl.run.Now(); best == nil || t < bestT {

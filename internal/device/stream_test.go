@@ -375,12 +375,12 @@ func TestStreamQueueDepthBackpressure(t *testing.T) {
 func TestRunQueueCancelledWaiter(t *testing.T) {
 	leakcheck.Check(t)
 	q := NewRunQueue(1)
-	if err := q.acquire(context.Background()); err != nil { // occupy the only slot
+	if _, err := q.acquire(context.Background()); err != nil { // occupy the only slot
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error)
-	go func() { errc <- q.acquire(ctx) }()
+	go func() { _, err := q.acquire(ctx); errc <- err }()
 	select {
 	case err := <-errc:
 		t.Fatalf("acquire on a full queue returned %v before its cancellation", err)
@@ -390,14 +390,14 @@ func TestRunQueueCancelledWaiter(t *testing.T) {
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled acquire returned %v", err)
 	}
-	q.release()
+	q.release(nil)
 	// The slot must be acquirable again.
 	short, cancelShort := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancelShort()
-	if err := q.acquire(short); err != nil {
+	if _, err := q.acquire(short); err != nil {
 		t.Fatalf("slot leaked: acquire after release returned %v", err)
 	}
-	q.release()
+	q.release(nil)
 	if n := q.busy(); n != 0 {
 		t.Errorf("%d slots busy after every holder released", n)
 	}

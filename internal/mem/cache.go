@@ -22,6 +22,7 @@ type line struct {
 // cacheArray is a set-associative tag store.
 type cacheArray struct {
 	sets  [][]line
+	lines []line // the backing store sets slices
 	nsets uint32
 	block uint32
 	tick  uint64 // LRU clock
@@ -37,11 +38,17 @@ func newCacheArray(totalBytes, ways, blockBytes int) cacheArray {
 	}
 	nsets := totalBytes / (blockBytes * ways)
 	sets := make([][]line, nsets)
-	backing := make([]line, nsets*ways)
+	lines := make([]line, nsets*ways)
 	for i := range sets {
-		sets[i] = backing[i*ways : (i+1)*ways]
+		sets[i] = lines[i*ways : (i+1)*ways]
 	}
-	return cacheArray{sets: sets, nsets: uint32(nsets), block: uint32(blockBytes)}
+	return cacheArray{sets: sets, lines: lines, nsets: uint32(nsets), block: uint32(blockBytes)}
+}
+
+// reset invalidates every line and restarts the LRU clock.
+func (c *cacheArray) reset() {
+	clear(c.lines)
+	c.tick = 0
 }
 
 func (c *cacheArray) setIndex(blockAddr uint32) uint32 {

@@ -137,7 +137,7 @@ type Hierarchy struct {
 
 	// storeBusy is the write buffer in front of lower: a ring of
 	// drain-completion cycles, one per entry, with storeHead the oldest.
-	// Active only when lower is set and Config.StoreQueue > 0.
+	// Armed (non-empty) only while lower is set and Config.StoreQueue > 0.
 	storeBusy []int64
 	storeHead int
 
@@ -147,12 +147,26 @@ type Hierarchy struct {
 // NewHierarchy builds a hierarchy for cfg. It panics on nonsensical
 // geometry (internal configuration error, not user input).
 func NewHierarchy(cfg Config) *Hierarchy {
-	return &Hierarchy{
-		cfg:  cfg,
-		arr:  newCacheArray(cfg.L1Bytes, cfg.L1Ways, cfg.BlockBytes),
-		port: noc.NewLink(cfg.BytesPerCycle, cfg.MemLatency),
-		mshr: mshrTable{},
+	h := new(Hierarchy)
+	h.Reset(cfg)
+	return h
+}
+
+// Reset makes h the cold hierarchy NewHierarchy builds for cfg — no
+// line valid, nothing in flight, the DRAM port idle, the default lower
+// level, zero Stats — reusing the tag array when its geometry is
+// unchanged (an SM's hierarchy is reset for every run it hosts).
+func (h *Hierarchy) Reset(cfg Config) {
+	if len(h.arr.lines) > 0 && cfg.L1Bytes == h.cfg.L1Bytes && cfg.L1Ways == h.cfg.L1Ways && cfg.BlockBytes == h.cfg.BlockBytes {
+		h.arr.reset()
+	} else {
+		h.arr = newCacheArray(cfg.L1Bytes, cfg.L1Ways, cfg.BlockBytes)
 	}
+	h.cfg = cfg
+	h.port = noc.NewLink(cfg.BytesPerCycle, cfg.MemLatency)
+	h.mshr.fills = h.mshr.fills[:0]
+	h.Stats = Stats{}
+	h.SetLower(nil)
 }
 
 // Config returns the hierarchy's configuration.
@@ -160,11 +174,19 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 
 // SetLower routes the L1's miss fills and write-throughs through l
 // instead of the flat-latency DRAM port, and arms the store write
-// buffer (Config.StoreQueue). Pass nil to restore the default.
+// buffer (Config.StoreQueue). Pass nil to restore the default, which
+// disarms the buffer again: the flat-latency path never gates stores.
 func (h *Hierarchy) SetLower(l Lower) {
 	h.lower = l
-	if l != nil && h.cfg.StoreQueue > 0 && h.storeBusy == nil {
-		h.storeBusy = make([]int64, h.cfg.StoreQueue)
+	switch n := h.cfg.StoreQueue; {
+	case l == nil || n <= 0:
+		h.storeBusy, h.storeHead = h.storeBusy[:0], 0
+	case len(h.storeBusy) == 0:
+		if cap(h.storeBusy) < n {
+			h.storeBusy = make([]int64, n)
+		}
+		h.storeBusy = h.storeBusy[:n]
+		clear(h.storeBusy)
 	}
 }
 
@@ -229,14 +251,14 @@ func (h *Hierarchy) Store(now int64, blockAddr uint32) int64 {
 	h.Stats.Stores++
 	h.arr.lookup(blockAddr) // refresh LRU if present
 	issue := now
-	if h.storeBusy != nil {
+	if len(h.storeBusy) > 0 {
 		if t := h.storeBusy[h.storeHead]; t > issue {
 			h.Stats.StoreQueueStalls += uint64(t - issue)
 			issue = t
 		}
 	}
 	drained := h.below(issue, true, blockAddr)
-	if h.storeBusy != nil {
+	if len(h.storeBusy) > 0 {
 		h.storeBusy[h.storeHead] = drained
 		h.storeHead++
 		if h.storeHead == len(h.storeBusy) {

@@ -75,11 +75,19 @@ type Heap struct {
 // conservative sizing); it bounds nothing here, only the overflow
 // statistic.
 func NewHeap(mask uint64, cctCap int) *Heap {
-	h := &Heap{cctCap: cctCap, alive: mask}
+	h := new(Heap)
+	h.Reset(mask, cctCap)
+	return h
+}
+
+// Reset makes h the heap NewHeap builds — one context at PC 0 holding
+// mask — keeping the CCT's storage (a warp context's heap is reset for
+// every block it hosts).
+func (h *Heap) Reset(mask uint64, cctCap int) {
+	*h = Heap{cct: h.cct[:0], cctCap: cctCap, alive: mask}
 	h.hot[0] = Context{PC: 0, Mask: mask, WaitDiv: -1, LastIssue: -1}
 	h.hotValid[0] = true
 	h.Stats.MaxSplits = 1
-	return h
 }
 
 // Alive returns the mask of threads that have not exited.

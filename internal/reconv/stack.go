@@ -34,8 +34,17 @@ type Stack struct {
 
 // NewStack creates a stack for a warp whose valid threads are mask.
 func NewStack(mask uint64) *Stack {
-	return &Stack{
-		entries: []StackEntry{{PC: 0, Mask: mask, RecPC: -1}},
+	s := new(Stack)
+	s.Reset(mask)
+	return s
+}
+
+// Reset makes s the stack NewStack builds — one entry at PC 0 holding
+// mask — keeping the entries' storage (a warp context's stack is reset
+// for every block it hosts).
+func (s *Stack) Reset(mask uint64) {
+	*s = Stack{
+		entries: append(s.entries[:0], StackEntry{PC: 0, Mask: mask, RecPC: -1}),
 		alive:   mask,
 		valid:   mask,
 	}

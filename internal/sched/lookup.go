@@ -52,11 +52,26 @@ type Lookup struct {
 // NewLookup builds the lookup structure for numWarps warps with the
 // given associativity.
 func NewLookup(numWarps, assoc int) (*Lookup, error) {
-	sets, err := BuddySets(numWarps, assoc)
-	if err != nil {
+	l := new(Lookup)
+	if _, err := l.Reset(numWarps, assoc); err != nil {
 		return nil, err
 	}
-	l := &Lookup{assoc: assoc, numSets: len(sets), sets: sets, setOf: make([]int, numWarps)}
+	return l, nil
+}
+
+// Reset makes l the lookup NewLookup builds. Set membership is a pure
+// function of the two parameters, so a lookup already built for them is
+// left as it is; rebuilt reports whether it had to be built anew. On
+// error l is unchanged.
+func (l *Lookup) Reset(numWarps, assoc int) (rebuilt bool, err error) {
+	if numWarps > 0 && len(l.setOf) == numWarps && l.assoc == assoc {
+		return false, nil
+	}
+	sets, err := BuddySets(numWarps, assoc)
+	if err != nil {
+		return false, err
+	}
+	*l = Lookup{assoc: assoc, numSets: len(sets), sets: sets, setOf: make([]int, numWarps)}
 	for si, set := range sets {
 		for _, w := range set {
 			l.setOf[w] = si
@@ -71,7 +86,7 @@ func NewLookup(numWarps, assoc int) (*Lookup, error) {
 			l.setOf[w] = (w + 1) % l.numSets
 		}
 	}
-	return l, nil
+	return true, nil
 }
 
 // Candidates returns the warps searched when the primary warp is

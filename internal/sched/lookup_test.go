@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -127,6 +128,34 @@ func TestLookupDirectMappedProbesBuddy(t *testing.T) {
 		if len(got) != 1 || got[0] != (w+1)%16 {
 			t.Errorf("Candidates(%d) = %v, want [%d]", w, got, (w+1)%16)
 		}
+	}
+}
+
+// TestLookupReset: a lookup is rebuilt exactly when a parameter changed
+// — the caller re-derives its own tables from that answer — equals a
+// new one afterwards, and is left alone by a rejected Reset.
+func TestLookupReset(t *testing.T) {
+	var l Lookup
+	for _, step := range []struct {
+		warps, assoc int
+		rebuilt      bool
+	}{{16, 3, true}, {16, 3, false}, {16, AssocFull, true}, {32, AssocFull, true}, {32, 1, true}, {32, 1, false}} {
+		rebuilt, err := l.Reset(step.warps, step.assoc)
+		if err != nil || rebuilt != step.rebuilt {
+			t.Fatalf("Reset(%d, %d) = rebuilt %v, %v; want rebuilt %v", step.warps, step.assoc, rebuilt, err, step.rebuilt)
+		}
+		fresh, _ := NewLookup(step.warps, step.assoc)
+		if !reflect.DeepEqual(&l, fresh) {
+			t.Fatalf("after Reset(%d, %d): %+v, a new lookup is %+v", step.warps, step.assoc, l, *fresh)
+		}
+	}
+	for _, bad := range [][2]int{{0, AssocFull}, {32, -1}} {
+		if _, err := l.Reset(bad[0], bad[1]); err == nil {
+			t.Errorf("Reset(%d, %d) succeeded", bad[0], bad[1])
+		}
+	}
+	if fresh, _ := NewLookup(32, 1); !reflect.DeepEqual(&l, fresh) {
+		t.Error("a rejected Reset changed the lookup")
 	}
 }
 

@@ -126,12 +126,27 @@ type Scoreboard struct {
 // NewScoreboard builds a scoreboard for numWarps warps with perWarp
 // in-flight entries each.
 func NewScoreboard(mode DepMode, numWarps, perWarp int) *Scoreboard {
-	return &Scoreboard{
-		mode:    mode,
-		perWarp: perWarp,
-		entries: make([][]Entry, numWarps),
-		horizon: make([]int64, 0, perWarp+2),
+	s := new(Scoreboard)
+	s.Reset(mode, numWarps, perWarp)
+	return s
+}
+
+// Reset makes s the empty scoreboard NewScoreboard builds — no entry
+// in flight, zero Stats — reusing the per-warp tables when the warp
+// count is unchanged (an SM's scoreboard is reset for every run it
+// hosts).
+func (s *Scoreboard) Reset(mode DepMode, numWarps, perWarp int) {
+	if len(s.entries) == numWarps {
+		for i := range s.entries {
+			s.entries[i] = s.entries[i][:0]
+		}
+	} else {
+		s.entries = make([][]Entry, numWarps)
 	}
+	if cap(s.horizon) < perWarp+2 {
+		s.horizon = make([]int64, 0, perWarp+2)
+	}
+	s.mode, s.perWarp, s.Stats = mode, perWarp, Stats{}
 }
 
 // Mode returns the dependency mode.

@@ -80,13 +80,17 @@ func (p Shuffle) Lane(tid, wid, width, numWarps int) int {
 	return tid
 }
 
-// Permutation returns the tid->lane table for one warp.
-func (p Shuffle) Permutation(wid, width, numWarps int) []int {
-	t := make([]int, width)
-	for tid := range t {
-		t[tid] = p.Lane(tid, wid, width, numWarps)
+// Permutation fills and returns the tid->lane table for one warp,
+// reusing dst's storage when it has room for width entries.
+func (p Shuffle) Permutation(dst []int, wid, width, numWarps int) []int {
+	if cap(dst) < width {
+		dst = make([]int, width)
 	}
-	return t
+	dst = dst[:width]
+	for tid := range dst {
+		dst[tid] = p.Lane(tid, wid, width, numWarps)
+	}
+	return dst
 }
 
 // LaneMask transposes a thread-activity mask into lane space.

@@ -64,10 +64,11 @@ func checkCandCache(t *testing.T, s *SM) {
 func TestCandidateCacheCoherent(t *testing.T) {
 	run := func(t *testing.T, c Config, l *exec.Launch) {
 		t.Helper()
-		s, err := newSM(c, l, 0, l.GridDim, RunOpts{})
+		r, err := NewRunner(c, l, 0, l.GridDim, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		s := &r.s
 		for {
 			done, err := s.step(1 << 30)
 			if err != nil {

@@ -97,10 +97,11 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				cfg := Configure(a)
 				p := assembleFor(t, k.name, k.src, a)
 				l := newLaunch(p, 4, 256, k.words, k.params...)
-				s, err := newSM(cfg, l, 0, l.GridDim, RunOpts{})
+				r, err := NewRunner(cfg, l, 0, l.GridDim, RunOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
+				s := &r.s
 				const maxCycles = int64(1) << 30
 				// Warm up past block launch, first divergences and
 				// scratch growth into the steady state.
@@ -154,10 +155,11 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s, err := newSM(cfg, l, 0, l.GridDim, RunOpts{Replay: sess})
+				r, err := NewRunner(cfg, l, 0, l.GridDim, RunOpts{Replay: sess})
 				if err != nil {
 					t.Fatal(err)
 				}
+				s := &r.s
 				const maxCycles = int64(1) << 30
 				for i := 0; i < 600; i++ {
 					done, err := s.step(maxCycles)

@@ -1,0 +1,249 @@
+package sm
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/kernels"
+	"repro/internal/mem"
+	"repro/internal/progen"
+	"repro/internal/sched"
+)
+
+// A recycled Runner must be indistinguishable from a new one: these
+// tests re-Reset one Runner through launches that change everything a
+// shell sizes itself by, and compare every run with sm.RunRangeOpts,
+// which builds its Runner from zero.
+
+// stubLower is a stateless lower level, so the recycled run and its
+// fresh twin see the same memory system.
+type stubLower struct{}
+
+func (stubLower) Access(now int64, store bool, block uint32) int64 {
+	return now + 40 + int64(block>>7&7)
+}
+
+// resetCase is one launch on one configuration; mk builds it anew
+// (fresh memory image) on every call.
+type resetCase struct {
+	name string
+	cfg  Config
+	mk   func() *exec.Launch
+}
+
+// resetCases lists all 22 suite kernels on all five architectures and
+// n generated kernels in launch-storm's shapes (grid 1-4, block 32-128,
+// 3-6 regions) on alternating architectures and configuration
+// geometries, in an order shuffled by seed — so program length,
+// shared-memory size, warps per block, warp width and count, stack or
+// heap, lookup and L1 geometry and shuffle policy all change between
+// consecutive entries. Every other entry runs behind
+// a stub lower level, every third with a bounded trace.
+func resetCases(t *testing.T, seed uint64, n int) []resetCase {
+	t.Helper()
+	// What a shell sizes or derives from the configuration, each changed
+	// on its own against the table-2 defaults.
+	geometries := []func(*Config){
+		func(*Config) {},
+		func(c *Config) { c.Assoc = 4 },
+		func(c *Config) { c.NumWarps = 8 },
+		func(c *Config) { c.Assoc = 1; c.Shuffle = sched.ShuffleMirrorOdd },
+		func(c *Config) { c.WarpWidth = 32 },
+		func(c *Config) { c.Mem.L1Bytes = 12 * 1024; c.Mem.StoreQueue = 2; c.ScoreboardEntries = 3 },
+		func(c *Config) { c.Seed = 0x1234; c.Shuffle = sched.ShuffleMirrorHalf; c.DepMode = sched.DepMask },
+	}
+	var cases []resetCase
+	for _, b := range kernels.All() {
+		for _, a := range Architectures() {
+			if _, err := b.NewLaunch(a != ArchBaseline); err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, resetCase{b.Name + "/" + a.String(), Configure(a), func() *exec.Launch {
+				l, _ := b.NewLaunch(a != ArchBaseline)
+				return l
+			}})
+		}
+	}
+	for i := 0; i < n; i++ {
+		gen := progen.New(seed*1000 + uint64(i) + 1)
+		name := fmt.Sprintf("gen%03d", i)
+		if _, err := gen.Program(name, 3+i/16%4); err != nil {
+			t.Fatal(err)
+		}
+		a := Architectures()[i%len(Architectures())]
+		p := assembleFor(t, name, gen.Source(), a)
+		grid, block := 1+i%4, 32*(1+i/4%4)
+		c := Configure(a)
+		geometries[i/5%len(geometries)](&c)
+		cases = append(cases, resetCase{name + "/" + a.String(), c, func() *exec.Launch {
+			return &exec.Launch{Prog: p, GridDim: grid, BlockDim: block, Global: make([]byte, 4*grid*block)}
+		}})
+	}
+	// A kernel that reports what it finds in a register and a
+	// shared-memory word it never wrote, then dirties both: it stores 0
+	// exactly when its block started on zeroed state.
+	for _, a := range Architectures() {
+		p := assembleFor(t, "dirty", dirtyStateSrc, a)
+		for _, grid := range []int{2, 5} {
+			cases = append(cases, resetCase{"dirty/" + a.String(), Configure(a), func() *exec.Launch {
+				return newLaunch(p, grid, 256, grid*256)
+			}})
+		}
+	}
+	rand.New(rand.NewPCG(seed, 0x5e7)).Shuffle(len(cases), func(i, j int) { cases[i], cases[j] = cases[j], cases[i] })
+	for i := range cases {
+		if i%3 == 0 {
+			cases[i].cfg.TraceCap = 64
+		}
+	}
+	return cases
+}
+
+const dirtyStateSrc = `
+.shared 1024
+	mov  r1, %tid
+	shl  r2, r1, 2
+	ld.s r3, [r2]
+	iadd r4, r3, r20
+	mov  r20, 77
+	iadd r5, r1, 1
+	st.s [r2], r5
+	mov  r6, %ctaid
+	mov  r7, %ntid
+	imad r8, r6, r7, r1
+	shl  r8, r8, 2
+	st.g [r8], r4
+	exit
+`
+
+func lowerFor(i int) RunOpts {
+	if i%2 == 1 {
+		return RunOpts{Lower: mem.Lower(stubLower{})}
+	}
+	return RunOpts{}
+}
+
+// runRecycled re-arms r for the case and steps it to completion.
+func runRecycled(t *testing.T, r *Runner, c *resetCase, opts RunOpts) (*Result, *exec.Launch) {
+	t.Helper()
+	l := c.mk()
+	if err := r.Reset(c.cfg, l, 0, l.GridDim, opts); err != nil {
+		t.Fatalf("%s: Reset: %v", c.name, err)
+	}
+	for {
+		done, err := r.Step()
+		if err != nil {
+			t.Fatalf("%s: recycled run: %v", c.name, err)
+		}
+		if done {
+			return r.Result(), l
+		}
+	}
+}
+
+// checkEqualsFresh compares a recycled run with a run of the same case
+// on a Runner built from zero.
+func checkEqualsFresh(t *testing.T, c *resetCase, opts RunOpts, got *Result, gotL *exec.Launch) {
+	t.Helper()
+	l := c.mk()
+	want, err := RunRangeOpts(context.Background(), c.cfg, l, 0, l.GridDim, opts)
+	if err != nil {
+		t.Fatalf("%s: fresh run: %v", c.name, err)
+	}
+	if got.Stats != want.Stats {
+		t.Fatalf("%s: recycled Stats differ from a fresh run's\nrecycled %+v\nfresh    %+v", c.name, got.Stats, want.Stats)
+	}
+	if !bytes.Equal(gotL.Global, l.Global) {
+		t.Fatalf("%s: recycled run left a different memory image", c.name)
+	}
+	if !reflect.DeepEqual(got.Trace, want.Trace) {
+		t.Fatalf("%s: recycled trace differs from a fresh run's", c.name)
+	}
+}
+
+// TestRecycledRunnerEqualsFresh: one Runner, Reset through the whole
+// shuffled sequence, equals a fresh run every time; and the Result of
+// an earlier run is not disturbed by the Resets that follow it.
+func TestRecycledRunnerEqualsFresh(t *testing.T) {
+	cases := resetCases(t, 1, 208)
+	r := new(Runner)
+	var first, firstCopy *Result
+	for i := range cases {
+		opts := lowerFor(i)
+		got, l := runRecycled(t, r, &cases[i], opts)
+		checkEqualsFresh(t, &cases[i], opts, got, l)
+		if i == 0 {
+			first = got
+			cp := *got
+			tr := *got.Trace
+			tr.Events = append([]IssueEvent(nil), tr.Events...)
+			cp.Trace = &tr
+			firstCopy = &cp
+		}
+	}
+	if !reflect.DeepEqual(first, firstCopy) {
+		t.Error("a returned Result changed while its Runner was reused: it aliases shell memory")
+	}
+}
+
+// TestResetFromAnyState: a Runner abandoned after a seeded-random
+// number of steps — mid-divergence, at a barrier, with fills and
+// scoreboard entries outstanding, blocks resident — and Reset to a
+// different launch equals a fresh run of that launch.
+func TestResetFromAnyState(t *testing.T) {
+	cases := resetCases(t, 2, 40)
+	rng := rand.New(rand.NewPCG(2, 0xabad))
+	r := new(Runner)
+	for i := range cases {
+		// Abandon a run of some other case part-way (or, now and then,
+		// right after Reset or exactly at completion).
+		o := &cases[rng.IntN(len(cases))]
+		ol := o.mk()
+		if err := r.Reset(o.cfg, ol, 0, ol.GridDim, lowerFor(i+1)); err != nil {
+			t.Fatalf("%s: Reset: %v", o.name, err)
+		}
+		for steps := rng.IntN(400); steps > 0; steps-- {
+			done, err := r.Step()
+			if err != nil {
+				t.Fatalf("%s: %v", o.name, err)
+			}
+			if done {
+				break
+			}
+		}
+		opts := lowerFor(i)
+		got, l := runRecycled(t, r, &cases[i], opts)
+		checkEqualsFresh(t, &cases[i], opts, got, l)
+	}
+}
+
+// TestResetRejectsLikeNewRunner: a bad launch is refused by Reset on a
+// used Runner exactly as by NewRunner, and the Runner stays good for
+// the next launch.
+func TestResetRejectsLikeNewRunner(t *testing.T) {
+	cases := resetCases(t, 3, 4)
+	r := new(Runner)
+	runRecycled(t, r, &cases[0], RunOpts{})
+	l := cases[1].mk()
+	bad := cases[1].cfg
+	bad.NumWarps = 0
+	for _, c := range []struct {
+		name  string
+		reset func() error
+	}{
+		{"config", func() error { return r.Reset(bad, l, 0, l.GridDim, RunOpts{}) }},
+		{"CTA range", func() error { return r.Reset(cases[1].cfg, l, 0, l.GridDim+1, RunOpts{}) }},
+		{"launch", func() error { return r.Reset(cases[1].cfg, nil, 0, 1, RunOpts{}) }},
+	} {
+		if err := c.reset(); err == nil {
+			t.Errorf("Reset with a bad %s succeeded", c.name)
+		}
+	}
+	got, gl := runRecycled(t, r, &cases[2], RunOpts{})
+	checkEqualsFresh(t, &cases[2], RunOpts{}, got, gl)
+}

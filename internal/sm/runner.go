@@ -15,26 +15,24 @@ import (
 // concurrent use; the device drives every Runner sharing a lower level
 // from one goroutine, which is what makes the shared access order — and
 // therefore all contention counters — a pure function of the
-// configuration.
+// configuration. The zero Runner is ready for Reset, and a Runner may be
+// Reset again and again: the device keeps one per worker slot and SM and
+// re-arms it for every wave instead of building a new one.
 type Runner struct {
-	s    *SM
+	s    SM
 	max  int64
 	done bool
 }
 
 // NewRunner builds a steppable SM over the CTA sub-range
 // [ctaStart, ctaEnd), validating the configuration and launch exactly
-// like RunRangeOpts.
+// like RunRangeOpts: it is Reset on a zero Runner.
 func NewRunner(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) (*Runner, error) {
-	s, err := newSM(cfg, l, ctaStart, ctaEnd, opts)
-	if err != nil {
+	r := new(Runner)
+	if err := r.Reset(cfg, l, ctaStart, ctaEnd, opts); err != nil {
 		return nil, err
 	}
-	max := cfg.MaxCycles
-	if max <= 0 {
-		max = defaultMaxCycles
-	}
-	return &Runner{s: s, max: max}, nil
+	return r, nil
 }
 
 // Now returns the SM's local clock. During idle spans the fast-forward
@@ -70,7 +68,7 @@ func (r *Runner) Step() (bool, error) {
 }
 
 // Result finalizes and returns the run statistics. Call once, after
-// Done.
+// Done: it ends the run, and the Runner is good only for Reset after it.
 func (r *Runner) Result() *Result { return r.s.result() }
 
 // Diagnose converts a context abort observed between Steps into the

@@ -15,22 +15,30 @@ import (
 	"repro/internal/sched"
 )
 
-// SM is one simulated Streaming Multiprocessor mid-run.
+// SM is one simulated Streaming Multiprocessor mid-run. It is a
+// reset-able shell: Runner.Reset — the only code that initialises one —
+// re-arms every component in place, so a finished SM hands its storage
+// (register files, L1 tags, scoreboard tables, block records) to the
+// next run while behaving exactly like a newly built one.
 type SM struct {
 	cfg    Config
 	launch *exec.Launch
 	prog   *isa.Program
-	hier   *mem.Hierarchy
-	sb     *sched.Scoreboard
-	lookup *sched.Lookup
-	rng    *sched.XorShift64
-	units  *units
+	hier   mem.Hierarchy
+	sb     sched.Scoreboard
+	lookup sched.Lookup
+	rng    sched.XorShift64
+	units  units
 
 	warps   []*warp
 	blocks  []*block
 	nextCTA int
 	ctaEnd  int
 	now     int64
+
+	// freeBlocks holds the records of retired blocks, shared-memory
+	// image included, for startBlock to reuse.
+	freeBlocks []*block
 
 	// freeWarps counts warp contexts without a block and finished counts
 	// resident blocks whose last warp completed; both change only in
@@ -50,12 +58,18 @@ type SM struct {
 	readySet warpBits
 	slotOf   []int8
 	cands    []issueCand
-	setBits  []warpBits // SWI: per-buddy-set warp masks
-	memberOf []int      // SWI: buddy-set index containing each warp
+
+	// SWI: per-buddy-set warp masks and the buddy-set index containing
+	// each warp, both derived from lookup; nil on the other
+	// architectures.
+	setBits  []warpBits
+	memberOf []int
 
 	// srcsOf caches each instruction's source-register list, indexed by
 	// PC — static per program, recomputed by the seed on every probe.
-	srcsOf [][]isa.Reg
+	// The lists are sub-slices of srcFlat.
+	srcsOf  [][]isa.Reg
+	srcFlat []isa.Reg
 
 	// Reusable scratch buffers: the steady-state issue path performs no
 	// heap allocation (enforced by TestSteadyStateZeroAllocs).
@@ -196,9 +210,9 @@ type RunOpts struct {
 }
 
 // RunRange simulates the CTA sub-range [ctaStart, ctaEnd) of the launch
-// on a fresh SM. The SM model is re-entrant: independent RunRange calls
-// over disjoint sub-ranges of one launch may run concurrently as long
-// as each operates on its own global-memory image (see the Launch
+// on a newly built SM. The SM model is re-entrant: independent RunRange
+// calls over disjoint sub-ranges of one launch may run concurrently as
+// long as each operates on its own global-memory image (see the Launch
 // write-sharing contract in package exec). Thread environments still
 // see the full grid (%nctaid is l.GridDim), so functional behavior is
 // position-independent. The context is polled about every 1k steps;
@@ -234,101 +248,136 @@ func RunRangeOpts(ctx context.Context, cfg Config, l *exec.Launch, ctaStart, cta
 	}
 }
 
-// newSM validates the configuration and launch and builds a fresh SM
-// with every scratch buffer preallocated, ready to simulate the CTA
-// sub-range [ctaStart, ctaEnd).
-func newSM(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) (*SM, error) {
+// Reset validates the configuration and launch and arms the Runner to
+// simulate the CTA sub-range [ctaStart, ctaEnd), from whatever state it
+// is in: never used (NewRunner), finished, or abandoned mid-run. Every
+// component is re-initialised in place, keeping its storage when its
+// own geometry is unchanged and reallocating otherwise, so the run that
+// follows — Stats, Trace, memory image — is identical to one on a newly
+// built Runner, and a Result already returned never aliases anything
+// Reset touches. An error leaves the Runner as it was.
+func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := l.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if ctaStart < 0 || ctaEnd > l.GridDim || ctaStart >= ctaEnd {
-		return nil, fmt.Errorf("sm: %s: CTA range [%d, %d) outside grid of %d",
+		return fmt.Errorf("sm: %s: CTA range [%d, %d) outside grid of %d",
 			l.Prog.Name, ctaStart, ctaEnd, l.GridDim)
 	}
 	warpsPerBlock := (l.BlockDim + cfg.WarpWidth - 1) / cfg.WarpWidth
 	if warpsPerBlock > cfg.NumWarps {
-		return nil, fmt.Errorf("sm: block of %d threads needs %d warps, SM has %d",
+		return fmt.Errorf("sm: block of %d threads needs %d warps, SM has %d",
 			l.BlockDim, warpsPerBlock, cfg.NumWarps)
 	}
 	if !cfg.usesHeap() {
 		for pc := range l.Prog.Code {
 			ins := &l.Prog.Code[pc]
 			if ins.Conditional() && ins.RecPC < 0 {
-				return nil, fmt.Errorf("sm: %s: pc %d: stack architecture needs RecPC annotations (run cfg.AnnotateReconvergence)", l.Prog.Name, pc)
+				return fmt.Errorf("sm: %s: pc %d: stack architecture needs RecPC annotations (run cfg.AnnotateReconvergence)", l.Prog.Name, pc)
 			}
 		}
 	}
-
-	s := &SM{
-		cfg:     cfg,
-		launch:  l,
-		prog:    l.Prog,
-		hier:    mem.NewHierarchy(cfg.Mem),
-		sb:      sched.NewScoreboard(cfg.DepMode, cfg.NumWarps, cfg.ScoreboardEntries),
-		rng:     sched.NewXorShift64(cfg.Seed),
-		units:   newUnits(&cfg),
-		warps:   make([]*warp, cfg.NumWarps),
-		nextCTA: ctaStart,
-		ctaEnd:  ctaEnd,
-
-		warpsPerBlock: warpsPerBlock,
-		freeWarps:     cfg.NumWarps,
-	}
-	lk, err := sched.NewLookup(cfg.NumWarps, cfg.Assoc)
-	if err != nil {
-		return nil, err
-	}
-	s.lookup = lk
 	if opts.Record != nil && opts.Replay != nil {
-		return nil, fmt.Errorf("sm: %s: a run cannot both record and replay a trace", l.Prog.Name)
+		return fmt.Errorf("sm: %s: a run cannot both record and replay a trace", l.Prog.Name)
 	}
 	if opts.Record != nil && !opts.Record.Matches(l.GridDim, l.BlockDim) {
-		return nil, fmt.Errorf("sm: %s: trace recorder sized for a different launch geometry", l.Prog.Name)
+		return fmt.Errorf("sm: %s: trace recorder sized for a different launch geometry", l.Prog.Name)
 	}
 	if opts.Replay != nil && !opts.Replay.Matches(l.GridDim, l.BlockDim, ctaStart, ctaEnd) {
-		return nil, fmt.Errorf("sm: %s: replay session covers a different launch geometry or CTA range", l.Prog.Name)
+		return fmt.Errorf("sm: %s: replay session covers a different launch geometry or CTA range", l.Prog.Name)
 	}
-	s.rec, s.rp = opts.Record, opts.Replay
+	s := &r.s
+	newSets, err := s.lookup.Reset(cfg.NumWarps, cfg.Assoc)
+	if err != nil {
+		return err
+	}
+	swi := cfg.Arch == ArchSWI || cfg.Arch == ArchSBISWI
+	if newSets || !swi {
+		s.setBits, s.memberOf = nil, nil // derived from the lookup; rebuilt below for SWI
+	}
+
+	r.max, r.done = cfg.MaxCycles, false
+	if r.max <= 0 {
+		r.max = defaultMaxCycles
+	}
+
+	// A warp's lane permutation depends on the shuffle, the width and the
+	// warp count (which replaces every context when it changes);
+	// startBlock fills it on the context's first block.
+	staleLanes := cfg.Shuffle != s.cfg.Shuffle || cfg.WarpWidth != s.cfg.WarpWidth
+	if len(s.warps) != cfg.NumWarps {
+		s.warps = make([]*warp, cfg.NumWarps)
+		for i := range s.warps {
+			s.warps[i] = &warp{id: i}
+		}
+		s.readySet = newWarpBits(cfg.NumWarps)
+		s.slotOf = make([]int8, cfg.NumWarps)
+		s.cands = make([]issueCand, cfg.NumWarps)
+		s.swiTies = make([]int, 0, cfg.NumWarps)
+		s.freeBuf = make([]*warp, 0, cfg.NumWarps)
+	}
+	for _, w := range s.warps {
+		// Dropping heap and stack keeps a context this run never uses out
+		// of collectHeapStats.
+		w.block, w.heap, w.stack = nil, nil, nil
+		if staleLanes {
+			w.laneOf, w.laneCacheOK = w.laneOf[:0], false
+		}
+	}
+	clear(s.readySet) // slotOf and cands are rewritten by refreshWarp before a warp's bit is set
+	if cap(s.txnBuf) < cfg.WarpWidth {
+		s.txnBuf = make([]uint32, 0, cfg.WarpWidth)
+		s.txnReady = make([]int64, 0, cfg.WarpWidth)
+	}
+
+	s.cfg, s.launch, s.prog = cfg, l, l.Prog
+	s.hier.Reset(cfg.Mem)
 	s.hier.SetLower(opts.Lower)
-	for i := range s.warps {
-		s.warps[i] = &warp{id: i}
-	}
+	s.sb.Reset(cfg.DepMode, cfg.NumWarps, cfg.ScoreboardEntries)
+	s.rng = *sched.NewXorShift64(cfg.Seed)
+	s.units.reset(&s.cfg)
+	s.rec, s.rp = opts.Record, opts.Replay
+
+	// Resident blocks of an abandoned run go back to the free list.
+	s.freeBlocks = append(s.freeBlocks, s.blocks...)
+	s.blocks = s.blocks[:0]
+	s.nextCTA, s.ctaEnd, s.now = ctaStart, ctaEnd, 0
+	s.warpsPerBlock, s.freeWarps, s.finished = warpsPerBlock, cfg.NumWarps, 0
+	s.stats = Stats{}
+	s.trace = nil
 	if cfg.TraceCap > 0 {
 		s.trace = &Trace{cap: cfg.TraceCap}
 	}
 
-	flat := make([]isa.Reg, 0, 3*l.Prog.Len()) // SrcRegs appends at most 3, so flat never reallocates
-	s.srcsOf = make([][]isa.Reg, l.Prog.Len())
-	for pc := 0; pc < l.Prog.Len(); pc++ {
+	n := l.Prog.Len()
+	if cap(s.srcsOf) < n {
+		s.srcsOf = make([][]isa.Reg, n)
+		s.srcFlat = make([]isa.Reg, 0, 3*n) // SrcRegs appends at most 3, so srcFlat never reallocates
+	}
+	s.srcsOf = s.srcsOf[:n]
+	flat := s.srcFlat[:0]
+	for pc := range s.srcsOf {
 		start := len(flat)
 		flat = l.Prog.At(pc).SrcRegs(flat)
 		s.srcsOf[pc] = flat[start:len(flat):len(flat)]
 	}
 
-	s.readySet = newWarpBits(cfg.NumWarps)
-	s.slotOf = make([]int8, cfg.NumWarps)
-	s.cands = make([]issueCand, cfg.NumWarps)
-	s.swiTies = make([]int, 0, cfg.NumWarps)
-	s.freeBuf = make([]*warp, 0, cfg.NumWarps)
-	s.txnBuf = make([]uint32, 0, cfg.WarpWidth)
-	s.txnReady = make([]int64, 0, cfg.WarpWidth)
-	if cfg.Arch == ArchSWI || cfg.Arch == ArchSBISWI {
-		ns := lk.NumSets()
-		s.setBits = make([]warpBits, ns)
+	if swi && s.setBits == nil {
+		s.setBits = make([]warpBits, s.lookup.NumSets())
 		s.memberOf = make([]int, cfg.NumWarps)
-		for si := 0; si < ns; si++ {
+		for si := range s.setBits {
 			m := newWarpBits(cfg.NumWarps)
-			for _, wid := range lk.SetWarps(si) {
+			for _, wid := range s.lookup.SetWarps(si) {
 				m.set(wid)
 				s.memberOf[wid] = si
 			}
 			s.setBits[si] = m
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // finishReplay verifies, at completion of a replayed run, that every
@@ -385,7 +434,10 @@ func (s *SM) livelockErr(maxCycles int64) error {
 	}
 }
 
-// result finalizes and packages the run statistics.
+// result finalizes and packages the run statistics, and lets go of
+// everything the run borrowed — the launch and its memory image, the
+// lower memory level, the trace streams — so a shell waiting for its
+// next Reset keeps none of it alive.
 func (s *SM) result() *Result {
 	s.stats.Cycles = s.now
 	s.stats.ScoreboardChecks = s.sb.Stats.Checks
@@ -393,7 +445,13 @@ func (s *SM) result() *Result {
 	s.stats.StructuralStalls = s.sb.Stats.Structural
 	s.stats.Mem = s.hier.Stats
 	s.collectHeapStats()
-	return &Result{Stats: s.stats, Trace: s.trace}
+	res := &Result{Stats: s.stats, Trace: s.trace}
+	s.launch, s.prog, s.rec, s.rp, s.trace = nil, nil, nil, nil, nil
+	s.hier.SetLower(nil)
+	for _, w := range s.warps {
+		w.env.Params = nil
+	}
+	return res
 }
 
 // collectHeapStats folds per-warp reconvergence statistics of the still
@@ -476,6 +534,7 @@ func (s *SM) retireBlocks() {
 		}
 		s.freeWarps += len(b.warps)
 		s.stats.BlocksRun++
+		s.freeBlocks = append(s.freeBlocks, b) //sbwi:alloc-ok recycles the record; capacity is bounded by the most blocks ever resident
 	}
 	s.blocks = out
 	s.finished = 0
@@ -502,16 +561,31 @@ func (s *SM) launchBlocks() {
 	}
 }
 
-// startBlock initializes warp state for one CTA. ws may be scratch; the
-// block keeps its own copy. A replayed run skips the register file,
-// the special-register environment and the shared-memory image: the
+// startBlock initializes warp state for one CTA, in storage earlier
+// blocks left behind — the block record and its shared-memory image, the
+// warps' register files, lane tables and reconvergence state — so only a
+// geometry the SM has not hosted yet allocates. ws may be scratch; the
+// block keeps its own copy. A replayed run skips the register file, the
+// special-register environment and the shared-memory image: the
 // functional layer never executes, so none of it would be read.
+//
+//sbwi:hotpath
 func (s *SM) startBlock(cta int, ws []*warp) {
-	b := &block{cta: cta, warps: append([]*warp(nil), ws...)}
-	if s.rp == nil {
-		b.shared = make([]byte, s.prog.SharedMem)
+	var b *block
+	if n := len(s.freeBlocks); n > 0 {
+		b, s.freeBlocks = s.freeBlocks[n-1], s.freeBlocks[:n-1]
+	} else {
+		b = new(block) //sbwi:alloc-ok the SM's first block on this many resident blocks; recycled through freeBlocks from then on
 	}
-	b.live = len(b.warps)
+	shared := b.shared[:0]
+	if s.rp == nil {
+		if cap(shared) < s.prog.SharedMem {
+			shared = make([]byte, s.prog.SharedMem) //sbwi:alloc-ok grows only for a program with a larger shared-memory image than the record has held
+		}
+		shared = shared[:s.prog.SharedMem]
+		clear(shared)
+	}
+	*b = block{cta: cta, warps: append(b.warps[:0], ws...), shared: shared, live: len(ws)} //sbwi:alloc-ok grows only for a launch with more warps per block than the record has held
 	s.freeWarps -= len(b.warps)
 	for wi, w := range b.warps {
 		w.block = b
@@ -522,8 +596,8 @@ func (s *SM) startBlock(cta int, ws []*warp) {
 		w.atBarrier = false
 		w.deadCounted = false
 		w.lastIssue = -1
-		if w.laneOf == nil {
-			w.laneOf = s.cfg.Shuffle.Permutation(w.id, s.cfg.WarpWidth, s.cfg.NumWarps)
+		if len(w.laneOf) == 0 {
+			w.laneOf = s.cfg.Shuffle.Permutation(w.laneOf, w.id, s.cfg.WarpWidth, s.cfg.NumWarps)
 			w.identity = true
 			for i, l := range w.laneOf {
 				if l != i {
@@ -543,15 +617,21 @@ func (s *SM) startBlock(cta int, ws []*warp) {
 			}
 		}
 		if s.cfg.usesHeap() {
-			w.heap = reconv.NewHeap(w.valid, s.cfg.CCTCap)
-			w.stack = nil
+			if w.heapStore == nil {
+				w.heapStore = new(reconv.Heap) //sbwi:alloc-ok the context's first block under the heap model
+			}
+			w.heapStore.Reset(w.valid, s.cfg.CCTCap)
+			w.heap, w.stack = w.heapStore, nil
 		} else {
-			w.stack = reconv.NewStack(w.valid)
-			w.heap = nil
+			if w.stackStore == nil {
+				w.stackStore = new(reconv.Stack) //sbwi:alloc-ok the context's first block under the stack model
+			}
+			w.stackStore.Reset(w.valid)
+			w.heap, w.stack = nil, w.stackStore
 		}
 		s.refreshWarp(w)
 	}
-	s.blocks = append(s.blocks, b)
+	s.blocks = append(s.blocks, b) //sbwi:alloc-ok grows only past the most blocks the SM has had resident
 }
 
 // releaseBarriers opens block barriers once every live warp arrived.

@@ -24,8 +24,15 @@ type units struct {
 	lsuFree int64
 }
 
-func newUnits(cfg *Config) *units {
-	return &units{cfg: cfg, madFree: make([]int64, cfg.MADGroups), rowCycle: -1}
+// reset frees every unit for a run configured by cfg, reusing the
+// per-group table when the group count is unchanged.
+func (u *units) reset(cfg *Config) {
+	free := u.madFree
+	if len(free) != cfg.MADGroups {
+		free = make([]int64, cfg.MADGroups)
+	}
+	clear(free)
+	*u = units{cfg: cfg, madFree: free, rowCycle: -1}
 }
 
 // sfuWaves returns the SFU occupancy in cycles for a lane mask: the

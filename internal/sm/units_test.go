@@ -9,7 +9,9 @@ import (
 func testUnits(coIssue bool) *units {
 	cfg := Configure(ArchSBI)
 	cfg.CoIssueMAD = coIssue
-	return newUnits(&cfg)
+	u := new(units)
+	u.reset(&cfg)
+	return u
 }
 
 func TestMADRowSharing(t *testing.T) {
@@ -50,7 +52,8 @@ func TestMADNoSharingWithoutCoIssue(t *testing.T) {
 
 func TestBaselineTwoMADGroups(t *testing.T) {
 	cfg := Configure(ArchBaseline)
-	u := newUnits(&cfg)
+	u := new(units)
+	u.reset(&cfg)
 	u.issue(isa.UnitMAD, 0xFFFFFFFF, 5)
 	if !u.canIssue(isa.UnitMAD, 0xFFFFFFFF, 5) {
 		t.Error("second MAD group must be free")

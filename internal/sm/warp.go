@@ -44,10 +44,17 @@ type warp struct {
 	regs  exec.WarpRegs
 	env   exec.WarpEnv
 
-	stack *reconv.Stack
-	heap  *reconv.Heap
+	// stack and heap are the resident block's reconvergence state:
+	// stackStore or heapStore, whichever its architecture uses. The
+	// stores are built on first use and keep their tables' storage from
+	// one block to the next.
+	stack      *reconv.Stack
+	heap       *reconv.Heap
+	stackStore *reconv.Stack
+	heapStore  *reconv.Heap
 
-	// laneOf maps tid -> physical lane under the configured shuffle;
+	// laneOf maps tid -> physical lane under the configured shuffle
+	// (empty until the context's first block under that shuffle);
 	// identity marks the trivial permutation so laneMask can skip the
 	// bit-by-bit transpose on the hot path.
 	laneOf   []int
