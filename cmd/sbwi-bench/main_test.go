@@ -35,17 +35,24 @@ func TestRunRejectsBadInput(t *testing.T) {
 }
 
 // TestRunCSV: -csv output is a rectangular CSV table under a name,...
-// header.
+// header, for every static table (table 3's storage descriptions hold
+// commas, so its fields must be quoted) and for a simulated experiment.
 func TestRunCSV(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-exp", "table2", "-csv"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&out).ReadAll()
-	if err != nil {
-		t.Fatalf("-csv output does not parse: %v", err)
-	}
-	if len(rows) < 2 || rows[0][0] != "name" {
-		t.Errorf("-csv printed %d rows, the first %v; want a name,... header and at least one row", len(rows), rows[0])
+	for _, exp := range []string{"table2", "table3", "table4", "heap-pressure"} {
+		t.Run(exp, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run([]string{"-exp", exp, "-csv"}, &out); err != nil {
+				t.Fatal(err)
+			}
+			// The reader rejects a row whose field count differs from the
+			// header's.
+			rows, err := csv.NewReader(&out).ReadAll()
+			if err != nil {
+				t.Fatalf("-csv output does not parse as a rectangular table: %v", err)
+			}
+			if len(rows) < 2 || rows[0][0] != "name" {
+				t.Errorf("-csv printed %d rows, the first %v; want a name,... header and at least one row", len(rows), rows[0])
+			}
+		})
 	}
 }

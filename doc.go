@@ -62,8 +62,10 @@
 //     alike.
 //   - Device.RunSuite runs a whole benchmark batch through the worker
 //     pool and validates every result against the benchmark's Go
-//     oracle; the experiment harness (NewExperiments) is built on it,
-//     so regenerating the paper's figures fans out across cores.
+//     oracle; the experiment harness (NewExperiments) is built on it
+//     and nothing else — every figure is one sweep of one RunSuite per
+//     configuration, all at once on a shared run queue — so
+//     regenerating the paper's figures fans out across cores.
 //
 // Results are deterministic by construction: merged statistics are
 // bit-identical for every SM and worker count under the default flat
@@ -92,9 +94,11 @@
 // calibrated cost, WithAutoPartition spreads a batch's heavy tail
 // across CTA waves, and WithSimCache memoizes oracle-validated entries
 // under a key that digests the whole configuration; none of the three
-// can change a result. Package internal/device's comment ("Admission
-// and ordering", "Batch scheduling and memoization") owns the
-// description, internal/device/simcache.go the cache-key argument.
+// can change a result. SuiteResult.Cached says whether an entry was
+// simulated for the call or served by the cache. Package
+// internal/device's comment ("Admission and ordering", "Batch
+// scheduling and memoization") owns the description,
+// internal/device/simcache.go the cache-key argument.
 //
 // # Trace replay
 //

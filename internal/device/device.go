@@ -173,25 +173,18 @@ type Device struct {
 // options override earlier ones.
 type Option func(*settings)
 
-// settings is the mutable bag New threads through the options.
+// settings is what New threads through the options: the Device under
+// construction — option bodies write its fields directly through the
+// embedding — plus the inputs only the builder reads.
 type settings struct {
-	arch          sm.Arch
-	base          *sm.Config // explicit full config (WithConfig) overrides arch
-	modifier      []func(*sm.Config)
-	sms           int
-	workers       int
-	partition     bool
-	autoPart      bool
-	cache         *SimCache
-	l2            *mem.L2Config
-	noc           *noc.Config
-	queue         *RunQueue
-	streamDepth   int
-	traceReplay   bool
-	replayLog     io.Writer
-	faults        *faultinject.Plan
-	launchTimeout time.Duration
-	retries       int
+	Device
+	arch      sm.Arch
+	base      *sm.Config // explicit full config (WithConfig) overrides arch
+	modifier  []func(*sm.Config)
+	workers   int
+	l2        *mem.L2Config
+	noc       *noc.Config
+	replayLog io.Writer // becomes diag in New, which is guarded once the device is shared
 }
 
 // WithArch selects the modeled micro-architecture (default SBI+SWI) and
@@ -309,47 +302,35 @@ func WithModifier(f func(*sm.Config)) Option {
 // New builds a Device. The zero option set models one SBI+SWI SM with
 // the paper's table-2 parameters.
 func New(opts ...Option) (*Device, error) {
-	st := settings{arch: sm.ArchSBISWI, sms: 1}
+	st := &settings{Device: Device{sms: 1}, arch: sm.ArchSBISWI}
 	for _, o := range opts {
-		o(&st)
+		o(st)
 	}
-	cfg := sm.Configure(st.arch)
+	d := &st.Device
+	d.cfg = sm.Configure(st.arch)
 	if st.base != nil {
-		cfg = *st.base
+		d.cfg = *st.base
 	}
 	for _, f := range st.modifier {
-		f(&cfg)
+		f(&d.cfg)
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := d.cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("device: %w", err)
 	}
-	if st.sms <= 0 {
-		return nil, fmt.Errorf("device: SM count %d must be positive", st.sms)
+	if d.sms <= 0 {
+		return nil, fmt.Errorf("device: SM count %d must be positive", d.sms)
 	}
-	if st.streamDepth < 0 {
-		return nil, fmt.Errorf("device: stream queue depth %d must be non-negative (0 = unbounded)", st.streamDepth)
+	if d.streamDepth < 0 {
+		return nil, fmt.Errorf("device: stream queue depth %d must be non-negative (0 = unbounded)", d.streamDepth)
 	}
-	if st.launchTimeout < 0 {
-		return nil, fmt.Errorf("device: launch timeout %v must be non-negative (0 = no watchdog)", st.launchTimeout)
+	if d.launchTimeout < 0 {
+		return nil, fmt.Errorf("device: launch timeout %v must be non-negative (0 = no watchdog)", d.launchTimeout)
 	}
-	if st.retries < 0 {
-		return nil, fmt.Errorf("device: retry budget %d must be non-negative (0 = no retry)", st.retries)
+	if d.retries < 0 {
+		return nil, fmt.Errorf("device: retry budget %d must be non-negative (0 = no retry)", d.retries)
 	}
-	queue := st.queue
-	if queue == nil {
-		queue = NewRunQueue(st.workers)
-	}
-	d := &Device{
-		cfg:           cfg,
-		sms:           st.sms,
-		partition:     st.partition,
-		autoPart:      st.autoPart,
-		cache:         st.cache,
-		queue:         queue,
-		streamDepth:   st.streamDepth,
-		faults:        st.faults,
-		launchTimeout: st.launchTimeout,
-		retries:       st.retries,
+	if d.queue == nil {
+		d.queue = NewRunQueue(st.workers)
 	}
 	if st.l2 != nil || st.noc != nil {
 		d.memsys = true
@@ -361,17 +342,18 @@ func New(opts ...Option) (*Device, error) {
 		if st.noc != nil {
 			d.noccfg = *st.noc
 		}
-		if err := d.l2cfg.Validate(cfg.Mem.BlockBytes); err != nil {
+		if err := d.l2cfg.Validate(d.cfg.Mem.BlockBytes); err != nil {
 			return nil, fmt.Errorf("device: %w", err)
 		}
 		if err := d.noccfg.Validate(); err != nil {
 			return nil, fmt.Errorf("device: %w", err)
 		}
 	}
-	d.traceReplay = st.traceReplay
-	d.diag = st.replayLog
-	if d.diag == nil {
-		d.diag = os.Stderr
+	// Through st, which lockcheck can see was built here and is not yet
+	// shared; d aliases it.
+	st.diag = st.replayLog
+	if st.diag == nil {
+		st.diag = os.Stderr
 	}
 	if d.traceReplay && d.cache == nil {
 		// Trace replay only pays off when traces outlive one entry; give
@@ -413,6 +395,11 @@ type SuiteResult struct {
 	Bench  *kernels.Benchmark
 	Result *sm.Result
 	Err    error
+
+	// Cached reports that Result was not simulated for this entry: the
+	// simulation cache (WithSimCache) served it from a completed cell or
+	// from another caller's fill that was in flight. Read-only.
+	Cached bool
 }
 
 // Name returns the benchmark name.
@@ -498,7 +485,7 @@ func (d *Device) RunSuite(ctx context.Context, suite []*kernels.Benchmark) ([]*S
 				// safeRun fails only the panicking entry; this worker keeps
 				// claiming the rest of the batch.
 				r.Result, r.Err = safeRun("suite entry "+r.Bench.Name, func() (*sm.Result, error) {
-					return d.runSuiteEntry(ctx, r.Bench, partitioned[order[n]])
+					return d.runSuiteEntry(ctx, r, partitioned[order[n]])
 				})
 			}
 		})()
@@ -562,36 +549,41 @@ func (d *Device) partitionPlan(suite []*kernels.Benchmark) []bool {
 // interaction, so a follower of a transiently failed leader re-runs
 // rather than inheriting — sits under the WithRetry transient-retry
 // policy (guard.go).
-func (d *Device) runSuiteEntry(ctx context.Context, b *kernels.Benchmark, partition bool) (*sm.Result, error) {
-	op := "suite entry " + b.Name
+func (d *Device) runSuiteEntry(ctx context.Context, r *SuiteResult, partition bool) (*sm.Result, error) {
+	op := "suite entry " + r.Bench.Name
 	return d.retry(ctx, op, func() (*sm.Result, error) {
 		// Convert panics per attempt, inside the retry loop: a panic
 		// carrying a transient fault (the hot memory-access site raises
 		// error-class faults as panics) stays retry-eligible.
 		return safeRun(op, func() (*sm.Result, error) {
-			return d.suiteAttempt(ctx, b, partition)
+			return d.suiteAttempt(ctx, r, partition)
 		})
 	})
 }
 
 // suiteAttempt is one try of one suite entry: fault sites, cache
-// interaction and the simulation itself.
-func (d *Device) suiteAttempt(ctx context.Context, b *kernels.Benchmark, partition bool) (*sm.Result, error) {
+// interaction and the simulation itself. It marks the entry Cached when
+// the cache answered without this attempt's fill running.
+func (d *Device) suiteAttempt(ctx context.Context, r *SuiteResult, partition bool) (*sm.Result, error) {
 	if err := d.fire(faultinject.SiteSuiteWorker); err != nil {
 		return nil, err
 	}
 	if d.cache == nil {
-		return d.runBenchmark(ctx, b, partition, nil, nil)
+		return d.runBenchmark(ctx, r.Bench, partition, nil, nil)
 	}
-	return d.cache.results.do(ctx, d.simKeyFor(b, partition), func() (*sm.Result, error) {
+	filled := false
+	res, err := d.cache.results.do(ctx, d.simKeyFor(r.Bench, partition), func() (*sm.Result, error) {
+		filled = true
 		if err := d.fire(faultinject.SiteCacheFill); err != nil {
 			return nil, err
 		}
 		if d.traceReplay {
-			return d.runBenchmarkTraced(ctx, b, partition)
+			return d.runBenchmarkTraced(ctx, r.Bench, partition)
 		}
-		return d.runBenchmark(ctx, b, partition, nil, nil)
+		return d.runBenchmark(ctx, r.Bench, partition, nil, nil)
 	})
+	r.Cached = err == nil && !filled
+	return res, err
 }
 
 // isCtxErr reports whether err is a context cancellation or deadline.

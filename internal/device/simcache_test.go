@@ -159,6 +159,67 @@ func TestSimCachePartitionedKeysDistinct(t *testing.T) {
 	}
 }
 
+// TestSuiteResultCached: SuiteResult.Cached says whether the entry was
+// simulated for this call. False on a first pass, true on a second,
+// always false without a cache; and of two concurrent passes asking for
+// one cell exactly one simulates it — the other is served the finished
+// cell or joins the fill in flight, Cached either way.
+func TestSuiteResultCached(t *testing.T) {
+	leakcheck.Check(t)
+	suite := cacheSuite(t)
+	cached := func(results []*SuiteResult) (n int) {
+		for _, r := range results {
+			if r.Cached {
+				n++
+			}
+		}
+		return n
+	}
+
+	plain, err := New(WithArch(sm.ArchSBISWI))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		if n := cached(mustRunSuite(t, plain, suite)); n != 0 {
+			t.Errorf("pass %d without WithSimCache: %d entries Cached, want 0", pass, n)
+		}
+	}
+
+	dev, err := New(WithArch(sm.ArchSBISWI), WithSimCache(NewSimCache()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cached(mustRunSuite(t, dev, suite)); n != 0 {
+		t.Errorf("first pass: %d entries Cached, want 0", n)
+	}
+	if n := cached(mustRunSuite(t, dev, suite)); n != len(suite) {
+		t.Errorf("second pass: %d entries Cached, want %d", n, len(suite))
+	}
+
+	racing, err := New(WithArch(sm.ArchSBI), WithSimCache(NewSimCache()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	passes := make([][]*SuiteResult, 2)
+	for p := range passes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results, err := racing.RunSuite(context.Background(), suite[:1])
+			if err != nil || results[0].Err != nil {
+				t.Errorf("concurrent pass %d: %v / %v", p, err, results[0].Err)
+			}
+			passes[p] = results
+		}()
+	}
+	wg.Wait()
+	if n := cached(passes[0]) + cached(passes[1]); n != 1 {
+		t.Errorf("two concurrent passes over one cell: %d Cached, want exactly 1", n)
+	}
+}
+
 func mustRunSuite(t *testing.T, d *Device, suite []*kernels.Benchmark) []*SuiteResult {
 	t.Helper()
 	results, err := d.RunSuite(context.Background(), suite)

@@ -2,12 +2,16 @@
 // paper's evaluation (§5): the per-benchmark IPC comparisons of
 // figure 7, the reconvergence-constraint study of figure 8(a), the
 // lane-shuffling study of figure 8(b), the lookup-associativity study
-// of figure 9, and tables 2-4. Each experiment returns a Table that
-// renders as aligned text or CSV.
+// of figure 9, and tables 2-4, plus the ablation and memory-system
+// studies that go beyond the paper. Every simulated experiment is a
+// study — a benchmark suite, a list of points and a row function — run
+// by one engine, (*Runner).sweep; each returns a Table that renders as
+// aligned text or CSV.
 package experiments
 
 import (
 	"context"
+	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
@@ -16,193 +20,223 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/kernels"
+	"repro/internal/noc"
 	"repro/internal/sm"
 )
 
-// Runner executes benchmark simulations with memoization (several
-// figures share configurations). Simulation and oracle validation are
-// delegated to the device engine: each figure hands over its whole
-// (benchmark, configuration) request set, Prefetch runs one
-// Device.RunSuite per configuration, all of them at once, and table
-// assembly then reads from the cache. One run queue shared across every
-// device the runner builds bounds the concurrent simulations; each
-// RunSuite orders its own batch by cost. Both cache layers — the
-// runner's per-cell Stats table and the device-level simulation cache
-// shared across all the runner's figures — key on
-// sm.Config.Fingerprint, which digests every configuration field, so
-// two different configurations can never alias a cell. The runner is
-// safe for concurrent use.
+// Runner runs the experiments. Simulation, oracle validation and
+// memoization all belong to the device engine: every device the runner
+// builds shares one run queue, which bounds the concurrent simulations,
+// and one device.SimCache, so a cell that several figures need is
+// simulated once. The cache key covers the benchmark, the whole
+// configuration (sm.Config.Fingerprint), the partitioning, the SM count
+// and the memory system, so no two points of any study can alias. The
+// runner is safe for concurrent use.
 type Runner struct {
-	mu    sync.Mutex
-	cache map[runKey]*sm.Stats //sbwi:guardedby mu
-
-	// sims is the device-level simulation cache shared by every device
-	// the runner builds, deduplicating cells across figures and passes.
-	// It is created once in NewRunner and immutable afterwards (the
-	// SimCache itself does its own locking).
-	//sbwi:nolock written only in NewRunner, immutable afterwards
 	sims *device.SimCache
 
-	// queue is the run queue shared by every device the runner builds,
-	// so concurrent figures and configurations stay bounded by one
-	// worker pool; created on first use from Workers.
-	queue *device.RunQueue //sbwi:guardedby mu
+	// queue is created on the first sweep, from Workers.
+	once  sync.Once
+	queue *device.RunQueue
 
 	// Workers bounds the host goroutines simulating concurrently;
 	// 0 means GOMAXPROCS. Read when the first simulation is submitted;
 	// later changes have no effect.
 	Workers int
 
-	// Progress, when non-nil, receives one line per simulation.
-	Progress io.Writer
-}
-
-// runKey identifies one (benchmark, configuration) cell. The
-// fingerprint covers the whole configuration, making the key sound for
-// any future Config field.
-type runKey struct {
-	bench string
-	cfgFP uint64
-}
-
-func configKey(bench string, cfg *sm.Config) runKey {
-	return runKey{bench: bench, cfgFP: cfg.Fingerprint()}
+	// Progress, when non-nil, receives one line per simulation; writes
+	// are serialised by progressMu, so any io.Writer will do.
+	Progress   io.Writer
+	progressMu sync.Mutex
 }
 
 // NewRunner creates an empty runner.
 func NewRunner() *Runner {
-	return &Runner{
-		cache: make(map[runKey]*sm.Stats),
-		sims:  device.NewSimCache(),
-	}
+	return &Runner{sims: device.NewSimCache()}
 }
 
-// Request names one simulation a figure needs: a benchmark under a
-// configuration.
-type Request struct {
-	Bench *kernels.Benchmark
-	Cfg   sm.Config
+// point is one configuration of a sweep; a study's table has the
+// benchmarks down the side and (functions of) the points across.
+type point struct {
+	cfg sm.Config
+
+	// sms, when positive, partitions every grid into CTA waves across
+	// that many SMs; 0 is one SM running each grid whole.
+	sms int
+	// noc, when non-nil, puts the modeled shared L2 and this interconnect
+	// between the SMs and DRAM instead of the flat-latency model.
+	noc *noc.Config
+
+	// replay routes the point through trace replay: the first point of
+	// the sweep to reach a benchmark records its per-thread trace, the
+	// others re-time it. Right for points that differ only in timing
+	// parameters (sm.Config.FunctionalFingerprint gives the split).
+	replay bool
 }
 
-// runQueue returns the runner's shared admission queue, creating it
-// from Workers on first use.
-func (r *Runner) runQueue() *device.RunQueue {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.queue == nil {
-		r.queue = device.NewRunQueue(r.Workers)
-	}
-	return r.queue
-}
-
-// Prefetch simulates every not-yet-cached request: one device per
-// distinct configuration, one Device.RunSuite per device, all running
-// concurrently on the runner's shared run queue — so the heavy cells of
-// one configuration overlap the light cells of another instead of the
-// configurations running batch-by-batch. Each simulation's final memory
+// sweep simulates every benchmark of suite at every point and returns
+// the results as res[point][benchmark]: one device per point, one
+// Device.RunSuite per device, all running concurrently on the runner's
+// run queue — so the heavy cells of one point overlap the light cells of
+// another — and all filling the runner's simulation cache, which serves
+// the cells an earlier sweep already ran. Each simulation's final memory
 // is checked against the benchmark's Go reference by the device; a
 // mismatch is an error, never a silent wrong figure. Every device is
 // built before any simulation starts, and every batch is awaited even
 // after a failure, so nothing is running (and filling the shared cache)
-// once Prefetch returns; the first error in configuration-major request
-// order is reported, successful cells are cached regardless. Prefetch is
-// deterministic: results, and the order of the Progress lines, do not
-// depend on the worker count or on completion order.
-func (r *Runner) Prefetch(ctx context.Context, reqs []Request) error {
-	type group struct {
-		cfg     sm.Config
-		benches []*kernels.Benchmark
-		dev     *device.Device
-		results []*device.SuiteResult
-		err     error
-	}
-	var groups []*group
-	index := make(map[runKey]*group)
-	seen := make(map[runKey]bool)
-	r.mu.Lock()
-	for i := range reqs {
-		q := &reqs[i]
-		k := configKey(q.Bench.Name, &q.Cfg)
-		if seen[k] {
-			continue
+// once sweep returns; the first error in point-major order is reported.
+//
+// Progress receives one line per cell this sweep simulated, point-major
+// in suite order whatever the worker count and completion order, and
+// nothing for a cell the cache served. Replay-routed points log nothing:
+// most of their cells are re-timed from a trace, not simulated, and
+// bench/ counts one full launch per line.
+func (r *Runner) sweep(ctx context.Context, suite []*kernels.Benchmark, points []point) ([][]*sm.Result, error) {
+	r.once.Do(func() { r.queue = device.NewRunQueue(r.Workers) })
+	devs := make([]*device.Device, len(points))
+	for i, p := range points {
+		opts := []device.Option{
+			device.WithConfig(p.cfg),
+			device.WithRunQueue(r.queue),
+			device.WithSimCache(r.sims),
+			device.WithTraceReplay(p.replay),
 		}
-		seen[k] = true
-		if _, ok := r.cache[k]; ok {
-			continue
+		if p.sms > 0 {
+			opts = append(opts, device.WithSMs(p.sms), device.WithGridPartition(true))
 		}
-		ck := k
-		ck.bench = ""
-		g, ok := index[ck]
-		if !ok {
-			g = &group{cfg: q.Cfg}
-			index[ck] = g
-			groups = append(groups, g)
+		if p.noc != nil {
+			opts = append(opts, device.WithInterconnect(*p.noc))
 		}
-		g.benches = append(g.benches, q.Bench)
-	}
-	r.mu.Unlock()
-
-	queue := r.runQueue()
-	for _, g := range groups {
 		var err error
-		g.dev, err = device.New(device.WithConfig(g.cfg), device.WithRunQueue(queue), device.WithSimCache(r.sims))
-		if err != nil {
-			return fmt.Errorf("experiments: %w", err)
+		if devs[i], err = device.New(opts...); err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
 		}
 	}
 
+	batches := make([][]*device.SuiteResult, len(points))
+	errs := make([]error, len(points))
 	var wg sync.WaitGroup
-	for _, g := range groups {
+	for i, dev := range devs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g.results, g.err = g.dev.RunSuite(ctx, g.benches)
+			batches[i], errs[i] = dev.RunSuite(ctx, suite)
 		}()
 	}
 	wg.Wait()
 
+	r.progressMu.Lock()
+	defer r.progressMu.Unlock()
+	res := make([][]*sm.Result, len(points))
 	var firstErr error
-	for _, g := range groups {
-		for _, res := range g.results {
-			if res.Err != nil {
+	for i, batch := range batches {
+		res[i] = make([]*sm.Result, len(batch))
+		for j, cell := range batch {
+			if cell.Err != nil {
 				if firstErr == nil {
-					firstErr = fmt.Errorf("experiments: %w", res.Err)
+					firstErr = fmt.Errorf("experiments: %w", cell.Err)
 				}
 				continue
 			}
-			s := res.Result.Stats
-			r.mu.Lock()
-			r.cache[configKey(res.Bench.Name, &g.cfg)] = &s
-			r.mu.Unlock()
-			if r.Progress != nil {
+			res[i][j] = cell.Result
+			if r.Progress != nil && !cell.Cached && !points[i].replay {
+				s := &cell.Result.Stats
 				fmt.Fprintf(r.Progress, "  %-22s %-10s IPC %6.2f  (%d cycles)\n",
-					res.Bench.Name, g.cfg.Arch, s.IPC(), s.Cycles)
+					cell.Name(), points[i].cfg.Arch, s.IPC(), s.Cycles)
 			}
 		}
-		if g.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("experiments: %w", g.err)
+		if errs[i] != nil && firstErr == nil {
+			firstErr = fmt.Errorf("experiments: %w", errs[i])
 		}
 	}
-	return firstErr
+	return res, firstErr
 }
 
-// Stats simulates benchmark b under cfg (memoized) and returns the run
-// statistics, prefetching on a cache miss.
-func (r *Runner) Stats(b *kernels.Benchmark, cfg sm.Config) (*sm.Stats, error) {
-	k := configKey(b.Name, &cfg)
-	r.mu.Lock()
-	s, ok := r.cache[k]
-	r.mu.Unlock()
-	if ok {
-		return s, nil
-	}
-	if err := r.Prefetch(context.Background(), []Request{{Bench: b, Cfg: cfg}}); err != nil {
+// study is one simulated experiment as data: what to run and how a
+// benchmark's results become its table row.
+type study struct {
+	title, note string
+	cols        []string
+	suite       []*kernels.Benchmark
+	points      []point
+
+	// row turns one benchmark's results, one per point in points order,
+	// into its cells and the values it contributes to the geometric-mean
+	// row, one per leading column.
+	row func(res []*sm.Result) (cells []Cell, means []float64)
+
+	// mean names the geometric-mean row; "" leaves it out.
+	mean string
+}
+
+// table runs the study's sweep and assembles its table: one row per
+// benchmark in suite order, then the geometric means over the benchmarks
+// excludeFromMeans keeps, with columns that have no mean left empty.
+func (r *Runner) table(s study) (*Table, error) {
+	res, err := r.sweep(context.Background(), s.suite, s.points)
+	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	s = r.cache[k]
-	r.mu.Unlock()
-	return s, nil
+	t := &Table{Title: s.title, Note: s.note, Cols: s.cols}
+	var means [][]float64
+	for j, b := range s.suite {
+		perPoint := make([]*sm.Result, len(s.points))
+		for i := range s.points {
+			perPoint[i] = res[i][j]
+		}
+		cells, vals := s.row(perPoint)
+		t.Rows = append(t.Rows, Row{Name: b.Name, Cells: cells})
+		if means == nil {
+			means = make([][]float64, len(vals))
+		}
+		if !excludeFromMeans(b.Name) {
+			for k, v := range vals {
+				means[k] = append(means[k], v)
+			}
+		}
+	}
+	if s.mean != "" {
+		row := Row{Name: s.mean}
+		for _, vals := range means {
+			row.Cells = append(row.Cells, num(gmean(vals)))
+		}
+		for len(row.Cells) < len(s.cols) {
+			row.Cells = append(row.Cells, empty())
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t, nil
+}
+
+// vary returns one plain point per value: architecture a's table-2
+// configuration with set applied for that value.
+func vary[T any](a sm.Arch, vals []T, set func(*sm.Config, T)) []point {
+	points := make([]point, len(vals))
+	for i, v := range vals {
+		points[i].cfg = sm.Configure(a)
+		set(&points[i].cfg, v)
+	}
+	return points
+}
+
+// ipcs returns the thread-IPC of each result.
+func ipcs(res []*sm.Result) []float64 {
+	out := make([]float64, len(res))
+	for i, r := range res {
+		out[i] = r.Stats.IPC()
+	}
+	return out
+}
+
+// relativeIPC is the row of the studies that report each point's IPC
+// relative to their first point's, in every column and in the means.
+func relativeIPC(res []*sm.Result) ([]Cell, []float64) {
+	v := ipcs(res)
+	base := v[0]
+	for i := range v {
+		v[i] /= base
+	}
+	return nums(v), v
 }
 
 // Table is a rendered experiment result.
@@ -229,6 +263,14 @@ type Cell struct {
 func num(v float64) Cell { return Cell{Val: v} }
 func str(s string) Cell  { return Cell{Str: s} }
 func empty() Cell        { return Cell{Empty: true} }
+
+func nums(vals []float64) []Cell {
+	out := make([]Cell, len(vals))
+	for i, v := range vals {
+		out[i] = num(v)
+	}
+	return out
+}
 
 func (c Cell) text() string {
 	switch {
@@ -276,29 +318,27 @@ func (t *Table) Text() string {
 	return b.String()
 }
 
-// CSV renders the table as comma-separated values.
+// CSV renders the table as comma-separated values, quoting the fields
+// that need it (table 3's descriptions contain commas).
 func (t *Table) CSV() string {
 	var b strings.Builder
-	b.WriteString("name")
-	for _, c := range t.Cols {
-		b.WriteByte(',')
-		b.WriteString(c)
-	}
-	b.WriteByte('\n')
+	w := csv.NewWriter(&b)
+	w.Write(append([]string{"name"}, t.Cols...))
 	for _, r := range t.Rows {
-		b.WriteString(r.Name)
+		rec := []string{r.Name}
 		for _, c := range r.Cells {
-			b.WriteByte(',')
 			switch {
 			case c.Empty:
+				rec = append(rec, "")
 			case c.Str != "":
-				b.WriteString(c.Str)
+				rec = append(rec, c.Str)
 			default:
-				fmt.Fprintf(&b, "%g", c.Val)
+				rec = append(rec, fmt.Sprintf("%g", c.Val))
 			}
 		}
-		b.WriteByte('\n')
+		w.Write(rec)
 	}
+	w.Flush() // a strings.Builder never fails a write
 	return b.String()
 }
 

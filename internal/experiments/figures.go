@@ -1,67 +1,30 @@
 package experiments
 
 import (
-	"context"
-
 	"repro/internal/kernels"
 	"repro/internal/sched"
 	"repro/internal/sm"
 )
 
-// prefetchMatrix batches the cross product of benchmarks and
-// configurations through the device engine, so a figure's simulations
-// run concurrently before its table is assembled serially from cache.
-func (r *Runner) prefetchMatrix(suite []*kernels.Benchmark, cfgs []sm.Config) error {
-	reqs := make([]Request, 0, len(suite)*len(cfgs))
-	for _, b := range suite {
-		for _, cfg := range cfgs {
-			reqs = append(reqs, Request{Bench: b, Cfg: cfg})
-		}
-	}
-	return r.Prefetch(context.Background(), reqs)
-}
-
 // fig7 runs the five architectures over a suite and reports IPC per
-// benchmark plus the geometric mean (TMD excluded, §5.1).
+// benchmark plus the geometric-mean speedup over the baseline, which
+// sm.Architectures lists first (TMD excluded, §5.1).
 func (r *Runner) fig7(title string, suite []*kernels.Benchmark) (*Table, error) {
-	archs := sm.Architectures()
-	cfgs := make([]sm.Config, len(archs))
-	for i, a := range archs {
-		cfgs[i] = sm.Configure(a)
+	s := study{
+		title: title,
+		note:  "thread-IPC; Gmean excludes TMD (reflects reconvergence scheme, not SBI/SWI) and the synthetic WriteStorm",
+		suite: suite,
+		mean:  "Gmean speedup",
+		row: func(res []*sm.Result) ([]Cell, []float64) {
+			_, speedup := relativeIPC(res)
+			return nums(ipcs(res)), speedup
+		},
 	}
-	if err := r.prefetchMatrix(suite, cfgs); err != nil {
-		return nil, err
+	for _, a := range sm.Architectures() {
+		s.cols = append(s.cols, a.String())
+		s.points = append(s.points, point{cfg: sm.Configure(a)})
 	}
-	t := &Table{Title: title, Note: "thread-IPC; Gmean excludes TMD (reflects reconvergence scheme, not SBI/SWI) and the synthetic WriteStorm"}
-	for _, a := range archs {
-		t.Cols = append(t.Cols, a.String())
-	}
-	ratios := make([][]float64, len(archs))
-	for _, b := range suite {
-		row := Row{Name: b.Name}
-		var base float64
-		for i, a := range archs {
-			s, err := r.Stats(b, sm.Configure(a))
-			if err != nil {
-				return nil, err
-			}
-			ipc := s.IPC()
-			if a == sm.ArchBaseline {
-				base = ipc
-			}
-			if !excludeFromMeans(b.Name) {
-				ratios[i] = append(ratios[i], ipc/base)
-			}
-			row.Cells = append(row.Cells, num(ipc))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	mean := Row{Name: "Gmean speedup"}
-	for i := range archs {
-		mean.Cells = append(mean.Cells, num(gmean(ratios[i])))
-	}
-	t.Rows = append(t.Rows, mean)
-	return t, nil
+	return r.table(s)
 }
 
 // Fig7a reproduces figure 7(a): IPC of the regular applications.
@@ -79,156 +42,59 @@ func (r *Runner) Fig7b() (*Table, error) {
 // constrained over unconstrained execution, plus the issue-slot
 // reduction the constraints buy.
 func (r *Runner) Fig8a() (*Table, error) {
-	var cfgs []sm.Config
-	for _, a := range []sm.Arch{sm.ArchSBI, sm.ArchSBISWI} {
-		on := sm.Configure(a)
-		on.Constraints = true
-		off := on
-		off.Constraints = false
-		cfgs = append(cfgs, on, off)
+	onOff := func(a sm.Arch) []point {
+		return vary(a, []bool{true, false}, func(c *sm.Config, on bool) { c.Constraints = on })
 	}
-	if err := r.prefetchMatrix(kernels.Irregular(), cfgs); err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title: "Figure 8(a): reconvergence constraints (speedup of constrained over unconstrained)",
-		Cols:  []string{"SBI", "SBI+SWI", "SBI issue reduction", "SBI+SWI issue reduction"},
-		Note:  "issue reduction = fraction of issue slots saved by constraints",
-	}
-	var rsbi, rboth []float64
-	for _, b := range kernels.Irregular() {
-		row := Row{Name: b.Name}
-		var speed [2]float64
-		var saved [2]float64
-		for i, a := range []sm.Arch{sm.ArchSBI, sm.ArchSBISWI} {
-			on := sm.Configure(a)
-			on.Constraints = true
-			off := on
-			off.Constraints = false
-			sOn, err := r.Stats(b, on)
-			if err != nil {
-				return nil, err
+	return r.table(study{
+		title:  "Figure 8(a): reconvergence constraints (speedup of constrained over unconstrained)",
+		note:   "issue reduction = fraction of issue slots saved by constraints",
+		cols:   []string{"SBI", "SBI+SWI", "SBI issue reduction", "SBI+SWI issue reduction"},
+		suite:  kernels.Irregular(),
+		points: append(onOff(sm.ArchSBI), onOff(sm.ArchSBISWI)...),
+		mean:   "Gmean",
+		row: func(res []*sm.Result) ([]Cell, []float64) {
+			v := make([]float64, 4)
+			for i := range 2 {
+				on, off := &res[2*i].Stats, &res[2*i+1].Stats
+				v[i] = on.IPC() / off.IPC()
+				v[2+i] = 1 - float64(on.IssueSlots)/float64(off.IssueSlots)
 			}
-			sOff, err := r.Stats(b, off)
-			if err != nil {
-				return nil, err
-			}
-			speed[i] = sOn.IPC() / sOff.IPC()
-			saved[i] = 1 - float64(sOn.IssueSlots)/float64(sOff.IssueSlots)
-		}
-		row.Cells = []Cell{num(speed[0]), num(speed[1]), num(saved[0]), num(saved[1])}
-		t.Rows = append(t.Rows, row)
-		if !excludeFromMeans(b.Name) {
-			rsbi = append(rsbi, speed[0])
-			rboth = append(rboth, speed[1])
-		}
-	}
-	t.Rows = append(t.Rows, Row{Name: "Gmean", Cells: []Cell{num(gmean(rsbi)), num(gmean(rboth)), empty(), empty()}})
-	return t, nil
+			return nums(v), v[:2]
+		},
+	})
 }
 
 // Fig8b reproduces figure 8(b): speedup of each lane-shuffling policy
 // over Identity for SWI on the irregular applications.
 func (r *Runner) Fig8b() (*Table, error) {
-	policies := []sched.Shuffle{sched.ShuffleMirrorOdd, sched.ShuffleMirrorHalf, sched.ShuffleXor, sched.ShuffleXorRev}
-	cfgs := make([]sm.Config, 0, len(policies)+1)
-	for _, p := range append([]sched.Shuffle{sched.ShuffleIdentity}, policies...) {
-		cfg := sm.Configure(sm.ArchSWI)
-		cfg.Shuffle = p
-		cfgs = append(cfgs, cfg)
+	policies := []sched.Shuffle{sched.ShuffleIdentity, sched.ShuffleMirrorOdd, sched.ShuffleMirrorHalf, sched.ShuffleXor, sched.ShuffleXorRev}
+	s := study{
+		title:  "Figure 8(b): SWI lane shuffling (speedup over Identity)",
+		suite:  kernels.Irregular(),
+		points: vary(sm.ArchSWI, policies, func(c *sm.Config, p sched.Shuffle) { c.Shuffle = p }),
+		mean:   "GMean",
+		// Identity, the first point, is the reference and no column.
+		row: func(res []*sm.Result) ([]Cell, []float64) {
+			cells, v := relativeIPC(res)
+			return cells[1:], v[1:]
+		},
 	}
-	if err := r.prefetchMatrix(kernels.Irregular(), cfgs); err != nil {
-		return nil, err
+	for _, p := range policies[1:] {
+		s.cols = append(s.cols, p.String())
 	}
-	t := &Table{Title: "Figure 8(b): SWI lane shuffling (speedup over Identity)"}
-	for _, p := range policies {
-		t.Cols = append(t.Cols, p.String())
-	}
-	ratios := make([][]float64, len(policies))
-	for _, b := range kernels.Irregular() {
-		ident := sm.Configure(sm.ArchSWI)
-		ident.Shuffle = sched.ShuffleIdentity
-		sid, err := r.Stats(b, ident)
-		if err != nil {
-			return nil, err
-		}
-		row := Row{Name: b.Name}
-		for i, p := range policies {
-			cfg := sm.Configure(sm.ArchSWI)
-			cfg.Shuffle = p
-			s, err := r.Stats(b, cfg)
-			if err != nil {
-				return nil, err
-			}
-			v := s.IPC() / sid.IPC()
-			row.Cells = append(row.Cells, num(v))
-			if !excludeFromMeans(b.Name) {
-				ratios[i] = append(ratios[i], v)
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	mean := Row{Name: "GMean"}
-	for i := range policies {
-		mean.Cells = append(mean.Cells, num(gmean(ratios[i])))
-	}
-	t.Rows = append(t.Rows, mean)
-	return t, nil
+	return r.table(s)
 }
 
 // Fig9 reproduces figure 9: the slowdown of set-associative SWI lookup
 // relative to the fully-associative configuration, on the irregular
 // applications.
 func (r *Runner) Fig9() (*Table, error) {
-	assocs := []struct {
-		name string
-		ways int
-	}{
-		{"Fully associative", sched.AssocFull},
-		{"11-way", 11},
-		{"3-way", 3},
-		{"Direct mapped", 1},
-	}
-	cfgs := make([]sm.Config, 0, len(assocs))
-	for _, a := range assocs {
-		cfg := sm.Configure(sm.ArchSWI)
-		cfg.Assoc = a.ways
-		cfgs = append(cfgs, cfg)
-	}
-	if err := r.prefetchMatrix(kernels.Irregular(), cfgs); err != nil {
-		return nil, err
-	}
-	t := &Table{Title: "Figure 9: SWI lookup associativity (slowdown vs fully-associative)"}
-	for _, a := range assocs {
-		t.Cols = append(t.Cols, a.name)
-	}
-	ratios := make([][]float64, len(assocs))
-	for _, b := range kernels.Irregular() {
-		full := sm.Configure(sm.ArchSWI)
-		sf, err := r.Stats(b, full)
-		if err != nil {
-			return nil, err
-		}
-		row := Row{Name: b.Name}
-		for i, a := range assocs {
-			cfg := sm.Configure(sm.ArchSWI)
-			cfg.Assoc = a.ways
-			s, err := r.Stats(b, cfg)
-			if err != nil {
-				return nil, err
-			}
-			v := s.IPC() / sf.IPC()
-			row.Cells = append(row.Cells, num(v))
-			if !excludeFromMeans(b.Name) {
-				ratios[i] = append(ratios[i], v)
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	mean := Row{Name: "GMean"}
-	for i := range assocs {
-		mean.Cells = append(mean.Cells, num(gmean(ratios[i])))
-	}
-	t.Rows = append(t.Rows, mean)
-	return t, nil
+	return r.table(study{
+		title:  "Figure 9: SWI lookup associativity (slowdown vs fully-associative)",
+		cols:   []string{"Fully associative", "11-way", "3-way", "Direct mapped"},
+		suite:  kernels.Irregular(),
+		points: vary(sm.ArchSWI, []int{sched.AssocFull, 11, 3, 1}, func(c *sm.Config, ways int) { c.Assoc = ways }),
+		mean:   "GMean",
+		row:    relativeIPC,
+	})
 }

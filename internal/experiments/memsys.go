@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"repro/internal/device"
 	"repro/internal/kernels"
 	"repro/internal/noc"
 	"repro/internal/sm"
@@ -29,90 +27,52 @@ var memsysBandwidths = []float64{32, 8, 2}
 // and the per-SM breakdown of that queueing (Result.NoCPorts: port i
 // is SM i's injection port under the device-time packing), which shows
 // how unevenly the waves' traffic loads the crossbar.
+//
+// The sweep is trace-replay routed: the first point to reach a
+// benchmark records its execution trace and the others replay it
+// through the shared-clock interleaver — the NoC and L2 parameters are
+// timing-domain, so replayed statistics are bit-identical to full
+// simulations (racy benchmarks like BFS fall back, with the reason
+// logged once).
 func (r *Runner) MemoryHierarchy() (*Table, error) {
 	const sms = 4
-	t := &Table{
-		Title: fmt.Sprintf("Shared L2 + interconnect: device cycles on %d SMs vs. NoC port bandwidth", sms),
-		Note:  "flat column: seed flat-latency DRAM model (no L2/NoC); hit rate and queue cycles (total and per-SM port) reported at the widest port",
-		Cols:  []string{"flat"},
+	flat := point{cfg: sm.Configure(sm.ArchSBISWI), sms: sms, replay: true}
+	s := study{
+		title: fmt.Sprintf("Shared L2 + interconnect: device cycles on %d SMs vs. NoC port bandwidth", sms),
+		note:  "flat column: seed flat-latency DRAM model (no L2/NoC); hit rate and queue cycles (total and per-SM port) reported at the widest port",
+		cols:  []string{"flat"},
+		// Points: the flat model, then the bandwidths, widest first.
+		points: []point{flat},
+		row: func(res []*sm.Result) ([]Cell, []float64) {
+			var cells []Cell
+			for _, r := range res {
+				cells = append(cells, num(float64(r.DeviceCycles())))
+			}
+			widest := res[1]
+			ports := make([]string, len(widest.NoCPorts))
+			for i, p := range widest.NoCPorts {
+				ports[i] = fmt.Sprintf("%d", p.QueueCycles)
+			}
+			return append(cells,
+				str(fmt.Sprintf("%.1f", 100*widest.Stats.Mem.L2.HitRate())),
+				str(fmt.Sprintf("%d", widest.Stats.Mem.NoC.QueueCycles)),
+				str(strings.Join(ports, "/"))), nil
+		},
 	}
-	for _, bw := range memsysBandwidths {
-		t.Cols = append(t.Cols, fmt.Sprintf("%gB/c", bw))
-	}
-	t.Cols = append(t.Cols, "L2 hit%", "NoC queue", "queue/SM port")
-
 	for _, name := range memsysBenches {
 		b, ok := kernels.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("experiments: benchmark %s missing", name)
 		}
-		row := Row{Name: name}
-
-		flat, err := r.memsysRun(b, sms, nil)
-		if err != nil {
-			return nil, err
-		}
-		row.Cells = append(row.Cells, num(float64(flat.DeviceCycles())))
-
-		var widest *sm.Result
-		for _, bw := range memsysBandwidths {
-			ncfg := noc.Default()
-			ncfg.BytesPerCycle = bw
-			res, err := r.memsysRun(b, sms, &ncfg)
-			if err != nil {
-				return nil, err
-			}
-			if widest == nil {
-				widest = res
-			}
-			row.Cells = append(row.Cells, num(float64(res.DeviceCycles())))
-		}
-		l2 := &widest.Stats.Mem.L2
-		ports := make([]string, len(widest.NoCPorts))
-		for i, p := range widest.NoCPorts {
-			ports[i] = fmt.Sprintf("%d", p.QueueCycles)
-		}
-		row.Cells = append(row.Cells,
-			str(fmt.Sprintf("%.1f", 100*l2.HitRate())),
-			str(fmt.Sprintf("%d", widest.Stats.Mem.NoC.QueueCycles)),
-			str(strings.Join(ports, "/")))
-		t.Rows = append(t.Rows, row)
+		s.suite = append(s.suite, b)
 	}
-	return t, nil
-}
-
-// memsysRun simulates one benchmark partitioned across the SMs, with
-// the shared memory system enabled when ncfg is non-nil. Runs go
-// through RunSuite on the runner's shared queue, so the simulation
-// cache memoizes each (benchmark, SM count, interconnect) cell across
-// passes. The sweep is trace-replay routed: the first cell of a
-// benchmark records its execution trace, and the remaining bandwidth
-// points replay it through the shared-clock interleaver — the NoC and
-// L2 parameters are timing-domain, so replayed statistics are
-// bit-identical to full simulations (racy benchmarks like BFS fall
-// back, with the reason logged once).
-func (r *Runner) memsysRun(b *kernels.Benchmark, sms int, ncfg *noc.Config) (*sm.Result, error) {
-	opts := []device.Option{
-		device.WithArch(sm.ArchSBISWI),
-		device.WithSMs(sms),
-		device.WithGridPartition(true),
-		device.WithRunQueue(r.runQueue()),
-		device.WithSimCache(r.sims),
-		device.WithTraceReplay(true),
+	for _, bw := range memsysBandwidths {
+		p, ncfg := flat, noc.Default()
+		ncfg.BytesPerCycle = bw
+		p.noc = &ncfg
+		s.cols = append(s.cols, fmt.Sprintf("%gB/c", bw))
+		s.points = append(s.points, p)
 	}
-	if ncfg != nil {
-		opts = append(opts, device.WithInterconnect(*ncfg))
-	}
-	dev, err := device.New(opts...)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	results, err := dev.RunSuite(context.Background(), []*kernels.Benchmark{b})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", b.Name, err)
-	}
-	if results[0].Err != nil {
-		return nil, fmt.Errorf("experiments: %w", results[0].Err)
-	}
-	return results[0].Result, nil
+	s.cols = append(s.cols, "L2 hit%", "NoC queue", "queue/SM port")
+	return r.table(s)
 }

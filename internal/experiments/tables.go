@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/area"
 	"repro/internal/sm"
@@ -103,56 +102,49 @@ func Table4() *Table {
 	return t
 }
 
-// Experiments names every runnable experiment for the CLI: the paper's
-// figures and tables plus the ablation studies.
-var Experiments = []string{
-	"fig7a", "fig7b", "fig8a", "fig8b", "fig9",
-	"table2", "table3", "table4",
-	"ablation-scoreboard", "ablation-memsplit", "ablation-execlat",
-	"heap-pressure", "memory-hierarchy",
+// registry is the one list of experiments, in the order sbwi-bench
+// -exp all prints them: the paper's figures and tables, then the
+// studies beyond it.
+var registry = []struct {
+	name string
+	run  func(*Runner) (*Table, error)
+}{
+	{"fig7a", (*Runner).Fig7a},
+	{"fig7b", (*Runner).Fig7b},
+	{"fig8a", (*Runner).Fig8a},
+	{"fig8b", (*Runner).Fig8b},
+	{"fig9", (*Runner).Fig9},
+	{"table2", static(Table2)},
+	{"table3", static(Table3)},
+	{"table4", static(Table4)},
+	{"ablation-scoreboard", (*Runner).AblationScoreboard},
+	{"ablation-memsplit", (*Runner).AblationMemSplit},
+	{"ablation-execlat", (*Runner).AblationExecLatency},
+	{"heap-pressure", (*Runner).HeapPressure},
+	{"memory-hierarchy", (*Runner).MemoryHierarchy},
 }
+
+// static adapts a table that needs no simulation to the registry.
+func static(table func() *Table) func(*Runner) (*Table, error) {
+	return func(*Runner) (*Table, error) { return table(), nil }
+}
+
+// Experiments names every runnable experiment for the CLI, in registry
+// order.
+var Experiments = func() []string {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return names
+}()
 
 // Run executes one experiment by name.
 func (r *Runner) Run(name string) (*Table, error) {
-	switch name {
-	case "fig7a":
-		return r.Fig7a()
-	case "fig7b":
-		return r.Fig7b()
-	case "fig8a":
-		return r.Fig8a()
-	case "fig8b":
-		return r.Fig8b()
-	case "fig9":
-		return r.Fig9()
-	case "table2":
-		return Table2(), nil
-	case "table3":
-		return Table3(), nil
-	case "table4":
-		return Table4(), nil
-	case "ablation-scoreboard":
-		return r.AblationScoreboard()
-	case "ablation-memsplit":
-		return r.AblationMemSplit()
-	case "ablation-execlat":
-		return r.AblationExecLatency()
-	case "heap-pressure":
-		return r.HeapPressure()
-	case "memory-hierarchy":
-		return r.MemoryHierarchy()
+	for _, e := range registry {
+		if e.name == name {
+			return e.run(r)
+		}
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Experiments)
-}
-
-// RunAll executes every experiment, writing each table to w.
-func (r *Runner) RunAll(w io.Writer) error {
-	for _, name := range Experiments {
-		t, err := r.Run(name)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, t.Text())
-	}
-	return nil
 }

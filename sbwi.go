@@ -163,17 +163,25 @@ func Verify(l *Launch, opts ...Option) error {
 	return nil
 }
 
-// Benchmarks returns the paper's evaluation suite (10 regular + 11
-// irregular kernels), each with deterministic inputs and a Go oracle.
+// Benchmarks returns the evaluation suite — the paper's 10 regular and
+// 11 irregular kernels plus the synthetic WriteStorm store-saturation
+// microbenchmark, 22 in all — each with deterministic inputs and a Go
+// oracle.
 func Benchmarks() []*Benchmark { return kernels.All() }
 
 // BenchmarkByName finds a suite kernel.
 func BenchmarkByName(name string) (*Benchmark, bool) { return kernels.ByName(name) }
 
-// NewExperiments creates a memoizing experiment runner that regenerates
-// the paper's tables and figures; see ExperimentNames.
+// NewExperiments creates an experiment runner that regenerates the
+// paper's tables and figures; see ExperimentNames. Every simulated
+// experiment is one sweep — a device per point, all running at once on
+// one shared run queue — and the runner's one SimCache is its only
+// memo, so a cell several experiments need is simulated once.
 func NewExperiments() *experiments.Runner { return experiments.NewRunner() }
 
-// ExperimentNames lists the runnable experiments (fig7a..fig9,
-// table2..table4).
+// ExperimentNames lists the runnable experiments in the order
+// sbwi-bench prints them: the paper's fig7a, fig7b, fig8a, fig8b, fig9
+// and table2..table4, then the studies beyond it —
+// ablation-scoreboard, ablation-memsplit, ablation-execlat,
+// heap-pressure and memory-hierarchy.
 func ExperimentNames() []string { return experiments.Experiments }
