@@ -106,13 +106,15 @@
 // memory addresses) during a benchmark's first full simulation and
 // replays it for every later configuration that differs only in
 // timing: bit-identical statistics without the functional layer
-// (Result.Replayed says which path ran). Kernels whose behavior is
-// timing-dependent are detected at record time and, like a replay that
-// desyncs, fall back to full simulation with the reason logged
-// (WithReplayLog). Device.RunTraceReplay is the one-launch form behind
-// `sbwi run -trace-replay`. The header of internal/device/replay.go
-// owns the validity-domain argument, package internal/replay the trace
-// format and the race analysis.
+// (Result.Replayed says which path ran). Recording costs a plain
+// simulation plus one shadow-word update per memory access — the race
+// analysis runs as the launch does, nothing is logged. Kernels whose
+// behavior is timing-dependent are detected at record time and, like a
+// replay that desyncs, fall back to full simulation with the reason
+// logged (WithReplayLog). Device.RunTraceReplay is the one-launch form
+// behind `sbwi run -trace-replay`. The header of
+// internal/device/replay.go owns the validity-domain argument, package
+// internal/replay the trace format and the race analysis.
 //
 // # Memory hierarchy
 //

@@ -31,10 +31,10 @@ import (
 // branch outcomes and addresses from the table instead of the register
 // file.
 //
-// The validity domain is policed at record time: the recorder logs
+// The validity domain is policed at record time: the recorder sees
 // every memory access with its block and barrier epoch, and the race
-// analysis in replay.Recorder.Finalize marks the trace non-replayable
-// when any unordered pair of accesses conflicts (per-thread functional
+// analysis of package replay marks the trace non-replayable when any
+// unordered pair of accesses conflicts (per-thread functional
 // behavior is then timing-dependent, e.g. the racy relaxation updates
 // of BFS). Non-replayable benchmarks fall back to full simulation with
 // the reason logged once — never a silently wrong number. As a second

@@ -3,6 +3,8 @@ package device
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/replay"
 	"repro/internal/sm"
 )
 
@@ -170,5 +173,60 @@ func TestRunTraceReplay(t *testing.T) {
 	}
 	if !strings.Contains(log.String(), "outside the trace-replay validity domain") {
 		t.Errorf("racy launch's fallback reason not logged:\n%s", log.String())
+	}
+}
+
+const replayVerdictsPath = "testdata/replay_verdicts.golden"
+
+// TestReplayVerdictsGolden pins the record-time race verdict of every
+// suite kernel on every architecture, flat and partitioned over four
+// SMs, one `kernel arch flat|partitioned replayable` line each. A
+// verdict is a property of the kernel, not of how package replay finds
+// it: a change to the analysis is compared against the fixture and
+// never regenerates it; -update is for a change to the suite itself.
+func TestReplayVerdictsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records 220 launches")
+	}
+	var got strings.Builder
+	for _, b := range kernels.All() {
+		for _, a := range sm.Architectures() {
+			for _, shape := range []struct {
+				name string
+				opts []Option
+			}{
+				{"flat", nil},
+				{"partitioned", []Option{WithSMs(4), WithGridPartition(true)}},
+			} {
+				dev, err := New(append([]Option{WithArch(a)}, shape.opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := replay.NewRecorder(b.Grid, b.Block)
+				if _, err := dev.runBenchmark(context.Background(), b, dev.partition, rec, nil); err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&got, "%s %s %s %v\n", b.Name, a, shape.name, rec.Finalize().Replayable)
+			}
+		}
+	}
+	if *updateGolden {
+		if err := os.WriteFile(replayVerdictsPath, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(replayVerdictsPath)
+	if err != nil {
+		t.Fatalf("read fixture (regenerate with -update): %v", err)
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gl) != len(wl) {
+		t.Fatalf("%d verdict lines, fixture has %d", len(gl), len(wl))
+	}
+	for i := range gl {
+		if gl[i] != wl[i] {
+			t.Errorf("verdict %q, fixture says %q", gl[i], wl[i])
+		}
 	}
 }

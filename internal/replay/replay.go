@@ -27,21 +27,23 @@
 // The domain boundary is data races: a kernel whose cross-thread
 // ordering is not fixed by program order plus block barriers can
 // legally compute different values under different timings, so its
-// recorded streams describe only the recording run. Finalize detects
-// this conservatively from a word-granular access log: two accesses to
-// the same 32-bit word race when at least one is a store and no
-// barrier orders them — cross-block accesses are never ordered,
-// intra-block accesses are ordered exactly when they fall in different
-// barrier epochs. A racy recording yields Replayable == false with the
-// first offending word in Reason; callers fall back to full simulation
-// (loudly — see device.WithTraceReplay). Same-value write-write races
-// are still flagged: tolerating them would need value logging for a
-// benefit no suite kernel currently shows.
+// recorded streams describe only the recording run. The recorder
+// detects this conservatively, word by word: two accesses to the same
+// 32-bit word race when at least one is a store and no barrier orders
+// them — cross-block accesses are never ordered, intra-block accesses
+// are ordered exactly when they fall in different barrier epochs.
+// Nothing is logged for it: each access updates one shadow word of
+// state for the word it touches (see wLive), so the analysis costs
+// memory in proportion to the words touched, not the accesses made, and
+// Finalize only unions the sinks. A racy recording yields Replayable ==
+// false with the lowest offending word in Reason; callers fall back to
+// full simulation (loudly — see device.WithTraceReplay). Same-value
+// write-write races are still flagged: tolerating them would need value
+// logging for a benefit no suite kernel currently shows.
 package replay
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -65,7 +67,11 @@ type Trace struct {
 	addrs [][]uint32
 
 	// Replayable reports whether the recording is race-free and may be
-	// re-timed; Reason carries the first detected conflict otherwise.
+	// re-timed. Otherwise Reason names the address space, the lowest
+	// racy word and whether threads of one block or several blocks
+	// conflict on it — a function of the access set alone. Which block
+	// and barrier epoch raced is not part of it: the analysis keeps no
+	// per-word state that could say.
 	Replayable bool
 	Reason     string
 }
@@ -79,22 +85,54 @@ func (t *Trace) Matches(gridDim, blockDim int) bool {
 // Threads returns the recorded global thread count.
 func (t *Trace) Threads() int { return t.gridDim * t.blockDim }
 
-// access is one entry of the record-time memory log. key identifies
-// the 32-bit word including its address space (shared words are
-// per-block, so their key embeds the CTA); epoch is the block's
-// barrier epoch at access time.
-type access struct {
-	key   uint64
-	tid   int32
-	cta   int32
-	epoch int32
-	store bool
-}
-
 // sharedKeyBit marks shared-memory word keys; global words use the
 // plain word index. Shared keys embed the CTA because shared memory is
 // per-block storage: equal offsets in different blocks never alias.
 const sharedKeyBit = 1 << 63
+
+// The race analysis keeps one shadow word per 32-bit word touched. A
+// word's accesses fall into (cta, barrier epoch) groups, and only the
+// group being written to — the open one — needs detail:
+//
+//	bits 32..63  first thread of the open group
+//	bits  6..31  barrier epoch of the open group
+//	bits  0..5   the flags below
+//
+// An access from another epoch or CTA closes the open group into the
+// three sticky flags and opens the next. That loses nothing, because a
+// CTA's accesses reach one sink in non-decreasing epoch order (see
+// Sink): a group is contiguous unless another CTA interleaves, and then
+// the word is multi-CTA, where any store at all is a race.
+const (
+	wLive      = 1 << iota // touched: the open-group fields are valid
+	wOpenStore             // the open group has a store
+	wOpenMulti             // the open group has a second thread
+	wMultiCTA              // sticky: a second CTA touched the word
+	wStore                 // sticky: a closed group had a store
+	wRacyGroup             // sticky: a closed group had a store and a second thread
+
+	epochShift = 6
+	tidShift   = 32
+	maxEpoch   = 1 << (tidShift - epochShift)
+	maxTid     = 1 << 31 // keeps a shared key's CTA clear of sharedKeyBit
+
+	pageShift = 9 // 512 words, 4 KB of shadow state
+)
+
+// page holds the shadow words of 1<<pageShift consecutive keys; pages
+// exist only for key ranges a sink touched.
+type page [1 << pageShift]uint64
+
+// closeGroup folds a shadow word's open group into its sticky flags.
+func closeGroup(s uint64) uint64 {
+	if s&wOpenStore != 0 {
+		s |= wStore
+		if s&wOpenMulti != 0 {
+			s |= wRacyGroup
+		}
+	}
+	return s & (wLive | wMultiCTA | wStore | wRacyGroup)
+}
 
 // Recorder accumulates one launch's streams. Stream writes go through
 // per-SM Sinks: each sink is single-goroutine, and concurrent sinks
@@ -117,6 +155,7 @@ type Recorder struct {
 
 	mu    sync.Mutex
 	sinks []*Sink //sbwi:guardedby mu
+	trace *Trace  //sbwi:guardedby mu
 }
 
 // NewRecorder sizes a recorder for a launch geometry.
@@ -133,7 +172,8 @@ func NewRecorder(gridDim, blockDim int) *Recorder {
 
 // Sink returns a recording handle for one SM instance. Each sink must
 // only be used from one goroutine at a time; sinks over disjoint CTA
-// ranges may run concurrently.
+// ranges may run concurrently. A CTA records through exactly one sink:
+// Finalize takes a word two sinks touched as touched by two CTAs.
 func (r *Recorder) Sink() *Sink {
 	k := &Sink{r: r}
 	r.mu.Lock()
@@ -144,11 +184,25 @@ func (r *Recorder) Sink() *Sink {
 
 // Sink is one SM's single-goroutine recording handle: stream appends
 // go straight to the recorder's per-thread slices (disjoint across
-// concurrent sinks), the memory log stays sink-local until Finalize.
+// concurrent sinks), the race analysis' shadow words stay sink-local
+// until Finalize.
+//
+// The analysis is exact under one contract, which the SM model meets
+// because a CTA lives on one SM and its barrier epoch only increments:
+// all of a CTA's accesses go through one sink, in non-decreasing epoch
+// order. An access that visibly breaks it, or whose thread id or epoch
+// does not fit the shadow word, makes the trace non-replayable with a
+// Reason saying so.
 type Sink struct {
 	r *Recorder
 	//sbwi:nolock single-goroutine confinement: sink-local until Finalize, which runs after every recording goroutine completed
-	log []access
+	pages map[uint64]*page
+	// last is the page of the previous access, lastKey its map key: a
+	// warp's lanes mostly land in one page.
+	last    *page
+	lastKey uint64
+	// fault is the first contract violation seen, "" for none.
+	fault string
 }
 
 // Matches reports whether the sink records for this launch geometry.
@@ -171,109 +225,145 @@ func (k *Sink) Branch(tid int, taken bool) {
 
 // Mem records one memory access a thread advanced past: global
 // accesses append addr to the thread's address stream; both spaces
-// enter the race log. epoch is the thread's block barrier epoch.
+// update the word's shadow state. tid is the global thread id, cta its
+// block, epoch the block's barrier epoch.
 func (k *Sink) Mem(tid, cta, epoch int, addr uint32, global, store bool) {
+	r := k.r
 	if global {
-		k.r.addrs[tid] = append(k.r.addrs[tid], addr)
+		r.addrs[tid] = append(r.addrs[tid], addr)
+	}
+	ctaBase := cta * r.blockDim
+	if uint64(tid) >= maxTid || uint64(epoch) >= maxEpoch || uint(tid-ctaBase) >= uint(r.blockDim) {
+		k.fail("thread %d of block %d at barrier epoch %d is outside the launch or the race analysis' packed fields", tid, cta, epoch)
+		return
 	}
 	key := uint64(addr >> 2)
 	if !global {
 		key |= sharedKeyBit | uint64(cta)<<32
 	}
-	k.log = append(k.log, access{
-		key: key, tid: int32(tid), cta: int32(cta), epoch: int32(epoch), store: store,
-	})
+	if pk := key >> pageShift; k.last == nil || pk != k.lastKey {
+		k.last, k.lastKey = k.page(pk), pk
+	}
+	w := &k.last[key&(1<<pageShift-1)]
+
+	open := uint64(tid)<<tidShift | uint64(epoch)<<epochShift | wLive
+	if store {
+		open |= wOpenStore
+	}
+	s := *w
+	if s == 0 {
+		*w = open
+		return
+	}
+	if uint(int(s>>tidShift)-ctaBase) >= uint(r.blockDim) {
+		s |= wMultiCTA // the open group is another CTA's
+	} else if openEpoch := int(s >> epochShift & (maxEpoch - 1)); epoch == openEpoch {
+		if s>>tidShift != uint64(tid) {
+			s |= wOpenMulti
+		}
+		*w = s | open&wOpenStore
+		return
+	} else if epoch < openEpoch {
+		k.fail("block %d accessed %s word %#x at barrier epoch %d after epoch %d: a block's epochs must not decrease", cta, spaceOf(key), wordAddr(key), epoch, openEpoch)
+		return
+	}
+	*w = closeGroup(s) | open
 }
 
-// Finalize merges the sinks, runs the race analysis and returns the
-// immutable trace. Call once, after every recording run completed.
+// page returns the shadow page with map key pk, allocating it on first
+// touch.
+func (k *Sink) page(pk uint64) *page {
+	p := k.pages[pk]
+	if p == nil {
+		if k.pages == nil {
+			k.pages = make(map[uint64]*page)
+		}
+		p = new(page)
+		k.pages[pk] = p
+	}
+	return p
+}
+
+// fail records the sink's first contract violation.
+func (k *Sink) fail(format string, args ...any) {
+	if k.fault == "" {
+		k.fault = "recorder contract violated: " + fmt.Sprintf(format, args...)
+	}
+}
+
+// Finalize runs the race analysis over the sinks and returns the
+// immutable trace. Call it after every recording run completed; a
+// repeated call returns the first call's trace.
 func (r *Recorder) Finalize() *Trace {
 	r.mu.Lock()
-	var log []access
-	for _, k := range r.sinks {
-		log = append(log, k.log...)
-		k.log = nil
+	defer r.mu.Unlock()
+	if r.trace == nil {
+		reason := findRace(r.sinks)
+		r.trace = &Trace{
+			gridDim:    r.gridDim,
+			blockDim:   r.blockDim,
+			branchBits: r.branchBits,
+			branchN:    r.branchN,
+			addrs:      r.addrs,
+			Replayable: reason == "",
+			Reason:     reason,
+		}
 	}
-	r.mu.Unlock()
-
-	t := &Trace{
-		gridDim:    r.gridDim,
-		blockDim:   r.blockDim,
-		branchBits: r.branchBits,
-		branchN:    r.branchN,
-		addrs:      r.addrs,
-		Replayable: true,
-	}
-	if reason := findRace(log); reason != "" {
-		t.Replayable = false
-		t.Reason = reason
-	}
-	return t
+	return r.trace
 }
 
-// findRace scans the merged access log for a pair of unordered
-// conflicting accesses and returns a description of the first one (in
-// word order), or "". Sorting makes the verdict independent of the
-// nondeterministic order concurrent sinks appended in: the race
-// predicate is a property of the access *set*.
-func findRace(log []access) string {
-	sort.Slice(log, func(i, j int) bool {
-		a, b := &log[i], &log[j]
-		switch {
-		case a.key != b.key:
-			return a.key < b.key
-		case a.cta != b.cta:
-			return a.cta < b.cta
-		case a.epoch != b.epoch:
-			return a.epoch < b.epoch
-		default:
-			return a.tid < b.tid
+// findRace closes every shadow word, unions the sinks word by word and
+// returns a description of the lowest word (in key order) with a pair
+// of unordered conflicting accesses, or "". Cross-block accesses are
+// never ordered, so a store to a word two blocks touch races;
+// intra-block accesses are ordered iff their barrier epochs differ, so
+// a store plus a second thread within one (cta, epoch) group races. The
+// verdict is a property of the access set: neither the order concurrent
+// sinks ran in nor the map order below reaches it. The sinks' pages are
+// consumed.
+func findRace(sinks []*Sink) string {
+	all := make(map[uint64]*page)
+	for _, k := range sinks {
+		if k.fault != "" {
+			return k.fault
 		}
-	})
-	for lo := 0; lo < len(log); {
-		hi := lo
-		for hi < len(log) && log[hi].key == log[lo].key {
-			hi++
-		}
-		if reason := raceInWord(log[lo:hi]); reason != "" {
-			return reason
-		}
-		lo = hi
-	}
-	return ""
-}
-
-// raceInWord applies the ordering rule to one word's accesses (sorted
-// by cta, epoch, tid): cross-block accesses are never ordered, so any
-// store plus a second block races; intra-block accesses are ordered
-// iff their barrier epochs differ, so a store plus a different thread
-// within one epoch races.
-func raceInWord(as []access) string {
-	multiBlock := as[0].cta != as[len(as)-1].cta
-	for lo := 0; lo < len(as); {
-		hi := lo
-		anyStore := false
-		multiThread := false
-		for hi < len(as) && as[hi].cta == as[lo].cta && as[hi].epoch == as[lo].epoch {
-			anyStore = anyStore || as[hi].store
-			multiThread = multiThread || as[hi].tid != as[lo].tid
-			hi++
-		}
-		// A store in this group conflicts with any other thread of the
-		// same epoch (no intra-epoch ordering) and, when several blocks
-		// touch the word, with every other block's accesses (no
-		// inter-block ordering exists at all).
-		if anyStore && (multiBlock || multiThread) {
-			scope := "blocks"
-			if !multiBlock {
-				scope = "threads"
+		for pk, p := range k.pages {
+			m := all[pk]
+			if m == nil {
+				all[pk] = p // first sink to touch the page: closed in place
 			}
-			return fmt.Sprintf("%s word %#x written and accessed by unordered %s (cta %d, barrier epoch %d)",
-				spaceOf(as[lo].key), wordAddr(as[lo].key), scope, as[lo].cta, as[lo].epoch)
+			for i, s := range p {
+				s = closeGroup(s)
+				if m == nil {
+					p[i] = s
+					continue
+				}
+				if s&m[i]&wLive != 0 {
+					s |= wMultiCTA // touched through two sinks, hence by two CTAs
+				}
+				m[i] |= s
+			}
 		}
-		lo = hi
+		k.pages, k.last = nil, nil
 	}
-	return ""
+	lowest, scope := uint64(0), ""
+	for pk, p := range all {
+		for i, s := range p {
+			key := pk<<pageShift | uint64(i)
+			racy := s&wRacyGroup != 0 || s&(wStore|wMultiCTA) == wStore|wMultiCTA
+			if !racy || scope != "" && key >= lowest {
+				continue
+			}
+			lowest, scope = key, "threads"
+			if s&wMultiCTA != 0 {
+				scope = "blocks"
+			}
+		}
+	}
+	if scope == "" {
+		return ""
+	}
+	return fmt.Sprintf("%s word %#x written and accessed by unordered %s", spaceOf(lowest), wordAddr(lowest), scope)
 }
 
 func spaceOf(key uint64) string {

@@ -179,6 +179,47 @@ func TestRaceAnalysis(t *testing.T) {
 			k.Mem(0, 0, 0, 0x10, false, true)
 			k.Mem(1, 0, 0, 0x10, true, false)
 		}, true, ""},
+		{"another block reads between a block's store and load", func(k *Sink) {
+			k.Mem(0, 0, 0, 0x20, true, true)
+			k.Mem(5, 1, 0, 0x20, true, false)
+			k.Mem(1, 0, 0, 0x20, true, false)
+		}, false, "unordered blocks"},
+		{"blocks take turns reading", func(k *Sink) {
+			k.Mem(0, 0, 0, 0x20, true, false)
+			k.Mem(5, 1, 0, 0x20, true, false)
+			k.Mem(1, 0, 0, 0x20, true, false)
+		}, true, ""},
+		{"conflict in an early epoch, later epochs clean", func(k *Sink) {
+			k.Mem(0, 0, 0, 0x20, true, true)
+			k.Mem(1, 0, 0, 0x20, true, false)
+			k.Mem(1, 0, 1, 0x20, true, false)
+			k.Mem(1, 0, 2, 0x20, true, false)
+		}, false, "unordered threads"},
+		{"lowest racy word is reported", func(k *Sink) {
+			k.Mem(0, 0, 0, 0x1000, true, true)
+			k.Mem(1, 0, 0, 0x1000, true, true)
+			k.Mem(0, 0, 0, 0x30, true, true)
+			k.Mem(1, 0, 0, 0x30, true, true)
+		}, false, "global word 0x30 "},
+		// An access the shadow words cannot represent, or one that shows
+		// the caller broke the sink contract, fails closed: no wrap, no
+		// panic, no verdict from state that may be wrong.
+		{"a block's epoch goes backwards on a word", func(k *Sink) {
+			k.Mem(0, 0, 3, 0x20, true, false)
+			k.Mem(1, 0, 2, 0x20, true, false)
+		}, false, "contract violated: block 0 accessed global word 0x20 at barrier epoch 2 after epoch 3"},
+		{"epoch too large for the shadow word", func(k *Sink) {
+			k.Mem(0, 0, maxEpoch, 0x20, true, false)
+		}, false, "contract violated: thread 0 of block 0 at barrier epoch 67108864"},
+		{"negative epoch", func(k *Sink) {
+			k.Mem(0, 0, -1, 0x20, true, false)
+		}, false, "contract violated: thread 0 of block 0 at barrier epoch -1"},
+		{"thread id too large for the shadow word", func(k *Sink) {
+			k.Mem(maxTid, maxTid/4, 0, 0x10, false, false)
+		}, false, "contract violated: thread 2147483648 of block 536870912"},
+		{"thread outside its block", func(k *Sink) {
+			k.Mem(1, 1, 0, 0x20, true, false)
+		}, false, "contract violated: thread 1 of block 1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -193,42 +234,78 @@ func TestRaceAnalysis(t *testing.T) {
 	}
 }
 
-// TestRaceVerdictOrderIndependent feeds the same access set through
-// sinks in different interleavings and expects one verdict: the race
-// analysis must be a pure function of the set, not of the
-// nondeterministic order concurrent recording appended in.
+// TestRaceVerdictOrderIndependent feeds one access set in every arrival
+// order the sink contract allows — each CTA pinned to its sink, CTAs 0
+// and 1 sharing one, a CTA's own accesses in epoch order, everything
+// else permuted, the sinks created in either order — and expects one
+// verdict: the race analysis must be a pure function of the set, not of
+// how concurrent recording interleaved.
 func TestRaceVerdictOrderIndependent(t *testing.T) {
-	type acc struct {
-		tid, cta, epoch int
-		addr            uint32
-		store           bool
-	}
 	accs := []acc{
-		{0, 0, 0, 0x20, false},
-		{1, 0, 0, 0x24, true},
-		{5, 1, 0, 0x20, true},
-		{6, 1, 1, 0x28, false},
+		{tid: 0, cta: 0, epoch: 0, addr: 0x20, global: true},
+		{tid: 1, cta: 0, epoch: 1, addr: 0x24, global: true, store: true},
+		{tid: 4, cta: 1, epoch: 0, addr: 0x28, global: true},
+		{tid: 5, cta: 1, epoch: 2, addr: 0x24, global: true},
+		{tid: 8, cta: 2, epoch: 0, addr: 0x20, global: true, store: true},
 	}
-	var want string
-	for rot := 0; rot < len(accs); rot++ {
-		r := NewRecorder(2, 4)
-		ka, kb := r.Sink(), r.Sink()
-		for i := range accs {
-			a := accs[(i+rot)%len(accs)]
-			k := ka
-			if i%2 == 1 {
-				k = kb
+	// 0x24 races inside one sink; the lower 0x20 only across the two.
+	const want = "global word 0x20 written and accessed by unordered blocks"
+	orders := 0
+	var permute func(order []int, used uint)
+	permute = func(order []int, used uint) {
+		if len(order) < len(accs) {
+			for i, a := range accs {
+				// accs lists a CTA's accesses in epoch order: i may go
+				// next only after every earlier access of its CTA.
+				ok := used&(1<<i) == 0
+				for j := 0; j < i && ok; j++ {
+					ok = accs[j].cta != a.cta || used&(1<<j) != 0
+				}
+				if ok {
+					permute(append(order, i), used|1<<i)
+				}
 			}
-			k.Mem(a.tid, a.cta, a.epoch, a.addr, true, a.store)
+			return
 		}
-		tr := r.Finalize()
-		if tr.Replayable {
-			t.Fatal("cross-block store on word 0x20 not detected")
+		orders++
+		for _, swap := range []bool{false, true} {
+			r := NewRecorder(3, 4)
+			k01, k2 := r.Sink(), r.Sink()
+			if swap {
+				k01, k2 = k2, k01
+			}
+			for _, i := range order {
+				if accs[i].cta == 2 {
+					accs[i].feed(k2)
+				} else {
+					accs[i].feed(k01)
+				}
+			}
+			if tr := r.Finalize(); tr.Replayable || tr.Reason != want {
+				t.Fatalf("arrival order %v (sinks swapped: %v): replayable %v, reason %q, want %q", order, swap, tr.Replayable, tr.Reason, want)
+			}
 		}
-		if rot == 0 {
-			want = tr.Reason
-		} else if tr.Reason != want {
-			t.Fatalf("rotation %d: reason %q != %q", rot, tr.Reason, want)
+	}
+	permute(nil, 0)
+	if orders != 30 { // 5! / (2! · 2! · 1!)
+		t.Fatalf("%d arrival orders tried, want 30", orders)
+	}
+}
+
+// TestFinalizeTwice: a second Finalize must return the first one's
+// trace, not a verdict over sinks the first call already consumed.
+func TestFinalizeTwice(t *testing.T) {
+	r := NewRecorder(1, 2)
+	k := r.Sink()
+	k.Mem(0, 0, 0, 0x20, true, true)
+	k.Mem(1, 0, 0, 0x20, true, false)
+	first, second := r.Finalize(), r.Finalize()
+	for _, tr := range []*Trace{first, second} {
+		if tr.Replayable || !strings.Contains(tr.Reason, "unordered threads") {
+			t.Fatalf("store+load in one epoch: replayable %v, reason %q", tr.Replayable, tr.Reason)
 		}
+	}
+	if first != second {
+		t.Fatal("second Finalize built a new trace")
 	}
 }

@@ -55,8 +55,8 @@ func (s *SM) execMem(c *candidate) error {
 	// apply commits the architectural effect for the threads that
 	// advance past the instruction. Replaying, the effect is consuming
 	// the peeked address-stream entries (global only) — memory and
-	// registers stay untouched. Recording additionally logs each
-	// advanced access for the race analysis.
+	// registers stay untouched. Recording additionally hands each
+	// advanced access to the race analysis.
 	apply := func(mask uint64) error { //sbwi:alloc-ok non-escaping; called directly in this frame (zero-alloc test pins it)
 		if s.rp != nil {
 			if global {

@@ -18,10 +18,11 @@ type block struct {
 	live    int // warps with unfinished threads
 	arrived int // live warps waiting at the block barrier
 
-	// epoch counts the block's barrier releases; the trace recorder
-	// logs it with every memory access, because two intra-block
-	// accesses are ordered exactly when their epochs differ (package
-	// replay's race analysis).
+	// epoch counts the block's barrier releases; the trace recorder is
+	// handed it with every memory access, because two intra-block
+	// accesses are ordered exactly when their epochs differ. It only
+	// ever increments, which package replay's race analysis relies on
+	// (see replay.Sink).
 	epoch int32
 }
 
