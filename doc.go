@@ -143,15 +143,23 @@
 //
 // The scheduling loop is event-driven but cycle-exact (a per-warp
 // issue-candidate cache, described in the header of
-// internal/sm/schedfast.go), an issued instruction executes warp-wide
-// over a register-major register file (package internal/exec's
-// comment), and the steady-state issue path does not allocate; the
-// golden-stats fixture pins that none of it moves a number. A launch
+// internal/sm/schedfast.go: a warp stalled by the scoreboard sleeps out
+// of the primary walk and its stall ticks are settled in closed form
+// when it wakes, and a warp-split advancing between its neighbours moves
+// in place, without a heap rebuild), an issued instruction executes
+// warp-wide over a register-major register file (package internal/exec's
+// comment), and the steady-state issue path does not allocate. That none
+// of it moves a number is pinned by internal/device's walk_stats.golden
+// (every sm.Stats counter, suite × architectures and variants),
+// golden_stats.json (the default configuration's headlines) and the
+// bench/ workload digests. A launch
 // does not build its SMs either: each worker slot of the run queue keeps
 // the SM shells of the last launch that finished cleanly on it, and the
 // next launch re-arms them in place (internal/sm's Runner.Reset) — the
 // result is bit-identical to a newly built SM's, and a launch that
-// fails in any way leaves nothing behind for reuse. The
+// fails in any way leaves nothing behind for reuse. The words a shell's
+// walk touches every cycle are allocated in whole cache lines, so the
+// shells of two worker slots never share one. The
 // repository measures itself one way: the bench/ module (bench/README.md
 // defines the workloads and metrics), compared between two commits with
 // .github/scripts/bench-pair.sh.

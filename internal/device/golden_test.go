@@ -13,10 +13,12 @@ import (
 	"testing"
 
 	"repro/internal/kernels"
+	"repro/internal/mem"
+	"repro/internal/sched"
 	"repro/internal/sm"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_stats.json from the current simulator")
+var updateGolden = flag.Bool("update", false, "rewrite the golden fixtures under testdata/ from the current simulator")
 
 // goldenEntry pins the headline per-benchmark numbers of the default
 // configuration (one SBI+SWI SM, flat-latency DRAM — the paper
@@ -131,5 +133,117 @@ func TestGoldenStats(t *testing.T) {
 	if len(drift) > 0 {
 		t.Errorf("default-config statistics drifted from the golden fixture (%d numbers):\n  %s\nIf the change is intentional, regenerate with `go test ./internal/device -run TestGoldenStats -update`.",
 			len(drift), strings.Join(drift, "\n  "))
+	}
+}
+
+const walkGoldenPath = "testdata/walk_stats.golden"
+
+// walkCell is one device configuration whose suite results TestWalkStatsGolden pins.
+type walkCell struct {
+	name  string
+	opts  []Option
+	bench []string // nil: the whole suite
+}
+
+func walkCells() []walkCell {
+	var cells []walkCell
+	for _, a := range sm.Architectures() {
+		cells = append(cells, walkCell{name: a.String(), opts: []Option{WithArch(a)}})
+	}
+	for _, v := range []struct {
+		name string
+		mut  func(*sm.Config)
+	}{
+		{"dep-mask", func(c *sm.Config) { c.DepMode = sched.DepMask }},
+		{"dep-warp", func(c *sm.Config) { c.DepMode = sched.DepWarp }},
+		{"constraints-off", func(c *sm.Config) { c.Constraints = false }},
+		{"mem-split", func(c *sm.Config) { c.SplitOnMemDivergence = true }},
+		{"sb-entries-2", func(c *sm.Config) { c.ScoreboardEntries = 2 }},
+		{"mirror-odd", func(c *sm.Config) { c.Shuffle = sched.ShuffleMirrorOdd }},
+	} {
+		cells = append(cells, walkCell{name: "SBI+SWI/" + v.name, opts: []Option{WithArch(sm.ArchSBISWI), WithModifier(v.mut)}})
+	}
+	return append(cells, walkCell{
+		name:  "SBI+SWI/l2-4sm",
+		opts:  []Option{WithArch(sm.ArchSBISWI), WithSMs(4), WithGridPartition(true), WithL2(mem.DefaultL2())},
+		bench: []string{"Transpose", "Histogram", "WriteStorm"},
+	})
+}
+
+// TestWalkStatsGolden pins every field of sm.Stats — scoreboard, pair,
+// unit, heap and memory counters, not only the headline numbers of
+// TestGoldenStats — for the whole suite on every architecture, on
+// SBI+SWI under each configuration that changes what the issue walk
+// probes, and on the shared-clock L2 path. The fixture was written at the
+// commit before the walk learned to skip stalled warps; a change to the
+// walk compares against it and never regenerates it (-update is for an
+// intentional timing-model change).
+func TestWalkStatsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates the suite on eleven configurations")
+	}
+	var got strings.Builder
+	for _, cell := range walkCells() {
+		suite := kernels.All()
+		if cell.bench != nil {
+			suite = suite[:0:0]
+			for _, name := range cell.bench {
+				b, ok := kernels.ByName(name)
+				if !ok {
+					t.Fatalf("%s missing", name)
+				}
+				suite = append(suite, b)
+			}
+		}
+		dev, err := New(cell.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := dev.RunSuite(context.Background(), suite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			if r.Err != nil {
+				t.Fatalf("%s %s: %v", cell.name, r.Name(), r.Err)
+			}
+			fmt.Fprintf(&got, "%s %s %+v\n", cell.name, r.Name(), r.Result.Stats)
+		}
+	}
+	if *updateGolden {
+		if err := os.WriteFile(walkGoldenPath, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(walkGoldenPath)
+	if err != nil {
+		t.Fatalf("read golden fixture: %v", err)
+	}
+	wantLines := strings.Split(string(raw), "\n")
+	gotLines := strings.Split(got.String(), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d lines, fixture has %d", len(gotLines), len(wantLines))
+	}
+	drift := 0
+	for i := range gotLines {
+		if gotLines[i] == wantLines[i] {
+			continue
+		}
+		if drift++; drift > 10 {
+			continue
+		}
+		// One "Field:value" token per counter: name the ones that moved.
+		g, w := strings.Fields(gotLines[i]), strings.Fields(wantLines[i])
+		var moved []string
+		for j := 0; j < len(g) && j < len(w); j++ {
+			if g[j] != w[j] {
+				moved = append(moved, fmt.Sprintf("got %s want %s", g[j], w[j]))
+			}
+		}
+		t.Errorf("line %d (%s %s) drifted: %s", i+1, w[0], w[1], strings.Join(moved, "; "))
+	}
+	if drift > 0 {
+		t.Errorf("%d of %d cells drifted from %s", drift, len(wantLines)-1, walkGoldenPath)
 	}
 }

@@ -227,16 +227,37 @@ func (h *Heap) Suspended(slot int) bool {
 
 // Advance moves the split in hot slot to nextPC, merging with any other
 // split already there. now is the current cycle (sideband-sorter
-// statistics).
-func (h *Heap) Advance(slot int, nextPC int, now int64) {
+// statistics). A split that stays strictly between its neighbours — below
+// the other hot context from slot 0, above it and below the CCT from
+// slot 1 — is bumped in place: nothing merges, reorders or dies, so the
+// layout, the slot masks and the statistics are already what rebuild
+// would leave. Every other move rebuilds, and Advance then reports
+// relaid together with the slot masks from before the move, which the
+// dependency-matrix scoreboard needs for its transition.
+func (h *Heap) Advance(slot int, nextPC int, now int64) (pre [3]uint64, relaid bool) {
 	c := h.Slot(slot)
 	if c == nil {
-		return
+		return pre, false
 	}
 	c.PC = nextPC
 	c.WaitDiv = -1
 	c.Parked = false
+	if h.inOrder(slot) {
+		return pre, false
+	}
+	pre = h.SlotMasks()
 	h.rebuild(now, false)
+	return pre, true
+}
+
+// inOrder reports whether the valid hot context in slot still sorts
+// strictly where it sits: hot[0] < hot[1] < cct[0] over the contexts
+// that exist (rebuild fills slot 0 first and the CCT last).
+func (h *Heap) inOrder(slot int) bool {
+	if slot == 0 {
+		return !h.hotValid[1] || h.hot[0].PC < h.hot[1].PC
+	}
+	return h.hot[0].PC < h.hot[1].PC && (len(h.cct) == 0 || h.hot[1].PC < h.cct[0].PC)
 }
 
 // Wait records that the split in slot attempted a SYNC carrying pcDiv

@@ -2,6 +2,8 @@ package reconv
 
 import (
 	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -355,5 +357,92 @@ func TestQuickHeapInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// advanceRebuilt is Advance as it was before the in-order path: the
+// move, then a full rebuild.
+func advanceRebuilt(h *Heap, slot, nextPC int, now int64) {
+	c := h.Slot(slot)
+	if c == nil {
+		return
+	}
+	c.PC, c.WaitDiv, c.Parked = nextPC, -1, false
+	h.rebuild(now, false)
+}
+
+// sameHeap compares everything two heaps hold but the CCT's spare
+// capacity.
+func sameHeap(a, b *Heap) bool {
+	return a.hot == b.hot && a.hotValid == b.hotValid && slices.Equal(a.cct, b.cct) &&
+		a.cctCap == b.cctCap && a.sorterFreeAt == b.sorterFreeAt && a.alive == b.alive && a.Stats == b.Stats
+}
+
+// TestAdvanceInOrderEqualsRebuild drives seeded random operation
+// sequences through two heaps, one advancing in place where Advance
+// allows it and one rebuilding on every advance, and requires them to
+// stay indistinguishable after every operation — slots, CCT, slot
+// masks, statistics, eligibility. An advance that reports the layout
+// kept must have left the slot masks alone, and one that re-laid it
+// must return the masks from before: the dependency-matrix scoreboard
+// skips its transition on the first and composes it from the second.
+func TestAdvanceInOrderEqualsRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	inPlace := 0
+	for seq := 0; seq < 5000; seq++ {
+		width := 8 + rng.Intn(57)
+		full := ^uint64(0) >> uint(64-width)
+		fast, ref := NewHeap(full, 1+rng.Intn(8)), new(Heap)
+		ref.Reset(full, fast.cctCap)
+		for now := int64(1); now <= 40 && !fast.Done(); now++ {
+			slot := rng.Intn(HotContexts)
+			c := fast.Slot(slot)
+			if c == nil {
+				slot, c = 0, fast.Slot(0)
+			}
+			pc, mask := c.PC, c.Mask
+			switch op := rng.Intn(10); {
+			case op < 5: // mostly straight-line, sometimes a jump either way
+				next := pc + 1
+				if rng.Intn(4) == 0 {
+					next = rng.Intn(24)
+				}
+				before := fast.SlotMasks()
+				pre, relaid := fast.Advance(slot, next, now)
+				advanceRebuilt(ref, slot, next, now)
+				if !relaid {
+					inPlace++
+					pre = fast.SlotMasks()
+				}
+				if pre != before {
+					t.Fatalf("seq %d cycle %d: Advance(%d, %d) relaid=%v with masks %x, before it %x", seq, now, slot, next, relaid, pre, before)
+				}
+			case op < 7:
+				taken, target := mask&rng.Uint64(), pc+2+rng.Intn(5)
+				fast.Diverge(pc, target, pc+1, taken, now)
+				ref.Diverge(pc, target, pc+1, taken, now)
+			case op == 7:
+				fast.Exit(slot, now)
+				ref.Exit(slot, now)
+			case op == 8:
+				div := rng.Intn(pc + 1)
+				fast.Wait(slot, div)
+				ref.Wait(slot, div)
+			default:
+				fast.Park(slot)
+				ref.Park(slot)
+			}
+			if !sameHeap(fast, ref) || fast.SlotMasks() != ref.SlotMasks() {
+				t.Fatalf("seq %d cycle %d: heaps diverged:\n in-order %+v\n rebuilt  %+v", seq, now, *fast, *ref)
+			}
+			for i := 0; i < HotContexts; i++ {
+				if fast.Eligible(i) != ref.Eligible(i) || fast.Suspended(i) != ref.Suspended(i) {
+					t.Fatalf("seq %d cycle %d: slot %d eligible/suspended differ", seq, now, i)
+				}
+			}
+		}
+	}
+	if inPlace == 0 {
+		t.Error("no advance took the in-order path")
 	}
 }

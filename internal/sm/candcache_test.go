@@ -12,16 +12,25 @@ import (
 // warp's heap or stack and a fresh Horizon at the current cycle. Fields
 // must match exactly; the thresholds must give the same verdict at every
 // cycle from s.now on (a threshold already in the past and a missing one
-// are the same answer).
-func checkCandCache(t *testing.T, s *SM) {
+// are the same answer). A sleeper is a ready warp holding such a record —
+// so the fresh Horizon still says stalled until its wake cycle — that
+// slept no later than walked, the cycle of the step's primary walk, wakes
+// after it, and that nextWake will not let the walk pass over.
+func checkCandCache(t *testing.T, s *SM, walked int64) {
 	t.Helper()
 	d := s.cfg.IssueDelay
 	for id := range s.cands {
 		r := s.cands[id]
+		if asleep := s.sleepers.has(id); asleep && !r.valid {
+			t.Fatalf("cycle %d: sleeper %d holds no record", s.now, id)
+		} else if asleep && (r.wake <= walked || r.from > walked+1 || s.nextWake > r.wake) {
+			t.Fatalf("cycle %d: sleeper %d sleeps [%d, %d) with nextWake %d after the walk of cycle %d",
+				s.now, id, r.from, r.wake, s.nextWake, walked)
+		}
 		if !r.valid {
 			continue
 		}
-		if s.readySet[id>>6]>>uint(id&63)&1 == 0 {
+		if !s.readySet.has(id) {
 			t.Fatalf("cycle %d: warp %d holds a record outside readySet", s.now, id)
 		}
 		w := s.warps[id]
@@ -50,36 +59,50 @@ func checkCandCache(t *testing.T, s *SM) {
 		}
 		// From s.now on: hazard stall on [s.now, lo), structural on [lo, hi).
 		lo, wantLo := max(r.hazT, s.now), max(hazT, s.now)
-		hi, wantHi := max(r.structT, lo), max(structT, wantLo)
+		hi, wantHi := max(r.wake, lo), max(structT, wantLo)
 		if lo != wantLo || hi != wantHi {
 			t.Fatalf("cycle %d: warp %d cached thresholds (%d, %d) stall until %d/%d, fresh (%d, %d) until %d/%d",
-				s.now, id, r.hazT, r.structT, lo, hi, hazT, structT, wantLo, wantHi)
+				s.now, id, r.hazT, r.wake, lo, hi, hazT, structT, wantLo, wantHi)
+		}
+	}
+}
+
+// stepCoherent runs the launch to completion, checking every record and
+// every sleeper against a fresh computation after every step — then
+// calling after, if not nil — and that the run ends with no sleeper left
+// to settle. It returns the finished SM.
+func stepCoherent(t *testing.T, c Config, l *exec.Launch, after func(*SM)) *SM {
+	t.Helper()
+	r, err := NewRunner(c, l, 0, l.GridDim, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &r.s
+	for {
+		walked := s.now
+		done, err := s.step(1 << 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			for _, word := range s.sleepers {
+				if word != 0 {
+					t.Fatalf("run ended with sleepers %#x unsettled", word)
+				}
+			}
+			return s
+		}
+		checkCandCache(t, s, walked)
+		if after != nil {
+			after(s)
 		}
 	}
 }
 
 // TestCandidateCacheCoherent pins the cache's invalidation rule — only
-// the warp's own events (refreshWarp) can change its record — by
-// checking every record against a fresh computation after every step.
+// the warp's own events (refreshWarp) can change its record, and none
+// reaches a sleeper — after every step.
 func TestCandidateCacheCoherent(t *testing.T) {
-	run := func(t *testing.T, c Config, l *exec.Launch) {
-		t.Helper()
-		r, err := NewRunner(c, l, 0, l.GridDim, RunOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := &r.s
-		for {
-			done, err := s.step(1 << 30)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if done {
-				return
-			}
-			checkCandCache(t, s)
-		}
-	}
 	loop := func(a Arch) *exec.Launch {
 		return newLaunch(assembleFor(t, "loop", shortLoopSrc, a), 4, 256, 4*256, 0)
 	}
@@ -88,15 +111,15 @@ func TestCandidateCacheCoherent(t *testing.T) {
 	}
 	for _, a := range Architectures() {
 		t.Run(a.String(), func(t *testing.T) {
-			run(t, Configure(a), loop(a))
-			run(t, Configure(a), memIdle(a))
+			stepCoherent(t, Configure(a), loop(a), nil)
+			stepCoherent(t, Configure(a), memIdle(a), nil)
 			for seed := uint64(1); seed <= 4; seed++ {
 				gen := progen.New(seed)
 				if _, err := gen.Program("fuzz", 6); err != nil {
 					t.Fatal(err)
 				}
 				p := assembleFor(t, "fuzz", gen.Source(), a)
-				run(t, Configure(a), &exec.Launch{Prog: p, GridDim: 2, BlockDim: 192, Global: make([]byte, 2*192*4)})
+				stepCoherent(t, Configure(a), &exec.Launch{Prog: p, GridDim: 2, BlockDim: 192, Global: make([]byte, 2*192*4)}, nil)
 			}
 		})
 	}
@@ -109,12 +132,54 @@ func TestCandidateCacheCoherent(t *testing.T) {
 		{"dep-mask", ArchSBISWI, func(c *Config) { c.DepMode = sched.DepMask }},
 		{"dep-warp", ArchSBI, func(c *Config) { c.DepMode = sched.DepWarp }},
 		{"mirror-odd", ArchSBI, func(c *Config) { c.Shuffle = sched.ShuffleMirrorOdd }},
+		{"sb-entries-2", ArchSBISWI, func(c *Config) { c.ScoreboardEntries = 2 }},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			c := Configure(v.arch)
 			v.mut(&c)
-			run(t, c, loop(v.arch))
-			run(t, c, memIdle(v.arch))
+			stepCoherent(t, c, loop(v.arch), nil)
+			stepCoherent(t, c, memIdle(v.arch), nil)
+		})
+	}
+}
+
+// TestSleeperWakesInsideIdleSpan is the case the idle-span accounting
+// must split: the mem-idle kernel's loads take one LSU transaction per
+// thread, so a warp sleeping on the address it is about to load from
+// sees its hazard clear inside a fast-forwarded span while the LSU is
+// still busy. Its settlement owns the span up to the wake cycle and
+// accountIdle the probes from there on; dropping the sleeper from the
+// whole span loses those Checks. The counters are the ones the per-cycle
+// rescan of every ready warp produced, recorded before the walk slept.
+func TestSleeperWakesInsideIdleSpan(t *testing.T) {
+	for _, want := range []struct {
+		arch                       Arch
+		checks, stalls, structural uint64
+	}{
+		{ArchBaseline, 3260405, 1511744, 0},
+		{ArchSBI, 1651468, 587236, 0},
+		{ArchSWI, 3148006, 1121414, 0},
+		{ArchSBISWI, 3152425, 1125834, 0},
+		{ArchWarp64, 1646712, 582372, 0},
+	} {
+		t.Run(want.arch.String(), func(t *testing.T) {
+			l := newLaunch(assembleFor(t, "mem", shortMemSrc, want.arch), 4, 256, 4*256+65536, 0, 4*256*4)
+			wokeInside := 0
+			s := stepCoherent(t, Configure(want.arch), l, func(s *SM) {
+				for id := range s.cands {
+					// A span the step skipped ended at s.now-1.
+					if r := &s.cands[id]; s.sleepers.has(id) && r.wake < s.now && s.units.freeAt(r.unit) >= s.now {
+						wokeInside++
+					}
+				}
+			})
+			if wokeInside == 0 {
+				t.Error("no sleeper's wake cycle fell inside an idle span with its unit busy to the end: the kernel no longer builds the case")
+			}
+			if st := s.sb.Stats; st.Checks != want.checks || st.Stalls != want.stalls || st.Structural != want.structural {
+				t.Errorf("scoreboard counters %d/%d/%d, the per-cycle rescan counted %d/%d/%d",
+					st.Checks, st.Stalls, st.Structural, want.checks, want.stalls, want.structural)
+			}
 		})
 	}
 }

@@ -179,7 +179,9 @@ func (s *SM) execMem(c *candidate) error {
 			}
 			s.stats.MemSplits++
 			s.sb.Issue(w.id, ins, c.slot, hitMask, hitReady)
-			s.mutateHeap(w, func() { w.heap.Diverge(c.pc, c.pc+1, c.pc, hitMask, s.now) }) //sbwi:alloc-ok non-escaping argument to mutateHeap
+			pre := w.heap.SlotMasks()
+			w.heap.Diverge(c.pc, c.pc+1, c.pc, hitMask, s.now)
+			s.slotsMoved(w, pre)
 			return nil
 		}
 	}

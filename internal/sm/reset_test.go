@@ -247,3 +247,42 @@ func TestResetRejectsLikeNewRunner(t *testing.T) {
 	got, gl := runRecycled(t, r, &cases[2], RunOpts{})
 	checkEqualsFresh(t, &cases[2], RunOpts{}, got, gl)
 }
+
+// TestHotWordsOwnTheirLines: the few words the walk reads every cycle
+// and writes at every issue — readySet with sleepers, slotOf, the
+// buddy-set masks, the MAD groups' free times — come in blocks of whole
+// cache lines, which the allocator aligns to the line, whatever geometry
+// the shell was last sized for. Smaller blocks land beside another
+// worker's shell now and then and every write then costs the other core
+// a miss; a sixteen-byte block would pass here one time in four, so the
+// test asks every array of every shell it builds.
+func TestHotWordsOwnTheirLines(t *testing.T) {
+	cases := resetCases(t, 3, 40)
+	for shell := 0; shell < 4; shell++ {
+		r := new(Runner)
+		for i := shell; i < len(cases); i += 4 {
+			c := &cases[i]
+			l := c.mk()
+			if err := r.Reset(c.cfg, l, 0, l.GridDim, RunOpts{}); err != nil {
+				t.Fatalf("%s: Reset: %v", c.name, err)
+			}
+			s := &r.s
+			type span struct {
+				name  string
+				words any
+			}
+			hot := []span{{"readySet", s.readySet}, {"slotOf", s.slotOf}, {"madFree", s.units.madFree}}
+			if s.setBits != nil {
+				hot = append(hot, span{"setBits", s.setBits[0]})
+			}
+			for _, b := range hot {
+				if p := reflect.ValueOf(b.words).Pointer(); p%cacheLine != 0 {
+					t.Errorf("%s: %s starts at %#x, %d bytes into a cache line", c.name, b.name, p, p%cacheLine)
+				}
+			}
+			if reflect.ValueOf(s.sleepers).Pointer() != reflect.ValueOf(s.readySet).Pointer()+uintptr(8*len(s.readySet)) {
+				t.Errorf("%s: sleepers do not follow readySet in its block", c.name)
+			}
+		}
+	}
+}

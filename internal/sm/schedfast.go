@@ -16,6 +16,13 @@ package sm
 //     and a warp's entry rows change only in its own heap mutations, so
 //     the verdict is a step function of the cycle until the warp's next
 //     event: a probe is two integer compares plus the unit check.
+//   - sleepers are the ready warps the primary walk does not visit. A
+//     warp the walk probes and finds stalled by the scoreboard — the
+//     cycle before its record's wake threshold — is filed here with the
+//     first cycle it is spared; nextWake bounds the earliest wake cycle
+//     among them, and the walk wakes whoever is due before it starts, so
+//     a woken warp is probed that same cycle at its own place in the
+//     ascending order.
 //
 // Invalidation. Everything above reads only the warp's own state —
 // block residency, barrier flag, heap or stack, scoreboard entries — so
@@ -27,21 +34,44 @@ package sm
 // readySet. TestCandidateCacheCoherent checks after every step that
 // each live record equals a fresh computation.
 //
+// Settlement. Every probe the walk spares a sleeper would have stalled:
+// Checks and Stalls tick once per cycle of [from, wake), Structural once
+// per cycle of it at or past hazT. settle adds exactly that when the
+// warp wakes, so at any cycle the counters run behind the per-cycle
+// rescan's by what the current sleepers are owed and equal it whenever
+// none is left — at the latest when the last block retires. No event
+// reaches a sleeper before its wake cycle: refreshWarp's callers touch a
+// warp that issued, was at a barrier, is new or is done, and a sleeper is
+// none of these — it is resident and not at a barrier (it is in
+// readySet), the primary walk skips it, the SWI searches reject it (its
+// ready probe stalls), and the SBI and sequential secondaries belong to
+// the primary's own warp. refreshWarp settles a sleeper all the same
+// rather than assume it.
+//
 // Readers. The record is the only way the per-cycle walk asks the
 // scoreboard, and it has three readers, all probing in ascending warp
 // order — the seed rescan's order — and ticking the scoreboard counters
 // from the thresholds exactly as a ReadyAt call would, so counters,
-// tie-breaking draws and cycles are bit-identical with the seed (the
-// golden-stats fixture pins absolute results):
+// tie-breaking draws and cycles are bit-identical with the seed
+// (internal/device's walk_stats.golden pins every counter of every
+// kernel on every architecture, written by the walk that still rescanned
+// every ready warp every cycle):
 //
-//   - selectPrimary, the oldest-first primary walk;
+//   - selectPrimary, the oldest-first primary walk over the warps awake;
 //   - swiSecondary, both the buddy-set search beside a primary and the
-//     substitute search when no primary issued;
+//     substitute search when no primary issued. Whether it probes a warp
+//     depends on the primary's unit and lane mask, so it reads sleepers'
+//     records like anyone's and ticks per cycle;
 //   - fastForward, which after a cycle that issued nothing advances
 //     s.now across the idle span: with no issue every record is frozen,
 //     so the wake-up cycle is the minimum over records of
 //     max(thresholds, unit free time), and the counters the skipped
-//     probes would have ticked follow arithmetically (accountIdle).
+//     probes would have ticked follow arithmetically (accountIdle). A
+//     sleeper's share of the span is split at its wake cycle: the
+//     primary probes before it are its settlement's, those from it to
+//     the end of the span — scoreboard clear, unit still busy, Checks
+//     only — are accountIdle's. Leaving the sleeper out of the whole span
+//     loses the latter (TestSleeperWakesInsideIdleSpan).
 //
 // Splits off the primary slot — the same-cycle SBI and sequential
 // secondaries, probed at most once per cycle — query ReadyAt directly
@@ -51,6 +81,7 @@ package sm
 // in the same cycle — the bound on the table's length (sched.Prune).
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -62,10 +93,32 @@ import (
 // which oldest-first selection and tie-breaking depend on.
 type warpBits []uint64
 
-func newWarpBits(n int) warpBits { return make(warpBits, (n+63)/64) }
+// cacheLine is the unit in which cores trade memory. The walk reads
+// readySet, sleepers, slotOf, the buddy-set masks and the MAD groups'
+// free times every cycle and writes all but the masks at every issue,
+// sleep and wake, for as long as the shell lives — a few words each. A
+// block smaller than a line shares its line with whatever the allocator
+// puts beside it, and on a run queue with several workers that is
+// another worker's shell: each write on one core then costs the other a
+// miss, and whether two shells are paired that way is settled by the
+// order of their first allocations — a launch-storm pass took half
+// again as long in the processes where they were (two in five). Blocks
+// of whole lines are line-aligned in every size class of the runtime,
+// so these words are the shell's own (ownLines).
+const cacheLine = 64
 
-func (b warpBits) set(i int)   { b[i>>6] |= 1 << uint(i&63) }
-func (b warpBits) clear(i int) { b[i>>6] &^= 1 << uint(i&63) }
+// ownLines returns n zeroed elements of size bytes each at the head of a
+// block of whole cache lines.
+func ownLines[T any](n, size int) []T {
+	per := cacheLine / size
+	return make([]T, (n+per-1)/per*per)[:n:n]
+}
+
+func newWarpBits(words int) warpBits { return ownLines[uint64](words, 8) }
+
+func (b warpBits) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
+func (b warpBits) clear(i int)    { b[i>>6] &^= 1 << uint(i&63) }
+func (b warpBits) has(i int) bool { return b[i>>6]>>uint(i&63)&1 != 0 }
 
 // refreshWarp recomputes the cached schedulability of one warp after an
 // event that may have changed it, and drops its issue-candidate record.
@@ -95,6 +148,9 @@ func (s *SM) refreshWarp(w *warp) {
 			ok = true
 		}
 	}
+	if s.sleepers.has(w.id) {
+		s.settle(w.id, s.now)
+	}
 	s.slotOf[w.id] = int8(slot)
 	s.cands[w.id].valid = false
 	if ok {
@@ -107,14 +163,14 @@ func (s *SM) refreshWarp(w *warp) {
 // issueCand is one ready warp's cached issue candidate. With the warp's
 // state frozen between its own events, a probe at cycle t answers:
 //
-//	t <  hazT:            the scoreboard reports a data-hazard stall
-//	hazT <= t < structT:  the entry table is structurally full (counted
-//	                      as both a stall and a structural stall)
-//	otherwise:            the scoreboard is clear; only the target
-//	                      unit's busy time holds the candidate back
+//	t <  hazT:         the scoreboard reports a data-hazard stall
+//	hazT <= t < wake:  the entry table is structurally full (counted as
+//	                   both a stall and a structural stall)
+//	wake <= t:         the scoreboard is clear; only the target unit's
+//	                   busy time holds the candidate back
 //
 // The full candidate is rebuilt from pc/mask/lane on selection (pick),
-// which keeps the record at 48 bytes per warp context.
+// which keeps the record at 56 bytes per warp context.
 type issueCand struct {
 	valid     bool
 	unit      isa.Unit
@@ -123,7 +179,32 @@ type issueCand struct {
 	lane      uint64
 	lastIssue int64 // oldest-first age key and once-per-cycle issue guard
 	hazT      int64 // negInf when no live entry conflicts
-	structT   int64 // negInf when the table is not full or nothing is written
+	wake      int64 // hazT, or later while the table stays full for a written destination
+	from      int64 // sleeper only: the first cycle of its sleep
+}
+
+// describe renders the record for dumpState: the unit the candidate
+// needs, the cycles its data hazard and (when later) its structural
+// stall end, and whether the primary walk is probing it.
+func (r *issueCand) describe(asleep bool) string {
+	if !r.valid {
+		return " ready{not probed since its last event}"
+	}
+	threshold := func(t int64) string {
+		if t == negInf {
+			return "-"
+		}
+		return fmt.Sprint(t)
+	}
+	structT := int64(negInf)
+	if r.wake > r.hazT {
+		structT = r.wake
+	}
+	state := "awake"
+	if asleep {
+		state = fmt.Sprintf("asleep until %d", r.wake)
+	}
+	return fmt.Sprintf(" ready{unit=%v hazT=%s structT=%s %s}", r.unit, threshold(r.hazT), threshold(structT), state)
 }
 
 // negInf is a sentinel "always in the past" threshold, kept far from
@@ -163,12 +244,13 @@ func (s *SM) fillCand(id int, r *issueCand) {
 	d := s.cfg.IssueDelay
 	hazWB, hasHaz, structWB, hasStruct := s.sb.Horizon(id, ins, s.srcsOf[pc], slot, mask, s.now-d)
 	*r = issueCand{valid: true, unit: ins.Op.Unit(), pc: int32(pc), mask: mask, lane: w.laneMask(mask),
-		lastIssue: last, hazT: negInf, structT: negInf}
+		lastIssue: last, hazT: negInf}
 	if hasHaz {
 		r.hazT = hazWB + d
 	}
+	r.wake = r.hazT
 	if hasStruct {
-		r.structT = structWB + d
+		r.wake = max(r.hazT, structWB+d)
 	}
 }
 
@@ -183,16 +265,67 @@ func (s *SM) ready(r *issueCand) bool {
 	}
 	st := &s.sb.Stats
 	st.Checks++
-	switch {
-	case s.now < r.hazT:
+	if s.now < r.wake {
 		st.Stalls++
-		return false
-	case s.now < r.structT:
-		st.Stalls++
-		st.Structural++
+		if s.now >= r.hazT {
+			st.Structural++
+		}
 		return false
 	}
 	return s.units.canIssue(r.unit, r.lane, s.now)
+}
+
+// sleep takes a warp the primary walk has just probed and found stalled
+// by the scoreboard out of the walk until its record's wake cycle.
+//
+//sbwi:hotpath
+func (s *SM) sleep(id int, r *issueCand) {
+	s.sleepers.set(id)
+	r.from = s.now + 1
+	s.nextWake = min(s.nextWake, r.wake)
+}
+
+// settle ends a warp's sleep at cycle end (at most its wake cycle): the
+// primary walk's probes of the cycles [from, end) it was spared, every
+// one a stall, tick the counters in closed form.
+//
+//sbwi:hotpath
+func (s *SM) settle(id int, end int64) {
+	r := &s.cands[id]
+	s.tickSpan(r, r.from, min(end, r.wake)-1)
+	s.sleepers.clear(id)
+}
+
+// tickSpan ticks the scoreboard counters as one primary-walk probe of
+// the record per cycle of [lo, hi] would, the record frozen throughout.
+//
+//sbwi:hotpath
+func (s *SM) tickSpan(r *issueCand, lo, hi int64) {
+	st := &s.sb.Stats
+	stallHi := min(hi, r.wake-1)
+	st.Checks += count(lo, hi)
+	st.Stalls += count(lo, stallHi)
+	st.Structural += count(max(lo, r.hazT), stallHi)
+}
+
+// wakeSleepers settles every sleeper whose wake cycle has come and
+// finds the next one due. Woken warps rejoin readySet's ascending walk
+// in the same cycle, at their own position.
+//
+//sbwi:hotpath
+func (s *SM) wakeSleepers() {
+	next := int64(math.MaxInt64)
+	for base, word := range s.sleepers {
+		for ; word != 0; word &= word - 1 {
+			id := base<<6 | bits.TrailingZeros64(word)
+			if wake := s.cands[id].wake; wake > s.now {
+				next = min(next, wake)
+			} else {
+				s.settle(id, wake)
+			}
+		}
+	}
+	s.nextWake = next
 }
 
 // pick rebuilds the full candidate of a selected warp from its record
@@ -221,7 +354,7 @@ func (s *SM) fastForward(maxCycles int64) error {
 	for base, word := range s.readySet {
 		for ; word != 0; word &= word - 1 {
 			r := s.cand(base<<6 | bits.TrailingZeros64(word))
-			wake = min(wake, max(r.hazT, r.structT, s.units.freeAt(r.unit)))
+			wake = min(wake, max(r.wake, s.units.freeAt(r.unit)))
 		}
 	}
 	if wake <= s.now {
@@ -250,19 +383,21 @@ func (s *SM) accountIdle(a, b int64) {
 		for ; word != 0; word &= word - 1 {
 			id := base<<6 | bits.TrailingZeros64(word)
 			r := &s.cands[id]
-			stallHi := min(b, max(r.hazT, r.structT)-1)
-			structLo := max(a, r.hazT)
-			structHi := min(b, r.structT-1)
-
-			st.Checks += count(a, b)
-			st.Stalls += count(a, stallHi)
-			st.Structural += count(structLo, structHi)
+			lo := a
+			if s.sleepers.has(id) {
+				// Its settlement owns the primary probes before its wake
+				// cycle; the walk's share of the span is the rest — the
+				// scoreboard clear, the unit still busy.
+				lo = max(a, r.wake)
+			}
+			s.tickSpan(r, lo, b)
 
 			if numSets > 0 {
 				residue := int64(s.memberOf[id])
+				stallHi := min(b, r.wake-1)
 				st.Checks += countResidue(a, b, residue, numSets)
 				st.Stalls += countResidue(a, stallHi, residue, numSets)
-				st.Structural += countResidue(structLo, structHi, residue, numSets)
+				st.Structural += countResidue(max(a, r.hazT), stallHi, residue, numSets)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package sm
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 
@@ -54,10 +55,16 @@ type SM struct {
 	// slot and cands their cached issue candidate. All three are
 	// refreshed at the events that change them — issue, barrier release,
 	// block launch and retire — instead of being re-derived from every
-	// warp context each cycle.
+	// warp context each cycle. sleepers are the warps of readySet the
+	// primary walk skips: each was probed, found stalled by the
+	// scoreboard, and is owed the stall ticks of every cycle since,
+	// settled when it wakes; nextWake is no later than the earliest wake
+	// cycle among them.
 	readySet warpBits
 	slotOf   []int8
 	cands    []issueCand
+	sleepers warpBits
+	nextWake int64
 
 	// SWI: per-buddy-set warp masks and the buddy-set index containing
 	// each warp, both derived from lookup; nil on the other
@@ -313,8 +320,10 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 		for i := range s.warps {
 			s.warps[i] = &warp{id: i}
 		}
-		s.readySet = newWarpBits(cfg.NumWarps)
-		s.slotOf = make([]int8, cfg.NumWarps)
+		words := (cfg.NumWarps + 63) / 64
+		sets := newWarpBits(2 * words) // both sets from one allocation
+		s.readySet, s.sleepers = sets[:words:words], sets[words:]
+		s.slotOf = ownLines[int8](cfg.NumWarps, 1)
 		s.cands = make([]issueCand, cfg.NumWarps)
 		s.swiTies = make([]int, 0, cfg.NumWarps)
 		s.freeBuf = make([]*warp, 0, cfg.NumWarps)
@@ -328,6 +337,8 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 		}
 	}
 	clear(s.readySet) // slotOf and cands are rewritten by refreshWarp before a warp's bit is set
+	clear(s.sleepers)
+	s.nextWake = math.MaxInt64
 	if cap(s.txnBuf) < cfg.WarpWidth {
 		s.txnBuf = make([]uint32, 0, cfg.WarpWidth)
 		s.txnReady = make([]int64, 0, cfg.WarpWidth)
@@ -368,8 +379,10 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 	if swi && s.setBits == nil {
 		s.setBits = make([]warpBits, s.lookup.NumSets())
 		s.memberOf = make([]int, cfg.NumWarps)
+		words := (cfg.NumWarps + 63) / 64
+		masks := newWarpBits(len(s.setBits) * words) // read every cycle: no stranger's writes beside them
 		for si := range s.setBits {
-			m := newWarpBits(cfg.NumWarps)
+			m := masks[si*words : (si+1)*words : (si+1)*words]
 			for _, wid := range s.lookup.SetWarps(si) {
 				m.set(wid)
 				s.memberOf[wid] = si
@@ -489,7 +502,9 @@ func (s *SM) done() bool {
 	return s.nextCTA >= s.ctaEnd && len(s.blocks) == 0
 }
 
-// dumpState renders a one-line-per-warp summary for livelock reports.
+// dumpState renders a one-line-per-warp summary for livelock reports:
+// where each warp-split stands and, for a warp the front-end would
+// schedule, what its issue-candidate record says holds it back.
 func (s *SM) dumpState() string {
 	var out strings.Builder
 	fmt.Fprintf(&out, "  cycle %d, next CTA %d of [., %d)\n", s.now, s.nextCTA, s.ctaEnd)
@@ -508,6 +523,9 @@ func (s *SM) dumpState() string {
 			out.WriteString(w.heap.String())
 		} else if pc, mask, ok := w.stack.Active(); ok {
 			fmt.Fprintf(&out, "stack{pc=%d mask=%x}", pc, mask)
+		}
+		if s.readySet.has(w.id) {
+			out.WriteString(s.cands[w.id].describe(s.sleepers.has(w.id)))
 		}
 		out.WriteByte('\n')
 	}
@@ -649,8 +667,7 @@ func (s *SM) releaseBarriers() {
 			w.atBarrier = false
 			if w.heap != nil {
 				if c := w.heap.Slot(0); c != nil {
-					next := c.PC + 1
-					s.mutateHeap(w, func() { w.heap.Advance(0, next, s.now) }) //sbwi:alloc-ok non-escaping argument to mutateHeap
+					s.advanceHeap(w, 0, c.PC+1)
 				}
 			} else {
 				w.stack.Advance()
@@ -662,21 +679,31 @@ func (s *SM) releaseBarriers() {
 	}
 }
 
-// mutateHeap wraps a heap mutation with the slot-transition update of
-// the dependency-matrix scoreboard (§3.4). Composing one transition per
+// slotsMoved follows a heap mutation with the slot-transition update of
+// the dependency-matrix scoreboard (§3.4); pre holds the warp's
+// SlotMasks from before the mutation. Composing one transition per
 // mutation is equivalent to the hardware's one matrix per cycle, and
 // keeps the rows consistent with slot numbering for intra-cycle
 // secondary scheduling.
 //
 //sbwi:hotpath
-func (s *SM) mutateHeap(w *warp, f func()) {
-	if s.sb.Mode() != sched.DepMatrix {
-		f()
-		return
+func (s *SM) slotsMoved(w *warp, pre [3]uint64) {
+	if s.sb.Mode() == sched.DepMatrix {
+		s.sb.Transition(w.id, sched.Transition(pre, w.heap.SlotMasks()))
 	}
-	pre := w.heap.SlotMasks()
-	f()
-	s.sb.Transition(w.id, sched.Transition(pre, w.heap.SlotMasks()))
+}
+
+// advanceHeap moves the warp's hot split in slot to nextPC. An in-order
+// advance leaves the slot masks as they were, and a transition between
+// equal masks is the identity on every row a live entry can hold (a row
+// has no bit on an empty slot), so only a move that re-laid the heap
+// reaches the scoreboard.
+//
+//sbwi:hotpath
+func (s *SM) advanceHeap(w *warp, slot, nextPC int) {
+	if pre, relaid := w.heap.Advance(slot, nextPC, s.now); relaid {
+		s.slotsMoved(w, pre)
+	}
 }
 
 // cycle performs one scheduling cycle: every pool issues a primary
@@ -791,23 +818,35 @@ func (s *SM) primarySlot(w *warp) int {
 // selectPrimary picks the least-recently-issued ready (warp, split) in
 // the pool (oldest-first, §2) into out. pool is a parity filter for the
 // baseline and 0 for single-pool architectures. The walk covers only
-// the incrementally maintained issuable set, in ascending warp order —
-// the order the seed's full rescan visited warps — so scoreboard
-// counters and tie-breaking draws match the original loop exactly.
+// the incrementally maintained issuable set less its sleepers, in
+// ascending warp order — the order the seed's full rescan visited warps.
+// A warp it finds stalled by the scoreboard goes to sleep until the
+// stall ends; the probes it is spared meanwhile are settled when it
+// wakes (schedfast.go), so scoreboard counters and tie-breaking draws
+// match the original loop exactly.
 //
 //sbwi:hotpath
 func (s *SM) selectPrimary(pool int, out *candidate) bool {
+	if s.now >= s.nextWake {
+		s.wakeSleepers()
+	}
 	parity := s.cfg.pools() == 2
 	best := -1
 	var bestAge int64
 	for base, word := range s.readySet {
+		word &^= s.sleepers[base]
 		for ; word != 0; word &= word - 1 {
 			id := base<<6 | bits.TrailingZeros64(word)
 			if parity && id&1 != pool {
 				continue
 			}
-			if r := s.cand(id); s.ready(r) && (best < 0 || r.lastIssue < bestAge) {
-				best, bestAge = id, r.lastIssue
+			switch r := s.cand(id); {
+			case s.ready(r):
+				if best < 0 || r.lastIssue < bestAge {
+					best, bestAge = id, r.lastIssue
+				}
+			case r.lastIssue < s.now && s.now < r.wake:
+				s.sleep(id, r)
 			}
 		}
 	}
@@ -1047,7 +1086,7 @@ func (s *SM) markIssued(w *warp, slot int) {
 //sbwi:hotpath
 func (s *SM) advance(c *candidate, nextPC int) {
 	if c.w.heap != nil {
-		s.mutateHeap(c.w, func() { c.w.heap.Advance(c.slot, nextPC, s.now) }) //sbwi:alloc-ok non-escaping argument to mutateHeap
+		s.advanceHeap(c.w, c.slot, nextPC)
 		return
 	}
 	if nextPC == c.pc+1 {
@@ -1131,7 +1170,9 @@ func (s *SM) execBranch(c *candidate) error {
 	default:
 		s.stats.Divergences++
 		if w.heap != nil {
-			s.mutateHeap(w, func() { w.heap.Diverge(c.pc, ins.Target, c.pc+1, taken, s.now) }) //sbwi:alloc-ok non-escaping argument to mutateHeap
+			pre := w.heap.SlotMasks()
+			w.heap.Diverge(c.pc, ins.Target, c.pc+1, taken, s.now)
+			s.slotsMoved(w, pre)
 		} else {
 			w.stack.Diverge(c.pc, ins.Target, ins.RecPC, taken)
 		}
@@ -1157,7 +1198,9 @@ func (s *SM) execSync(c *candidate) {
 //sbwi:hotpath
 func (s *SM) execExit(c *candidate) {
 	if c.w.heap != nil {
-		s.mutateHeap(c.w, func() { c.w.heap.Exit(c.slot, s.now) }) //sbwi:alloc-ok non-escaping argument to mutateHeap
+		pre := c.w.heap.SlotMasks()
+		c.w.heap.Exit(c.slot, s.now)
+		s.slotsMoved(c.w, pre)
 		return
 	}
 	c.w.stack.Exit(c.mask)

@@ -29,7 +29,7 @@ type units struct {
 func (u *units) reset(cfg *Config) {
 	free := u.madFree
 	if len(free) != cfg.MADGroups {
-		free = make([]int64, cfg.MADGroups)
+		free = ownLines[int64](cfg.MADGroups, 8) // probed every cycle, written at every MAD issue
 	}
 	clear(free)
 	*u = units{cfg: cfg, madFree: free, rowCycle: -1}
