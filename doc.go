@@ -148,7 +148,10 @@
 // when it wakes, and a warp-split advancing between its neighbours moves
 // in place, without a heap rebuild), an issued instruction executes
 // warp-wide over a register-major register file (package internal/exec's
-// comment), and the steady-state issue path does not allocate. That none
+// comment), both cache levels keep their outstanding misses in one MSHR
+// table — a heap on ready cycle indexed by block, so a miss costs a probe
+// and a sift rather than scans of hundreds of fills in flight — and the
+// steady-state issue path does not allocate. That none
 // of it moves a number is pinned by internal/device's walk_stats.golden
 // (every sm.Stats counter, suite × architectures and variants),
 // golden_stats.json (the default configuration's headlines) and the

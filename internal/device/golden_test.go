@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/mem"
+	"repro/internal/noc"
 	"repro/internal/sched"
 	"repro/internal/sm"
 )
@@ -163,24 +164,36 @@ func walkCells() []walkCell {
 	} {
 		cells = append(cells, walkCell{name: "SBI+SWI/" + v.name, opts: []Option{WithArch(sm.ArchSBISWI), WithModifier(v.mut)}})
 	}
-	return append(cells, walkCell{
-		name:  "SBI+SWI/l2-4sm",
-		opts:  []Option{WithArch(sm.ArchSBISWI), WithSMs(4), WithGridPartition(true), WithL2(mem.DefaultL2())},
-		bench: []string{"Transpose", "Histogram", "WriteStorm"},
-	})
+	l2 := []Option{WithArch(sm.ArchSBISWI), WithSMs(4), WithGridPartition(true), WithL2(mem.DefaultL2())}
+	sweep := []string{"Transpose", "Histogram", "WriteStorm"}
+	cells = append(cells, walkCell{name: "SBI+SWI/l2-4sm", opts: l2, bench: sweep})
+	// A starved port (the timing sweep's low end) keeps the L1 miss
+	// tables at their deepest backlog.
+	for _, bw := range []float64{3, 8} {
+		nc := noc.Default()
+		nc.BytesPerCycle = bw
+		cells = append(cells, walkCell{
+			name:  fmt.Sprintf("SBI+SWI/l2-4sm-noc%g", bw),
+			opts:  append(l2[:len(l2):len(l2)], WithInterconnect(nc)),
+			bench: sweep,
+		})
+	}
+	return cells
 }
 
 // TestWalkStatsGolden pins every field of sm.Stats — scoreboard, pair,
 // unit, heap and memory counters, not only the headline numbers of
 // TestGoldenStats — for the whole suite on every architecture, on
 // SBI+SWI under each configuration that changes what the issue walk
-// probes, and on the shared-clock L2 path. The fixture was written at the
-// commit before the walk learned to skip stalled warps; a change to the
-// walk compares against it and never regenerates it (-update is for an
-// intentional timing-model change).
+// probes, and on the shared-clock L2 path at the default and two starved
+// NoC port bandwidths. The fixture was written at the commit before the
+// walk learned to skip stalled warps (the starved-NoC cells at the
+// commit before the indexed MSHR table); a change to the walk or the
+// memory layer compares against it and never regenerates it (-update is
+// for an intentional timing-model change).
 func TestWalkStatsGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulates the suite on eleven configurations")
+		t.Skip("simulates the suite on fourteen configurations")
 	}
 	var got strings.Builder
 	for _, cell := range walkCells() {

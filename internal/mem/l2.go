@@ -121,7 +121,6 @@ func NewL2(cfg L2Config, mem Config) *L2 {
 		mem:   mem,
 		arr:   newCacheArray(cfg.Bytes, cfg.Ways, mem.BlockBytes),
 		port:  noc.NewLink(mem.BytesPerCycle, mem.MemLatency),
-		mshr:  mshrTable{},
 		banks: banks,
 	}
 }
@@ -181,14 +180,15 @@ func (l *L2) Access(now int64, blockAddr uint32, store bool) int64 {
 		return hit
 	}
 	l.Stats.Misses++
-	if ready, ok := l.mshr.outstanding(blockAddr, now); ok {
+	ready, pending, slot := l.mshr.outstanding(blockAddr, now)
+	if pending {
 		// Evicted while its fill is outstanding: merge, no new traffic.
 		l.Stats.MSHRMerges++
 		return ready
 	}
-	ready := l.port.Reserve(served, l.mem.BlockBytes)
+	ready = l.port.Reserve(served, l.mem.BlockBytes)
 	l.Stats.BytesFromMem += uint64(l.mem.BlockBytes)
-	l.mshr.insert(blockAddr, ready)
+	l.mshr.insert(slot, blockAddr, ready)
 	l.mshr.prune(now)
 	if l.arr.fill(blockAddr, ready) {
 		l.Stats.Evictions++

@@ -164,7 +164,7 @@ func (h *Hierarchy) Reset(cfg Config) {
 	}
 	h.cfg = cfg
 	h.port = noc.NewLink(cfg.BytesPerCycle, cfg.MemLatency)
-	h.mshr.fills = h.mshr.fills[:0]
+	h.mshr.reset()
 	h.Stats = Stats{}
 	h.SetLower(nil)
 }
@@ -207,6 +207,8 @@ func (h *Hierarchy) BlockAddr(addr uint32) uint32 {
 // Load presents one load transaction for blockAddr at cycle now and
 // returns the cycle at which its data is available. An access to a line
 // whose fill is still in flight waits for the fill (hit-under-fill).
+//
+//sbwi:hotpath
 func (h *Hierarchy) Load(now int64, blockAddr uint32) int64 {
 	h.Stats.Loads++
 	if l := h.arr.lookup(blockAddr); l != nil {
@@ -220,15 +222,16 @@ func (h *Hierarchy) Load(now int64, blockAddr uint32) int64 {
 		return hit
 	}
 	h.Stats.Misses++
-	if ready, ok := h.mshr.outstanding(blockAddr, now); ok {
+	ready, pending, slot := h.mshr.outstanding(blockAddr, now)
+	if pending {
 		// The line was evicted while its fill is still outstanding:
 		// merge into the fill without spending more bandwidth.
 		h.Stats.MSHRMerges++
 		return ready
 	}
-	ready := h.below(now, false, blockAddr)
+	ready = h.below(now, false, blockAddr)
 	h.Stats.BytesFromMem += uint64(h.cfg.BlockBytes)
-	h.mshr.insert(blockAddr, ready)
+	h.mshr.insert(slot, blockAddr, ready)
 	if n := h.mshr.prune(now); n > h.Stats.PeakOutstanding {
 		h.Stats.PeakOutstanding = n
 	}
