@@ -72,7 +72,6 @@ func TestRunSuiteReportsOracleMismatch(t *testing.T) {
 		Reference: func(_ *kernels.Benchmark, global []byte, _ [isa.NumParams]uint32) {
 			global[0] = 0xFF // deliberately wrong
 		},
-		FrontierLayout: true,
 	}
 	dev, err := New(WithArch(sm.ArchSBISWI))
 	if err != nil {
@@ -325,8 +324,7 @@ func mustProgram(t *testing.T, name, src string) *isa.Program {
 		Setup: func(*kernels.Benchmark) ([]byte, [isa.NumParams]uint32) {
 			return nil, [isa.NumParams]uint32{}
 		},
-		Reference:      func(*kernels.Benchmark, []byte, [isa.NumParams]uint32) {},
-		FrontierLayout: true,
+		Reference: func(*kernels.Benchmark, []byte, [isa.NumParams]uint32) {},
 	}
 	p, err := b.Program(true)
 	if err != nil {

@@ -1,6 +1,9 @@
 package kernels
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // rng is a deterministic xorshift32 used by input generators and by
 // kernels whose reference implementations need the same stream.
@@ -32,18 +35,8 @@ func (r *rng) unitFloat() float32 {
 // byte image, addressed in 4-byte words.
 type image []byte
 
-func newImage(words int) image { return make(image, words*4) }
-
-func (g image) put(word int, v uint32) {
-	g[word*4] = byte(v)
-	g[word*4+1] = byte(v >> 8)
-	g[word*4+2] = byte(v >> 16)
-	g[word*4+3] = byte(v >> 24)
-}
-
-func (g image) get(word int) uint32 {
-	return uint32(g[word*4]) | uint32(g[word*4+1])<<8 | uint32(g[word*4+2])<<16 | uint32(g[word*4+3])<<24
-}
+func (g image) put(word int, v uint32) { binary.LittleEndian.PutUint32(g[4*word:], v) }
+func (g image) get(word int) uint32    { return binary.LittleEndian.Uint32(g[4*word:]) }
 
 func (g image) putF(word int, v float32) { g.put(word, math.Float32bits(v)) }
 func (g image) getF(word int) float32    { return math.Float32frombits(g.get(word)) }
@@ -69,17 +62,3 @@ func frsq(a float32) float32    { return float32(1.0 / math.Sqrt(float64(a))) }
 func fsqrt(a float32) float32   { return float32(math.Sqrt(float64(a))) }
 func fex2(a float32) float32    { return float32(math.Exp2(float64(a))) }
 func flg2(a float32) float32    { return float32(math.Log2(float64(a))) }
-
-func imin(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func imax(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -67,9 +67,6 @@ func TestSuiteGolden(t *testing.T) {
 		got.WriteString(suiteLine(t, b) + "\n")
 	}
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(suiteGoldenPath, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -1,25 +1,29 @@
 package kernels
 
-import "repro/internal/isa"
-
 // The irregular suite (figure 7b): kernels with data-dependent branch
 // divergence, unbalanced if-blocks, variable-trip loops, and scattered
 // memory access — the workloads SBI and SWI are built for.
 
-// newBFS ports the Rodinia breadth-first search frontier expansion: an
+// bfs ports the Rodinia breadth-first search frontier expansion: an
 // unbalanced active-node gate, a data-dependent neighbor loop, and
 // scattered distance updates. Frontier writes all store the same level
 // value, so the result is order-independent.
-func newBFS() *Benchmark {
+func bfs() kernel {
 	const grid, block, level = 8, 256, 1
 	n := grid * block
-	b := &Benchmark{
-		Name: "BFS", Regular: false, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+	deg := func(v int) int {
+		if v%16 == 0 {
+			return 24
+		}
+		return v % 4
+	}
+	edges := 0
+	for v := 0; v < n; v++ {
+		edges += deg(v)
+	}
+	return kernel{
+		name: "BFS", grid: grid, block: block,
+		src: gid + `
 	mov  r5, %p0
 	shl  r6, r4, 2
 	iadd r7, r5, r6
@@ -51,68 +55,54 @@ skip:
 done:
 	exit
 `,
-	}
-	deg := func(v int) int {
-		if v%16 == 0 {
-			return 24
-		}
-		return v % 4
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		edges := 0
-		for v := 0; v < n; v++ {
-			edges += deg(v)
-		}
-		g := newImage(n + n + 1 + edges)
-		r := newRng(41)
-		// dist: frontier nodes at the current level, the rest unvisited.
-		for v := 0; v < n; v++ {
-			if v%17 == 0 {
-				g.putI(v, level)
-			} else {
-				g.putI(v, -1)
-			}
-		}
-		// CSR row pointers and column indices.
-		e := 0
-		for v := 0; v < n; v++ {
-			g.put(n+v, uint32(e))
-			for k := 0; k < deg(v); k++ {
-				g.put(n+n+1+e, r.next()%uint32(n))
-				e++
-			}
-		}
-		g.put(n+n, uint32(e))
-		return g, params(0, uint32(n*4), uint32((n+n+1)*4), level)
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		for v := 0; v < n; v++ {
-			if g.getI(v) != level {
-				continue
-			}
-			start, end := int(g.get(n+v)), int(g.get(n+v+1))
-			for e := start; e < end; e++ {
-				c := int(g.get(n + n + 1 + e))
-				if g.getI(c) < 0 {
-					g.putI(c, level+1)
+		words: n + n + 1 + edges, seed: 41, params: []uint32{0, uint32(n * 4), uint32((n + n + 1) * 4), level},
+		fill: func(g image, r *rng) {
+			// dist: frontier nodes at the current level, the rest unvisited.
+			for v := 0; v < n; v++ {
+				if v%17 == 0 {
+					g.putI(v, level)
+				} else {
+					g.putI(v, -1)
 				}
 			}
-		}
+			// CSR row pointers and column indices.
+			e := 0
+			for v := 0; v < n; v++ {
+				g.put(n+v, uint32(e))
+				for k := 0; k < deg(v); k++ {
+					g.put(n+n+1+e, r.next()%uint32(n))
+					e++
+				}
+			}
+			g.put(n+n, uint32(e))
+		},
+		ref: func(g image) {
+			for v := 0; v < n; v++ {
+				if g.getI(v) != level {
+					continue
+				}
+				start, end := int(g.get(n+v)), int(g.get(n+v+1))
+				for e := start; e < end; e++ {
+					c := int(g.get(n + n + 1 + e))
+					if g.getI(c) < 0 {
+						g.putI(c, level+1)
+					}
+				}
+			}
+		},
 	}
-	return b
 }
 
-// newConvolutionSeparable ports the SDK separable filter's row pass:
+// convolutionSeparable ports the SDK separable filter's row pass:
 // shared-memory staging where only the first and last warp of each
 // block load the apron (unbalanced if-blocks), then a uniform
 // 17-tap accumulation.
-func newConvolutionSeparable() *Benchmark {
+func convolutionSeparable() kernel {
 	const grid, block, radius, taps = 10, 256, 8, 17
 	n := grid * block
-	b := &Benchmark{
-		Name: "ConvolutionSeparable", Regular: false, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
+	return kernel{
+		name: "ConvolutionSeparable", grid: grid, block: block,
+		src: `
 .shared 1088
 	mov  r1, %tid
 	mov  r2, %ctaid
@@ -170,45 +160,37 @@ conv:
 	st.g [r29], r22
 	exit
 `,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(2*n + taps)
-		r := newRng(43)
-		for i := 0; i < n; i++ {
-			g.putF(n+i, r.unitFloat())
-		}
-		for k := 0; k < taps; k++ {
-			g.putF(2*n+k, fsub(r.unitFloat(), 0.5))
-		}
-		return g, params(0, uint32(n*4), uint32(2*n*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		clamp := func(i int) int { return imaxi(0, imini(i, n-1)) }
-		for i := 0; i < n; i++ {
-			acc := float32(0)
-			for k := 0; k < taps; k++ {
-				acc = fmad(g.getF(n+clamp(i+k-radius)), g.getF(2*n+k), acc)
+		words: 2*n + taps, seed: 43, params: []uint32{0, uint32(n * 4), uint32(2 * n * 4)},
+		fill: func(g image, r *rng) {
+			for i := 0; i < n; i++ {
+				g.putF(n+i, r.unitFloat())
 			}
-			g.putF(i, acc)
-		}
+			for k := 0; k < taps; k++ {
+				g.putF(2*n+k, fsub(r.unitFloat(), 0.5))
+			}
+		},
+		ref: func(g image) {
+			clamp := func(i int) int { return max(0, min(i, n-1)) }
+			for i := 0; i < n; i++ {
+				acc := float32(0)
+				for k := 0; k < taps; k++ {
+					acc = fmad(g.getF(n+clamp(i+k-radius)), g.getF(2*n+k), acc)
+				}
+				g.putF(i, acc)
+			}
+		},
 	}
-	return b
 }
 
-// newEigenvalues ports the SDK bisection kernel: per-thread interval
+// eigenvalues ports the SDK bisection kernel: per-thread interval
 // refinement whose trip count depends on a per-thread tolerance, with a
 // uniform Sturm-count inner loop kept in registers.
-func newEigenvalues() *Benchmark {
+func eigenvalues() kernel {
 	const grid, block, diags, maxIter = 4, 256, 8, 32
 	n := grid * block
-	b := &Benchmark{
-		Name: "Eigenvalues", Regular: false, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+	return kernel{
+		name: "Eigenvalues", grid: grid, block: block,
+		src: gid + `
 	mov  r5, %p1
 	shl  r6, r4, 2
 	iadd r5, r5, r6
@@ -275,65 +257,57 @@ converged:
 	st.g [r29], r8
 	exit
 `,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(2*n + diags)
-		r := newRng(47)
-		for i := 0; i < n; i++ {
-			g.putF(n+i, fadd(r.unitFloat(), 1.0))
-		}
-		for j := 0; j < diags; j++ {
-			g.putF(2*n+j, fmul(r.unitFloat(), 2.0))
-		}
-		return g, params(0, uint32(n*4), uint32(2*n*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		var diag [diags]float32
-		for j := 0; j < diags; j++ {
-			diag[j] = g.getF(2*n + j)
-		}
-		for i := 0; i < n; i++ {
-			tidIdx := i % block
-			lo, hi := float32(0), g.getF(n+i)
-			target := int32(tidIdx & 7)
-			eps := fex2(-float32(int32(tidIdx%9 + 6)))
-			for it := 0; it < maxIter; it++ {
-				mid := fmul(fadd(lo, hi), 0.5)
-				count := int32(0)
-				for j := 0; j < diags; j++ {
-					if diag[j] < mid {
-						count++
+		words: 2*n + diags, seed: 47, params: []uint32{0, uint32(n * 4), uint32(2 * n * 4)},
+		fill: func(g image, r *rng) {
+			for i := 0; i < n; i++ {
+				g.putF(n+i, fadd(r.unitFloat(), 1.0))
+			}
+			for j := 0; j < diags; j++ {
+				g.putF(2*n+j, fmul(r.unitFloat(), 2.0))
+			}
+		},
+		ref: func(g image) {
+			var diag [diags]float32
+			for j := 0; j < diags; j++ {
+				diag[j] = g.getF(2*n + j)
+			}
+			for i := 0; i < n; i++ {
+				tidIdx := i % block
+				lo, hi := float32(0), g.getF(n+i)
+				target := int32(tidIdx & 7)
+				eps := fex2(-float32(int32(tidIdx%9 + 6)))
+				for it := 0; it < maxIter; it++ {
+					mid := fmul(fadd(lo, hi), 0.5)
+					count := int32(0)
+					for j := 0; j < diags; j++ {
+						if diag[j] < mid {
+							count++
+						}
+					}
+					if count <= target {
+						lo = mid
+					} else {
+						hi = mid
+					}
+					if fsub(hi, lo) < eps {
+						break
 					}
 				}
-				if count <= target {
-					lo = mid
-				} else {
-					hi = mid
-				}
-				if fsub(hi, lo) < eps {
-					break
-				}
+				g.putF(i, lo)
 			}
-			g.putF(i, lo)
-		}
+		},
 	}
-	return b
 }
 
-// newHistogram stands in for the SDK histogram: per-thread runs of
-// items with a data-dependent conflict-resolution spin (the replay loop
-// of colliding bin updates), strided thread-private reads.
-func newHistogram() *Benchmark {
+// histogram stands in for the SDK histogram: per-thread runs of items
+// with a data-dependent conflict-resolution spin (the replay loop of
+// colliding bin updates), strided thread-private reads.
+func histogram() kernel {
 	const grid, block, items = 6, 256, 16
 	n := grid * block
-	b := &Benchmark{
-		Name: "Histogram", Regular: false, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+	return kernel{
+		name: "Histogram", grid: grid, block: block,
+		src: gid + `
 	mov  r5, %p1
 	mov  r6, 0
 	mov  r7, 0
@@ -373,51 +347,43 @@ donev:
 	st.g [r15], r7
 	exit
 `,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(n + n*items)
-		r := newRng(53)
-		for i := 0; i < n*items; i++ {
-			g.put(n+i, r.next())
-		}
-		return g, params(0, uint32(n*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		for t := 0; t < n; t++ {
-			acc := uint32(0)
-			for it := 0; it < items; it++ {
-				v := g.get(n + t*items + it)
-				for j := uint32(0); j < v&7; j++ {
-					acc = acc*5 + v
-				}
-				if v&1 != 0 {
-					acc = acc*3 + v
-					acc ^= acc >> 7
-				} else {
-					acc = acc*7 + v
-					acc ^= acc << 3
-				}
+		words: n + n*items, seed: 53, params: []uint32{0, uint32(n * 4)},
+		fill: func(g image, r *rng) {
+			for i := 0; i < n*items; i++ {
+				g.put(n+i, r.next())
 			}
-			g.put(t, acc)
-		}
+		},
+		ref: func(g image) {
+			for t := 0; t < n; t++ {
+				acc := uint32(0)
+				for it := 0; it < items; it++ {
+					v := g.get(n + t*items + it)
+					for j := uint32(0); j < v&7; j++ {
+						acc = acc*5 + v
+					}
+					if v&1 != 0 {
+						acc = acc*3 + v
+						acc ^= acc >> 7
+					} else {
+						acc = acc*7 + v
+						acc ^= acc << 3
+					}
+				}
+				g.put(t, acc)
+			}
+		},
 	}
-	return b
 }
 
-// newLUD ports the Rodinia LU decomposition's shrinking triangular
-// active set: 32 barrier-separated steps in which progressively fewer
-// lanes of every warp participate.
-func newLUD() *Benchmark {
+// lud ports the Rodinia LU decomposition's shrinking triangular active
+// set: 32 barrier-separated steps in which progressively fewer lanes of
+// every warp participate.
+func lud() kernel {
 	const grid, block, steps = 8, 256, 32
 	n := grid * block
-	b := &Benchmark{
-		Name: "LUD", Regular: false, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+	return kernel{
+		name: "LUD", grid: grid, block: block,
+		src: gid + `
 	mov  r5, %p1
 	mov  r6, 0.0
 	mov  r7, 0
@@ -440,44 +406,36 @@ inactive:
 	st.g [r13], r6
 	exit
 `,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(n + steps)
-		r := newRng(59)
-		for k := 0; k < steps; k++ {
-			g.putF(n+k, fsub(r.unitFloat(), 0.5))
-		}
-		return g, params(0, uint32(n*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		for t := 0; t < n; t++ {
-			lane := int32(t % block % 32)
-			acc := float32(0)
-			for k := int32(0); k < steps; k++ {
-				if lane >= k {
-					acc = fmad(acc, 0.99, g.getF(n+int(k)))
-				}
+		words: n + steps, seed: 59, params: []uint32{0, uint32(n * 4)},
+		fill: func(g image, r *rng) {
+			for k := 0; k < steps; k++ {
+				g.putF(n+k, fsub(r.unitFloat(), 0.5))
 			}
-			g.putF(t, acc)
-		}
+		},
+		ref: func(g image) {
+			for t := 0; t < n; t++ {
+				lane := int32(t % block % 32)
+				acc := float32(0)
+				for k := int32(0); k < steps; k++ {
+					if lane >= k {
+						acc = fmad(acc, 0.99, g.getF(n+int(k)))
+					}
+				}
+				g.putF(t, acc)
+			}
+		},
 	}
-	return b
 }
 
-// newMandelbrot ports the SDK escape-time kernel: per-pixel iteration
+// mandelbrot ports the SDK escape-time kernel: per-pixel iteration
 // counts vary wildly, and a block barrier between tiles keeps
 // warp-splits from running ahead across iterations (§5.1).
-func newMandelbrot() *Benchmark {
+func mandelbrot() kernel {
 	const grid, block, tiles, maxIter = 4, 256, 2, 32
 	n := grid * block
-	b := &Benchmark{
-		Name: "Mandelbrot", Regular: false, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+	return kernel{
+		name: "Mandelbrot", grid: grid, block: block,
+		src: gid + `
 	mov  r5, %ncta
 	imul r5, r5, r3
 	mov  r6, 0
@@ -524,46 +482,41 @@ esc:
 	st.g [r24], r7
 	exit
 `,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(n)
-		return g, params(0)
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		for t := 0; t < n; t++ {
-			total := int32(0)
-			for tile := 0; tile < tiles; tile++ {
-				pixel := int32(tile*n + t)
-				cr := fadd(fmul(float32(pixel&1023), 0.0029296875), -2.0)
-				ci := fadd(fmul(float32((pixel*421)&1023), 0.00234375), -1.2)
-				zr, zi := float32(0), float32(0)
-				iter := int32(0)
-				for {
-					zr2, zi2 := fmul(zr, zr), fmul(zi, zi)
-					if fadd(zr2, zi2) > 4.0 || iter >= maxIter {
-						break
+		words: n,
+		ref: func(g image) {
+			for t := 0; t < n; t++ {
+				total := int32(0)
+				for tile := 0; tile < tiles; tile++ {
+					pixel := int32(tile*n + t)
+					cr := fadd(fmul(float32(pixel&1023), 0.0029296875), -2.0)
+					ci := fadd(fmul(float32((pixel*421)&1023), 0.00234375), -1.2)
+					zr, zi := float32(0), float32(0)
+					iter := int32(0)
+					for {
+						zr2, zi2 := fmul(zr, zr), fmul(zi, zi)
+						if fadd(zr2, zi2) > 4.0 || iter >= maxIter {
+							break
+						}
+						nzr := fadd(fsub(zr2, zi2), cr)
+						zi = fadd(fmul(fmul(zr, zi), 2.0), ci)
+						zr = nzr
+						iter++
 					}
-					nzr := fadd(fsub(zr2, zi2), cr)
-					zi = fadd(fmul(fmul(zr, zi), 2.0), ci)
-					zr = nzr
-					iter++
+					total += iter
 				}
-				total += iter
+				g.putI(t, total)
 			}
-			g.putI(t, total)
-		}
+		},
 	}
-	return b
 }
 
-// newSortingNetworks ports the SDK bitonic sort: barrier-separated
+// sortingNetworks ports the SDK bitonic sort: barrier-separated
 // compare-exchange steps whose swap branch depends on the data order.
-func newSortingNetworks() *Benchmark {
+func sortingNetworks() kernel {
 	const grid, block, elems = 8, 128, 256
-	b := &Benchmark{
-		Name: "SortingNetworks", Regular: false, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
+	return kernel{
+		name: "SortingNetworks", grid: grid, block: block,
+		src: `
 .shared 1024
 	mov  r1, %tid
 	mov  r2, %ctaid
@@ -613,56 +566,48 @@ noswap:
 	st.g [r9], r28
 	exit
 `,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(grid * elems)
-		r := newRng(61)
-		for i := 0; i < grid*elems; i++ {
-			g.putI(i, int32(r.next()%100000))
-		}
-		return g, params(0, 0)
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		sh := make([]int32, elems)
-		for blk := 0; blk < grid; blk++ {
-			base := blk * elems
-			for i := 0; i < elems; i++ {
-				sh[i] = g.getI(base + i)
+		words: grid * elems, seed: 61,
+		fill: func(g image, r *rng) {
+			for i := 0; i < grid*elems; i++ {
+				g.putI(i, int32(r.next()%100000))
 			}
-			for k := 2; k <= elems; k <<= 1 {
-				for j := k >> 1; j > 0; j >>= 1 {
-					for t := 0; t < block; t++ {
-						pos := 2*t - (t & (j - 1))
-						partner := pos | j
-						up := pos&k == 0
-						if (sh[pos] > sh[partner]) == up {
-							sh[pos], sh[partner] = sh[partner], sh[pos]
+		},
+		ref: func(g image) {
+			sh := make([]int32, elems)
+			for blk := 0; blk < grid; blk++ {
+				base := blk * elems
+				for i := 0; i < elems; i++ {
+					sh[i] = g.getI(base + i)
+				}
+				for k := 2; k <= elems; k <<= 1 {
+					for j := k >> 1; j > 0; j >>= 1 {
+						for t := 0; t < block; t++ {
+							pos := 2*t - (t & (j - 1))
+							partner := pos | j
+							up := pos&k == 0
+							if (sh[pos] > sh[partner]) == up {
+								sh[pos], sh[partner] = sh[partner], sh[pos]
+							}
 						}
 					}
 				}
+				for i := 0; i < elems; i++ {
+					g.putI(base+i, sh[i])
+				}
 			}
-			for i := 0; i < elems; i++ {
-				g.putI(base+i, sh[i])
-			}
-		}
+		},
 	}
-	return b
 }
 
-// newSRAD ports the Rodinia speckle-reducing diffusion step: clamped
+// srad ports the Rodinia speckle-reducing diffusion step: clamped
 // derivative loads and a data-dependent branch choosing the diffusion
 // coefficient formula.
-func newSRAD() *Benchmark {
+func srad() kernel {
 	const grid, block, sweeps = 16, 256, 3
-	n := grid * block
-	b := &Benchmark{
-		Name: "SRAD", Regular: false, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+	total := sweeps * grid * block
+	return kernel{
+		name: "SRAD", grid: grid, block: block,
+		src: gid + `
 	mov  r5, %ncta
 	imul r5, r5, r3
 	imul r6, r5, 3
@@ -716,48 +661,43 @@ join:
 	bra  r31, sweep
 	exit
 `,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(2 * sweeps * n)
-		r := newRng(67)
-		for i := 0; i < sweeps*n; i++ {
-			g.putF(sweeps*n+i, fadd(fmul(r.unitFloat(), 2.0), 0.05))
-		}
-		return g, params(0, uint32(sweeps*n*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		total := sweeps * n
-		in := func(i int) float32 { return g.getF(total + imaxi(0, imini(i, total-1))) }
-		for i := 0; i < total; i++ {
-			x := in(i)
-			dl := fsub(in(i-1), x)
-			dr := fsub(in(i+1), x)
-			num := fmad(dr, dr, fmul(dl, dl))
-			q := fmul(num, frcp(fadd(fmul(x, x), 0.01)))
-			var coef float32
-			if q < 0.15 {
-				coef = fsub(1.0, fmul(q, 0.5))
-			} else {
-				coef = fmul(frcp(fadd(q, 1.0)), 0.5)
+		words: 2 * total, seed: 67, params: []uint32{0, uint32(total * 4)},
+		fill: func(g image, r *rng) {
+			for i := 0; i < total; i++ {
+				g.putF(total+i, fadd(fmul(r.unitFloat(), 2.0), 0.05))
 			}
-			g.putF(i, fadd(x, fmul(fmul(fadd(dl, dr), 0.25), coef)))
-		}
+		},
+		ref: func(g image) {
+			in := func(i int) float32 { return g.getF(total + max(0, min(i, total-1))) }
+			for i := 0; i < total; i++ {
+				x := in(i)
+				dl := fsub(in(i-1), x)
+				dr := fsub(in(i+1), x)
+				num := fmad(dr, dr, fmul(dl, dl))
+				q := fmul(num, frcp(fadd(fmul(x, x), 0.01)))
+				var coef float32
+				if q < 0.15 {
+					coef = fsub(1.0, fmul(q, 0.5))
+				} else {
+					coef = fmul(frcp(fadd(q, 1.0)), 0.5)
+				}
+				g.putF(i, fadd(x, fmul(fmul(fadd(dl, dr), 0.25), coef)))
+			}
+		},
 	}
-	return b
 }
 
-// newNeedlemanWunsch ports the Rodinia sequence-alignment wavefront:
-// one 32-thread block per alignment, one anti-diagonal per
-// barrier-separated step, thread activity growing and shrinking with
-// the diagonal. The 32-thread blocks only half-fill 64-wide warps,
-// which is why this kernel benefits most from lane shuffling (§5.1:
-// +7.7% under XorRev).
-func newNeedlemanWunsch() *Benchmark {
+// needlemanWunsch ports the Rodinia sequence-alignment wavefront: one
+// 32-thread block per alignment, one anti-diagonal per barrier-separated
+// step, thread activity growing and shrinking with the diagonal. The
+// 32-thread blocks only half-fill 64-wide warps, which is why this
+// kernel benefits most from lane shuffling (§5.1: +7.7% under XorRev).
+func needlemanWunsch() kernel {
 	const grid, block, seqLen = 6, 64, 64
-	b := &Benchmark{
-		Name: "Needleman-Wunsch", Regular: false, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
+	n := grid * block
+	return kernel{
+		name: "Needleman-Wunsch", grid: grid, block: block,
+		src: `
 .shared 768
 	mov  r1, %tid
 	mov  r2, %ctaid
@@ -842,64 +782,58 @@ inactive:
 	st.g [r10], r8
 	exit
 `,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		n := grid * block
-		g := newImage(n + 2*grid*seqLen)
-		r := newRng(73)
-		for i := 0; i < 2*grid*seqLen; i++ {
-			g.putI(n+i, int32(r.next()%4))
-		}
-		return g, params(0, uint32(n*4), uint32((n+grid*seqLen)*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		n := grid * block
-		for blk := 0; blk < grid; blk++ {
-			var a, bb [seqLen]int32
-			for i := 0; i < seqLen; i++ {
-				a[i] = g.getI(n + blk*seqLen + i)
-				bb[i] = g.getI(n + grid*seqLen + blk*seqLen + i)
+		words: n + 2*grid*seqLen, seed: 73, params: []uint32{0, uint32(n * 4), uint32((n + grid*seqLen) * 4)},
+		fill: func(g image, r *rng) {
+			for i := 0; i < 2*grid*seqLen; i++ {
+				g.putI(n+i, int32(r.next()%4))
 			}
-			var v [seqLen][seqLen]int32
-			cell := func(i, j int) int32 {
-				if i < 0 && j < 0 {
-					return 0
+		},
+		ref: func(g image) {
+			for blk := 0; blk < grid; blk++ {
+				var a, bb [seqLen]int32
+				for i := 0; i < seqLen; i++ {
+					a[i] = g.getI(n + blk*seqLen + i)
+					bb[i] = g.getI(n + grid*seqLen + blk*seqLen + i)
 				}
-				if i < 0 {
-					return int32(-2 * (j + 1))
-				}
-				if j < 0 {
-					return int32(-2 * (i + 1))
-				}
-				return v[i][j]
-			}
-			for d := 0; d < 2*seqLen-1; d++ {
-				for i := imaxi(0, d-seqLen+1); i <= imini(d, seqLen-1); i++ {
-					j := d - i
-					s := int32(-1)
-					if a[i] == bb[j] {
-						s = 3
+				var v [seqLen][seqLen]int32
+				cell := func(i, j int) int32 {
+					if i < 0 && j < 0 {
+						return 0
 					}
-					val := cell(i-1, j-1) + s
-					val = imax(val, cell(i-1, j)-2)
-					val = imax(val, cell(i, j-1)-2)
-					v[i][j] = val
+					if i < 0 {
+						return int32(-2 * (j + 1))
+					}
+					if j < 0 {
+						return int32(-2 * (i + 1))
+					}
+					return v[i][j]
+				}
+				for d := 0; d < 2*seqLen-1; d++ {
+					for i := max(0, d-seqLen+1); i <= min(d, seqLen-1); i++ {
+						j := d - i
+						s := int32(-1)
+						if a[i] == bb[j] {
+							s = 3
+						}
+						val := cell(i-1, j-1) + s
+						val = max(val, cell(i-1, j)-2)
+						val = max(val, cell(i, j-1)-2)
+						v[i][j] = val
+					}
+				}
+				for i := 0; i < seqLen; i++ {
+					acc := int32(0)
+					for j := 0; j < seqLen; j++ {
+						acc += v[i][j]
+					}
+					g.putI(blk*block+i, acc)
 				}
 			}
-			for i := 0; i < seqLen; i++ {
-				acc := int32(0)
-				for j := 0; j < seqLen; j++ {
-					acc += v[i][j]
-				}
-				g.putI(blk*block+i, acc)
-			}
-		}
+		},
 	}
-	return b
 }
 
-// WriteStorm is a synthetic store-saturation microbenchmark (not from
+// writeStorm is a synthetic store-saturation microbenchmark (not from
 // the paper's suite): every thread streams eight write-through stores
 // into a private strided slice of a large output buffer, with almost no
 // compute or loads between them. The aggregate write stream — grid ×
@@ -909,21 +843,17 @@ inactive:
 // the shared-memory-system model: a contention model that accounts only
 // load traffic (as the retired two-pass replay did) sees this kernel as
 // nearly free.
-func newWriteStorm() *Benchmark {
+func writeStorm() kernel {
 	const grid, block, items = 6, 256, 8
 	n := grid * block
-	b := &Benchmark{
-		Name: "WriteStorm", Regular: false, Grid: grid, Block: block, FrontierLayout: true,
+	return kernel{
+		name: "WriteStorm", grid: grid, block: block,
 		// idx = i*n + gid: consecutive lanes write consecutive words, so
 		// stores coalesce densely and the traffic is bandwidth demand,
 		// not transaction-count overhead. The lane-parity branch keeps
 		// the kernel (minimally) divergent, per its irregular-suite
 		// classification.
-		Source: `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+		src: gid + `
 	mov  r5, %p0
 	imul r7, r4, 7
 	mov  r6, 0
@@ -943,17 +873,13 @@ even:
 	bra  r11, loop
 	exit
 `,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		return newImage(n * items), params(0)
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		for t := 0; t < n; t++ {
-			for i := 0; i < items; i++ {
-				g.put(i*n+t, uint32(t*7+i+3*(t&1)))
+		words: n * items,
+		ref: func(g image) {
+			for t := 0; t < n; t++ {
+				for i := 0; i < items; i++ {
+					g.put(i*n+t, uint32(t*7+i+3*(t&1)))
+				}
 			}
-		}
+		},
 	}
-	return b
 }

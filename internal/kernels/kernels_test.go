@@ -67,10 +67,10 @@ func TestFrontierLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := cfg.ValidateFrontierLayout(p)
-		if b.FrontierLayout && len(v) > 0 {
+		if b.Name != "TMD1" && len(v) > 0 {
 			t.Errorf("%s: unexpected layout violations: %v", b.Name, v)
 		}
-		if !b.FrontierLayout && len(v) == 0 {
+		if b.Name == "TMD1" && len(v) == 0 {
 			t.Errorf("%s: expected layout violations, found none", b.Name)
 		}
 	}

@@ -1,24 +1,18 @@
 package kernels
 
-import "repro/internal/isa"
-
 // The regular suite (figure 7a): kernels whose warps stay converged —
 // uniform loops, branch-free predication, or negligible border
 // divergence — so their performance is bounded by issue bandwidth and
 // unit throughput rather than divergence handling.
 
-// newThreeDFD ports the SDK 3DFD stencil: a radius-2 finite difference
+// threeDFD ports the SDK 3DFD stencil: a radius-2 finite difference
 // with clamped borders (branch-free via imin/imax), unit-stride loads.
-func newThreeDFD() *Benchmark {
+func threeDFD() kernel {
 	const grid, block = 24, 256
 	n := grid * block
-	b := &Benchmark{
-		Name: "3DFD", Regular: true, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+	return kernel{
+		name: "3DFD", regular: true, grid: grid, block: block,
+		src: gid + `
 	mov  r5, %ncta
 	imul r5, r5, r3
 	isub r10, r5, 1
@@ -57,41 +51,33 @@ func newThreeDFD() *Benchmark {
 	st.g [r24], r22
 	exit
 `,
+		words: 2 * n, seed: 3, params: []uint32{0, uint32(n * 4)},
+		fill: func(g image, r *rng) {
+			for i := 0; i < n; i++ {
+				g.putF(n+i, r.unitFloat())
+			}
+		},
+		ref: func(g image) {
+			in := func(i int) float32 { return g.getF(n + max(0, min(i, n-1))) }
+			for i := 0; i < n; i++ {
+				acc := fmul(in(i), 0.5)
+				acc = fmad(fadd(in(i-1), in(i+1)), 0.25, acc)
+				acc = fmad(fadd(in(i-2), in(i+2)), 0.125, acc)
+				g.putF(i, acc)
+			}
+		},
 	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(2 * n)
-		r := newRng(3)
-		for i := 0; i < n; i++ {
-			g.putF(n+i, r.unitFloat())
-		}
-		return g, params(0, uint32(n*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		in := func(i int) float32 { return g.getF(n + imaxi(0, imini(i, n-1))) }
-		for i := 0; i < n; i++ {
-			acc := fmul(in(i), 0.5)
-			acc = fmad(fadd(in(i-1), in(i+1)), 0.25, acc)
-			acc = fmad(fadd(in(i-2), in(i+2)), 0.125, acc)
-			g.putF(i, acc)
-		}
-	}
-	return b
 }
 
-// newBackprop ports the Rodinia backprop forward pass: a uniform
+// backprop ports the Rodinia backprop forward pass: a uniform
 // 16-iteration weighted reduction per output unit followed by a
 // sigmoid-like activation on the SFU.
-func newBackprop() *Benchmark {
+func backprop() kernel {
 	const grid, block, hidden = 10, 256, 16
 	n := grid * block
-	b := &Benchmark{
-		Name: "Backprop", Regular: true, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+	return kernel{
+		name: "Backprop", regular: true, grid: grid, block: block,
+		src: gid + `
 	mov  r5, %ncta
 	imul r5, r5, r3
 	mov  r6, %p1
@@ -120,43 +106,35 @@ loop:
 	st.g [r19], r18
 	exit
 `,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(n + hidden*n + hidden)
-		r := newRng(7)
-		for i := 0; i < hidden*n; i++ {
-			g.putF(n+i, r.unitFloat())
-		}
-		for j := 0; j < hidden; j++ {
-			g.putF(n+hidden*n+j, r.unitFloat())
-		}
-		return g, params(0, uint32(n*4), uint32((n+hidden*n)*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		for i := 0; i < n; i++ {
-			acc := float32(0)
-			for j := 0; j < hidden; j++ {
-				acc = fmad(g.getF(n+j*n+i), g.getF(n+hidden*n+j), acc)
+		words: n + hidden*n + hidden, seed: 7, params: []uint32{0, uint32(n * 4), uint32((n + hidden*n) * 4)},
+		fill: func(g image, r *rng) {
+			for i := 0; i < hidden*n; i++ {
+				g.putF(n+i, r.unitFloat())
 			}
-			g.putF(i, frcp(fadd(fex2(-acc), 1.0)))
-		}
+			for j := 0; j < hidden; j++ {
+				g.putF(n+hidden*n+j, r.unitFloat())
+			}
+		},
+		ref: func(g image) {
+			for i := 0; i < n; i++ {
+				acc := float32(0)
+				for j := 0; j < hidden; j++ {
+					acc = fmad(g.getF(n+j*n+i), g.getF(n+hidden*n+j), acc)
+				}
+				g.putF(i, frcp(fadd(fex2(-acc), 1.0)))
+			}
+		},
 	}
-	return b
 }
 
-// newBinomialOptions ports the SDK binomial pricer's backward
-// induction: a register-resident uniform loop of MAD-class work.
-func newBinomialOptions() *Benchmark {
+// binomialOptions ports the SDK binomial pricer's backward induction:
+// a register-resident uniform loop of MAD-class work.
+func binomialOptions() kernel {
 	const grid, block, steps = 8, 256, 40
 	n := grid * block
-	b := &Benchmark{
-		Name: "BinomialOptions", Regular: true, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+	return kernel{
+		name: "BinomialOptions", regular: true, grid: grid, block: block,
+		src: gid + `
 	mov  r6, %p1
 	shl  r7, r4, 2
 	iadd r6, r6, r7
@@ -177,41 +155,33 @@ loop:
 	st.g [r13], r9
 	exit
 `,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(2 * n)
-		r := newRng(11)
-		for i := 0; i < n; i++ {
-			g.putF(n+i, fadd(r.unitFloat(), 0.5))
-		}
-		return g, params(0, uint32(n*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		for i := 0; i < n; i++ {
-			x := g.getF(n + i)
-			for s := 0; s < steps; s++ {
-				x = fmax(fadd(fmul(x, 1.03), -0.015), 0.4)
-				x = fmad(fmul(x, x), 0.001, x)
+		words: 2 * n, seed: 11, params: []uint32{0, uint32(n * 4)},
+		fill: func(g image, r *rng) {
+			for i := 0; i < n; i++ {
+				g.putF(n+i, fadd(r.unitFloat(), 0.5))
 			}
-			g.putF(i, x)
-		}
+		},
+		ref: func(g image) {
+			for i := 0; i < n; i++ {
+				x := g.getF(n + i)
+				for s := 0; s < steps; s++ {
+					x = fmax(fadd(fmul(x, 1.03), -0.015), 0.4)
+					x = fmad(fmul(x, x), 0.001, x)
+				}
+				g.putF(i, x)
+			}
+		},
 	}
-	return b
 }
 
-// newBlackScholes ports the SDK option pricer: straight-line FP with a
+// blackScholes ports the SDK option pricer: straight-line FP with a
 // heavy transcendental (SFU) mix and zero divergence.
-func newBlackScholes() *Benchmark {
+func blackScholes() kernel {
 	const grid, block = 24, 256
 	n := grid * block
-	b := &Benchmark{
-		Name: "BlackScholes", Regular: true, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+	return kernel{
+		name: "BlackScholes", regular: true, grid: grid, block: block,
+		src: gid + `
 	mov  r5, %p1
 	mov  r6, %p2
 	shl  r7, r4, 2
@@ -245,45 +215,36 @@ func newBlackScholes() *Benchmark {
 	st.g [r28], r27
 	exit
 `,
+		words: 3 * n, seed: 13, params: []uint32{0, uint32(n * 4), uint32(2 * n * 4)},
+		fill: func(g image, r *rng) {
+			for i := 0; i < n; i++ {
+				g.putF(n+i, fadd(fmul(r.unitFloat(), 90), 10))
+				g.putF(2*n+i, fadd(fmul(r.unitFloat(), 90), 10))
+			}
+		},
+		ref: func(g image) {
+			for i := 0; i < n; i++ {
+				s, k := g.getF(n+i), g.getF(2*n+i)
+				d := fsub(flg2(s), flg2(k))
+				sq := fsqrt(fadd(s, k))
+				d1 := fmul(d, frcp(sq))
+				cdf1 := frcp(fadd(fex2(-d1), 1.0))
+				d2 := fsub(d1, fmul(sq, 0.2))
+				cdf2 := frcp(fadd(fex2(-d2), 1.0))
+				g.putF(i, fsub(fmul(s, cdf1), fmul(k, cdf2)))
+			}
+		},
 	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(3 * n)
-		r := newRng(13)
-		for i := 0; i < n; i++ {
-			g.putF(n+i, fadd(fmul(r.unitFloat(), 90), 10))
-			g.putF(2*n+i, fadd(fmul(r.unitFloat(), 90), 10))
-		}
-		return g, params(0, uint32(n*4), uint32(2*n*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		for i := 0; i < n; i++ {
-			s, k := g.getF(n+i), g.getF(2*n+i)
-			d := fsub(flg2(s), flg2(k))
-			sq := fsqrt(fadd(s, k))
-			d1 := fmul(d, frcp(sq))
-			cdf1 := frcp(fadd(fex2(-d1), 1.0))
-			d2 := fsub(d1, fmul(sq, 0.2))
-			cdf2 := frcp(fadd(fex2(-d2), 1.0))
-			g.putF(i, fsub(fmul(s, cdf1), fmul(k, cdf2)))
-		}
-	}
-	return b
 }
 
-// newDWTHaar1D ports the SDK Haar wavelet step: each thread transforms
+// dwtHaar1D ports the SDK Haar wavelet step: each thread transforms
 // four pairs into approximation and detail coefficients.
-func newDWTHaar1D() *Benchmark {
+func dwtHaar1D() kernel {
 	const grid, block, perThread = 12, 256, 4
-	n := grid * block
-	pairs := n * perThread
-	b := &Benchmark{
-		Name: "DWTHaar1D", Regular: true, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+	pairs := grid * block * perThread
+	return kernel{
+		name: "DWTHaar1D", regular: true, grid: grid, block: block,
+		src: gid + `
 	mov  r5, %p0
 	mov  r6, %p1
 	mov  r7, %p2
@@ -309,34 +270,30 @@ loop:
 	bra  r17, loop
 	exit
 `,
+		words: 2*pairs + pairs + pairs, seed: 17, params: []uint32{uint32(2 * pairs * 4), 0, uint32(3 * pairs * 4)},
+		fill: func(g image, r *rng) {
+			for i := 0; i < 2*pairs; i++ {
+				g.putF(i, r.unitFloat())
+			}
+		},
+		ref: func(g image) {
+			for i := 0; i < pairs; i++ {
+				a, d := g.getF(2*i), g.getF(2*i+1)
+				g.putF(2*pairs+i, fmul(fadd(a, d), 0.70710678))
+				g.putF(3*pairs+i, fmul(fsub(a, d), 0.70710678))
+			}
+		},
 	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(2*pairs + pairs + pairs)
-		r := newRng(17)
-		for i := 0; i < 2*pairs; i++ {
-			g.putF(i, r.unitFloat())
-		}
-		return g, params(uint32(2*pairs*4), 0, uint32(3*pairs*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		for i := 0; i < pairs; i++ {
-			a, d := g.getF(2*i), g.getF(2*i+1)
-			g.putF(2*pairs+i, fmul(fadd(a, d), 0.70710678))
-			g.putF(3*pairs+i, fmul(fsub(a, d), 0.70710678))
-		}
-	}
-	return b
 }
 
-// newFastWalshTransform ports the SDK butterfly: log2(block) uniform
+// fastWalshTransform ports the SDK butterfly: log2(block) uniform
 // steps over shared memory with XOR-indexed partners and barriers.
-func newFastWalshTransform() *Benchmark {
+func fastWalshTransform() kernel {
 	const grid, block = 12, 256
 	n := grid * block
-	b := &Benchmark{
-		Name: "FastWalshTransform", Regular: true, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
+	return kernel{
+		name: "FastWalshTransform", regular: true, grid: grid, block: block,
+		src: `
 .shared 1024
 	mov  r1, %tid
 	mov  r2, %ctaid
@@ -373,55 +330,47 @@ step:
 	st.g [r21], r20
 	exit
 `,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(2 * n)
-		r := newRng(19)
-		for i := 0; i < n; i++ {
-			g.putF(n+i, fsub(r.unitFloat(), 0.5))
-		}
-		return g, params(0, uint32(n*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		sh := make([]float32, block)
-		for blk := 0; blk < grid; blk++ {
-			for t := 0; t < block; t++ {
-				sh[t] = g.getF(n + blk*block + t)
+		words: 2 * n, seed: 19, params: []uint32{0, uint32(n * 4)},
+		fill: func(g image, r *rng) {
+			for i := 0; i < n; i++ {
+				g.putF(n+i, fsub(r.unitFloat(), 0.5))
 			}
-			for stride := 1; stride < block; stride <<= 1 {
-				next := make([]float32, block)
+		},
+		ref: func(g image) {
+			sh := make([]float32, block)
+			for blk := 0; blk < grid; blk++ {
 				for t := 0; t < block; t++ {
-					a, bb := sh[t], sh[t^stride]
-					if t&stride == 0 {
-						next[t] = fadd(a, bb)
-					} else {
-						next[t] = fsub(bb, a)
-					}
+					sh[t] = g.getF(n + blk*block + t)
 				}
-				copy(sh, next)
+				for stride := 1; stride < block; stride <<= 1 {
+					next := make([]float32, block)
+					for t := 0; t < block; t++ {
+						a, bb := sh[t], sh[t^stride]
+						if t&stride == 0 {
+							next[t] = fadd(a, bb)
+						} else {
+							next[t] = fsub(bb, a)
+						}
+					}
+					copy(sh, next)
+				}
+				for t := 0; t < block; t++ {
+					g.putF(blk*block+t, sh[t])
+				}
 			}
-			for t := 0; t < block; t++ {
-				g.putF(blk*block+t, sh[t])
-			}
-		}
+		},
 	}
-	return b
 }
 
-// newHotspot ports the Rodinia thermal stencil: interior threads run a
+// hotspot ports the Rodinia thermal stencil: interior threads run a
 // clamped 3-point update with a power term; the two border threads take
 // a short branch (negligible divergence, as in the original).
-func newHotspot() *Benchmark {
+func hotspot() kernel {
 	const grid, block = 16, 256
 	n := grid * block
-	b := &Benchmark{
-		Name: "Hotspot", Regular: true, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+	return kernel{
+		name: "Hotspot", regular: true, grid: grid, block: block,
+		src: gid + `
 	mov  r5, %ncta
 	imul r5, r5, r3
 	isub r6, r5, 1
@@ -453,41 +402,37 @@ store:
 	st.g [r21], r19
 	exit
 `,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(3 * n)
-		r := newRng(23)
-		for i := 0; i < n; i++ {
-			g.putF(n+i, fadd(fmul(r.unitFloat(), 40), 300))
-			g.putF(2*n+i, r.unitFloat())
-		}
-		return g, params(0, uint32(n*4), uint32(2*n*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		for i := 0; i < n; i++ {
-			t := g.getF(n + i)
-			if i == 0 || i == n-1 {
-				g.putF(i, t)
-				continue
+		words: 3 * n, seed: 23, params: []uint32{0, uint32(n * 4), uint32(2 * n * 4)},
+		fill: func(g image, r *rng) {
+			for i := 0; i < n; i++ {
+				g.putF(n+i, fadd(fmul(r.unitFloat(), 40), 300))
+				g.putF(2*n+i, r.unitFloat())
 			}
-			d := fsub(fadd(g.getF(n+i-1), g.getF(n+i+1)), fmul(t, 2.0))
-			out := fadd(t, fmul(d, 0.1))
-			out = fmad(g.getF(2*n+i), 0.05, out)
-			g.putF(i, out)
-		}
+		},
+		ref: func(g image) {
+			for i := 0; i < n; i++ {
+				t := g.getF(n + i)
+				if i == 0 || i == n-1 {
+					g.putF(i, t)
+					continue
+				}
+				d := fsub(fadd(g.getF(n+i-1), g.getF(n+i+1)), fmul(t, 2.0))
+				out := fadd(t, fmul(d, 0.1))
+				out = fmad(g.getF(2*n+i), 0.05, out)
+				g.putF(i, out)
+			}
+		},
 	}
-	return b
 }
 
-// newMatrixMul ports the SDK tiled matrix multiply: 16x16 shared-memory
+// matrixMul ports the SDK tiled matrix multiply: 16x16 shared-memory
 // tiles, two barriers per tile, a fully uniform inner product.
-func newMatrixMul() *Benchmark {
+func matrixMul() kernel {
 	const dim, tile = 32, 16
-	const grid, block = (dim / tile) * (dim / tile), tile * tile
-	b := &Benchmark{
-		Name: "MatrixMul", Regular: true, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
+	const words = dim * dim
+	return kernel{
+		name: "MatrixMul", regular: true, grid: (dim / tile) * (dim / tile), block: tile * tile,
+		src: `
 .shared 2048
 	mov  r1, %tid
 	and  r2, r1, 15
@@ -546,43 +491,34 @@ inner:
 	st.g [r29], r9
 	exit
 `,
-	}
-	words := dim * dim
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(3 * words)
-		r := newRng(29)
-		for i := 0; i < 2*words; i++ {
-			g.putF(words+i, fsub(r.unitFloat(), 0.5))
-		}
-		return g, params(0, uint32(words*4), uint32(2*words*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		for row := 0; row < dim; row++ {
-			for col := 0; col < dim; col++ {
-				acc := float32(0)
-				for k := 0; k < dim; k++ {
-					acc = fmad(g.getF(words+row*dim+k), g.getF(2*words+k*dim+col), acc)
-				}
-				g.putF(row*dim+col, acc)
+		words: 3 * words, seed: 29, params: []uint32{0, words * 4, 2 * words * 4},
+		fill: func(g image, r *rng) {
+			for i := 0; i < 2*words; i++ {
+				g.putF(words+i, fsub(r.unitFloat(), 0.5))
 			}
-		}
+		},
+		ref: func(g image) {
+			for row := 0; row < dim; row++ {
+				for col := 0; col < dim; col++ {
+					acc := float32(0)
+					for k := 0; k < dim; k++ {
+						acc = fmad(g.getF(words+row*dim+k), g.getF(2*words+k*dim+col), acc)
+					}
+					g.putF(row*dim+col, acc)
+				}
+			}
+		},
 	}
-	return b
 }
 
-// newMonteCarlo ports the SDK Monte Carlo pricer: a uniform per-thread
+// monteCarlo ports the SDK Monte Carlo pricer: a uniform per-thread
 // simulation loop mixing an integer RNG with SFU exponentials.
-func newMonteCarlo() *Benchmark {
+func monteCarlo() kernel {
 	const grid, block, paths = 6, 256, 24
 	n := grid * block
-	b := &Benchmark{
-		Name: "MonteCarlo", Regular: true, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+	return kernel{
+		name: "MonteCarlo", regular: true, grid: grid, block: block,
+		src: gid + `
 	mov  r5, %p1
 	shl  r6, r4, 2
 	iadd r5, r5, r6
@@ -615,43 +551,38 @@ loop:
 	st.g [r18], r9
 	exit
 `,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(2 * n)
-		r := newRng(31)
-		for i := 0; i < n; i++ {
-			g.put(n+i, r.next()|1)
-		}
-		return g, params(0, uint32(n*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		for i := 0; i < n; i++ {
-			state := g.get(n + i)
-			acc := float32(0)
-			for p := 0; p < paths; p++ {
-				state ^= state << 13
-				state ^= state >> 17
-				state ^= state << 5
-				u := fadd(fmul(float32(int32(state>>8)), 0.000000059604645), -0.5)
-				s := fmul(fex2(fmul(u, 0.3)), 100.0)
-				acc = fadd(acc, fmax(fadd(s, -95.0), 0.0))
+		words: 2 * n, seed: 31, params: []uint32{0, uint32(n * 4)},
+		fill: func(g image, r *rng) {
+			for i := 0; i < n; i++ {
+				g.put(n+i, r.next()|1)
 			}
-			g.putF(i, fmul(acc, 0.041666668))
-		}
+		},
+		ref: func(g image) {
+			for i := 0; i < n; i++ {
+				state := g.get(n + i)
+				acc := float32(0)
+				for p := 0; p < paths; p++ {
+					state ^= state << 13
+					state ^= state >> 17
+					state ^= state << 5
+					u := fadd(fmul(float32(int32(state>>8)), 0.000000059604645), -0.5)
+					s := fmul(fex2(fmul(u, 0.3)), 100.0)
+					acc = fadd(acc, fmax(fadd(s, -95.0), 0.0))
+				}
+				g.putF(i, fmul(acc, 0.041666668))
+			}
+		},
 	}
-	return b
 }
 
-// newTranspose ports the SDK shared-tile transpose: coalesced loads,
-// a barrier, then transposed stores.
-func newTranspose() *Benchmark {
+// transpose ports the SDK shared-tile transpose: coalesced loads, a
+// barrier, then transposed stores.
+func transpose() kernel {
 	const dim, tile = 96, 16
-	const grid, block = (dim / tile) * (dim / tile), tile * tile
-	words := dim * dim
-	b := &Benchmark{
-		Name: "Transpose", Regular: true, Grid: grid, Block: block, FrontierLayout: true,
-		Source: `
+	const words = dim * dim
+	return kernel{
+		name: "Transpose", regular: true, grid: (dim / tile) * (dim / tile), block: tile * tile,
+		src: `
 .shared 1024
 	mov  r1, %tid
 	and  r2, r1, 15
@@ -684,43 +615,18 @@ func newTranspose() *Benchmark {
 	st.g [r17], r20
 	exit
 `,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(2 * words)
-		r := newRng(37)
-		for i := 0; i < words; i++ {
-			g.putF(words+i, r.unitFloat())
-		}
-		return g, params(0, uint32(words*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		for row := 0; row < dim; row++ {
-			for col := 0; col < dim; col++ {
-				g.putF(col*dim+row, g.getF(words+row*dim+col))
+		words: 2 * words, seed: 37, params: []uint32{0, words * 4},
+		fill: func(g image, r *rng) {
+			for i := 0; i < words; i++ {
+				g.putF(words+i, r.unitFloat())
 			}
-		}
+		},
+		ref: func(g image) {
+			for row := 0; row < dim; row++ {
+				for col := 0; col < dim; col++ {
+					g.putF(col*dim+row, g.getF(words+row*dim+col))
+				}
+			}
+		},
 	}
-	return b
-}
-
-// params packs parameter values.
-func params(vs ...uint32) [isa.NumParams]uint32 {
-	var p [isa.NumParams]uint32
-	copy(p[:], vs)
-	return p
-}
-
-func imini(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func imaxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,5 @@
 package kernels
 
-import "repro/internal/isa"
-
 // The Table Maker's Dilemma kernels (Fortin et al.) exercise
 // unstructured control flow: a candidate-search loop whose body has two
 // overlapping conditional regions sharing a tail block (reached both by
@@ -17,15 +15,9 @@ import "repro/internal/isa"
 // scheduling heuristic and voids the selective-synchronization
 // constraints (the SYNC insertion pass skips the violating region).
 
-const tmdGrid, tmdBlock, tmdIters = 8, 256, 16
-
 // tmd2Source is in frontier order: header, region A, region B, shared
 // tail t2, loop tail t1, store.
-const tmd2Source = `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+const tmd2Source = gid + `
 	mov  r5, %p1
 	shl  r6, r4, 2
 	iadd r5, r5, r6
@@ -66,11 +58,7 @@ t1:
 // tmd1Source computes the same function with t2 and t1 hoisted above
 // the loop header: every branch into them is backward, violating the
 // frontier-layout property.
-const tmd1Source = `
-	mov  r1, %tid
-	mov  r2, %ctaid
-	mov  r3, %ntid
-	imad r4, r2, r3, r1
+const tmd1Source = gid + `
 	mov  r5, %p1
 	shl  r6, r4, 2
 	iadd r5, r5, r6
@@ -110,46 +98,43 @@ start:
 	bra  t2
 `
 
-func newTMD(name, src string, frontier bool) *Benchmark {
-	n := tmdGrid * tmdBlock
-	b := &Benchmark{
-		Name: name, Regular: false, Grid: tmdGrid, Block: tmdBlock,
-		Source: src, FrontierLayout: frontier,
-	}
-	b.Setup = func(*Benchmark) ([]byte, [isa.NumParams]uint32) {
-		g := newImage(2 * n)
-		r := newRng(71)
-		for i := 0; i < n; i++ {
-			g.put(n+i, r.next())
-		}
-		return g, params(0, uint32(n*4))
-	}
-	b.Reference = func(_ *Benchmark, global []byte, _ [isa.NumParams]uint32) {
-		g := image(global)
-		for t := 0; t < n; t++ {
-			x := g.get(n + t)
-			acc := uint32(0)
-			for i := uint32(0); i < tmdIters; i++ {
-				y := x*40503 + i*30029
-				if y&7 == 0 {
-					y = tmdTail(y, i)
-				} else {
-					y += y << 3
-					if y&48 != 0 {
-						y ^= 23333
-						y += x
+// tmd declares one TMD variant: both share the input and the oracle.
+func tmd(name, src string) kernel {
+	const grid, block, iters = 8, 256, 16
+	n := grid * block
+	return kernel{
+		name: name, grid: grid, block: block, src: src,
+		words: 2 * n, seed: 71, params: []uint32{0, uint32(n * 4)},
+		fill: func(g image, r *rng) {
+			for i := 0; i < n; i++ {
+				g.put(n+i, r.next())
+			}
+		},
+		ref: func(g image) {
+			for t := 0; t < n; t++ {
+				x := g.get(n + t)
+				acc := uint32(0)
+				for i := uint32(0); i < iters; i++ {
+					y := x*40503 + i*30029
+					if y&7 == 0 {
 						y = tmdTail(y, i)
+					} else {
+						y += y << 3
+						if y&48 != 0 {
+							y ^= 23333
+							y += x
+							y = tmdTail(y, i)
+						}
+					}
+					acc += y
+					if y&63 == 21 {
+						break
 					}
 				}
-				acc += y
-				if y&63 == 21 {
-					break
-				}
+				g.put(t, acc)
 			}
-			g.put(t, acc)
-		}
+		},
 	}
-	return b
 }
 
 // tmdTail is the shared tail block t2 (f3 in the CFG discussion).
@@ -157,6 +142,3 @@ func tmdTail(y, i uint32) uint32 {
 	y ^= y >> 9
 	return y*5 + i
 }
-
-func newTMD1() *Benchmark { return newTMD("TMD1", tmd1Source, false) }
-func newTMD2() *Benchmark { return newTMD("TMD2", tmd2Source, true) }
