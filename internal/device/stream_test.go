@@ -7,6 +7,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -145,6 +146,58 @@ func TestStreamFIFOOrder(t *testing.T) {
 	}
 	if got := binary.LittleEndian.Uint32(base.Global); got != n {
 		t.Errorf("counter = %d after %d FIFO launches, want %d", got, n, n)
+	}
+}
+
+// TestStreamConcurrentUse pins Stream's concurrency contract: several
+// goroutines launching on one stream, each recording and awaiting an
+// event after every launch, all complete cleanly (run with -race, it
+// catches an unlocked access to the stream's FIFO tail).
+func TestStreamConcurrentUse(t *testing.T) {
+	leakcheck.Check(t)
+	dev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, ok := kernels.ByName("BlackScholes")
+	if !ok {
+		t.Fatal("BlackScholes missing")
+	}
+	s := dev.NewStream()
+	const goroutines, launches = 4, 3
+	pendings := make([]*Pending, goroutines*launches)
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < launches; i++ {
+				l, err := b.NewLaunch(true)
+				if err != nil {
+					errs <- err
+					return
+				}
+				pendings[g*launches+i] = s.Launch(context.Background(), l)
+				if err := s.Record().Wait(context.Background()); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := dev.Synchronize(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pendings {
+		if _, err := p.Wait(); err != nil {
+			t.Errorf("launch %d: %v", i, err)
+		}
 	}
 }
 
