@@ -1,6 +1,6 @@
 // Command sbwi-lint runs the repository's static-analysis suite
-// (internal/lint): mapiter, hotalloc, mergefields, walltime, goguard
-// and lockcheck.
+// (internal/lint): mapiter, hotalloc, mergefields, walltime and
+// goguard.
 //
 // Two modes:
 //

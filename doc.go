@@ -170,12 +170,13 @@
 // # Static analysis
 //
 // The invariants above — bit-identical statistics, a zero-allocation
-// issue path, complete Merge aggregation, lock discipline — are also
-// enforced at vet time by the repository's analyzer suite (`go run
-// ./cmd/sbwi-lint ./...`, or as a `go vet -vettool`); the //sbwi:
-// comment directives in the sources belong to it. Package
-// internal/lint's comment lists the analyzers, the README's "Static
-// analysis" section the directives.
+// issue path, complete Merge aggregation — are also enforced at vet
+// time by the repository's analyzer suite (`go run ./cmd/sbwi-lint
+// ./...`, or as a `go vet -vettool`); the //sbwi: comment directives in
+// the sources belong to it. Package internal/lint's comment lists the
+// analyzers, the README's "Static analysis" section the directives.
+// Lock discipline is the compiler's: shared state lives in a
+// locked.Value, reachable only with its mutex held.
 //
 // See the examples directory for runnable programs.
 package sbwi

@@ -103,6 +103,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/kernels"
+	"repro/internal/locked"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/sm"
@@ -141,10 +142,9 @@ type Device struct {
 	// traceReplay routes suite entries through the record-once /
 	// replay-per-point engine (WithTraceReplay); diag receives every
 	// degradation diagnostic — replay fallbacks and transient retries
-	// alike — serialized by diagMu (see Device.degradef).
+	// alike — serialized by its lock (see Device.degradef).
 	traceReplay bool
-	diag        io.Writer //sbwi:guardedby diagMu
-	diagMu      sync.Mutex
+	diag        locked.Value[io.Writer]
 
 	// faults, launchTimeout and retries are the hardened failure plane:
 	// the armed fault-injection plan (nil in production), the wall-clock
@@ -184,7 +184,7 @@ type settings struct {
 	workers   int
 	l2        *mem.L2Config
 	noc       *noc.Config
-	replayLog io.Writer // becomes diag in New, which is guarded once the device is shared
+	replayLog io.Writer // becomes diag in New
 }
 
 // WithArch selects the modeled micro-architecture (default SBI+SWI) and
@@ -349,12 +349,10 @@ func New(opts ...Option) (*Device, error) {
 			return nil, fmt.Errorf("device: %w", err)
 		}
 	}
-	// Through st, which lockcheck can see was built here and is not yet
-	// shared; d aliases it.
-	st.diag = st.replayLog
-	if st.diag == nil {
-		st.diag = os.Stderr
+	if st.replayLog == nil {
+		st.replayLog = os.Stderr
 	}
+	d.diag.Do(func(w *io.Writer) { *w = st.replayLog })
 	if d.traceReplay && d.cache == nil {
 		// Trace replay only pays off when traces outlive one entry; give
 		// the device a private cache when the caller didn't share one.

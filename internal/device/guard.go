@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime/debug"
 	"time"
@@ -236,7 +237,5 @@ func (d *Device) retry(ctx context.Context, what string, fn func() (*sm.Result, 
 // degrade independently, so writes are serialized here rather than
 // asking every Writer to be concurrency-safe.
 func (d *Device) degradef(format string, args ...any) {
-	d.diagMu.Lock()
-	defer d.diagMu.Unlock()
-	fmt.Fprintf(d.diag, format+"\n", args...)
+	d.diag.Do(func(w *io.Writer) { fmt.Fprintf(*w, format+"\n", args...) })
 }

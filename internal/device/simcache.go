@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fingerprint"
 	"repro/internal/kernels"
+	"repro/internal/locked"
 	"repro/internal/replay"
 	"repro/internal/sm"
 )
@@ -95,10 +96,7 @@ type traceKey struct {
 
 // NewSimCache returns an empty simulation cache.
 func NewSimCache() *SimCache {
-	return &SimCache{
-		results: flight[simKey, *sm.Result]{m: make(map[simKey]*flightEntry[*sm.Result])},
-		traces:  flight[traceKey, *replay.Trace]{m: make(map[traceKey]*flightEntry[*replay.Trace])},
-	}
+	return &SimCache{}
 }
 
 // Hits returns how many result lookups were served from a completed
@@ -116,15 +114,14 @@ func (c *SimCache) Len() int { return c.results.completed() }
 // callers of the same key waiting for the in-flight fill instead of
 // duplicating it.
 type flight[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*flightEntry[V] //sbwi:guardedby mu
+	m locked.Value[map[K]*flightEntry[V]] // nil until the first do
 
 	hits, misses atomic.Uint64 // lookups served from a completed entry / that started a fill
 }
 
 // flightEntry is one key's fill. val and ok are written once, under the
-// owning flight's mu, before done is closed; readers either hold that
-// mutex or have seen done closed.
+// owning flight's lock, before done is closed; readers either hold that
+// lock or have seen done closed.
 type flightEntry[V any] struct {
 	done chan struct{} // closed once the fill attempt finished
 	val  V
@@ -141,29 +138,37 @@ type flightEntry[V any] struct {
 // The returned value is shared: callers must not mutate it.
 func (f *flight[K, V]) do(ctx context.Context, key K, fill func() (V, error)) (val V, err error) {
 	for {
-		f.mu.Lock()
-		e, found := f.m[key]
+		var e *flightEntry[V]
+		var found bool
+		f.m.Do(func(m *map[K]*flightEntry[V]) {
+			if *m == nil {
+				*m = make(map[K]*flightEntry[V])
+			}
+			if e, found = (*m)[key]; !found {
+				e = &flightEntry[V]{done: make(chan struct{})}
+				(*m)[key] = e
+				f.misses.Add(1)
+			}
+		})
 		if !found {
-			e = &flightEntry[V]{done: make(chan struct{})}
-			f.m[key] = e
-			f.misses.Add(1)
-			f.mu.Unlock()
+			// A fresh local for the deferred publish to capture by value:
+			// e, written inside the closure above, would move to the heap.
+			mine := e
 			filled := false
 			defer func() {
-				f.mu.Lock()
-				if filled && err == nil {
-					e.val, e.ok = val, true
-				} else {
-					delete(f.m, key) // let a waiter (or the next pass) retry
-				}
-				close(e.done)
-				f.mu.Unlock()
+				f.m.Do(func(m *map[K]*flightEntry[V]) {
+					if filled && err == nil {
+						mine.val, mine.ok = val, true
+					} else {
+						delete(*m, key) // let a waiter (or the next pass) retry
+					}
+					close(mine.done)
+				})
 			}()
 			val, err = fill()
 			filled = true
 			return val, err
 		}
-		f.mu.Unlock()
 		select {
 		case <-e.done: // a finished fill is served even to a cancelled caller
 		default:
@@ -185,14 +190,14 @@ func (f *flight[K, V]) do(ctx context.Context, key K, fill func() (V, error)) (v
 
 // completed returns the number of successfully filled entries.
 func (f *flight[K, V]) completed() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	n := 0
-	for _, e := range f.m { //sbwi:unordered pure count; result independent of visit order
-		if e.ok {
-			n++
+	f.m.Do(func(m *map[K]*flightEntry[V]) {
+		for _, e := range *m { //sbwi:unordered pure count; result independent of visit order
+			if e.ok {
+				n++
+			}
 		}
-	}
+	})
 	return n
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/faultinject"
+	"repro/internal/locked"
 	"repro/internal/sm"
 )
 
@@ -48,9 +49,9 @@ import (
 type Pending struct {
 	done chan struct{}
 	once sync.Once
-	//sbwi:nolock completion-ordered, not mutex-guarded: written once inside once.Do before done closes, read only after <-done
+	// res and err are completion-ordered, not mutex-guarded: written
+	// once inside once.Do before done closes, read only after <-done.
 	res *sm.Result
-	//sbwi:nolock completion-ordered, not mutex-guarded: written once inside once.Do before done closes, read only after <-done
 	err error
 }
 
@@ -98,10 +99,9 @@ type Stream struct {
 	// launches deep.
 	depth chan struct{}
 
-	mu sync.Mutex
 	// tail is the most recently enqueued operation; nil for a fresh
 	// stream.
-	tail *Pending //sbwi:guardedby mu
+	tail locked.Value[*Pending]
 }
 
 // NewStream opens a new, independent FIFO stream on the device.
@@ -192,10 +192,11 @@ func (s *Stream) WaitEvent(ev *Event) {
 // the device and its other streams stay fully usable.
 func (s *Stream) enqueue(p *Pending, op string, fn func() (*sm.Result, error), ctx context.Context, holdsDepth bool) {
 	s.dev.inflight.add()
-	s.mu.Lock()
-	prev := s.tail
-	s.tail = p
-	s.mu.Unlock()
+	var swapped *Pending
+	s.tail.Do(func(tail **Pending) { swapped, *tail = *tail, p })
+	// A fresh local, never written after the goroutine captures it, so
+	// it is captured by value instead of moving to the heap.
+	prev := swapped
 
 	go guarded(op, func() {
 		// Declared first so it runs last (defers are LIFO): the future
@@ -238,9 +239,9 @@ func (s *Stream) enqueue(p *Pending, op string, fn func() (*sm.Result, error), c
 // the call has completed. Recording an empty stream yields an
 // already-complete event.
 func (s *Stream) Record() *Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return &Event{dep: s.tail}
+	var dep *Pending
+	s.tail.Do(func(tail **Pending) { dep = *tail })
+	return &Event{dep: dep}
 }
 
 // Event marks a point in a stream's FIFO order, for cross-stream
@@ -275,40 +276,45 @@ func (d *Device) Synchronize(ctx context.Context) error {
 
 // inflight counts the device's outstanding asynchronous operations and
 // lets Synchronize wait for zero.
-type inflight struct {
-	mu sync.Mutex
-	n  int //sbwi:guardedby mu
+type inflight struct{ locked.Value[idleCount] }
+
+// idleCount is the outstanding-operation count and the channel that
+// signals its return to zero.
+type idleCount struct {
+	n int
 	// idle is created when n leaves 0 and closed when it returns.
-	idle chan struct{} //sbwi:guardedby mu
+	idle chan struct{}
 }
 
 func (f *inflight) add() {
-	f.mu.Lock()
-	if f.n == 0 {
-		f.idle = make(chan struct{})
-	}
-	f.n++
-	f.mu.Unlock()
+	f.Do(func(c *idleCount) {
+		if c.n == 0 {
+			c.idle = make(chan struct{})
+		}
+		c.n++
+	})
 }
 
 func (f *inflight) finish() {
-	f.mu.Lock()
-	f.n--
-	if f.n == 0 {
-		close(f.idle)
-	}
-	f.mu.Unlock()
+	f.Do(func(c *idleCount) {
+		c.n--
+		if c.n == 0 {
+			close(c.idle)
+		}
+	})
 }
 
 func (f *inflight) wait(ctx context.Context) error {
 	for {
-		f.mu.Lock()
-		if f.n == 0 {
-			f.mu.Unlock()
+		var ch chan struct{}
+		f.Do(func(c *idleCount) {
+			if c.n > 0 {
+				ch = c.idle
+			}
+		})
+		if ch == nil {
 			return nil
 		}
-		ch := f.idle
-		f.mu.Unlock()
 		select {
 		case <-ch:
 		case <-ctx.Done():

@@ -27,8 +27,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
+
+	"repro/internal/locked"
 )
 
 // Site names one instrumented point of the device stack.
@@ -167,25 +168,25 @@ func IsTransient(err error) bool {
 // Plan is a compiled, armed fault schedule. All methods are safe for
 // concurrent use; a nil *Plan never fires.
 type Plan struct {
-	seed uint64
+	seed  uint64
+	state locked.Value[planState]
+}
 
-	mu       sync.Mutex
-	disarmed bool                  //sbwi:guardedby mu
-	rules    map[Site][]*armedRule //sbwi:guardedby mu
+// planState is a Plan's mutable state. The rules are reachable only
+// through it, so their counters are guarded by the same lock.
+type planState struct {
+	disarmed bool
+	rules    map[Site][]*armedRule
 }
 
 // armedRule is one rule plus its firing state. The counters are
-// mutable shared state guarded by the owning Plan's mu — a foreign
-// struct's mutex //sbwi:guardedby cannot name — advanced only inside
-// Fire's locked region (matches and next run under that lock).
+// guarded by the owning Plan's lock: advanced only inside Fire's locked
+// region (matches and next run under that lock).
 type armedRule struct {
 	Rule
-	//sbwi:nolock guarded by the owning Plan's mu; advanced only under Fire's locked region
-	hits uint64 // times the site was visited (1-based at match time)
-	//sbwi:nolock guarded by the owning Plan's mu; advanced only under Fire's locked region
+	hits     uint64 // times the site was visited (1-based at match time)
 	injected uint64 // times this rule injected
-	//sbwi:nolock guarded by the owning Plan's mu; stepped only by next under Fire's locked region
-	rng uint64 // xorshift64 state for Prob triggers
+	rng      uint64 // xorshift64 state for Prob triggers
 }
 
 // NewPlan compiles spec into an armed plan. The seed fixes every
@@ -195,7 +196,7 @@ type armedRule struct {
 // fault schedule is test code, and a silently dropped rule would make a
 // chaos run vacuously green.
 func NewPlan(seed uint64, spec Spec) *Plan {
-	p := &Plan{seed: seed, rules: make(map[Site][]*armedRule)}
+	rules := make(map[Site][]*armedRule)
 	for i, r := range spec {
 		if r.Site == "" {
 			panic(fmt.Sprintf("faultinject: rule %d has no site", i))
@@ -209,8 +210,10 @@ func NewPlan(seed uint64, spec Spec) *Plan {
 			}
 		}
 		a := &armedRule{Rule: r, rng: ruleSeed(seed, r.Site, i)}
-		p.rules[r.Site] = append(p.rules[r.Site], a)
+		rules[r.Site] = append(rules[r.Site], a)
 	}
+	p := &Plan{seed: seed}
+	p.state.Do(func(st *planState) { st.rules = rules })
 	return p
 }
 
@@ -239,22 +242,21 @@ func (p *Plan) Fire(site Site) error {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	if p.disarmed {
-		p.mu.Unlock()
-		return nil
-	}
 	var fault *Error
 	var delay time.Duration
-	for _, r := range p.rules[site] {
-		r.hits++
-		if fault == nil && r.matches() {
-			r.injected++
-			fault = &Error{Site: site, Kind: r.Kind, Hit: r.hits}
-			delay = r.Delay
+	p.state.Do(func(st *planState) {
+		if st.disarmed {
+			return
 		}
-	}
-	p.mu.Unlock()
+		for _, r := range st.rules[site] {
+			r.hits++
+			if fault == nil && r.matches() {
+				r.injected++
+				fault = &Error{Site: site, Kind: r.Kind, Hit: r.hits}
+				delay = r.Delay
+			}
+		}
+	})
 	if fault == nil {
 		return nil
 	}
@@ -320,9 +322,7 @@ func (p *Plan) Disarm() {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	p.disarmed = true
-	p.mu.Unlock()
+	p.state.Do(func(st *planState) { st.disarmed = true })
 }
 
 // Hits returns how many times the site has been visited (the maximum
@@ -331,14 +331,14 @@ func (p *Plan) Hits(site Site) uint64 {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var n uint64
-	for _, r := range p.rules[site] {
-		if r.hits > n {
-			n = r.hits
+	p.state.Do(func(st *planState) {
+		for _, r := range st.rules[site] {
+			if r.hits > n {
+				n = r.hits
+			}
 		}
-	}
+	})
 	return n
 }
 
@@ -347,12 +347,12 @@ func (p *Plan) Injected(site Site) uint64 {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var n uint64
-	for _, r := range p.rules[site] {
-		n += r.injected
-	}
+	p.state.Do(func(st *planState) {
+		for _, r := range st.rules[site] {
+			n += r.injected
+		}
+	})
 	return n
 }
 
@@ -362,14 +362,14 @@ func (p *Plan) TotalInjected() uint64 {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var n uint64
-	for _, rs := range p.rules {
-		for _, r := range rs {
-			n += r.injected
+	p.state.Do(func(st *planState) {
+		for _, rs := range st.rules {
+			for _, r := range rs {
+				n += r.injected
+			}
 		}
-	}
+	})
 	return n
 }
 
@@ -378,27 +378,27 @@ func (p *Plan) String() string {
 	if p == nil {
 		return "faultinject: no plan"
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	sites := make([]string, 0, len(p.rules))
-	for s := range p.rules {
-		sites = append(sites, string(s))
-	}
-	sort.Strings(sites)
 	var b strings.Builder
 	fmt.Fprintf(&b, "faultinject: plan seed=%d", p.seed)
-	if p.disarmed {
-		b.WriteString(" (disarmed)")
-	}
-	for _, s := range sites {
-		var hits, injected uint64
-		for _, r := range p.rules[Site(s)] {
-			if r.hits > hits {
-				hits = r.hits
-			}
-			injected += r.injected
+	p.state.Do(func(st *planState) {
+		sites := make([]string, 0, len(st.rules))
+		for s := range st.rules {
+			sites = append(sites, string(s))
 		}
-		fmt.Fprintf(&b, "\n  %s: %d hits, %d injected", s, hits, injected)
-	}
+		sort.Strings(sites)
+		if st.disarmed {
+			b.WriteString(" (disarmed)")
+		}
+		for _, s := range sites {
+			var hits, injected uint64
+			for _, r := range st.rules[Site(s)] {
+				if r.hits > hits {
+					hits = r.hits
+				}
+				injected += r.injected
+			}
+			fmt.Fprintf(&b, "\n  %s: %d hits, %d injected", s, hits, injected)
+		}
+	})
 	return b.String()
 }

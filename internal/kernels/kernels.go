@@ -14,12 +14,12 @@ package kernels
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/asm"
 	"repro/internal/cfg"
 	"repro/internal/exec"
 	"repro/internal/isa"
+	"repro/internal/locked"
 )
 
 // Benchmark is one suite entry.
@@ -44,49 +44,62 @@ type Benchmark struct {
 	// the functional oracle for both simulators.
 	Reference func(b *Benchmark, global []byte, params [isa.NumParams]uint32)
 
-	// mu guards the lazily built caches below: suite entries are shared
-	// package state, and the device's batch runner assembles and
-	// oracle-checks benchmarks from concurrent goroutines. Each cache
-	// value is immutable once memoized, so a reference obtained under
-	// the lock stays valid after releasing it.
-	mu sync.Mutex
+	// memo holds the lazily built caches behind their lock: suite
+	// entries are shared package state, and the device's batch runner
+	// assembles and oracle-checks benchmarks from concurrent goroutines.
+	memo locked.Value[memo]
+}
+
+// memo is a Benchmark's lazily built state. Each value is immutable once
+// memoized, so a reference obtained under the lock stays valid after
+// releasing it.
+type memo struct {
 	// plain is RecPC-annotated, no SYNCs (baseline stack).
-	plain *isa.Program //sbwi:guardedby mu
+	plain *isa.Program
 	// tf is SYNC-instrumented (thread-frontier designs).
-	tf *isa.Program //sbwi:guardedby mu
+	tf *isa.Program
 	// pristine is the memoized Setup image (do not mutate).
-	pristine []byte //sbwi:guardedby mu
+	pristine []byte
 	// params are the memoized Setup parameters.
-	params [isa.NumParams]uint32 //sbwi:guardedby mu
+	params [isa.NumParams]uint32
 	// expected is the memoized oracle image (do not mutate).
-	expected []byte //sbwi:guardedby mu
+	expected []byte
 }
 
 // Program returns the assembled kernel: the SYNC-instrumented
 // thread-frontier variant or the plain annotated one. Programs are
 // assembled on first use and cached; Program is safe for concurrent
 // use.
-func (b *Benchmark) Program(threadFrontier bool) (*isa.Program, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.plain == nil {
-		p, err := asm.Assemble(b.Name, b.Source)
-		if err != nil {
-			return nil, fmt.Errorf("kernels: %s: %w", b.Name, err)
+func (b *Benchmark) Program(threadFrontier bool) (p *isa.Program, err error) {
+	b.memo.Do(func(m *memo) {
+		if m.plain == nil {
+			var plain, tf *isa.Program
+			if plain, tf, err = b.assemble(); err != nil {
+				return // an assembly error is not memoized
+			}
+			m.plain, m.tf = plain, tf
 		}
-		if err := cfg.AnnotateReconvergence(p); err != nil {
-			return nil, fmt.Errorf("kernels: %s: %w", b.Name, err)
+		p = m.plain
+		if threadFrontier {
+			p = m.tf
 		}
-		tf, err := cfg.InsertSyncs(p)
-		if err != nil {
-			return nil, fmt.Errorf("kernels: %s: %w", b.Name, err)
-		}
-		b.plain, b.tf = p, tf
+	})
+	return p, err
+}
+
+// assemble builds both program variants from the source.
+func (b *Benchmark) assemble() (plain, tf *isa.Program, err error) {
+	plain, err = asm.Assemble(b.Name, b.Source)
+	if err == nil {
+		err = cfg.AnnotateReconvergence(plain)
 	}
-	if threadFrontier {
-		return b.tf, nil
+	if err == nil {
+		tf, err = cfg.InsertSyncs(plain)
 	}
-	return b.plain, nil
+	if err != nil {
+		return nil, nil, fmt.Errorf("kernels: %s: %w", b.Name, err)
+	}
+	return plain, tf, nil
 }
 
 // setup returns the benchmark's pristine pre-launch image (shared —
@@ -94,18 +107,19 @@ func (b *Benchmark) Program(threadFrontier bool) (*isa.Program, error) {
 // generators are deterministic, so Setup runs once per benchmark and
 // the image is memoized; repeated launches across experiment passes
 // copy from the cache instead of regenerating the inputs. Safe for
-// concurrent use: the memoization fills under b.mu, and the returned
-// image is immutable once memoized.
-func (b *Benchmark) setup() ([]byte, [isa.NumParams]uint32) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.pristine == nil {
-		b.pristine, b.params = b.Setup(b)
-		if b.pristine == nil {
-			b.pristine = []byte{} // distinguish "memoized empty" from "not yet run"
+// concurrent use: the memoization fills under the memo lock, and the
+// returned image is immutable once memoized.
+func (b *Benchmark) setup() (pristine []byte, params [isa.NumParams]uint32) {
+	b.memo.Do(func(m *memo) {
+		if m.pristine == nil {
+			m.pristine, m.params = b.Setup(b)
+			if m.pristine == nil {
+				m.pristine = []byte{} // distinguish "memoized empty" from "not yet run"
+			}
 		}
-	}
-	return b.pristine, b.params
+		pristine, params = m.pristine, m.params
+	})
+	return pristine, params
 }
 
 // NewLaunch builds a fresh launch (new memory image) for the benchmark.
@@ -131,17 +145,19 @@ func (b *Benchmark) NewLaunch(threadFrontier bool) (*exec.Launch, error) {
 // it and must not mutate it. Safe for concurrent use.
 func (b *Benchmark) Expected() []byte {
 	// Fetch the pristine image through the self-locking setup first;
-	// b.mu is not reentrant, and running the oracle outside the
-	// memoization lock would let two racers both fill b.expected.
+	// the memo lock is not reentrant, and running the oracle outside it
+	// would let two racers both fill expected.
 	pristine, params := b.setup()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.expected == nil {
-		global := append([]byte(nil), pristine...)
-		b.Reference(b, global, params)
-		b.expected = global
-	}
-	return b.expected
+	var expected []byte
+	b.memo.Do(func(m *memo) {
+		if m.expected == nil {
+			global := append([]byte(nil), pristine...)
+			b.Reference(b, global, params)
+			m.expected = global
+		}
+		expected = m.expected
+	})
+	return expected
 }
 
 // All returns the full suite in the paper's figure-7 order (regular

@@ -22,7 +22,7 @@ func diag(file string, line, col int, analyzer, msg string) lint.Diagnostic {
 // field and imposes the canonical order regardless of input order.
 func TestJSONRoundTrip(t *testing.T) {
 	in := []lint.Diagnostic{
-		diag("b.go", 10, 2, "lockcheck", `read of c.n without holding c.mu`),
+		diag("b.go", 10, 2, "goguard", "raw go statement in the device package"),
 		diag("a.go", 3, 7, "mapiter", "map iteration in a determinism-critical package"),
 		diag("a.go", 3, 7, "hotalloc", "allocation on the hot path"),
 	}

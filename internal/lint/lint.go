@@ -2,7 +2,7 @@
 // analyzers that enforce, at vet time, the invariants the simulator's
 // runtime test suites only catch late and only on exercised paths.
 //
-// The suite ships six analyzers (see their files for details):
+// The suite ships five analyzers (see their files for details):
 //
 //   - mapiter: no map iteration in determinism-critical packages
 //     without an //sbwi:unordered justification.
@@ -14,10 +14,10 @@
 //     simulation-core packages.
 //   - goguard: every goroutine the device package spawns must run
 //     under the guarded panic wrapper.
-//   - lockcheck: struct fields annotated //sbwi:guardedby <mutexField>
-//     are only read or written where a flow-sensitive dataflow
-//     analysis proves the named mutex held (cfg.go + dataflow.go are
-//     the reusable CFG/fixpoint substrate it runs on).
+//
+// Lock discipline needs no analyzer: shared state lives in a
+// locked.Value (internal/locked), which the compiler only lets code
+// reach through its Do method.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) but is self-contained: the module has
@@ -91,7 +91,7 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MapIter, HotAlloc, MergeFields, WallTime, GoGuard, LockCheck}
+	return []*Analyzer{MapIter, HotAlloc, MergeFields, WallTime, GoGuard}
 }
 
 // ByName returns the named analyzer, or nil.
@@ -195,21 +195,6 @@ const (
 	// DirUnguarded justifies a device-package goroutine that runs
 	// outside the guarded panic wrapper (goguard suppression).
 	DirUnguarded = "unguarded"
-
-	// DirGuardedBy marks a struct field (in the field's doc or
-	// same-line comment) as protected by the named sibling mutex
-	// field; lockcheck then requires every access to happen where the
-	// mutex is provably held.
-	DirGuardedBy = "guardedby"
-
-	// DirNoLock waives lockcheck: on an access line, it justifies one
-	// access to a guarded field outside the proven-held discipline
-	// (e.g. a locked-helper whose caller holds the mutex); on a field
-	// declaration, it documents why a shared mutable field is
-	// deliberately outside the mutex regime altogether (channel
-	// happens-before, single-goroutine confinement, a foreign struct's
-	// mutex).
-	DirNoLock = "nolock"
 )
 
 const directivePrefix = "//sbwi:"

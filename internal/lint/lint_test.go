@@ -44,14 +44,3 @@ func TestHotAlloc(t *testing.T) {
 func TestMergeFields(t *testing.T) {
 	linttest.Run(t, lint.MergeFields, "testdata/mergefields/stats", "example.com/sim/stats")
 }
-
-func TestLockCheck(t *testing.T) {
-	linttest.Run(t, lint.LockCheck, "testdata/lockcheck/guarded", "example.com/sim/internal/device")
-}
-
-// TestLockCheckClean checks disciplined annotated code and
-// unannotated code both produce no findings (lockcheck is
-// annotation-driven, in every package).
-func TestLockCheckClean(t *testing.T) {
-	linttest.Run(t, lint.LockCheck, "testdata/lockcheck/clean", "example.com/sim/internal/cli")
-}

@@ -61,17 +61,16 @@ func Default() Config {
 
 // Stats counts memory-system events.
 type Stats struct {
-	Loads             uint64 // load transactions presented to the L1
-	Stores            uint64 // store transactions
-	Hits              uint64
-	Misses            uint64
-	MSHRMerges        uint64 // misses merged into an outstanding fill
-	BytesFromMem      uint64
-	BytesToMem        uint64
-	PeakOutstanding   int // max simultaneous outstanding fills
-	Evictions         uint64
-	CoalescedAccesses uint64 // lanes served by all transactions
-	Transactions      uint64 // unique transactions after coalescing
+	Loads           uint64 // load transactions presented to the L1
+	Stores          uint64 // store transactions
+	Hits            uint64
+	Misses          uint64
+	MSHRMerges      uint64 // misses merged into an outstanding fill
+	BytesFromMem    uint64
+	BytesToMem      uint64
+	PeakOutstanding int // max simultaneous outstanding fills
+	Evictions       uint64
+	Transactions    uint64 // unique transactions after coalescing
 
 	// StoreQueueStalls is the total cycles stores waited for a free
 	// write-buffer entry (only possible with a lower level attached and
@@ -103,7 +102,6 @@ func (s *Stats) Merge(o *Stats) {
 		s.PeakOutstanding = o.PeakOutstanding
 	}
 	s.Evictions += o.Evictions
-	s.CoalescedAccesses += o.CoalescedAccesses
 	s.Transactions += o.Transactions
 	s.StoreQueueStalls += o.StoreQueueStalls
 	s.L2.Merge(&o.L2)

@@ -44,7 +44,8 @@ package replay
 
 import (
 	"fmt"
-	"sync"
+
+	"repro/internal/locked"
 )
 
 // Trace is one recorded launch: per-global-thread branch-outcome bits
@@ -146,16 +147,18 @@ type Recorder struct {
 	// slices are sized once by NewRecorder, and concurrent sinks write
 	// disjoint tid entries (each thread belongs to exactly one CTA
 	// wave), so no two goroutines ever touch the same inner slice.
-	//sbwi:nolock sharded per thread: concurrent sinks write disjoint tid entries, never the same inner slice
 	branchBits [][]uint64
-	//sbwi:nolock sharded per thread: concurrent sinks write disjoint tid entries, never the same inner slice
-	branchN []int32
-	//sbwi:nolock sharded per thread: concurrent sinks write disjoint tid entries, never the same inner slice
-	addrs [][]uint32
+	branchN    []int32
+	addrs      [][]uint32
 
-	mu    sync.Mutex
-	sinks []*Sink //sbwi:guardedby mu
-	trace *Trace  //sbwi:guardedby mu
+	state locked.Value[recorderState]
+}
+
+// recorderState is what a Recorder's sinks share: the sinks handed
+// out and the trace Finalize built.
+type recorderState struct {
+	sinks []*Sink
+	trace *Trace
 }
 
 // NewRecorder sizes a recorder for a launch geometry.
@@ -176,9 +179,7 @@ func NewRecorder(gridDim, blockDim int) *Recorder {
 // Finalize takes a word two sinks touched as touched by two CTAs.
 func (r *Recorder) Sink() *Sink {
 	k := &Sink{r: r}
-	r.mu.Lock()
-	r.sinks = append(r.sinks, k)
-	r.mu.Unlock()
+	r.state.Do(func(st *recorderState) { st.sinks = append(st.sinks, k) })
 	return k
 }
 
@@ -195,7 +196,8 @@ func (r *Recorder) Sink() *Sink {
 // Reason saying so.
 type Sink struct {
 	r *Recorder
-	//sbwi:nolock single-goroutine confinement: sink-local until Finalize, which runs after every recording goroutine completed
+	// pages is confined to the sink's goroutine until Finalize, which
+	// runs after every recording goroutine completed.
 	pages map[uint64]*page
 	// last is the page of the previous access, lastKey its map key: a
 	// warp's lanes mostly land in one page.
@@ -295,21 +297,23 @@ func (k *Sink) fail(format string, args ...any) {
 // immutable trace. Call it after every recording run completed; a
 // repeated call returns the first call's trace.
 func (r *Recorder) Finalize() *Trace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.trace == nil {
-		reason := findRace(r.sinks)
-		r.trace = &Trace{
-			gridDim:    r.gridDim,
-			blockDim:   r.blockDim,
-			branchBits: r.branchBits,
-			branchN:    r.branchN,
-			addrs:      r.addrs,
-			Replayable: reason == "",
-			Reason:     reason,
+	var t *Trace
+	r.state.Do(func(st *recorderState) {
+		if st.trace == nil {
+			reason := findRace(st.sinks)
+			st.trace = &Trace{
+				gridDim:    r.gridDim,
+				blockDim:   r.blockDim,
+				branchBits: r.branchBits,
+				branchN:    r.branchN,
+				addrs:      r.addrs,
+				Replayable: reason == "",
+				Reason:     reason,
+			}
 		}
-	}
-	return r.trace
+		t = st.trace
+	})
+	return t
 }
 
 // findRace closes every shadow word, unions the sinks word by word and
