@@ -10,7 +10,9 @@
 //	sbwi run -kernel Transpose -trace-replay [-json]
 //	sbwi run -file kernel.asm -grid 4 -block 256 -global 65536 [-param N]...
 //	sbwi disasm -kernel BFS [-tf]
-//	sbwi pipeline-demo
+//
+// The figure-2 pipeline comparison is the pipelineviz example:
+// go run ./examples/pipelineviz.
 package main
 
 import (
@@ -37,8 +39,6 @@ func main() {
 		err = run(os.Args[2:])
 	case "disasm":
 		err = disasm(os.Args[2:])
-	case "pipeline-demo":
-		err = pipelineDemo()
 	default:
 		usage()
 	}
@@ -52,10 +52,9 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: sbwi <command> [flags]
 
 commands:
-  list           list the built-in benchmark suite
-  run            simulate a built-in kernel or an .asm file
-  disasm         print a kernel's assembled (optionally SYNC-instrumented) code
-  pipeline-demo  render the figure-2 pipeline comparison`)
+  list    list the built-in benchmark suite
+  run     simulate a built-in kernel or an .asm file
+  disasm  print a kernel's assembled (optionally SYNC-instrumented) code`)
 	os.Exit(2)
 }
 
@@ -361,60 +360,5 @@ func disasm(args []string) error {
 		return err
 	}
 	fmt.Print(p.Disassemble())
-	return nil
-}
-
-// pipelineDemo renders the figure-2 comparison: the same two-warp
-// if/else kernel on classic SIMT, SBI, SWI, and SBI+SWI, as per-cycle
-// lane-occupancy strips ('1' = primary issue, '2' = secondary).
-func pipelineDemo() error {
-	const src = `
-	mov  r1, %tid
-	and  r2, r1, 1
-	isetp.eq r3, r2, 0
-	bra  r3, even
-	imul r4, r1, 3
-	iadd r4, r4, 1
-	bra  join
-even:
-	iadd r4, r1, 100
-	imul r4, r4, 7
-join:
-	shl  r5, r1, 2
-	mov  r6, %p0
-	iadd r6, r6, r5
-	st.g [r6], r4
-	exit
-`
-	prog, err := sbwi.Assemble("fig2", src)
-	if err != nil {
-		return err
-	}
-	tf, err := sbwi.ThreadFrontier(prog)
-	if err != nil {
-		return err
-	}
-	for _, a := range sbwi.Architectures() {
-		p := tf
-		if a == sbwi.Baseline {
-			p = prog
-		}
-		dev, err := sbwi.NewDevice(sbwi.WithArch(a), sbwi.WithTrace(256))
-		if err != nil {
-			return err
-		}
-		l := sbwi.NewLaunch(p, 1, 128, make([]byte, 128*4), 0)
-		res, err := dev.Run(context.Background(), l)
-		if err != nil {
-			return err
-		}
-		cfg := dev.Config()
-		fmt.Printf("--- %s (IPC %.1f, %d cycles) ---\n", a, res.Stats.IPC(), res.Stats.Cycles)
-		fmt.Print(res.Trace.Lanes(cfg.WarpWidth))
-		if res.Trace.Dropped > 0 {
-			fmt.Printf("(trace capacity reached: %d later issue events not shown)\n", res.Trace.Dropped)
-		}
-		fmt.Println()
-	}
 	return nil
 }

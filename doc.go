@@ -133,9 +133,9 @@
 // Every failure is typed and contained: a panic becomes a *PanicError
 // failing only its launch, stream or suite entry; Config.MaxCycles
 // yields a *LivelockError and WithLaunchTimeout a *TimeoutError, both
-// with a snapshot of the stuck SM; the cache never stores a failure;
-// WithRetry re-runs transient ones; a launch that cannot start (nil, no
-// program, an empty grid) is an error at the call. The header of
+// with a snapshot of the stuck SM; the cache never stores a failure; a
+// launch that cannot start (nil, no program, an empty grid) is an error
+// at the call. The header of
 // internal/device/guard.go owns the contract, internal/faultinject the
 // fault plane that exercises it.
 //

@@ -60,6 +60,9 @@ func main() {
 		}
 		fmt.Printf("=== %s: %d cycles, IPC %.1f ===\n", a, res.Stats.Cycles, res.Stats.IPC())
 		fmt.Print(res.Trace.Lanes(dev.Config().WarpWidth))
+		if res.Trace.Dropped > 0 {
+			fmt.Printf("(trace capacity reached: %d later issue events not shown)\n", res.Trace.Dropped)
+		}
 		fmt.Println()
 	}
 	fmt.Println("Compare the strips: the baseline serializes the even/odd paths,")

@@ -94,10 +94,10 @@ func checkEntries(t *testing.T, tag string, results []*SuiteResult, golden map[s
 	}
 }
 
-// TestChaosSuite storms the batch path: transient errors, panics,
-// delays and cancellations across the suite-worker, cache-fill and
-// queue-acquire sites, under -race in CI, with retry absorbing the
-// transient share.
+// TestChaosSuite storms the batch path: errors, panics, delays and
+// cancellations across the suite-worker, cache-fill and queue-acquire
+// sites, under -race in CI. An entry hit by a fault fails, and the
+// post-disarm pass re-runs it into the cache.
 func TestChaosSuite(t *testing.T) {
 	leakcheck.Check(t)
 	suite := chaosSuite(t)
@@ -113,7 +113,7 @@ func TestChaosSuite(t *testing.T) {
 		})
 		cache := NewSimCache()
 		dev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(4),
-			WithSimCache(cache), WithRetry(2), WithFaultPlan(plan), WithReplayLog(&bytes.Buffer{}))
+			WithSimCache(cache), WithFaultPlan(plan), WithReplayLog(&bytes.Buffer{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,8 +227,7 @@ func TestChaosStreams(t *testing.T) {
 // TestChaosMemsysAndReplay storms the hardest paths: the shared-clock
 // partitioned memory system (faults raised as panics on the hot access
 // path, plus the wave-merge site) and the trace-replay engine (replay
-// faults degrading to full simulation). Retry absorbs the transient
-// share; everything else must attribute.
+// faults degrading to full simulation). Every failure must attribute.
 func TestChaosMemsysAndReplay(t *testing.T) {
 	leakcheck.Check(t)
 	suite := chaosSuite(t)
@@ -247,7 +246,7 @@ func TestChaosMemsysAndReplay(t *testing.T) {
 		})
 		cache := NewSimCache()
 		opts := append(append([]Option{}, base...),
-			WithSimCache(cache), WithTraceReplay(true), WithRetry(2),
+			WithSimCache(cache), WithTraceReplay(true),
 			WithFaultPlan(plan), WithReplayLog(&bytes.Buffer{}))
 		dev, err := New(opts...)
 		if err != nil {

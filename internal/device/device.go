@@ -141,18 +141,16 @@ type Device struct {
 
 	// traceReplay routes suite entries through the record-once /
 	// replay-per-point engine (WithTraceReplay); diag receives every
-	// degradation diagnostic — replay fallbacks and transient retries
-	// alike — serialized by its lock (see Device.degradef).
+	// degradation diagnostic (replay fallbacks), serialized by its lock
+	// (see Device.degradef).
 	traceReplay bool
 	diag        locked.Value[io.Writer]
 
-	// faults, launchTimeout and retries are the hardened failure plane:
-	// the armed fault-injection plan (nil in production), the wall-clock
-	// watchdog bound, and the transient-retry budget for suite entries
-	// (guard.go).
+	// faults and launchTimeout are the hardened failure plane: the armed
+	// fault-injection plan (nil in production) and the wall-clock
+	// watchdog bound (guard.go).
 	faults        *faultinject.Plan
 	launchTimeout time.Duration
-	retries       int
 
 	// cfgFP / memsysFP are the precomputed cache-key digests of the SM
 	// configuration and the modeled memory system; funcFP is the
@@ -326,9 +324,6 @@ func New(opts ...Option) (*Device, error) {
 	if d.launchTimeout < 0 {
 		return nil, fmt.Errorf("device: launch timeout %v must be non-negative (0 = no watchdog)", d.launchTimeout)
 	}
-	if d.retries < 0 {
-		return nil, fmt.Errorf("device: retry budget %d must be non-negative (0 = no retry)", d.retries)
-	}
 	if d.queue == nil {
 		d.queue = NewRunQueue(st.workers)
 	}
@@ -483,7 +478,7 @@ func (d *Device) RunSuite(ctx context.Context, suite []*kernels.Benchmark) ([]*S
 				// safeRun fails only the panicking entry; this worker keeps
 				// claiming the rest of the batch.
 				r.Result, r.Err = safeRun("suite entry "+r.Bench.Name, func() (*sm.Result, error) {
-					return d.runSuiteEntry(ctx, r, partitioned[order[n]])
+					return d.suiteEntry(ctx, r, partitioned[order[n]])
 				})
 			}
 		})()
@@ -538,31 +533,14 @@ func (d *Device) partitionPlan(suite []*kernels.Benchmark) []bool {
 	return plan
 }
 
-// runSuiteEntry runs one suite entry through the cache (when attached)
-// and records its measured cost for future scheduling. With trace
-// replay enabled the fill itself goes through the record-once /
-// replay-per-point engine (replay.go); the result cache in front of it
-// still keys on the full configuration, so each sweep point simulates
-// (or replays) at most once. The whole attempt — including the cache
-// interaction, so a follower of a transiently failed leader re-runs
-// rather than inheriting — sits under the WithRetry transient-retry
-// policy (guard.go).
-func (d *Device) runSuiteEntry(ctx context.Context, r *SuiteResult, partition bool) (*sm.Result, error) {
-	op := "suite entry " + r.Bench.Name
-	return d.retry(ctx, op, func() (*sm.Result, error) {
-		// Convert panics per attempt, inside the retry loop: a panic
-		// carrying a transient fault (the hot memory-access site raises
-		// error-class faults as panics) stays retry-eligible.
-		return safeRun(op, func() (*sm.Result, error) {
-			return d.suiteAttempt(ctx, r, partition)
-		})
-	})
-}
-
-// suiteAttempt is one try of one suite entry: fault sites, cache
-// interaction and the simulation itself. It marks the entry Cached when
-// the cache answered without this attempt's fill running.
-func (d *Device) suiteAttempt(ctx context.Context, r *SuiteResult, partition bool) (*sm.Result, error) {
+// suiteEntry runs one suite entry: its fault sites, the cache (when
+// attached) and the simulation itself. With trace replay enabled the
+// fill goes through the record-once / replay-per-point engine
+// (replay.go); the result cache in front of it still keys on the full
+// configuration, so each sweep point simulates (or replays) at most
+// once. It marks the entry Cached when the cache answered without this
+// call's fill running.
+func (d *Device) suiteEntry(ctx context.Context, r *SuiteResult, partition bool) (*sm.Result, error) {
 	if err := d.fire(faultinject.SiteSuiteWorker); err != nil {
 		return nil, err
 	}

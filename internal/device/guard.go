@@ -13,8 +13,8 @@ import (
 	"repro/internal/sm"
 )
 
-// Panic isolation, the wall-clock watchdog and the transient-retry
-// policy: the hardened failure plane of the device layer.
+// Panic isolation and the wall-clock watchdog: the hardened failure
+// plane of the device layer.
 //
 // # Panic isolation
 //
@@ -39,19 +39,9 @@ import (
 // queueing, admission and simulation. The watchdog cancels the launch's
 // context with a cause wrapping sm.ErrLaunchTimeout; the wave engine's
 // step loop converts that cause (via sm.Runner.Diagnose) into a
-// *sm.TimeoutError carrying the dumpState partial-state snapshot. Wall-clock state never reaches modeled cycles: the watchdog
-// can only abort a simulation, not change what it computes.
-//
-// # Transient retry
-//
-// WithRetry(n) re-runs a failed suite entry up to n extra times when
-// its failure is transient-class (faultinject.IsTransient — an error
-// chain exposing Transient() bool true, including through a
-// panic-to-error conversion), with exponential backoff between
-// attempts. Only suite entries retry: each attempt builds a fresh
-// launch from the benchmark generator, so a retry can never observe a
-// partially mutated image. Raw Device.Run / stream launches mutate the
-// caller's global image in place and are never retried.
+// *sm.TimeoutError carrying the dumpState partial-state snapshot.
+// Wall-clock state never reaches modeled cycles: the watchdog can only
+// abort a simulation, not change what it computes.
 
 // PanicError is a panic converted to an error at a device goroutine
 // boundary: what was running (including the launch identity when
@@ -67,8 +57,8 @@ func (e *PanicError) Error() string {
 }
 
 // Unwrap exposes a panic value that was itself an error, so errors.Is/
-// errors.As — and the transient-fault classification behind WithRetry —
-// see through the panic-to-error conversion.
+// errors.As — and faultinject.IsInjected — see through the
+// panic-to-error conversion.
 func (e *PanicError) Unwrap() error {
 	if err, ok := e.Value.(error); ok {
 		return err
@@ -135,18 +125,6 @@ func WithLaunchTimeout(d time.Duration) Option {
 	return func(s *settings) { s.launchTimeout = d }
 }
 
-// WithRetry lets RunSuite entries re-run after
-// transient-class failures (faultinject.IsTransient) up to n extra
-// attempts, with exponential backoff starting at 1ms between attempts.
-// Each attempt is a fresh launch built from the benchmark's generator,
-// so retries never observe partial state. Non-transient failures —
-// cancellations, oracle mismatches, livelocks, panics that were not
-// themselves transient faults — surface immediately. 0 (the default)
-// disables retry.
-func WithRetry(n int) Option {
-	return func(s *settings) { s.retries = n }
-}
-
 // fire triggers the device's fault plan at site; nil plan, nil error.
 func (d *Device) fire(site faultinject.Site) error {
 	if d.faults == nil {
@@ -198,39 +176,8 @@ func watchdogCtx(ctx context.Context, d time.Duration) (context.Context, func())
 	}
 }
 
-// retryBaseBackoff is the first wait of the transient-retry policy;
-// each further attempt doubles it.
-const retryBaseBackoff = time.Millisecond
-
-// retry applies the WithRetry policy around one suite-entry attempt:
-// re-run fn after a transient-class failure, up to d.retries extra
-// attempts, doubling the backoff each time. Cancellation during the
-// backoff wait surfaces the context error immediately. Every retry is
-// reported to the diagnostics log — degradations are loud.
-func (d *Device) retry(ctx context.Context, what string, fn func() (*sm.Result, error)) (*sm.Result, error) {
-	res, err := fn()
-	if d.retries <= 0 {
-		return res, err
-	}
-	backoff := retryBaseBackoff
-	for attempt := 1; err != nil && attempt <= d.retries && faultinject.IsTransient(err) && ctx.Err() == nil; attempt++ {
-		d.degradef("device: %s: transient failure, retry %d/%d after %v: %v", what, attempt, d.retries, backoff, err)
-		//sbwi:wallclock-ok retry backoff delays the host-side re-execution of a failed attempt; it never reaches modeled cycles
-		timer := time.NewTimer(backoff)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, watchdogErr(ctx, ctx.Err())
-		}
-		backoff *= 2
-		res, err = fn()
-	}
-	return res, err
-}
-
-// degradef reports a degradation event — work the device completed (or
-// will re-attempt) by falling back or retrying instead of failing — to
+// degradef reports a degradation event — work the device completed by
+// falling back instead of failing — to
 // the diagnostics log (WithReplayLog; default stderr). Degradations are
 // always loud: a silent fallback would be indistinguishable from a
 // clean result produced by the intended path. Concurrent suite workers

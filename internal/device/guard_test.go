@@ -18,8 +18,8 @@ import (
 )
 
 // The hardened failure plane's unit tests: panic conversion, stream
-// isolation, the livelock path through the full stack, the wall-clock
-// watchdog, and the transient-retry policy. The chaos suite
+// isolation, the livelock path through the full stack and the
+// wall-clock watchdog. The chaos suite
 // (chaos_test.go) exercises the same machinery under randomized
 // multi-site fault storms.
 
@@ -37,18 +37,15 @@ func TestSafeRunConvertsPanic(t *testing.T) {
 	}
 }
 
-// TestPanicErrorSeesThroughToErrors pins the unwrap contract the retry
-// policy depends on: a panic whose value is an error stays visible to
-// errors.Is/As — including the transient classification — through the
-// panic-to-error conversion.
+// TestPanicErrorSeesThroughToErrors pins the unwrap contract fault
+// attribution depends on: a panic whose value is an error stays visible
+// to errors.Is/As through the panic-to-error conversion.
 func TestPanicErrorSeesThroughToErrors(t *testing.T) {
 	inner := &faultinject.Error{Site: faultinject.SiteMemAccess, Kind: faultinject.KindError, Hit: 3}
 	_, err := safeRun("mem", func() (*sm.Result, error) { panic(inner) })
-	if !faultinject.IsInjected(err) {
+	var fe *faultinject.Error
+	if !errors.As(err, &fe) || fe != inner {
 		t.Errorf("injected fault invisible through PanicError: %v", err)
-	}
-	if !faultinject.IsTransient(err) {
-		t.Errorf("transient fault lost its class through PanicError: %v", err)
 	}
 }
 
@@ -155,7 +152,7 @@ func TestLivelockNeverCached(t *testing.T) {
 	cache := NewSimCache()
 	ctx := context.Background()
 
-	sick, err := New(WithArch(sm.ArchSBISWI), WithWorkers(2), WithSimCache(cache), WithRetry(2),
+	sick, err := New(WithArch(sm.ArchSBISWI), WithWorkers(2), WithSimCache(cache),
 		WithModifier(func(c *sm.Config) { c.MaxCycles = 50 }))
 	if err != nil {
 		t.Fatal(err)
@@ -168,9 +165,6 @@ func TestLivelockNeverCached(t *testing.T) {
 		var le *sm.LivelockError
 		if !errors.As(r.Err, &le) {
 			t.Fatalf("%s under MaxCycles=50: err %v, want *sm.LivelockError", r.Bench.Name, r.Err)
-		}
-		if faultinject.IsTransient(r.Err) {
-			t.Errorf("%s: livelock classified transient; WithRetry would spin on it", r.Bench.Name)
 		}
 	}
 	if n := cache.Len(); n != 0 {
@@ -257,77 +251,6 @@ func TestWatchdogDiagnosesMemsysInterleaver(t *testing.T) {
 	}
 }
 
-// TestRetryRecoversTransientFault: a transient fault on the first two
-// attempts of a suite entry is retried (loudly) and the entry
-// ultimately succeeds.
-func TestRetryRecoversTransientFault(t *testing.T) {
-	leakcheck.Check(t)
-	plan := faultinject.NewPlan(7, faultinject.Spec{
-		{Site: faultinject.SiteSuiteWorker, Kind: faultinject.KindError, Hits: []uint64{1, 2}},
-	})
-	var diag bytes.Buffer
-	dev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(2),
-		WithFaultPlan(plan), WithRetry(3), WithReplayLog(&diag))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runOneEntry(t, dev, "Transpose")
-	if err != nil || res == nil {
-		t.Fatalf("entry behind two transient faults: res %v err %v, want success", res, err)
-	}
-	if got := plan.Injected(faultinject.SiteSuiteWorker); got != 2 {
-		t.Errorf("injected %d suite-worker faults, want 2", got)
-	}
-	if !strings.Contains(diag.String(), "transient failure, retry") {
-		t.Errorf("retries were silent; diagnostics: %q", diag.String())
-	}
-}
-
-// TestRetryBudgetExhaustionSurfaces: a fault that outlives the retry
-// budget surfaces as the injected error, still transient-classified.
-func TestRetryBudgetExhaustionSurfaces(t *testing.T) {
-	leakcheck.Check(t)
-	plan := faultinject.NewPlan(7, faultinject.Spec{
-		{Site: faultinject.SiteSuiteWorker, Kind: faultinject.KindError, Every: 1},
-	})
-	dev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(2),
-		WithFaultPlan(plan), WithRetry(2), WithReplayLog(&bytes.Buffer{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = runOneEntry(t, dev, "Transpose")
-	if !faultinject.IsInjected(err) || !faultinject.IsTransient(err) {
-		t.Fatalf("exhausted retries: err %v, want the injected transient fault", err)
-	}
-	if got := plan.Injected(faultinject.SiteSuiteWorker); got != 3 {
-		t.Errorf("injected %d faults, want 3 (first attempt + 2 retries)", got)
-	}
-}
-
-// TestRetryRecoversMemAccessPanic: the hot memory-access site raises
-// error-class faults as panics (Access cannot return an error); the
-// panic must convert, classify transient, and retry to success.
-func TestRetryRecoversMemAccessPanic(t *testing.T) {
-	leakcheck.Check(t)
-	plan := faultinject.NewPlan(3, faultinject.Spec{
-		{Site: faultinject.SiteMemAccess, Kind: faultinject.KindError, Hits: []uint64{1}},
-	})
-	var diag bytes.Buffer
-	dev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(2),
-		WithL2(mem.DefaultL2()), WithInterconnect(noc.Default()),
-		WithFaultPlan(plan), WithRetry(2), WithReplayLog(&diag))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runOneEntry(t, dev, "Transpose")
-	if err != nil || res == nil {
-		t.Fatalf("entry behind a mem-access fault panic: res %v err %v, want success", res, err)
-	}
-	if !strings.Contains(diag.String(), "transient failure, retry") {
-		t.Errorf("mem-access retry was silent; diagnostics: %q", diag.String())
-	}
-}
-
 // TestRunTraceReplayPanicIsolation: a panic below the *recording* half
 // of RunTraceReplay (the hot memory-access site raises error-class
 // faults as panics) must come back as a *PanicError exactly as it does
@@ -396,17 +319,6 @@ func TestReplayFaultFallsBackLoudly(t *testing.T) {
 	if !strings.Contains(diag.String(), "fell back") {
 		t.Errorf("replay degradation was silent; diagnostics: %q", diag.String())
 	}
-}
-
-// runOneEntry runs the named benchmark as a one-entry RunSuite batch and
-// returns that entry's outcome.
-func runOneEntry(t *testing.T, dev *Device, name string) (*sm.Result, error) {
-	t.Helper()
-	results, err := dev.RunSuite(context.Background(), []*kernels.Benchmark{mustBench(t, name)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return results[0].Result, results[0].Err
 }
 
 // mustBench fetches a suite benchmark by name.

@@ -1,10 +1,10 @@
 // Package faultinject is the simulator's deterministic fault-injection
 // plane: a seeded, reproducible schedule of induced failures at named
 // sites of the device stack, for chaos-testing the hardened layers
-// (panic isolation, watchdog aborts, retry, cache poisoning rules).
+// (panic isolation, watchdog aborts, cache poisoning rules).
 //
 // A Plan is compiled once from a Spec — a list of Rules, each binding a
-// fault Kind (panic, transient error, delay, cancellation) to a Site
+// fault Kind (panic, error, delay, cancellation) to a Site
 // with a trigger (exact hit indices, a period, or a probability) — and
 // then armed on a device with WithFaultPlan. Every instrumented site
 // calls Plan.Fire on each pass; the plan decides, from nothing but the
@@ -74,8 +74,7 @@ const (
 	// recover boundaries of the device layer.
 	KindPanic Kind = iota + 1
 
-	// KindError returns a transient-class *Error — the retry-eligible
-	// failure class (IsTransient reports true for it).
+	// KindError returns an *Error.
 	KindError
 
 	// KindDelay stalls the site on the host wall clock (Rule.Delay,
@@ -94,7 +93,7 @@ func (k Kind) String() string {
 	case KindPanic:
 		return "panic"
 	case KindError:
-		return "transient error"
+		return "error"
 	case KindDelay:
 		return "delay"
 	case KindCancel:
@@ -135,10 +134,6 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("faultinject: injected %s at %s (hit %d)", e.Kind, e.Site, e.Hit)
 }
 
-// Transient reports whether the fault is retry-eligible; see
-// IsTransient.
-func (e *Error) Transient() bool { return e.Kind == KindError }
-
 // Unwrap makes a KindCancel fault satisfy errors.Is(err,
 // context.Canceled), so injected cancellations flow through the exact
 // error-classification paths a real caller cancellation would.
@@ -149,20 +144,12 @@ func (e *Error) Unwrap() error {
 	return nil
 }
 
-// IsInjected reports whether err originated from a fault plan.
+// IsInjected reports whether err originated from a fault plan, looking
+// through wrapping — including a panic-to-error conversion whose Unwrap
+// exposes the panic value.
 func IsInjected(err error) bool {
 	var fe *Error
 	return errors.As(err, &fe)
-}
-
-// IsTransient reports whether err is transient-class: a failure whose
-// re-execution may legitimately succeed (the device's WithRetry policy
-// retries exactly this class). The classification looks through
-// wrapping — including a panic-to-error conversion whose Unwrap exposes
-// the panic value — for any error implementing Transient() bool.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
 }
 
 // Plan is a compiled, armed fault schedule. All methods are safe for
@@ -276,8 +263,8 @@ func (p *Plan) Fire(site Site) error {
 
 // MustFire is Fire for sites that cannot return an error (the hot
 // memory-access path): an injected error-class fault is raised as a
-// panic instead, keeping its transient classification visible through
-// the panic-to-error conversion at the recover boundary.
+// panic instead, its *Error still visible through the panic-to-error
+// conversion at the recover boundary.
 func (p *Plan) MustFire(site Site) {
 	if err := p.Fire(site); err != nil {
 		panic(err)

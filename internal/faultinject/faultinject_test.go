@@ -108,9 +108,6 @@ func TestKindCancelWrapsContextCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("KindCancel error %v does not wrap context.Canceled", err)
 	}
-	if IsTransient(err) {
-		t.Fatal("a cancellation must not be transient-class")
-	}
 }
 
 func TestKindDelayStallsAndSucceeds(t *testing.T) {
@@ -124,26 +121,6 @@ func TestKindDelayStallsAndSucceeds(t *testing.T) {
 	}
 }
 
-func TestTransientClassification(t *testing.T) {
-	fault := &Error{Site: SiteCacheFill, Kind: KindError, Hit: 3}
-	if !IsTransient(fault) {
-		t.Fatal("KindError must be transient")
-	}
-	wrapped := fmt.Errorf("outer: %w", fmt.Errorf("inner: %w", fault))
-	if !IsTransient(wrapped) {
-		t.Fatal("IsTransient must look through wrapping")
-	}
-	if !IsInjected(wrapped) {
-		t.Fatal("IsInjected must look through wrapping")
-	}
-	if IsTransient(errors.New("plain")) || IsInjected(errors.New("plain")) {
-		t.Fatal("plain errors misclassified")
-	}
-	if IsTransient(&Error{Site: SiteCacheFill, Kind: KindPanic, Hit: 1}) {
-		t.Fatal("KindPanic must not be transient")
-	}
-}
-
 func TestMustFirePanicsOnError(t *testing.T) {
 	p := NewPlan(1, Spec{{Site: SiteMemAccess, Kind: KindError}})
 	defer func() {
@@ -152,8 +129,11 @@ func TestMustFirePanicsOnError(t *testing.T) {
 			t.Fatal("MustFire did not panic for an error-class fault")
 		}
 		err, ok := v.(error)
-		if !ok || !IsTransient(err) {
-			t.Fatalf("MustFire panic value %v (%T) lost the transient classification", v, v)
+		if !ok || !IsInjected(fmt.Errorf("outer: %w", fmt.Errorf("inner: %w", err))) {
+			t.Fatalf("MustFire panic value %v (%T) is not an injected fault seen through wrapping", v, v)
+		}
+		if IsInjected(errors.New("plain")) {
+			t.Fatal("a plain error classified as injected")
 		}
 	}()
 	p.MustFire(SiteMemAccess)
@@ -195,7 +175,7 @@ func TestFirstMatchingRuleWins(t *testing.T) {
 	err := p.Fire(SiteCacheFill)
 	var fe *Error
 	if !errors.As(err, &fe) || fe.Kind != KindError {
-		t.Fatalf("hit 1: got %v, want the first rule's transient error", err)
+		t.Fatalf("hit 1: got %v, want the first rule's error", err)
 	}
 	err = p.Fire(SiteCacheFill)
 	if !errors.As(err, &fe) || fe.Kind != KindCancel {

@@ -55,10 +55,8 @@ func fmul(a, b float32) float32 { return float32(a) * float32(b) }
 // fmad mirrors OpFMad: round the product to float32, then add.
 func fmad(a, b, c float32) float32 { return float32(a*b) + c }
 
-func fmin(a, b float32) float32 { return float32(math.Min(float64(a), float64(b))) }
 func fmax(a, b float32) float32 { return float32(math.Max(float64(a), float64(b))) }
 func frcp(a float32) float32    { return float32(1.0 / float64(a)) }
-func frsq(a float32) float32    { return float32(1.0 / math.Sqrt(float64(a))) }
 func fsqrt(a float32) float32   { return float32(math.Sqrt(float64(a))) }
 func fex2(a float32) float32    { return float32(math.Exp2(float64(a))) }
 func flg2(a float32) float32    { return float32(math.Log2(float64(a))) }

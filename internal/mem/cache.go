@@ -74,18 +74,6 @@ func (c *cacheArray) lookup(blockAddr uint32) *line {
 	return nil
 }
 
-// probe reports the line without touching LRU state.
-func (c *cacheArray) probe(blockAddr uint32) *line {
-	set := c.sets[c.setIndex(blockAddr)]
-	tag := c.tag(blockAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return &set[i]
-		}
-	}
-	return nil
-}
-
 // fill allocates blockAddr, evicting LRU, and reports whether a valid
 // line was displaced. ready is the cycle the fill data arrives;
 // accesses before then are hits-under-fill and wait for it.

@@ -125,9 +125,6 @@ func NewL2(cfg L2Config, mem Config) *L2 {
 	}
 }
 
-// Config returns the L2 configuration.
-func (l *L2) Config() L2Config { return l.cfg }
-
 func (l *L2) bank(blockAddr uint32) int {
 	return int(blockAddr/uint32(l.mem.BlockBytes)) % l.cfg.Banks
 }

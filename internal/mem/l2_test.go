@@ -63,6 +63,26 @@ func TestL2MSHRMerge(t *testing.T) {
 	}
 }
 
+// TestL2MergeAfterEviction: a line evicted while its fill is still in
+// flight misses in the tag array, and the re-access merges into the
+// outstanding fill instead of spending DRAM bandwidth again.
+func TestL2MergeAfterEviction(t *testing.T) {
+	l2, _ := tinyL2()
+	// 8 sets of 2 ways: blocks 8*128 bytes apart share a set.
+	first := l2.Access(0, 0, false)
+	l2.Access(1, 8*128, false)
+	l2.Access(2, 16*128, false) // evicts block 0, whose fill is in flight
+	if l2.Stats.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", l2.Stats.Evictions)
+	}
+	if again := l2.Access(3, 0, false); again != first {
+		t.Errorf("re-access ready at %d, want the outstanding fill's %d", again, first)
+	}
+	if l2.Stats.MSHRMerges != 1 || l2.Stats.Misses != 4 || l2.Stats.BytesFromMem != 3*128 {
+		t.Errorf("stats = %+v, want 1 merge, 4 misses and 3 fills", l2.Stats)
+	}
+}
+
 func TestL2Eviction(t *testing.T) {
 	l2, _ := tinyL2()
 	// 4 sets x 2 ways x 2 banks? nsets = 2048/(128*2) = 8 sets total;

@@ -167,9 +167,6 @@ func (h *Hierarchy) Reset(cfg Config) {
 	h.SetLower(nil)
 }
 
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
 // SetLower routes the L1's miss fills and write-throughs through l
 // instead of the flat-latency DRAM port, and arms the store write
 // buffer (Config.StoreQueue). Pass nil to restore the default, which
@@ -195,11 +192,6 @@ func (h *Hierarchy) below(now int64, store bool, blockAddr uint32) int64 {
 		return h.lower.Access(now, store, blockAddr)
 	}
 	return h.port.Reserve(now, h.cfg.BlockBytes)
-}
-
-// BlockAddr returns the block-aligned address containing addr.
-func (h *Hierarchy) BlockAddr(addr uint32) uint32 {
-	return addr &^ uint32(h.cfg.BlockBytes-1)
 }
 
 // Load presents one load transaction for blockAddr at cycle now and
@@ -268,13 +260,6 @@ func (h *Hierarchy) Store(now int64, blockAddr uint32) int64 {
 	}
 	h.Stats.BytesToMem += uint64(h.cfg.BlockBytes)
 	return issue + h.cfg.HitLatency
-}
-
-// Probe reports whether blockAddr is present with its data arrived by
-// cycle now, without touching LRU state or statistics.
-func (h *Hierarchy) Probe(now int64, blockAddr uint32) bool {
-	l := h.arr.probe(blockAddr)
-	return l != nil && l.ready <= now
 }
 
 // Coalesce merges the active lanes' addresses in [lo, hi) into unique

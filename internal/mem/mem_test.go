@@ -11,9 +11,6 @@ func TestGeometry(t *testing.T) {
 	if h.arr.nsets != 64 {
 		t.Errorf("sets = %d, want 64", h.arr.nsets)
 	}
-	if h.BlockAddr(0x12345) != 0x12345&^127 {
-		t.Errorf("BlockAddr = %#x", h.BlockAddr(0x12345))
-	}
 }
 
 func TestBadGeometryPanics(t *testing.T) {
@@ -171,7 +168,7 @@ func TestHierarchyResetEqualsFresh(t *testing.T) {
 			// More blocks than lines, revisited: hits depend on the set
 			// mapping and on which line each fill evicted.
 			for i := uint32(0); i < 3000; i++ {
-				now, addr := int64(i/3), fresh.BlockAddr(i*2654435761>>16%1200*64) // hashed, not cyclic: LRU would miss every time
+				now, addr := int64(i/3), i*2654435761>>16%1200*64&^uint32(next.BlockBytes-1) // hashed, not cyclic: LRU would miss every time
 				if got, want := h.Load(now, addr), fresh.Load(now, addr); got != want {
 					t.Fatalf("load %d: reset hierarchy ready at %d, fresh at %d", i, got, want)
 				}

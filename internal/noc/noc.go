@@ -134,12 +134,6 @@ func New(cfg Config, ports int) *Crossbar {
 	}
 }
 
-// Config returns the crossbar's configuration.
-func (x *Crossbar) Config() Config { return x.cfg }
-
-// Ports returns the number of request ports.
-func (x *Crossbar) Ports() int { return len(x.ports) }
-
 // Send injects a request of the given payload size on a port at cycle
 // now and returns the cycle it is delivered at the L2 side: the port
 // queue wait, plus the traversal latency. The port stays busy for

@@ -1,9 +1,6 @@
 package reconv
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Context is one warp-split: a program counter and the set of threads
 // following it, plus scheduling state used by the selective
@@ -23,9 +20,9 @@ type Context struct {
 	// holds all live threads (merges or thread exits).
 	Parked bool
 
-	// LastIssue is the cycle this split last issued an instruction; the
-	// pipeline uses it to enforce one issue per split per cycle. Merges
-	// keep the most recent of the two.
+	// LastIssue is the cycle this split last issued an instruction, the
+	// front-end's oldest-first age. Merges keep the most recent of the
+	// two.
 	LastIssue int64
 }
 
@@ -117,22 +114,6 @@ func (h *Heap) Slot(i int) *Context {
 	return &h.hot[i]
 }
 
-// CPC1 returns the primary common PC (the global minimum).
-func (h *Heap) CPC1() (int, bool) {
-	if c := h.Slot(0); c != nil {
-		return c.PC, true
-	}
-	return 0, false
-}
-
-// CPC2 returns the secondary common PC (the second minimum).
-func (h *Heap) CPC2() (int, bool) {
-	if c := h.Slot(1); c != nil {
-		return c.PC, true
-	}
-	return 0, false
-}
-
 // SlotMasks returns the thread masks of the primary split, the secondary
 // split and the remaining (cold) contexts. The triple drives the
 // dependency-matrix scoreboard's transition matrices (§3.4): matrix row
@@ -149,21 +130,12 @@ func (h *Heap) SlotMasks() [3]uint64 {
 }
 
 // minOtherPC returns the minimum PC over all live splits except the one
-// in hot slot `slot`; ok is false when no other split exists.
+// in hot slot `slot`; ok is false when no other split exists. That is
+// the other hot split: the hot slots hold the two minimum PCs, and the
+// CCT is empty unless both are full.
 func (h *Heap) minOtherPC(slot int) (int, bool) {
-	minPC, ok := 0, false
-	for i := range h.hot {
-		if i == slot || !h.hotValid[i] {
-			continue
-		}
-		if !ok || h.hot[i].PC < minPC {
-			minPC, ok = h.hot[i].PC, true
-		}
-	}
-	if len(h.cct) > 0 && (!ok || h.cct[0].PC < minPC) {
-		minPC, ok = h.cct[0].PC, true
-	}
-	return minPC, ok
+	other := HotContexts - 1 - slot
+	return h.hot[other].PC, h.hotValid[other]
 }
 
 // SyncBlocked evaluates the selective synchronization barrier condition
@@ -186,15 +158,8 @@ func (h *Heap) SyncBlocked(slot int) bool {
 // split in slot must suspend it, per the two cases of paper §3.3: it
 // blocks exactly when another split's PC lies in [pcDiv, PCrec).
 func (h *Heap) SyncBlockedAt(slot int, pcDiv int) bool {
-	c := h.Slot(slot)
-	if c == nil {
-		return false
-	}
 	other, ok := h.minOtherPC(slot)
-	if !ok {
-		return false
-	}
-	return other >= pcDiv && other < c.PC
+	return ok && other >= pcDiv && other < h.Slot(slot).PC
 }
 
 // Eligible reports whether the split in slot may be scheduled.
@@ -236,9 +201,6 @@ func (h *Heap) Suspended(slot int) bool {
 // dependency-matrix scoreboard needs for its transition.
 func (h *Heap) Advance(slot int, nextPC int, now int64) (pre [3]uint64, relaid bool) {
 	c := h.Slot(slot)
-	if c == nil {
-		return pre, false
-	}
 	c.PC = nextPC
 	c.WaitDiv = -1
 	c.Parked = false
@@ -262,19 +224,11 @@ func (h *Heap) inOrder(slot int) bool {
 
 // Wait records that the split in slot attempted a SYNC carrying pcDiv
 // and must retry once the region [pcDiv, PC) empties.
-func (h *Heap) Wait(slot int, pcDiv int) {
-	if c := h.Slot(slot); c != nil {
-		c.WaitDiv = pcDiv
-	}
-}
+func (h *Heap) Wait(slot int, pcDiv int) { h.Slot(slot).WaitDiv = pcDiv }
 
 // Park records that the split in slot reached a block barrier without
 // holding every live thread of the warp.
-func (h *Heap) Park(slot int) {
-	if c := h.Slot(slot); c != nil {
-		c.Parked = true
-	}
-}
+func (h *Heap) Park(slot int) { h.Slot(slot).Parked = true }
 
 // Diverge splits the context executing a branch at pcBranch: threads in
 // taken continue at pcTaken, the rest of that context's threads at
@@ -288,9 +242,6 @@ func (h *Heap) Park(slot int) {
 func (h *Heap) Diverge(pcBranch, pcTaken, pcFall int, taken uint64, now int64) {
 	taken &= h.alive
 	c := h.findByMask(taken)
-	if c == nil {
-		return
-	}
 	_ = pcBranch // the branch address does not affect heap state
 	eff := c.Mask
 	switch {
@@ -314,16 +265,14 @@ func (h *Heap) Diverge(pcBranch, pcTaken, pcFall int, taken uint64, now int64) {
 // Exit retires the threads of the split in hot slot.
 func (h *Heap) Exit(slot int, now int64) {
 	c := h.Slot(slot)
-	if c == nil {
-		return
-	}
 	h.alive &^= c.Mask
 	c.Mask = 0
 	h.rebuild(now, false)
 }
 
 // findByMask returns the live context whose mask contains `taken`
-// (hot slots first, then the CCT), or nil.
+// (hot slots first, then the CCT). Contexts partition the warp, so a
+// `taken` no single context holds is a caller bug.
 func (h *Heap) findByMask(taken uint64) *Context {
 	if taken == 0 {
 		// An all-fall-through branch comes from the primary split by
@@ -340,7 +289,7 @@ func (h *Heap) findByMask(taken uint64) *Context {
 			return &h.cct[i]
 		}
 	}
-	return nil
+	panic(fmt.Sprintf("reconv: threads %#x are not one split of %s", taken, h))
 }
 
 // rebuild restores the heap invariants after a mutation: dead contexts
@@ -428,9 +377,6 @@ func (h *Heap) rebuild(now int64, inserted bool) {
 		h.Stats.MaxSplits = n
 	}
 }
-
-// Threads returns the number of live threads.
-func (h *Heap) Threads() int { return bits.OnesCount64(h.alive) }
 
 func (h *Heap) String() string {
 	s := "heap{"

@@ -26,8 +26,7 @@ func TestHeapDivergeSortsByPC(t *testing.T) {
 	h := NewHeap(0xF, 8)
 	// Branch at 0: taken (0x3) to 10, fallthrough at 1.
 	h.Diverge(0, 10, 1, 0x3, 0)
-	pc1, _ := h.CPC1()
-	pc2, _ := h.CPC2()
+	pc1, pc2 := h.Slot(0).PC, h.Slot(1).PC
 	if pc1 != 1 || pc2 != 10 {
 		t.Fatalf("CPCs = %d, %d; want 1, 10", pc1, pc2)
 	}
@@ -64,16 +63,14 @@ func TestHeapThreeWaySplitsUseCCT(t *testing.T) {
 	if h.Splits() != 3 {
 		t.Fatalf("splits = %d", h.Splits())
 	}
-	pc1, _ := h.CPC1()
-	pc2, _ := h.CPC2()
+	pc1, pc2 := h.Slot(0).PC, h.Slot(1).PC
 	if pc1 != 2 || pc2 != 10 {
 		t.Fatalf("CPCs = %d,%d; want 2,10", pc1, pc2)
 	}
 	// CPC3 (20) must be in the CCT; bringing CPC1 forward past CPC2
 	// must promote it.
 	h.Advance(0, 30, 2) // (30,0x8): hot should now be (10,0x3),(20,0x4)
-	pc1, _ = h.CPC1()
-	pc2, _ = h.CPC2()
+	pc1, pc2 = h.Slot(0).PC, h.Slot(1).PC
 	if pc1 != 10 || pc2 != 20 {
 		t.Fatalf("after advance: CPCs = %d,%d; want 10,20", pc1, pc2)
 	}
@@ -87,10 +84,7 @@ func TestHeapMinPCInvariant(t *testing.T) {
 	// Live PCs: 3 (0x2), 25 (0x1), 50 (0x3... wait masks: initial 0xFF.
 	// After step1: (1,0xF0),(100,0x0F). step2 splits slot0: (2,0xC... )
 	// Regardless of exact masks, slot0 must hold the global min PC.
-	pc1, ok := h.CPC1()
-	if !ok {
-		t.Fatal("no primary")
-	}
+	pc1 := h.Slot(0).PC
 	for slot := 1; slot < HotContexts; slot++ {
 		if c := h.Slot(slot); c != nil && c.PC < pc1 {
 			t.Errorf("slot %d PC %d < CPC1 %d", slot, c.PC, pc1)
@@ -137,8 +131,7 @@ func TestHeapSyncBlocked(t *testing.T) {
 	// Primary leaves the region (jumps past the sync): secondary wakes.
 	h.Advance(0, 25, 1)
 	// After resort, the old secondary (pc 20) is now the primary.
-	pc1, _ := h.CPC1()
-	if pc1 != 20 {
+	if pc1 := h.Slot(0).PC; pc1 != 20 {
 		t.Fatalf("CPC1 = %d, want 20", pc1)
 	}
 	if h.SyncBlocked(0) {
@@ -180,7 +173,7 @@ func TestHeapOuterBlockRunsFree(t *testing.T) {
 	// The D split reaches F at 25 (sync with PCdiv=12) while E still in 20.
 	// Find slot of PC 13 after resort: slots sorted -> (3,0xC) primary,
 	// (13,0x1) secondary, (20,0x2) in CCT.
-	if pc2, _ := h.CPC2(); pc2 != 13 {
+	if pc2 := h.Slot(1).PC; pc2 != 13 {
 		t.Fatalf("CPC2 = %d", pc2)
 	}
 	h.Advance(1, 25, 2) // D reaches F
@@ -189,7 +182,7 @@ func TestHeapOuterBlockRunsFree(t *testing.T) {
 	// E reach F too.
 	// First check blocking for the F split if it were scheduled: find it.
 	// E (pc 20) advances to 25: merge with D's split.
-	if pc2, _ := h.CPC2(); pc2 != 20 {
+	if pc2 := h.Slot(1).PC; pc2 != 20 {
 		t.Fatalf("CPC2 = %d, want 20", pc2)
 	}
 	h.Advance(1, 25, 3)
@@ -346,7 +339,7 @@ func TestQuickHeapInvariants(t *testing.T) {
 			if union != h.Alive() {
 				return false
 			}
-			if pc1, ok := h.CPC1(); ok && pc1 != minPC {
+			if c0 := h.Slot(0); c0 != nil && c0.PC != minPC {
 				return false // CPC1 must be the global minimum
 			}
 			if h.Done() {

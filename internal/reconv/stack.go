@@ -15,8 +15,6 @@
 // data state lives in the simulator's register files.
 package reconv
 
-import "fmt"
-
 // StackEntry is one level of the baseline reconvergence stack.
 type StackEntry struct {
 	PC    int
@@ -53,8 +51,7 @@ func (s *Stack) Reset(mask uint64) {
 // Alive returns the mask of threads that have not exited.
 func (s *Stack) Alive() uint64 { return s.alive }
 
-// Depth returns the current stack depth; MaxDepth the high-water mark.
-func (s *Stack) Depth() int    { return len(s.entries) }
+// MaxDepth returns the stack's high-water mark.
 func (s *Stack) MaxDepth() int { return s.maxDepth }
 
 // Done reports whether all threads have exited.
@@ -84,11 +81,7 @@ func (s *Stack) Active() (pc int, mask uint64, ok bool) {
 // Advance moves the TOS to the next sequential PC, popping at the
 // reconvergence point.
 func (s *Stack) Advance() {
-	e := s.top()
-	if e == nil {
-		return
-	}
-	e.PC++
+	s.top().PC++
 	s.popAtRec()
 }
 
@@ -96,10 +89,8 @@ func (s *Stack) Advance() {
 // entry's reconvergence point pops it, like advancing into it — the
 // common shape of an if/else whose then-path ends in "bra join".
 func (s *Stack) Jump(pc int) {
-	if e := s.top(); e != nil {
-		e.PC = pc
-		s.popAtRec()
-	}
+	s.top().PC = pc
+	s.popAtRec()
 }
 
 // popAtRec pops every TOS entry sitting at its own reconvergence point.
@@ -120,9 +111,6 @@ func (s *Stack) popAtRec() {
 // wait in the reconvergence entry).
 func (s *Stack) Diverge(pc, target, recPC int, taken uint64) {
 	e := s.top()
-	if e == nil {
-		return
-	}
 	eff := e.Mask & s.alive
 	ntaken := eff &^ taken
 	e.PC = recPC
@@ -143,8 +131,4 @@ func (s *Stack) Diverge(pc, target, recPC int, taken uint64) {
 func (s *Stack) Exit(mask uint64) {
 	s.alive &^= mask
 	s.top()
-}
-
-func (s *Stack) String() string {
-	return fmt.Sprintf("stack{depth=%d alive=%#x}", len(s.entries), s.alive)
 }

@@ -24,8 +24,8 @@ func TestStackDivergeReconverge(t *testing.T) {
 	s := NewStack(0xF)
 	// Branch at pc 0: threads 0,1 taken to 5; reconverge at 8.
 	s.Diverge(0, 5, 8, 0x3)
-	if s.Depth() != 3 {
-		t.Fatalf("depth = %d", s.Depth())
+	if len(s.entries) != 3 {
+		t.Fatalf("depth = %d", len(s.entries))
 	}
 	// Taken path runs first.
 	pc, mask, _ := s.Active()
@@ -47,8 +47,8 @@ func TestStackDivergeReconverge(t *testing.T) {
 	if pc != 8 || mask != 0xF {
 		t.Fatalf("reconverged = %d %#x", pc, mask)
 	}
-	if s.Depth() != 1 {
-		t.Errorf("depth = %d", s.Depth())
+	if len(s.entries) != 1 {
+		t.Errorf("depth = %d", len(s.entries))
 	}
 	if s.MaxDepth() != 3 {
 		t.Errorf("max depth = %d", s.MaxDepth())
@@ -59,8 +59,8 @@ func TestStackPathAtReconvergenceNotPushed(t *testing.T) {
 	s := NewStack(0xF)
 	// if-without-else: taken jumps straight to the reconvergence point.
 	s.Diverge(0, 8, 8, 0x3)
-	if s.Depth() != 2 {
-		t.Fatalf("depth = %d", s.Depth())
+	if len(s.entries) != 2 {
+		t.Fatalf("depth = %d", len(s.entries))
 	}
 	pc, mask, _ := s.Active()
 	if pc != 1 || mask != 0xC {

@@ -103,7 +103,10 @@ func (l *Lookup) SetOf(primary int) int { return l.setOf[primary] }
 
 // SetWarps returns the warps of set index si (used when the secondary
 // scheduler substitutes for an idle primary and probes sets
-// round-robin). The slice is shared; callers must not modify it.
+// round-robin). In the SM model that substitute search never issues: it
+// repeats, at the same cycle, the ready test the primary has just failed
+// on every awake warp, so it only adds scoreboard probes (see
+// internal/sm's cycle). The slice is shared; callers must not modify it.
 func (l *Lookup) SetWarps(si int) []int {
 	return l.sets[si%l.numSets]
 }

@@ -80,22 +80,6 @@ func (r Row) Mul(t Matrix) Row {
 	return out
 }
 
-// Compose chains two transitions (a then b).
-func (a Matrix) Compose(b Matrix) Matrix {
-	var out Matrix
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			for k := 0; k < 3; k++ {
-				if a[i][k] && b[k][j] {
-					out[i][j] = true
-					break
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Entry is one in-flight register write tracked by the scoreboard.
 type Entry struct {
 	Dst  isa.Reg
@@ -106,10 +90,9 @@ type Entry struct {
 
 // Stats counts scoreboard events.
 type Stats struct {
-	Checks       uint64 // dependency queries
-	Stalls       uint64 // queries answered "not yet"
-	Structural   uint64 // stalls caused by a full entry table
-	FalseSharing uint64 // DepMatrix stalls the DepMask oracle would not take (when tracked)
+	Checks     uint64 // dependency queries
+	Stalls     uint64 // queries answered "not yet"
+	Structural uint64 // stalls caused by a full entry table
 }
 
 // Scoreboard tracks in-flight destination registers per warp, bounding

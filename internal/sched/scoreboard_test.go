@@ -74,6 +74,10 @@ func TestScoreboardStructuralLimit(t *testing.T) {
 	if got := sb.ReadyAt(0, st, srcsOf(st), 0, 0xF, 10); got != 10 {
 		t.Errorf("store ReadyAt = %d, want 10", got)
 	}
+	sb.Issue(0, st, 0, 0xF, 50)
+	if n := sb.InFlight(0, 10); n != 2 {
+		t.Errorf("a store allocated an entry: %d in flight, want 2", n)
+	}
 }
 
 func TestScoreboardMatrixDisjointSplits(t *testing.T) {
@@ -137,19 +141,6 @@ func TestRowMulIdentity(t *testing.T) {
 	r := Row{true, false, true}
 	if got := r.Mul(Identity); got != r {
 		t.Errorf("r*I = %v", got)
-	}
-}
-
-func TestMatrixCompose(t *testing.T) {
-	var a, b Matrix
-	a[0][1] = true
-	b[1][2] = true
-	c := a.Compose(b)
-	if !c[0][2] {
-		t.Error("compose must chain 0->1->2")
-	}
-	if c[0][1] || c[1][2] {
-		t.Error("compose must not keep one-step edges")
 	}
 }
 

@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/exec"
@@ -67,10 +68,34 @@ func checkCandCache(t *testing.T, s *SM, walked int64) {
 	}
 }
 
+// checkNoSubstitute re-probes, without ticking a counter, the buddy set
+// the SWI substitute search probed in cycle walked, a cycle that issued
+// no primary, and requires that no warp there could have issued. That
+// is the premise on which the substitute search keeps no issue path
+// (see cycle): no event ran since the search, so the records and units
+// it saw are the ones read here.
+func checkNoSubstitute(t *testing.T, s *SM, walked int64) {
+	t.Helper()
+	for base, word := range s.setBits[int(walked)%s.lookup.NumSets()] {
+		for word &= s.readySet[base]; word != 0; word &= word - 1 {
+			id := base<<6 | bits.TrailingZeros64(word)
+			r := &s.cands[id]
+			if !r.valid {
+				t.Fatalf("cycle %d: warp %d of the substitute's buddy set holds no record", walked, id)
+			}
+			if walked >= r.wake && s.units.canIssue(r.unit, r.lane, walked) {
+				t.Fatalf("cycle %d issued no primary, but warp %d of the substitute's buddy set could issue", walked, id)
+			}
+		}
+	}
+}
+
 // stepCoherent runs the launch to completion, checking every record and
-// every sleeper against a fresh computation after every step — then
-// calling after, if not nil — and that the run ends with no sleeper left
-// to settle. It returns the finished SM.
+// every sleeper against a fresh computation after every step — on SWI
+// architectures also that a step which issued no primary left the
+// substitute search nothing to issue — then calling after, if not nil,
+// and that the run ends with no sleeper left to settle. It returns the
+// finished SM.
 func stepCoherent(t *testing.T, c Config, l *exec.Launch, after func(*SM)) *SM {
 	t.Helper()
 	r, err := NewRunner(c, l, 0, l.GridDim, RunOpts{})
@@ -79,7 +104,7 @@ func stepCoherent(t *testing.T, c Config, l *exec.Launch, after func(*SM)) *SM {
 	}
 	s := &r.s
 	for {
-		walked := s.now
+		walked, primaries := s.now, s.stats.PrimaryIssues
 		done, err := s.step(1 << 30)
 		if err != nil {
 			t.Fatal(err)
@@ -93,6 +118,9 @@ func stepCoherent(t *testing.T, c Config, l *exec.Launch, after func(*SM)) *SM {
 			return s
 		}
 		checkCandCache(t, s, walked)
+		if s.setBits != nil && s.stats.PrimaryIssues == primaries {
+			checkNoSubstitute(t, s, walked)
+		}
 		if after != nil {
 			after(s)
 		}

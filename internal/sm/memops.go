@@ -2,6 +2,7 @@ package sm
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/mem"
@@ -159,7 +160,8 @@ func (s *SM) execMem(c *candidate) error {
 		hitReady := int64(0)
 		for m := c.mask; m != 0; m &= m - 1 {
 			t := bits.TrailingZeros64(m)
-			r := txnReadyOf(txnBlocks, ready, addrs[t]&^(blockBytes-1))
+			// The coalescer put every active lane's block in the list.
+			r := ready[slices.Index(txnBlocks, addrs[t]&^(blockBytes-1))]
 			if r <= hitBound {
 				hitMask |= 1 << uint(t)
 				if r > hitReady {
@@ -192,18 +194,4 @@ func (s *SM) execMem(c *candidate) error {
 	s.sb.Issue(w.id, ins, c.slot, c.mask, maxReady)
 	s.advance(c, c.pc+1)
 	return nil
-}
-
-// txnReadyOf returns the data-return cycle of the transaction covering
-// block (the coalescer guarantees every active lane's block is in the
-// list, so the scan always finds it).
-//
-//sbwi:hotpath
-func txnReadyOf(blocks []uint32, ready []int64, block uint32) int64 {
-	for i, b := range blocks {
-		if b == block {
-			return ready[i]
-		}
-	}
-	return 0
 }

@@ -19,9 +19,8 @@ import (
 // Reset again and again: the device keeps one per worker slot and SM and
 // re-arms it for every wave instead of building a new one.
 type Runner struct {
-	s    SM
-	max  int64
-	done bool
+	s   SM
+	max int64
 }
 
 // NewRunner builds a steppable SM over the CTA sub-range
@@ -42,29 +41,19 @@ func NewRunner(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) (
 //sbwi:hotpath
 func (r *Runner) Now() int64 { return r.s.now }
 
-// Done reports whether the sub-range has completed.
-func (r *Runner) Done() bool { return r.done }
-
 // Step advances the simulation by one front-end iteration (one
 // scheduling cycle plus any idle fast-forward). It reports completion;
-// further Steps after completion are no-ops.
+// a Step after completion changes nothing and reports it again.
 //
 //sbwi:hotpath
 func (r *Runner) Step() (bool, error) {
-	if r.done {
-		return true, nil
-	}
 	done, err := r.s.step(r.max)
-	if err != nil {
-		return false, err
-	}
 	if done {
 		if err := r.s.finishReplay(); err != nil {
 			return false, err
 		}
 	}
-	r.done = done
-	return done, nil
+	return done, err
 }
 
 // Result finalizes and returns the run statistics. Call once, after

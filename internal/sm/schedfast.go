@@ -45,8 +45,7 @@ package sm
 // none of these — it is resident and not at a barrier (it is in
 // readySet), the primary walk skips it, the SWI searches reject it (its
 // ready probe stalls), and the SBI and sequential secondaries belong to
-// the primary's own warp. refreshWarp settles a sleeper all the same
-// rather than assume it.
+// the primary's own warp. refreshWarp panics if one ever does.
 //
 // Readers. The record is the only way the per-cycle walk asks the
 // scoreboard, and it has three readers, all probing in ascending warp
@@ -61,7 +60,11 @@ package sm
 //   - swiSecondary, both the buddy-set search beside a primary and the
 //     substitute search when no primary issued. Whether it probes a warp
 //     depends on the primary's unit and lane mask, so it reads sleepers'
-//     records like anyone's and ticks per cycle;
+//     records like anyone's and ticks per cycle. The substitute search
+//     never issues: it repeats, on a subset of the same records at the
+//     same cycle, the ready test the primary walk has just failed on
+//     every awake warp, and a sleeper's wake cycle is still ahead. It
+//     only adds probe counts;
 //   - fastForward, which after a cycle that issued nothing advances
 //     s.now across the idle span: with no issue every record is frozen,
 //     so the wake-up cycle is the minimum over records of
@@ -149,7 +152,7 @@ func (s *SM) refreshWarp(w *warp) {
 		}
 	}
 	if s.sleepers.has(w.id) {
-		s.settle(w.id, s.now)
+		panic("sm: an event reached a sleeping warp") // see Settlement in the file comment
 	}
 	s.slotOf[w.id] = int8(slot)
 	s.cands[w.id].valid = false
@@ -177,7 +180,7 @@ type issueCand struct {
 	pc        int32
 	mask      uint64
 	lane      uint64
-	lastIssue int64 // oldest-first age key and once-per-cycle issue guard
+	lastIssue int64 // oldest-first age key
 	hazT      int64 // negInf when no live entry conflicts
 	wake      int64 // hazT, or later while the table stays full for a written destination
 	from      int64 // sleeper only: the first cycle of its sleep
@@ -255,14 +258,14 @@ func (s *SM) fillCand(id int, r *issueCand) {
 }
 
 // ready is one scheduler probe of a record at the current cycle: the
-// once-per-cycle issue guard, the scoreboard verdict — ticking the
-// counters the equivalent ReadyAt call would — and the unit capacity.
+// scoreboard verdict — ticking the counters the equivalent ReadyAt call
+// would — and the unit capacity. No warp is probed in a cycle it has
+// issued in: the only probes after an issue are swiSecondary's, which
+// exclude the primary's warp, and the baseline's second pool, which
+// holds the other parity.
 //
 //sbwi:hotpath
 func (s *SM) ready(r *issueCand) bool {
-	if r.lastIssue >= s.now {
-		return false
-	}
 	st := &s.sb.Stats
 	st.Checks++
 	if s.now < r.wake {

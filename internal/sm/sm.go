@@ -306,7 +306,7 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 		s.setBits, s.memberOf = nil, nil // derived from the lookup; rebuilt below for SWI
 	}
 
-	r.max, r.done = cfg.MaxCycles, false
+	r.max = cfg.MaxCycles
 	if r.max <= 0 {
 		r.max = defaultMaxCycles
 	}
@@ -666,9 +666,8 @@ func (s *SM) releaseBarriers() {
 			}
 			w.atBarrier = false
 			if w.heap != nil {
-				if c := w.heap.Slot(0); c != nil {
-					s.advanceHeap(w, 0, c.PC+1)
-				}
+				// A warp at the barrier holds every live thread in one split.
+				s.advanceHeap(w, 0, w.heap.Slot(0).PC+1)
 			} else {
 				w.stack.Advance()
 			}
@@ -730,12 +729,16 @@ func (s *SM) cycle() (bool, error) {
 
 	if !s.selectPrimary(0, &prim) {
 		// No primary: the secondary scheduler substitutes itself (§4),
-		// searching one buddy set selected round-robin.
+		// searching one buddy set selected round-robin. In this model the
+		// search can never issue. It applies the ready test the primary
+		// walk has just failed on every awake warp, at the same cycle
+		// against the same records and units, and a sleeper fails it by
+		// construction (its wake cycle is still ahead). It stays for the
+		// scoreboard probes it ticks; checkCandCache pins that it finds
+		// nothing.
 		if s.cfg.Arch == ArchSWI || s.cfg.Arch == ArchSBISWI {
 			var sub candidate
-			if s.swiSecondary(int(s.now)%s.lookup.NumSets(), -1, isa.UnitCTRL, 0, &sub) {
-				return true, s.issue(&sub, true, provSWI)
-			}
+			s.swiSecondary(int(s.now)%s.lookup.NumSets(), -1, isa.UnitCTRL, 0, &sub)
 		}
 		return false, nil
 	}
@@ -748,12 +751,10 @@ func (s *SM) cycle() (bool, error) {
 	var secPC int
 	var secMask uint64
 	haveSec := false
-	if s.cfg.hotSlots() == 2 && pw.heap != nil {
-		other := 1 - prim.slot
-		if pw.heap.Eligible(other) {
-			if c2 := pw.heap.Slot(other); c2 != nil && c2.LastIssue < s.now {
-				secPC, secMask, haveSec = c2.PC, c2.Mask, true
-			}
+	if s.cfg.hotSlots() == 2 {
+		if other := 1 - prim.slot; pw.heap.Eligible(other) {
+			c2 := pw.heap.Slot(other)
+			secPC, secMask, haveSec = c2.PC, c2.Mask, true
 		}
 	}
 
@@ -802,13 +803,11 @@ const (
 // primarySlot returns the hot slot the primary front-end follows for a
 // warp: the minimal-PC context, falling through to the next one when it
 // is architecturally suspended (parked at a partial barrier or waiting
-// on a selective synchronization barrier).
+// on a selective synchronization barrier). Only heap warps have a
+// choice; refreshWarp asks for no other.
 //
 //sbwi:hotpath
 func (s *SM) primarySlot(w *warp) int {
-	if w.heap == nil {
-		return 0
-	}
 	if w.heap.Suspended(0) {
 		return 1
 	}
@@ -845,7 +844,7 @@ func (s *SM) selectPrimary(pool int, out *candidate) bool {
 				if best < 0 || r.lastIssue < bestAge {
 					best, bestAge = id, r.lastIssue
 				}
-			case r.lastIssue < s.now && s.now < r.wake:
+			case s.now < r.wake:
 				s.sleep(id, r)
 			}
 		}
@@ -895,15 +894,16 @@ func (s *SM) divergenceCapable(ins *isa.Instruction) bool {
 // second front-end — including the SYNC a waiting split must execute
 // to evaluate its selective barrier — except that two
 // divergence-capable instructions of one warp cannot share a cycle.
+// The split found is the untouched secondary: every split the primary
+// issue leaves behind has a mask disjoint from it or containing more,
+// and a primary that arrived at the barrier held every live thread, so
+// there was no secondary to snapshot.
 //
 //sbwi:hotpath
 func (s *SM) sbiCandidate(w *warp, pc int, mask uint64, primDiverges bool, out *candidate) bool {
-	if w.heap == nil || w.atBarrier {
-		return false
-	}
 	slot := -1
 	for i := 0; i < reconv.HotContexts; i++ {
-		if c := w.heap.Slot(i); c != nil && c.PC == pc && c.Mask == mask && c.LastIssue < s.now {
+		if c := w.heap.Slot(i); c != nil && c.PC == pc && c.Mask == mask {
 			slot = i
 			break
 		}
@@ -920,17 +920,16 @@ func (s *SM) sbiCandidate(w *warp, pc int, mask uint64, primDiverges bool, out *
 // seqCandidate dual-issues the next sequential instruction of the
 // just-issued primary split when it targets a different unit group and
 // its dependencies (including on the primary instruction itself, whose
-// scoreboard entry is already visible) allow.
+// scoreboard entry is already visible) allow. A non-control primary is
+// never the last instruction (isa.Program.Validate ends every program
+// in an unconditional bra or exit) and never a barrier arrival.
 //
 //sbwi:hotpath
 func (s *SM) seqCandidate(w *warp, primIns *isa.Instruction, primPC int, primMask uint64, out *candidate) bool {
-	if w.heap == nil || w.atBarrier || primIns.Op.Unit() == isa.UnitCTRL {
+	if primIns.Op.Unit() == isa.UnitCTRL {
 		return false
 	}
 	next := primPC + 1
-	if next >= s.prog.Len() {
-		return false
-	}
 	// Locate the split: it advanced to next with the same mask (if it
 	// merged, was resorted away, or parked at the load under
 	// memory-divergence splitting, skip).
@@ -1068,14 +1067,12 @@ func (s *SM) countInstr(ins *isa.Instruction, active int) {
 	s.stats.UnitThreadInstrs[ins.Op.Unit()] += uint64(active)
 }
 
-// markIssued stamps the split's issue guard.
+// markIssued stamps the split's oldest-first age.
 //
 //sbwi:hotpath
 func (s *SM) markIssued(w *warp, slot int) {
 	if w.heap != nil {
-		if c := w.heap.Slot(slot); c != nil {
-			c.LastIssue = s.now
-		}
+		w.heap.Slot(slot).LastIssue = s.now
 		return
 	}
 	w.lastIssue = s.now

@@ -231,7 +231,7 @@ func TestDeterminism(t *testing.T) {
 // beat the single-issue thread-frontier reference.
 func TestSBICoIssuesBranches(t *testing.T) {
 	res := runBoth(t, ArchSBI, "ifelse", ifelseSrc, 8, 256, 8*256, 0)
-	if res.Stats.SBIPairs == 0 {
+	if res.Stats.SBIPairs == 0 || res.Stats.SecondaryShare() == 0 {
 		t.Errorf("SBI never paired branch instructions: %+v", res.Stats)
 	}
 	ref := runBoth(t, ArchWarp64, "ifelse", ifelseSrc, 8, 256, 8*256, 0)
@@ -513,6 +513,16 @@ func TestRunValidation(t *testing.T) {
 	l := newLaunch(p, 1, c.NumWarps*c.WarpWidth+1, 4096, 0)
 	if _, err := Run(c, l); err == nil {
 		t.Error("oversized block must be rejected")
+	}
+	if n := ResidentCTAs(c, l); n != 0 {
+		t.Errorf("an oversized block fits %d times on one SM, want 0", n)
+	}
+
+	// Negative associativity: the SWI lookup cannot be built.
+	negAssoc := Configure(ArchSWI)
+	negAssoc.Assoc = -1
+	if _, err := Run(negAssoc, newLaunch(assembleFor(t, "straight", straightSrc, ArchSWI), 1, 64, 64, 0)); err == nil {
+		t.Error("negative associativity must be rejected")
 	}
 
 	// Missing RecPC annotations for the stack.

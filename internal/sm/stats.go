@@ -119,14 +119,6 @@ func (s *Stats) IPC() float64 {
 	return float64(s.ThreadInstrs) / float64(s.Cycles)
 }
 
-// IssueIPC returns warp-instruction issues per cycle (front-end load).
-func (s *Stats) IssueIPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.IssueSlots) / float64(s.Cycles)
-}
-
 // SecondaryShare returns the fraction of issues that came from the
 // secondary slot.
 func (s *Stats) SecondaryShare() float64 {

@@ -77,14 +77,13 @@ func (u *units) canIssue(unit isa.Unit, laneMask uint64, now int64) bool {
 	}
 }
 
-// issue reserves the unit. For the LSU the caller reserves separately
-// via issueLSU once the transaction count is known.
+// issue reserves a MAD group or the SFU for an ALU instruction. Control
+// instructions occupy no unit, and the LSU is reserved separately via
+// issueLSU once the transaction count is known.
 //
 //sbwi:hotpath
 func (u *units) issue(unit isa.Unit, laneMask uint64, now int64) {
 	switch unit {
-	case isa.UnitCTRL:
-		return
 	case isa.UnitMAD:
 		for g := range u.madFree {
 			if u.madFree[g] <= now {
@@ -163,19 +162,11 @@ func (u *units) lsuWaves(mask uint64) int {
 	waves := 0
 	per := uint(u.cfg.LSUWidth)
 	for lo := uint(0); lo < uint(u.cfg.WarpWidth); lo += per {
-		if mask>>lo&waveMask(per) != 0 {
+		if mask>>lo&(1<<per-1) != 0 { // 1<<64 is 0 in uint64, so per == 64 masks every bit
 			waves++
 		}
 	}
 	return waves
-}
-
-// waveMask returns a mask of `per` low bits (handles per == 64).
-func waveMask(per uint) uint64 {
-	if per >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<per - 1
 }
 
 // popcount is a readability alias.

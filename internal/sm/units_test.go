@@ -115,6 +115,27 @@ func TestLSUWaves(t *testing.T) {
 	if got := u.lsuWaves(0xFFFF); got != 1 {
 		t.Errorf("lsuWaves = %d, want 1", got)
 	}
+	u.cfg.LSUWidth = 64 // one wave covers the whole warp
+	if got := u.lsuWaves(1 | 1<<63); got != 1 {
+		t.Errorf("64-wide lsuWaves = %d, want 1", got)
+	}
+}
+
+// With two MAD groups and row sharing, the second instruction of a cycle
+// takes the free group and still claims its lanes of the row, so a
+// third may share the row only with lanes neither took.
+func TestMADRowSharingAcrossGroups(t *testing.T) {
+	u := testUnits(true)
+	u.cfg.MADGroups = 2
+	u.reset(u.cfg)
+	u.issue(isa.UnitMAD, 0x0F, 10)
+	u.issue(isa.UnitMAD, 0xF0, 10)
+	if u.canIssue(isa.UnitMAD, 0x10, 10) {
+		t.Error("a mask overlapping the second group's lanes must be rejected")
+	}
+	if !u.canIssue(isa.UnitMAD, 0xF00, 10) {
+		t.Error("lanes neither group took must share the row")
+	}
 }
 
 func TestCTRLAlwaysIssues(t *testing.T) {

@@ -76,24 +76,19 @@ type warp struct {
 	// its block's live counter.
 	deadCounted bool
 
-	// lastIssue is the warp-level issue guard for the stack model (the
-	// heap model tracks it per context).
+	// lastIssue is the warp-level oldest-first age for the stack model
+	// (the heap model tracks it per context).
 	lastIssue int64
 }
 
-// done reports whether all of the warp's threads exited (an unallocated
-// warp is done).
+// done reports whether all of the resident warp's threads exited.
 //
 //sbwi:hotpath
 func (w *warp) done() bool {
-	switch {
-	case w.block == nil:
-		return true
-	case w.heap != nil:
+	if w.heap != nil {
 		return w.heap.Done()
-	default:
-		return w.stack.Done()
 	}
+	return w.stack.Done()
 }
 
 // laneMask transposes a thread mask into lane space.

@@ -31,9 +31,11 @@ func DefaultL2Config() L2Config { return mem.DefaultL2() }
 func DefaultNoCConfig() NoCConfig { return noc.Default() }
 
 // Option configures a Device built by NewDevice. Options apply in
-// order; later options override earlier ones. Field options (shuffle,
-// associativity, ...) modify the configuration selected by WithArch or
-// WithConfig regardless of their position in the option list.
+// order; later options override earlier ones. The field options
+// (WithShuffle, WithTrace) modify the configuration selected by WithArch
+// or WithConfig regardless of their position in the option list. Any
+// other Config field is set through WithConfig, starting from the
+// Device.Config of a device built WithArch.
 type Option = device.Option
 
 // WithArch selects the modeled micro-architecture and bases the
@@ -130,15 +132,6 @@ func WithReplayLog(w io.Writer) Option { return device.WithReplayLog(w) }
 // run, never retime it.
 func WithLaunchTimeout(d time.Duration) Option { return device.WithLaunchTimeout(d) }
 
-// WithRetry lets RunSuite entries re-run after
-// transient-class failures up to n extra attempts, with exponential
-// backoff between attempts. Every attempt builds a fresh launch from
-// the benchmark generator, so a retry never observes partial state;
-// non-transient failures (cancellations, oracle mismatches,
-// livelocks, panics) surface immediately. 0 (the default) disables
-// retry.
-func WithRetry(n int) Option { return device.WithRetry(n) }
-
 // WithL2 models the shared memory system: a banked, MSHR-backed L2
 // between every SM's L1 and global memory, reached over the
 // interconnect (DefaultNoCConfig unless WithInterconnect overrides
@@ -162,38 +155,9 @@ func WithShuffle(p Shuffle) Option {
 	return device.WithModifier(func(c *sm.Config) { c.Shuffle = p })
 }
 
-// WithAssoc sets the SWI secondary-lookup associativity
-// (FullyAssociative for the unrestricted search).
-func WithAssoc(ways int) Option {
-	return device.WithModifier(func(c *sm.Config) { c.Assoc = ways })
-}
-
-// WithConstraints toggles the selective synchronization barriers of
-// paper §3.3.
-func WithConstraints(on bool) Option {
-	return device.WithModifier(func(c *sm.Config) { c.Constraints = on })
-}
-
 // WithTrace records up to n issue events per run for pipeline
 // visualization (figure 2). For partitioned launches the trace covers
 // the first CTA wave.
 func WithTrace(n int) Option {
 	return device.WithModifier(func(c *sm.Config) { c.TraceCap = n })
-}
-
-// WithSeed seeds the secondary scheduler's tie-breaking PRNG.
-func WithSeed(seed uint64) Option {
-	return device.WithModifier(func(c *sm.Config) { c.Seed = seed })
-}
-
-// WithMaxCycles bounds each SM simulation against livelocked kernels
-// (0 keeps the default bound).
-func WithMaxCycles(n int64) Option {
-	return device.WithModifier(func(c *sm.Config) { c.MaxCycles = n })
-}
-
-// WithMemDivergenceSplit enables the DWS-style memory-divergence warp
-// splitting extension on thread-frontier architectures.
-func WithMemDivergenceSplit(on bool) Option {
-	return device.WithModifier(func(c *sm.Config) { c.SplitOnMemDivergence = on })
 }
