@@ -170,13 +170,15 @@
 // # Static analysis
 //
 // The invariants above — bit-identical statistics, a zero-allocation
-// issue path, complete Merge aggregation — are also enforced at vet
-// time by the repository's analyzer suite (`go run ./cmd/sbwi-lint
-// ./...`, or as a `go vet -vettool`); the //sbwi: comment directives in
-// the sources belong to it. Package internal/lint's comment lists the
-// analyzers, the README's "Static analysis" section the directives.
-// Lock discipline is the compiler's: shared state lives in a
-// locked.Value, reachable only with its mutex held.
+// issue path, panic-isolated device goroutines — are also enforced
+// statically by the repository's analyzer suite, which runs as one test
+// (`go test ./internal/lint -run TestRepoLintClean`); the //sbwi:
+// comment directives in the sources belong to it. Package
+// internal/lint's comment lists the analyzers, the README's "Static
+// analysis" section the directives. Lock discipline is the compiler's:
+// shared state lives in a locked.Value, reachable only with its mutex
+// held. Complete Merge aggregation is internal/statcheck's, which
+// checks every statistics type's Merge by value.
 //
 // See the examples directory for runnable programs.
 package sbwi

@@ -22,8 +22,8 @@ import (
 // layer below must fail only the launch (or stream, or suite entry)
 // that triggered it — never the Device, the RunQueue or sibling
 // streams. Every goroutine the device spawns therefore runs a
-// guarded(...) body (enforced statically by the sbwi-lint goguard
-// analyzer), and every spawn site recovers panics inline, converting
+// guarded(...) body (enforced statically by the goguard analyzer in
+// internal/lint), and every spawn site recovers panics inline, converting
 // them into a typed *PanicError before its completion bookkeeping runs:
 // a Pending must be completed before the inflight counter drops, or
 // Synchronize could observe an idle device while a future is still
@@ -75,7 +75,7 @@ func newPanicError(op string, v any) *PanicError {
 //
 //	go guarded(op, fn)()
 //
-// The form is enforced by the sbwi-lint goguard analyzer. Every spawn
+// The form is enforced by the goguard analyzer (internal/lint). Every spawn
 // site recovers inline within fn, ordered before its completion
 // bookkeeping (see the file comment); guarded is the backstop for a
 // panic escaping that recovery: it reports to stderr and the process

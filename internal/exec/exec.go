@@ -43,7 +43,7 @@ import (
 // kernel parameters and the global memory image. Both simulators mutate
 // Global in place; callers that need the initial image must copy it.
 //
-// When a launch is partitioned across SM instances (sm.RunRange via a
+// When a launch is partitioned across SM instances (sm.RunRangeOpts via a
 // Device), its kernel must obey the write-sharing contract documented
 // in partition.go: different CTAs may only write the same global
 // location if they write the same value. MergeWaves asserts this.

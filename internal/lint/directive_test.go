@@ -46,14 +46,3 @@ func TestDeterminismCritical(t *testing.T) {
 		}
 	}
 }
-
-func TestByNameCoversAll(t *testing.T) {
-	for _, a := range All() {
-		if got := ByName(a.Name); got != a {
-			t.Errorf("ByName(%q) = %v; want the registered analyzer", a.Name, got)
-		}
-	}
-	if got := ByName("nosuch"); got != nil {
-		t.Errorf("ByName(nosuch) = %v, want nil", got)
-	}
-}

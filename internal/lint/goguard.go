@@ -21,14 +21,11 @@ import (
 // because it type-checks and "works" right up until the first panic.
 //
 // _test.go files are exempt: test helper goroutines fail the test via
-// the testing package's own machinery. A non-test goroutine that
-// genuinely cannot panic (or whose panic must propagate) is waived
-// with `//sbwi:unguarded <justification>`.
+// the testing package's own machinery. There is no waiver: no device
+// goroutine has needed one.
 var GoGuard = &Analyzer{
 	Name: "goguard",
-	Doc: "requires every go statement in the device package to invoke the guarded panic wrapper " +
-		"(suppress with //sbwi:unguarded <why> when the goroutine cannot panic)",
-	Run: runGoGuard,
+	Run:  runGoGuard,
 }
 
 // guardWrapperName is the device package's panic-isolation wrapper
@@ -51,7 +48,6 @@ func runGoGuard(pass *Pass) {
 		if pass.isTestFile(file) {
 			continue
 		}
-		dirs := directivesOf(pass.Fset, file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {
@@ -60,9 +56,6 @@ func runGoGuard(pass *Pass) {
 			if isGuardCall(ast.Unparen(g.Call.Fun)) {
 				return true // go guarded(...)(): the contract's shape
 			}
-			if pass.suppress(dirs, DirUnguarded, g.Pos()) {
-				return true
-			}
 			if isGuardIdent(ast.Unparen(g.Call.Fun)) {
 				pass.Reportf(g.Pos(),
 					"go %s(...) spawns the wrapper without invoking it — the protected closure is built and discarded; call it: go %s(...)()",
@@ -70,7 +63,7 @@ func runGoGuard(pass *Pass) {
 				return true
 			}
 			pass.Reportf(g.Pos(),
-				"goroutine in device package %s must run under the panic guard: go %s(op, fn)() (or waive with //sbwi:unguarded <why>)",
+				"goroutine in device package %s must run under the panic guard: go %s(op, fn)()",
 				pass.Path, guardWrapperName)
 			return true
 		})

@@ -9,10 +9,12 @@ import (
 // HotAlloc checks functions annotated `//sbwi:hotpath` (in their doc
 // comment) for allocation-causing constructs. The simulator's
 // steady-state issue path is required to run allocation-free —
-// TestSteadyStateZeroAllocs pins 0 allocs/cycle at runtime — but that
-// test only measures the configurations it runs; a new map literal on
-// a rarely-taken branch of the hot loop slips through until a profile
-// regresses. This analyzer rejects the construct at vet time instead.
+// TestSteadyStateZeroAllocs counts 0 mallocs over a window of steps at
+// runtime — but that test only measures the configurations it runs; a
+// new map literal on a rarely-taken branch of the hot loop (or on the
+// device's L2 port, which no zero-alloc test drives) slips through
+// until a profile regresses. This analyzer rejects the construct
+// statically instead.
 //
 // Flagged constructs: map/slice composite literals, make and new,
 // append (may grow), capturing closures, go statements, calls into
@@ -26,9 +28,7 @@ import (
 // cross-check that the justification holds.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc: "flags allocation-causing constructs in //sbwi:hotpath functions " +
-		"(suppress with //sbwi:alloc-ok <why> when provably allocation-free in context)",
-	Run: runHotAlloc,
+	Run:  runHotAlloc,
 }
 
 func runHotAlloc(pass *Pass) {

@@ -1,23 +1,26 @@
-// Package lint implements the sbwi-lint static-analysis suite: custom
-// analyzers that enforce, at vet time, the invariants the simulator's
-// runtime test suites only catch late and only on exercised paths.
+// Package lint implements the repository's static-analysis suite:
+// custom analyzers that enforce the invariants the simulator's runtime
+// test suites only catch late and only on exercised paths. The suite
+// runs in one place, TestRepoLintClean, which applies every analyzer to
+// every package of the module, _test.go files included.
 //
-// The suite ships five analyzers (see their files for details):
+// The suite ships four analyzers (see their files for details), each
+// kept because a planted bug it catches gets past every other test:
 //
 //   - mapiter: no map iteration in determinism-critical packages
 //     without an //sbwi:unordered justification.
 //   - hotalloc: no allocation-causing constructs inside functions
 //     annotated //sbwi:hotpath.
-//   - mergefields: every field of a struct with a Merge method must be
-//     read by that Merge method.
 //   - walltime: no wall-clock or process-global randomness in
 //     simulation-core packages.
 //   - goguard: every goroutine the device package spawns must run
 //     under the guarded panic wrapper.
 //
-// Lock discipline needs no analyzer: shared state lives in a
-// locked.Value (internal/locked), which the compiler only lets code
-// reach through its Do method.
+// Two contracts need no analyzer. Lock discipline: shared state lives
+// in a locked.Value (internal/locked), which the compiler only lets
+// code reach through its Do method. Merge completeness: statcheck
+// (internal/statcheck) checks every Merge method's values, in both
+// directions and through nested statistics types.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) but is self-contained: the module has
@@ -38,10 +41,6 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and test suites.
 	Name string
-
-	// Doc is a one-paragraph description of what the analyzer
-	// enforces and how to suppress a finding.
-	Doc string
 
 	// Run performs the check over one package, reporting findings
 	// through pass.Reportf.
@@ -91,21 +90,11 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MapIter, HotAlloc, MergeFields, WallTime, GoGuard}
-}
-
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
+	return []*Analyzer{MapIter, HotAlloc, WallTime, GoGuard}
 }
 
 // RunAnalyzers applies each analyzer to pkg and returns the findings
-// sorted by position.
+// sorted by file, line, column and analyzer.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -120,12 +109,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		a.Run(pass)
 	}
-	SortDiagnostics(diags)
-	return diags
-}
-
-// SortDiagnostics orders findings by file, line, column, analyzer.
-func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -139,6 +122,7 @@ func SortDiagnostics(diags []Diagnostic) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	return diags
 }
 
 // criticalSuffixes lists the determinism-critical packages: per-launch
@@ -187,14 +171,6 @@ const (
 	// DirWallclockOK justifies a wall-clock reference in a
 	// simulation-core package (walltime suppression).
 	DirWallclockOK = "wallclock-ok"
-
-	// DirNoMerge justifies a struct field deliberately not folded by
-	// the struct's Merge method (mergefields suppression).
-	DirNoMerge = "nomerge"
-
-	// DirUnguarded justifies a device-package goroutine that runs
-	// outside the guarded panic wrapper (goguard suppression).
-	DirUnguarded = "unguarded"
 )
 
 const directivePrefix = "//sbwi:"
@@ -263,7 +239,6 @@ func (p *Pass) suppress(d *fileDirectives, name string, pos token.Pos) bool {
 	}
 	if arg == "" {
 		p.Reportf(pos, "//sbwi:%s directive needs a one-line justification to suppress this finding", name)
-		return true
 	}
 	return true
 }

@@ -40,7 +40,3 @@ func TestGoGuardNonDevice(t *testing.T) {
 func TestHotAlloc(t *testing.T) {
 	linttest.Run(t, lint.HotAlloc, "testdata/hotalloc/hot", "example.com/sim/hot")
 }
-
-func TestMergeFields(t *testing.T) {
-	linttest.Run(t, lint.MergeFields, "testdata/mergefields/stats", "example.com/sim/stats")
-}

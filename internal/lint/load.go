@@ -29,28 +29,20 @@ type Package struct {
 	Info  *types.Info
 }
 
-// NewInfo returns a types.Info with every map the analyzers consult.
-func NewInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-}
-
 // Check type-checks already-parsed files as package path using imp to
 // resolve imports, and returns the analysis-ready package.
 func Check(fset *token.FileSet, path string, files []*ast.File, imp types.Importer, goVersion string) (*Package, error) {
-	info := NewInfo()
+	info := &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}
 	conf := types.Config{
 		Importer:  imp,
 		GoVersion: goVersion,
 		Sizes:     types.SizesFor("gc", envOr("GOARCH", runtime.GOARCH)),
 	}
-	canonical := CanonicalPath(path)
+	canonical := canonicalPath(path)
 	tpkg, err := conf.Check(canonical, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", path, err)
@@ -58,9 +50,9 @@ func Check(fset *token.FileSet, path string, files []*ast.File, imp types.Import
 	return &Package{Path: canonical, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
-// CanonicalPath strips the test-variant suffix go list attaches to
+// canonicalPath strips the test-variant suffix go list attaches to
 // packages recompiled for a test binary ("pkg [other.test]").
-func CanonicalPath(path string) string {
+func canonicalPath(path string) string {
 	if i := strings.Index(path, " ["); i >= 0 {
 		return path[:i]
 	}
@@ -150,7 +142,7 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if p.ForTest != "" && CanonicalPath(p.ImportPath) == p.ForTest {
+		if p.ForTest != "" && canonicalPath(p.ImportPath) == p.ForTest {
 			augmented[p.ForTest] = true
 		}
 	}
@@ -170,7 +162,7 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 		if p.Error != nil {
 			return nil, fmt.Errorf("go list %s: %s", p.ImportPath, p.Error.Err)
 		}
-		files, err := ParseFiles(fset, p.Dir, p.GoFiles)
+		files, err := parseFiles(fset, p.Dir, p.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -199,9 +191,9 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// ParseFiles parses each file (joined onto dir when relative) with
+// parseFiles parses each file (joined onto dir when relative) with
 // comments retained — the directive scanner needs them.
-func ParseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
 	files := make([]*ast.File, 0, len(names))
 	for _, name := range names {
 		path := name

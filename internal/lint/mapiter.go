@@ -13,7 +13,7 @@ import (
 // cross-worker determinism suites exist to protect. Those runtime
 // suites only catch an order leak when a randomized iteration happens
 // to land in a different order on an exercised path; this analyzer
-// rejects the construct outright at vet time.
+// rejects the construct outright, statically.
 //
 // Iterations whose consumer is provably order-insensitive (counting,
 // set-membership collection that is sorted before use, …) are waived
@@ -21,9 +21,7 @@ import (
 // statement or the line above it.
 var MapIter = &Analyzer{
 	Name: "mapiter",
-	Doc: "flags map iteration in determinism-critical packages " +
-		"(suppress with //sbwi:unordered <why> when the consumer is order-insensitive)",
-	Run: runMapIter,
+	Run:  runMapIter,
 }
 
 func runMapIter(pass *Pass) {

@@ -10,10 +10,11 @@ import (
 )
 
 // TestRepoLintClean runs the full analyzer suite over every package in
-// the module and asserts zero unsuppressed findings — the same gate CI
-// applies through `go vet -vettool=sbwi-lint ./...`. A finding here
-// means either a real regression or a waiver missing its
-// justification; fix the code or annotate it, never this test.
+// the module, _test.go files included, and asserts zero unsuppressed
+// findings. It is the suite's only runner: CI applies it through the
+// test job's `go test ./...`. A finding here means either a real
+// regression or a waiver missing its justification; fix the code or
+// annotate it, never this test.
 func TestRepoLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")

@@ -34,16 +34,3 @@ func spawnClosure() {
 func spawnUninvoked() {
 	go guarded("work", work) // want "spawns the wrapper without invoking it"
 }
-
-// spawnWaived documents why this goroutine may run unguarded.
-func spawnWaived() {
-	//sbwi:unguarded closes over nothing and cannot panic
-	go work()
-}
-
-// spawnBareDirective carries the directive without a justification:
-// the waiver itself is reported as incomplete.
-func spawnBareDirective() {
-	//sbwi:unguarded
-	go work() // want "needs a one-line justification"
-}

@@ -21,9 +21,7 @@ import (
 // `//sbwi:wallclock-ok <justification>`.
 var WallTime = &Analyzer{
 	Name: "walltime",
-	Doc: "forbids wall-clock time and process-global randomness in simulation-core packages " +
-		"(suppress with //sbwi:wallclock-ok <why> when the value cannot reach modeled state)",
-	Run: runWallTime,
+	Run:  runWallTime,
 }
 
 // wallClockFuncs are the forbidden package-level functions, keyed by

@@ -1,10 +1,12 @@
 package sm
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/mem"
 	"repro/internal/replay"
 )
 
@@ -77,50 +79,122 @@ var (
 	shortMemSrc  = strings.Replace(memIdleLoopSrc, "4000", "100", 1)
 )
 
+// sharedLoopSrc is a race-free shared-memory stage in a long loop: each
+// thread stores its counter, the block meets at a barrier, reads its
+// mirror neighbour's slot, takes the SFU reciprocal and meets again
+// before the next store. It sustains the shared-memory, barrier and SFU
+// paths the other two loops never take.
+const sharedLoopSrc = `
+.shared 1024
+	mov  r1, %tid
+	shl  r2, r1, 2
+	mov  r4, %ntid
+	isub r5, r4, 1
+	isub r5, r5, r1
+	shl  r6, r5, 2
+	mov  r3, 0
+	mov  r8, 0
+loop:
+	st.s [r2], r3
+	bar
+	ld.s r7, [r6]
+	rcp  r7, r7
+	xor  r8, r8, r7
+	bar
+	iadd r3, r3, 1
+	isetp.lt r9, r3, 20000
+	bra  r9, loop
+	mov  r10, %ctaid
+	imad r11, r10, r4, r1
+	shl  r12, r11, 2
+	mov  r13, %p0
+	iadd r13, r13, r12
+	st.g [r13], r8
+	exit
+`
+
+// l2Lower adapts a shared mem.L2 to the port an SM's L1 misses into.
+type l2Lower struct{ l2 *mem.L2 }
+
+func (p l2Lower) Access(now int64, store bool, block uint32) int64 {
+	return p.l2.Access(now, block, store)
+}
+
+// steadyStateSteps is both the warm-up and the measured window of
+// TestSteadyStateZeroAllocs: scratch buffers reach their final size
+// well inside the warm-up.
+const steadyStateSteps = 20000
+
+// windowMallocs steps s through a warm-up and then a measured window of
+// steadyStateSteps each, and returns the exact number of heap
+// allocations inside the window. testing.AllocsPerRun would report the
+// integer part of the mean, which reads 0 for an allocation made on
+// fewer than every step.
+func windowMallocs(t *testing.T, s *SM) uint64 {
+	t.Helper()
+	step := func() {
+		done, err := s.step(1 << 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			t.Fatalf("kernel finished after %d cycles, before the measured window closed — lengthen it", s.now)
+		}
+	}
+	for i := 0; i < steadyStateSteps; i++ {
+		step()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < steadyStateSteps; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestSteadyStateZeroAllocs drives the hot loop directly through
 // (*SM).step and asserts the steady-state issue path performs zero heap
-// allocations per cycle, for both a divergence-heavy compute loop and a
-// memory-latency-bound loop (which exercises the idle fast-forward),
-// on every architecture.
+// allocations, counted exactly over a window of steps, on every
+// architecture: a divergence-heavy compute loop, a memory-latency-bound
+// loop (which exercises the idle fast-forward), a shared-memory and
+// barrier loop, and the memory loop again with the hit/miss warp split
+// and behind a shared L2.
 func TestSteadyStateZeroAllocs(t *testing.T) {
+	memParams, memWords := []uint32{0, 4 * 256 * 4}, 4*256+65536
 	kernelsUnderTest := []struct {
 		name, src string
 		params    []uint32
 		words     int
+		wire      func(*Config, *RunOpts) // nil: the architecture's defaults
 	}{
-		{"divergent-loop", divergentLoopSrc, []uint32{0}, 4 * 256},
-		{"mem-idle", memIdleLoopSrc, []uint32{0, 4 * 256 * 4}, 4*256 + 65536},
+		{"divergent-loop", divergentLoopSrc, []uint32{0}, 4 * 256, nil},
+		{"mem-idle", memIdleLoopSrc, memParams, memWords, nil},
+		{"shared-loop", sharedLoopSrc, []uint32{0}, 4 * 256, nil},
+		{"mem-idle-split", memIdleLoopSrc, memParams, memWords,
+			func(c *Config, _ *RunOpts) { c.SplitOnMemDivergence = true }},
+		{"mem-idle-l2", memIdleLoopSrc, memParams, memWords,
+			func(c *Config, o *RunOpts) { o.Lower = l2Lower{mem.NewL2(mem.DefaultL2(), c.Mem)} }},
 	}
 	for _, k := range kernelsUnderTest {
 		for _, a := range Architectures() {
+			cfg, opts := Configure(a), RunOpts{}
+			if k.wire != nil {
+				k.wire(&cfg, &opts)
+			}
+			if cfg.SplitOnMemDivergence && !cfg.usesHeap() {
+				continue // the split needs a thread-frontier architecture
+			}
 			t.Run(k.name+"/"+a.String(), func(t *testing.T) {
-				cfg := Configure(a)
 				p := assembleFor(t, k.name, k.src, a)
 				l := newLaunch(p, 4, 256, k.words, k.params...)
-				r, err := NewRunner(cfg, l, 0, l.GridDim, RunOpts{})
+				r, err := NewRunner(cfg, l, 0, l.GridDim, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := &r.s
-				const maxCycles = int64(1) << 30
-				// Warm up past block launch, first divergences and
-				// scratch growth into the steady state.
-				for i := 0; i < 600; i++ {
-					done, err := s.step(maxCycles)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if done {
-						t.Fatalf("kernel finished during warm-up after %d cycles — lengthen it", s.now)
-					}
-				}
-				avg := testing.AllocsPerRun(400, func() {
-					if _, err := s.step(maxCycles); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if avg != 0 {
-					t.Errorf("steady-state step allocates %.2f times per cycle, want 0", avg)
+				if n := windowMallocs(t, &r.s); n != 0 {
+					t.Errorf("steady-state step allocated %d times in %d steps, want 0", n, steadyStateSteps)
 				}
 			})
 		}
@@ -129,16 +203,16 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	// Replay mode must be equally allocation-free: the replay-walk
 	// cursors (Branch, PeekAddr, ConsumeAddr) replace the functional
 	// layer in the same hot loop, so a replayed event gets the same
-	// zero-allocation budget as a simulated one. The shorter
-	// kernels keep the record-time full run cheap; 1000 steps stay well
-	// inside their steady state.
+	// zero-allocation budget as a simulated one. Shorter trip counts
+	// keep the record-time full run cheap while still outlasting the
+	// warm-up and the window.
 	replayKernels := []struct {
 		name, src string
 		params    []uint32
 		words     int
 	}{
 		{"divergent-loop", shortLoopSrc, []uint32{0}, 4 * 256},
-		{"mem-idle", shortMemSrc, []uint32{0, 4 * 256 * 4}, 4*256 + 65536},
+		{"mem-idle", strings.Replace(memIdleLoopSrc, "4000", "400", 1), memParams, memWords},
 	}
 	for _, k := range replayKernels {
 		for _, a := range Architectures() {
@@ -159,24 +233,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := &r.s
-				const maxCycles = int64(1) << 30
-				for i := 0; i < 600; i++ {
-					done, err := s.step(maxCycles)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if done {
-						t.Fatalf("kernel finished during warm-up after %d cycles — lengthen it", s.now)
-					}
-				}
-				avg := testing.AllocsPerRun(400, func() {
-					if _, err := s.step(maxCycles); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if avg != 0 {
-					t.Errorf("steady-state replayed step allocates %.2f times per cycle, want 0", avg)
+				if n := windowMallocs(t, &r.s); n != 0 {
+					t.Errorf("steady-state replayed step allocated %d times in %d steps, want 0", n, steadyStateSteps)
 				}
 			})
 		}

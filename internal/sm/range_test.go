@@ -37,7 +37,7 @@ func TestRunRangeCoversGrid(t *testing.T) {
 	mid := parts.GridDim / 2
 	var sum Stats
 	for _, r := range [][2]int{{0, mid}, {mid, parts.GridDim}} {
-		res, err := RunRange(context.Background(), cfg, parts, r[0], r[1])
+		res, err := RunRangeOpts(context.Background(), cfg, parts, r[0], r[1], RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestRunRangeSeesFullGrid(t *testing.T) {
 `, ArchSBISWI)
 	l := &exec.Launch{Prog: prog, GridDim: 6, BlockDim: 1, Global: make([]byte, 6*4)}
 	cfg := Configure(ArchSBISWI)
-	if _, err := RunRange(context.Background(), cfg, l, 4, 6); err != nil {
+	if _, err := RunRangeOpts(context.Background(), cfg, l, 4, 6, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, cta := range []int{4, 5} {
@@ -90,7 +90,7 @@ func TestRunRangeValidation(t *testing.T) {
 	}
 	cfg := Configure(ArchSBISWI)
 	for _, r := range [][2]int{{-1, 2}, {0, l.GridDim + 1}, {3, 3}, {4, 2}} {
-		if _, err := RunRange(context.Background(), cfg, l, r[0], r[1]); err == nil {
+		if _, err := RunRangeOpts(context.Background(), cfg, l, r[0], r[1], RunOpts{}); err == nil {
 			t.Errorf("range %v must be rejected", r)
 		}
 	}
@@ -109,7 +109,7 @@ loop:
 	l := &exec.Launch{Prog: prog, GridDim: 16, BlockDim: 256}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunRange(ctx, Configure(ArchSBISWI), l, 0, l.GridDim); !errors.Is(err, context.Canceled) {
+	if _, err := RunRangeOpts(ctx, Configure(ArchSBISWI), l, 0, l.GridDim, RunOpts{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

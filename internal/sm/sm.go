@@ -172,7 +172,7 @@ type candidate struct {
 // returns the statistics. The launch's global memory is mutated in
 // place; callers needing the initial image should use CloneGlobal.
 func Run(cfg Config, l *exec.Launch) (*Result, error) {
-	return RunRange(context.Background(), cfg, l, 0, l.GridDim)
+	return RunRangeOpts(context.Background(), cfg, l, 0, l.GridDim, RunOpts{})
 }
 
 // ResidentCTAs returns how many CTAs of the launch are co-resident on
@@ -216,22 +216,16 @@ type RunOpts struct {
 	Replay *replay.Session
 }
 
-// RunRange simulates the CTA sub-range [ctaStart, ctaEnd) of the launch
-// on a newly built SM. The SM model is re-entrant: independent RunRange
-// calls over disjoint sub-ranges of one launch may run concurrently as
-// long as each operates on its own global-memory image (see the Launch
+// RunRangeOpts simulates the CTA sub-range [ctaStart, ctaEnd) of the
+// launch on a newly built SM wired by opts: a Runner stepped to
+// completion, with the context polled before the first step and about
+// every 1k steps after (see Runner.Diagnose for how an abort is
+// reported). The SM model is re-entrant: independent RunRangeOpts calls
+// over disjoint sub-ranges of one launch may run concurrently as long
+// as each operates on its own global-memory image (see the Launch
 // write-sharing contract in package exec). Thread environments still
 // see the full grid (%nctaid is l.GridDim), so functional behavior is
-// position-independent. The context is polled about every 1k steps;
-// cancellation aborts the simulation with ctx.Err().
-func RunRange(ctx context.Context, cfg Config, l *exec.Launch, ctaStart, ctaEnd int) (*Result, error) {
-	return RunRangeOpts(ctx, cfg, l, ctaStart, ctaEnd, RunOpts{})
-}
-
-// RunRangeOpts is RunRange with explicit memory-system wiring: a Runner
-// stepped to completion, with the context polled before the first step
-// and about every 1k steps after (see Runner.Diagnose for how an abort
-// is reported).
+// position-independent.
 func RunRangeOpts(ctx context.Context, cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) (*Result, error) {
 	r, err := NewRunner(cfg, l, ctaStart, ctaEnd, opts)
 	if err != nil {
