@@ -102,11 +102,12 @@ func (l *Lookup) Candidates(primary int) []int {
 func (l *Lookup) SetOf(primary int) int { return l.setOf[primary] }
 
 // SetWarps returns the warps of set index si (used when the secondary
-// scheduler substitutes for an idle primary and probes sets
-// round-robin). In the SM model that substitute search never issues: it
-// repeats, at the same cycle, the ready test the primary has just failed
-// on every awake warp, so it only adds scoreboard probes (see
-// internal/sm's cycle). The slice is shared; callers must not modify it.
+// scheduler substitutes for an idle primary and searches sets
+// round-robin). The SM model turns each set into a bitset once per
+// reset; its searches visit only the set's awake warps and count a
+// sleeping warp's probes by popcount, and the substitute search, which
+// never issues, is popcounts alone (see internal/sm's substitute). The
+// slice is shared; callers must not modify it.
 func (l *Lookup) SetWarps(si int) []int {
 	return l.sets[si%l.numSets]
 }

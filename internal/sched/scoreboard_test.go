@@ -302,6 +302,58 @@ func TestHorizonPredictsReadyAt(t *testing.T) {
 	}
 }
 
+// The SM's issue-candidate record counts a stall as one kind throughout,
+// which rests on the bound the structural check keeps: a warp whose
+// destination-writing issues are gated as the SM gates them (ReadyAt <=
+// now at the issue's own cycle, several issues in one cycle allowed)
+// never holds more than perWarp live entries, so whenever Horizon
+// reports both a data hazard and a full table, the table frees an entry
+// no later than the hazard clears. Seeded random Issue, Prune and
+// Transition histories check both.
+func TestLiveEntriesStayWithinTable(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 2))
+	for _, mode := range []DepMode{DepWarp, DepMatrix, DepMask} {
+		for perWarp := 1; perWarp <= 6; perWarp++ {
+			sb := NewScoreboard(mode, 1, perWarp)
+			slots := [3]uint64{0xFFFF, 0, 0}
+			now := int64(0)
+			for step := 0; step < 3000; step++ {
+				now += int64(rng.IntN(3)) // a step of 0 is a second issue in the same cycle
+				switch rng.IntN(4) {
+				case 0, 1: // issue from an occupied slot, if the scoreboard lets it
+					ins := mkIns(isa.OpIAdd, isa.Reg(rng.IntN(8)), isa.Reg(rng.IntN(8)), 30)
+					if slot := rng.IntN(3); slots[slot] != 0 && sb.ReadyAt(0, ins, srcsOf(ins), slot, slots[slot], now) <= now {
+						sb.Issue(0, ins, slot, slots[slot], now+1+int64(rng.IntN(40)))
+					}
+				case 2: // deal the threads out again
+					pre := slots
+					slots = [3]uint64{}
+					for m := uint64(0xFFFF); m != 0; m &= m - 1 {
+						slots[min(rng.IntN(4), 2)] |= m &^ (m - 1)
+					}
+					sb.Transition(0, Transition(pre, slots))
+				case 3:
+					sb.Prune(0, now)
+				}
+				live := 0
+				for _, e := range sb.entries[0] {
+					if e.WB > now {
+						live++
+					}
+				}
+				if live > perWarp {
+					t.Fatalf("%v, %d entries, step %d: %d live entries at cycle %d", mode, perWarp, step, live, now)
+				}
+				cand := mkIns(isa.OpIMul, isa.Reg(rng.IntN(8)), isa.Reg(rng.IntN(8)), isa.Reg(rng.IntN(8)))
+				slot := rng.IntN(3)
+				if hazWB, hasHaz, structWB, hasStruct := sb.Horizon(0, cand, srcsOf(cand), slot, slots[slot], now); hasHaz && hasStruct && structWB > hazWB {
+					t.Fatalf("%v, %d entries, step %d: the table stays full until %d, past the data hazard's %d", mode, perWarp, step, structWB, hazWB)
+				}
+			}
+		}
+	}
+}
+
 // The SM skips the transition of a heap move that leaves the slot masks
 // unchanged. That rests on two facts about rows and slot masks, checked
 // here over seeded random histories: a transition between equal masks

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/isa"
 	"repro/internal/progen"
 	"repro/internal/sched"
 )
@@ -58,12 +59,50 @@ func checkCandCache(t *testing.T, s *SM, walked int64) {
 		if hasStruct {
 			structT = structWB + d
 		}
-		// From s.now on: hazard stall on [s.now, lo), structural on [lo, hi).
-		lo, wantLo := max(r.hazT, s.now), max(hazT, s.now)
-		hi, wantHi := max(r.wake, lo), max(structT, wantLo)
-		if lo != wantLo || hi != wantHi {
-			t.Fatalf("cycle %d: warp %d cached thresholds (%d, %d) stall until %d/%d, fresh (%d, %d) until %d/%d",
-				s.now, id, r.hazT, r.wake, lo, hi, hazT, structT, wantLo, wantHi)
+		// From s.now on the record stalls on [s.now, end), structurally
+		// throughout or not at all; fresh, a hazard stall runs to hazT and
+		// a structural one from there to structT.
+		end, wantEnd := max(r.wake, s.now), max(hazT, structT, s.now)
+		structural, wantStructural := r.structural && end > s.now, structT > max(hazT, s.now)
+		if end != wantEnd || structural != wantStructural || wantStructural && hazT > s.now {
+			t.Fatalf("cycle %d: warp %d cached record stalls until %d (structural %v), fresh thresholds (%d, %d)",
+				s.now, id, r.wake, r.structural, hazT, structT)
+		}
+		asleep := s.sleepers.has(id)
+		if s.madSleepers.has(id) != (asleep && r.unit == isa.UnitMAD) {
+			t.Fatalf("cycle %d: warp %d (asleep %v, unit %v) has MAD-sleeper bit %v", s.now, id, asleep, r.unit, s.madSleepers.has(id))
+		}
+		// A sleeper's table is as it was when it fell asleep at from-1,
+		// and a data hazard found then ends after that cycle.
+		hazardThen := false
+		if asleep {
+			_, hazardThen, _, _ = s.sb.Horizon(id, ins, s.srcsOf[pc], slot, mask, r.from-1-d)
+		}
+		if s.structSleepers.has(id) != (asleep && !hazardThen) {
+			t.Fatalf("cycle %d: warp %d (asleep %v since %d, data hazard then %v) has structural-sleeper bit %v",
+				s.now, id, asleep, r.from-1, hazardThen, s.structSleepers.has(id))
+		}
+	}
+	for base := range s.sleepers {
+		if stray := (s.madSleepers[base] | s.structSleepers[base]) &^ s.sleepers[base]; stray != 0 {
+			t.Fatalf("cycle %d: warps %#x<<%d filed as MAD or structural sleepers are not asleep", s.now, stray, base*64)
+		}
+	}
+}
+
+// checkAwakeClear requires, after a step that issued no primary, that
+// every awake warp of readySet holds a record whose scoreboard cleared no
+// later than walked, the cycle of the step's primary walk. That is the
+// premise on which substitute and accountIdle count an awake warp's
+// probes as Checks alone.
+func checkAwakeClear(t *testing.T, s *SM, walked int64) {
+	t.Helper()
+	for base, word := range s.readySet {
+		for word &^= s.sleepers[base]; word != 0; word &= word - 1 {
+			id := base<<6 | bits.TrailingZeros64(word)
+			if r := &s.cands[id]; !r.valid || r.wake > walked {
+				t.Fatalf("cycle %d issued no primary, but awake warp %d holds record (valid %v) stalling until %d", walked, id, r.valid, r.wake)
+			}
 		}
 	}
 }
@@ -91,9 +130,10 @@ func checkNoSubstitute(t *testing.T, s *SM, walked int64) {
 }
 
 // stepCoherent runs the launch to completion, checking every record and
-// every sleeper against a fresh computation after every step — on SWI
-// architectures also that a step which issued no primary left the
-// substitute search nothing to issue — then calling after, if not nil,
+// every sleeper against a fresh computation after every step — after a
+// step which issued no primary also that every awake warp's scoreboard
+// was clear and, on SWI architectures, that the substitute search had
+// nothing to issue — then calling after, if not nil,
 // and that the run ends with no sleeper left to settle. It returns the
 // finished SM.
 func stepCoherent(t *testing.T, c Config, l *exec.Launch, after func(*SM)) *SM {
@@ -118,8 +158,11 @@ func stepCoherent(t *testing.T, c Config, l *exec.Launch, after func(*SM)) *SM {
 			return s
 		}
 		checkCandCache(t, s, walked)
-		if s.setBits != nil && s.stats.PrimaryIssues == primaries {
-			checkNoSubstitute(t, s, walked)
+		if s.stats.PrimaryIssues == primaries {
+			checkAwakeClear(t, s, walked)
+			if s.setBits != nil {
+				checkNoSubstitute(t, s, walked)
+			}
 		}
 		if after != nil {
 			after(s)
@@ -161,6 +204,7 @@ func TestCandidateCacheCoherent(t *testing.T) {
 		{"dep-warp", ArchSBI, func(c *Config) { c.DepMode = sched.DepWarp }},
 		{"mirror-odd", ArchSBI, func(c *Config) { c.Shuffle = sched.ShuffleMirrorOdd }},
 		{"sb-entries-2", ArchSBISWI, func(c *Config) { c.ScoreboardEntries = 2 }},
+		{"sb-entries-1", ArchSWI, func(c *Config) { c.ScoreboardEntries = 1 }}, // structural sleepers
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			c := Configure(v.arch)
@@ -207,6 +251,43 @@ func TestSleeperWakesInsideIdleSpan(t *testing.T) {
 			if st := s.sb.Stats; st.Checks != want.checks || st.Stalls != want.stalls || st.Structural != want.structural {
 				t.Errorf("scoreboard counters %d/%d/%d, the per-cycle rescan counted %d/%d/%d",
 					st.Checks, st.Stalls, st.Structural, want.checks, want.stalls, want.structural)
+			}
+		})
+	}
+}
+
+// TestSWICountsSleepersProbes pins the probes the SWI searches count for
+// sleepers without visiting them, where each kind of sleeper occurs: a
+// one-entry scoreboard fills on every destination write, so sleepers
+// stall structurally as well as on data hazards, and the divergent loop
+// keeps MAD sleepers beside MAD primaries, whose colliding lanes the
+// buddy search skips unprobed. The counters are the ones the search that
+// probed every sleeper produced.
+func TestSWICountsSleepersProbes(t *testing.T) {
+	for _, want := range []struct {
+		kernel                     string
+		arch                       Arch
+		checks, stalls, structural uint64
+	}{
+		{"loop", ArchSWI, 853539, 499149, 57044},
+		{"loop", ArchSBISWI, 840860, 507213, 63203},
+		{"mem", ArchSWI, 3148041, 1158242, 35600},
+		{"mem", ArchSBISWI, 3152412, 1162615, 35600},
+	} {
+		t.Run(want.kernel+"/"+want.arch.String(), func(t *testing.T) {
+			l := newLaunch(assembleFor(t, "loop", shortLoopSrc, want.arch), 4, 256, 4*256, 0)
+			if want.kernel == "mem" {
+				l = newLaunch(assembleFor(t, "mem", shortMemSrc, want.arch), 4, 256, 4*256+65536, 0, 4*256*4)
+			}
+			c := Configure(want.arch)
+			c.ScoreboardEntries = 1
+			res, err := Run(c, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := res.Stats; st.ScoreboardChecks != want.checks || st.ScoreboardStalls != want.stalls || st.StructuralStalls != want.structural {
+				t.Errorf("scoreboard counters %d/%d/%d, probing every sleeper counted %d/%d/%d",
+					st.ScoreboardChecks, st.ScoreboardStalls, st.StructuralStalls, want.checks, want.stalls, want.structural)
 			}
 		})
 	}

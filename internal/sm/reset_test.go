@@ -249,7 +249,7 @@ func TestResetRejectsLikeNewRunner(t *testing.T) {
 }
 
 // TestHotWordsOwnTheirLines: the few words the walk reads every cycle
-// and writes at every issue — readySet with sleepers, slotOf, the
+// and writes at every issue — readySet with the sleeper sets, slotOf, the
 // buddy-set masks, the MAD groups' free times — come in blocks of whole
 // cache lines, which the allocator aligns to the line, whatever geometry
 // the shell was last sized for. Smaller blocks land beside another
@@ -280,8 +280,10 @@ func TestHotWordsOwnTheirLines(t *testing.T) {
 					t.Errorf("%s: %s starts at %#x, %d bytes into a cache line", c.name, b.name, p, p%cacheLine)
 				}
 			}
-			if reflect.ValueOf(s.sleepers).Pointer() != reflect.ValueOf(s.readySet).Pointer()+uintptr(8*len(s.readySet)) {
-				t.Errorf("%s: sleepers do not follow readySet in its block", c.name)
+			for i, set := range []warpBits{s.sleepers, s.madSleepers, s.structSleepers} {
+				if reflect.ValueOf(set).Pointer() != reflect.ValueOf(s.readySet).Pointer()+uintptr(8*(i+1)*len(s.readySet)) {
+					t.Errorf("%s: sleeper set %d does not follow readySet in its block", c.name, i)
+				}
 			}
 		}
 	}

@@ -11,18 +11,19 @@ package sm
 //     front-end follows.
 //   - cands holds, per ready warp, its issue candidate (issueCand): the
 //     primary slot's pc, mask, lane mask, unit and last-issue cycle, and
-//     the scoreboard's verdict as two cycle thresholds taken from one
-//     sched.Scoreboard.Horizon call. Writeback times are fixed at issue
-//     and a warp's entry rows change only in its own heap mutations, so
-//     the verdict is a step function of the cycle until the warp's next
-//     event: a probe is two integer compares plus the unit check.
-//   - sleepers are the ready warps the primary walk does not visit. A
-//     warp the walk probes and finds stalled by the scoreboard — the
-//     cycle before its record's wake threshold — is filed here with the
-//     first cycle it is spared; nextWake bounds the earliest wake cycle
-//     among them, and the walk wakes whoever is due before it starts, so
-//     a woken warp is probed that same cycle at its own place in the
-//     ascending order.
+//     the scoreboard's verdict as one wake cycle and the kind of stall
+//     before it, taken from one sched.Scoreboard.Horizon call. Writeback
+//     times are fixed at issue and a warp's entry rows change only in its
+//     own heap mutations, so the verdict is a step function of the cycle
+//     until the warp's next event: a probe is one integer compare plus
+//     the unit check.
+//   - sleepers are the ready warps no walk visits. A warp the primary
+//     walk probes and finds stalled by the scoreboard — the cycle before
+//     its record's wake cycle — is filed here with the first cycle it is
+//     spared, and in madSleepers and structSleepers by its unit and its
+//     kind of stall; nextWake bounds the earliest wake cycle among them,
+//     and the walk wakes whoever is due before it starts, so a woken warp
+//     is probed that same cycle at its own place in the ascending order.
 //
 // Invalidation. Everything above reads only the warp's own state —
 // block residency, barrier flag, heap or stack, scoreboard entries — so
@@ -34,47 +35,54 @@ package sm
 // readySet. TestCandidateCacheCoherent checks after every step that
 // each live record equals a fresh computation.
 //
-// Settlement. Every probe the walk spares a sleeper would have stalled:
-// Checks and Stalls tick once per cycle of [from, wake), Structural once
-// per cycle of it at or past hazT. settle adds exactly that when the
-// warp wakes, so at any cycle the counters run behind the per-cycle
-// rescan's by what the current sleepers are owed and equal it whenever
-// none is left — at the latest when the last block retires. No event
-// reaches a sleeper before its wake cycle: refreshWarp's callers touch a
-// warp that issued, was at a barrier, is new or is done, and a sleeper is
-// none of these — it is resident and not at a barrier (it is in
-// readySet), the primary walk skips it, the SWI searches reject it (its
-// ready probe stalls), and the SBI and sequential secondaries belong to
-// the primary's own warp. refreshWarp panics if one ever does.
+// Settlement. Every probe of a sleeper before its wake cycle stalls, and
+// with the same kind of stall: the record's stall is structural
+// throughout or not at all (see issueCand), so the sleeper's
+// structSleepers bit says which. The primary walk's probes of it tick
+// Checks and Stalls once per cycle of [from, wake), Structural too when
+// the bit is set, and settle adds exactly that when the warp wakes, so
+// at any cycle the counters run behind the per-cycle rescan's by what
+// the current sleepers are owed and equal it whenever none is left — at
+// the latest when the last block retires. No event reaches a sleeper
+// before its wake cycle: refreshWarp's callers touch a warp that issued,
+// was at a barrier, is new or is done, and a sleeper is none of these —
+// it is resident and not at a barrier (it is in readySet), no walk
+// visits it, and the SBI and sequential secondaries belong to the
+// primary's own warp. refreshWarp panics if one ever does.
 //
 // Readers. The record is the only way the per-cycle walk asks the
-// scoreboard, and it has three readers, all probing in ascending warp
-// order — the seed rescan's order — and ticking the scoreboard counters
-// from the thresholds exactly as a ReadyAt call would, so counters,
-// tie-breaking draws and cycles are bit-identical with the seed
-// (internal/device's walk_stats.golden pins every counter of every
+// scoreboard. Its readers probe only awake warps, in ascending warp
+// order — the seed rescan's order — ticking the scoreboard counters
+// exactly as a ReadyAt call would; a sleeper's probes are counted from
+// the bitsets instead, by popcounts, since their outcome is known. So
+// counters, tie-breaking draws and cycles are bit-identical with the
+// seed (internal/device's walk_stats.golden pins every counter of every
 // kernel on every architecture, written by the walk that still rescanned
 // every ready warp every cycle):
 //
 //   - selectPrimary, the oldest-first primary walk over the warps awake;
-//   - swiSecondary, both the buddy-set search beside a primary and the
-//     substitute search when no primary issued. Whether it probes a warp
-//     depends on the primary's unit and lane mask, so it reads sleepers'
-//     records like anyone's and ticks per cycle. The substitute search
-//     never issues: it repeats, on a subset of the same records at the
-//     same cycle, the ready test the primary walk has just failed on
-//     every awake warp, and a sleeper's wake cycle is still ahead. It
-//     only adds probe counts;
+//   - swiSecondary, the buddy-set search beside a primary. It probes the
+//     set's awake warps and counts one stall per sleeper, less the MAD
+//     sleepers whose lanes collide with a MAD primary: the lane filter
+//     skips those before the probe, and only they are looked at one by
+//     one;
+//   - substitute, the search of a round-robin buddy set in a cycle with
+//     no primary issue. It never issues: the primary walk has just failed
+//     the same ready test on every awake warp, whose scoreboard is
+//     therefore clear, and a sleeper's wake cycle is still ahead. It adds
+//     probe counts only, three popcounts per word;
 //   - fastForward, which after a cycle that issued nothing advances
 //     s.now across the idle span: with no issue every record is frozen,
-//     so the wake-up cycle is the minimum over records of
-//     max(thresholds, unit free time), and the counters the skipped
-//     probes would have ticked follow arithmetically (accountIdle). A
-//     sleeper's share of the span is split at its wake cycle: the
-//     primary probes before it are its settlement's, those from it to
-//     the end of the span — scoreboard clear, unit still busy, Checks
-//     only — are accountIdle's. Leaving the sleeper out of the whole span
-//     loses the latter (TestSleeperWakesInsideIdleSpan).
+//     so the wake-up cycle is the minimum over records of max(wake, unit
+//     free time), and the counters the skipped probes would have ticked
+//     follow arithmetically (accountIdle): span Checks per awake warp,
+//     and per set of the substitute's the Checks of its cycles times the
+//     warps in it. A sleeper's share of the span is split at its wake
+//     cycle: the primary probes before it are its settlement's, those
+//     from it to the end of the span — scoreboard clear, unit still busy,
+//     Checks only — are accountIdle's, which walks the sleepers alone.
+//     Leaving the sleeper out of the whole span loses the latter
+//     (TestSleeperWakesInsideIdleSpan).
 //
 // Splits off the primary slot — the same-cycle SBI and sequential
 // secondaries, probed at most once per cycle — query ReadyAt directly
@@ -97,7 +105,7 @@ import (
 type warpBits []uint64
 
 // cacheLine is the unit in which cores trade memory. The walk reads
-// readySet, sleepers, slotOf, the buddy-set masks and the MAD groups'
+// readySet, the sleeper sets, slotOf, the buddy-set masks and the MAD groups'
 // free times every cycle and writes all but the masks at every issue,
 // sleep and wake, for as long as the shell lives — a few words each. A
 // block smaller than a line shares its line with whatever the allocator
@@ -166,48 +174,50 @@ func (s *SM) refreshWarp(w *warp) {
 // issueCand is one ready warp's cached issue candidate. With the warp's
 // state frozen between its own events, a probe at cycle t answers:
 //
-//	t <  hazT:         the scoreboard reports a data-hazard stall
-//	hazT <= t < wake:  the entry table is structurally full (counted as
-//	                   both a stall and a structural stall)
-//	wake <= t:         the scoreboard is clear; only the target unit's
-//	                   busy time holds the candidate back
+//	t <  wake:  the scoreboard reports a stall — counted as a structural
+//	            stall too when structural, the entry table being full
+//	            with no data hazard behind it
+//	wake <= t:  the scoreboard is clear; only the target unit's busy
+//	            time holds the candidate back
 //
-// The full candidate is rebuilt from pc/mask/lane on selection (pick),
-// which keeps the record at 56 bytes per warp context.
+// A stall is one kind throughout. A warp never holds more live entries
+// than ScoreboardEntries (every destination-writing issue passes the
+// structural check at its own cycle), so a full table frees its first
+// entry no later than any one of them, the conflicting entry included:
+// a data hazard outlasts the table's being full (fillCand panics if one
+// ever does not). The full candidate is rebuilt from pc/mask/lane on
+// selection (pick), which keeps the record at 48 bytes per warp context.
 type issueCand struct {
-	valid     bool
-	unit      isa.Unit
-	pc        int32
-	mask      uint64
-	lane      uint64
-	lastIssue int64 // oldest-first age key
-	hazT      int64 // negInf when no live entry conflicts
-	wake      int64 // hazT, or later while the table stays full for a written destination
-	from      int64 // sleeper only: the first cycle of its sleep
+	valid      bool
+	structural bool // the stall is the full table's, not a data hazard's
+	unit       isa.Unit
+	pc         int32
+	mask       uint64
+	lane       uint64
+	lastIssue  int64 // oldest-first age key
+	wake       int64 // the first cycle the scoreboard clears; negInf when it is clear
+	from       int64 // sleeper only: the first cycle of its sleep
 }
 
 // describe renders the record for dumpState: the unit the candidate
-// needs, the cycles its data hazard and (when later) its structural
-// stall end, and whether the primary walk is probing it.
+// needs, the cycle its data hazard or its structural stall ends, and
+// whether the primary walk is probing it.
 func (r *issueCand) describe(asleep bool) string {
 	if !r.valid {
 		return " ready{not probed since its last event}"
 	}
-	threshold := func(t int64) string {
-		if t == negInf {
-			return "-"
-		}
-		return fmt.Sprint(t)
+	hazT, structT := "-", "-"
+	if r.wake != negInf {
+		hazT = fmt.Sprint(r.wake)
 	}
-	structT := int64(negInf)
-	if r.wake > r.hazT {
-		structT = r.wake
+	if r.structural {
+		hazT, structT = structT, hazT
 	}
 	state := "awake"
 	if asleep {
 		state = fmt.Sprintf("asleep until %d", r.wake)
 	}
-	return fmt.Sprintf(" ready{unit=%v hazT=%s structT=%s %s}", r.unit, threshold(r.hazT), threshold(structT), state)
+	return fmt.Sprintf(" ready{unit=%v hazT=%s structT=%s %s}", r.unit, hazT, structT, state)
 }
 
 // negInf is a sentinel "always in the past" threshold, kept far from
@@ -247,13 +257,14 @@ func (s *SM) fillCand(id int, r *issueCand) {
 	d := s.cfg.IssueDelay
 	hazWB, hasHaz, structWB, hasStruct := s.sb.Horizon(id, ins, s.srcsOf[pc], slot, mask, s.now-d)
 	*r = issueCand{valid: true, unit: ins.Op.Unit(), pc: int32(pc), mask: mask, lane: w.laneMask(mask),
-		lastIssue: last, hazT: negInf}
-	if hasHaz {
-		r.hazT = hazWB + d
-	}
-	r.wake = r.hazT
-	if hasStruct {
-		r.wake = max(r.hazT, structWB+d)
+		lastIssue: last, wake: negInf}
+	switch {
+	case hasHaz && hasStruct && structWB > hazWB:
+		panic("sm: a full scoreboard table outlasts a data hazard") // see issueCand
+	case hasHaz:
+		r.wake = hazWB + d
+	case hasStruct:
+		r.wake, r.structural = structWB+d, true
 	}
 }
 
@@ -270,7 +281,7 @@ func (s *SM) ready(r *issueCand) bool {
 	st.Checks++
 	if s.now < r.wake {
 		st.Stalls++
-		if s.now >= r.hazT {
+		if r.structural {
 			st.Structural++
 		}
 		return false
@@ -279,11 +290,20 @@ func (s *SM) ready(r *issueCand) bool {
 }
 
 // sleep takes a warp the primary walk has just probed and found stalled
-// by the scoreboard out of the walk until its record's wake cycle.
+// by the scoreboard out of the walk until its record's wake cycle, and
+// files it by what the SWI searches need to count its probes without
+// visiting it: whether its unit is MAD and whether its stall is
+// structural.
 //
 //sbwi:hotpath
 func (s *SM) sleep(id int, r *issueCand) {
 	s.sleepers.set(id)
+	if r.unit == isa.UnitMAD {
+		s.madSleepers.set(id)
+	}
+	if r.structural {
+		s.structSleepers.set(id)
+	}
 	r.from = s.now + 1
 	s.nextWake = min(s.nextWake, r.wake)
 }
@@ -295,20 +315,23 @@ func (s *SM) sleep(id int, r *issueCand) {
 //sbwi:hotpath
 func (s *SM) settle(id int, end int64) {
 	r := &s.cands[id]
-	s.tickSpan(r, r.from, min(end, r.wake)-1)
+	n := count(r.from, min(end, r.wake)-1)
+	s.sb.Stats.Checks += n
+	s.stall(id, n)
 	s.sleepers.clear(id)
+	s.madSleepers.clear(id)
+	s.structSleepers.clear(id)
 }
 
-// tickSpan ticks the scoreboard counters as one primary-walk probe of
-// the record per cycle of [lo, hi] would, the record frozen throughout.
+// stall ticks the stall counters for n probes of sleeper id, every one a
+// stall of the sleeper's one kind.
 //
 //sbwi:hotpath
-func (s *SM) tickSpan(r *issueCand, lo, hi int64) {
-	st := &s.sb.Stats
-	stallHi := min(hi, r.wake-1)
-	st.Checks += count(lo, hi)
-	st.Stalls += count(lo, stallHi)
-	st.Structural += count(max(lo, r.hazT), stallHi)
+func (s *SM) stall(id int, n uint64) {
+	s.sb.Stats.Stalls += n
+	if s.structSleepers.has(id) {
+		s.sb.Stats.Structural += n
+	}
 }
 
 // wakeSleepers settles every sleeper whose wake cycle has come and
@@ -375,32 +398,33 @@ func (s *SM) fastForward(maxCycles int64) error {
 // reference loop would have incremented over the idle cycles [a, b]:
 // each cycle the primary scheduler probes every schedulable candidate
 // once, and — on the SWI architectures, with no primary found — the
-// substitute secondary probes the candidates of buddy set (cycle mod
-// numSets) a second time. fastForward has just filled every record.
+// substitute search counts buddy set (cycle mod numSets) a second time.
+// The cycle before the span issued nothing, so every awake warp's
+// scoreboard is clear (wake < a) and each of its probes is a Check only.
+// A sleeper's settlement owns its primary probes before its wake cycle;
+// the walk's share of the span is the rest — the scoreboard clear, the
+// unit still busy. The substitute's probes of a sleeper stall until its
+// wake cycle. fastForward has just filled every record.
 //
 //sbwi:hotpath
 func (s *SM) accountIdle(a, b int64) {
 	st := &s.sb.Stats
-	numSets := int64(len(s.setBits)) // 0 without SWI
+	span := count(a, b)
 	for base, word := range s.readySet {
-		for ; word != 0; word &= word - 1 {
-			id := base<<6 | bits.TrailingZeros64(word)
-			r := &s.cands[id]
-			lo := a
-			if s.sleepers.has(id) {
-				// Its settlement owns the primary probes before its wake
-				// cycle; the walk's share of the span is the rest — the
-				// scoreboard clear, the unit still busy.
-				lo = max(a, r.wake)
-			}
-			s.tickSpan(r, lo, b)
-
-			if numSets > 0 {
-				residue := int64(s.memberOf[id])
-				stallHi := min(b, r.wake-1)
-				st.Checks += countResidue(a, b, residue, numSets)
-				st.Stalls += countResidue(a, stallHi, residue, numSets)
-				st.Structural += countResidue(max(a, r.hazT), stallHi, residue, numSets)
+		asleep := s.sleepers[base]
+		st.Checks += span * ones(word&^asleep)
+		for ; asleep != 0; asleep &= asleep - 1 {
+			st.Checks += count(max(a, s.cands[base<<6|bits.TrailingZeros64(asleep)].wake), b)
+		}
+	}
+	numSets := int64(len(s.setBits))
+	for k, set := range s.setBits {
+		n := countResidue(a, b, int64(k), numSets)
+		for base, word := range set {
+			st.Checks += n * ones(word&s.readySet[base])
+			for asleep := word & s.sleepers[base]; asleep != 0; asleep &= asleep - 1 {
+				id := base<<6 | bits.TrailingZeros64(asleep)
+				s.stall(id, countResidue(a, min(b, s.cands[id].wake-1), int64(k), numSets))
 			}
 		}
 	}
@@ -415,6 +439,11 @@ func count(lo, hi int64) uint64 {
 	}
 	return uint64(hi - lo + 1)
 }
+
+// ones returns the number of warps in one word of a warpBits.
+//
+//sbwi:hotpath
+func ones(word uint64) uint64 { return uint64(bits.OnesCount64(word)) }
 
 // countResidue returns the number of integers t in [lo, hi] with
 // t mod m == r (lo >= 0, 0 <= r < m).

@@ -59,18 +59,21 @@ type SM struct {
 	// primary walk skips: each was probed, found stalled by the
 	// scoreboard, and is owed the stall ticks of every cycle since,
 	// settled when it wakes; nextWake is no later than the earliest wake
-	// cycle among them.
-	readySet warpBits
-	slotOf   []int8
-	cands    []issueCand
-	sleepers warpBits
-	nextWake int64
+	// cycle among them. madSleepers and structSleepers are the sleepers
+	// whose candidate needs the MAD unit and whose stall is structural:
+	// the SWI searches count sleepers' probes from them, never visiting
+	// one unless a MAD primary's lane filter may skip it.
+	readySet       warpBits
+	slotOf         []int8
+	cands          []issueCand
+	sleepers       warpBits
+	madSleepers    warpBits
+	structSleepers warpBits
+	nextWake       int64
 
-	// SWI: per-buddy-set warp masks and the buddy-set index containing
-	// each warp, both derived from lookup; nil on the other
-	// architectures.
-	setBits  []warpBits
-	memberOf []int
+	// SWI: per-buddy-set warp masks, derived from lookup; nil on the
+	// other architectures.
+	setBits []warpBits
 
 	// srcsOf caches each instruction's source-register list, indexed by
 	// PC — static per program, recomputed by the seed on every probe.
@@ -297,7 +300,7 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 	}
 	swi := cfg.Arch == ArchSWI || cfg.Arch == ArchSBISWI
 	if newSets || !swi {
-		s.setBits, s.memberOf = nil, nil // derived from the lookup; rebuilt below for SWI
+		s.setBits = nil // derived from the lookup; rebuilt below for SWI
 	}
 
 	r.max = cfg.MaxCycles
@@ -315,8 +318,9 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 			s.warps[i] = &warp{id: i}
 		}
 		words := (cfg.NumWarps + 63) / 64
-		sets := newWarpBits(2 * words) // both sets from one allocation
-		s.readySet, s.sleepers = sets[:words:words], sets[words:]
+		sets := newWarpBits(4 * words) // all four sets from one allocation
+		s.readySet, s.sleepers = sets[:words:words], sets[words:2*words:2*words]
+		s.madSleepers, s.structSleepers = sets[2*words:3*words:3*words], sets[3*words:]
 		s.slotOf = ownLines[int8](cfg.NumWarps, 1)
 		s.cands = make([]issueCand, cfg.NumWarps)
 		s.swiTies = make([]int, 0, cfg.NumWarps)
@@ -332,6 +336,8 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 	}
 	clear(s.readySet) // slotOf and cands are rewritten by refreshWarp before a warp's bit is set
 	clear(s.sleepers)
+	clear(s.madSleepers)
+	clear(s.structSleepers)
 	s.nextWake = math.MaxInt64
 	if cap(s.txnBuf) < cfg.WarpWidth {
 		s.txnBuf = make([]uint32, 0, cfg.WarpWidth)
@@ -372,14 +378,12 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 
 	if swi && s.setBits == nil {
 		s.setBits = make([]warpBits, s.lookup.NumSets())
-		s.memberOf = make([]int, cfg.NumWarps)
 		words := (cfg.NumWarps + 63) / 64
 		masks := newWarpBits(len(s.setBits) * words) // read every cycle: no stranger's writes beside them
 		for si := range s.setBits {
 			m := masks[si*words : (si+1)*words : (si+1)*words]
 			for _, wid := range s.lookup.SetWarps(si) {
 				m.set(wid)
-				s.memberOf[wid] = si
 			}
 			s.setBits[si] = m
 		}
@@ -722,17 +726,11 @@ func (s *SM) cycle() (bool, error) {
 	}
 
 	if !s.selectPrimary(0, &prim) {
-		// No primary: the secondary scheduler substitutes itself (§4),
-		// searching one buddy set selected round-robin. In this model the
-		// search can never issue. It applies the ready test the primary
-		// walk has just failed on every awake warp, at the same cycle
-		// against the same records and units, and a sleeper fails it by
-		// construction (its wake cycle is still ahead). It stays for the
-		// scoreboard probes it ticks; checkCandCache pins that it finds
-		// nothing.
-		if s.cfg.Arch == ArchSWI || s.cfg.Arch == ArchSBISWI {
-			var sub candidate
-			s.swiSecondary(int(s.now)%s.lookup.NumSets(), -1, isa.UnitCTRL, 0, &sub)
+		// No primary: the SWI secondary scheduler substitutes itself (§4),
+		// searching one buddy set selected round-robin. That search cannot
+		// issue, and its probes are popcounts (substitute).
+		if s.setBits != nil {
+			s.substitute(int(s.now) % len(s.setBits))
 		}
 		return false, nil
 	}
@@ -741,7 +739,7 @@ func (s *SM) cycle() (bool, error) {
 	// heap: the hardware's two front-ends select from the same
 	// cycle-start instruction-buffer state.
 	pw := prim.w
-	primPC, primMask, primIns := prim.pc, prim.mask, prim.ins
+	primPC, primMask, primLane, primIns := prim.pc, prim.mask, prim.lane, prim.ins
 	var secPC int
 	var secMask uint64
 	haveSec := false
@@ -769,7 +767,6 @@ func (s *SM) cycle() (bool, error) {
 	}
 	// (b) SWI: another warp from the buddy set.
 	if s.cfg.Arch == ArchSWI || s.cfg.Arch == ArchSBISWI {
-		primLane := pw.laneMask(primMask)
 		if s.swiSecondary(s.lookup.SetOf(pw.id), pw.id, primIns.Op.Unit(), primLane, &sec) {
 			return true, s.issue(&sec, true, provSWI)
 		}
@@ -947,22 +944,38 @@ func (s *SM) seqCandidate(w *warp, primIns *isa.Instruction, primPC int, primMas
 	return s.finishCandidate(w, slot, next, primMask, out)
 }
 
-// swiSecondary searches buddy set setIdx for the best-fitting ready
-// instruction whose lane mask does not conflict with the primary issue:
-// disjoint masks when sharing the MAD row, any mask when targeting a
-// free distinct unit (§4). Best fit maximizes occupied lanes; ties
-// break pseudo-randomly. The bitset walk visits warps in ascending id —
-// the order the seed's rescan used — so the tie list, and therefore the
-// PRNG draw sequence, matches the original loop. exclude is the primary
-// warp's id, -1 when the search substitutes for a missing primary.
+// swiSecondary searches buddy set setIdx, beside a primary issue of warp
+// exclude, for the best-fitting ready instruction whose lane mask does
+// not conflict with the primary's: disjoint masks when sharing the MAD
+// row, any mask when targeting a free distinct unit (§4). Best fit
+// maximizes occupied lanes; ties break pseudo-randomly. The walk visits
+// the set's awake warps in ascending id — the order the seed's rescan
+// used — so the tie list, and therefore the PRNG draw sequence, matches
+// the original loop. A sleeper's probe stalls by construction (its wake
+// cycle is still ahead), so the set's sleepers are counted, not probed:
+// one stall each, structural by their bit. Only a MAD sleeper beside a
+// MAD primary is looked at, since the lane filter skips it unprobed when
+// their lanes collide.
 //
 //sbwi:hotpath
 func (s *SM) swiSecondary(setIdx, exclude int, primUnit isa.Unit, primLane uint64, out *candidate) bool {
+	st := &s.sb.Stats
+	madRow := primUnit == isa.UnitMAD
 	ties := s.swiTies[:0]
 	bestFit := -1
-	for base, word := range s.setBits[setIdx] {
-		word &= s.readySet[base]
-		for ; word != 0; word &= word - 1 {
+	for base, set := range s.setBits[setIdx] {
+		asleep := set & s.sleepers[base]
+		if madRow {
+			for m := asleep & s.madSleepers[base]; m != 0; m &= m - 1 {
+				if s.cands[base<<6|bits.TrailingZeros64(m)].lane&primLane != 0 {
+					asleep &^= m & -m
+				}
+			}
+		}
+		st.Checks += ones(asleep)
+		st.Stalls += ones(asleep)
+		st.Structural += ones(asleep & s.structSleepers[base])
+		for word := set & s.readySet[base] &^ s.sleepers[base]; word != 0; word &= word - 1 {
 			id := base<<6 | bits.TrailingZeros64(word)
 			if id == exclude {
 				continue
@@ -970,7 +983,7 @@ func (s *SM) swiSecondary(setIdx, exclude int, primUnit isa.Unit, primLane uint6
 			r := s.cand(id)
 			// The MAD-row lane-collision filter comes before the scoreboard
 			// probe, as in hardware (and so before the counters tick).
-			if r.unit == isa.UnitMAD && primUnit == isa.UnitMAD && r.lane&primLane != 0 {
+			if madRow && r.unit == isa.UnitMAD && r.lane&primLane != 0 {
 				continue
 			}
 			if !s.ready(r) {
@@ -994,6 +1007,26 @@ func (s *SM) swiSecondary(setIdx, exclude int, primUnit isa.Unit, primLane uint6
 		s.pick(ties[s.rng.Intn(len(ties))], out)
 	}
 	return true
+}
+
+// substitute is the SWI secondary scheduler's search of buddy set setIdx
+// in a cycle that issued no primary. In this model it can never issue:
+// the primary walk has just failed the ready test on every awake warp,
+// at the same cycle against the same records and units, and a sleeper
+// fails it by construction. It stays for the scoreboard probes it
+// counts: a Check for each of the set's warps — an awake one's
+// scoreboard is clear (wake <= now) — and a stall of its kind for each
+// sleeper. stepCoherent's checkNoSubstitute pins that the set holds
+// nothing that could issue.
+//
+//sbwi:hotpath
+func (s *SM) substitute(setIdx int) {
+	st := &s.sb.Stats
+	for base, set := range s.setBits[setIdx] {
+		st.Checks += ones(set & s.readySet[base])
+		st.Stalls += ones(set & s.sleepers[base])
+		st.Structural += ones(set & s.structSleepers[base])
+	}
 }
 
 // issue commits a candidate: functional execution, timing bookkeeping,
