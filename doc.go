@@ -153,9 +153,10 @@
 // and a sift rather than scans of hundreds of fills in flight — and the
 // steady-state issue path does not allocate. That none
 // of it moves a number is pinned by internal/device's walk_stats.golden
-// (every sm.Stats counter, suite × architectures and variants),
-// golden_stats.json (the default configuration's headlines) and the
-// bench/ workload digests. A launch
+// (every sm.Stats counter, suite × architectures and variants) and the
+// bench/ workload digests; that no execution path — partitioned,
+// recycled, streamed, replayed — computes anything else is pinned by
+// internal/device's law table (TestLaws). A launch
 // does not build its SMs either: each worker slot of the run queue keeps
 // the SM shells of the last launch that finished cleanly on it, and the
 // next launch re-arms them in place (internal/sm's Runner.Reset) — the

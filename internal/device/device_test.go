@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -86,53 +85,6 @@ func TestRunSuiteReportsOracleMismatch(t *testing.T) {
 	}
 	if results[1].Err == nil || !strings.Contains(results[1].Err.Error(), "diverged from reference") {
 		t.Errorf("BadOracle err = %v, want oracle mismatch", results[1].Err)
-	}
-}
-
-func TestPartitionedRunMatchesFunctionally(t *testing.T) {
-	// The partitioned engine must produce the same memory image as the
-	// whole-grid run, and its per-wave stats must sum to the merged
-	// stats.
-	b, ok := kernels.ByName("BFS")
-	if !ok {
-		t.Fatal("BFS missing")
-	}
-	whole, err := b.NewLaunch(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sm.Run(sm.Configure(sm.ArchSBISWI), whole); err != nil {
-		t.Fatal(err)
-	}
-
-	dev, err := New(WithArch(sm.ArchSBISWI), WithSMs(3), WithGridPartition(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := b.NewLaunch(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := dev.Run(context.Background(), part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(part.Global, whole.Global) {
-		t.Error("partitioned memory image differs from the whole-grid run")
-	}
-	var sum sm.Stats
-	for i := range res.Waves {
-		sum.Merge(&res.Waves[i])
-	}
-	if !reflect.DeepEqual(sum, res.Stats) {
-		t.Error("merged stats are not the fold of the per-wave stats")
-	}
-	var smSum int64
-	for _, c := range res.SMCycles {
-		smSum += c
-	}
-	if smSum != res.Stats.Cycles {
-		t.Errorf("SMCycles sum %d != aggregate cycles %d", smSum, res.Stats.Cycles)
 	}
 }
 

@@ -2,13 +2,9 @@ package device
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -21,122 +17,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden fixtures under testdata/ from the current simulator")
 
-// goldenEntry pins the headline per-benchmark numbers of the default
-// configuration (one SBI+SWI SM, flat-latency DRAM — the paper
-// reproduction path). Any drift here changes the reproduced figures.
-type goldenEntry struct {
-	Cycles       int64   `json:"cycles"`
-	ThreadInstrs uint64  `json:"threadInstrs"`
-	IssueSlots   uint64  `json:"issueSlots"`
-	IPC          float64 `json:"ipc"`
-	L1Hits       uint64  `json:"l1Hits"`
-	L1Misses     uint64  `json:"l1Misses"`
-}
-
-func goldenFromStats(s *sm.Stats) goldenEntry {
-	return goldenEntry{
-		Cycles:       s.Cycles,
-		ThreadInstrs: s.ThreadInstrs,
-		IssueSlots:   s.IssueSlots,
-		IPC:          math.Round(s.IPC()*10000) / 10000,
-		L1Hits:       s.Mem.Hits,
-		L1Misses:     s.Mem.Misses,
-	}
-}
-
-const goldenPath = "testdata/golden_stats.json"
-
-// TestGoldenStats simulates the whole suite under the default device
-// configuration and compares every benchmark's headline statistics
-// against the checked-in fixture. It fails with one readable line per
-// drifted number; run with -update to rewrite the fixture after an
-// intentional timing-model change.
-func TestGoldenStats(t *testing.T) {
-	dev, err := New(WithArch(sm.ArchSBISWI))
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := dev.RunSuite(context.Background(), kernels.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(map[string]goldenEntry, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Name(), r.Err)
-		}
-		got[r.Name()] = goldenFromStats(&r.Result.Stats)
-	}
-
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s with %d benchmarks", goldenPath, len(got))
-		return
-	}
-
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden fixture (regenerate with -update): %v", err)
-	}
-	var want map[string]goldenEntry
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("parse %s: %v", goldenPath, err)
-	}
-
-	var drift []string
-	names := make([]string, 0, len(want))
-	for name := range want { //sbwi:unordered names are sorted before use
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		w := want[name]
-		g, ok := got[name]
-		if !ok {
-			drift = append(drift, fmt.Sprintf("%s: missing from the suite", name))
-			continue
-		}
-		for _, d := range []struct {
-			field     string
-			got, want interface{}
-		}{
-			{"cycles", g.Cycles, w.Cycles},
-			{"threadInstrs", g.ThreadInstrs, w.ThreadInstrs},
-			{"issueSlots", g.IssueSlots, w.IssueSlots},
-			{"ipc", g.IPC, w.IPC},
-			{"l1Hits", g.L1Hits, w.L1Hits},
-			{"l1Misses", g.L1Misses, w.L1Misses},
-		} {
-			if d.got != d.want {
-				drift = append(drift, fmt.Sprintf("%-22s %-13s got %-12v want %v", name, d.field, d.got, d.want))
-			}
-		}
-	}
-	gotNames := make([]string, 0, len(got))
-	for name := range got { //sbwi:unordered names are sorted before use
-		gotNames = append(gotNames, name)
-	}
-	sort.Strings(gotNames)
-	for _, name := range gotNames {
-		if _, ok := want[name]; !ok {
-			drift = append(drift, fmt.Sprintf("%s: new benchmark not in the fixture (run -update)", name))
-		}
-	}
-	if len(drift) > 0 {
-		t.Errorf("default-config statistics drifted from the golden fixture (%d numbers):\n  %s\nIf the change is intentional, regenerate with `go test ./internal/device -run TestGoldenStats -update`.",
-			len(drift), strings.Join(drift, "\n  "))
-	}
-}
-
 const walkGoldenPath = "testdata/walk_stats.golden"
 
 // walkCell is one device configuration whose suite results TestWalkStatsGolden pins.
@@ -144,12 +24,16 @@ type walkCell struct {
 	name  string
 	opts  []Option
 	bench []string // nil: the whole suite
+
+	// flat, on the five architecture cells, is the law table's flat row,
+	// whose suite part is the cell.
+	flat []lawCell
 }
 
 func walkCells() []walkCell {
 	var cells []walkCell
 	for _, a := range sm.Architectures() {
-		cells = append(cells, walkCell{name: a.String(), opts: []Option{WithArch(a)}})
+		cells = append(cells, walkCell{name: a.String(), flat: flatRows()[a].cells})
 	}
 	for _, v := range []struct {
 		name string
@@ -181,9 +65,9 @@ func walkCells() []walkCell {
 	return cells
 }
 
-// TestWalkStatsGolden pins every field of sm.Stats — scoreboard, pair,
-// unit, heap and memory counters, not only the headline numbers of
-// TestGoldenStats — for the whole suite on every architecture, on
+// TestWalkStatsGolden pins every field of sm.Stats — headline, scoreboard,
+// pair, unit, heap and memory counters — for the whole suite on every
+// architecture (the law table's flat row), on
 // SBI+SWI under each configuration that changes what the issue walk
 // probes, and on the shared-clock L2 path at the default and two starved
 // NoC port bandwidths. The fixture was written at the commit before the
@@ -195,8 +79,19 @@ func TestWalkStatsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the suite on fourteen configurations")
 	}
+	t.Parallel() // reads the law table's flat row
 	var got strings.Builder
 	for _, cell := range walkCells() {
+		if cell.flat != nil {
+			for i, b := range kernels.All() {
+				c := cell.flat[i]
+				if c.err != nil {
+					t.Fatalf("%s %s: %v", cell.name, b.Name, c.err)
+				}
+				fmt.Fprintf(&got, "%s %s %+v\n", cell.name, b.Name, c.res.Stats)
+			}
+			continue
+		}
 		suite := kernels.All()
 		if cell.bench != nil {
 			suite = suite[:0:0]

@@ -3,7 +3,6 @@ package device
 import (
 	"bytes"
 	"context"
-	"reflect"
 	"testing"
 
 	"repro/internal/kernels"
@@ -11,86 +10,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/sm"
 )
-
-// memsysSuite returns multi-wave benchmarks with enough global-memory
-// traffic to exercise the shared L2 and interconnect.
-func memsysSuite(t *testing.T) []*kernels.Benchmark {
-	t.Helper()
-	var out []*kernels.Benchmark
-	for _, name := range []string{"Histogram", "BFS", "DWTHaar1D"} {
-		b, ok := kernels.ByName(name)
-		if !ok {
-			t.Fatalf("benchmark %s missing", name)
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
-// TestSharedMemSysDeterminism pins the determinism contract of the
-// shared-clock path: with the L2 and interconnect modeled, partitioned
-// results — merged Stats with all L2/NoC counters, per-wave Stats,
-// SMCycles, NoCPorts and DeviceCycles — must be bit-identical across
-// host worker counts and repeat runs for each SM count. The SM count
-// itself is an architectural parameter (it decides how many waves
-// contend for the hierarchy at once), so baselines are per SM count,
-// never compared across them. Run under -race in CI, this also proves
-// the interleaved wave simulations share no unsynchronized state.
-func TestSharedMemSysDeterminism(t *testing.T) {
-	suite := memsysSuite(t)
-	type snapshot struct {
-		stats    sm.Stats
-		waves    []sm.Stats
-		smCycles []int64
-		ports    []noc.Stats
-		device   int64
-	}
-	for _, sms := range []int{1, 2, 8} {
-		var baseline []snapshot
-		// Two passes per worker count: the second pass of each device
-		// repeats the runs, so the loop also pins repeat-run stability.
-		for _, workers := range []int{1, 4, 1, 4} {
-			dev, err := New(
-				WithArch(sm.ArchSBISWI),
-				WithSMs(sms),
-				WithWorkers(workers),
-				WithGridPartition(true),
-				WithL2(mem.DefaultL2()),
-				WithInterconnect(noc.Default()),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results, err := dev.RunSuite(context.Background(), suite)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snaps := make([]snapshot, len(results))
-			for i, r := range results {
-				if r.Err != nil {
-					t.Fatalf("SMs %d workers %d: %s: %v", sms, workers, r.Name(), r.Err)
-				}
-				snaps[i] = snapshot{
-					stats:    r.Result.Stats,
-					waves:    r.Result.Waves,
-					smCycles: r.Result.SMCycles,
-					ports:    r.Result.NoCPorts,
-					device:   r.Result.DeviceCycles(),
-				}
-			}
-			if baseline == nil {
-				baseline = snaps
-				continue
-			}
-			for i := range snaps {
-				if !reflect.DeepEqual(snaps[i], baseline[i]) {
-					t.Errorf("SMs %d workers %d: %s: results differ from this SM count's baseline\n got: %+v\nwant: %+v",
-						sms, workers, suite[i].Name, snaps[i], baseline[i])
-				}
-			}
-		}
-	}
-}
 
 // TestMemSysCountersNonzero asserts the acceptance signal on a
 // bandwidth-bound benchmark: partitioned multi-SM runs behind the
@@ -199,50 +118,6 @@ func TestStoreSaturationStretch(t *testing.T) {
 	}
 	if m, f := modeled.DeviceCycles(), flat.DeviceCycles(); m <= f {
 		t.Errorf("modeled wall-clock %d not above the flat run's %d: store saturation exerted no stretch", m, f)
-	}
-}
-
-// TestMemsysConservation pins the conservation laws of the inline
-// memory system over the whole benchmark suite, for the whole-grid shape
-// (one SM slot, one-port crossbar) and a 4-SM partitioned shape (one
-// multi-slot domain, the L1 side summed over its waves): every L2 access
-// entered through a crossbar port (NoC.Requests == L2 loads + stores,
-// bytes == requests × block size), every L1 store transaction reaches
-// the L2 — the store blindness the retired two-pass contention replay
-// had — and the L2 sees at most the L1s' misses as loads, short at most
-// their MSHR merges.
-func TestMemsysConservation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-suite conservation sweep")
-	}
-	for _, shape := range []string{"whole-grid", "partitioned"} {
-		dev, err := New(WithArch(sm.ArchSBISWI), WithL2(mem.DefaultL2()), WithInterconnect(noc.Default()),
-			WithSMs(4), WithGridPartition(shape == "partitioned"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb := uint64(dev.Config().Mem.BlockBytes)
-		for _, b := range kernels.All() {
-			t.Run(shape+"/"+b.Name, func(t *testing.T) {
-				res, err := dev.Run(context.Background(), mustLaunch(t, b.Name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				l1, l2, nc := &res.Stats.Mem, &res.Stats.Mem.L2, &res.Stats.Mem.NoC
-				if nc.Requests != l2.Loads+l2.Stores {
-					t.Errorf("%d NoC requests, want the %d+%d L2 loads+stores", nc.Requests, l2.Loads, l2.Stores)
-				}
-				if nc.Bytes != nc.Requests*bb {
-					t.Errorf("%d NoC bytes, want requests×blockBytes = %d", nc.Bytes, nc.Requests*bb)
-				}
-				if l2.Stores != l1.Stores {
-					t.Errorf("L2 saw %d stores, L1 sent %d: store traffic lost below the L1", l2.Stores, l1.Stores)
-				}
-				if l2.Loads > l1.Misses || l2.Loads+l1.MSHRMerges < l1.Misses {
-					t.Errorf("L2 saw %d loads for %d L1 misses (%d merges)", l2.Loads, l1.Misses, l1.MSHRMerges)
-				}
-			})
-		}
 	}
 }
 

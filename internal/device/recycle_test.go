@@ -10,10 +10,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cfg"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/isa"
+	"repro/internal/kernels"
 	"repro/internal/leakcheck"
 	"repro/internal/mem"
 	"repro/internal/progen"
@@ -25,36 +25,49 @@ import (
 // recycled launch equals one on a device that has never run anything,
 // and a launch that fails — any way a launch can — donates nothing.
 
-// genKernel is one generated kernel in launch-storm's shapes, in the
-// plain (baseline) and SYNC-instrumented (thread-frontier) variants.
-type genKernel struct {
-	plain, tf   *isa.Program
-	grid, block int
-}
-
-func genKernels(t *testing.T, n int) []genKernel {
-	t.Helper()
-	ks := make([]genKernel, n)
+// genKernels returns n generated kernels in launch-storm's shapes (grid
+// 1-4, block 32-128, 3-6 regions), seeded 1 to n. It is the package's
+// only generator loop.
+func genKernels(n int) []*kernels.Benchmark {
+	ks := make([]*kernels.Benchmark, n)
 	for i := range ks {
-		k := genKernel{grid: 1 + i%4, block: 32 * (1 + i/4%4)}
-		var err error
-		if k.plain, err = progen.New(uint64(i)+1).Program(fmt.Sprintf("gen%03d", i), 3+i/16%4); err != nil {
-			t.Fatal(err)
-		}
-		if k.tf, err = cfg.InsertSyncs(k.plain); err != nil {
-			t.Fatal(err)
-		}
-		ks[i] = k
+		ks[i] = genKernel(i, 1+i%4, 32*(1+i/4%4))
 	}
 	return ks
 }
 
-func (k *genKernel) launch(d *Device) *exec.Launch {
-	p := k.tf
-	if d.cfg.Arch == sm.ArchBaseline {
-		p = k.plain
+// genKernel is generated kernel i in the given shape, as a benchmark
+// the device runs like a suite kernel: a zeroed image of one word per
+// thread, and the functional reference as its oracle.
+func genKernel(i, grid, block int) *kernels.Benchmark {
+	gen := progen.New(uint64(i) + 1)
+	plain, err := gen.Program(fmt.Sprintf("gen%03d", i), 3+i/16%4)
+	if err != nil {
+		panic(err) // every generated program assembles
 	}
-	return &exec.Launch{Prog: p, GridDim: k.grid, BlockDim: k.block, Global: make([]byte, 4*k.grid*k.block)}
+	return &kernels.Benchmark{
+		Name: plain.Name, Source: gen.Source(), Grid: grid, Block: block,
+		Setup: func(*kernels.Benchmark) ([]byte, [isa.NumParams]uint32) {
+			return make([]byte, 4*grid*block), [isa.NumParams]uint32{}
+		},
+		Reference: func(_ *kernels.Benchmark, global []byte, params [isa.NumParams]uint32) {
+			l := &exec.Launch{Prog: plain, GridDim: grid, BlockDim: block, Params: params, Global: global}
+			if _, err := exec.RunReference(l, 32); err != nil {
+				panic(err) // every generated program terminates
+			}
+		},
+	}
+}
+
+// launchOn builds b's launch in the program variant d's architecture
+// runs.
+func launchOn(t *testing.T, d *Device, b *kernels.Benchmark) *exec.Launch {
+	t.Helper()
+	l, err := b.NewLaunch(d.cfg.Arch != sm.ArchBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 // slotShells takes the device's only free slot and reports the shells
@@ -129,8 +142,8 @@ func TestRecycleAfterFailure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ks := genKernels(t, 2)
-			if _, err := dev.Run(context.Background(), ks[0].launch(dev)); err != nil {
+			ks := genKernels(2)
+			if _, err := dev.Run(context.Background(), launchOn(t, dev, ks[0])); err != nil {
 				t.Fatalf("warm-up: %v", err)
 			}
 			if slotShells(t, dev) == nil {
@@ -143,7 +156,7 @@ func TestRecycleAfterFailure(t *testing.T) {
 				t.Errorf("the failed launch donated %d shell(s) to its slot", len(sh))
 			}
 
-			l := ks[1].launch(dev)
+			l := launchOn(t, dev, ks[1])
 			got, err := dev.Run(context.Background(), l)
 			if err != nil {
 				t.Fatalf("good launch after the failure: %v", err)
@@ -152,7 +165,7 @@ func TestRecycleAfterFailure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fl := ks[1].launch(fresh)
+			fl := launchOn(t, fresh, ks[1])
 			want, err := fresh.Run(context.Background(), fl)
 			if err != nil {
 				t.Fatal(err)
@@ -173,7 +186,7 @@ func TestRecycleAfterFailure(t *testing.T) {
 func TestRecycleStreamsEqualSerial(t *testing.T) {
 	leakcheck.Check(t)
 	const streams, perStream = 8, 200
-	ks := genKernels(t, 48)
+	ks := genKernels(48)
 	variants := [][]Option{
 		{WithArch(sm.ArchSBISWI)},
 		{WithArch(sm.ArchBaseline)},
@@ -194,7 +207,7 @@ func TestRecycleStreamsEqualSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l := ks[i].launch(fresh)
+			l := launchOn(t, fresh, ks[i])
 			res, err := fresh.Run(context.Background(), l)
 			if err != nil {
 				t.Fatal(err)
@@ -218,7 +231,7 @@ func TestRecycleStreamsEqualSerial(t *testing.T) {
 	for n := range all {
 		s := n % streams
 		v, k := s%len(devs), (n*7+s)%len(ks)
-		l := ks[k].launch(devs[v])
+		l := launchOn(t, devs[v], ks[k])
 		all[n] = issued{v, k, l, ss[s].Launch(context.Background(), l)}
 	}
 	for _, is := range all {
@@ -244,7 +257,7 @@ func TestRecycleShellKeepsNoLaunch(t *testing.T) {
 	}
 	freed := make(chan struct{})
 	func() {
-		l := genKernels(t, 1)[0].launch(dev)
+		l := launchOn(t, dev, genKernel(0, 1, 32))
 		runtime.SetFinalizer(l, func(*exec.Launch) { close(freed) })
 		if _, err := dev.Run(context.Background(), l); err != nil {
 			t.Fatal(err)
@@ -276,13 +289,12 @@ func TestWarmLaunchAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := genKernels(t, 1)[0]
-	k.grid, k.block = 2, 64
+	k := genKernel(0, 2, 64)
 	ctx := context.Background()
 	const launches = 200
 	ls := make([]*exec.Launch, launches+1)
 	for i := range ls {
-		ls[i] = k.launch(dev)
+		ls[i] = launchOn(t, dev, k)
 	}
 	if _, err := dev.Run(ctx, ls[launches]); err != nil { // warm-up
 		t.Fatal(err)
@@ -296,7 +308,7 @@ func TestWarmLaunchAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perLaunch := (after.TotalAlloc - before.TotalAlloc) / launches
-	l := k.launch(dev)
+	l := launchOn(t, dev, k)
 	mallocs := testing.AllocsPerRun(100, func() {
 		clear(l.Global)
 		if _, err := dev.Run(ctx, l); err != nil {

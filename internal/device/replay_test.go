@@ -10,123 +10,8 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/kernels"
-	"repro/internal/mem"
-	"repro/internal/noc"
-	"repro/internal/replay"
 	"repro/internal/sm"
 )
-
-// TestTraceReplaySuiteSweepEquivalence is the end-to-end acceptance
-// test for the trace-replay engine: a timing sweep routed through
-// WithTraceReplay — one shared SimCache, so the first point records and
-// later points replay — must produce statistics bit-identical to fresh
-// full-simulation devices at every sweep point, while the racy
-// benchmarks (BFS) fall back to full simulation with the reason logged
-// exactly once per benchmark.
-func TestTraceReplaySuiteSweepEquivalence(t *testing.T) {
-	suite := kernels.Irregular()
-	cache := NewSimCache()
-	var log bytes.Buffer
-	lats := []int64{2, 8, 32}
-	if testing.Short() {
-		lats = []int64{2, 32}
-	}
-	replayed := 0
-	for _, lat := range lats {
-		cfg := sm.Configure(sm.ArchSBISWI)
-		cfg.ExecLatency = lat
-		traced, err := New(WithConfig(cfg), WithSimCache(cache), WithTraceReplay(true), WithReplayLog(&log))
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := New(WithConfig(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt, err := traced.RunSuite(context.Background(), suite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rf, err := full.RunSuite(context.Background(), suite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range rt {
-			if rt[i].Err != nil || rf[i].Err != nil {
-				t.Fatalf("lat %d: %s: traced err %v, full err %v", lat, rt[i].Name(), rt[i].Err, rf[i].Err)
-			}
-			if rt[i].Result.Stats != rf[i].Result.Stats {
-				t.Errorf("lat %d: %s: replay-routed stats diverged from full simulation\n got: %+v\nwant: %+v",
-					lat, rt[i].Name(), rt[i].Result.Stats, rf[i].Result.Stats)
-			}
-			if rt[i].Result.Replayed {
-				replayed++
-				if rt[i].Name() == "BFS" {
-					t.Errorf("lat %d: racy BFS was replayed", lat)
-				}
-			}
-		}
-	}
-	if replayed == 0 {
-		t.Error("no sweep point was served by replay — the engine never engaged")
-	}
-	if n := strings.Count(log.String(), "outside the trace-replay validity domain"); n != 1 {
-		t.Errorf("fallback reason logged %d times, want exactly once (per benchmark, per trace key):\n%s", n, log.String())
-	}
-	if !strings.Contains(log.String(), "BFS") {
-		t.Errorf("fallback log does not name the racy benchmark:\n%s", log.String())
-	}
-}
-
-// TestTraceReplayMemsysEquivalence pins replay equivalence on the
-// heaviest timing path: partitioned multi-SM waves against the shared
-// inline L2/NoC clock, swept over interconnect bandwidth. Stats and the
-// modeled device wall-clock must match full simulation bit-for-bit.
-// Run under -race in CI, this also proves replaying waves may share the
-// launch read-only.
-func TestTraceReplayMemsysEquivalence(t *testing.T) {
-	suite := memsysSuite(t)
-	cache := NewSimCache()
-	var log bytes.Buffer
-	for _, bw := range []float64{32, 8} {
-		nc := noc.Default()
-		nc.BytesPerCycle = bw
-		opts := []Option{
-			WithArch(sm.ArchSBISWI),
-			WithSMs(4),
-			WithGridPartition(true),
-			WithL2(mem.DefaultL2()),
-			WithInterconnect(nc),
-		}
-		traced, err := New(append([]Option{WithSimCache(cache), WithTraceReplay(true), WithReplayLog(&log)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := New(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt, err := traced.RunSuite(context.Background(), suite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rf, err := full.RunSuite(context.Background(), suite)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range rt {
-			if rt[i].Err != nil || rf[i].Err != nil {
-				t.Fatalf("bw %g: %s: traced err %v, full err %v", bw, rt[i].Name(), rt[i].Err, rf[i].Err)
-			}
-			if rt[i].Result.Stats != rf[i].Result.Stats {
-				t.Errorf("bw %g: %s: replay-routed stats diverged from full simulation", bw, rt[i].Name())
-			}
-			if got, want := rt[i].Result.DeviceCycles(), rf[i].Result.DeviceCycles(); got != want {
-				t.Errorf("bw %g: %s: replayed DeviceCycles %d != full simulation's %d", bw, rt[i].Name(), got, want)
-			}
-		}
-	}
-}
 
 // TestRunTraceReplay exercises the one-launch entry point: a race-free
 // launch records, replays, passes the internal stats backstop and
@@ -179,36 +64,18 @@ func TestRunTraceReplay(t *testing.T) {
 const replayVerdictsPath = "testdata/replay_verdicts.golden"
 
 // TestReplayVerdictsGolden pins the record-time race verdict of every
-// suite kernel on every architecture, flat and partitioned over four
-// SMs, one `kernel arch flat|partitioned replayable` line each. A
-// verdict is a property of the kernel, not of how package replay finds
-// it: a change to the analysis is compared against the fixture and
-// never regenerates it; -update is for a change to the suite itself.
+// suite kernel, one `kernel replayable` line each. The verdict comes
+// from the law table's replay rows, which hold it the same on every
+// architecture and on the flat and partitioned shapes. A verdict is a
+// property of the kernel, not of how package replay finds it: a change
+// to the analysis is compared against the fixture and never regenerates
+// it; -update is for a change to the suite itself.
 func TestReplayVerdictsGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("records 220 launches")
-	}
+	t.Parallel() // reads the law table's replay rows
 	var got strings.Builder
-	for _, b := range kernels.All() {
-		for _, a := range sm.Architectures() {
-			for _, shape := range []struct {
-				name string
-				opts []Option
-			}{
-				{"flat", nil},
-				{"partitioned", []Option{WithSMs(4), WithGridPartition(true)}},
-			} {
-				dev, err := New(append([]Option{WithArch(a)}, shape.opts...)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec := replay.NewRecorder(b.Grid, b.Block)
-				if _, err := dev.runBenchmark(context.Background(), b, dev.partition, rec, nil); err != nil {
-					t.Fatal(err)
-				}
-				fmt.Fprintf(&got, "%s %s %s %v\n", b.Name, a, shape.name, rec.Finalize().Replayable)
-			}
-		}
+	verdicts := replayRows()[0].verdict
+	for i, b := range kernels.All() {
+		fmt.Fprintf(&got, "%s %v\n", b.Name, verdicts[i])
 	}
 	if *updateGolden {
 		if err := os.WriteFile(replayVerdictsPath, []byte(got.String()), 0o644); err != nil {

@@ -1,11 +1,9 @@
 package device
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,95 +14,6 @@ import (
 	"repro/internal/leakcheck"
 	"repro/internal/sm"
 )
-
-// streamSuite picks a spread of cheap suite kernels for the
-// interleaving tests: multi-wave irregulars and single-wave regulars.
-func streamSuite(t *testing.T) []*kernels.Benchmark {
-	t.Helper()
-	var out []*kernels.Benchmark
-	for _, name := range []string{"Histogram", "BFS", "DWTHaar1D", "MatrixMul", "Transpose", "BlackScholes"} {
-		b, ok := kernels.ByName(name)
-		if !ok {
-			t.Fatalf("benchmark %s missing", name)
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
-// TestStreamInterleavingDeterminism is the stream API's acceptance
-// contract: N launches submitted across 1, 2 and 8 streams, under 1
-// and 4 workers (run with -race in CI), produce per-launch Stats
-// bit-identical to what sequential synchronous Device.Run produces,
-// and final memory images that still match each benchmark's oracle.
-func TestStreamInterleavingDeterminism(t *testing.T) {
-	leakcheck.Check(t)
-	suite := streamSuite(t)
-	ctx := context.Background()
-
-	// Sequential reference: one synchronous Run per benchmark.
-	ref := make(map[string]sm.Stats, len(suite))
-	refDev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range suite {
-		l, err := b.NewLaunch(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := refDev.Run(ctx, l)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		ref[b.Name] = res.Stats
-	}
-
-	// Two rounds over the suite, round-robined across the streams.
-	launches := append(append([]*kernels.Benchmark{}, suite...), suite...)
-	for _, nStreams := range []int{1, 2, 8} {
-		for _, workers := range []int{1, 4} {
-			dev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			streams := make([]*Stream, nStreams)
-			for i := range streams {
-				streams[i] = dev.NewStream()
-			}
-			type sub struct {
-				bench   *kernels.Benchmark
-				launch  *exec.Launch
-				pending *Pending
-			}
-			subs := make([]sub, len(launches))
-			for i, b := range launches {
-				l, err := b.NewLaunch(true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				subs[i] = sub{bench: b, launch: l, pending: streams[i%nStreams].Launch(ctx, l)}
-			}
-			if err := dev.Synchronize(ctx); err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range subs {
-				res, err := s.pending.Wait()
-				if err != nil {
-					t.Fatalf("streams=%d workers=%d: %s: %v", nStreams, workers, s.bench.Name, err)
-				}
-				if !reflect.DeepEqual(res.Stats, ref[s.bench.Name]) {
-					t.Errorf("streams=%d workers=%d: %s: stream stats differ from the synchronous path",
-						nStreams, workers, s.bench.Name)
-				}
-				if !bytes.Equal(s.launch.Global, s.bench.Expected()) {
-					t.Errorf("streams=%d workers=%d: %s: final memory diverged from the oracle",
-						nStreams, workers, s.bench.Name)
-				}
-			}
-		}
-	}
-}
 
 // counterProgram builds a one-warp kernel that increments the 32-bit
 // word at %p0 — FIFO-observable state shared between launches.
