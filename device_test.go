@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/sm"
 )
 
 // suiteSubset picks multi-wave kernels cheap enough to simulate
@@ -22,6 +24,94 @@ func suiteSubset(t *testing.T) []*Benchmark {
 		out = append(out, b)
 	}
 	return out
+}
+
+// TestDeviceMatchesSeedRun asserts the headline compatibility claim:
+// an unpartitioned Device.Run produces bit-identical statistics to the
+// classic single-SM Run path for every kernel, whatever the SM count.
+func TestDeviceMatchesSeedRun(t *testing.T) {
+	for _, b := range suiteSubset(t) {
+		seedLaunch, err := b.NewLaunch(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed, err := sm.Run(sm.Configure(sm.ArchSBISWI), seedLaunch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sms := range []int{1, 2, 8} {
+			dev, err := NewDevice(WithArch(SBISWI), WithSMs(sms))
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := b.NewLaunch(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := dev.Run(context.Background(), l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Stats, seed.Stats) {
+				t.Errorf("%s with %d SMs: stats differ from the seed path\n dev: %v\nseed: %v",
+					b.Name, sms, &res.Stats, &seed.Stats)
+			}
+			if !reflect.DeepEqual(l.Global, seedLaunch.Global) {
+				t.Errorf("%s with %d SMs: memory differs from the seed path", b.Name, sms)
+			}
+		}
+	}
+}
+
+// TestPartitionedDeterminism asserts the partitioned engine's
+// determinism guarantee: byte-identical merged Stats for every SM and
+// worker count, with functional results still matching the oracle
+// (RunSuite checks it).
+func TestPartitionedDeterminism(t *testing.T) {
+	suite := suiteSubset(t)
+	type combo struct{ sms, workers int }
+	combos := []combo{{1, 1}, {2, 1}, {2, 4}, {8, 1}, {8, 4}}
+	var baseline []Stats
+	for _, c := range combos {
+		dev, err := NewDevice(
+			WithArch(SBISWI),
+			WithSMs(c.sms),
+			WithWorkers(c.workers),
+			WithGridPartition(true),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := dev.RunSuite(context.Background(), suite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := make([]Stats, len(results))
+		for i, r := range results {
+			if r.Err != nil {
+				t.Fatalf("%s (%d SMs, %d workers): %v", r.Bench.Name, c.sms, c.workers, r.Err)
+			}
+			stats[i] = r.Result.Stats
+			if len(r.Result.Waves) < 2 {
+				t.Errorf("%s: expected a multi-wave decomposition, got %d waves",
+					r.Bench.Name, len(r.Result.Waves))
+			}
+			if got, want := len(r.Result.SMCycles), c.sms; got != want {
+				t.Errorf("%s: SMCycles length = %d, want %d", r.Bench.Name, got, want)
+			}
+			if r.Result.DeviceCycles() > r.Result.Stats.Cycles {
+				t.Errorf("%s: device wall-clock %d exceeds aggregate cycles %d",
+					r.Bench.Name, r.Result.DeviceCycles(), r.Result.Stats.Cycles)
+			}
+		}
+		if baseline == nil {
+			baseline = stats
+			continue
+		}
+		if !reflect.DeepEqual(stats, baseline) {
+			t.Errorf("stats with %d SMs / %d workers differ from the 1-SM baseline", c.sms, c.workers)
+		}
+	}
 }
 
 // TestLJFDispatchKeepsInputOrder asserts the batch scheduler's
@@ -109,6 +199,43 @@ func TestAutoPartitionRoutesExactlyTheTail(t *testing.T) {
 		if heavy && reflect.DeepEqual(autoRes[i].Result.Stats, flatRes[i].Result.Stats) {
 			t.Errorf("%s: expected the partitioned timing model to differ from the whole-grid run", b.Name)
 		}
+	}
+}
+
+// TestPartitionedSingleWaveIsSeedExact: a grid that fits the SM's CTA
+// residency is one wave, so even the partitioned path must be
+// cycle-exact with the seed Run.
+func TestPartitionedSingleWaveIsSeedExact(t *testing.T) {
+	prog, err := Assemble("scale", scaleSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf, err := ThreadFrontier(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func() *Launch {
+		global := make([]byte, 4*256*4)
+		for i := range global {
+			global[i] = byte(i * 5)
+		}
+		return NewLaunch(tf, 4, 256, global, 0)
+	}
+	seed, err := sm.Run(sm.Configure(sm.ArchSBISWI), mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := NewDevice(WithArch(SBISWI), WithSMs(8), WithGridPartition(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dev.Run(context.Background(), mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Stats, seed.Stats) {
+		t.Errorf("single-wave partitioned stats differ from seed:\n dev: %v\nseed: %v",
+			&res.Stats, &seed.Stats)
 	}
 }
 

@@ -19,6 +19,47 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden fixtures under
 
 const walkGoldenPath = "testdata/walk_stats.golden"
 
+// TestGoldenStats runs the suite on the default device — one SBI+SWI SM
+// per launch, flat-latency DRAM, the paper-reproduction path, on every
+// core — and holds each kernel's Stats to its SBI+SWI cell in
+// walk_stats.golden, the one fixture that pins them. Any drift here
+// changes the reproduced figures; the fixture is rewritten only by
+// TestWalkStatsGolden's -update.
+func TestGoldenStats(t *testing.T) {
+	dev, err := New(WithArch(sm.ArchSBISWI))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := dev.RunSuite(context.Background(), kernels.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(walkGoldenPath)
+	if err != nil {
+		t.Fatalf("read golden fixture: %v", err)
+	}
+	want := make(map[string]string)
+	for _, line := range strings.Split(string(raw), "\n") {
+		if rest, ok := strings.CutPrefix(line, sm.ArchSBISWI.String()+" "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			want[name] = line
+		}
+	}
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Name(), r.Err)
+		}
+		s := &r.Result.Stats
+		if got := fmt.Sprintf("%s %s %+v", sm.ArchSBISWI, r.Name(), *s); got != want[r.Name()] {
+			t.Errorf("%s: default-config statistics drifted from %s (cycles %d, threadInstrs %d, issueSlots %d, ipc %.4f, l1Hits %d, l1Misses %d)\n got %s\nwant %s",
+				r.Name(), walkGoldenPath, s.Cycles, s.ThreadInstrs, s.IssueSlots, s.IPC(), s.Mem.Hits, s.Mem.Misses, got, want[r.Name()])
+		}
+	}
+	if len(results) != len(want) {
+		t.Errorf("%d suite kernels, the fixture's %s cell has %d", len(results), sm.ArchSBISWI, len(want))
+	}
+}
+
 // walkCell is one device configuration whose suite results TestWalkStatsGolden pins.
 type walkCell struct {
 	name  string
@@ -79,7 +120,6 @@ func TestWalkStatsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the suite on fourteen configurations")
 	}
-	t.Parallel() // reads the law table's flat row
 	var got strings.Builder
 	for _, cell := range walkCells() {
 		if cell.flat != nil {

@@ -45,17 +45,27 @@ import (
 //	law           holds that
 //	oracle        every final image is the input's oracle (b.Expected)
 //	stats         Stats agree wherever the contract says they must
+//	fold          a partitioned launch's Stats are the fold of its
+//	              waves' (TestPartitionedRunMatchesFunctionally)
 //	conservation  every memsys transaction is counted once per level
 //	              (TestMemsysConservation)
+//	replay        a replay equals full simulation of its configuration
+//	              (TestTraceReplaySuiteSweepEquivalence, and
+//	              TestTraceReplayMemsysEquivalence on the memsys row)
 //	verdict       the race verdict is the same on every row that
 //	              records, and replays exactly when it says replayable
+//
+// A law that kept the name of the test it replaced is a top-level test
+// over the shared rows; the others are TestLaws' subtests.
 //
 // A row that several tests read is computed once per test binary and
 // shared: TestWalkStatsGolden pins the flat row's Stats,
 // TestReplayVerdictsGolden the replay rows' verdicts, so no test
 // simulates the suite again for its own purposes.
-// The tests that read rows run in parallel with one another, after the
-// package's other tests, so the rows fill both cores.
+// The rows fill both cores from within: each computes its inputs on
+// GOMAXPROCS goroutines, and TestLaws' rows are parallel subtests. No
+// top-level test here is parallel, so none is paused while the
+// package's goroutine-leak checks take their snapshots.
 
 // lawCell is one input's outcome on one row. image is the final global
 // image; nil where the path is RunSuite, which validates every image
@@ -353,11 +363,11 @@ func checkStats(t *testing.T, row string, got []lawCell, base string, want []law
 	}
 }
 
-// TestLaws runs every row of the table and checks each law it is
-// subject to. Every row is a parallel subtest, so `-run TestLaws/<row>`
-// runs one row and computes only the rows it is compared with.
+// TestLaws runs every row of the table and checks the laws that are
+// its subtests: oracle, stats and verdict. Every row is a parallel
+// subtest, so `-run TestLaws/<row>` runs one row and computes only the
+// rows it is compared with.
 func TestLaws(t *testing.T) {
-	t.Parallel()
 	in := lawInputs()
 	sbiswi := sm.ArchSBISWI
 	t.Run("reference", func(t *testing.T) {
@@ -404,42 +414,20 @@ func TestLaws(t *testing.T) {
 		}
 	})
 	// Under the flat memory model a partitioned launch's waves are
-	// independent, so its Stats do not depend on the SM or worker count;
-	// a grid of one wave is the whole-grid run; and the merged Stats are
-	// the fold of the waves'.
+	// independent, so its Stats do not depend on the SM or worker count,
+	// and a grid of one wave is the whole-grid run. That the merged
+	// Stats are the fold of the waves' is
+	// TestPartitionedRunMatchesFunctionally's.
 	t.Run("partition", func(t *testing.T) {
 		t.Parallel()
 		rows := partitionRow()
 		for k, shape := range partitionShapes {
-			row := shape.row()
-			cells := rows[k]
+			row, cells := shape.row(), rows[k]
 			checkOracle(t, row, cells)
 			if k == 0 {
 				checkStats(t, row, cells, "flat", flatRows()[sbiswi].cells, func(i int) bool { return cells[i].res.Waves == nil })
 			} else {
 				checkStats(t, row, cells, partitionShapes[0].row(), rows[0], nil)
-			}
-			multiWave := 0
-			for i, c := range cells {
-				if c.err != nil || c.res.Waves == nil {
-					continue
-				}
-				multiWave++
-				var fold sm.Stats
-				var smSum int64
-				for w := range c.res.Waves {
-					fold.Merge(&c.res.Waves[w])
-				}
-				for _, n := range c.res.SMCycles {
-					smSum += n
-				}
-				if fold != c.res.Stats || len(c.res.SMCycles) != shape.sms || smSum != c.res.Stats.Cycles || c.res.DeviceCycles() > smSum {
-					t.Errorf("stats: %s on %s: the merge is not the fold of %d waves on %d SMs (SM cycles %v, device cycles %d, cycles %d)",
-						in[i].Name, row, len(c.res.Waves), shape.sms, c.res.SMCycles, c.res.DeviceCycles(), c.res.Stats.Cycles)
-				}
-			}
-			if multiWave == 0 {
-				t.Errorf("stats: %s split no input into waves", row)
 			}
 		}
 	})
@@ -477,36 +465,14 @@ func TestLaws(t *testing.T) {
 			}
 		}
 	})
-	// A replay equals the full simulation of its configuration. The race
-	// verdict is a function of the kernel's accesses, so every recording
-	// reaches the same one, and a trace replays exactly when its verdict
-	// says so. A recording outside the validity domain logs one line
-	// naming its kernel, and the sweep after it logs nothing.
+	// The race verdict is a function of the kernel's accesses, so every
+	// recording reaches the same one. That each replay row replays
+	// exactly the inputs its verdicts allow, and equals full simulation,
+	// is TestTraceReplaySuiteSweepEquivalence's and
+	// TestTraceReplayMemsysEquivalence's.
 	t.Run("replay", func(t *testing.T) {
 		t.Parallel()
 		rows := replayRows()
-		for _, r := range rows {
-			row := "replay/" + r.name
-			checkOracle(t, row+"/full", r.full)
-			if r.log != "" {
-				t.Errorf("verdict: the sweep on %s logged:\n%s", row, r.log)
-			}
-			for i := range in {
-				got, want := r.replayed[i], r.full[i]
-				if log := r.rec.logs[i]; r.verdict[i] != (log == "") || (log != "" && (strings.Count(log, "\n") != 1 ||
-					!strings.Contains(log, " "+in[i].Name+" on ") || !strings.Contains(log, "outside the trace-replay validity domain"))) {
-					t.Errorf("verdict: %s on %s is replayable %v, and its recording logged %q", in[i].Name, row, r.verdict[i], log)
-				}
-				switch {
-				case got.err != nil:
-					t.Errorf("replay: %s on %s: %v", in[i].Name, row, got.err)
-				case got.res.Replayed != r.verdict[i]:
-					t.Errorf("verdict: %s on %s: replayed %v, but the verdict is %v", in[i].Name, row, got.res.Replayed, r.verdict[i])
-				case want.err == nil && (got.res.Stats != want.res.Stats || got.res.DeviceCycles() != want.res.DeviceCycles()):
-					t.Errorf("replay: %s on %s differs from the full simulation\n got %+v\nwant %+v", in[i].Name, row, got.res.Stats, want.res.Stats)
-				}
-			}
-		}
 		for i, b := range in {
 			for _, r := range rows {
 				if r.verdict[i] != rows[0].verdict[i] {
@@ -520,6 +486,102 @@ func TestLaws(t *testing.T) {
 	})
 }
 
+// TestPartitionedRunMatchesFunctionally is the partition row's fold
+// law: a partitioned launch computes the oracle's image, its merged
+// Stats are the fold of its waves', and its per-SM cycles sum to them
+// on exactly the device's SMs, the wall clock never above the sum.
+func TestPartitionedRunMatchesFunctionally(t *testing.T) {
+	in := lawInputs()
+	for k, shape := range partitionShapes {
+		row, cells := shape.row(), partitionRow()[k]
+		checkOracle(t, row, cells)
+		multiWave := 0
+		for i, c := range cells {
+			if c.err != nil || c.res.Waves == nil {
+				continue
+			}
+			multiWave++
+			var fold sm.Stats
+			var smSum int64
+			for w := range c.res.Waves {
+				fold.Merge(&c.res.Waves[w])
+			}
+			for _, n := range c.res.SMCycles {
+				smSum += n
+			}
+			if fold != c.res.Stats || len(c.res.SMCycles) != shape.sms || smSum != c.res.Stats.Cycles || c.res.DeviceCycles() > smSum {
+				t.Errorf("stats: %s on %s: the merge is not the fold of %d waves on %d SMs (SM cycles %v, device cycles %d, cycles %d)",
+					in[i].Name, row, len(c.res.Waves), shape.sms, c.res.SMCycles, c.res.DeviceCycles(), c.res.Stats.Cycles)
+			}
+		}
+		if multiWave == 0 {
+			t.Errorf("stats: %s split no input into waves", row)
+		}
+	}
+}
+
+// checkReplayRow is the replay law over one replay row: every replay
+// equals the full simulation of its configuration, DeviceCycles
+// included; a trace replays exactly when its verdict says so; a
+// recording outside the validity domain logs one line naming its
+// kernel, and the sweep after it logs nothing.
+func checkReplayRow(t *testing.T, r replayRow) {
+	t.Helper()
+	in := lawInputs()
+	row := "replay/" + r.name
+	checkOracle(t, row+"/full", r.full)
+	if r.log != "" {
+		t.Errorf("verdict: the sweep on %s logged:\n%s", row, r.log)
+	}
+	replayed := 0
+	for i := range in {
+		got, want := r.replayed[i], r.full[i]
+		if log := r.rec.logs[i]; r.verdict[i] != (log == "") || (log != "" && (strings.Count(log, "\n") != 1 ||
+			!strings.Contains(log, " "+in[i].Name+" on ") || !strings.Contains(log, "outside the trace-replay validity domain"))) {
+			t.Errorf("verdict: %s on %s is replayable %v, and its recording logged %q", in[i].Name, row, r.verdict[i], log)
+		}
+		switch {
+		case got.err != nil:
+			t.Errorf("replay: %s on %s: %v", in[i].Name, row, got.err)
+		case got.res.Replayed != r.verdict[i]:
+			t.Errorf("verdict: %s on %s: replayed %v, but the verdict is %v", in[i].Name, row, got.res.Replayed, r.verdict[i])
+		case want.err == nil && (got.res.Stats != want.res.Stats || got.res.DeviceCycles() != want.res.DeviceCycles()):
+			t.Errorf("replay: %s on %s differs from the full simulation\n got %+v\nwant %+v", in[i].Name, row, got.res.Stats, want.res.Stats)
+		}
+		if got.err == nil && got.res.Replayed {
+			replayed++
+		}
+	}
+	if replayed == 0 {
+		t.Errorf("replay: no input on %s was served by replay — the engine never engaged", row)
+	}
+}
+
+// TestTraceReplaySuiteSweepEquivalence is the replay law on every
+// architecture's replay row: a timing sweep routed through
+// WithTraceReplay — one shared SimCache, recorded by the flat row —
+// equals fresh full simulation at every point, while racy kernels
+// (BFS) fall back with the reason logged once each.
+func TestTraceReplaySuiteSweepEquivalence(t *testing.T) {
+	rows := replayRows()
+	bfs := slices.IndexFunc(lawInputs(), func(b *kernels.Benchmark) bool { return b.Name == "BFS" })
+	for _, r := range rows[:len(rows)-1] {
+		checkReplayRow(t, r)
+		if r.rec.logs[bfs] == "" {
+			t.Errorf("verdict: racy BFS recorded on %s without falling back", r.name)
+		}
+	}
+}
+
+// TestTraceReplayMemsysEquivalence is the replay law on the heaviest
+// timing path: partitioned waves on 4 SMs against the shared L2/NoC
+// clock, swept over crossbar bandwidth. Run under -race in CI, it also
+// holds replaying waves to sharing the launch read-only.
+func TestTraceReplayMemsysEquivalence(t *testing.T) {
+	rows := replayRows()
+	checkReplayRow(t, rows[len(rows)-1])
+}
+
 // TestMemsysConservation is the conservation law over the memsys row's
 // whole-grid and partitioned shapes (one multi-slot domain, the L1 side
 // summed over its waves): every L2 access entered through a crossbar
@@ -527,7 +589,6 @@ func TestLaws(t *testing.T) {
 // size), every L1 store transaction reaches the L2, and the L2 sees at
 // most the L1s' misses as loads, short at most their MSHR merges.
 func TestMemsysConservation(t *testing.T) {
-	t.Parallel()
 	r := memsysRow()
 	bb := uint64(sm.Configure(sm.ArchSBISWI).Mem.BlockBytes)
 	for _, shape := range []struct {

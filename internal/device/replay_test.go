@@ -71,7 +71,6 @@ const replayVerdictsPath = "testdata/replay_verdicts.golden"
 // to the analysis is compared against the fixture and never regenerates
 // it; -update is for a change to the suite itself.
 func TestReplayVerdictsGolden(t *testing.T) {
-	t.Parallel() // reads the law table's replay rows
 	var got strings.Builder
 	verdicts := replayRows()[0].verdict
 	for i, b := range kernels.All() {

@@ -191,3 +191,51 @@ func TestDivergenceClassification(t *testing.T) {
 		}
 	}
 }
+
+// Golden cycle counts: lock the timing model's output on a few
+// kernel/architecture pairs so accidental changes to scheduling,
+// latency or memory modeling are caught. Update deliberately when the
+// model changes, never silently.
+func TestGoldenCycleCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden timing check")
+	}
+	golden := []struct {
+		kernel string
+		arch   sm.Arch
+		cycles int64
+	}{
+		{"MatrixMul", sm.ArchBaseline, 8886},
+		{"MatrixMul", sm.ArchSBI, 8386},
+		{"MatrixMul", sm.ArchSWI, 7236},
+		{"MatrixMul", sm.ArchSBISWI, 7218},
+		{"MatrixMul", sm.ArchWarp64, 8894},
+		{"Mandelbrot", sm.ArchBaseline, 11758},
+		{"Mandelbrot", sm.ArchSBI, 11472},
+		{"Mandelbrot", sm.ArchSWI, 9156},
+		{"Mandelbrot", sm.ArchSBISWI, 9342},
+		{"Mandelbrot", sm.ArchWarp64, 12222},
+		{"TMD1", sm.ArchBaseline, 14525},
+		{"TMD1", sm.ArchSBI, 25910},
+		{"TMD2", sm.ArchBaseline, 14019},
+		{"TMD2", sm.ArchSBI, 12827},
+		{"LUD", sm.ArchSWI, 7143},
+	}
+	for _, g := range golden {
+		b, ok := ByName(g.kernel)
+		if !ok {
+			t.Fatalf("missing %s", g.kernel)
+		}
+		l, err := b.NewLaunch(g.arch != sm.ArchBaseline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sm.Run(sm.Configure(g.arch), l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Cycles != g.cycles {
+			t.Errorf("%s on %s: %d cycles, golden %d", g.kernel, g.arch, res.Stats.Cycles, g.cycles)
+		}
+	}
+}

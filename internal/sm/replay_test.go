@@ -8,6 +8,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/progen"
 	"repro/internal/replay"
+	"repro/internal/sched"
 )
 
 // recordTrace runs one full simulation of the launch builder's kernel
@@ -22,6 +23,97 @@ func recordTrace(t *testing.T, cfg Config, mk func() *exec.Launch) (*replay.Trac
 		t.Fatal(err)
 	}
 	return rec.Finalize(), res.Stats
+}
+
+// replayTrace re-times the launch from tr under cfg.
+func replayTrace(t *testing.T, cfg Config, mk func() *exec.Launch, tr *replay.Trace) Stats {
+	t.Helper()
+	l := mk()
+	s, err := replay.NewSession(tr, 0, l.GridDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunRangeOpts(context.Background(), cfg, l, 0, l.GridDim, RunOpts{Replay: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Stats
+}
+
+// timingMutations enumerates in-domain configuration changes: every
+// one re-times the kernel without touching what threads compute.
+func timingMutations(arch Arch) []struct {
+	name string
+	mut  func(*Config)
+} {
+	muts := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"exec-latency-1", func(c *Config) { c.ExecLatency = 1 }},
+		{"exec-latency-32", func(c *Config) { c.ExecLatency = 32 }},
+		{"shared-latency-9", func(c *Config) { c.SharedLatency = 9 }},
+		{"issue-delay", func(c *Config) { c.IssueDelay += 2 }},
+		{"scoreboard-2", func(c *Config) { c.ScoreboardEntries = 2 }},
+		{"sfu-lsu-narrow", func(c *Config) { c.SFUWidth, c.LSUWidth = 2, 8 }},
+		{"mem-latency", func(c *Config) { c.Mem.MemLatency = 700; c.Mem.BytesPerCycle = 2 }},
+		{"l1-tiny", func(c *Config) { c.Mem.L1Bytes = 4096; c.Mem.L1Ways = 2 }},
+		{"seed", func(c *Config) { c.Seed = 0xDEADBEEF }},
+	}
+	if arch != ArchBaseline {
+		muts = append(muts, struct {
+			name string
+			mut  func(*Config)
+		}{"mem-split", func(c *Config) { c.SplitOnMemDivergence = true }})
+	}
+	return muts
+}
+
+// TestReplayMatchesFullSimulation records each test kernel once per
+// architecture and asserts that replaying the trace under mutated
+// timing configurations produces statistics bit-identical to full
+// simulations of those configurations.
+func TestReplayMatchesFullSimulation(t *testing.T) {
+	kernelsUnderTest := []struct {
+		name, src string
+		params    []uint32
+		words     int
+	}{
+		{"divergent-loop", shortLoopSrc, []uint32{0}, 4 * 256},
+		{"mem-idle", shortMemSrc, []uint32{0, 4 * 256 * 4}, 4*256 + 65536},
+	}
+	for _, k := range kernelsUnderTest {
+		for _, a := range []Arch{ArchBaseline, ArchSBISWI} {
+			k, a := k, a
+			t.Run(k.name+"/"+a.String(), func(t *testing.T) {
+				t.Parallel()
+				base := Configure(a)
+				p := assembleFor(t, k.name, k.src, a)
+				mk := func() *exec.Launch { return newLaunch(p, 4, 256, k.words, k.params...) }
+
+				tr, recStats := recordTrace(t, base, mk)
+				if !tr.Replayable {
+					t.Fatalf("race-free kernel recorded as non-replayable: %s", tr.Reason)
+				}
+				if got := replayTrace(t, base, mk, tr); got != recStats {
+					t.Fatalf("same-config replay diverged\nreplay: %+v\nfull:   %+v", got, recStats)
+				}
+				for _, m := range timingMutations(a) {
+					cfg := Configure(a)
+					m.mut(&cfg)
+					full := mk()
+					res, err := RunRangeOpts(context.Background(), cfg, full, 0, full.GridDim, RunOpts{})
+					if err != nil {
+						t.Fatalf("%s: %v", m.name, err)
+					}
+					if got := replayTrace(t, cfg, mk, tr); got != res.Stats {
+						t.Errorf("%s: replay diverged from full simulation\nreplay: %+v\nfull:   %+v",
+							m.name, got, res.Stats)
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestReplayLeavesMemoryUntouched pins the central replay property: a
@@ -116,6 +208,58 @@ func TestRunOptsValidation(t *testing.T) {
 	}
 	if _, err := RunRangeOpts(context.Background(), cfg, l, 0, 2, RunOpts{Replay: s}); err == nil {
 		t.Fatal("session over the wrong CTA range accepted")
+	}
+}
+
+// TestReplayFuzz is the property test over random structured kernels:
+// for each generated program and each architecture, record once, then
+// assert replay under random in-domain timing mutations reproduces the
+// full simulation's statistics bit-for-bit. Generated programs write
+// only out[gid], so every trace must pass the race analysis.
+func TestReplayFuzz(t *testing.T) {
+	seeds := 25
+	if testing.Short() {
+		seeds = 5
+	}
+	muts := []func(*Config){
+		func(c *Config) { c.ExecLatency = 3 },
+		func(c *Config) { c.IssueDelay = 4; c.ScoreboardEntries = 2 },
+		func(c *Config) { c.Mem.MemLatency = 41; c.Mem.HitLatency = 9 },
+		func(c *Config) { c.Seed = 0x1234; c.Shuffle = sched.ShuffleXorRev },
+	}
+	for seed := uint64(1); seed <= uint64(seeds); seed++ {
+		gen := progen.New(seed)
+		if _, err := gen.Program("fuzz", 6); err != nil {
+			t.Fatal(err)
+		}
+		src := gen.Source()
+		for _, a := range []Arch{ArchBaseline, ArchSBI, ArchSBISWI} {
+			p := assembleFor(t, "fuzz", src, a)
+			const grid, block = 2, 192
+			mk := func() *exec.Launch {
+				return &exec.Launch{Prog: p, GridDim: grid, BlockDim: block, Global: make([]byte, grid*block*4)}
+			}
+			base := Configure(a)
+			tr, recStats := recordTrace(t, base, mk)
+			if !tr.Replayable {
+				t.Fatalf("seed %d on %s: generated kernel flagged racy: %s\n%s", seed, a, tr.Reason, gen.Source())
+			}
+			if got := replayTrace(t, base, mk, tr); got != recStats {
+				t.Fatalf("seed %d on %s: same-config replay diverged\n%s", seed, a, gen.Source())
+			}
+			mut := muts[int(seed)%len(muts)]
+			cfg := Configure(a)
+			mut(&cfg)
+			full := mk()
+			res, err := RunRangeOpts(context.Background(), cfg, full, 0, grid, RunOpts{})
+			if err != nil {
+				t.Fatalf("seed %d on %s: %v", seed, a, err)
+			}
+			if got := replayTrace(t, cfg, mk, tr); got != res.Stats {
+				t.Fatalf("seed %d on %s: replay diverged from full simulation under mutation\n%s",
+					seed, a, gen.Source())
+			}
+		}
 	}
 }
 
