@@ -50,10 +50,17 @@ func main() {
 	policies := []sbwi.Shuffle{sbwi.Identity, sbwi.MirrorOdd, sbwi.MirrorHalf, sbwi.Xor, sbwi.XorRev}
 	const grid, block = 16, 256
 
+	swi, err := sbwi.NewDevice(sbwi.WithArch(sbwi.SWI))
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	fmt.Printf("%-12s %8s %8s %10s\n", "policy", "cycles", "IPC", "SWI pairs")
 	var identity int64
 	for _, pol := range policies {
-		dev, err := sbwi.NewDevice(sbwi.WithArch(sbwi.SWI), sbwi.WithShuffle(pol))
+		cfg := swi.Config()
+		cfg.Shuffle = pol
+		dev, err := sbwi.NewDevice(sbwi.WithConfig(cfg))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -49,7 +49,13 @@ func main() {
 		if a == sbwi.Baseline {
 			p = prog
 		}
-		dev, err := sbwi.NewDevice(sbwi.WithArch(a), sbwi.WithTrace(512))
+		base, err := sbwi.NewDevice(sbwi.WithArch(a))
+		if err != nil {
+			log.Fatal(err)
+		}
+		cfg := base.Config()
+		cfg.TraceCap = 512
+		dev, err := sbwi.NewDevice(sbwi.WithConfig(cfg))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -176,26 +176,22 @@ type Option func(*settings)
 // embedding — plus the inputs only the builder reads.
 type settings struct {
 	Device
-	arch      sm.Arch
-	base      *sm.Config // explicit full config (WithConfig) overrides arch
-	modifier  []func(*sm.Config)
 	workers   int
 	l2        *mem.L2Config
 	noc       *noc.Config
 	replayLog io.Writer // becomes diag in New
 }
 
-// WithArch selects the modeled micro-architecture (default SBI+SWI) and
-// bases the configuration on its paper table-2 parameters.
+// WithArch selects the modeled micro-architecture (default SBI+SWI):
+// the configuration becomes its paper table-2 parameters.
 func WithArch(a sm.Arch) Option {
-	return func(s *settings) { s.arch = a; s.base = nil }
+	return func(s *settings) { s.cfg = sm.Configure(a) }
 }
 
-// WithConfig replaces the whole base configuration, for callers that
-// already hold a tuned sm.Config. Field options applied after it still
-// modify the supplied configuration.
+// WithConfig replaces the whole configuration, for callers that already
+// hold a tuned sm.Config (start from the Config of a WithArch device).
 func WithConfig(cfg sm.Config) Option {
-	return func(s *settings) { c := cfg; s.base = &c }
+	return func(s *settings) { s.cfg = cfg }
 }
 
 // WithSMs sets the number of streaming multiprocessors (default 1).
@@ -290,28 +286,14 @@ func WithInterconnect(cfg noc.Config) Option {
 	return func(s *settings) { c := cfg; s.noc = &c }
 }
 
-// WithModifier registers a configuration tweak applied after the base
-// architecture configuration is built. The public facade wraps this
-// into the typed options (WithShuffle, WithTrace, ...).
-func WithModifier(f func(*sm.Config)) Option {
-	return func(s *settings) { s.modifier = append(s.modifier, f) }
-}
-
 // New builds a Device. The zero option set models one SBI+SWI SM with
 // the paper's table-2 parameters.
 func New(opts ...Option) (*Device, error) {
-	st := &settings{Device: Device{sms: 1}, arch: sm.ArchSBISWI}
+	st := &settings{Device: Device{cfg: sm.Configure(sm.ArchSBISWI), sms: 1}}
 	for _, o := range opts {
 		o(st)
 	}
 	d := &st.Device
-	d.cfg = sm.Configure(st.arch)
-	if st.base != nil {
-		d.cfg = *st.base
-	}
-	for _, f := range st.modifier {
-		f(&d.cfg)
-	}
 	if err := d.cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("device: %w", err)
 	}

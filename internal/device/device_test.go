@@ -26,24 +26,61 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(WithConfig(bad)); err == nil {
 		t.Error("invalid config must be rejected")
 	}
+	// An out-of-range memory system or front-end timing is rejected by
+	// New, before any launch can meet it inside the simulation.
+	for _, tc := range []struct {
+		name string
+		mut  func(*sm.Config)
+	}{
+		{"L1Bytes=0", func(c *sm.Config) { c.Mem.L1Bytes = 0 }},
+		{"L1Ways=0", func(c *sm.Config) { c.Mem.L1Ways = 0 }},
+		{"BlockBytes=0", func(c *sm.Config) { c.Mem.BlockBytes = 0 }},
+		{"BlockBytes=96", func(c *sm.Config) { c.Mem.BlockBytes = 96 }},
+		{"BytesPerCycle=0", func(c *sm.Config) { c.Mem.BytesPerCycle = 0 }},
+		{"BytesPerCycle=-1", func(c *sm.Config) { c.Mem.BytesPerCycle = -1 }},
+		{"MemLatency=-5", func(c *sm.Config) { c.Mem.MemLatency = -5 }},
+		{"HitLatency=-1", func(c *sm.Config) { c.Mem.HitLatency = -1 }},
+		{"StoreQueue=-1", func(c *sm.Config) { c.Mem.StoreQueue = -1 }},
+		{"IssueDelay=-1", func(c *sm.Config) { c.IssueDelay = -1 }},
+		{"SharedLatency=-1", func(c *sm.Config) { c.SharedLatency = -1 }},
+	} {
+		if _, err := New(tweaked(sm.ArchSBISWI, tc.mut)); err == nil {
+			t.Errorf("%s must be rejected", tc.name)
+		}
+	}
 }
 
+// tweaked is WithConfig of architecture a's table-2 configuration with
+// f applied: the one way a test sets a single Config field.
+func tweaked(a sm.Arch, f func(*sm.Config)) Option {
+	c := sm.Configure(a)
+	f(&c)
+	return WithConfig(c)
+}
+
+// TestOptionOrder pins last-wins: WithArch and WithConfig each replace
+// the whole configuration.
 func TestOptionOrder(t *testing.T) {
-	// Field modifiers apply on top of whichever base is selected,
-	// regardless of position relative to WithArch.
-	dev, err := New(
-		WithModifier(func(c *sm.Config) { c.Seed = 42 }),
-		WithArch(sm.ArchSWI),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := dev.Config()
-	if cfg.Arch != sm.ArchSWI || cfg.Seed != 42 {
-		t.Errorf("cfg = arch %v seed %d", cfg.Arch, cfg.Seed)
-	}
-	if dev.SMs() != 1 || dev.Workers() <= 0 {
-		t.Errorf("defaults: sms %d workers %d", dev.SMs(), dev.Workers())
+	c := sm.Configure(sm.ArchSBI)
+	c.Seed = 42
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		want sm.Config
+	}{
+		{"config-then-arch", []Option{WithConfig(c), WithArch(sm.ArchSWI)}, sm.Configure(sm.ArchSWI)},
+		{"arch-then-config", []Option{WithArch(sm.ArchSWI), WithConfig(c)}, c},
+	} {
+		dev, err := New(tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dev.Config(); got != tc.want {
+			t.Errorf("%s: cfg = %+v, want %+v", tc.name, got, tc.want)
+		}
+		if dev.SMs() != 1 || dev.Workers() <= 0 {
+			t.Errorf("%s: defaults: sms %d workers %d", tc.name, dev.SMs(), dev.Workers())
+		}
 	}
 }
 
@@ -153,7 +190,7 @@ func TestFailedPartitionedRunLeavesImageUntouched(t *testing.T) {
 			t.Run(shape.name+"/"+abort, func(t *testing.T) {
 				opts := append([]Option{WithArch(sm.ArchSBISWI), WithSMs(2), WithWorkers(2)}, shape.opts...)
 				if abort == "livelock" {
-					opts = append(opts, WithModifier(func(c *sm.Config) { c.MaxCycles = 5000 }))
+					opts = append(opts, tweaked(sm.ArchSBISWI, func(c *sm.Config) { c.MaxCycles = 5000 }))
 				}
 				dev, err := New(opts...)
 				if err != nil {
@@ -222,8 +259,8 @@ func TestShapesAgreeOnErrors(t *testing.T) {
 	}
 	for _, shape := range engineShapes {
 		for _, workers := range []int{1, 4} {
-			opts := append([]Option{WithArch(sm.ArchSBISWI), WithSMs(2), WithWorkers(workers),
-				WithModifier(func(c *sm.Config) { c.MaxCycles = 5000 })}, shape.opts...)
+			opts := append([]Option{WithSMs(2), WithWorkers(workers),
+				tweaked(sm.ArchSBISWI, func(c *sm.Config) { c.MaxCycles = 5000 })}, shape.opts...)
 			dev, err := New(opts...)
 			if err != nil {
 				t.Fatal(err)

@@ -87,7 +87,7 @@ func walkCells() []walkCell {
 		{"sb-entries-2", func(c *sm.Config) { c.ScoreboardEntries = 2 }},
 		{"mirror-odd", func(c *sm.Config) { c.Shuffle = sched.ShuffleMirrorOdd }},
 	} {
-		cells = append(cells, walkCell{name: "SBI+SWI/" + v.name, opts: []Option{WithArch(sm.ArchSBISWI), WithModifier(v.mut)}})
+		cells = append(cells, walkCell{name: "SBI+SWI/" + v.name, opts: []Option{tweaked(sm.ArchSBISWI, v.mut)}})
 	}
 	l2 := []Option{WithArch(sm.ArchSBISWI), WithSMs(4), WithGridPartition(true), WithL2(mem.DefaultL2())}
 	sweep := []string{"Transpose", "Histogram", "WriteStorm"}

@@ -109,8 +109,7 @@ spin:
 // stream poisons its successors, and the device stays usable.
 func TestLivelockFailsOnlyItsLaunch(t *testing.T) {
 	leakcheck.Check(t)
-	dev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(2),
-		WithModifier(func(c *sm.Config) { c.MaxCycles = 2000 }))
+	dev, err := New(WithWorkers(2), tweaked(sm.ArchSBISWI, func(c *sm.Config) { c.MaxCycles = 2000 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +151,8 @@ func TestLivelockNeverCached(t *testing.T) {
 	cache := NewSimCache()
 	ctx := context.Background()
 
-	sick, err := New(WithArch(sm.ArchSBISWI), WithWorkers(2), WithSimCache(cache),
-		WithModifier(func(c *sm.Config) { c.MaxCycles = 50 }))
+	sick, err := New(WithWorkers(2), WithSimCache(cache),
+		tweaked(sm.ArchSBISWI, func(c *sm.Config) { c.MaxCycles = 50 }))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,7 +269,7 @@ func timingMutations(a sm.Arch) []Option {
 	}
 	opts := make([]Option, len(muts))
 	for i, f := range muts {
-		opts[i] = WithModifier(f)
+		opts[i] = tweaked(a, f)
 	}
 	return opts
 }

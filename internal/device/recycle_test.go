@@ -93,7 +93,7 @@ func TestRecycleAfterFailure(t *testing.T) {
 		opts []Option
 		fail func(t *testing.T, d *Device) error
 	}{
-		{"livelock", []Option{WithModifier(func(c *sm.Config) { c.MaxCycles = 20000 })}, func(t *testing.T, d *Device) error {
+		{"livelock", []Option{tweaked(sm.ArchSBISWI, func(c *sm.Config) { c.MaxCycles = 20000 })}, func(t *testing.T, d *Device) error {
 			_, err := d.Run(context.Background(), livelockLaunch(t))
 			var le *sm.LivelockError
 			if !errors.As(err, &le) {

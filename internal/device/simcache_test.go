@@ -107,8 +107,7 @@ func TestSimCacheFingerprintMiss(t *testing.T) {
 	base := cache.Misses()
 
 	mutated, err := New(
-		WithArch(sm.ArchSBISWI),
-		WithModifier(func(c *sm.Config) { c.ExecLatency++ }),
+		tweaked(sm.ArchSBISWI, func(c *sm.Config) { c.ExecLatency++ }),
 		WithSimCache(cache),
 	)
 	if err != nil {

@@ -26,9 +26,11 @@ type Context struct {
 	LastIssue int64
 }
 
-// HotContexts is the number of HCT entries per warp (the paper's HCT
-// stores two active contexts per warp).
-const HotContexts = 2
+// HotContexts and ColdContexts are the HCT and CCT entries per warp:
+// the paper's HCT stores two active contexts, and its conservative CCT
+// sizing holds eight. ColdContexts bounds nothing in this model, only
+// the CCTOverflows statistic.
+const HotContexts, ColdContexts = 2, 8
 
 // HeapStats counts sorted-heap events.
 type HeapStats struct {
@@ -68,9 +70,8 @@ type Heap struct {
 }
 
 // NewHeap creates a heap for a warp whose valid threads are mask. cctCap
-// is the Cold Context Table capacity (8 per warp in the paper's
-// conservative sizing); it bounds nothing here, only the overflow
-// statistic.
+// is the Cold Context Table capacity the overflow statistic counts
+// against (ColdContexts in the SM model).
 func NewHeap(mask uint64, cctCap int) *Heap {
 	h := new(Heap)
 	h.Reset(mask, cctCap)

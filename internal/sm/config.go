@@ -104,15 +104,14 @@ type Config struct {
 
 	// MADGroups is the number of MAD unit groups; each is MADWidth wide.
 	// The baseline has two 32-lane groups, the 64-wide designs one
-	// 64-lane row that two disjoint-mask instructions may share.
+	// 64-lane row. Once every group is taken in a cycle, an instruction
+	// whose lanes are disjoint from those already issued shares the row
+	// (the per-lane instruction multiplexer of fig. 3); only a secondary
+	// issue slot ever asks.
 	MADGroups int
 	MADWidth  int
 	SFUWidth  int
 	LSUWidth  int
-
-	// CoIssueMAD allows two disjoint-mask instructions to share the MAD
-	// row in one cycle (the per-lane instruction multiplexer of fig. 3).
-	CoIssueMAD bool
 
 	// Constraints enables the selective synchronization barrier of §3.3
 	// (SYNC instructions suspend run-ahead splits). Without it SYNCs
@@ -125,9 +124,6 @@ type Config struct {
 	// Assoc is the SWI secondary lookup associativity
 	// (sched.AssocFull = fully associative).
 	Assoc int
-
-	// CCTCap is the Cold Context Table capacity per warp (statistics).
-	CCTCap int
 
 	// SplitOnMemDivergence enables the Dynamic-Warp-Subdivision-style
 	// extension: a load hitting partially in the L1 splits the warp so
@@ -144,7 +140,8 @@ type Config struct {
 	MaxCycles int64
 
 	// TraceCap, when positive, records up to that many issue events for
-	// pipeline visualization (figure 2).
+	// pipeline visualization (figure 2). A partitioned device launch
+	// keeps its first CTA wave's trace.
 	TraceCap int
 }
 
@@ -167,7 +164,6 @@ func Configure(a Arch) Config {
 		LSUWidth:          32,
 		Shuffle:           sched.ShuffleIdentity,
 		Assoc:             sched.AssocFull,
-		CCTCap:            8,
 		Mem:               mem.Default(),
 	}
 	switch a {
@@ -182,17 +178,14 @@ func Configure(a Arch) Config {
 	case ArchSBI:
 		c.IssueDelay = 1
 		c.DepMode = sched.DepMatrix
-		c.CoIssueMAD = true
 		c.Constraints = true
 	case ArchSWI:
 		c.IssueDelay = 2
 		c.DepMode = sched.DepWarp
-		c.CoIssueMAD = true
 		c.Shuffle = sched.ShuffleXorRev
 	case ArchSBISWI:
 		c.IssueDelay = 2
 		c.DepMode = sched.DepMatrix
-		c.CoIssueMAD = true
 		c.Constraints = true
 		c.Shuffle = sched.ShuffleXorRev
 	}
@@ -289,6 +282,12 @@ func (c *Config) Validate() error {
 	}
 	if c.ExecLatency < 1 {
 		return fmt.Errorf("sm: execution latency must be at least 1")
+	}
+	if c.IssueDelay < 0 || c.SharedLatency < 0 {
+		return fmt.Errorf("sm: issue delay %d and shared latency %d must be non-negative", c.IssueDelay, c.SharedLatency)
+	}
+	if err := c.Mem.Validate(); err != nil {
+		return err
 	}
 	if c.SplitOnMemDivergence && !c.usesHeap() {
 		return fmt.Errorf("sm: memory-divergence splitting requires a thread-frontier architecture")

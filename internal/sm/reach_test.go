@@ -71,7 +71,7 @@ func TestWarpExitsBeforeBarrier(t *testing.T) {
 // deepNestSrc sends the threads of each of 14 lane classes down their own
 // path from back-to-back branches. Each path is a dependent
 // chain, so even with SBI draining the secondary split a warp holds
-// more live splits than HotContexts + CCTCap, and each insertion finds
+// more live splits than HotContexts + ColdContexts, and each insertion finds
 // the sideband sorter still busy with the previous one.
 func deepNestSrc() string {
 	const classes = 14
@@ -109,7 +109,7 @@ func TestDeepNestingOverflowsCCT(t *testing.T) {
 			if a == ArchBaseline {
 				return // the stack keeps no CCT
 			}
-			if limit := reconv.HotContexts + Configure(a).CCTCap; st.MaxSplits <= limit {
+			if limit := reconv.HotContexts + reconv.ColdContexts; st.MaxSplits <= limit {
 				t.Errorf("MaxSplits %d, want past %d", st.MaxSplits, limit)
 			}
 			if st.CCTOverflows == 0 || st.DegradedInserts == 0 {

@@ -636,7 +636,7 @@ func (s *SM) startBlock(cta int, ws []*warp) {
 			if w.heapStore == nil {
 				w.heapStore = new(reconv.Heap) //sbwi:alloc-ok the context's first block under the heap model
 			}
-			w.heapStore.Reset(w.valid, s.cfg.CCTCap)
+			w.heapStore.Reset(w.valid, reconv.ColdContexts)
 			w.heap, w.stack = w.heapStore, nil
 		} else {
 			if w.stackStore == nil {

@@ -2,6 +2,8 @@ package sm
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -546,6 +548,30 @@ func TestRunValidation(t *testing.T) {
 	if err := bad2.Validate(); err == nil {
 		t.Error("mem splitting on the stack baseline must be rejected")
 	}
+	// Out-of-range memory and front-end timing: the L1 must tile into
+	// a set, the DRAM port must move data, and no latency may be negative.
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"L1Bytes=0", func(c *Config) { c.Mem.L1Bytes = 0 }},
+		{"L1Ways=0", func(c *Config) { c.Mem.L1Ways = 0 }},
+		{"BlockBytes=0", func(c *Config) { c.Mem.BlockBytes = 0 }},
+		{"BlockBytes=96", func(c *Config) { c.Mem.BlockBytes = 96 }},
+		{"BytesPerCycle=0", func(c *Config) { c.Mem.BytesPerCycle = 0 }},
+		{"BytesPerCycle=-1", func(c *Config) { c.Mem.BytesPerCycle = -1 }},
+		{"MemLatency=-5", func(c *Config) { c.Mem.MemLatency = -5 }},
+		{"HitLatency=-1", func(c *Config) { c.Mem.HitLatency = -1 }},
+		{"StoreQueue=-1", func(c *Config) { c.Mem.StoreQueue = -1 }},
+		{"IssueDelay=-1", func(c *Config) { c.IssueDelay = -1 }},
+		{"SharedLatency=-1", func(c *Config) { c.SharedLatency = -1 }},
+	} {
+		c := Configure(ArchSBISWI)
+		tc.mut(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s must be rejected", tc.name)
+		}
+	}
 }
 
 // Out-of-bounds accesses must surface as errors, not panics.
@@ -579,6 +605,21 @@ func TestTraceRecording(t *testing.T) {
 	}
 	if out := res.Trace.Lanes(64); len(out) == 0 {
 		t.Error("Lanes produced nothing")
+	}
+
+	// Below the run's issue count the trace keeps the first TraceCap
+	// events and Render ends by saying how many it dropped.
+	c.TraceCap = 4
+	res, err = Run(c, newLaunch(p, 1, 64, 64, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.Trace
+	if len(tr.Events) != c.TraceCap || tr.Dropped == 0 {
+		t.Errorf("TraceCap %d: %d events, %d dropped; want %d events and some dropped", c.TraceCap, len(tr.Events), tr.Dropped, c.TraceCap)
+	}
+	if want := fmt.Sprintf("... %d further events dropped\n", tr.Dropped); !strings.HasSuffix(tr.Render(), want) {
+		t.Errorf("Render does not end with %q:\n%s", want, tr.Render())
 	}
 }
 

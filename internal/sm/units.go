@@ -15,8 +15,8 @@ type units struct {
 
 	madFree []int64 // per-group busy-until cycle (exclusive)
 
-	// Row sharing (CoIssueMAD): lanes of the MAD row already claimed in
-	// cycle rowCycle. Two disjoint-mask instructions may share the row.
+	// Row sharing: lanes of the MAD row already claimed in cycle
+	// rowCycle. Two disjoint-mask instructions may share the row.
 	rowCycle int64
 	rowMask  uint64
 
@@ -69,7 +69,7 @@ func (u *units) canIssue(unit isa.Unit, laneMask uint64, now int64) bool {
 			}
 		}
 		// All groups taken this cycle: row sharing may still fit.
-		return u.cfg.CoIssueMAD && u.rowCycle == now && u.rowMask&laneMask == 0
+		return u.rowCycle == now && u.rowMask&laneMask == 0
 	case isa.UnitSFU:
 		return u.sfuFree <= now
 	default: // LSU
@@ -88,12 +88,10 @@ func (u *units) issue(unit isa.Unit, laneMask uint64, now int64) {
 		for g := range u.madFree {
 			if u.madFree[g] <= now {
 				u.madFree[g] = now + 1
-				if u.cfg.CoIssueMAD {
-					if u.rowCycle == now {
-						u.rowMask |= laneMask
-					} else {
-						u.rowCycle, u.rowMask = now, laneMask
-					}
+				if u.rowCycle == now {
+					u.rowMask |= laneMask
+				} else {
+					u.rowCycle, u.rowMask = now, laneMask
 				}
 				return
 			}

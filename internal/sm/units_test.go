@@ -6,16 +6,15 @@ import (
 	"repro/internal/isa"
 )
 
-func testUnits(coIssue bool) *units {
+func testUnits() *units {
 	cfg := Configure(ArchSBI)
-	cfg.CoIssueMAD = coIssue
 	u := new(units)
 	u.reset(&cfg)
 	return u
 }
 
 func TestMADRowSharing(t *testing.T) {
-	u := testUnits(true)
+	u := testUnits()
 	if !u.canIssue(isa.UnitMAD, 0x0F, 10) {
 		t.Fatal("empty row must accept")
 	}
@@ -42,14 +41,6 @@ func TestMADRowSharing(t *testing.T) {
 	}
 }
 
-func TestMADNoSharingWithoutCoIssue(t *testing.T) {
-	u := testUnits(false)
-	u.issue(isa.UnitMAD, 0x0F, 10)
-	if u.canIssue(isa.UnitMAD, 0xF0, 10) {
-		t.Error("without CoIssueMAD the single group must serialize")
-	}
-}
-
 func TestBaselineTwoMADGroups(t *testing.T) {
 	cfg := Configure(ArchBaseline)
 	u := new(units)
@@ -68,7 +59,7 @@ func TestBaselineTwoMADGroups(t *testing.T) {
 }
 
 func TestSFUWaves(t *testing.T) {
-	u := testUnits(true)
+	u := testUnits()
 	// Lanes 0 and 63: two 8-lane groups -> 2 cycles.
 	if got := u.sfuWaves(1 | 1<<63); got != 2 {
 		t.Errorf("sfuWaves = %d, want 2", got)
@@ -91,7 +82,7 @@ func TestSFUWaves(t *testing.T) {
 }
 
 func TestLSUOccupancy(t *testing.T) {
-	u := testUnits(true)
+	u := testUnits()
 	u.issueLSU(5, 10)
 	if u.canIssue(isa.UnitLSU, 1, 14) {
 		t.Error("LSU busy for 5 transactions")
@@ -100,7 +91,7 @@ func TestLSUOccupancy(t *testing.T) {
 		t.Error("LSU must free at 15")
 	}
 	// Zero transactions still occupy one cycle.
-	u2 := testUnits(true)
+	u2 := testUnits()
 	u2.issueLSU(0, 10)
 	if u2.canIssue(isa.UnitLSU, 1, 10) {
 		t.Error("LSU min occupancy is one cycle")
@@ -108,7 +99,7 @@ func TestLSUOccupancy(t *testing.T) {
 }
 
 func TestLSUWaves(t *testing.T) {
-	u := testUnits(true)
+	u := testUnits()
 	if got := u.lsuWaves(1 | 1<<63); got != 2 {
 		t.Errorf("lsuWaves = %d, want 2", got)
 	}
@@ -125,7 +116,7 @@ func TestLSUWaves(t *testing.T) {
 // takes the free group and still claims its lanes of the row, so a
 // third may share the row only with lanes neither took.
 func TestMADRowSharingAcrossGroups(t *testing.T) {
-	u := testUnits(true)
+	u := testUnits()
 	u.cfg.MADGroups = 2
 	u.reset(u.cfg)
 	u.issue(isa.UnitMAD, 0x0F, 10)
@@ -139,7 +130,7 @@ func TestMADRowSharingAcrossGroups(t *testing.T) {
 }
 
 func TestCTRLAlwaysIssues(t *testing.T) {
-	u := testUnits(true)
+	u := testUnits()
 	u.issue(isa.UnitMAD, ^uint64(0), 10)
 	u.issueLSU(100, 10)
 	u.issue(isa.UnitSFU, ^uint64(0), 10)

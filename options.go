@@ -7,7 +7,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/mem"
 	"repro/internal/noc"
-	"repro/internal/sm"
 )
 
 // L2Config sets the shared L2's geometry and timing (capacity,
@@ -31,16 +30,15 @@ func DefaultL2Config() L2Config { return mem.DefaultL2() }
 func DefaultNoCConfig() NoCConfig { return noc.Default() }
 
 // Option configures a Device built by NewDevice. Options apply in
-// order; later options override earlier ones. The field options
-// (WithShuffle, WithTrace) modify the configuration selected by WithArch
-// or WithConfig regardless of their position in the option list. Any
-// other Config field is set through WithConfig, starting from the
-// Device.Config of a device built WithArch.
+// order; later options override earlier ones. A Config field is set
+// through WithConfig, starting from the Device.Config of a device built
+// WithArch.
 type Option = device.Option
 
-// WithArch selects the modeled micro-architecture and bases the
-// device's configuration on that architecture's paper table-2
-// parameters. Default: SBISWI.
+// WithArch selects the modeled micro-architecture: the device's
+// configuration becomes that architecture's paper table-2 parameters.
+// Default: SBISWI. WithArch and WithConfig each replace the whole
+// configuration, so the last of them in the option list wins.
 func WithArch(a Arch) Option { return device.WithArch(a) }
 
 // WithConfig bases the device on a fully spelled-out configuration
@@ -149,15 +147,3 @@ func WithL2(cfg L2Config) Option { return device.WithL2(cfg) }
 // overrides the cache itself). Narrower port bandwidth means more
 // queueing and a longer modeled device wall-clock.
 func WithInterconnect(cfg NoCConfig) Option { return device.WithInterconnect(cfg) }
-
-// WithShuffle sets the static lane-shuffling policy (paper table 1).
-func WithShuffle(p Shuffle) Option {
-	return device.WithModifier(func(c *sm.Config) { c.Shuffle = p })
-}
-
-// WithTrace records up to n issue events per run for pipeline
-// visualization (figure 2). For partitioned launches the trace covers
-// the first CTA wave.
-func WithTrace(n int) Option {
-	return device.WithModifier(func(c *sm.Config) { c.TraceCap = n })
-}

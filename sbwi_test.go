@@ -199,7 +199,13 @@ func TestTraceFromFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	tf, _ := ThreadFrontier(prog)
-	dev, err := NewDevice(WithArch(SBI), WithTrace(32))
+	sbi, err := NewDevice(WithArch(SBI))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sbi.Config()
+	cfg.TraceCap = 32
+	dev, err := NewDevice(WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
