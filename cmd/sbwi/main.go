@@ -176,6 +176,9 @@ func run(args []string) error {
 	if *globalBytes < 0 {
 		return fmt.Errorf("-global %d: size must be non-negative", *globalBytes)
 	}
+	if *globalBytes > 1<<32 {
+		return fmt.Errorf("-global %d: size exceeds the 4 GiB a 32-bit address reaches", *globalBytes)
+	}
 	if *streams < 1 {
 		return fmt.Errorf("-streams %d: need at least one stream", *streams)
 	}

@@ -59,6 +59,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"zero grid", []string{"-file", asm, "-grid", "0"}, "grid 0 x block 256 invalid"},
 		{"zero grid replayed", []string{"-file", asm, "-grid", "0", "-trace-replay"}, "grid 0 x block 256 invalid"},
 		{"negative global", []string{"-file", asm, "-global", "-1"}, "-global -1: size must be non-negative"},
+		{"global above 4 GiB", []string{"-file", asm, "-global", "4294967297"}, "-global 4294967297: size exceeds the 4 GiB"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -116,36 +116,31 @@ func TestPartitionedDeterminism(t *testing.T) {
 
 // TestLJFDispatchKeepsInputOrder asserts the batch scheduler's
 // contract: longest-job-first dispatch returns results at their input
-// index for every worker count — both on a cold cost registry (static
-// estimates) and a warm one (measured cycles), since the suite runs
-// repeatedly within one process. Auto-partitioning is enabled so the
+// index for every worker count. Auto-partitioning is enabled so the
 // heavy-tail routing is exercised under every worker count too. That
 // the Stats do not depend on any of it is the law table's
 // (internal/device TestLaws).
 func TestLJFDispatchKeepsInputOrder(t *testing.T) {
 	suite := suiteSubset(t)
 	for _, workers := range []int{1, 4, 8} {
-		for pass := 0; pass < 2; pass++ { // pass 2 dispatches on measured costs
-			dev, err := NewDevice(
-				WithArch(SBISWI),
-				WithWorkers(workers),
-				WithAutoPartition(true),
-			)
-			if err != nil {
-				t.Fatal(err)
+		dev, err := NewDevice(
+			WithArch(SBISWI),
+			WithWorkers(workers),
+			WithAutoPartition(true),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := dev.RunSuite(context.Background(), suite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range results {
+			if r.Bench != suite[i] {
+				t.Fatalf("workers=%d: result %d is %s, want input order preserved", workers, i, r.Bench.Name)
 			}
-			results, err := dev.RunSuite(context.Background(), suite)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range results {
-				if r.Bench != suite[i] {
-					t.Fatalf("workers=%d pass=%d: result %d is %s, want input order preserved",
-						workers, pass, i, r.Bench.Name)
-				}
-				if r.Err != nil {
-					t.Fatalf("%s (workers=%d): %v", r.Bench.Name, workers, r.Err)
-				}
+			if r.Err != nil {
+				t.Fatalf("%s (workers=%d): %v", r.Bench.Name, workers, r.Err)
 			}
 		}
 	}

@@ -205,6 +205,7 @@ func TestAssembleErrors(t *testing.T) {
 		{"ld.g r1, r2\nexit", "memory operand"},
 		{"l: mov r0, 1\nl: exit", "duplicate label"},
 		{".shared x\nexit", "invalid .shared"},
+		{".shared 99999999999\nexit", "shared"},
 		{".wat 3\nexit", "unknown directive"},
 		{"mov r0, zzz\nexit", "invalid immediate"},
 		{"", "empty"},

@@ -2,17 +2,17 @@ package device
 
 import "repro/internal/kernels"
 
-// The per-benchmark cost calibration table behind the cold-start
-// static estimate.
+// The per-benchmark cost calibration table behind the batch
+// scheduler's static cost estimate.
 //
 // The batch scheduler's longest-job-first policy only helps if the
 // cost estimates rank entries correctly, and raw thread count
 // (grid×block) ranks the paper suite badly: Histogram simulates ~74
 // modeled cycles per thread while Transpose takes ~1.2, a 60× spread
-// the old grid×block estimate was blind to — a cold batch would admit
-// six Transpose-sized kernels ahead of the Histogram that actually
-// dominates the wall-clock. The table below fixes the cold ordering
-// with one measured cycles-per-thread weight per suite benchmark.
+// the old grid×block estimate was blind to — a batch would admit six
+// Transpose-sized kernels ahead of the Histogram that actually
+// dominates the wall-clock. The table below fixes the ordering with
+// one measured cycles-per-thread weight per suite benchmark.
 //
 // The weights were measured as Stats.Cycles / (grid·block) on the
 // default SBI+SWI table-2 configuration (the relative ranking is what
@@ -29,13 +29,15 @@ import "repro/internal/kernels"
 //	}
 //
 // (TestCalibrationCoversSuite fails when a suite benchmark is missing
-// from the table, so new benchmarks cannot silently fall back.)
+// from the table, so new benchmarks cannot silently fall back, and
+// holds every weight to its SBI+SWI cell in testdata/walk_stats.golden,
+// so a timing change that rewrites that fixture fails until the table
+// is regenerated.)
 //
-// Calibration only ever steers RunSuite's claim order and the
-// auto-partition heavy-tail routing — both pure functions of the batch —
-// so a stale weight degrades scheduling, never results. Once a cell has run in
-// this process its measured cycles replace the estimate entirely
-// (estimatedCost in simcache.go).
+// The table is the scheduler's only cost source. It only ever steers
+// RunSuite's claim order and the auto-partition heavy-tail routing —
+// both pure functions of the batch — so a stale weight would degrade
+// scheduling, never results.
 var calibratedCyclesPerThread = map[string]float64{
 	"3DFD":                 0.8436,
 	"BFS":                  4.7573,

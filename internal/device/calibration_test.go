@@ -2,7 +2,11 @@ package device
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"os"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -14,9 +18,27 @@ import (
 // TestCalibrationCoversSuite keeps the cost table honest: every suite
 // benchmark must have a positive calibrated weight (a new benchmark
 // added without calibrating would silently fall back to raw thread
-// count), and the table must not accumulate entries for benchmarks
-// that no longer exist.
+// count), each weight must be its SBI+SWI cell's cycles per thread in
+// walk_stats.golden to four places (a timing change that rewrites the
+// fixture fails here until the table is regenerated too), and the
+// table must not accumulate entries for benchmarks that no longer
+// exist.
 func TestCalibrationCoversSuite(t *testing.T) {
+	raw, err := os.ReadFile(walkGoldenPath)
+	if err != nil {
+		t.Fatalf("read golden fixture: %v", err)
+	}
+	cycles := make(map[string]int64)
+	for _, line := range strings.Split(string(raw), "\n") {
+		if rest, ok := strings.CutPrefix(line, sm.ArchSBISWI.String()+" "); ok {
+			var name string
+			var c int64
+			if _, err := fmt.Sscanf(rest, "%s {Cycles:%d", &name, &c); err != nil {
+				t.Fatalf("%s: unreadable line %q: %v", walkGoldenPath, line, err)
+			}
+			cycles[name] = c
+		}
+	}
 	names := make(map[string]bool)
 	for _, b := range kernels.All() {
 		names[b.Name] = true
@@ -27,6 +49,15 @@ func TestCalibrationCoversSuite(t *testing.T) {
 		}
 		if w <= 0 {
 			t.Errorf("%s: non-positive calibrated weight %g", b.Name, w)
+		}
+		c, ok := cycles[b.Name]
+		if !ok {
+			t.Errorf("%s: no %s cell in %s", b.Name, sm.ArchSBISWI, walkGoldenPath)
+			continue
+		}
+		if want := math.Round(float64(c)/float64(b.Grid*b.Block)*1e4) / 1e4; w != want {
+			t.Errorf("%s: calibrated weight %.4f, but %s says %d cycles over %d threads (%.4f) — regenerate the table (see calibration.go)",
+				b.Name, w, walkGoldenPath, c, b.Grid*b.Block, want)
 		}
 	}
 	calibrated := make([]string, 0, len(calibratedCyclesPerThread))
@@ -72,19 +103,13 @@ func TestCalibratedCostOrdersTheTail(t *testing.T) {
 // TestRunSuiteClaimsLongestFirst pins the one place work is ranked: with
 // a single worker the first entry RunSuite claims — the one that meets
 // hit 1 of the suite-worker fault site — is the entry with the largest
-// estimated cost, wherever it stands in the input.
+// static cost, wherever it stands in the input.
 func TestRunSuiteClaimsLongestFirst(t *testing.T) {
 	leakcheck.Check(t)
 	suite := []*kernels.Benchmark{mustBench(t, "Transpose"), mustBench(t, "Histogram"), mustBench(t, "BFS")}
-	warm, err := New(WithArch(sm.ArchSBISWI), WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustRunSuite(t, warm, suite) // records every cell's measured cost
-
 	heaviest := 0
 	for i, b := range suite {
-		if estimatedCost(b, warm.cfgFP) > estimatedCost(suite[heaviest], warm.cfgFP) {
+		if staticCost(b) > staticCost(suite[heaviest]) {
 			heaviest = i
 		}
 	}
@@ -105,8 +130,8 @@ func TestRunSuiteClaimsLongestFirst(t *testing.T) {
 	}
 	for i, r := range results {
 		if failed := faultinject.IsInjected(r.Err); failed != (i == heaviest) {
-			t.Errorf("%s (cost %d): err %v; the first claim must be %s, the largest estimated cost",
-				r.Name(), estimatedCost(r.Bench, dev.cfgFP), r.Err, suite[heaviest].Name)
+			t.Errorf("%s (cost %d): err %v; the first claim must be %s, the largest static cost",
+				r.Name(), staticCost(r.Bench), r.Err, suite[heaviest].Name)
 		}
 	}
 }

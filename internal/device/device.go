@@ -51,11 +51,10 @@
 // # Batch scheduling and memoization
 //
 // RunSuite claims its entries longest-job-first, weighting each by its
-// memoized measured cost (modeled cycles from an earlier run in this
-// process) or the calibrated static estimate before one exists (see
-// calibration.go) — keeping a batch's wall-clock near max(heaviest
-// entry, total/workers) instead of tail-bound by whichever heavy kernel
-// a naive schedule dispatched last. Each claimed entry then takes a
+// calibrated static estimate (see calibration.go) — keeping a batch's
+// wall-clock near max(heaviest entry, total/workers) instead of
+// tail-bound by whichever heavy kernel a naive schedule dispatched
+// last. Each claimed entry then takes a
 // run-queue slot like any other launch, so the batch shares the pool
 // with concurrent streams and with other batches on a shared queue. With
 // WithAutoPartition the heavy tail itself is decomposed: entries whose
@@ -67,8 +66,8 @@
 // devices. All three mechanisms are result-neutral by construction:
 // dispatch order and worker count never influence statistics, the
 // cache key is sound (sm.Config.Fingerprint digests every
-// configuration field), and the partition plan is a pure function of
-// the batch.
+// configuration field), and the claim order and the partition plan are
+// pure functions of the batch.
 //
 // # Shared memory system
 //
@@ -390,10 +389,9 @@ func (r *SuiteResult) Name() string { return r.Bench.Name }
 // live in the entries.
 //
 // Dispatch is cost-aware longest-job-first: entries are claimed by the
-// batch's puller goroutines in descending order of estimated
-// simulation cost (measured modeled cycles once a cell has run in this
-// process, the calibrated static estimate before — the sort is stable,
-// so a cold batch dispatches deterministically), and every entry then
+// batch's puller goroutines in descending order of their calibrated
+// static cost (the sort is stable, so the claim order is a pure
+// function of the batch), and every entry then
 // takes a run-queue slot for its simulation, so suite batches share the
 // worker pool with any streams running on the device. Dispatch order
 // can never change results — only which worker simulates what, when.
@@ -408,19 +406,15 @@ func (d *Device) RunSuite(ctx context.Context, suite []*kernels.Benchmark) ([]*S
 	}
 	partitioned := d.partitionPlan(suite)
 
-	// Longest-job-first claim order: descending estimated cost, input
+	// Longest-job-first claim order: descending static cost, input
 	// order on ties. The run queue grants its slots first-come, so the
 	// heaviest entries must be the first to ask.
 	order := make([]int, len(suite))
 	for i := range order {
 		order[i] = i
 	}
-	cost := make([]int64, len(suite))
-	for i, b := range suite {
-		cost[i] = estimatedCost(b, d.cfgFP)
-	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return cost[order[a]] > cost[order[b]]
+		return staticCost(suite[order[a]]) > staticCost(suite[order[b]])
 	})
 
 	// One inflight token covers the batch, so a concurrent Synchronize

@@ -17,6 +17,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/progen"
 	"repro/internal/replay"
 	"repro/internal/sched"
 	"repro/internal/sm"
@@ -28,7 +29,7 @@ import (
 // SM count, worker count, stream count or shell history. This file
 // holds that contract in one place: every path a launch can take is a
 // row, run over the same inputs — the 22 suite kernels and
-// genKernels' generated ones — and every law is a column checked on
+// progen.Kernels' generated ones — and every law is a column checked on
 // each row it applies to.
 //
 //	row        path                                              architectures
@@ -79,7 +80,7 @@ type lawCell struct {
 // lawInputs is the table's input set: the suite, then 64 generated
 // kernels whose oracle is the functional reference.
 var lawInputs = sync.OnceValue(func() []*kernels.Benchmark {
-	return append(kernels.All(), genKernels(64)...)
+	return append(kernels.All(), progen.Kernels(64)...)
 })
 
 // forEach runs f(0) … f(n-1) on GOMAXPROCS goroutines.

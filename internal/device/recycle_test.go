@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -12,7 +11,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/faultinject"
-	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/leakcheck"
 	"repro/internal/mem"
@@ -24,40 +22,6 @@ import (
 // tests hold the two halves of that contract at the device boundary: a
 // recycled launch equals one on a device that has never run anything,
 // and a launch that fails — any way a launch can — donates nothing.
-
-// genKernels returns n generated kernels in launch-storm's shapes (grid
-// 1-4, block 32-128, 3-6 regions), seeded 1 to n. It is the package's
-// only generator loop.
-func genKernels(n int) []*kernels.Benchmark {
-	ks := make([]*kernels.Benchmark, n)
-	for i := range ks {
-		ks[i] = genKernel(i, 1+i%4, 32*(1+i/4%4))
-	}
-	return ks
-}
-
-// genKernel is generated kernel i in the given shape, as a benchmark
-// the device runs like a suite kernel: a zeroed image of one word per
-// thread, and the functional reference as its oracle.
-func genKernel(i, grid, block int) *kernels.Benchmark {
-	gen := progen.New(uint64(i) + 1)
-	plain, err := gen.Program(fmt.Sprintf("gen%03d", i), 3+i/16%4)
-	if err != nil {
-		panic(err) // every generated program assembles
-	}
-	return &kernels.Benchmark{
-		Name: plain.Name, Source: gen.Source(), Grid: grid, Block: block,
-		Setup: func(*kernels.Benchmark) ([]byte, [isa.NumParams]uint32) {
-			return make([]byte, 4*grid*block), [isa.NumParams]uint32{}
-		},
-		Reference: func(_ *kernels.Benchmark, global []byte, params [isa.NumParams]uint32) {
-			l := &exec.Launch{Prog: plain, GridDim: grid, BlockDim: block, Params: params, Global: global}
-			if _, err := exec.RunReference(l, 32); err != nil {
-				panic(err) // every generated program terminates
-			}
-		},
-	}
-}
 
 // launchOn builds b's launch in the program variant d's architecture
 // runs.
@@ -142,7 +106,7 @@ func TestRecycleAfterFailure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ks := genKernels(2)
+			ks := progen.Kernels(2)
 			if _, err := dev.Run(context.Background(), launchOn(t, dev, ks[0])); err != nil {
 				t.Fatalf("warm-up: %v", err)
 			}
@@ -186,7 +150,7 @@ func TestRecycleAfterFailure(t *testing.T) {
 func TestRecycleStreamsEqualSerial(t *testing.T) {
 	leakcheck.Check(t)
 	const streams, perStream = 8, 200
-	ks := genKernels(48)
+	ks := progen.Kernels(48)
 	variants := [][]Option{
 		{WithArch(sm.ArchSBISWI)},
 		{WithArch(sm.ArchBaseline)},
@@ -257,7 +221,7 @@ func TestRecycleShellKeepsNoLaunch(t *testing.T) {
 	}
 	freed := make(chan struct{})
 	func() {
-		l := launchOn(t, dev, genKernel(0, 1, 32))
+		l := launchOn(t, dev, progen.Kernel(1, 3, 1, 32))
 		runtime.SetFinalizer(l, func(*exec.Launch) { close(freed) })
 		if _, err := dev.Run(context.Background(), l); err != nil {
 			t.Fatal(err)
@@ -289,7 +253,7 @@ func TestWarmLaunchAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := genKernel(0, 2, 64)
+	k := progen.Kernel(1, 3, 2, 64)
 	ctx := context.Background()
 	const launches = 200
 	ls := make([]*exec.Launch, launches+1)

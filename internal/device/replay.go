@@ -127,8 +127,7 @@ func (d *Device) replayOrFull(name string, tr *replay.Trace, run func(*replay.Tr
 // recording into rec or replaying tr as Device.run describes), and
 // checks the oracle — except on a replay, which never touches the
 // global image: the recording run already validated the functional
-// behavior the trace encodes. A completed run's modeled cycles are
-// recorded as the cell's cost for RunSuite's next claim order.
+// behavior the trace encodes.
 func (d *Device) runBenchmark(ctx context.Context, b *kernels.Benchmark, partition bool, rec *replay.Recorder, tr *replay.Trace) (*sm.Result, error) {
 	l, err := b.NewLaunch(d.cfg.Arch != sm.ArchBaseline)
 	if err != nil {
@@ -141,7 +140,6 @@ func (d *Device) runBenchmark(ctx context.Context, b *kernels.Benchmark, partiti
 	if tr == nil && !bytes.Equal(l.Global, b.Expected()) {
 		return nil, fmt.Errorf("device: %s on %s: simulation diverged from reference", b.Name, d.cfg.Arch)
 	}
-	recordCost(b, d.cfgFP, res)
 	return res, nil
 }
 

@@ -2,7 +2,6 @@ package device
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/fingerprint"
@@ -12,8 +11,7 @@ import (
 	"repro/internal/sm"
 )
 
-// Cross-figure simulation memoization and the cost registry behind the
-// batch scheduler.
+// Cross-figure simulation memoization.
 //
 // # Cache key soundness
 //
@@ -199,38 +197,6 @@ func (f *flight[K, V]) completed() int {
 		}
 	})
 	return n
-}
-
-// The cost registry: measured per-cell simulation costs feed the
-// longest-job-first batch scheduler. Costs are modeled cycle counts —
-// deterministic and host-independent — so they only ever steer
-// dispatch order, never results; the registry is process-wide because
-// a better schedule is useful across devices and cache instances (and
-// harmless when stale). Before a cell has run once, dispatch falls
-// back to a static estimate.
-var simCosts sync.Map // costKey -> int64 (Stats.Cycles of a completed run)
-
-// costKey identifies a cell for scheduling purposes: partitioning and
-// SM count barely move the host cost of simulating a benchmark, so the
-// registry deliberately keys coarser than the result cache.
-type costKey struct {
-	bench string
-	cfgFP uint64
-}
-
-// recordCost memoizes a completed run's modeled cycle count.
-func recordCost(b *kernels.Benchmark, cfgFP uint64, res *sm.Result) {
-	simCosts.Store(costKey{b.Name, cfgFP}, res.Stats.Cycles)
-}
-
-// estimatedCost returns the scheduling weight for a suite entry: the
-// memoized measured cycles after the cell has run once, otherwise the
-// calibrated staticCost estimate (calibration.go).
-func estimatedCost(b *kernels.Benchmark, cfgFP uint64) int64 {
-	if v, ok := simCosts.Load(costKey{b.Name, cfgFP}); ok {
-		return v.(int64)
-	}
-	return staticCost(b)
 }
 
 // memsysFingerprint digests the modeled memory system parameters for

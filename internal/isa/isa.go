@@ -150,6 +150,10 @@ const (
 // NumParams is the number of kernel parameters addressable as specials.
 const NumParams = 16
 
+// MaxSharedMem is the largest shared-memory image a block may declare:
+// Fermi's 48 KiB per-block limit.
+const MaxSharedMem = 48 << 10
+
 // SpecParam returns the Special naming kernel parameter i.
 func SpecParam(i int) Special {
 	if i < 0 || i >= NumParams {
@@ -471,7 +475,7 @@ type Program struct {
 	Name      string
 	Code      []Instruction
 	Labels    map[string]int // label name -> PC
-	SharedMem int            // bytes of shared memory per block
+	SharedMem int            // bytes of shared memory per block, at most MaxSharedMem
 	// SyncInserted records whether thread-frontier SYNC instructions
 	// have been inserted (by the cfg package).
 	SyncInserted bool
@@ -511,7 +515,8 @@ func sortedStrings(s []string) []string {
 
 // ProgramError reports a structural invariant a program violates. PC is
 // the offending instruction, or -1 when the defect is the program's
-// shape (empty, or control can fall off the end).
+// shape (empty, control can fall off the end, or a shared-memory size
+// out of range).
 type ProgramError struct {
 	Prog   string
 	PC     int
@@ -530,12 +535,16 @@ func (e *ProgramError) Error() string {
 // indexes without a fallback valid (the destination, and the data
 // register of a store), and a terminating instruction present on every
 // path end (the last instruction must be an unconditional branch or
-// exit). Source registers may be RegNone: they read as zero. A violation
-// is reported as a *ProgramError.
+// exit), and a shared-memory size within 0..MaxSharedMem. Source
+// registers may be RegNone: they read as zero. A violation is reported
+// as a *ProgramError.
 func (p *Program) Validate() error {
 	n := len(p.Code)
 	if n == 0 {
 		return &ProgramError{Prog: p.Name, PC: -1, Reason: "program is empty"}
+	}
+	if p.SharedMem < 0 || p.SharedMem > MaxSharedMem {
+		return &ProgramError{Prog: p.Name, PC: -1, Reason: fmt.Sprintf("shared memory size %d outside 0..%d", p.SharedMem, MaxSharedMem)}
 	}
 	for pc := range p.Code {
 		ins := &p.Code[pc]

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestDisassembleRoundTrip(t *testing.T) {
 // assemblable source with generated labels.
 func rebuildSource(dis string) string {
 	var out strings.Builder
-	out.WriteString(".shared 65536\n") // superset; size not compared
+	fmt.Fprintf(&out, ".shared %d\n", isa.MaxSharedMem) // superset; size not compared
 	for _, line := range strings.Split(dis, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasSuffix(line, ":") && !strings.Contains(line, " ") {

@@ -13,6 +13,15 @@
 //
 // The generator only ever emits forward conditional branches plus
 // counted backward loops, so control flow always reaches EXIT.
+//
+// Kernel is the one way a generated program becomes a launch: it turns
+// (seed, regions, grid, block) into a *kernels.Benchmark that every
+// simulator runs like a suite kernel. Its image is one zeroed word per
+// thread and its parameters are zero, because the program stores its
+// checksum to %p0 + 4·gid with %p0 = 0; its oracle is exec.RunReference
+// on the plain program. Every differential test builds its inputs
+// through Kernel or Kernels, so a change to what a generated kernel
+// reads or writes is an edit to Kernel alone.
 package progen
 
 import (
@@ -21,20 +30,20 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/cfg"
+	"repro/internal/exec"
 	"repro/internal/isa"
+	"repro/internal/kernels"
 )
 
-// Gen holds generator state.
+// Gen holds generator state. The programs it writes use r1 = tid,
+// r2 = gid, r3 = output base; r4..r11 are data registers the generated
+// code reads and writes; r12..r15 are scratch (loop counters,
+// predicates).
 type Gen struct {
 	rng   uint64
 	buf   strings.Builder
 	label int
 	depth int
-
-	// registers: r1 = tid, r2 = gid, r3 = output base; r4..r11 are
-	// data registers the generated code reads and writes; r12..r15 are
-	// scratch (loop counters, predicates).
-	scratch int
 }
 
 // New creates a generator with the given seed.
@@ -192,3 +201,37 @@ func (g *Gen) Program(name string, regions int) (*isa.Program, error) {
 
 // Source returns the text of the last generated program.
 func (g *Gen) Source() string { return g.buf.String() }
+
+// Kernel is generated program seed with the given region budget, as a
+// benchmark of grid blocks of block threads (see the package comment
+// for its image, parameters and oracle). It is named gen<seed-1>, so
+// Kernels' kernel i is gen<i>.
+func Kernel(seed uint64, regions, grid, block int) *kernels.Benchmark {
+	gen := New(seed)
+	plain, err := gen.Program(fmt.Sprintf("gen%03d", seed-1), regions)
+	if err != nil {
+		panic(err) // every generated program assembles
+	}
+	return &kernels.Benchmark{
+		Name: plain.Name, Source: gen.Source(), Grid: grid, Block: block,
+		Setup: func(*kernels.Benchmark) ([]byte, [isa.NumParams]uint32) {
+			return make([]byte, 4*grid*block), [isa.NumParams]uint32{}
+		},
+		Reference: func(_ *kernels.Benchmark, global []byte, params [isa.NumParams]uint32) {
+			l := &exec.Launch{Prog: plain, GridDim: grid, BlockDim: block, Params: params, Global: global}
+			if _, err := exec.RunReference(l, 32); err != nil {
+				panic(err) // every generated program terminates
+			}
+		},
+	}
+}
+
+// Kernels returns n generated kernels in launch-storm's shapes (grid
+// 1-4, block 32-128, 3-6 regions), seeded 1 to n.
+func Kernels(n int) []*kernels.Benchmark {
+	ks := make([]*kernels.Benchmark, n)
+	for i := range ks {
+		ks[i] = Kernel(uint64(i)+1, 3+i/16%4, 1+i%4, 32*(1+i/4%4))
+	}
+	return ks
+}

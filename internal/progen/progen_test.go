@@ -6,8 +6,20 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/exec"
+	"repro/internal/kernels"
 	"repro/internal/sm"
 )
+
+// launchFor builds b's launch in the program variant architecture a
+// runs.
+func launchFor(t *testing.T, b *kernels.Benchmark, a sm.Arch) *exec.Launch {
+	t.Helper()
+	l, err := b.NewLaunch(a != sm.ArchBaseline)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, b.Source)
+	}
+	return l
+}
 
 func TestGeneratedProgramsAssemble(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
@@ -54,6 +66,13 @@ func TestDeterministicGeneration(t *testing.T) {
 			t.Fatalf("instruction %d differs", i)
 		}
 	}
+
+	// The builder too: one (seed, regions, grid, block) is one launch and
+	// one oracle image.
+	k, k2 := Kernel(7, 5, 2, 64), Kernel(7, 5, 2, 64)
+	if k.Source != k2.Source || k.Grid != k2.Grid || k.Block != k2.Block || !bytes.Equal(k.Expected(), k2.Expected()) {
+		t.Fatal("the same builder inputs produced different kernels")
+	}
 }
 
 // The heart of the harness: for dozens of random divergent programs,
@@ -65,35 +84,14 @@ func TestDifferentialAllArchitectures(t *testing.T) {
 		seeds = 8
 	}
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
-		gen := New(seed)
-		prog, err := gen.Program("fuzz", 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tf, err := cfg.InsertSyncs(prog)
-		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, gen.Source())
-		}
-
-		const grid, block = 2, 192
-		words := grid * block
-
-		ref := &exec.Launch{Prog: prog, GridDim: grid, BlockDim: block, Global: make([]byte, words*4)}
-		if _, err := exec.RunReference(ref, 32); err != nil {
-			t.Fatalf("seed %d: reference: %v\n%s", seed, err, gen.Source())
-		}
-
+		b := Kernel(seed, 8, 2, 192)
 		for _, a := range sm.Architectures() {
-			p := tf
-			if a == sm.ArchBaseline {
-				p = prog
-			}
-			l := &exec.Launch{Prog: p, GridDim: grid, BlockDim: block, Global: make([]byte, words*4)}
+			l := launchFor(t, b, a)
 			if _, err := sm.Run(sm.Configure(a), l); err != nil {
-				t.Fatalf("seed %d on %s: %v\n%s", seed, a, err, gen.Source())
+				t.Fatalf("seed %d on %s: %v\n%s", seed, a, err, b.Source)
 			}
-			if !bytes.Equal(l.Global, ref.Global) {
-				t.Fatalf("seed %d on %s: memory differs from reference\n%s", seed, a, gen.Source())
+			if !bytes.Equal(l.Global, b.Expected()) {
+				t.Fatalf("seed %d on %s: memory differs from reference\n%s", seed, a, b.Source)
 			}
 		}
 	}
@@ -107,23 +105,7 @@ func TestDifferentialExtensionKnobs(t *testing.T) {
 		seeds = 4
 	}
 	for seed := uint64(100); seed < uint64(100+seeds); seed++ {
-		gen := New(seed)
-		prog, err := gen.Program("fuzz", 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tf, err := cfg.InsertSyncs(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		const grid, block = 2, 128
-		words := grid * block
-		ref := &exec.Launch{Prog: prog, GridDim: grid, BlockDim: block, Global: make([]byte, words*4)}
-		if _, err := exec.RunReference(ref, 32); err != nil {
-			t.Fatal(err)
-		}
-
+		b := Kernel(seed, 8, 2, 128)
 		for _, variant := range []func(*sm.Config){
 			func(c *sm.Config) { c.Constraints = false },
 			func(c *sm.Config) { c.SplitOnMemDivergence = true },
@@ -131,12 +113,12 @@ func TestDifferentialExtensionKnobs(t *testing.T) {
 		} {
 			c := sm.Configure(sm.ArchSBISWI)
 			variant(&c)
-			l := &exec.Launch{Prog: tf, GridDim: grid, BlockDim: block, Global: make([]byte, words*4)}
+			l := launchFor(t, b, sm.ArchSBISWI)
 			if _, err := sm.Run(c, l); err != nil {
-				t.Fatalf("seed %d: %v\n%s", seed, err, gen.Source())
+				t.Fatalf("seed %d: %v\n%s", seed, err, b.Source)
 			}
-			if !bytes.Equal(l.Global, ref.Global) {
-				t.Fatalf("seed %d: knob variant changed results\n%s", seed, gen.Source())
+			if !bytes.Equal(l.Global, b.Expected()) {
+				t.Fatalf("seed %d: knob variant changed results\n%s", seed, b.Source)
 			}
 		}
 	}
@@ -147,16 +129,7 @@ func TestDifferentialExtensionKnobs(t *testing.T) {
 func TestGeneratedProgramsDiverge(t *testing.T) {
 	diverged := 0
 	for seed := uint64(1); seed <= 20; seed++ {
-		prog, err := New(seed).Program("fuzz", 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tf, err := cfg.InsertSyncs(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l := &exec.Launch{Prog: tf, GridDim: 1, BlockDim: 128, Global: make([]byte, 128*4)}
-		res, err := sm.Run(sm.Configure(sm.ArchSBI), l)
+		res, err := sm.Run(sm.Configure(sm.ArchSBI), launchFor(t, Kernel(seed, 8, 1, 128), sm.ArchSBI))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -185,12 +185,7 @@ func TestCandidateCacheCoherent(t *testing.T) {
 			stepCoherent(t, Configure(a), loop(a), nil)
 			stepCoherent(t, Configure(a), memIdle(a), nil)
 			for seed := uint64(1); seed <= 4; seed++ {
-				gen := progen.New(seed)
-				if _, err := gen.Program("fuzz", 6); err != nil {
-					t.Fatal(err)
-				}
-				p := assembleFor(t, "fuzz", gen.Source(), a)
-				stepCoherent(t, Configure(a), &exec.Launch{Prog: p, GridDim: 2, BlockDim: 192, Global: make([]byte, 2*192*4)}, nil)
+				stepCoherent(t, Configure(a), benchLaunch(t, progen.Kernel(seed, 6, 2, 192), a), nil)
 			}
 		})
 	}

@@ -228,36 +228,27 @@ func TestReplayFuzz(t *testing.T) {
 		func(c *Config) { c.Seed = 0x1234; c.Shuffle = sched.ShuffleXorRev },
 	}
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
-		gen := progen.New(seed)
-		if _, err := gen.Program("fuzz", 6); err != nil {
-			t.Fatal(err)
-		}
-		src := gen.Source()
+		b := progen.Kernel(seed, 6, 2, 192)
 		for _, a := range []Arch{ArchBaseline, ArchSBI, ArchSBISWI} {
-			p := assembleFor(t, "fuzz", src, a)
-			const grid, block = 2, 192
-			mk := func() *exec.Launch {
-				return &exec.Launch{Prog: p, GridDim: grid, BlockDim: block, Global: make([]byte, grid*block*4)}
-			}
+			mk := func() *exec.Launch { return benchLaunch(t, b, a) }
 			base := Configure(a)
 			tr, recStats := recordTrace(t, base, mk)
 			if !tr.Replayable {
-				t.Fatalf("seed %d on %s: generated kernel flagged racy: %s\n%s", seed, a, tr.Reason, gen.Source())
+				t.Fatalf("seed %d on %s: generated kernel flagged racy: %s\n%s", seed, a, tr.Reason, b.Source)
 			}
 			if got := replayTrace(t, base, mk, tr); got != recStats {
-				t.Fatalf("seed %d on %s: same-config replay diverged\n%s", seed, a, gen.Source())
+				t.Fatalf("seed %d on %s: same-config replay diverged\n%s", seed, a, b.Source)
 			}
 			mut := muts[int(seed)%len(muts)]
 			cfg := Configure(a)
 			mut(&cfg)
-			full := mk()
-			res, err := RunRangeOpts(context.Background(), cfg, full, 0, grid, RunOpts{})
+			res, err := RunRangeOpts(context.Background(), cfg, mk(), 0, b.Grid, RunOpts{})
 			if err != nil {
 				t.Fatalf("seed %d on %s: %v", seed, a, err)
 			}
 			if got := replayTrace(t, cfg, mk, tr); got != res.Stats {
 				t.Fatalf("seed %d on %s: replay diverged from full simulation under mutation\n%s",
-					seed, a, gen.Source())
+					seed, a, b.Source)
 			}
 		}
 	}
@@ -272,20 +263,12 @@ func TestReplayFuzzRacy(t *testing.T) {
 		seeds = 3
 	}
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
-		gen := progen.New(seed)
-		if _, err := gen.Program("fuzz", 4); err != nil {
-			t.Fatal(err)
-		}
+		b := progen.Kernel(seed, 4, 2, 192)
 		// Every thread additionally stores its (thread-varying) checksum
 		// to global word 0 just before exiting.
-		src := strings.Replace(gen.Source(), "\texit",
+		b.Source = strings.Replace(b.Source, "\texit",
 			"\tmov r15, %p0\n\tst.g [r15], r13\n\texit", 1)
-		p := assembleFor(t, "racy-fuzz", src, ArchSBISWI)
-		cfg := Configure(ArchSBISWI)
-		mk := func() *exec.Launch {
-			return &exec.Launch{Prog: p, GridDim: 2, BlockDim: 192, Global: make([]byte, 2*192*4)}
-		}
-		tr, _ := recordTrace(t, cfg, mk)
+		tr, _ := recordTrace(t, Configure(ArchSBISWI), func() *exec.Launch { return benchLaunch(t, b, ArchSBISWI) })
 		if tr.Replayable {
 			t.Fatalf("seed %d: racy variant recorded as replayable", seed)
 		}

@@ -3,7 +3,6 @@ package sm
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -58,31 +57,19 @@ func resetCases(t *testing.T, seed uint64, n int) []resetCase {
 		func(c *Config) { c.Seed = 0x1234; c.Shuffle = sched.ShuffleMirrorHalf; c.DepMode = sched.DepMask },
 	}
 	var cases []resetCase
+	add := func(b *kernels.Benchmark, a Arch, c Config) {
+		cases = append(cases, resetCase{b.Name + "/" + a.String(), c, func() *exec.Launch { return benchLaunch(t, b, a) }})
+	}
 	for _, b := range kernels.All() {
 		for _, a := range Architectures() {
-			if _, err := b.NewLaunch(a != ArchBaseline); err != nil {
-				t.Fatal(err)
-			}
-			cases = append(cases, resetCase{b.Name + "/" + a.String(), Configure(a), func() *exec.Launch {
-				l, _ := b.NewLaunch(a != ArchBaseline)
-				return l
-			}})
+			add(b, a, Configure(a))
 		}
 	}
 	for i := 0; i < n; i++ {
-		gen := progen.New(seed*1000 + uint64(i) + 1)
-		name := fmt.Sprintf("gen%03d", i)
-		if _, err := gen.Program(name, 3+i/16%4); err != nil {
-			t.Fatal(err)
-		}
 		a := Architectures()[i%len(Architectures())]
-		p := assembleFor(t, name, gen.Source(), a)
-		grid, block := 1+i%4, 32*(1+i/4%4)
 		c := Configure(a)
 		geometries[i/5%len(geometries)](&c)
-		cases = append(cases, resetCase{name + "/" + a.String(), c, func() *exec.Launch {
-			return &exec.Launch{Prog: p, GridDim: grid, BlockDim: block, Global: make([]byte, 4*grid*block)}
-		}})
+		add(progen.Kernel(seed*1000+uint64(i)+1, 3+i/16%4, 1+i%4, 32*(1+i/4%4)), a, c)
 	}
 	// A kernel that reports what it finds in a register and a
 	// shared-memory word it never wrote, then dirties both: it stores 0

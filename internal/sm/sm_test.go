@@ -10,6 +10,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/exec"
 	"repro/internal/isa"
+	"repro/internal/kernels"
 	"repro/internal/sched"
 )
 
@@ -134,6 +135,16 @@ func assembleFor(t *testing.T, name, src string, a Arch) *isa.Program {
 		t.Fatal(err)
 	}
 	return sp
+}
+
+// benchLaunch builds b's launch in the program variant a runs.
+func benchLaunch(t *testing.T, b *kernels.Benchmark, a Arch) *exec.Launch {
+	t.Helper()
+	l, err := b.NewLaunch(a != ArchBaseline)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, b.Source)
+	}
+	return l
 }
 
 // newLaunch builds a launch with words*4 bytes of global memory.

@@ -56,11 +56,12 @@ type (
 	// wall-clock watchdog, with a partial-state snapshot;
 	// errors.Is(err, ErrLaunchTimeout) matches it.
 	TimeoutError = sm.TimeoutError
-	// ProgramError reports a hand-built Program that breaks a structural
-	// invariant (unknown opcode, missing destination or store-data
-	// register, target out of range, no terminator). Every entry point
-	// that takes a Launch — RunReference, Device.Run, streams, suites —
-	// checks it before simulating; Assemble never produces one.
+	// ProgramError reports a Program that breaks a structural invariant
+	// (unknown opcode, missing destination or store-data register,
+	// target out of range, no terminator, shared memory outside
+	// 0..48 KiB). Every entry point that takes a Launch — RunReference,
+	// Device.Run, streams, suites — checks it before simulating, and
+	// Assemble checks what it assembles.
 	ProgramError = isa.ProgramError
 )
 

@@ -229,21 +229,28 @@ func TestTraceFromFacade(t *testing.T) {
 // offending PC.
 func TestMalformedProgramIsTypedError(t *testing.T) {
 	exit := isa.Instruction{Op: isa.OpExit}
+	nop := isa.Instruction{Op: isa.OpNop}
 	cases := []struct {
 		name   string
 		ins    isa.Instruction
+		shared int
+		pc     int
 		reason string
 	}{
-		{"alu-without-destination", isa.Instruction{Op: isa.OpIAdd, Dst: isa.RegNone, SrcA: 1, SrcB: 2}, "destination"},
-		{"store-without-data", isa.Instruction{Op: isa.OpStG, SrcA: 1, SrcC: isa.RegNone}, "store data"},
-		{"unknown-opcode", isa.Instruction{Op: isa.Opcode(200), Dst: 0, SrcA: 1, SrcB: 2}, "opcode"},
+		{"alu-without-destination", isa.Instruction{Op: isa.OpIAdd, Dst: isa.RegNone, SrcA: 1, SrcB: 2}, 0, 1, "destination"},
+		{"store-without-data", isa.Instruction{Op: isa.OpStG, SrcA: 1, SrcC: isa.RegNone}, 0, 1, "store data"},
+		{"unknown-opcode", isa.Instruction{Op: isa.Opcode(200), Dst: 0, SrcA: 1, SrcB: 2}, 0, 1, "opcode"},
+		// Used to panic in makeslice, or exhaust memory sizing the block's
+		// shared image.
+		{"negative-shared", nop, -4, -1, "shared memory"},
+		{"oversized-shared", nop, 99999999999, -1, "shared memory"},
 	}
 	dev, err := NewDevice()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range cases {
-		prog := &Program{Name: c.name, Code: []isa.Instruction{{Op: isa.OpNop}, c.ins, exit}}
+		prog := &Program{Name: c.name, Code: []isa.Instruction{nop, c.ins, exit}, SharedMem: c.shared}
 		entries := map[string]func(l *Launch) error{
 			"RunReference":   func(l *Launch) error { return RunReference(l, 32) },
 			"sm.Run":         func(l *Launch) error { _, err := sm.Run(sm.Configure(sm.ArchSBISWI), l); return err },
@@ -257,8 +264,8 @@ func TestMalformedProgramIsTypedError(t *testing.T) {
 				t.Errorf("%s/%s: error %v (%T), want a *ProgramError", c.name, entry, err, err)
 				continue
 			}
-			if pe.PC != 1 || !strings.Contains(pe.Reason, c.reason) {
-				t.Errorf("%s/%s: %v, want pc 1 and a reason naming the %s", c.name, entry, pe, c.reason)
+			if pe.PC != c.pc || !strings.Contains(pe.Reason, c.reason) {
+				t.Errorf("%s/%s: %v, want pc %d and a reason naming the %s", c.name, entry, pe, c.pc, c.reason)
 			}
 		}
 	}
