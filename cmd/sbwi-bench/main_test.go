@@ -19,6 +19,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}{
 		{"unknown experiment", []string{"-exp", "fig99"}, "fig99"},
 		{"cpuprofile in a missing directory", []string{"-exp", "table2", "-cpuprofile", missing}, "no-such-dir"},
+		{"huge workers", []string{"-exp", "fig8a", "-workers", "4000000000000000000"}, "workers 4000000000000000000"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -6,8 +6,6 @@
 //	sbwi run -kernel MatrixMul [-arch SBI+SWI] [-all] [-json] [-timeout 30s]
 //	sbwi run -kernel BFS -sms 4 -partition
 //	sbwi run -kernel Transpose -sms 4 -partition -l2 [-noc-bw 8] [-noc-lat 20]
-//	sbwi run -kernel Histogram -streams 8 -workers 4
-//	sbwi run -kernel Transpose -trace-replay [-json]
 //	sbwi run -file kernel.asm -grid 4 -block 256 -global 65536 [-param N]...
 //	sbwi disasm -kernel BFS [-tf]
 //
@@ -20,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -95,20 +94,11 @@ func (p *uintList) Set(s string) error {
 // convenience fields summarize Stats.Mem.L2 and Stats.Mem.NoC, and
 // NoCPorts carries the per-SM port breakdown (Result.NoCPorts); all of
 // them stay zero/absent unless the shared memory system is modeled
-// (-l2/-noc-bw). With -streams N, Streams reports the
-// concurrent-launch count and the stats are stream 0's (the tool
-// verifies all N are bit-identical).
+// (-l2/-noc-bw).
 type runReport struct {
-	Kernel  string `json:"kernel"`
-	Arch    string `json:"arch"`
-	SMs     int    `json:"sms"`
-	Streams int    `json:"streams,omitempty"`
-
-	// Replayed reports whether the statistics came from a trace replay
-	// (-trace-replay, and the kernel passed the record-time race
-	// analysis) rather than a full simulation. Always emitted, so sweep
-	// tooling can tell the two apart.
-	Replayed bool `json:"replayed"`
+	Kernel string `json:"kernel"`
+	Arch   string `json:"arch"`
+	SMs    int    `json:"sms"`
 
 	IPC            float64         `json:"ipc"`
 	DeviceCycles   int64           `json:"deviceCycles"`
@@ -134,9 +124,7 @@ func run(args []string) error {
 	sms := fs.Int("sms", 1, "number of simulated SMs")
 	partition := fs.Bool("partition", false, "partition the grid across the SMs (CTA waves)")
 	workers := fs.Int("workers", 0, "host worker-pool bound (0 = GOMAXPROCS)")
-	streams := fs.Int("streams", 1, "submit the launch N times across N concurrent streams (asynchronous launch mode; stats must come out bit-identical)")
 	l2 := fs.Bool("l2", false, "model the shared L2 + interconnect behind the L1s")
-	traceReplay := fs.Bool("trace-replay", false, "record the run's per-thread trace, then replay it and return the replayed (bit-identical) statistics; kernels with timing-dependent functional behavior fall back to the full simulation")
 	nocBW := fs.Float64("noc-bw", 0, "interconnect port bandwidth in bytes/cycle (>0 implies -l2; 0 leaves it unset)")
 	nocLat := fs.Int64("noc-lat", -1, "interconnect traversal latency in cycles (>=0 implies -l2; -1 leaves it unset)")
 	jsonOut := fs.Bool("json", false, "emit the merged statistics as JSON")
@@ -161,13 +149,37 @@ func run(args []string) error {
 		archs = append(archs, a)
 	}
 
+	// One of bench and prog is set: each architecture builds its own
+	// launch from it.
+	var bench *sbwi.Benchmark
+	var prog *sbwi.Program
 	name := *kernel
-	if name == "" {
+	switch {
+	case *kernel != "":
+		b, ok := sbwi.BenchmarkByName(*kernel)
+		if !ok {
+			return fmt.Errorf("unknown kernel %q", *kernel)
+		}
+		bench = b
+	case *file != "":
 		name = *file
+		if max := len(sbwi.Launch{}.Params); len(params) > max {
+			return fmt.Errorf("%d -param flags exceed the ISA's %d kernel parameters (%%p0..%%p%d)",
+				len(params), max, max-1)
+		}
+		src, err := os.ReadFile(*file)
+		if err != nil {
+			return err
+		}
+		if prog, err = sbwi.Assemble(*file, string(src)); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("need -kernel or -file")
 	}
 
-	if *nocBW < 0 {
-		return fmt.Errorf("-noc-bw %g: port bandwidth must be positive (0 leaves it unset)", *nocBW)
+	if !(*nocBW >= 0) || math.IsInf(*nocBW, 1) {
+		return fmt.Errorf("-noc-bw %g: port bandwidth must be positive and finite (0 leaves it unset)", *nocBW)
 	}
 	if *nocLat < -1 {
 		return fmt.Errorf("-noc-lat %d: traversal latency must be non-negative (-1 leaves it unset)", *nocLat)
@@ -178,12 +190,6 @@ func run(args []string) error {
 	}
 	if *globalBytes > 1<<32 {
 		return fmt.Errorf("-global %d: size exceeds the 4 GiB a 32-bit address reaches", *globalBytes)
-	}
-	if *streams < 1 {
-		return fmt.Errorf("-streams %d: need at least one stream", *streams)
-	}
-	if *traceReplay && *streams > 1 {
-		return fmt.Errorf("-trace-replay runs record+replay on one launch; it cannot be combined with -streams %d", *streams)
 	}
 	var reports []runReport
 	if !*jsonOut {
@@ -212,49 +218,16 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		// makeLaunch builds a fresh launch per call: concurrent stream
-		// submissions must not share a mutable global image.
-		makeLaunch := func() (*sbwi.Launch, error) {
-			switch {
-			case *kernel != "":
-				b, ok := sbwi.BenchmarkByName(*kernel)
-				if !ok {
-					return nil, fmt.Errorf("unknown kernel %q", *kernel)
-				}
-				return b.NewLaunch(a != sbwi.Baseline)
-			case *file != "":
-				src, err := os.ReadFile(*file)
-				if err != nil {
-					return nil, err
-				}
-				prog, err := sbwi.Assemble(*file, string(src))
-				if err != nil {
-					return nil, err
-				}
-				p := prog
-				if a != sbwi.Baseline {
-					if p, err = sbwi.ThreadFrontier(prog); err != nil {
-						return nil, err
-					}
-				}
-				if max := len(sbwi.Launch{}.Params); len(params) > max {
-					return nil, fmt.Errorf("%d -param flags exceed the ISA's %d kernel parameters (%%p0..%%p%d)",
-						len(params), max, max-1)
-				}
-				return sbwi.NewLaunch(p, *grid, *block, make([]byte, *globalBytes), params...), nil
-			default:
-				return nil, fmt.Errorf("need -kernel or -file")
-			}
-		}
-		var res *sbwi.Result
-		if *traceReplay {
-			var l *sbwi.Launch
-			if l, err = makeLaunch(); err == nil {
-				res, err = dev.RunTraceReplay(context.Background(), l)
-			}
+		var l *sbwi.Launch
+		if bench != nil {
+			l, err = bench.NewLaunch(a != sbwi.Baseline)
 		} else {
-			res, err = runStreams(dev, makeLaunch, *streams)
+			l, err = fileLaunch(prog, a, *grid, *block, *globalBytes, params)
 		}
+		if err != nil {
+			return err
+		}
+		res, err := dev.Run(context.Background(), l)
 		if err != nil {
 			if *jsonOut {
 				reports = append(reports, runReport{Kernel: name, Arch: a.String(), SMs: *sms, Error: err.Error()})
@@ -264,33 +237,19 @@ func run(args []string) error {
 		}
 		stats := &res.Stats
 		if *jsonOut {
-			r := runReport{
-				Kernel: name, Arch: a.String(), SMs: *sms, Replayed: res.Replayed,
+			reports = append(reports, runReport{
+				Kernel: name, Arch: a.String(), SMs: *sms,
 				IPC: stats.IPC(), DeviceCycles: res.DeviceCycles(),
 				L2HitRate:      stats.Mem.L2.HitRate(),
 				NoCQueueCycles: stats.Mem.NoC.QueueCycles,
 				NoCPorts:       res.NoCPorts,
 				Stats:          stats,
-			}
-			if *streams > 1 {
-				r.Streams = *streams
-			}
-			reports = append(reports, r)
+			})
 			continue
 		}
 		fmt.Printf("%-10s %10d %8.2f %10d %10d %8d %8d\n",
 			a, stats.Cycles, stats.IPC(), stats.IssueSlots, stats.SecondaryIssues,
 			stats.Divergences, stats.Merges)
-		if *streams > 1 {
-			fmt.Printf("%-10s   %d concurrent streams, per-launch stats bit-identical\n", "", *streams)
-		}
-		if *traceReplay {
-			mode := "full simulation (kernel outside the replay validity domain)"
-			if res.Replayed {
-				mode = "trace replay, bit-identical to the recording run"
-			}
-			fmt.Printf("%-10s   %s\n", "", mode)
-		}
 		if memsys {
 			l2s := &stats.Mem.L2
 			fmt.Printf("%-10s   l2 hits %d misses %d (%.0f%%)  noc queue %d cycles (max %d)  device cycles %d\n",
@@ -306,45 +265,17 @@ func run(args []string) error {
 	return nil
 }
 
-// runStreams simulates the launch: synchronously for n == 1, otherwise
-// as n concurrent single-launch streams — each with its own fresh
-// global image — verifying that every stream's statistics come out
-// bit-identical (the stream API's determinism guarantee) and returning
-// stream 0's result.
-func runStreams(dev *sbwi.Device, makeLaunch func() (*sbwi.Launch, error), n int) (*sbwi.Result, error) {
-	ctx := context.Background()
-	if n == 1 {
-		l, err := makeLaunch()
-		if err != nil {
+// fileLaunch builds the -file program's launch for architecture a:
+// the SYNC-instrumented thread-frontier variant off the baseline, over
+// a zeroed global image.
+func fileLaunch(prog *sbwi.Program, a sbwi.Arch, grid, block, globalBytes int, params []uint32) (*sbwi.Launch, error) {
+	if a != sbwi.Baseline {
+		var err error
+		if prog, err = sbwi.ThreadFrontier(prog); err != nil {
 			return nil, err
 		}
-		return dev.Run(ctx, l)
 	}
-	pend := make([]*sbwi.Pending, n)
-	for i := range pend {
-		l, err := makeLaunch()
-		if err != nil {
-			return nil, err
-		}
-		pend[i] = dev.NewStream().Launch(ctx, l)
-	}
-	if err := dev.Synchronize(ctx); err != nil {
-		return nil, err
-	}
-	first, err := pend[0].Wait()
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < n; i++ {
-		res, err := pend[i].Wait()
-		if err != nil {
-			return nil, fmt.Errorf("stream %d: %w", i, err)
-		}
-		if res.Stats != first.Stats {
-			return nil, fmt.Errorf("stream %d produced different statistics than stream 0 — determinism violation", i)
-		}
-	}
-	return first, nil
+	return sbwi.NewLaunch(prog, grid, block, make([]byte, globalBytes), params...), nil
 }
 
 func disasm(args []string) error {

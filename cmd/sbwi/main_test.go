@@ -48,16 +48,18 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}{
 		{"unknown kernel", []string{"-kernel", "NoSuchKernel"}, `unknown kernel "NoSuchKernel"`},
 		{"unknown arch", []string{"-kernel", "Transpose", "-arch", "Volta"}, `unknown architecture "Volta"`},
-		{"zero streams", []string{"-kernel", "Transpose", "-streams", "0"}, "need at least one stream"},
-		{"replay with streams", []string{"-kernel", "Transpose", "-trace-replay", "-streams", "2"}, "cannot be combined with -streams 2"},
 		{"negative noc bandwidth", []string{"-kernel", "Transpose", "-noc-bw", "-1"}, "port bandwidth must be positive"},
+		// Used to run the flat model, a wrapped clock or a panicking or
+		// endless SM and slot allocation instead of failing.
+		{"NaN noc bandwidth", []string{"-kernel", "Transpose", "-noc-bw", "NaN"}, "port bandwidth must be positive and finite"},
+		{"tiny noc bandwidth", []string{"-kernel", "Transpose", "-noc-bw", "1e-300"}, "bandwidth 1e-300 bytes/cycle must be positive"},
+		{"huge noc latency", []string{"-kernel", "Transpose", "-noc-lat", "9223372036854775807"}, "latency 9223372036854775807 outside"},
+		{"huge workers", []string{"-kernel", "Transpose", "-workers", "4000000000000000000"}, "worker count 4000000000000000000 above"},
+		{"huge sms", []string{"-kernel", "Transpose", "-sms", "4000000000000000000", "-partition"}, "SM count 4000000000000000000 outside"},
+		{"huge sms with l2", []string{"-kernel", "Transpose", "-sms", "100000000000", "-partition", "-l2"}, "SM count 100000000000 outside"},
 		{"17 params", tooManyParams, "17 -param flags exceed"},
-		// The same message whichever door the launch goes through:
-		// -trace-replay used to die in makeslice sizing its recorder.
 		{"negative grid", []string{"-file", asm, "-grid", "-1"}, "grid -1 x block 256 invalid"},
-		{"negative grid replayed", []string{"-file", asm, "-grid", "-1", "-trace-replay"}, "grid -1 x block 256 invalid"},
 		{"zero grid", []string{"-file", asm, "-grid", "0"}, "grid 0 x block 256 invalid"},
-		{"zero grid replayed", []string{"-file", asm, "-grid", "0", "-trace-replay"}, "grid 0 x block 256 invalid"},
 		{"negative global", []string{"-file", asm, "-global", "-1"}, "-global -1: size must be non-negative"},
 		{"global above 4 GiB", []string{"-file", asm, "-global", "4294967297"}, "-global 4294967297: size exceeds the 4 GiB"},
 	}

@@ -111,8 +111,8 @@
 // analysis runs as the launch does, nothing is logged. Kernels whose
 // behavior is timing-dependent are detected at record time and, like a
 // replay that desyncs, fall back to full simulation with the reason
-// logged (WithReplayLog). Device.RunTraceReplay is the one-launch form
-// behind `sbwi run -trace-replay`. The header of
+// logged (WithReplayLog). RunSuite is the one door to trace replay:
+// Run and Stream.Launch always simulate in full. The header of
 // internal/device/replay.go owns the validity-domain argument, package
 // internal/replay the trace format and the race analysis.
 //

@@ -193,7 +193,17 @@ func WithConfig(cfg sm.Config) Option {
 	return func(s *settings) { s.cfg = cfg }
 }
 
-// WithSMs sets the number of streaming multiprocessors (default 1).
+// The largest SM count (WithSMs) and worker count (WithWorkers,
+// NewRunQueue) a device accepts: each SM is an sm.Runner shell and each
+// worker a run-queue slot, so a count past these bounds would allocate
+// shells and slots for hardware no study models.
+const (
+	MaxSMs     = 1024
+	MaxWorkers = 65536
+)
+
+// WithSMs sets the number of streaming multiprocessors, 1 to MaxSMs
+// (default 1).
 // More SMs shorten the modeled device wall-clock (Result.DeviceCycles)
 // and widen host-side parallelism. Under the default flat-latency
 // memory model the SM count never changes merged statistics; with the
@@ -206,9 +216,10 @@ func WithSMs(n int) Option {
 
 // WithWorkers sets the slot count of the device's private run queue:
 // the bound on host goroutines simulating concurrently across everything
-// the device runs (stream launches, waves and suite entries alike).
-// Default: GOMAXPROCS. Worker count never changes results. Ignored when
-// WithRunQueue shares a queue — that queue's slot count is the bound.
+// the device runs (stream launches, waves and suite entries alike), at
+// most MaxWorkers. Default (n <= 0): GOMAXPROCS. Worker count never
+// changes results. Ignored when WithRunQueue shares a queue — that
+// queue's slot count is the bound.
 func WithWorkers(n int) Option {
 	return func(s *settings) { s.workers = n }
 }
@@ -296,8 +307,11 @@ func New(opts ...Option) (*Device, error) {
 	if err := d.cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("device: %w", err)
 	}
-	if d.sms <= 0 {
-		return nil, fmt.Errorf("device: SM count %d must be positive", d.sms)
+	if d.sms <= 0 || d.sms > MaxSMs {
+		return nil, fmt.Errorf("device: SM count %d outside [1, %d]", d.sms, MaxSMs)
+	}
+	if st.workers > MaxWorkers {
+		return nil, fmt.Errorf("device: worker count %d above %d", st.workers, MaxWorkers)
 	}
 	if d.streamDepth < 0 {
 		return nil, fmt.Errorf("device: stream queue depth %d must be non-negative (0 = unbounded)", d.streamDepth)
@@ -321,7 +335,7 @@ func New(opts ...Option) (*Device, error) {
 		if err := d.l2cfg.Validate(d.cfg.Mem.BlockBytes); err != nil {
 			return nil, fmt.Errorf("device: %w", err)
 		}
-		if err := d.noccfg.Validate(); err != nil {
+		if err := d.noccfg.Validate(d.cfg.Mem.BlockBytes); err != nil {
 			return nil, fmt.Errorf("device: %w", err)
 		}
 	}

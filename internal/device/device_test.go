@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/leakcheck"
 	"repro/internal/mem"
+	"repro/internal/noc"
 	"repro/internal/sm"
 )
 
@@ -26,25 +28,50 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(WithConfig(bad)); err == nil {
 		t.Error("invalid config must be rejected")
 	}
-	// An out-of-range memory system or front-end timing is rejected by
-	// New, before any launch can meet it inside the simulation.
+	// An out-of-range memory system, front-end timing or device shape is
+	// rejected by New, before any launch can meet it inside the
+	// simulation. A timing past the bounds of noc.MaxLatency used to wrap
+	// the cycle arithmetic and make the run faster; a count past MaxSMs
+	// or MaxWorkers panicked or hung sizing its SM shells or slots.
+	cfg := func(f func(*sm.Config)) Option { return tweaked(sm.ArchSBISWI, f) }
+	bigNoC, slowNoC, nanNoC := noc.Default(), noc.Default(), noc.Default()
+	bigNoC.Latency, slowNoC.BytesPerCycle, nanNoC.BytesPerCycle = math.MaxInt64, 1e-300, math.NaN()
+	nanL2, bigL2 := mem.DefaultL2(), mem.DefaultL2()
+	nanL2.BytesPerCycle, bigL2.HitLatency = math.NaN(), math.MaxInt64
 	for _, tc := range []struct {
 		name string
-		mut  func(*sm.Config)
+		opt  Option
 	}{
-		{"L1Bytes=0", func(c *sm.Config) { c.Mem.L1Bytes = 0 }},
-		{"L1Ways=0", func(c *sm.Config) { c.Mem.L1Ways = 0 }},
-		{"BlockBytes=0", func(c *sm.Config) { c.Mem.BlockBytes = 0 }},
-		{"BlockBytes=96", func(c *sm.Config) { c.Mem.BlockBytes = 96 }},
-		{"BytesPerCycle=0", func(c *sm.Config) { c.Mem.BytesPerCycle = 0 }},
-		{"BytesPerCycle=-1", func(c *sm.Config) { c.Mem.BytesPerCycle = -1 }},
-		{"MemLatency=-5", func(c *sm.Config) { c.Mem.MemLatency = -5 }},
-		{"HitLatency=-1", func(c *sm.Config) { c.Mem.HitLatency = -1 }},
-		{"StoreQueue=-1", func(c *sm.Config) { c.Mem.StoreQueue = -1 }},
-		{"IssueDelay=-1", func(c *sm.Config) { c.IssueDelay = -1 }},
-		{"SharedLatency=-1", func(c *sm.Config) { c.SharedLatency = -1 }},
+		{"L1Bytes=0", cfg(func(c *sm.Config) { c.Mem.L1Bytes = 0 })},
+		{"L1Ways=0", cfg(func(c *sm.Config) { c.Mem.L1Ways = 0 })},
+		{"BlockBytes=0", cfg(func(c *sm.Config) { c.Mem.BlockBytes = 0 })},
+		{"BlockBytes=96", cfg(func(c *sm.Config) { c.Mem.BlockBytes = 96 })},
+		{"BytesPerCycle=0", cfg(func(c *sm.Config) { c.Mem.BytesPerCycle = 0 })},
+		{"BytesPerCycle=-1", cfg(func(c *sm.Config) { c.Mem.BytesPerCycle = -1 })},
+		{"MemLatency=-5", cfg(func(c *sm.Config) { c.Mem.MemLatency = -5 })},
+		{"HitLatency=-1", cfg(func(c *sm.Config) { c.Mem.HitLatency = -1 })},
+		{"StoreQueue=-1", cfg(func(c *sm.Config) { c.Mem.StoreQueue = -1 })},
+		{"IssueDelay=-1", cfg(func(c *sm.Config) { c.IssueDelay = -1 })},
+		{"SharedLatency=-1", cfg(func(c *sm.Config) { c.SharedLatency = -1 })},
+		{"MemLatency=MaxInt64", cfg(func(c *sm.Config) { c.Mem.MemLatency = math.MaxInt64 })},
+		{"BytesPerCycle=1e-300", cfg(func(c *sm.Config) { c.Mem.BytesPerCycle = 1e-300 })},
+		{"BytesPerCycle=NaN", cfg(func(c *sm.Config) { c.Mem.BytesPerCycle = math.NaN() })},
+		{"HitLatency=MaxInt64", cfg(func(c *sm.Config) { c.Mem.HitLatency = math.MaxInt64 })},
+		{"ExecLatency=MaxInt64", cfg(func(c *sm.Config) { c.ExecLatency = math.MaxInt64 })},
+		{"SharedLatency=MaxInt64", cfg(func(c *sm.Config) { c.SharedLatency = math.MaxInt64 })},
+		{"IssueDelay=MaxInt64", cfg(func(c *sm.Config) { c.IssueDelay = math.MaxInt64 })},
+		{"MaxCycles=2^40+1", cfg(func(c *sm.Config) { c.MaxCycles = noc.MaxCycles + 1 })},
+		{"NoC Latency=MaxInt64", WithInterconnect(bigNoC)},
+		{"NoC BytesPerCycle=1e-300", WithInterconnect(slowNoC)},
+		{"NoC BytesPerCycle=NaN", WithInterconnect(nanNoC)},
+		{"L2 BytesPerCycle=NaN", WithL2(nanL2)},
+		{"L2 HitLatency=MaxInt64", WithL2(bigL2)},
+		{"SMs=4e18", WithSMs(4e18)},
+		{"SMs=MaxSMs+1", WithSMs(MaxSMs + 1)},
+		{"Workers=4e18", WithWorkers(4e18)},
+		{"Workers=MaxWorkers+1", WithWorkers(MaxWorkers + 1)},
 	} {
-		if _, err := New(tweaked(sm.ArchSBISWI, tc.mut)); err == nil {
+		if _, err := New(tc.opt); err == nil {
 			t.Errorf("%s must be rejected", tc.name)
 		}
 	}

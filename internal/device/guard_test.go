@@ -250,34 +250,40 @@ func TestWatchdogDiagnosesMemsysInterleaver(t *testing.T) {
 	}
 }
 
-// TestRunTraceReplayPanicIsolation: a panic below the *recording* half
-// of RunTraceReplay (the hot memory-access site raises error-class
-// faults as panics) must come back as a *PanicError exactly as it does
-// from Run, not escape into the caller's goroutine, and leave the
-// device usable.
+// TestRunTraceReplayPanicIsolation: a panic below Run, and below the
+// *recording* fill of a WithTraceReplay RunSuite entry (the hot
+// memory-access site raises error-class faults as panics), must come
+// back as a *PanicError, not escape into the caller's goroutine, and
+// leave the device usable.
 func TestRunTraceReplayPanicIsolation(t *testing.T) {
 	leakcheck.Check(t)
 	ctx := context.Background()
-	for _, entry := range []string{"Run", "RunTraceReplay"} {
+	for _, entry := range []string{"Run", "RunSuite"} {
 		plan := faultinject.NewPlan(5, faultinject.Spec{
 			{Site: faultinject.SiteMemAccess, Kind: faultinject.KindError, Hits: []uint64{1}},
 		})
 		dev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(2),
 			WithL2(mem.DefaultL2()), WithInterconnect(noc.Default()),
-			WithFaultPlan(plan), WithReplayLog(&bytes.Buffer{}))
+			WithFaultPlan(plan), WithTraceReplay(true), WithReplayLog(&bytes.Buffer{}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := dev.Run
-		if entry == "RunTraceReplay" {
-			run = dev.RunTraceReplay
+		run := func() error {
+			_, err := dev.Run(ctx, mustLaunch(t, "Transpose"))
+			return err
+		}
+		if entry == "RunSuite" {
+			run = func() error {
+				res, err := dev.RunSuite(ctx, []*kernels.Benchmark{mustBench(t, "Transpose")})
+				return errors.Join(err, res[0].Err)
+			}
 		}
 		var pe *PanicError
-		if _, err := run(ctx, mustLaunch(t, "Transpose")); !errors.As(err, &pe) || !faultinject.IsInjected(err) {
+		if err := run(); !errors.As(err, &pe) || !faultinject.IsInjected(err) {
 			t.Fatalf("%s behind a mem-access fault: err %v, want a *PanicError carrying the injected fault", entry, err)
 		}
 		// Hit 1 was the only scheduled fault: the same device runs clean.
-		if _, err := run(ctx, mustLaunch(t, "Transpose")); err != nil {
+		if err := run(); err != nil {
 			t.Errorf("%s on the same device after the panic: %v", entry, err)
 		}
 		if err := dev.Synchronize(ctx); err != nil {
@@ -295,25 +301,29 @@ func TestReplayFaultFallsBackLoudly(t *testing.T) {
 		{Site: faultinject.SiteReplayFallback, Kind: faultinject.KindPanic, Every: 1},
 	})
 	var diag bytes.Buffer
-	dev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(2),
-		WithTraceReplay(true), WithFaultPlan(plan), WithReplayLog(&diag))
-	if err != nil {
-		t.Fatal(err)
+	cache := NewSimCache()
+	point := func(o Option) *Device {
+		dev, err := New(o, WithWorkers(2), WithSimCache(cache),
+			WithTraceReplay(true), WithFaultPlan(plan), WithReplayLog(&diag))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dev
 	}
 	ctx := context.Background()
 	suite := []*kernels.Benchmark{mustBench(t, "Transpose")}
 
-	// The suite pass records the trace without replaying (the fault
-	// site sits on the replay path only). RunTraceReplay then records
-	// and replays — every replay attempt panics, so it must fall back
-	// to the recorded full simulation and still produce the result.
-	first, err := dev.RunSuite(ctx, suite)
+	// The first sweep point records the trace without replaying (the
+	// fault site sits on the replay path only). The second, at a timing
+	// mutation, replays it — every replay attempt panics, so it must
+	// fall back to a full simulation and still produce the result.
+	first, err := point(WithArch(sm.ArchSBISWI)).RunSuite(ctx, suite)
 	if err != nil || first[0].Err != nil {
-		t.Fatalf("recording pass: %v / %v", err, first[0].Err)
+		t.Fatalf("recording point: %v / %v", err, first[0].Err)
 	}
-	_, err = dev.RunTraceReplay(ctx, mustLaunch(t, "Transpose"))
-	if err != nil {
-		t.Fatalf("RunTraceReplay with a panicking replay path: %v", err)
+	second, err := point(tweaked(sm.ArchSBISWI, func(c *sm.Config) { c.Mem.MemLatency = 700 })).RunSuite(ctx, suite)
+	if err != nil || second[0].Err != nil || second[0].Result.Replayed {
+		t.Fatalf("second point with a panicking replay path: %v / %v, want a full simulation", err, second[0].Err)
 	}
 	if !strings.Contains(diag.String(), "fell back") {
 		t.Errorf("replay degradation was silent; diagnostics: %q", diag.String())

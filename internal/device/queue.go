@@ -2,6 +2,7 @@ package device
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 
 	"repro/internal/sm"
@@ -26,10 +27,15 @@ type RunQueue struct {
 }
 
 // NewRunQueue builds a queue with the given number of concurrent
-// simulation slots; workers <= 0 means GOMAXPROCS.
+// simulation slots, at most MaxWorkers; workers <= 0 means GOMAXPROCS.
+// It panics past MaxWorkers: device.New and the experiments runner
+// reject such a count before they build a queue.
 func NewRunQueue(workers int) *RunQueue {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > MaxWorkers {
+		panic(fmt.Sprintf("device: %d run-queue slots exceed MaxWorkers (%d)", workers, MaxWorkers))
 	}
 	q := &RunQueue{slots: make(chan []*sm.Runner, workers)}
 	for i := 0; i < workers; i++ {

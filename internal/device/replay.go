@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/kernels"
 	"repro/internal/replay"
@@ -71,7 +70,13 @@ func WithReplayLog(w io.Writer) Option {
 // runBenchmarkTraced is the trace-replay fill for one suite entry:
 // record on the first configuration to arrive, replay on every later
 // one, full simulation when the benchmark is out of the validity
-// domain.
+// domain. A trace outside the domain (its reason was logged when it was
+// recorded) goes straight to the full simulation. A replay attempt sits
+// behind the SiteReplayFallback hook; a context error passes through,
+// and any other failure — a desync means this configuration left the
+// validity domain at runtime; a panic (safeRun converts it) and an
+// injected fault are made to look the same way — falls back loudly
+// rather than guess.
 func (d *Device) runBenchmarkTraced(ctx context.Context, b *kernels.Benchmark, partition bool) (*sm.Result, error) {
 	// Only the call that performs the recording sees recorded set; its
 	// full-simulation result doubles as this sweep point's result.
@@ -92,34 +97,19 @@ func (d *Device) runBenchmarkTraced(ctx context.Context, b *kernels.Benchmark, p
 	if err != nil || recorded != nil {
 		return recorded, err
 	}
-	return d.replayOrFull(b.Name, tr, func(tr *replay.Trace) (*sm.Result, error) {
-		return d.runBenchmark(ctx, b, partition, nil, tr)
-	})
-}
-
-// replayOrFull is the replay → fall-back half every door to trace
-// replay shares: run simulates by replaying the trace it is handed, or
-// in full when handed nil. A trace outside the validity domain (its
-// reason was logged when it was recorded) goes straight to the full
-// simulation. A replay attempt sits behind the SiteReplayFallback hook;
-// a context error passes through, and any other failure — a desync
-// means this configuration left the validity domain at runtime; a
-// panic (safeRun converts it) and an injected fault are made to look
-// the same way — falls back loudly rather than guess.
-func (d *Device) replayOrFull(name string, tr *replay.Trace, run func(*replay.Trace) (*sm.Result, error)) (*sm.Result, error) {
 	if tr.Replayable {
-		res, err := safeRun("trace replay of "+name, func() (*sm.Result, error) {
+		res, err := safeRun("trace replay of "+b.Name, func() (*sm.Result, error) {
 			if err := d.fire(faultinject.SiteReplayFallback); err != nil {
 				return nil, err
 			}
-			return run(tr)
+			return d.runBenchmark(ctx, b, partition, nil, tr)
 		})
 		if err == nil || isCtxErr(err) {
 			return res, err
 		}
-		d.degradef("device: trace replay of %s on %s fell back to full simulation: %v", name, d.cfg.Arch, err)
+		d.degradef("device: trace replay of %s on %s fell back to full simulation: %v", b.Name, d.cfg.Arch, err)
 	}
-	return run(nil)
+	return d.runBenchmark(ctx, b, partition, nil, nil)
 }
 
 // runBenchmark builds the benchmark's launch for the device's
@@ -141,50 +131,4 @@ func (d *Device) runBenchmark(ctx context.Context, b *kernels.Benchmark, partiti
 		return nil, fmt.Errorf("device: %s on %s: simulation diverged from reference", b.Name, d.cfg.Arch)
 	}
 	return res, nil
-}
-
-// RunTraceReplay simulates the launch in full while recording its
-// trace, then — when the trace passes the race analysis — replays it
-// on the same configuration and checks the replayed statistics are
-// bit-identical to the recorded run before returning them (with
-// Result.Replayed set). An out-of-domain launch returns the full
-// simulation's result, Replayed false, with the reason logged. Global
-// memory is mutated by the recording run exactly as Run would; the
-// replay never touches it. This is the one-launch entry point behind
-// `sbwi run -trace-replay`; sweeps go through RunSuite on a
-// WithTraceReplay device instead, where recording happens once per
-// benchmark rather than once per call.
-func (d *Device) RunTraceReplay(ctx context.Context, l *exec.Launch) (*sm.Result, error) {
-	// Validated before a recorder is sized from it.
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	d.inflight.add()
-	defer d.inflight.finish()
-
-	rec := replay.NewRecorder(l.GridDim, l.BlockDim)
-	res, err := safeRun("trace recording of "+l.Prog.Name, func() (*sm.Result, error) {
-		return d.run(ctx, l, d.partition, rec, nil)
-	})
-	if err != nil {
-		return nil, err
-	}
-	tr := rec.Finalize()
-	if !tr.Replayable {
-		d.degradef("device: %s is outside the trace-replay validity domain, ran a full simulation: %s", l.Prog.Name, tr.Reason)
-	}
-	rres, err := d.replayOrFull(l.Prog.Name, tr, func(tr *replay.Trace) (*sm.Result, error) {
-		if tr == nil {
-			// The recording run was this launch's full simulation.
-			return res, nil
-		}
-		return d.run(ctx, l, d.partition, nil, tr)
-	})
-	if err != nil || !rres.Replayed {
-		return rres, err
-	}
-	if rres.Stats != res.Stats {
-		return nil, fmt.Errorf("device: %s: replayed statistics diverged from the recorded run", l.Prog.Name)
-	}
-	return rres, nil
 }

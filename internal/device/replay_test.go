@@ -9,55 +9,72 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/sm"
 )
 
-// TestRunTraceReplay exercises the one-launch entry point: a race-free
-// launch records, replays, passes the internal stats backstop and
-// returns Replayed with the recording run's memory image; a racy launch
-// returns the full simulation's result with the reason logged.
+// TestRunTraceReplay drives the WithTraceReplay fill through a
+// one-entry sweep of two points: two devices sharing one SimCache, the
+// second at a timing mutation. A race-free benchmark records at the
+// first point and replays at the second, with the statistics of a fresh
+// full simulation there; a racy one records, runs the second point in
+// full and logs its reason once.
 func TestRunTraceReplay(t *testing.T) {
-	b, ok := kernels.ByName("Transpose")
-	if !ok {
-		t.Fatal("Transpose missing")
-	}
-	var log bytes.Buffer
-	dev, err := New(WithArch(sm.ArchSBISWI), WithReplayLog(&log))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := b.NewLaunch(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := dev.RunTraceReplay(context.Background(), l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Replayed {
-		t.Error("race-free launch was not replayed")
-	}
-	if !bytes.Equal(l.Global, b.Expected()) {
-		t.Error("recording run left a wrong memory image")
-	}
-
-	racy := mustProgram(t, "racy", `
-	mov  r1, %tid
+	// Every thread stores the same value to one word: the race analysis
+	// flags the conflicting stores all the same, and the final image is
+	// deterministic, so the reference oracle holds.
+	var plain *isa.Program
+	racy := &kernels.Benchmark{
+		Name: "racy", Grid: 2, Block: 64,
+		Source: `
+	mov  r1, 7
 	mov  r2, %p0
 	st.g [r2], r1
 	exit
-`)
-	rl := &exec.Launch{Prog: racy, GridDim: 2, BlockDim: 64, Global: make([]byte, 64)}
-	res, err = dev.RunTraceReplay(context.Background(), rl)
+`,
+		Setup: func(*kernels.Benchmark) ([]byte, [isa.NumParams]uint32) {
+			return make([]byte, 64), [isa.NumParams]uint32{}
+		},
+		Reference: func(b *kernels.Benchmark, global []byte, params [isa.NumParams]uint32) {
+			l := &exec.Launch{Prog: plain, GridDim: b.Grid, BlockDim: b.Block, Params: params, Global: global}
+			if _, err := exec.RunReference(l, 32); err != nil {
+				panic(err)
+			}
+		},
+	}
+	plain, err := racy.Program(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Replayed {
-		t.Error("racy launch reported as replayed")
+
+	ctx := context.Background()
+	slower := tweaked(sm.ArchSBISWI, func(c *sm.Config) { c.Mem.MemLatency = 700 })
+	cache := NewSimCache()
+	var log bytes.Buffer
+	for _, b := range []*kernels.Benchmark{mustBench(t, "Transpose"), racy} {
+		var res [2]*sm.Result
+		for i, point := range []Option{WithArch(sm.ArchSBISWI), slower} {
+			got, err := mustNew(point, WithSimCache(cache), WithTraceReplay(true), WithReplayLog(&log)).RunSuite(ctx, []*kernels.Benchmark{b})
+			if err != nil || got[0].Err != nil {
+				t.Fatalf("%s at point %d: %v / %v", b.Name, i, err, got[0].Err)
+			}
+			res[i] = got[0].Result
+		}
+		full, err := mustNew(slower).RunSuite(ctx, []*kernels.Benchmark{b})
+		if err != nil || full[0].Err != nil {
+			t.Fatalf("%s full simulation: %v / %v", b.Name, err, full[0].Err)
+		}
+		if want := b != racy; res[0].Replayed || res[1].Replayed != want {
+			t.Errorf("%s: replayed %v at the recording point and %v at the second, want false and %v",
+				b.Name, res[0].Replayed, res[1].Replayed, want)
+		}
+		if res[1].Stats != full[0].Result.Stats {
+			t.Errorf("%s: second point's stats differ from a full simulation there", b.Name)
+		}
 	}
-	if !strings.Contains(log.String(), "outside the trace-replay validity domain") {
-		t.Errorf("racy launch's fallback reason not logged:\n%s", log.String())
+	if n := strings.Count(log.String(), "racy on SBI+SWI is outside the trace-replay validity domain"); n != 1 || strings.Count(log.String(), "\n") != 1 {
+		t.Errorf("want the racy kernel's fallback reason logged once and nothing else:\n%s", log.String())
 	}
 }
 

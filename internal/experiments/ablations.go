@@ -57,8 +57,8 @@ func (r *Runner) AblationMemSplit() (*Table, error) {
 // its per-thread trace and every other point replays it through the
 // full timing machinery — bit-identical statistics, whichever point
 // recorded, without re-executing a single instruction. Benchmarks
-// outside the replay validity domain (racy kernels: BFS, the TMD pair)
-// fall back to full simulation with the reason logged once.
+// outside the replay validity domain (of the suite's kernels, only BFS
+// is racy) fall back to full simulation with the reason logged once.
 func (r *Runner) AblationExecLatency() (*Table, error) {
 	s := study{
 		title: "Ablation: execution latency vs IPC (SBI+SWI), re-timed by trace replay",

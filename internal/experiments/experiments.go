@@ -39,8 +39,8 @@ type Runner struct {
 	once  sync.Once
 	queue *device.RunQueue
 
-	// Workers bounds the host goroutines simulating concurrently;
-	// 0 means GOMAXPROCS. Read when the first simulation is submitted;
+	// Workers bounds the host goroutines simulating concurrently, at
+	// most device.MaxWorkers; 0 means GOMAXPROCS. Read when the first simulation is submitted;
 	// later changes have no effect.
 	Workers int
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/area"
+	"repro/internal/device"
 	"repro/internal/sm"
 )
 
@@ -139,8 +140,12 @@ var Experiments = func() []string {
 	return names
 }()
 
-// Run executes one experiment by name.
+// Run executes one experiment by name. A Workers count above
+// device.MaxWorkers is an error.
 func (r *Runner) Run(name string) (*Table, error) {
+	if r.Workers > device.MaxWorkers {
+		return nil, fmt.Errorf("experiments: workers %d above %d", r.Workers, device.MaxWorkers)
+	}
 	for _, e := range registry {
 		if e.name == name {
 			return e.run(r)

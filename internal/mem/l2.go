@@ -34,7 +34,8 @@ func DefaultL2() L2Config {
 	}
 }
 
-// Validate checks the geometry against the block size it will serve.
+// Validate checks the geometry against the block size it will serve,
+// and each bank, with its hit latency, as a noc.CheckLink link.
 func (c *L2Config) Validate(blockBytes int) error {
 	if c.Bytes <= 0 || c.Ways <= 0 || c.Banks <= 0 {
 		return fmt.Errorf("mem: invalid L2 geometry %+v", *c)
@@ -43,11 +44,8 @@ func (c *L2Config) Validate(blockBytes int) error {
 		return fmt.Errorf("mem: L2 capacity %d not divisible into %d banks of %d-way sets of %d-byte blocks",
 			c.Bytes, c.Banks, c.Ways, blockBytes)
 	}
-	if c.HitLatency < 0 {
-		return fmt.Errorf("mem: negative L2 hit latency %d", c.HitLatency)
-	}
-	if c.BytesPerCycle <= 0 {
-		return fmt.Errorf("mem: L2 bank bandwidth %g must be positive", c.BytesPerCycle)
+	if err := noc.CheckLink(blockBytes, c.BytesPerCycle, c.HitLatency); err != nil {
+		return fmt.Errorf("mem: L2 bank: %w", err)
 	}
 	return nil
 }

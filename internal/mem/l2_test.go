@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // tinyL2 is a 4-set, 2-way, 2-bank L2 over 128-byte blocks: 2 KB.
 func tinyL2() (*L2, Config) {
@@ -23,6 +26,9 @@ func TestL2ValidateGeometry(t *testing.T) {
 		{Bytes: 1024, Ways: 2, Banks: 3, BytesPerCycle: 1}, // 1024 % (128*2*3) != 0
 		{Bytes: 1024, Ways: 2, Banks: 2, BytesPerCycle: 0}, // no bandwidth
 		{Bytes: 1024, Ways: 2, Banks: 2, HitLatency: -1, BytesPerCycle: 1},
+		{Bytes: 1024, Ways: 2, Banks: 2, HitLatency: math.MaxInt64, BytesPerCycle: 1},
+		{Bytes: 1024, Ways: 2, Banks: 2, BytesPerCycle: 1e-300}, // a bank busy past 2^20 cycles
+		{Bytes: 1024, Ways: 2, Banks: 2, BytesPerCycle: math.NaN()},
 	}
 	for _, c := range bad {
 		if err := c.Validate(128); err == nil {

@@ -63,19 +63,20 @@ func Default() Config {
 
 // Validate checks the configuration a Hierarchy is built from: the L1
 // must tile into at least one set of L1Ways blocks, the DRAM port must
-// move data, and no latency or queue may be negative.
+// pass noc.CheckLink, the hit latency must lie in [0, noc.MaxLatency]
+// and the store queue may not be negative.
 func (c *Config) Validate() error {
 	set := c.BlockBytes * c.L1Ways
 	if c.BlockBytes <= 0 || c.L1Ways <= 0 || c.L1Bytes < set || c.L1Bytes%set != 0 {
 		return fmt.Errorf("mem: L1 capacity %d does not tile into %d-way sets of %d-byte blocks",
 			c.L1Bytes, c.L1Ways, c.BlockBytes)
 	}
-	if !(c.BytesPerCycle > 0) {
-		return fmt.Errorf("mem: DRAM bandwidth %g must be positive", c.BytesPerCycle)
+	if err := noc.CheckLink(c.BlockBytes, c.BytesPerCycle, c.MemLatency); err != nil {
+		return fmt.Errorf("mem: DRAM port: %w", err)
 	}
-	if c.HitLatency < 0 || c.MemLatency < 0 || c.StoreQueue < 0 {
-		return fmt.Errorf("mem: negative L1 hit latency %d, DRAM latency %d or store queue %d",
-			c.HitLatency, c.MemLatency, c.StoreQueue)
+	if c.HitLatency < 0 || c.HitLatency > noc.MaxLatency || c.StoreQueue < 0 {
+		return fmt.Errorf("mem: L1 hit latency %d outside [0, %d] or negative store queue %d",
+			c.HitLatency, int64(noc.MaxLatency), c.StoreQueue)
 	}
 	return nil
 }

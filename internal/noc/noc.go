@@ -41,13 +41,45 @@ func Default() Config {
 	return Config{Latency: 20, BytesPerCycle: 32}
 }
 
-// Validate checks the configuration.
-func (c *Config) Validate() error {
-	if c.Latency < 0 {
-		return fmt.Errorf("noc: negative latency %d", c.Latency)
+// Validate checks the configuration for requests of blockBytes bytes.
+func (c *Config) Validate(blockBytes int) error {
+	if err := CheckLink(blockBytes, c.BytesPerCycle, c.Latency); err != nil {
+		return fmt.Errorf("noc: port: %w", err)
 	}
-	if c.BytesPerCycle <= 0 {
-		return fmt.Errorf("noc: port bandwidth %g must be positive", c.BytesPerCycle)
+	return nil
+}
+
+// The bounds on every cycle-valued timing parameter of the simulator:
+// each latency (L1 hit, DRAM, L2 bank, NoC traversal, execution, shared
+// memory, issue delay) is at most MaxLatency, a link (DRAM port, L2
+// bank, NoC port) holds one transfer for at most MaxOccupancy cycles,
+// and sm.Config.MaxCycles, the per-wave watchdog, is at most MaxCycles.
+// They are why no `now + latency` sum and no float-to-int64 conversion
+// in Link.Reserve wraps int64 and makes a run silently faster. Every
+// simulated cycle is a clock value plus a few latencies (at most 2^34
+// together) plus a link's backlog. A wave's clock stays within
+// MaxCycles of where the wave started, since the watchdog aborts the
+// wave past its bound. A backlog runs ahead of the clock by at most
+// MaxOccupancy per transfer queued on the link, so it nears 2^62 only
+// after more than 2^42 transfers have queued on one link without
+// anything waiting for them.
+const (
+	MaxLatency   = 1 << 32
+	MaxOccupancy = 1 << 20
+	MaxCycles    = 1 << 40
+)
+
+// CheckLink checks the parameters of a link that moves bytes per
+// transfer against the bounds above: a latency in [0, MaxLatency], and
+// a bandwidth at which one transfer holds the link for at most
+// MaxOccupancy cycles. +Inf is an unlimited link; NaN is rejected.
+func CheckLink(bytes int, bytesPerCycle float64, latency int64) error {
+	if latency < 0 || latency > MaxLatency {
+		return fmt.Errorf("latency %d outside [0, %d]", latency, int64(MaxLatency))
+	}
+	if !(bytesPerCycle > 0) || !(float64(bytes)/bytesPerCycle <= MaxOccupancy) {
+		return fmt.Errorf("bandwidth %g bytes/cycle must be positive and move a %d-byte transfer in at most %d cycles",
+			bytesPerCycle, bytes, MaxOccupancy)
 	}
 	return nil
 }
@@ -85,11 +117,8 @@ type Link struct {
 	free          float64 // time the link next accepts a reservation
 }
 
-// NewLink builds a link; bytesPerCycle must be positive.
+// NewLink builds a link; its parameters are checked by CheckLink.
 func NewLink(bytesPerCycle float64, latency int64) Link {
-	if bytesPerCycle <= 0 {
-		panic(fmt.Sprintf("noc: link bandwidth %g must be positive", bytesPerCycle))
-	}
 	return Link{bytesPerCycle: bytesPerCycle, latency: latency}
 }
 
@@ -114,12 +143,9 @@ type Crossbar struct {
 }
 
 // New builds a crossbar with ports request ports. It panics on a
-// non-positive port count or an invalid configuration (internal wiring
-// errors, not user input — the device validates options at New).
+// non-positive port count (an internal wiring error, not user input —
+// the device validates options, cfg included, at New).
 func New(cfg Config, ports int) *Crossbar {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
 	if ports <= 0 {
 		panic(fmt.Sprintf("noc: port count %d must be positive", ports))
 	}

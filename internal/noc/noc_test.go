@@ -1,18 +1,33 @@
 package noc
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestValidate(t *testing.T) {
-	good := Default()
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
+	for _, good := range []Config{
+		Default(),
+		{Latency: MaxLatency, BytesPerCycle: 128.0 / MaxOccupancy},
+		{Latency: 0, BytesPerCycle: math.Inf(1)}, // an unlimited port
+	} {
+		if err := good.Validate(128); err != nil {
+			t.Errorf("config %+v: %v", good, err)
+		}
 	}
 	for _, c := range []Config{
 		{Latency: -1, BytesPerCycle: 1},
 		{Latency: 0, BytesPerCycle: 0},
 		{Latency: 0, BytesPerCycle: -4},
+		// A latency or a per-request occupancy past the bounds would wrap
+		// the cycle arithmetic; NaN compares false against every bound.
+		{Latency: MaxLatency + 1, BytesPerCycle: 1},
+		{Latency: math.MaxInt64, BytesPerCycle: 1},
+		{Latency: 0, BytesPerCycle: 1e-300},
+		{Latency: 0, BytesPerCycle: math.NaN()},
+		{Latency: 0, BytesPerCycle: math.Inf(-1)},
 	} {
-		if err := c.Validate(); err == nil {
+		if err := c.Validate(128); err == nil {
 			t.Errorf("config %+v must be rejected", c)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/fingerprint"
 	"repro/internal/mem"
+	"repro/internal/noc"
 	"repro/internal/sched"
 )
 
@@ -136,7 +137,8 @@ type Config struct {
 	// Seed drives the secondary scheduler's tie-breaking PRNG.
 	Seed uint64
 
-	// MaxCycles aborts runaway simulations; 0 means the default bound.
+	// MaxCycles aborts runaway simulations, at most noc.MaxCycles; 0
+	// means the default bound.
 	MaxCycles int64
 
 	// TraceCap, when positive, records up to that many issue events for
@@ -280,11 +282,16 @@ func (c *Config) Validate() error {
 	if c.ScoreboardEntries <= 0 {
 		return fmt.Errorf("sm: scoreboard entries must be positive")
 	}
-	if c.ExecLatency < 1 {
-		return fmt.Errorf("sm: execution latency must be at least 1")
+	// noc.MaxLatency documents the bounds and why they suffice.
+	if c.ExecLatency < 1 || c.ExecLatency > noc.MaxLatency {
+		return fmt.Errorf("sm: execution latency %d outside [1, %d]", c.ExecLatency, int64(noc.MaxLatency))
 	}
-	if c.IssueDelay < 0 || c.SharedLatency < 0 {
-		return fmt.Errorf("sm: issue delay %d and shared latency %d must be non-negative", c.IssueDelay, c.SharedLatency)
+	if c.IssueDelay < 0 || c.SharedLatency < 0 || c.IssueDelay > noc.MaxLatency || c.SharedLatency > noc.MaxLatency {
+		return fmt.Errorf("sm: issue delay %d and shared latency %d must lie in [0, %d]",
+			c.IssueDelay, c.SharedLatency, int64(noc.MaxLatency))
+	}
+	if c.MaxCycles > noc.MaxCycles {
+		return fmt.Errorf("sm: cycle bound %d above %d", c.MaxCycles, int64(noc.MaxCycles))
 	}
 	if err := c.Mem.Validate(); err != nil {
 		return err

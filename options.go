@@ -47,8 +47,8 @@ func WithArch(a Arch) Option { return device.WithArch(a) }
 func WithConfig(cfg Config) Option { return device.WithConfig(cfg) }
 
 // WithSMs sets the number of streaming multiprocessors the device
-// models (default 1). With grid partitioning enabled, a launch's CTA
-// waves are dispatched across the SMs round-robin and
+// models, 1 to 1024 (default 1). With grid partitioning enabled, a
+// launch's CTA waves are dispatched across the SMs round-robin and
 // Result.DeviceCycles reports the busiest SM's total; statistics are
 // bit-identical for every SM count by construction.
 func WithSMs(n int) Option { return device.WithSMs(n) }
@@ -56,9 +56,9 @@ func WithSMs(n int) Option { return device.WithSMs(n) }
 // WithWorkers sets the slot count of the device's private run queue:
 // the bound on host goroutines simulating concurrently across
 // everything the device runs — stream launches, CTA waves and RunSuite
-// entries alike (default: GOMAXPROCS). The worker count never changes
-// results, only wall-clock. Ignored when WithRunQueue shares a queue:
-// that queue's slot count is the bound then.
+// entries alike, at most 65536 (default: GOMAXPROCS). The worker count
+// never changes results, only wall-clock. Ignored when WithRunQueue
+// shares a queue: that queue's slot count is the bound then.
 func WithWorkers(n int) Option { return device.WithWorkers(n) }
 
 // WithRunQueue makes the device take its simulation slots from a

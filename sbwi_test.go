@@ -252,10 +252,9 @@ func TestMalformedProgramIsTypedError(t *testing.T) {
 	for _, c := range cases {
 		prog := &Program{Name: c.name, Code: []isa.Instruction{nop, c.ins, exit}, SharedMem: c.shared}
 		entries := map[string]func(l *Launch) error{
-			"RunReference":   func(l *Launch) error { return RunReference(l, 32) },
-			"sm.Run":         func(l *Launch) error { _, err := sm.Run(sm.Configure(sm.ArchSBISWI), l); return err },
-			"Device.Run":     func(l *Launch) error { _, err := dev.Run(context.Background(), l); return err },
-			"RunTraceReplay": func(l *Launch) error { _, err := dev.RunTraceReplay(context.Background(), l); return err },
+			"RunReference": func(l *Launch) error { return RunReference(l, 32) },
+			"sm.Run":       func(l *Launch) error { _, err := sm.Run(sm.Configure(sm.ArchSBISWI), l); return err },
+			"Device.Run":   func(l *Launch) error { _, err := dev.Run(context.Background(), l); return err },
 		}
 		for entry, run := range entries {
 			err := run(NewLaunch(prog, 1, 32, make([]byte, 256)))
@@ -272,8 +271,8 @@ func TestMalformedProgramIsTypedError(t *testing.T) {
 
 	// A launch that is not there, names no program or has no grid used
 	// to panic on the caller's goroutine (a nil dereference in
-	// Stream.Launch, makeslice in the trace recorder). Each is a plain
-	// error on every door, and one that leaves the stream usable.
+	// Stream.Launch). Each is a plain error on every door, and one that
+	// leaves the stream usable.
 	ctx := context.Background()
 	good := &Program{Name: "good", Code: []isa.Instruction{exit}}
 	stream := dev.NewStream()
@@ -284,9 +283,6 @@ func TestMalformedProgramIsTypedError(t *testing.T) {
 	} {
 		if _, err := dev.Run(ctx, l); err == nil {
 			t.Errorf("Run(%s launch) succeeded, want an error", name)
-		}
-		if _, err := dev.RunTraceReplay(ctx, l); err == nil {
-			t.Errorf("RunTraceReplay(%s launch) succeeded, want an error", name)
 		}
 		if _, err := stream.Launch(ctx, l).Wait(); err == nil {
 			t.Errorf("Stream.Launch(%s launch) succeeded, want an error", name)
