@@ -175,6 +175,41 @@ func TestPartitionedRunDetectsWriteConflicts(t *testing.T) {
 	}
 }
 
+// storeOutOfBounds has every thread store past the end of a 64-byte
+// image, so every wave of its launch fails at its first store.
+const storeOutOfBounds = `
+	mov  r1, 1
+	mov  r2, 4096
+	st.g [r2], r1
+	exit
+`
+
+// TestFailedWaveStopsThePartitionedLaunch: a partitioned launch claims
+// its waves on at most the run queue's goroutines and stops claiming
+// once a wave has failed, so a launch that fails in wave 0 allocates no
+// more at 2^18 CTAs than at 2^12. A launch that started one goroutine
+// per wave, each parked on the run queue until the failure cancelled
+// it, would allocate per wave.
+func TestFailedWaveStopsThePartitionedLaunch(t *testing.T) {
+	leakcheck.Check(t)
+	dev, err := New(WithArch(sm.ArchSBI), WithSMs(4), WithWorkers(2), WithGridPartition(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := mustProgram(t, "store-out-of-bounds", storeOutOfBounds)
+	allocs := func(grid int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			l := &exec.Launch{Prog: p, GridDim: grid, BlockDim: 32, Global: make([]byte, 64)}
+			if _, err := dev.Run(context.Background(), l); err == nil {
+				t.Fatalf("grid %d: a launch storing out of bounds succeeded", grid)
+			}
+		})
+	}
+	if small, large := allocs(1<<12), allocs(1<<18); large > small+16 {
+		t.Errorf("a launch failing in wave 0 allocates %.0f times at 2^18 CTAs, %.0f at 2^12: it grows with the grid", large, small)
+	}
+}
+
 // The three shapes a launch can take in the wave engine (memsys.go), as
 // device options on two SMs.
 var engineShapes = []struct {

@@ -488,17 +488,27 @@ func TestLaws(t *testing.T) {
 }
 
 // TestPartitionedRunMatchesFunctionally is the partition row's fold
-// law: a partitioned launch computes the oracle's image, its merged
-// Stats are the fold of its waves', and its per-SM cycles sum to them
-// on exactly the device's SMs, the wall clock never above the sum.
+// law: a partitioned launch computes the oracle's image, in exactly
+// ⌈Grid / sm.ResidentCTAs⌉ waves (Waves nil when that is one), its
+// merged Stats are the fold of its waves', and its per-SM cycles sum to
+// them on exactly the device's SMs, the wall clock never above the sum.
 func TestPartitionedRunMatchesFunctionally(t *testing.T) {
 	in := lawInputs()
+	cfg := sm.Configure(sm.ArchSBISWI)
 	for k, shape := range partitionShapes {
 		row, cells := shape.row(), partitionRow()[k]
 		checkOracle(t, row, cells)
 		multiWave := 0
 		for i, c := range cells {
-			if c.err != nil || c.res.Waves == nil {
+			if c.err != nil {
+				continue
+			}
+			resident := sm.ResidentCTAs(cfg, &exec.Launch{BlockDim: in[i].Block})
+			if waves := (in[i].Grid + resident - 1) / resident; (waves == 1) != (c.res.Waves == nil) || (waves > 1 && len(c.res.Waves) != waves) {
+				t.Errorf("stats: %s on %s: %d waves, want ⌈%d CTAs / %d resident⌉ = %d (none recorded when that is 1)",
+					in[i].Name, row, len(c.res.Waves), in[i].Grid, resident, waves)
+			}
+			if c.res.Waves == nil {
 				continue
 			}
 			multiWave++

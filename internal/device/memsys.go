@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/exec"
 	"repro/internal/faultinject"
@@ -32,8 +33,9 @@ import (
 //     WithInterconnect) the slot's L1 talks to a one-port crossbar.
 //   - flat partitioning: under the flat-latency DRAM model nothing is
 //     shared below the L1s, so every wave is its own single-slot domain
-//     and the domains fan out across goroutines, bounded by the run
-//     queue. Wave j counts toward SM j mod N in Result.SMCycles.
+//     and the domains are claimed in wave order by at most the run
+//     queue's Workers() goroutines. Wave j counts toward SM j mod N in
+//     Result.SMCycles.
 //   - memsys partitioning: every SM's L1 misses and write-through stores
 //     cross its crossbar port (package noc) into the banked, MSHR-backed
 //     shared L2 (mem.L2) and the single DRAM port behind it, inline — at
@@ -122,6 +124,7 @@ type launchRun struct {
 	span  int      // waves per contention domain
 	slots int      // SM slots per contention domain
 	runs  []waveRun
+	next  atomic.Int64 // the first wave of the next domain to claim
 
 	// base is the pre-launch snapshot every wave clones and images the
 	// per-wave clones awaiting the merge; nil when the waves run on l
@@ -177,16 +180,17 @@ func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *r
 	}
 	e.runs = make([]waveRun, n)
 
-	// The first domain runs here, the others beside it.
+	// The domains are claimed here and on at most Workers()-1 goroutines
+	// beside.
 	var wg sync.WaitGroup
-	for lo := e.span; lo < n; lo += e.span {
+	for w := 1; w < min(d.queue.Workers(), n/e.span); w++ {
 		wg.Add(1)
 		go guarded("CTA wave domain", func() {
 			defer wg.Done()
-			e.runs[lo].err = e.runDomain(ctx, lo, lo+e.span)
+			e.claim(ctx)
 		})()
 	}
-	e.runs[0].err = e.runDomain(ctx, 0, e.span)
+	e.claim(ctx)
 	wg.Wait()
 
 	// Surface the first error in wave order so failures are
@@ -235,6 +239,19 @@ func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *r
 	}
 	out.Replayed = tr != nil
 	return out, nil
+}
+
+// claim runs the plan's contention domains, taking each in wave order
+// from e.next, until none is left or one fails. Once the launch is
+// cancelled or has failed every domain fails at once, so each claimer
+// records at most one more error and stops, and a domain left
+// unclaimed always has a failed one before it.
+func (e *launchRun) claim(ctx context.Context) {
+	for lo := int(e.next.Add(int64(e.span))) - e.span; lo < len(e.runs); lo = int(e.next.Add(int64(e.span))) - e.span {
+		if e.runs[lo].err = e.runDomain(ctx, lo, lo+e.span); e.runs[lo].err != nil {
+			return
+		}
+	}
 }
 
 // runDomain simulates the waves [lo, hi) of the plan on the domain's SM

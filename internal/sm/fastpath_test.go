@@ -1,8 +1,11 @@
 package sm
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/exec"
@@ -127,8 +130,15 @@ const steadyStateSteps = 20000
 
 // windowMallocs steps s through a warm-up and then a measured window of
 // steadyStateSteps each, and returns the exact number of heap
-// allocations inside the window. testing.AllocsPerRun would report the
-// integer part of the mean, which reads 0 for an allocation made on
+// allocations inside the window made with (*SM).step on their stack.
+// The window is profiled at MemProfileRate 1, so every allocation is
+// recorded with its stack; the process-wide MemStats.Mallocs would also
+// count what the runtime allocates on its own goroutines meanwhile,
+// such as the background scavenger's timers. The tiny allocator records
+// only the allocation that opens a block, so a GC — which empties the
+// current block — precedes the window: an allocation in the window
+// opens a block of its own. testing.AllocsPerRun would moreover report
+// the integer part of the mean, which reads 0 for an allocation made on
 // fewer than every step.
 func windowMallocs(t *testing.T, s *SM) uint64 {
 	t.Helper()
@@ -145,13 +155,42 @@ func windowMallocs(t *testing.T, s *SM) uint64 {
 		step()
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	before := steppedMallocs()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	runtime.GC()
 	for i := 0; i < steadyStateSteps; i++ {
 		step()
 	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return steppedMallocs() - before
+}
+
+// stepFunc is (*SM).step's symbol name, as a profiled stack shows it.
+var stepFunc = runtime.FuncForPC(reflect.ValueOf((*SM).step).Pointer()).Name()
+
+// steppedMallocs returns how many allocations the heap profile holds
+// with (*SM).step on their stack, every allocation made so far
+// included (runtime.GC publishes them).
+func steppedMallocs() uint64 {
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var allocs uint64
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			if f, more = frames.Next(); f.Function == stepFunc {
+				allocs += uint64(r.AllocObjects)
+				break
+			}
+		}
+	}
+	return allocs
 }
 
 // TestSteadyStateZeroAllocs drives the hot loop directly through
@@ -237,6 +276,67 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 					t.Errorf("steady-state replayed step allocated %d times in %d steps, want 0", n, steadyStateSteps)
 				}
 			})
+		}
+	}
+}
+
+// escaped keeps the allocations of the lower levels below reachable, so
+// escape analysis cannot move them to the stack.
+var escaped *[64]byte
+
+// allocLower allocates on every access, on the goroutine stepping the SM.
+type allocLower struct{}
+
+func (allocLower) Access(now int64, store bool, block uint32) int64 {
+	escaped = new([64]byte)
+	return stubLower{}.Access(now, store, block)
+}
+
+// handoffLower has a helper goroutine allocate on every access and
+// waits for it: work the window sees happen, on a stack without
+// (*SM).step, as the runtime's own goroutines allocate now and then.
+type handoffLower struct{ pending *atomic.Bool }
+
+func (h handoffLower) Access(now int64, store bool, block uint32) int64 {
+	h.pending.Store(true)
+	for h.pending.Load() {
+		runtime.Gosched()
+	}
+	return stubLower{}.Access(now, store, block)
+}
+
+// TestWindowMallocsCountsOnlySteppedCode: the zero-allocation check
+// counts an allocation made below (*SM).step, and not one made on
+// another goroutine during the window.
+func TestWindowMallocsCountsOnlySteppedCode(t *testing.T) {
+	var pending, stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			if pending.Load() {
+				escaped = new([64]byte)
+				pending.Store(false)
+			}
+			runtime.Gosched()
+		}
+	}()
+	defer wg.Wait()
+	defer stop.Store(true)
+	p := assembleFor(t, "mem-idle", memIdleLoopSrc, ArchSBI)
+	for _, c := range []struct {
+		name    string
+		lower   mem.Lower
+		counted bool
+	}{{"stepping goroutine", allocLower{}, true}, {"other goroutine", handoffLower{&pending}, false}} {
+		l := newLaunch(p, 4, 256, 4*256+65536, 0, 4*256*4)
+		r, err := NewRunner(Configure(ArchSBI), l, 0, l.GridDim, RunOpts{Lower: c.lower})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := windowMallocs(t, &r.s); (n > 0) != c.counted {
+			t.Errorf("%s: %d allocations counted in the window, want them counted: %v", c.name, n, c.counted)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/exec"
@@ -153,39 +154,29 @@ func checkEqualsFresh(t *testing.T, c *resetCase, opts RunOpts, got *Result, got
 	}
 }
 
-// TestRecycledRunnerEqualsFresh: one Runner, Reset through the whole
-// shuffled sequence, equals a fresh run every time; and the Result of
-// an earlier run is not disturbed by the Resets that follow it.
-func TestRecycledRunnerEqualsFresh(t *testing.T) {
-	cases := resetCases(t, 1, 208)
-	r := new(Runner)
-	var first, firstCopy *Result
-	for i := range cases {
-		opts := lowerFor(i)
-		got, l := runRecycled(t, r, &cases[i], opts)
-		checkEqualsFresh(t, &cases[i], opts, got, l)
-		if i == 0 {
-			first = got
-			cp := *got
-			tr := *got.Trace
-			tr.Events = append([]IssueEvent(nil), tr.Events...)
-			cp.Trace = &tr
-			firstCopy = &cp
-		}
+// snapshot deep-copies a Result, so comparing it with the original
+// later shows whether the Result shares memory its Runner reuses.
+func snapshot(res *Result) *Result {
+	cp := *res
+	if res.Trace != nil {
+		tr := *res.Trace
+		tr.Events = slices.Clone(tr.Events)
+		cp.Trace = &tr
 	}
-	if !reflect.DeepEqual(first, firstCopy) {
-		t.Error("a returned Result changed while its Runner was reused: it aliases shell memory")
-	}
+	return &cp
 }
 
 // TestResetFromAnyState: a Runner abandoned after a seeded-random
 // number of steps — mid-divergence, at a barrier, with fills and
 // scoreboard entries outstanding, blocks resident — and Reset to a
-// different launch equals a fresh run of that launch.
+// different launch equals a fresh run of that launch; and the Result
+// of each run is not disturbed by the abandoned and finished runs that
+// follow it on the same Runner.
 func TestResetFromAnyState(t *testing.T) {
 	cases := resetCases(t, 2, 40)
 	rng := rand.New(rand.NewPCG(2, 0xabad))
 	r := new(Runner)
+	var prev, prevCopy *Result
 	for i := range cases {
 		// Abandon a run of some other case part-way (or, now and then,
 		// right after Reset or exactly at completion).
@@ -206,6 +197,10 @@ func TestResetFromAnyState(t *testing.T) {
 		opts := lowerFor(i)
 		got, l := runRecycled(t, r, &cases[i], opts)
 		checkEqualsFresh(t, &cases[i], opts, got, l)
+		if prev != nil && !reflect.DeepEqual(prev, prevCopy) {
+			t.Fatalf("%s: a returned Result changed while its Runner was reused: it aliases shell memory", cases[i-1].name)
+		}
+		prev, prevCopy = got, snapshot(got)
 	}
 }
 
