@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"fmt"
 	"math/bits"
 	"testing"
 
@@ -10,30 +11,28 @@ import (
 	"repro/internal/sched"
 )
 
-// checkCandCache recomputes every filled issue-candidate record from the
-// warp's heap or stack and a fresh Horizon at the current cycle. Fields
-// must match exactly; the thresholds must give the same verdict at every
-// cycle from s.now on (a threshold already in the past and a missing one
-// are the same answer). A sleeper is a ready warp holding such a record —
-// so the fresh Horizon still says stalled until its wake cycle — that
-// slept no later than walked, the cycle of the step's primary walk, wakes
-// after it, and that nextWake will not let the walk pass over.
+// checkCandCache recomputes every filled issue-candidate record — each
+// ready warp's but a stale one's, which the next cycle's fill refills
+// before its walk — from the warp's heap or stack and a fresh Horizon at
+// the current cycle. Fields must match exactly; the thresholds must give
+// the same verdict at every cycle from s.now on (a threshold already in
+// the past and a missing one are the same answer). A sleeper is a ready
+// warp holding such a record — so the fresh Horizon still says stalled
+// until its wake cycle — that slept no later than walked, the cycle of
+// the step's primary walk, and wakes after it. checkIndex checks where
+// each ready warp is filed.
 func checkCandCache(t *testing.T, s *SM, walked int64) {
 	t.Helper()
+	checkIndex(t, s)
 	d := s.cfg.IssueDelay
 	for id := range s.cands {
-		r := s.cands[id]
-		if asleep := s.sleepers.has(id); asleep && !r.valid {
-			t.Fatalf("cycle %d: sleeper %d holds no record", s.now, id)
-		} else if asleep && (r.wake <= walked || r.from > walked+1 || s.nextWake > r.wake) {
-			t.Fatalf("cycle %d: sleeper %d sleeps [%d, %d) with nextWake %d after the walk of cycle %d",
-				s.now, id, r.from, r.wake, s.nextWake, walked)
-		}
-		if !r.valid {
+		if !s.readySet.has(id) || s.stale.has(id) {
 			continue
 		}
-		if !s.readySet.has(id) {
-			t.Fatalf("cycle %d: warp %d holds a record outside readySet", s.now, id)
+		r := s.cands[id]
+		if s.sleepers.has(id) && (r.wake <= walked || r.from > walked) {
+			t.Fatalf("cycle %d: sleeper %d sleeps [%d, %d) after the walk of cycle %d",
+				s.now, id, r.from, r.wake, walked)
 		}
 		w := s.warps[id]
 		slot := int(s.slotOf[id])
@@ -72,20 +71,72 @@ func checkCandCache(t *testing.T, s *SM, walked int64) {
 		if s.madSleepers.has(id) != (asleep && r.unit == isa.UnitMAD) {
 			t.Fatalf("cycle %d: warp %d (asleep %v, unit %v) has MAD-sleeper bit %v", s.now, id, asleep, r.unit, s.madSleepers.has(id))
 		}
-		// A sleeper's table is as it was when it fell asleep at from-1,
-		// and a data hazard found then ends after that cycle.
+		// A sleeper's table is as it was when it fell asleep at from, and
+		// a data hazard found then ends after that cycle.
 		hazardThen := false
 		if asleep {
-			_, hazardThen, _, _ = s.sb.Horizon(id, ins, s.srcsOf[pc], slot, mask, r.from-1-d)
+			_, hazardThen, _, _ = s.sb.Horizon(id, ins, s.srcsOf[pc], slot, mask, r.from-d)
 		}
 		if s.structSleepers.has(id) != (asleep && !hazardThen) {
 			t.Fatalf("cycle %d: warp %d (asleep %v since %d, data hazard then %v) has structural-sleeper bit %v",
-				s.now, id, asleep, r.from-1, hazardThen, s.structSleepers.has(id))
+				s.now, id, asleep, r.from, hazardThen, s.structSleepers.has(id))
 		}
 	}
 	for base := range s.sleepers {
 		if stray := (s.madSleepers[base] | s.structSleepers[base]) &^ s.sleepers[base]; stray != 0 {
 			t.Fatalf("cycle %d: warps %#x<<%d filed as MAD or structural sleepers are not asleep", s.now, stray, base*64)
+		}
+	}
+}
+
+// checkIndex requires every ready warp to be filed in exactly one place:
+// awake in its unit's and pool's list of the index, in ascending
+// (lastIssue, id); asleep on the calendar, in ascending wake cycle; or
+// stale, in neither, its record due for the next cycle's fill — so no
+// ready warp reaches a walk unfilled. The lists' links must agree both
+// ways, and no other warp may be filed.
+func checkIndex(t *testing.T, s *SM) {
+	t.Helper()
+	filed := make([]int, len(s.warps)) // list+1, or 0 when in none
+	for l := range numLists {
+		prev := int32(-1)
+		for id := s.heads[l]; id >= 0; prev, id = id, s.next[id] {
+			if filed[id] != 0 {
+				t.Fatalf("cycle %d: warp %d is in list %d and list %d", s.now, id, filed[id]-1, l)
+			}
+			filed[id] = l + 1
+			if s.prev[id] != prev {
+				t.Fatalf("cycle %d: list %d links %d after %d, but its prev is %d", s.now, l, id, prev, s.prev[id])
+			}
+			key := s.cands[id].lastIssue
+			if l == calendar {
+				key = s.cands[id].wake
+			}
+			if s.key[id] != key {
+				t.Fatalf("cycle %d: list %d files warp %d under key %d, its record says %d", s.now, l, id, s.key[id], key)
+			}
+			if prev >= 0 && !s.before(prev, id) {
+				t.Fatalf("cycle %d: list %d holds warp %d (key %d) after warp %d (key %d)", s.now, l, id, key, prev, s.key[prev])
+			}
+		}
+		if s.tails[l] != prev {
+			t.Fatalf("cycle %d: list %d ends at %d, its tail says %d", s.now, l, prev, s.tails[l])
+		}
+	}
+	for id := range s.warps {
+		where := "in no list"
+		if filed[id] != 0 {
+			where = fmt.Sprintf("in list %d", filed[id]-1)
+		}
+		switch ready, stale, asleep := s.readySet.has(id), s.stale.has(id), s.sleepers.has(id); {
+		case !ready && (stale || asleep || filed[id] != 0):
+			t.Fatalf("cycle %d: warp %d outside readySet is stale %v, asleep %v, %s", s.now, id, stale, asleep, where)
+		case stale && (asleep || filed[id] != 0):
+			t.Fatalf("cycle %d: stale warp %d is asleep %v, %s", s.now, id, asleep, where)
+		case asleep && filed[id] != calendar+1:
+			t.Fatalf("cycle %d: sleeper %d is %s, not on the calendar", s.now, id, where)
+		case ready && !stale && !asleep && filed[id] != s.listOf(id)+1:
+			t.Fatalf("cycle %d: awake warp %d (unit %v) is %s, not in list %d", s.now, id, s.cands[id].unit, where, s.listOf(id))
 		}
 	}
 }
@@ -100,8 +151,8 @@ func checkAwakeClear(t *testing.T, s *SM, walked int64) {
 	for base, word := range s.readySet {
 		for word &^= s.sleepers[base]; word != 0; word &= word - 1 {
 			id := base<<6 | bits.TrailingZeros64(word)
-			if r := &s.cands[id]; !r.valid || r.wake > walked {
-				t.Fatalf("cycle %d issued no primary, but awake warp %d holds record (valid %v) stalling until %d", walked, id, r.valid, r.wake)
+			if r := &s.cands[id]; s.stale.has(id) || r.wake > walked {
+				t.Fatalf("cycle %d issued no primary, but awake warp %d holds record (stale %v) stalling until %d", walked, id, s.stale.has(id), r.wake)
 			}
 		}
 	}
@@ -119,8 +170,8 @@ func checkNoSubstitute(t *testing.T, s *SM, walked int64) {
 		for word &= s.readySet[base]; word != 0; word &= word - 1 {
 			id := base<<6 | bits.TrailingZeros64(word)
 			r := &s.cands[id]
-			if !r.valid {
-				t.Fatalf("cycle %d: warp %d of the substitute's buddy set holds no record", walked, id)
+			if s.stale.has(id) {
+				t.Fatalf("cycle %d: warp %d of the substitute's buddy set holds a stale record", walked, id)
 			}
 			if walked >= r.wake && s.units.canIssue(r.unit, r.lane, walked) {
 				t.Fatalf("cycle %d issued no primary, but warp %d of the substitute's buddy set could issue", walked, id)

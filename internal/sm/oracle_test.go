@@ -11,6 +11,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/progen"
+	"repro/internal/sched"
 )
 
 // The selection oracle: the issue walk as the seed wrote it, a rescan of
@@ -335,7 +336,8 @@ type oracleRow struct {
 
 // oracleRows lists the suite on all five architectures, generated
 // kernels on all five, the suite on SWI with a one-entry scoreboard
-// (structural stalls everywhere), and one named row per hazard.
+// (structural stalls everywhere), the configuration variants of
+// TestCandidateCacheCoherent, and one named row per hazard.
 func oracleRows(t *testing.T) []oracleRow {
 	var rows []oracleRow
 	add := func(name string, c Config, b *kernels.Benchmark, a Arch) {
@@ -371,6 +373,22 @@ func oracleRows(t *testing.T) []oracleRow {
 	sharedRow.MADGroups = 1 // pool 1 finds the one group taken by pool 0
 	noConstraints := Configure(ArchSBI)
 	noConstraints.Constraints = false // run-ahead splits park at the barrier
+	for _, v := range []struct {
+		name string
+		arch Arch
+		mut  func(*Config)
+	}{
+		{"mem-split", ArchSBISWI, func(c *Config) { c.SplitOnMemDivergence = true }},
+		{"dep-mask", ArchSBISWI, func(c *Config) { c.DepMode = sched.DepMask }},
+		{"dep-warp", ArchSBI, func(c *Config) { c.DepMode = sched.DepWarp }},
+		{"mirror-odd", ArchSBI, func(c *Config) { c.Shuffle = sched.ShuffleMirrorOdd }},
+		{"assoc-1", ArchSBISWI, func(c *Config) { c.Assoc = 1 }},
+	} {
+		c := Configure(v.arch)
+		v.mut(&c)
+		rows = append(rows, oracleRow{"variant/" + v.name + "/loop", c, loop(v.arch), -1},
+			oracleRow{"variant/" + v.name + "/mem", c, memIdle(v.arch), -1})
+	}
 	rows = append(rows,
 		oracleRow{"hazard/fresh-swi-buddy", Configure(ArchSWI), loop(ArchSWI), witnessFreshBuddy},
 		oracleRow{"hazard/baseline-pools", Configure(ArchBaseline), loop(ArchBaseline), witnessBothPools},

@@ -123,6 +123,7 @@ func runRecycled(t *testing.T, r *Runner, c *resetCase, opts RunOpts) (*Result, 
 	if err := r.Reset(c.cfg, l, 0, l.GridDim, opts); err != nil {
 		t.Fatalf("%s: Reset: %v", c.name, err)
 	}
+	checkIndexEmpty(t, c.name, &r.s)
 	for {
 		done, err := r.Step()
 		if err != nil {
@@ -130,6 +131,25 @@ func runRecycled(t *testing.T, r *Runner, c *resetCase, opts RunOpts) (*Result, 
 		}
 		if done {
 			return r.Result(), l
+		}
+	}
+}
+
+// checkIndexEmpty requires a shell just Reset to hold no ready, stale or
+// sleeping warp and an empty index and calendar, whatever the run it
+// abandoned left there.
+func checkIndexEmpty(t *testing.T, name string, s *SM) {
+	t.Helper()
+	for l := range numLists {
+		if s.heads[l] != -1 || s.tails[l] != -1 {
+			t.Fatalf("%s: Reset left list %d with head %d and tail %d", name, l, s.heads[l], s.tails[l])
+		}
+	}
+	for i, set := range []warpBits{s.readySet, s.stale, s.sleepers, s.madSleepers, s.structSleepers} {
+		for _, word := range set {
+			if word != 0 {
+				t.Fatalf("%s: Reset left warp set %d holding %#x", name, i, word)
+			}
 		}
 	}
 }
@@ -168,15 +188,17 @@ func snapshot(res *Result) *Result {
 
 // TestResetFromAnyState: a Runner abandoned after a seeded-random
 // number of steps — mid-divergence, at a barrier, with fills and
-// scoreboard entries outstanding, blocks resident — and Reset to a
-// different launch equals a fresh run of that launch; and the Result
-// of each run is not disturbed by the abandoned and finished runs that
-// follow it on the same Runner.
+// scoreboard entries outstanding, warps asleep on the calendar, blocks
+// resident — and Reset to a different launch holds an empty index and
+// equals a fresh run of that launch; and the Result of each run is not
+// disturbed by the abandoned and finished runs that follow it on the
+// same Runner.
 func TestResetFromAnyState(t *testing.T) {
 	cases := resetCases(t, 2, 40)
 	rng := rand.New(rand.NewPCG(2, 0xabad))
 	r := new(Runner)
 	var prev, prevCopy *Result
+	midSleep := 0
 	for i := range cases {
 		// Abandon a run of some other case part-way (or, now and then,
 		// right after Reset or exactly at completion).
@@ -194,6 +216,9 @@ func TestResetFromAnyState(t *testing.T) {
 				break
 			}
 		}
+		if r.s.heads[calendar] >= 0 {
+			midSleep++
+		}
 		opts := lowerFor(i)
 		got, l := runRecycled(t, r, &cases[i], opts)
 		checkEqualsFresh(t, &cases[i], opts, got, l)
@@ -201,6 +226,9 @@ func TestResetFromAnyState(t *testing.T) {
 			t.Fatalf("%s: a returned Result changed while its Runner was reused: it aliases shell memory", cases[i-1].name)
 		}
 		prev, prevCopy = got, snapshot(got)
+	}
+	if midSleep == 0 {
+		t.Error("no run was abandoned with a warp asleep: the Resets never cleared a calendar")
 	}
 }
 
@@ -231,10 +259,10 @@ func TestResetRejectsLikeNewRunner(t *testing.T) {
 }
 
 // TestHotWordsOwnTheirLines: the few words the walk reads every cycle
-// and writes at every issue — readySet with the sleeper sets, slotOf, the
-// buddy-set masks, the MAD groups' free times — come in blocks of whole
-// cache lines, which the allocator aligns to the line, whatever geometry
-// the shell was last sized for. Smaller blocks land beside another
+// and writes at every issue — readySet with the sleeper and stale sets,
+// slotOf, the index, the buddy-set masks, the MAD groups' free times —
+// come in blocks of whole cache lines, which the allocator aligns to the
+// line, whatever geometry the shell was last sized for. Smaller blocks land beside another
 // worker's shell now and then and every write then costs the other core
 // a miss; a sixteen-byte block would pass here one time in four, so the
 // test asks every array of every shell it builds.
@@ -253,7 +281,7 @@ func TestHotWordsOwnTheirLines(t *testing.T) {
 				name  string
 				words any
 			}
-			hot := []span{{"readySet", s.readySet}, {"slotOf", s.slotOf}, {"madFree", s.units.madFree}}
+			hot := []span{{"readySet", s.readySet}, {"slotOf", s.slotOf}, {"index", s.heads}, {"keys", s.key}, {"madFree", s.units.madFree}}
 			if s.setBits != nil {
 				hot = append(hot, span{"setBits", s.setBits[0]})
 			}
@@ -262,9 +290,18 @@ func TestHotWordsOwnTheirLines(t *testing.T) {
 					t.Errorf("%s: %s starts at %#x, %d bytes into a cache line", c.name, b.name, p, p%cacheLine)
 				}
 			}
-			for i, set := range []warpBits{s.sleepers, s.madSleepers, s.structSleepers} {
+			for i, set := range []warpBits{s.sleepers, s.madSleepers, s.structSleepers, s.stale} {
 				if reflect.ValueOf(set).Pointer() != reflect.ValueOf(s.readySet).Pointer()+uintptr(8*(i+1)*len(s.readySet)) {
-					t.Errorf("%s: sleeper set %d does not follow readySet in its block", c.name, i)
+					t.Errorf("%s: warp set %d does not follow readySet in its block", c.name, i)
+				}
+			}
+			for _, a := range []struct {
+				name  string
+				links []int32
+				at    int
+			}{{"tails", s.tails, numLists}, {"next", s.next, 2 * numLists}, {"prev", s.prev, 2*numLists + len(s.warps)}} {
+				if reflect.ValueOf(a.links).Pointer() != reflect.ValueOf(s.heads).Pointer()+uintptr(4*a.at) {
+					t.Errorf("%s: the index's %s do not follow its heads in their block", c.name, a.name)
 				}
 			}
 		}

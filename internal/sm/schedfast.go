@@ -15,57 +15,70 @@ package sm
 //     before it, taken from one sched.Scoreboard.Horizon call. Writeback
 //     times are fixed at issue and a warp's entry rows change only in its
 //     own heap mutations, so the verdict is a step function of the cycle
-//     until the warp's next event: a probe is one integer compare plus
-//     the unit check.
-//   - sleepers are the ready warps no walk visits. A warp the primary
-//     walk probes and finds stalled by the scoreboard — the cycle before
-//     its record's wake cycle — is filed here with the first cycle it is
-//     spared, and in madSleepers and structSleepers by its unit and its
-//     kind of stall; nextWake bounds the earliest wake cycle among them,
-//     and the walk wakes whoever is due before it starts, so a woken warp
-//     is probed that same cycle at its own place in the ascending order.
+//     until the warp's next event.
+//   - Every ready warp is in exactly one of three places. An awake warp,
+//     whose scoreboard is clear, is linked into the index list of its
+//     unit — CTRL, MAD, SFU or LSU, and on the Baseline per parity pool —
+//     in ascending (lastIssue, id), the oldest-first order. A sleeper,
+//     whose record says the scoreboard stalls it until its wake cycle, is
+//     linked into the calendar in ascending wake cycle, and filed in
+//     madSleepers and structSleepers by its unit and its kind of stall.
+//     A stale warp has had an event since its record was filled and is
+//     in neither.
 //
-// Invalidation. Everything above reads only the warp's own state —
+// Fill at events. Everything above reads only the warp's own state —
 // block residency, barrier flag, heap or stack, scoreboard entries — so
 // refreshWarp, called at every event that can change any of it (an
 // issue on the warp: heap mutation, barrier arrival, thread exit, new
 // scoreboard entry; a barrier release; a block launch or retire),
-// recomputes readySet/slotOf and drops the warp's record. The record is
-// refilled at the warp's next probe (cand), never for a warp outside
-// readySet. TestCandidateCacheCoherent checks after every step that
-// each live record equals a fresh computation.
+// recomputes readySet/slotOf, unlinks the warp and marks it stale. A
+// warp can take two events in one cycle (a primary issue and an SBI or
+// sequential secondary on the same warp), so the records are refilled
+// once per cycle, before the walk (fill): first the calendar's due
+// sleepers wake into their unit's list, then every stale warp's record
+// is filled at the current cycle — the cycle of its first probe — and
+// the warp is linked by it. TestCandidateCacheCoherent checks after
+// every step that each filled record equals a fresh computation and that
+// the index, the calendar and the stale set partition readySet.
 //
-// Settlement. Every probe of a sleeper before its wake cycle stalls, and
-// with the same kind of stall: the record's stall is structural
-// throughout or not at all (see issueCand), so the sleeper's
-// structSleepers bit says which. The primary walk's probes of it tick
-// Checks and Stalls once per cycle of [from, wake), Structural too when
-// the bit is set, and settle adds exactly that when the warp wakes, so
-// at any cycle the counters run behind the per-cycle rescan's by what
-// the current sleepers are owed and equal it whenever none is left — at
-// the latest when the last block retires. No event reaches a sleeper
-// before its wake cycle: refreshWarp's callers touch a warp that issued,
-// was at a barrier, is new or is done, and a sleeper is none of these —
-// it is resident and not at a barrier (it is in readySet), no walk
-// visits it, and the SBI and sequential secondaries belong to the
+// Sleep at fill. A record whose wake cycle is still ahead sends its warp
+// straight to the calendar, with from set to the fill cycle: the primary
+// walk would have probed it there and at every cycle up to its wake, and
+// every one of those probes stalls, with the same kind of stall — the
+// record's stall is structural throughout or not at all (see issueCand),
+// so the sleeper's structSleepers bit says which. settle ticks Checks and
+// Stalls once per cycle of [from, wake), Structural too when the bit is
+// set, when the warp wakes, so at any cycle the counters run behind the
+// per-cycle rescan's by what the current sleepers are owed and equal it
+// whenever none is left — at the latest when the last block retires.
+// After the fill every awake warp is clear on the scoreboard, so a
+// primary probe of it is one Check and never a Stall. No event reaches a
+// sleeper before its wake cycle: refreshWarp's callers touch a warp that
+// issued, was at a barrier, is new or is done, and a sleeper is none of
+// these — it is resident and not at a barrier (it is in readySet), no
+// walk selects it, and the SBI and sequential secondaries belong to the
 // primary's own warp. refreshWarp panics if one ever does.
 //
 // Readers. The record is the only way the per-cycle walk asks the
-// scoreboard. Its readers probe only awake warps, in ascending warp
-// order — the seed rescan's order — ticking the scoreboard counters
-// exactly as a ReadyAt call would; a sleeper's probes are counted from
-// the bitsets instead, by popcounts, since their outcome is known. So
+// scoreboard. No reader probes a sleeper or fills a record; the
+// scoreboard counters a probe would tick are counted in closed form, so
 // counters, tie-breaking draws and cycles are bit-identical with the
-// seed (internal/device's walk_stats.golden pins every counter of every
-// kernel on every architecture, written by the walk that still rescanned
-// every ready warp every cycle):
+// per-cycle rescan (internal/device's walk_stats.golden pins every
+// counter of every kernel on every architecture, and TestWalkMatchesRescan
+// holds the walk to a rescan that probes every warp every cycle):
 //
-//   - selectPrimary, the oldest-first primary walk over the warps awake;
+//   - selectPrimary, the oldest-first primary walk: one Check per awake
+//     warp of the pool, a popcount, and the oldest of the list heads
+//     whose unit can issue — at most four. Primary MAD issue needs only a
+//     free group; the one case that asks the row's lanes, the Baseline's
+//     second pool beside a first-pool MAD with every group taken, walks
+//     the MAD list to the first warp whose lanes fit;
 //   - swiSecondary, the buddy-set search beside a primary. It probes the
 //     set's awake warps and counts one stall per sleeper, less the MAD
 //     sleepers whose lanes collide with a MAD primary: the lane filter
 //     skips those before the probe, and only they are looked at one by
-//     one;
+//     one. The primary's own warp is stale after its issue, so the search
+//     never meets it;
 //   - substitute, the search of a round-robin buddy set in a cycle with
 //     no primary issue. It never issues: the primary walk has just failed
 //     the same ready test on every awake warp, whose scoreboard is
@@ -73,15 +86,17 @@ package sm
 //     probe counts only, three popcounts per word;
 //   - fastForward, which after a cycle that issued nothing advances
 //     s.now across the idle span: with no issue every record is frozen,
-//     so the wake-up cycle is the minimum over records of max(wake, unit
-//     free time), and the counters the skipped probes would have ticked
-//     follow arithmetically (accountIdle): span Checks per awake warp,
-//     and per set of the substitute's the Checks of its cycles times the
-//     warps in it. A sleeper's share of the span is split at its wake
-//     cycle: the primary probes before it are its settlement's, those
-//     from it to the end of the span — scoreboard clear, unit still busy,
-//     Checks only — are accountIdle's, which walks the sleepers alone.
-//     Leaving the sleeper out of the whole span loses the latter
+//     so the wake-up cycle is the earliest free time among the units with
+//     an awake warp, or a sleeper's max(wake, unit free time) — read from
+//     the calendar's front while its wake cycles are earlier than that —
+//     and the counters the skipped probes would have ticked follow
+//     arithmetically (accountIdle): span Checks per awake warp, and per
+//     set of the substitute's the Checks of its cycles times the warps in
+//     it. A sleeper's share of the span is split at its wake cycle: the
+//     primary probes before it are its settlement's, those from it to the
+//     end of the span — scoreboard clear, unit still busy, Checks only —
+//     are accountIdle's, which walks the sleepers alone. Leaving the
+//     sleeper out of the whole span loses the latter
 //     (TestSleeperWakesInsideIdleSpan).
 //
 // Splits off the primary slot — the same-cycle SBI and sequential
@@ -101,21 +116,22 @@ import (
 
 // warpBits is a bitset over the SM's warp contexts, iterated in
 // ascending warp order — the order the reference rescan visits warps,
-// which oldest-first selection and tie-breaking depend on.
+// which the SWI searches' tie-breaking depends on.
 type warpBits []uint64
 
 // cacheLine is the unit in which cores trade memory. The walk reads
-// readySet, the sleeper sets, slotOf, the buddy-set masks and the MAD groups'
-// free times every cycle and writes all but the masks at every issue,
-// sleep and wake, for as long as the shell lives — a few words each. A
-// block smaller than a line shares its line with whatever the allocator
-// puts beside it, and on a run queue with several workers that is
-// another worker's shell: each write on one core then costs the other a
-// miss, and whether two shells are paired that way is settled by the
-// order of their first allocations — a launch-storm pass took half
-// again as long in the processes where they were (two in five). Blocks
-// of whole lines are line-aligned in every size class of the runtime,
-// so these words are the shell's own (ownLines).
+// readySet, the sleeper and stale sets, slotOf, the index links, the
+// buddy-set masks and the MAD groups' free times every cycle and writes
+// all but the masks at every issue, sleep and wake, for as long as the
+// shell lives — a few words each. A block smaller than a line shares its
+// line with whatever the allocator puts beside it, and on a run queue
+// with several workers that is another worker's shell: each write on one
+// core then costs the other a miss, and whether two shells are paired
+// that way is settled by the order of their first allocations — a
+// launch-storm pass took half again as long in the processes where they
+// were (two in five). Blocks of whole lines are line-aligned in every
+// size class of the runtime, so these words are the shell's own
+// (ownLines).
 const cacheLine = 64
 
 // ownLines returns n zeroed elements of size bytes each at the head of a
@@ -131,11 +147,20 @@ func (b warpBits) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
 func (b warpBits) clear(i int)    { b[i>>6] &^= 1 << uint(i&63) }
 func (b warpBits) has(i int) bool { return b[i>>6]>>uint(i&63)&1 != 0 }
 
+// The index's lists: one per unit class and pool — list unit+4*pool,
+// the unit numbered as isa.Unit — and the calendar.
+const (
+	unitLists = 8
+	calendar  = unitLists
+	numLists  = unitLists + 1
+)
+
 // refreshWarp recomputes the cached schedulability of one warp after an
-// event that may have changed it, and drops its issue-candidate record.
-// The invariant maintained: a warp's readySet bit is set if and only if
-// the reference scheduler's pre-scoreboard checks would pass for it this
-// cycle, and slotOf holds its primary front-end slot.
+// event that may have changed it, takes it out of the index and marks
+// its record stale. The invariant maintained: a warp's readySet bit is
+// set if and only if the reference scheduler's pre-scoreboard checks
+// would pass for it this cycle, and slotOf holds its primary front-end
+// slot.
 //
 //sbwi:hotpath
 func (s *SM) refreshWarp(w *warp) {
@@ -159,15 +184,19 @@ func (s *SM) refreshWarp(w *warp) {
 			ok = true
 		}
 	}
-	if s.sleepers.has(w.id) {
-		panic("sm: an event reached a sleeping warp") // see Settlement in the file comment
+	switch {
+	case s.sleepers.has(w.id):
+		panic("sm: an event reached a sleeping warp") // see Sleep at fill in the file comment
+	case s.readySet.has(w.id) && !s.stale.has(w.id):
+		s.unlink(s.listOf(w.id), w.id)
 	}
 	s.slotOf[w.id] = int8(slot)
-	s.cands[w.id].valid = false
 	if ok {
 		s.readySet.set(w.id)
+		s.stale.set(w.id)
 	} else {
 		s.readySet.clear(w.id)
+		s.stale.clear(w.id)
 	}
 }
 
@@ -188,7 +217,6 @@ func (s *SM) refreshWarp(w *warp) {
 // ever does not). The full candidate is rebuilt from pc/mask/lane on
 // selection (pick), which keeps the record at 48 bytes per warp context.
 type issueCand struct {
-	valid      bool
 	structural bool // the stall is the full table's, not a data hazard's
 	unit       isa.Unit
 	pc         int32
@@ -203,9 +231,6 @@ type issueCand struct {
 // needs, the cycle its data hazard or its structural stall ends, and
 // whether the primary walk is probing it.
 func (r *issueCand) describe(asleep bool) string {
-	if !r.valid {
-		return " ready{not probed since its last event}"
-	}
 	hazT, structT := "-", "-"
 	if r.wake != negInf {
 		hazT = fmt.Sprint(r.wake)
@@ -224,16 +249,31 @@ func (r *issueCand) describe(asleep bool) string {
 // the int64 edge so the interval arithmetic on it cannot overflow.
 const negInf = math.MinInt64 / 4
 
-// cand returns the issue-candidate record of a warp in readySet, filling
-// it when an event on the warp dropped it.
+// fill readies the index for the cycle's walk: it wakes the calendar's
+// due sleepers, settling what they are owed, and fills every stale
+// record at the current cycle, linking its warp into its unit's list or,
+// when the scoreboard still stalls it, into the calendar.
 //
 //sbwi:hotpath
-func (s *SM) cand(id int) *issueCand {
-	r := &s.cands[id]
-	if !r.valid {
-		s.fillCand(id, r)
+func (s *SM) fill() {
+	for id := s.heads[calendar]; id >= 0 && s.cands[id].wake <= s.now; id = s.heads[calendar] {
+		s.unlink(calendar, int(id))
+		s.settle(int(id))
+		s.link(s.listOf(int(id)), int(id))
 	}
-	return r
+	for base, word := range s.stale {
+		for ; word != 0; word &= word - 1 {
+			id := base<<6 | bits.TrailingZeros64(word)
+			r := &s.cands[id]
+			s.fillCand(id, r)
+			if s.now < r.wake {
+				s.sleep(id, r)
+			} else {
+				s.link(s.listOf(id), id)
+			}
+		}
+		s.stale[base] = 0
+	}
 }
 
 // fillCand is the walk's single scoreboard query. s.now is the first
@@ -256,7 +296,7 @@ func (s *SM) fillCand(id int, r *issueCand) {
 	ins := s.prog.At(pc)
 	d := s.cfg.IssueDelay
 	hazWB, hasHaz, structWB, hasStruct := s.sb.Horizon(id, ins, s.srcsOf[pc], slot, mask, s.now-d)
-	*r = issueCand{valid: true, unit: ins.Op.Unit(), pc: int32(pc), mask: mask, lane: w.laneMask(mask),
+	*r = issueCand{unit: ins.Op.Unit(), pc: int32(pc), mask: mask, lane: w.laneMask(mask),
 		lastIssue: last, wake: negInf}
 	switch {
 	case hasHaz && hasStruct && structWB > hazWB:
@@ -268,32 +308,76 @@ func (s *SM) fillCand(id int, r *issueCand) {
 	}
 }
 
-// ready is one scheduler probe of a record at the current cycle: the
-// scoreboard verdict — ticking the counters the equivalent ReadyAt call
-// would — and the unit capacity. No warp is probed in a cycle it has
-// issued in: the only probes after an issue are swiSecondary's, which
-// exclude the primary's warp, and the baseline's second pool, which
-// holds the other parity.
+// listOf returns the index list of an awake warp: its record's unit, in
+// its pool.
 //
 //sbwi:hotpath
-func (s *SM) ready(r *issueCand) bool {
-	st := &s.sb.Stats
-	st.Checks++
-	if s.now < r.wake {
-		st.Stalls++
-		if r.structural {
-			st.Structural++
-		}
-		return false
-	}
-	return s.units.canIssue(r.unit, r.lane, s.now)
+func (s *SM) listOf(id int) int {
+	return int(s.cands[id].unit) + 4*(id&s.poolBit)
 }
 
-// sleep takes a warp the primary walk has just probed and found stalled
-// by the scoreboard out of the walk until its record's wake cycle, and
-// files it by what the SWI searches need to count its probes without
-// visiting it: whether its unit is MAD and whether its stall is
-// structural.
+// before reports whether warp a precedes warp b in their list: the
+// smaller key — the wake cycle on the calendar, the last issue in a
+// unit's list, oldest first — and on a tie the lower id, the warp the
+// ascending rescan met first.
+//
+//sbwi:hotpath
+func (s *SM) before(a, b int32) bool {
+	return s.key[a] < s.key[b] || s.key[a] == s.key[b] && a < b
+}
+
+// link inserts warp id into list l at its key's place. A warp that has
+// just issued carries the youngest key and goes last, so the search
+// starts from the head only for an older key.
+//
+//sbwi:hotpath
+func (s *SM) link(l, id int) {
+	w := int32(id)
+	s.key[w] = s.cands[w].lastIssue
+	if l == calendar {
+		s.key[w] = s.cands[w].wake
+	}
+	at := s.tails[l] // insert after at; -1 inserts at the head
+	if at >= 0 && s.before(w, at) {
+		at = -1
+		for n := s.heads[l]; s.before(n, w); n = s.next[n] {
+			at = n
+		}
+	}
+	s.prev[w] = at
+	if at < 0 {
+		s.next[w], s.heads[l] = s.heads[l], w
+	} else {
+		s.next[w], s.next[at] = s.next[at], w
+	}
+	if n := s.next[w]; n >= 0 {
+		s.prev[n] = w
+	} else {
+		s.tails[l] = w
+	}
+}
+
+// unlink takes warp id out of list l.
+//
+//sbwi:hotpath
+func (s *SM) unlink(l, id int) {
+	p, n := s.prev[id], s.next[id]
+	if p >= 0 {
+		s.next[p] = n
+	} else {
+		s.heads[l] = n
+	}
+	if n >= 0 {
+		s.prev[n] = p
+	} else {
+		s.tails[l] = p
+	}
+}
+
+// sleep files a warp whose freshly filled record stalls on the calendar
+// until the record's wake cycle, and by what the SWI searches need to
+// count its probes without visiting it: whether its unit is MAD and
+// whether its stall is structural.
 //
 //sbwi:hotpath
 func (s *SM) sleep(id int, r *issueCand) {
@@ -304,18 +388,18 @@ func (s *SM) sleep(id int, r *issueCand) {
 	if r.structural {
 		s.structSleepers.set(id)
 	}
-	r.from = s.now + 1
-	s.nextWake = min(s.nextWake, r.wake)
+	r.from = s.now
+	s.link(calendar, id)
 }
 
-// settle ends a warp's sleep at cycle end (at most its wake cycle): the
-// primary walk's probes of the cycles [from, end) it was spared, every
-// one a stall, tick the counters in closed form.
+// settle ends a warp's sleep at its wake cycle: the primary walk's
+// probes of the cycles [from, wake) it was spared, every one a stall,
+// tick the counters in closed form.
 //
 //sbwi:hotpath
-func (s *SM) settle(id int, end int64) {
+func (s *SM) settle(id int) {
 	r := &s.cands[id]
-	n := count(r.from, min(end, r.wake)-1)
+	n := count(r.from, r.wake-1)
 	s.sb.Stats.Checks += n
 	s.stall(id, n)
 	s.sleepers.clear(id)
@@ -332,26 +416,6 @@ func (s *SM) stall(id int, n uint64) {
 	if s.structSleepers.has(id) {
 		s.sb.Stats.Structural += n
 	}
-}
-
-// wakeSleepers settles every sleeper whose wake cycle has come and
-// finds the next one due. Woken warps rejoin readySet's ascending walk
-// in the same cycle, at their own position.
-//
-//sbwi:hotpath
-func (s *SM) wakeSleepers() {
-	next := int64(math.MaxInt64)
-	for base, word := range s.sleepers {
-		for ; word != 0; word &= word - 1 {
-			id := base<<6 | bits.TrailingZeros64(word)
-			if wake := s.cands[id].wake; wake > s.now {
-				next = min(next, wake)
-			} else {
-				s.settle(id, wake)
-			}
-		}
-	}
-	s.nextWake = next
 }
 
 // pick rebuilds the full candidate of a selected warp from its record
@@ -376,12 +440,18 @@ func (s *SM) pick(id int, out *candidate) {
 func (s *SM) fastForward(maxCycles int64) error {
 	// The reference loop would burn idle cycles one at a time until the
 	// wake-up — or until the cycle limit trips with s.now just past it.
+	// Every awake warp is clear, so its unit alone holds it back; a
+	// sleeper waits for its wake cycle too, and the calendar's later
+	// ones cannot come earlier than the wake-up found so far.
 	wake := maxCycles + 1
-	for base, word := range s.readySet {
-		for ; word != 0; word &= word - 1 {
-			r := s.cand(base<<6 | bits.TrailingZeros64(word))
-			wake = min(wake, max(r.wake, s.units.freeAt(r.unit)))
+	for l, head := range s.heads[:unitLists] {
+		if head >= 0 {
+			wake = min(wake, s.units.freeAt(isa.Unit(l&3)))
 		}
+	}
+	for id := s.heads[calendar]; id >= 0 && s.cands[id].wake < wake; id = s.next[id] {
+		r := &s.cands[id]
+		wake = min(wake, max(r.wake, s.units.freeAt(r.unit)))
 	}
 	if wake <= s.now {
 		return nil
@@ -404,7 +474,8 @@ func (s *SM) fastForward(maxCycles int64) error {
 // A sleeper's settlement owns its primary probes before its wake cycle;
 // the walk's share of the span is the rest — the scoreboard clear, the
 // unit still busy. The substitute's probes of a sleeper stall until its
-// wake cycle. fastForward has just filled every record.
+// wake cycle. No record is stale: the cycle's fill took them all, and
+// nothing issued since.
 //
 //sbwi:hotpath
 func (s *SM) accountIdle(a, b int64) {

@@ -3,7 +3,6 @@ package sm
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"strings"
 
@@ -52,24 +51,34 @@ type SM struct {
 	// Incrementally maintained scheduler state (see schedfast.go):
 	// readySet holds exactly the warps the per-cycle rescan would probe
 	// past its pre-scoreboard checks, slotOf their primary front-end
-	// slot and cands their cached issue candidate. All three are
+	// slot and cands their issue-candidate record. All three are
 	// refreshed at the events that change them — issue, barrier release,
 	// block launch and retire — instead of being re-derived from every
-	// warp context each cycle. sleepers are the warps of readySet the
-	// primary walk skips: each was probed, found stalled by the
-	// scoreboard, and is owed the stall ticks of every cycle since,
-	// settled when it wakes; nextWake is no later than the earliest wake
-	// cycle among them. madSleepers and structSleepers are the sleepers
-	// whose candidate needs the MAD unit and whose stall is structural:
-	// the SWI searches count sleepers' probes from them, never visiting
-	// one unless a MAD primary's lane filter may skip it.
+	// warp context each cycle. An event marks the warp stale; the next
+	// cycle's fill refills the stale records before the walk and files
+	// each warp by its record: an awake one, clear on the scoreboard, in
+	// its unit's list of the oldest-first index, a sleeper — owed the
+	// stall ticks of every cycle until its wake cycle, settled when it
+	// wakes — on the calendar. The index is linked through heads, tails,
+	// next and prev (lists 0-7 by unit and pool, list calendar the
+	// sleepers by wake cycle) and ordered by key, each linked warp's last
+	// issue or wake cycle; poolBit is 1 on the Baseline, whose pools are
+	// the warp ids' parity, and 0 elsewhere. madSleepers and
+	// structSleepers are the sleepers whose candidate needs the MAD unit
+	// and whose stall is structural: the SWI searches count sleepers'
+	// probes from them, never visiting one unless a MAD primary's lane
+	// filter may skip it.
 	readySet       warpBits
+	stale          warpBits
 	slotOf         []int8
 	cands          []issueCand
 	sleepers       warpBits
 	madSleepers    warpBits
 	structSleepers warpBits
-	nextWake       int64
+	heads, tails   []int32
+	next, prev     []int32
+	key            []int64
+	poolBit        int
 
 	// SWI: per-buddy-set warp masks, derived from lookup; nil on the
 	// other architectures.
@@ -318,10 +327,15 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 			s.warps[i] = &warp{id: i}
 		}
 		words := (cfg.NumWarps + 63) / 64
-		sets := newWarpBits(4 * words) // all four sets from one allocation
+		sets := newWarpBits(5 * words) // all five sets from one allocation
 		s.readySet, s.sleepers = sets[:words:words], sets[words:2*words:2*words]
-		s.madSleepers, s.structSleepers = sets[2*words:3*words:3*words], sets[3*words:]
+		s.madSleepers, s.structSleepers = sets[2*words:3*words:3*words], sets[3*words:4*words:4*words]
+		s.stale = sets[4*words:]
 		s.slotOf = ownLines[int8](cfg.NumWarps, 1)
+		links := ownLines[int32](2*numLists+2*cfg.NumWarps, 4) // the index, from one allocation
+		s.heads, s.tails = links[:numLists:numLists], links[numLists:2*numLists:2*numLists]
+		s.next, s.prev = links[2*numLists:2*numLists+cfg.NumWarps:2*numLists+cfg.NumWarps], links[2*numLists+cfg.NumWarps:]
+		s.key = ownLines[int64](cfg.NumWarps, 8)
 		s.cands = make([]issueCand, cfg.NumWarps)
 		s.swiTies = make([]int, 0, cfg.NumWarps)
 		s.freeBuf = make([]*warp, 0, cfg.NumWarps)
@@ -334,11 +348,18 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 			w.laneOf, w.laneCacheOK = w.laneOf[:0], false
 		}
 	}
-	clear(s.readySet) // slotOf and cands are rewritten by refreshWarp before a warp's bit is set
+	clear(s.readySet) // slotOf is rewritten by refreshWarp, and cands by fill, before a warp is read
+	clear(s.stale)
 	clear(s.sleepers)
 	clear(s.madSleepers)
 	clear(s.structSleepers)
-	s.nextWake = math.MaxInt64
+	for l := range s.heads {
+		s.heads[l], s.tails[l] = -1, -1 // next, prev and key are written when a warp is linked
+	}
+	s.poolBit = 0
+	if cfg.pools() == 2 {
+		s.poolBit = 1
+	}
 	if cap(s.txnBuf) < cfg.WarpWidth {
 		s.txnBuf = make([]uint32, 0, cfg.WarpWidth)
 		s.txnReady = make([]int64, 0, cfg.WarpWidth)
@@ -523,7 +544,11 @@ func (s *SM) dumpState() string {
 			fmt.Fprintf(&out, "stack{pc=%d mask=%x}", pc, mask)
 		}
 		if s.readySet.has(w.id) {
-			out.WriteString(s.cands[w.id].describe(s.sleepers.has(w.id)))
+			r := s.cands[w.id]
+			if s.stale.has(w.id) {
+				s.fillCand(w.id, &r) // what the next cycle's fill will find
+			}
+			out.WriteString(r.describe(s.now < r.wake))
 		}
 		out.WriteByte('\n')
 	}
@@ -711,6 +736,7 @@ func (s *SM) advanceHeap(w *warp, slot, nextPC int) {
 //
 //sbwi:hotpath
 func (s *SM) cycle() (bool, error) {
+	s.fill()
 	var prim candidate
 	if s.cfg.Arch == ArchBaseline {
 		issued := false
@@ -767,7 +793,7 @@ func (s *SM) cycle() (bool, error) {
 	}
 	// (b) SWI: another warp from the buddy set.
 	if s.cfg.Arch == ArchSWI || s.cfg.Arch == ArchSBISWI {
-		if s.swiSecondary(s.lookup.SetOf(pw.id), pw.id, primIns.Op.Unit(), primLane, &sec) {
+		if s.swiSecondary(s.lookup.SetOf(pw.id), primIns.Op.Unit(), primLane, &sec) {
 			return true, s.issue(&sec, true, provSWI)
 		}
 	}
@@ -807,43 +833,41 @@ func (s *SM) primarySlot(w *warp) int {
 
 // selectPrimary picks the least-recently-issued ready (warp, split) in
 // the pool (oldest-first, §2) into out. pool is a parity filter for the
-// baseline and 0 for single-pool architectures. The walk covers only
-// the incrementally maintained issuable set less its sleepers, in
-// ascending warp order — the order the seed's full rescan visited warps.
-// A warp it finds stalled by the scoreboard goes to sleep until the
-// stall ends; the probes it is spared meanwhile are settled when it
-// wakes (schedfast.go), so scoreboard counters and tie-breaking draws
-// match the original loop exactly.
+// baseline and 0 for single-pool architectures. Every awake warp of the
+// pool is clear on the scoreboard, so its probe is one Check, and the
+// oldest one whose unit can issue is the oldest of its unit lists'
+// heads that can (schedfast.go); the sleepers' probes are settled when
+// they wake, so scoreboard counters and tie-breaking draws match the
+// per-cycle rescan exactly.
 //
 //sbwi:hotpath
 func (s *SM) selectPrimary(pool int, out *candidate) bool {
-	if s.now >= s.nextWake {
-		s.wakeSleepers()
+	mask := ^uint64(0)
+	if s.poolBit == 1 {
+		mask = 0x5555555555555555 << uint(pool) // the warps of parity pool
 	}
-	parity := s.cfg.pools() == 2
-	best := -1
-	var bestAge int64
 	for base, word := range s.readySet {
-		word &^= s.sleepers[base]
-		for ; word != 0; word &= word - 1 {
-			id := base<<6 | bits.TrailingZeros64(word)
-			if parity && id&1 != pool {
-				continue
+		s.sb.Stats.Checks += ones(word &^ s.sleepers[base] & mask)
+	}
+	best := int32(-1)
+	for u, id := range s.heads[4*pool : 4*pool+4] {
+		if isa.Unit(u) == isa.UnitMAD {
+			// A free group takes the head. Every group taken, the row is
+			// shared by lanes: the oldest whose lanes fit.
+			for id >= 0 && !s.units.canIssue(isa.UnitMAD, s.cands[id].lane, s.now) {
+				id = s.next[id]
 			}
-			switch r := s.cand(id); {
-			case s.ready(r):
-				if best < 0 || r.lastIssue < bestAge {
-					best, bestAge = id, r.lastIssue
-				}
-			case s.now < r.wake:
-				s.sleep(id, r)
-			}
+		} else if id >= 0 && !s.units.canIssue(isa.Unit(u), s.cands[id].lane, s.now) {
+			continue
+		}
+		if id >= 0 && (best < 0 || s.before(id, best)) {
+			best = id
 		}
 	}
 	if best < 0 {
 		return false
 	}
-	s.pick(best, out)
+	s.pick(int(best), out)
 	return true
 }
 
@@ -944,21 +968,23 @@ func (s *SM) seqCandidate(w *warp, primIns *isa.Instruction, primPC int, primMas
 	return s.finishCandidate(w, slot, next, primMask, out)
 }
 
-// swiSecondary searches buddy set setIdx, beside a primary issue of warp
-// exclude, for the best-fitting ready instruction whose lane mask does
-// not conflict with the primary's: disjoint masks when sharing the MAD
-// row, any mask when targeting a free distinct unit (§4). Best fit
-// maximizes occupied lanes; ties break pseudo-randomly. The walk visits
-// the set's awake warps in ascending id — the order the seed's rescan
-// used — so the tie list, and therefore the PRNG draw sequence, matches
-// the original loop. A sleeper's probe stalls by construction (its wake
-// cycle is still ahead), so the set's sleepers are counted, not probed:
-// one stall each, structural by their bit. Only a MAD sleeper beside a
-// MAD primary is looked at, since the lane filter skips it unprobed when
-// their lanes collide.
+// swiSecondary searches buddy set setIdx, beside a primary issue, for
+// the best-fitting ready instruction whose lane mask does not conflict
+// with the primary's: disjoint masks when sharing the MAD row, any mask
+// when targeting a free distinct unit (§4). Best fit maximizes occupied
+// lanes; ties break pseudo-randomly. The walk visits the set's awake
+// warps in ascending id — the order the seed's rescan used — so the tie
+// list, and therefore the PRNG draw sequence, matches the original loop.
+// Each is clear on the scoreboard, so its probe is a Check and the unit
+// test. The primary's warp is stale after its issue, and so not among
+// them. A sleeper's probe stalls by construction (its wake cycle is
+// still ahead), so the set's sleepers are counted, not probed: one stall
+// each, structural by their bit. Only a MAD sleeper beside a MAD primary
+// is looked at, since the lane filter skips it unprobed when their lanes
+// collide.
 //
 //sbwi:hotpath
-func (s *SM) swiSecondary(setIdx, exclude int, primUnit isa.Unit, primLane uint64, out *candidate) bool {
+func (s *SM) swiSecondary(setIdx int, primUnit isa.Unit, primLane uint64, out *candidate) bool {
 	st := &s.sb.Stats
 	madRow := primUnit == isa.UnitMAD
 	ties := s.swiTies[:0]
@@ -975,18 +1001,16 @@ func (s *SM) swiSecondary(setIdx, exclude int, primUnit isa.Unit, primLane uint6
 		st.Checks += ones(asleep)
 		st.Stalls += ones(asleep)
 		st.Structural += ones(asleep & s.structSleepers[base])
-		for word := set & s.readySet[base] &^ s.sleepers[base]; word != 0; word &= word - 1 {
+		for word := set & s.readySet[base] &^ (s.sleepers[base] | s.stale[base]); word != 0; word &= word - 1 {
 			id := base<<6 | bits.TrailingZeros64(word)
-			if id == exclude {
-				continue
-			}
-			r := s.cand(id)
+			r := &s.cands[id]
 			// The MAD-row lane-collision filter comes before the scoreboard
 			// probe, as in hardware (and so before the counters tick).
 			if madRow && r.unit == isa.UnitMAD && r.lane&primLane != 0 {
 				continue
 			}
-			if !s.ready(r) {
+			st.Checks++
+			if !s.units.canIssue(r.unit, r.lane, s.now) {
 				continue
 			}
 			switch fit := popcount(r.lane); {
