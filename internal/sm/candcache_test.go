@@ -90,37 +90,40 @@ func checkCandCache(t *testing.T, s *SM, walked int64) {
 }
 
 // checkIndex requires every ready warp to be filed in exactly one place:
-// awake in its unit's and pool's list of the index, in ascending
-// (lastIssue, id); asleep on the calendar, in ascending wake cycle; or
-// stale, in neither, its record due for the next cycle's fill — so no
-// ready warp reaches a walk unfilled. The lists' links must agree both
-// ways, and no other warp may be filed.
+// awake in its unit's and pool's list of the index, under its last
+// issue; asleep on the calendar, under its wake cycle; or stale, in
+// neither, its record due for the next cycle's fill — so no ready warp
+// reaches a walk unfilled. Each list must run in ascending (key, id)
+// from its sentinel back to it, its links agreeing both ways, and no
+// other warp may be filed.
 func checkIndex(t *testing.T, s *SM) {
 	t.Helper()
+	x := &s.idx
 	filed := make([]int, len(s.warps)) // list+1, or 0 when in none
 	for l := range numLists {
-		prev := int32(-1)
-		for id := s.heads[l]; id >= 0; prev, id = id, s.next[id] {
-			if filed[id] != 0 {
-				t.Fatalf("cycle %d: warp %d is in list %d and list %d", s.now, id, filed[id]-1, l)
+		end := x.end(l)
+		prev := end
+		for id := x.next[end]; id != end; prev, id = id, x.next[id] {
+			if id < 0 || id >= x.warps || filed[id] != 0 {
+				t.Fatalf("cycle %d: list %d links node %d after %d, a second time or not a warp", s.now, l, id, prev)
 			}
 			filed[id] = l + 1
-			if s.prev[id] != prev {
-				t.Fatalf("cycle %d: list %d links %d after %d, but its prev is %d", s.now, l, id, prev, s.prev[id])
+			if x.prev[id] != prev {
+				t.Fatalf("cycle %d: list %d links %d after %d, but its prev is %d", s.now, l, id, prev, x.prev[id])
 			}
 			key := s.cands[id].lastIssue
 			if l == calendar {
 				key = s.cands[id].wake
 			}
-			if s.key[id] != key {
-				t.Fatalf("cycle %d: list %d files warp %d under key %d, its record says %d", s.now, l, id, s.key[id], key)
+			if x.key[id] != key {
+				t.Fatalf("cycle %d: list %d files warp %d under key %d, its record says %d", s.now, l, id, x.key[id], key)
 			}
-			if prev >= 0 && !s.before(prev, id) {
-				t.Fatalf("cycle %d: list %d holds warp %d (key %d) after warp %d (key %d)", s.now, l, id, key, prev, s.key[prev])
+			if prev != end && !x.before(prev, id) {
+				t.Fatalf("cycle %d: list %d holds warp %d (key %d) after warp %d (key %d)", s.now, l, id, key, prev, x.key[prev])
 			}
 		}
-		if s.tails[l] != prev {
-			t.Fatalf("cycle %d: list %d ends at %d, its tail says %d", s.now, l, prev, s.tails[l])
+		if x.prev[end] != prev {
+			t.Fatalf("cycle %d: list %d ends at %d, but its sentinel's prev is %d", s.now, l, prev, x.prev[end])
 		}
 	}
 	for id := range s.warps {

@@ -141,8 +141,8 @@ func runRecycled(t *testing.T, r *Runner, c *resetCase, opts RunOpts) (*Result, 
 func checkIndexEmpty(t *testing.T, name string, s *SM) {
 	t.Helper()
 	for l := range numLists {
-		if s.heads[l] != -1 || s.tails[l] != -1 {
-			t.Fatalf("%s: Reset left list %d with head %d and tail %d", name, l, s.heads[l], s.tails[l])
+		if e := s.idx.end(l); s.idx.next[e] != e || s.idx.prev[e] != e {
+			t.Fatalf("%s: Reset left list %d linking %d and %d", name, l, s.idx.next[e], s.idx.prev[e])
 		}
 	}
 	for i, set := range []warpBits{s.readySet, s.stale, s.sleepers, s.madSleepers, s.structSleepers} {
@@ -216,7 +216,7 @@ func TestResetFromAnyState(t *testing.T) {
 				break
 			}
 		}
-		if r.s.heads[calendar] >= 0 {
+		if e := r.s.idx.end(calendar); r.s.idx.next[e] != e {
 			midSleep++
 		}
 		opts := lowerFor(i)
@@ -281,7 +281,7 @@ func TestHotWordsOwnTheirLines(t *testing.T) {
 				name  string
 				words any
 			}
-			hot := []span{{"readySet", s.readySet}, {"slotOf", s.slotOf}, {"index", s.heads}, {"keys", s.key}, {"madFree", s.units.madFree}}
+			hot := []span{{"readySet", s.readySet}, {"slotOf", s.slotOf}, {"index", s.idx.next}, {"keys", s.idx.key}, {"madFree", s.units.madFree}}
 			if s.setBits != nil {
 				hot = append(hot, span{"setBits", s.setBits[0]})
 			}
@@ -295,14 +295,8 @@ func TestHotWordsOwnTheirLines(t *testing.T) {
 					t.Errorf("%s: warp set %d does not follow readySet in its block", c.name, i)
 				}
 			}
-			for _, a := range []struct {
-				name  string
-				links []int32
-				at    int
-			}{{"tails", s.tails, numLists}, {"next", s.next, 2 * numLists}, {"prev", s.prev, 2*numLists + len(s.warps)}} {
-				if reflect.ValueOf(a.links).Pointer() != reflect.ValueOf(s.heads).Pointer()+uintptr(4*a.at) {
-					t.Errorf("%s: the index's %s do not follow its heads in their block", c.name, a.name)
-				}
+			if p := reflect.ValueOf(s.idx.prev).Pointer(); p != reflect.ValueOf(s.idx.next).Pointer()+uintptr(4*len(s.idx.next)) {
+				t.Errorf("%s: the index's prev links do not follow its next links in their block", c.name)
 			}
 		}
 	}

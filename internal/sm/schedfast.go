@@ -147,13 +147,77 @@ func (b warpBits) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
 func (b warpBits) clear(i int)    { b[i>>6] &^= 1 << uint(i&63) }
 func (b warpBits) has(i int) bool { return b[i>>6]>>uint(i&63)&1 != 0 }
 
-// The index's lists: one per unit class and pool — list unit+4*pool,
-// the unit numbered as isa.Unit — and the calendar.
+// index is the oldest-first index and the calendar: numLists circular
+// doubly linked lists over the warp ids — list unit+4*pool per unit
+// class (numbered as isa.Unit) and pool, and list calendar — each in
+// ascending (key, id). Node n below warps is warp n; node end(l) is list
+// l's sentinel, whose key, the largest, closes every search. next, prev
+// and key come in blocks of whole cache lines (ownLines).
+type index struct {
+	next, prev []int32
+	key        []int64
+	warps      int32
+}
+
 const (
 	unitLists = 8
 	calendar  = unitLists
 	numLists  = unitLists + 1
 )
+
+// reset empties every list of an index over warps warp contexts,
+// reusing its arrays when the count is unchanged.
+func (x *index) reset(warps int) {
+	if n := warps + numLists; len(x.key) != n {
+		links := ownLines[int32](2*n, 4)
+		x.next, x.prev, x.key = links[:n:n], links[n:], ownLines[int64](n, 8)
+	}
+	x.warps = int32(warps)
+	for l := range numLists {
+		e := x.end(l)
+		x.next[e], x.prev[e], x.key[e] = e, e, math.MaxInt64
+	}
+}
+
+// end returns list l's sentinel: its first warp is next[end(l)], and a
+// walk along it ends there.
+//
+//sbwi:hotpath
+func (x *index) end(l int) int32 { return x.warps + int32(l) }
+
+// before reports whether node a precedes node b in their list: the
+// smaller key and on a tie the lower id — for the oldest-first lists
+// the warp the ascending rescan met first.
+//
+//sbwi:hotpath
+func (x *index) before(a, b int32) bool {
+	return x.key[a] < x.key[b] || x.key[a] == x.key[b] && a < b
+}
+
+// link inserts warp id into list l under key. A warp that has just
+// issued carries the youngest age and goes last, so the search starts
+// from the head only for a key that goes before the last one.
+//
+//sbwi:hotpath
+func (x *index) link(l, id int, key int64) {
+	w, at := int32(id), x.prev[x.end(l)] // w goes after at
+	x.key[w] = key
+	if x.before(w, at) {
+		at = x.end(l)
+		for x.before(x.next[at], w) {
+			at = x.next[at]
+		}
+	}
+	x.next[w], x.prev[w] = x.next[at], at
+	x.prev[x.next[at]], x.next[at] = w, w
+}
+
+// unlink takes warp id out of its list.
+//
+//sbwi:hotpath
+func (x *index) unlink(id int) {
+	x.next[x.prev[id]], x.prev[x.next[id]] = x.next[id], x.prev[id]
+}
 
 // refreshWarp recomputes the cached schedulability of one warp after an
 // event that may have changed it, takes it out of the index and marks
@@ -188,7 +252,7 @@ func (s *SM) refreshWarp(w *warp) {
 	case s.sleepers.has(w.id):
 		panic("sm: an event reached a sleeping warp") // see Sleep at fill in the file comment
 	case s.readySet.has(w.id) && !s.stale.has(w.id):
-		s.unlink(s.listOf(w.id), w.id)
+		s.idx.unlink(w.id)
 	}
 	s.slotOf[w.id] = int8(slot)
 	if ok {
@@ -256,10 +320,11 @@ const negInf = math.MinInt64 / 4
 //
 //sbwi:hotpath
 func (s *SM) fill() {
-	for id := s.heads[calendar]; id >= 0 && s.cands[id].wake <= s.now; id = s.heads[calendar] {
-		s.unlink(calendar, int(id))
-		s.settle(int(id))
-		s.link(s.listOf(int(id)), int(id))
+	cal := s.idx.end(calendar)
+	for id := int(s.idx.next[cal]); s.idx.key[id] <= s.now; id = int(s.idx.next[cal]) {
+		s.idx.unlink(id)
+		s.settle(id)
+		s.idx.link(s.listOf(id), id, s.cands[id].lastIssue)
 	}
 	for base, word := range s.stale {
 		for ; word != 0; word &= word - 1 {
@@ -269,7 +334,7 @@ func (s *SM) fill() {
 			if s.now < r.wake {
 				s.sleep(id, r)
 			} else {
-				s.link(s.listOf(id), id)
+				s.idx.link(s.listOf(id), id, r.lastIssue)
 			}
 		}
 		s.stale[base] = 0
@@ -316,64 +381,6 @@ func (s *SM) listOf(id int) int {
 	return int(s.cands[id].unit) + 4*(id&s.poolBit)
 }
 
-// before reports whether warp a precedes warp b in their list: the
-// smaller key — the wake cycle on the calendar, the last issue in a
-// unit's list, oldest first — and on a tie the lower id, the warp the
-// ascending rescan met first.
-//
-//sbwi:hotpath
-func (s *SM) before(a, b int32) bool {
-	return s.key[a] < s.key[b] || s.key[a] == s.key[b] && a < b
-}
-
-// link inserts warp id into list l at its key's place. A warp that has
-// just issued carries the youngest key and goes last, so the search
-// starts from the head only for an older key.
-//
-//sbwi:hotpath
-func (s *SM) link(l, id int) {
-	w := int32(id)
-	s.key[w] = s.cands[w].lastIssue
-	if l == calendar {
-		s.key[w] = s.cands[w].wake
-	}
-	at := s.tails[l] // insert after at; -1 inserts at the head
-	if at >= 0 && s.before(w, at) {
-		at = -1
-		for n := s.heads[l]; s.before(n, w); n = s.next[n] {
-			at = n
-		}
-	}
-	s.prev[w] = at
-	if at < 0 {
-		s.next[w], s.heads[l] = s.heads[l], w
-	} else {
-		s.next[w], s.next[at] = s.next[at], w
-	}
-	if n := s.next[w]; n >= 0 {
-		s.prev[n] = w
-	} else {
-		s.tails[l] = w
-	}
-}
-
-// unlink takes warp id out of list l.
-//
-//sbwi:hotpath
-func (s *SM) unlink(l, id int) {
-	p, n := s.prev[id], s.next[id]
-	if p >= 0 {
-		s.next[p] = n
-	} else {
-		s.heads[l] = n
-	}
-	if n >= 0 {
-		s.prev[n] = p
-	} else {
-		s.tails[l] = p
-	}
-}
-
 // sleep files a warp whose freshly filled record stalls on the calendar
 // until the record's wake cycle, and by what the SWI searches need to
 // count its probes without visiting it: whether its unit is MAD and
@@ -389,7 +396,7 @@ func (s *SM) sleep(id int, r *issueCand) {
 		s.structSleepers.set(id)
 	}
 	r.from = s.now
-	s.link(calendar, id)
+	s.idx.link(calendar, id, r.wake)
 }
 
 // settle ends a warp's sleep at its wake cycle: the primary walk's
@@ -444,14 +451,13 @@ func (s *SM) fastForward(maxCycles int64) error {
 	// sleeper waits for its wake cycle too, and the calendar's later
 	// ones cannot come earlier than the wake-up found so far.
 	wake := maxCycles + 1
-	for l, head := range s.heads[:unitLists] {
-		if head >= 0 {
+	for l := range unitLists {
+		if e := s.idx.end(l); s.idx.next[e] != e {
 			wake = min(wake, s.units.freeAt(isa.Unit(l&3)))
 		}
 	}
-	for id := s.heads[calendar]; id >= 0 && s.cands[id].wake < wake; id = s.next[id] {
-		r := &s.cands[id]
-		wake = min(wake, max(r.wake, s.units.freeAt(r.unit)))
+	for id := s.idx.next[s.idx.end(calendar)]; s.idx.key[id] < wake; id = s.idx.next[id] {
+		wake = min(wake, max(s.idx.key[id], s.units.freeAt(s.cands[id].unit)))
 	}
 	if wake <= s.now {
 		return nil

@@ -59,11 +59,8 @@ type SM struct {
 	// each warp by its record: an awake one, clear on the scoreboard, in
 	// its unit's list of the oldest-first index, a sleeper — owed the
 	// stall ticks of every cycle until its wake cycle, settled when it
-	// wakes — on the calendar. The index is linked through heads, tails,
-	// next and prev (lists 0-7 by unit and pool, list calendar the
-	// sleepers by wake cycle) and ordered by key, each linked warp's last
-	// issue or wake cycle; poolBit is 1 on the Baseline, whose pools are
-	// the warp ids' parity, and 0 elsewhere. madSleepers and
+	// wakes — on the calendar (idx). poolBit is 1 on the Baseline, whose
+	// pools are the warp ids' parity, and 0 elsewhere. madSleepers and
 	// structSleepers are the sleepers whose candidate needs the MAD unit
 	// and whose stall is structural: the SWI searches count sleepers'
 	// probes from them, never visiting one unless a MAD primary's lane
@@ -75,9 +72,7 @@ type SM struct {
 	sleepers       warpBits
 	madSleepers    warpBits
 	structSleepers warpBits
-	heads, tails   []int32
-	next, prev     []int32
-	key            []int64
+	idx            index
 	poolBit        int
 
 	// SWI: per-buddy-set warp masks, derived from lookup; nil on the
@@ -332,10 +327,6 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 		s.madSleepers, s.structSleepers = sets[2*words:3*words:3*words], sets[3*words:4*words:4*words]
 		s.stale = sets[4*words:]
 		s.slotOf = ownLines[int8](cfg.NumWarps, 1)
-		links := ownLines[int32](2*numLists+2*cfg.NumWarps, 4) // the index, from one allocation
-		s.heads, s.tails = links[:numLists:numLists], links[numLists:2*numLists:2*numLists]
-		s.next, s.prev = links[2*numLists:2*numLists+cfg.NumWarps:2*numLists+cfg.NumWarps], links[2*numLists+cfg.NumWarps:]
-		s.key = ownLines[int64](cfg.NumWarps, 8)
 		s.cands = make([]issueCand, cfg.NumWarps)
 		s.swiTies = make([]int, 0, cfg.NumWarps)
 		s.freeBuf = make([]*warp, 0, cfg.NumWarps)
@@ -353,13 +344,8 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 	clear(s.sleepers)
 	clear(s.madSleepers)
 	clear(s.structSleepers)
-	for l := range s.heads {
-		s.heads[l], s.tails[l] = -1, -1 // next, prev and key are written when a warp is linked
-	}
-	s.poolBit = 0
-	if cfg.pools() == 2 {
-		s.poolBit = 1
-	}
+	s.idx.reset(cfg.NumWarps)
+	s.poolBit = cfg.pools() - 1
 	if cap(s.txnBuf) < cfg.WarpWidth {
 		s.txnBuf = make([]uint32, 0, cfg.WarpWidth)
 		s.txnReady = make([]int64, 0, cfg.WarpWidth)
@@ -850,17 +836,19 @@ func (s *SM) selectPrimary(pool int, out *candidate) bool {
 		s.sb.Stats.Checks += ones(word &^ s.sleepers[base] & mask)
 	}
 	best := int32(-1)
-	for u, id := range s.heads[4*pool : 4*pool+4] {
+	for u := range 4 {
+		end := s.idx.end(u + 4*pool)
+		id := s.idx.next[end]
 		if isa.Unit(u) == isa.UnitMAD {
 			// A free group takes the head. Every group taken, the row is
 			// shared by lanes: the oldest whose lanes fit.
-			for id >= 0 && !s.units.canIssue(isa.UnitMAD, s.cands[id].lane, s.now) {
-				id = s.next[id]
+			for id != end && !s.units.canIssue(isa.UnitMAD, s.cands[id].lane, s.now) {
+				id = s.idx.next[id]
 			}
-		} else if id >= 0 && !s.units.canIssue(isa.Unit(u), s.cands[id].lane, s.now) {
+		} else if id != end && !s.units.canIssue(isa.Unit(u), s.cands[id].lane, s.now) {
 			continue
 		}
-		if id >= 0 && (best < 0 || s.before(id, best)) {
+		if id != end && (best < 0 || s.idx.before(id, best)) {
 			best = id
 		}
 	}
