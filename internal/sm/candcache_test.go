@@ -1,7 +1,6 @@
 package sm
 
 import (
-	"fmt"
 	"math/bits"
 	"testing"
 
@@ -127,19 +126,17 @@ func checkIndex(t *testing.T, s *SM) {
 		}
 	}
 	for id := range s.warps {
-		where := "in no list"
-		if filed[id] != 0 {
-			where = fmt.Sprintf("in list %d", filed[id]-1)
+		ready, stale, asleep := s.readySet.has(id), s.stale.has(id), s.sleepers.has(id)
+		want := 0 // where a warp outside readySet, or stale, is filed
+		switch {
+		case asleep:
+			want = calendar + 1
+		case ready && !stale:
+			want = s.listOf(id) + 1
 		}
-		switch ready, stale, asleep := s.readySet.has(id), s.stale.has(id), s.sleepers.has(id); {
-		case !ready && (stale || asleep || filed[id] != 0):
-			t.Fatalf("cycle %d: warp %d outside readySet is stale %v, asleep %v, %s", s.now, id, stale, asleep, where)
-		case stale && (asleep || filed[id] != 0):
-			t.Fatalf("cycle %d: stale warp %d is asleep %v, %s", s.now, id, asleep, where)
-		case asleep && filed[id] != calendar+1:
-			t.Fatalf("cycle %d: sleeper %d is %s, not on the calendar", s.now, id, where)
-		case ready && !stale && !asleep && filed[id] != s.listOf(id)+1:
-			t.Fatalf("cycle %d: awake warp %d (unit %v) is %s, not in list %d", s.now, id, s.cands[id].unit, where, s.listOf(id))
+		if filed[id] != want || asleep && (!ready || stale) || stale && !ready {
+			t.Fatalf("cycle %d: warp %d (ready %v, stale %v, asleep %v, unit %v) is filed in list %d, want %d (-1: none)",
+				s.now, id, ready, stale, asleep, s.cands[id].unit, filed[id]-1, want-1)
 		}
 	}
 }
