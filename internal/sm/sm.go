@@ -714,7 +714,8 @@ func (s *SM) advanceHeap(w *warp, slot, nextPC int) {
 	}
 }
 
-// cycle performs one scheduling cycle: every pool issues a primary
+// cycle performs one scheduling cycle: the stale records are refilled
+// and the due sleepers woken (fill), every pool issues a primary
 // instruction, then the secondary slot (if the architecture has one)
 // fills the gap per §3/§4. It reports whether anything issued — when
 // nothing did, every scheduler-visible input is frozen until the next
