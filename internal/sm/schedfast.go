@@ -361,8 +361,8 @@ func (s *SM) fillCand(id int, r *issueCand) {
 	ins := s.prog.At(pc)
 	d := s.cfg.IssueDelay
 	hazWB, hasHaz, structWB, hasStruct := s.sb.Horizon(id, ins, s.srcsOf[pc], slot, mask, s.now-d)
-	*r = issueCand{unit: ins.Op.Unit(), pc: int32(pc), mask: mask, lane: w.laneMask(mask),
-		lastIssue: last, wake: negInf}
+	r.unit, r.pc, r.mask, r.lane, r.lastIssue = ins.Op.Unit(), int32(pc), mask, w.laneMask(mask), last
+	r.wake, r.structural = negInf, false
 	switch {
 	case hasHaz && hasStruct && structWB > hazWB:
 		panic("sm: a full scoreboard table outlasts a data hazard") // see issueCand

@@ -836,20 +836,19 @@ func (s *SM) selectPrimary(pool int, out *candidate) bool {
 	for base, word := range s.readySet {
 		s.sb.Stats.Checks += ones(word &^ s.sleepers[base] & mask)
 	}
-	best := int32(-1)
-	for u := range 4 {
-		end := s.idx.end(u + 4*pool)
-		id := s.idx.next[end]
-		if isa.Unit(u) == isa.UnitMAD {
-			// A free group takes the head. Every group taken, the row is
-			// shared by lanes: the oldest whose lanes fit.
-			for id != end && !s.units.canIssue(isa.UnitMAD, s.cands[id].lane, s.now) {
-				id = s.idx.next[id]
-			}
-		} else if id != end && !s.units.canIssue(isa.Unit(u), s.cands[id].lane, s.now) {
-			continue
+	x := &s.idx
+	best, mad := int32(-1), x.end(int(isa.UnitMAD)+4*pool)
+	// A free MAD group takes the head. Every group taken, the row is
+	// shared by lanes: the oldest whose lanes fit.
+	for id := x.next[mad]; id != mad; id = x.next[id] {
+		if s.units.canIssue(isa.UnitMAD, s.cands[id].lane, s.now) {
+			best = id
+			break
 		}
-		if id != end && (best < 0 || s.idx.before(id, best)) {
+	}
+	for u := isa.UnitSFU; u <= isa.UnitCTRL; u++ {
+		end := x.end(int(u) + 4*pool)
+		if id := x.next[end]; id != end && (best < 0 || x.before(id, best)) && s.units.canIssue(u, 0, s.now) {
 			best = id
 		}
 	}
