@@ -451,7 +451,7 @@ func (s *SM) fastForward(maxCycles int64) error {
 	// sleeper waits for its wake cycle too, and the calendar's later
 	// ones cannot come earlier than the wake-up found so far.
 	wake := maxCycles + 1
-	for l := range unitLists {
+	for l := range 4 << s.poolBit {
 		if e := s.idx.end(l); s.idx.next[e] != e {
 			wake = min(wake, s.units.freeAt(isa.Unit(l&3)))
 		}
