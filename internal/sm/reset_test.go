@@ -262,10 +262,10 @@ func TestResetRejectsLikeNewRunner(t *testing.T) {
 // and writes at every issue — readySet with the sleeper and stale sets,
 // slotOf, the index, the buddy-set masks, the MAD groups' free times —
 // come in blocks of whole cache lines, which the allocator aligns to the
-// line, whatever geometry the shell was last sized for. Smaller blocks land beside another
-// worker's shell now and then and every write then costs the other core
-// a miss; a sixteen-byte block would pass here one time in four, so the
-// test asks every array of every shell it builds.
+// line, whatever geometry the shell was last sized for. Smaller blocks
+// land beside another worker's shell now and then and every write then
+// costs the other core a miss; a sixteen-byte block would pass here one
+// time in four, so the test asks every array of every shell it builds.
 func TestHotWordsOwnTheirLines(t *testing.T) {
 	cases := resetCases(t, 3, 40)
 	for shell := 0; shell < 4; shell++ {
