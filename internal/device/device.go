@@ -37,11 +37,12 @@
 // With WithGridPartition the grid is instead split into waves of
 // contiguous CTAs, each sized to fill one SM's warp contexts
 // (sm.ResidentCTAs); wave j runs on SM j mod N. Every wave is simulated
-// on a cold SM starting from a snapshot of the pre-launch global
-// image; the per-wave images are then folded back with
-// exec.MergeWaves, which asserts the write-sharing contract (different
-// CTAs may only write the same location with the same value), and the
-// per-wave statistics are merged in wave order with Stats.Merge.
+// on a cold SM over a copy of the pre-launch global image; the per-wave
+// images are folded together with exec.MergeWave, which asserts the
+// write-sharing contract (different CTAs may only write the same
+// location with the same value), the result is committed to the
+// launch's image once every wave has succeeded, and the per-wave
+// statistics are merged in wave order with Stats.Merge.
 // Relative to the unpartitioned shape this trades the cross-wave
 // pipelining of one big SM run for wave-level parallel scaling (each
 // wave starts on a cold SM), leaving functional results untouched.

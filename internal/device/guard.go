@@ -29,9 +29,10 @@ import (
 // Synchronize could observe an idle device while a future is still
 // unresolved. guarded itself is the last-resort backstop for a panic
 // escaping a site's own recovery (a bug in the recovery path): it keeps
-// the process alive and reports to stderr. The SM shells a contention
-// domain was simulating on die with it: runDomain hands them back to
-// its run-queue slot only from its clean return (memsys.go).
+// the process alive and reports to stderr. The SM shells, L2 and
+// crossbar a contention domain was simulating on die with it: runDomain
+// hands them back to its run-queue slot only from its clean return
+// (memsys.go).
 //
 // # Watchdog
 //
@@ -133,16 +134,16 @@ func (d *Device) fire(site faultinject.Site) error {
 	return d.faults.Fire(site)
 }
 
-// acquireSlot takes one run-queue slot, and the SM shells on it, for a
+// acquireSlot takes one run-queue slot, and what it carries, for a
 // simulation, with the queue-acquire fault site in front and
 // watchdog-cause mapping behind: a slot wait aborted by the launch
 // watchdog reports the timeout, not a bare cancellation.
-func (d *Device) acquireSlot(ctx context.Context) ([]*sm.Runner, error) {
+func (d *Device) acquireSlot(ctx context.Context) (slot, error) {
 	if err := d.fire(faultinject.SiteQueueAcquire); err != nil {
-		return nil, err
+		return slot{}, err
 	}
-	shells, err := d.queue.acquire(ctx)
-	return shells, watchdogErr(ctx, err)
+	s, err := d.queue.acquire(ctx)
+	return s, watchdogErr(ctx, err)
 }
 
 // watchdogErr upgrades a bare context error to the context's

@@ -39,6 +39,8 @@ import (
 //	partition  WithGridPartition on 1, 2 and 8 SMs               SBI+SWI
 //	auto       RunSuite under WithAutoPartition                  SBI+SWI
 //	memsys     WithL2+WithInterconnect on 4 SMs, recorded too    SBI+SWI
+//	memsys-    one run-queue slot alternates the memsys row's    SBI+SWI
+//	recycled   device and one of other SMs, L2 and crossbar
 //	streams    1, 2 and 8 streams on 1 and 4 workers             SBI+SWI
 //	replay     the flat and memsys recordings replayed at a      all five, and memsys
 //	           timing mutation, against full simulation of it
@@ -454,6 +456,35 @@ func TestLaws(t *testing.T) {
 		checkOracle(t, "memsys/1w", r.rec.cells)
 		checkOracle(t, "memsys/4w", r.part)
 		checkMemsys(t, "memsys/4w", r.part, "memsys/1w", r.rec.cells)
+	})
+	// One slot shared by the memsys row's device and one with 2 SMs, a
+	// 256 KB 4-way L2 and half the port bandwidth, the inputs
+	// alternating between them: every launch re-arms an L2 and a
+	// crossbar of the other geometry. Each device's cells equal its
+	// never-recycled ones.
+	t.Run("memsys-recycled", func(t *testing.T) {
+		t.Parallel()
+		l2 := mem.DefaultL2()
+		l2.Bytes, l2.Ways = 256*1024, 4
+		xbar := noc.Default()
+		xbar.BytesPerCycle /= 2
+		small := []Option{WithArch(sbiswi), WithSMs(2), WithGridPartition(true), WithL2(l2), WithInterconnect(xbar)}
+		q := NewRunQueue(1)
+		devs := []*Device{mustNew(memsysOpts(true, WithRunQueue(q))...), mustNew(slices.Concat(small, []Option{WithRunQueue(q)})...)}
+		cells := [][]lawCell{make([]lawCell, len(in)), make([]lawCell, len(in))}
+		for i := range in {
+			for k, d := range devs {
+				cells[k][i] = launchAll(d, in[i:i+1], 1)[0]
+			}
+		}
+		fresh := make([]lawCell, len(in))
+		forEach(len(in), func(i int) {
+			fresh[i] = launchAll(mustNew(slices.Concat(small, []Option{WithWorkers(1)})...), in[i:i+1], 1)[0]
+		})
+		checkOracle(t, "memsys-recycled/4sm", cells[0])
+		checkOracle(t, "memsys-recycled/2sm", cells[1])
+		checkMemsys(t, "memsys-recycled/4sm", cells[0], "memsys/1w", memsysRow().rec.cells)
+		checkMemsys(t, "memsys-recycled/2sm", cells[1], "fresh 1-worker devices", fresh)
 	})
 	t.Run("streams", func(t *testing.T) {
 		t.Parallel()

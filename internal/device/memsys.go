@@ -1,6 +1,7 @@
 package device
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -28,7 +29,7 @@ import (
 // to that driver:
 //
 //   - whole grid: one wave, so one domain with one slot, simulated on
-//     the launch's live memory image (no snapshot, no merge), cycle-exact
+//     the launch's live memory image (no copy, no fold), cycle-exact
 //     with sm.Run. With the memory system modeled (WithL2 /
 //     WithInterconnect) the slot's L1 talks to a one-port crossbar.
 //   - flat partitioning: under the flat-latency DRAM model nothing is
@@ -44,11 +45,17 @@ import (
 //     hierarchy, so the whole plan is one domain: wave j runs on SM
 //     j mod N and all waves contend on one device clock.
 //
-// Waves of a partitioned launch each start from a snapshot of the
-// pre-launch image and are folded back with exec.MergeWaves, which
-// asserts the write-sharing contract, so a failed or cancelled
-// partitioned launch leaves the caller's image untouched. A replayed
-// launch (tr) never touches memory, so it skips snapshot and merge.
+// Waves of a partitioned launch each run on a copy of the launch's
+// image, which nothing writes until the commit, and are folded with
+// exec.MergeWave, which asserts the write-sharing contract: a domain's
+// first wave to finish becomes its merged image and every later one is
+// folded into it as it finishes, its buffer going to the next wave on
+// its slot. Flat partitioning's one-wave domains are folded after the
+// last, in wave order. The merged image is committed to the launch's
+// image once, after every domain has succeeded, so a failed or
+// cancelled partitioned launch leaves the caller's image untouched. A
+// replayed launch (tr) never touches memory, so it skips copies and
+// folds.
 //
 // Determinism. A domain's driver is serial and its pick rule is a pure
 // function of the configuration — minimum device time, lowest SM index
@@ -94,15 +101,19 @@ func (p *l2Port) Access(now int64, store bool, block uint32) int64 {
 
 // smSlot is one SM's place in a contention domain: the SM shell that
 // simulates its waves one after the other, the wave currently on it,
-// the crossbar port its L1 uses (nil under the flat-latency model), and
-// the device cycle at which that wave started (the sum of its
-// predecessors' cycles on this SM).
+// the crossbar port its L1 uses (nil under the flat-latency model), the
+// device cycle at which that wave started (the sum of its predecessors'
+// cycles on this SM), and the copy of the launch's image the wave runs
+// on (nil when it runs on the launch itself). A finished wave's copy
+// is the buffer of the slot's next wave, unless it became the domain's
+// merged image.
 type smSlot struct {
 	run    *sm.Runner
 	live   bool // a wave is simulating; false once the slot has none left
 	port   *l2Port
 	wave   int   // index into the plan of the running wave
 	offset int64 // device-time start of the running wave
+	img    []byte
 }
 
 // waveRun is one wave's outcome; err is set on the first wave of a
@@ -126,15 +137,14 @@ type launchRun struct {
 	runs  []waveRun
 	next  atomic.Int64 // the first wave of the next domain to claim
 
-	// base is the pre-launch snapshot every wave clones and images the
-	// per-wave clones awaiting the merge; nil when the waves run on l
-	// itself.
-	base   []byte
+	// images holds each domain's merged image, awaiting the commit; nil
+	// when the waves run on l itself.
 	images [][]byte
 
-	// The modeled lower level, built by the launch's only domain.
-	l2   *mem.L2
-	xbar *noc.Crossbar
+	// out is a partitioned launch's Result, in which the memsys domain
+	// leaves the L2 and crossbar counters; nil when the launch is one
+	// wave, whose own Result is the launch's.
+	out *sm.Result
 }
 
 // run simulates one launch. partition is explicit because RunSuite
@@ -173,10 +183,9 @@ func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *r
 			e.span, e.slots = n, d.sms
 		}
 		if tr == nil {
-			e.base = make([]byte, len(l.Global))
-			copy(e.base, l.Global)
-			e.images = make([][]byte, n)
+			e.images = make([][]byte, n/e.span)
 		}
+		e.out = &sm.Result{Waves: make([]sm.Stats, n), SMCycles: make([]int64, d.sms)}
 	}
 	e.runs = make([]waveRun, n)
 
@@ -206,39 +215,41 @@ func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *r
 		return nil, firstErr
 	}
 
-	if e.base != nil {
+	// The commit: flat partitioning's one-wave domains are folded here,
+	// in wave order, and the merged image becomes the launch's.
+	if e.images != nil {
 		if err := d.fire(faultinject.SiteWaveMerge); err != nil {
 			return nil, err
 		}
-		if err := exec.MergeWaves(l.Global, e.base, e.images); err != nil {
-			return nil, fmt.Errorf("device: %s: %w", l.Prog.Name, err)
+		for _, img := range e.images[1:] {
+			if err := e.fold(e.images[0], img); err != nil {
+				return nil, err
+			}
 		}
+		copy(l.Global, e.images[0])
 	}
 
-	out := e.runs[0].res
-	if n > 1 {
-		out = &sm.Result{
-			Trace:    out.Trace, // wave clocks are not comparable; keep the first wave's trace
-			Waves:    make([]sm.Stats, n),
-			SMCycles: make([]int64, d.sms),
-		}
+	out := cmp.Or(e.out, e.runs[0].res)
+	if e.out != nil {
+		out.Trace = e.runs[0].res.Trace // wave clocks are not comparable; keep the first wave's trace
 		for i := range e.runs {
 			st := &e.runs[i].res.Stats
 			out.Waves[i] = *st
-			out.Stats.Merge(st)
+			out.Stats.Merge(st) // the waves' L2 and NoC counters are zero
 			out.SMCycles[i%d.sms] += st.Cycles
-		}
-	}
-	if e.xbar != nil {
-		out.Stats.Mem.L2 = e.l2.Stats
-		out.Stats.Mem.NoC = e.xbar.Stats()
-		out.NoCPorts = make([]noc.Stats, e.slots)
-		for i := range out.NoCPorts {
-			out.NoCPorts[i] = e.xbar.PortStats(i)
 		}
 	}
 	out.Replayed = tr != nil
 	return out, nil
+}
+
+// fold folds a finished wave's image into its domain's merged image,
+// against the launch's own, which still holds the pre-launch image.
+func (e *launchRun) fold(merged, img []byte) error {
+	if err := exec.MergeWave(merged, e.l.Global, img); err != nil {
+		return fmt.Errorf("device: %s: %w", e.l.Prog.Name, err)
+	}
+	return nil
 }
 
 // claim runs the plan's contention domains, taking each in wave order
@@ -268,36 +279,41 @@ func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
 		}
 	}()
 	// The domain is one goroutine however many SMs it interleaves, so it
-	// occupies one run-queue slot. The slot's SM shells come with it and
-	// go back only from the clean return at the bottom: an error, an
-	// abort or a panic drops them with the failed run.
+	// occupies one run-queue slot. The slot's SM shells, L2 and crossbar
+	// come with it and go back only from the clean return at the
+	// bottom: an error, an abort or a panic drops them with the failed
+	// run.
 	d := e.d
-	shells, err := d.acquireSlot(ctx)
+	s, err := d.acquireSlot(ctx)
 	if err != nil {
 		return err
 	}
-	var donate []*sm.Runner
+	var donate slot
 	defer func() { d.queue.release(donate) }()
-	for len(shells) < e.slots {
-		shells = append(shells, new(sm.Runner))
+	for len(s.shells) < e.slots {
+		s.shells = append(s.shells, new(sm.Runner))
 	}
 
 	slots := make([]smSlot, e.slots)
 	if d.memsys {
-		e.l2 = mem.NewL2(d.l2cfg, d.cfg.Mem)
-		e.xbar = noc.New(d.noccfg, e.slots)
+		if s.l2 == nil {
+			s.l2, s.xbar = new(mem.L2), new(noc.Crossbar)
+		}
+		s.l2.Reset(d.l2cfg, d.cfg.Mem)
+		s.xbar.Reset(d.noccfg, e.slots)
 		for i := range slots {
-			slots[i].port = &l2Port{xbar: e.xbar, port: i, l2: e.l2, blockBytes: d.cfg.Mem.BlockBytes, faults: d.faults}
+			slots[i].port = &l2Port{xbar: s.xbar, port: i, l2: s.l2, blockBytes: d.cfg.Mem.BlockBytes, faults: d.faults}
 		}
 	}
 	for i := range slots {
-		slots[i].run = shells[i]
+		slots[i].run = s.shells[i]
 		if lo+i < hi {
 			if err := e.start(&slots[i], lo+i); err != nil {
 				return err
 			}
 		}
 	}
+	var merged []byte // the first wave image to finish, the later ones folded in
 	for live := hi - lo; live > 0; live-- {
 		sl, err := stepToWaveEnd(ctx, slots)
 		if err != nil {
@@ -307,26 +323,49 @@ func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
 		e.runs[sl.wave].res = res
 		sl.offset += res.Stats.Cycles
 		sl.live = false
+		if sl.img != nil { // the wave ran on a copy of the launch's image
+			if merged == nil {
+				merged, sl.img = sl.img, nil
+			} else if err := e.fold(merged, sl.img); err != nil {
+				return err
+			}
+		}
 		if next := sl.wave + e.slots; next < hi {
 			if err := e.start(sl, next); err != nil {
 				return err
 			}
 		}
 	}
-	donate = shells
+	if e.images != nil {
+		e.images[lo/e.span] = merged
+	}
+	if d.memsys {
+		// The counters are read here, before the next holder of the slot
+		// resets its L2 and crossbar.
+		out := cmp.Or(e.out, e.runs[lo].res)
+		out.Stats.Mem.L2, out.Stats.Mem.NoC = s.l2.Stats, s.xbar.Stats()
+		out.NoCPorts = make([]noc.Stats, e.slots)
+		for i := range out.NoCPorts {
+			out.NoCPorts[i] = s.xbar.PortStats(i)
+		}
+	}
+	donate = s
 	return nil
 }
 
 // start puts wave w of the plan on the slot: the slot's SM re-armed
-// over a private clone of the pre-launch image (or the launch itself
-// when there is no snapshot), wired to the slot's port and the
-// trace-replay machinery — a fresh recorder sink when recording, a
-// cursor session over the wave's threads when replaying.
+// over a private copy of the launch's image — in the slot's buffer,
+// allocated when it has none — or over the launch itself when the waves
+// run on it, wired to the slot's port and the trace-replay machinery —
+// a fresh recorder sink when recording, a cursor session over the
+// wave's threads when replaying.
 func (e *launchRun) start(sl *smSlot, w int) error {
 	wl, from, to := e.l, e.waves[w][0], e.waves[w][1]
-	if e.base != nil {
-		wl = e.l.CloneWithGlobal(e.base)
-		e.images[w] = wl.Global
+	if e.images != nil {
+		sl.img = append(sl.img[:0], e.l.Global...)
+		c := *e.l
+		c.Global = sl.img
+		wl = &c
 	}
 	var opts sm.RunOpts
 	if sl.port != nil {

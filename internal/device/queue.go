@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/mem"
+	"repro/internal/noc"
 	"repro/internal/sm"
 )
 
@@ -12,18 +14,29 @@ import (
 // semaphore, one slot per contention domain of a wave plan (memsys.go)
 // for as long as that domain simulates, granted first-come. Ordering is
 // not its job — RunSuite decides who asks first (device.go). Each slot
-// carries the SM shells of the last domain that finished cleanly on it,
-// one sm.Runner per SM, and the next domain re-arms them (Runner.Reset)
-// instead of building SMs from nothing; a domain that fails in any way
-// hands back none, so no state of a failed launch is ever reused. Only
-// the slot's holder touches its shells, which bounds reuse by the slot
-// count without a lock. The queue never changes what a simulation
-// computes: results are bit-identical for every slot count and whatever
-// a slot served before. A queue is private to its device unless
-// WithRunQueue shares one, so several devices' combined load stays
-// bounded by one worker pool — and their launches share its shells.
+// carries what the last domain that finished cleanly on it built: its
+// SM shells, one sm.Runner per SM, and — once a memsys domain has run
+// there — the shared L2 and crossbar. The next domain re-arms them
+// (Runner.Reset, L2.Reset, Crossbar.Reset, each rebuilding what does
+// not fit its device) instead of building them from nothing; a domain
+// that fails in any way hands back nothing, so no state of a failed
+// launch is ever reused. Only the slot's holder touches what it
+// carries, which bounds reuse by the slot count without a lock. The
+// queue never changes what a simulation computes: results are
+// bit-identical for every slot count and whatever a slot served before.
+// A queue is private to its device unless WithRunQueue shares one, so
+// several devices' combined load stays bounded by one worker pool — and
+// their launches share what the slots carry.
 type RunQueue struct {
-	slots chan []*sm.Runner // the free slots, each with its shells
+	slots chan slot // the free slots, each with what it carries
+}
+
+// slot is what one run-queue slot carries from holder to holder; the
+// zero slot carries nothing.
+type slot struct {
+	shells []*sm.Runner
+	l2     *mem.L2
+	xbar   *noc.Crossbar
 }
 
 // NewRunQueue builds a queue with the given number of concurrent
@@ -37,9 +50,9 @@ func NewRunQueue(workers int) *RunQueue {
 	if workers > MaxWorkers {
 		panic(fmt.Sprintf("device: %d run-queue slots exceed MaxWorkers (%d)", workers, MaxWorkers))
 	}
-	q := &RunQueue{slots: make(chan []*sm.Runner, workers)}
+	q := &RunQueue{slots: make(chan slot, workers)}
 	for i := 0; i < workers; i++ {
-		q.slots <- nil
+		q.slots <- slot{}
 	}
 	return q
 }
@@ -48,21 +61,20 @@ func NewRunQueue(workers int) *RunQueue {
 // running SM simulations.
 func (q *RunQueue) Workers() int { return cap(q.slots) }
 
-// acquire blocks until a slot is free or ctx is done, and returns the
-// slot's shells (nil when it has none); a context that is already done
-// never takes a slot.
-func (q *RunQueue) acquire(ctx context.Context) ([]*sm.Runner, error) {
+// acquire blocks until a slot is free or ctx is done, and returns what
+// the slot carries; a context that is already done never takes a slot.
+func (q *RunQueue) acquire(ctx context.Context) (slot, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return slot{}, err
 	}
 	select {
-	case shells := <-q.slots:
-		return shells, nil
+	case s := <-q.slots:
+		return s, nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return slot{}, ctx.Err()
 	}
 }
 
-// release returns the caller's slot, leaving shells on it for the next
-// holder; nil after anything but a clean run.
-func (q *RunQueue) release(shells []*sm.Runner) { q.slots <- shells }
+// release returns the caller's slot, leaving s on it for the next
+// holder; the zero slot after anything but a clean run.
+func (q *RunQueue) release(s slot) { q.slots <- s }

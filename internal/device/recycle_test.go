@@ -34,22 +34,30 @@ func launchOn(t *testing.T, d *Device, b *kernels.Benchmark) *exec.Launch {
 	return l
 }
 
-// slotShells takes the device's only free slot and reports the shells
-// on it.
-func slotShells(t *testing.T, d *Device) []*sm.Runner {
+// heldSlot takes the device's only free slot and reports what it
+// carries.
+func heldSlot(t *testing.T, d *Device) slot {
 	t.Helper()
-	shells, err := d.queue.acquire(context.Background())
+	s, err := d.queue.acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.queue.release(shells)
-	return shells
+	d.queue.release(s)
+	return s
+}
+
+// slotShells reports the shells on the device's only free slot.
+func slotShells(t *testing.T, d *Device) []*sm.Runner {
+	t.Helper()
+	return heldSlot(t, d).shells
 }
 
 // TestRecycleAfterFailure: on a one-slot device a warm shell serves a
-// launch that fails — livelock, cancellation, watchdog, panic — and the
-// slot comes back empty; the good launch after it builds its SM anew
-// and computes exactly what a never-used device computes.
+// launch that fails — livelock, cancellation, watchdog, panic, a
+// memsys write conflict — and the slot comes back empty, no shell, L2
+// or crossbar on it; the good launch after it builds its SM, and its
+// memory system, anew and computes exactly what a never-used device
+// computes.
 func TestRecycleAfterFailure(t *testing.T) {
 	leakcheck.Check(t)
 	for _, c := range []struct {
@@ -99,6 +107,16 @@ func TestRecycleAfterFailure(t *testing.T) {
 			}
 			return err
 		}},
+		// A memsys domain folds each wave as it finishes, so the second
+		// writer's wave fails the launch while the domain holds its slot.
+		{"memsys-conflict", []Option{WithSMs(2), WithGridPartition(true), WithL2(mem.DefaultL2())}, func(t *testing.T, d *Device) error {
+			_, err := d.Run(context.Background(), twoWaveLaunch(t, "conflict", conflictingStores))
+			var wc *exec.WriteConflict
+			if !errors.As(err, &wc) {
+				t.Fatalf("err %v, want *exec.WriteConflict", err)
+			}
+			return err
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			opts := slices.Concat([]Option{WithArch(sm.ArchSBISWI), WithWorkers(1)}, c.opts)
@@ -110,14 +128,14 @@ func TestRecycleAfterFailure(t *testing.T) {
 			if _, err := dev.Run(context.Background(), launchOn(t, dev, ks[0])); err != nil {
 				t.Fatalf("warm-up: %v", err)
 			}
-			if slotShells(t, dev) == nil {
-				t.Fatal("a clean launch left no shell on its slot: nothing is being recycled")
+			if s := heldSlot(t, dev); s.shells == nil || dev.memsys && s.l2 == nil {
+				t.Fatalf("a clean launch left %d shell(s) and L2 %p on its slot: nothing is being recycled", len(s.shells), s.l2)
 			}
 			if c.fail(t, dev) == nil {
 				t.Fatal("the failing launch succeeded")
 			}
-			if sh := slotShells(t, dev); sh != nil {
-				t.Errorf("the failed launch donated %d shell(s) to its slot", len(sh))
+			if s := heldSlot(t, dev); s.shells != nil || s.l2 != nil || s.xbar != nil {
+				t.Errorf("the failed launch donated %d shell(s), L2 %p and crossbar %p to its slot", len(s.shells), s.l2, s.xbar)
 			}
 
 			l := launchOn(t, dev, ks[1])
@@ -291,3 +309,46 @@ func TestWarmLaunchAllocBudget(t *testing.T) {
 // parentWarmLaunchMallocs is what the launch of TestWarmLaunchAllocBudget
 // cost in mallocs before SM shells were recycled.
 const parentWarmLaunchMallocs = 85
+
+// TestWarmMemsysLaunchAllocBudget is the ratchet on what a partitioned
+// launch behind the modeled memory system allocates once its slot is
+// warm: Transpose in 9 waves on the memsys row's 4-SM device, one
+// worker. The L2 and crossbar ride the slot, and the waves share five
+// image buffers, folded as they finish, where each had a clone beside a
+// pre-launch snapshot and the merge's written-byte mask.
+func TestWarmMemsysLaunchAllocBudget(t *testing.T) {
+	dev, err := New(memsysOpts(true, WithWorkers(1))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const launches = 10
+	ls := make([]*exec.Launch, launches+1)
+	for i := range ls {
+		ls[i] = mustLaunch(t, "Transpose")
+	}
+	ctx := context.Background()
+	if res, err := dev.Run(ctx, ls[launches]); err != nil { // warm-up
+		t.Fatal(err)
+	} else if len(res.Waves) != 9 {
+		t.Fatalf("Transpose ran in %d waves, want 9", len(res.Waves))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, l := range ls[:launches] {
+		if _, err := dev.Run(ctx, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perLaunch := (after.TotalAlloc - before.TotalAlloc) / launches
+	t.Logf("a warm memsys launch allocates %d bytes", perLaunch)
+	if perLaunch >= parentWarmMemsysLaunchBytes/2 {
+		t.Errorf("a warm memsys launch allocates %d bytes, want under half the %d it allocated when every launch built its L2, crossbar and snapshots", perLaunch, parentWarmMemsysLaunchBytes)
+	}
+}
+
+// parentWarmMemsysLaunchBytes is what the launch of
+// TestWarmMemsysLaunchAllocBudget allocated when every launch built its
+// L2 and crossbar, cloned a pre-launch snapshot per wave and merged the
+// clones under a written-byte mask.
+const parentWarmMemsysLaunchBytes = 1002856

@@ -352,14 +352,14 @@ func TestRunQueueCancelledWaiter(t *testing.T) {
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled acquire returned %v", err)
 	}
-	q.release(nil)
+	q.release(slot{})
 	// The slot must be acquirable again.
 	short, cancelShort := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancelShort()
 	if _, err := q.acquire(short); err != nil {
 		t.Fatalf("slot leaked: acquire after release returned %v", err)
 	}
-	q.release(nil)
+	q.release(slot{})
 	if n := q.busy(); n != 0 {
 		t.Errorf("%d slots busy after every holder released", n)
 	}

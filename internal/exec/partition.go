@@ -17,7 +17,7 @@ import "fmt"
 //	e.g. BFS frontier levels); reads that race such writes must
 //	tolerate either the old or the new value.
 //
-// MergeWaves enforces the writable half of that contract exactly: a
+// MergeWave enforces the writable half of that contract exactly: a
 // location written by two waves with different values is reported as a
 // conflict instead of being silently resolved by scheduling order.
 
@@ -35,12 +35,10 @@ func (e *WriteConflict) Error() string {
 
 // MergeWaves folds per-wave global-memory images back into dst. base is
 // the shared, unmodified pre-launch image every wave started from; each
-// entry of waves is one wave's private post-run image. A byte a wave
-// changed relative to base is committed to dst; two waves changing the
-// same byte to different values is a WriteConflict error (several waves
-// agreeing on the value is fine — the order-independent-write case).
-// dst must not alias base (it may be the launch's live Global slice,
-// whose content still equals base because the waves ran on copies).
+// entry of waves is one wave's private post-run image. dst starts as a
+// copy of base and takes each wave in turn (MergeWave). dst must not
+// alias base (it may be the launch's live Global slice, whose content
+// still equals base because the waves ran on copies).
 func MergeWaves(dst, base []byte, waves [][]byte) error {
 	if len(dst) != len(base) {
 		return fmt.Errorf("exec: merge images differ in length: %d vs %d", len(dst), len(base))
@@ -49,29 +47,33 @@ func MergeWaves(dst, base []byte, waves [][]byte) error {
 		return fmt.Errorf("exec: merge destination must not alias the base image")
 	}
 	copy(dst, base)
-	// written marks committed offsets (the committed value lives in
-	// dst), so a later wave is checked against the first writer rather
-	// than base.
-	var written []bool
 	for _, w := range waves {
-		if len(w) != len(base) {
-			return fmt.Errorf("exec: wave image length %d, want %d", len(w), len(base))
+		if err := MergeWave(dst, base, w); err != nil {
+			return err
 		}
-		for i := range w {
-			if w[i] == base[i] {
-				continue // this wave did not (observably) write byte i
-			}
-			if written == nil {
-				written = make([]bool, len(base))
-			}
-			if written[i] {
-				if w[i] != dst[i] {
-					return &WriteConflict{Offset: i, A: dst[i], B: w[i]}
-				}
-				continue
-			}
-			written[i] = true
-			dst[i] = w[i]
+	}
+	return nil
+}
+
+// MergeWave folds one wave's post-run image w into dst, which holds
+// base plus the waves folded into it so far; dst must not alias base. A
+// byte counts as written exactly when it differs from base: a byte w
+// wrote is committed to dst, and one that dst already holds a different
+// written value for is a WriteConflict (several waves agreeing on the
+// value is fine — the order-independent-write case). Whatever order the
+// waves are folded in, the image is the same, and a conflict in one
+// order is a conflict in every other.
+func MergeWave(dst, base, w []byte) error {
+	if len(w) != len(base) || len(dst) != len(base) {
+		return fmt.Errorf("exec: merge images differ in length: wave %d, merged %d, base %d", len(w), len(dst), len(base))
+	}
+	for i, b := range w {
+		switch d := dst[i]; {
+		case b == base[i] || b == d: // not written by w, or already committed
+		case d == base[i]:
+			dst[i] = b
+		default:
+			return &WriteConflict{Offset: i, A: d, B: b}
 		}
 	}
 	return nil

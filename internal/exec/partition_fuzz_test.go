@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"errors"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -47,13 +48,15 @@ func FuzzPartitionWaves(f *testing.F) {
 // FuzzMergeWaves drives the snapshot merge over random grid shapes and
 // payloads: per-wave images writing disjoint CTA-owned ranges must
 // round-trip into exactly the union of their writes, and two waves
-// disagreeing on a byte must surface a WriteConflict naming it.
+// disagreeing on a byte must surface a WriteConflict naming it. Each
+// merge is also folded wave by wave in an order drawn from order
+// (checkFold), as the device folds waves in the order they finish.
 func FuzzMergeWaves(f *testing.F) {
-	f.Add(10, 3, 4, []byte{1, 2, 3, 4, 5})
-	f.Add(1, 1, 1, []byte{0})
-	f.Add(9, 2, 2, []byte{0xFF, 0x00, 0x7F})
-	f.Add(33, 5, 3, []byte{})
-	f.Fuzz(func(t *testing.T, grid, waveSize, bytesPerCTA int, seed []byte) {
+	f.Add(10, 3, 4, []byte{1, 2, 3, 4, 5}, uint64(0))
+	f.Add(1, 1, 1, []byte{0}, uint64(1))
+	f.Add(9, 2, 2, []byte{0xFF, 0x00, 0x7F}, uint64(7))
+	f.Add(33, 5, 3, []byte{}, uint64(42))
+	f.Fuzz(func(t *testing.T, grid, waveSize, bytesPerCTA int, seed []byte, order uint64) {
 		if grid <= 0 || grid > 256 || waveSize <= 0 || waveSize > 64 ||
 			bytesPerCTA <= 0 || bytesPerCTA > 16 {
 			t.Skip("outside the modeled shape range")
@@ -90,6 +93,7 @@ func FuzzMergeWaves(f *testing.F) {
 		if err := MergeWaves(dst, base, images); err != nil {
 			t.Fatalf("disjoint writes must merge cleanly: %v", err)
 		}
+		checkFold(t, base, images, order)
 		if !bytes.Equal(dst, expected) {
 			t.Fatalf("merge round-trip mismatch:\n got %v\nwant %v", dst, expected)
 		}
@@ -104,6 +108,7 @@ func FuzzMergeWaves(f *testing.F) {
 			if dst[0] != images[0][0] {
 				t.Fatalf("agreed byte = %#x, want %#x", dst[0], images[0][0])
 			}
+			checkFold(t, base, images, order)
 
 			// Disagreement must be a WriteConflict at that offset.
 			images[1][0] = images[0][0] + 1
@@ -118,6 +123,39 @@ func FuzzMergeWaves(f *testing.F) {
 			if conflict.Offset != 0 {
 				t.Fatalf("conflict at byte %d, want 0", conflict.Offset)
 			}
+			checkFold(t, base, images, order)
 		}
 	})
+}
+
+// checkFold folds images with MergeWave into the first of them in an
+// order drawn from order, against base, and holds the fold to
+// MergeWaves over the same images: the same image when MergeWaves
+// merges, a WriteConflict (at whichever byte the order meets first)
+// when it reports one.
+func checkFold(t *testing.T, base []byte, images [][]byte, order uint64) {
+	t.Helper()
+	want := make([]byte, len(base))
+	mergeErr := MergeWaves(want, base, images)
+	perm := rand.New(rand.NewPCG(order, 0)).Perm(len(images))
+	got := append([]byte(nil), images[perm[0]]...)
+	var foldErr error
+	for _, w := range perm[1:] {
+		if foldErr = MergeWave(got, base, images[w]); foldErr != nil {
+			break
+		}
+	}
+	var conflict *WriteConflict
+	switch {
+	case errors.As(mergeErr, &conflict):
+		if !errors.As(foldErr, &conflict) {
+			t.Fatalf("MergeWaves reports %v; the fold in order %v returned %v", mergeErr, perm, foldErr)
+		}
+	case mergeErr != nil:
+		t.Fatalf("MergeWaves: %v", mergeErr)
+	case foldErr != nil:
+		t.Fatalf("MergeWaves merges; the fold in order %v returned %v", perm, foldErr)
+	case !bytes.Equal(got, want):
+		t.Fatalf("the fold in order %v differs from MergeWaves' image:\n got %v\nwant %v", perm, got, want)
+	}
 }

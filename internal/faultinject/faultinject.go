@@ -57,8 +57,9 @@ const (
 	// error-class faults at this site are raised as panics (MustFire).
 	SiteMemAccess Site = "mem-access"
 
-	// SiteWaveMerge fires before a partitioned launch's per-wave memory
-	// images are merged back into the live image.
+	// SiteWaveMerge fires before a partitioned launch's merged memory
+	// image is committed to the live image: after every wave has
+	// succeeded, before flat partitioning's per-wave images are folded.
 	SiteWaveMerge Site = "wave-merge"
 
 	// SiteReplayFallback fires at the start of a trace-replay attempt,

@@ -107,20 +107,35 @@ type L2 struct {
 // (whose BlockBytes is also the L2 line size). It panics on invalid
 // geometry; device options validate user input before construction.
 func NewL2(cfg L2Config, mem Config) *L2 {
+	l := new(L2)
+	l.Reset(cfg, mem)
+	return l
+}
+
+// Reset makes l the cold L2 NewL2 builds for cfg and mem — no line
+// valid, nothing in flight, every bank and the DRAM port idle, zero
+// Stats — reusing the tag array and the banks when their geometry is
+// unchanged (a run-queue slot's L2 is reset for every launch it serves,
+// and the slot may serve devices of different L2 geometry).
+func (l *L2) Reset(cfg L2Config, mem Config) {
 	if err := cfg.Validate(mem.BlockBytes); err != nil {
 		panic(err)
 	}
-	banks := make([]noc.Link, cfg.Banks)
-	for i := range banks {
-		banks[i] = noc.NewLink(cfg.BytesPerCycle, 0)
+	if len(l.arr.lines) > 0 && cfg.Bytes == l.cfg.Bytes && cfg.Ways == l.cfg.Ways && mem.BlockBytes == l.mem.BlockBytes {
+		l.arr.reset()
+	} else {
+		l.arr = newCacheArray(cfg.Bytes, cfg.Ways, mem.BlockBytes)
 	}
-	return &L2{
-		cfg:   cfg,
-		mem:   mem,
-		arr:   newCacheArray(cfg.Bytes, cfg.Ways, mem.BlockBytes),
-		port:  noc.NewLink(mem.BytesPerCycle, mem.MemLatency),
-		banks: banks,
+	if len(l.banks) != cfg.Banks {
+		l.banks = make([]noc.Link, cfg.Banks)
 	}
+	for i := range l.banks {
+		l.banks[i] = noc.NewLink(cfg.BytesPerCycle, 0)
+	}
+	l.cfg, l.mem = cfg, mem
+	l.port = noc.NewLink(mem.BytesPerCycle, mem.MemLatency)
+	l.mshr.reset()
+	l.Stats = L2Stats{}
 }
 
 func (l *L2) bank(blockAddr uint32) int {

@@ -2,6 +2,8 @@ package mem
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -246,5 +248,55 @@ func TestStoreWriteBuffer(t *testing.T) {
 	}
 	if h0.Stats.StoreQueueStalls != 0 {
 		t.Errorf("StoreQueue 0 accumulated %d stalls", h0.Stats.StoreQueueStalls)
+	}
+}
+
+// driveL2 presents n seeded accesses at non-decreasing cycles — one in
+// four a store, over 256 blocks, bursts that queue on the banks and the
+// DRAM port — and returns every ready cycle.
+func driveL2(l *L2, seed uint64, n int) []int64 {
+	rng := rand.New(rand.NewPCG(seed, 0x12))
+	out := make([]int64, n)
+	var now int64
+	for i := range out {
+		now += rng.Int64N(4)
+		out[i] = l.Access(now, uint32(rng.IntN(256))*128, rng.IntN(4) == 0)
+	}
+	return out
+}
+
+// TestL2ResetEqualsNew: an L2 that served one stream and was Reset —
+// to its own geometry or another — answers a second stream exactly as
+// a fresh NewL2 does: every ready cycle and every counter. The first
+// stream leaves lines valid, fills in flight and banks and the DRAM
+// port booked far ahead of the second stream's cycles.
+func TestL2ResetEqualsNew(t *testing.T) {
+	mc := Default()
+	tiny := L2Config{Bytes: 2 * 1024, Ways: 2, Banks: 2, HitLatency: 10, BytesPerCycle: 32}
+	for _, c := range []struct {
+		name string
+		next func(c *L2Config)
+	}{
+		{"same", func(*L2Config) {}},
+		{"bytes", func(c *L2Config) { c.Bytes = 4 * 1024 }},
+		{"ways", func(c *L2Config) { c.Ways = 4 }},
+		{"banks", func(c *L2Config) { c.Banks = 4 }},
+		{"timing", func(c *L2Config) { c.HitLatency, c.BytesPerCycle = 30, 8 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			next := tiny
+			c.next(&next)
+			l := NewL2(tiny, mc)
+			driveL2(l, 1, 2000)
+			l.Reset(next, mc)
+			fresh := NewL2(next, mc)
+			got, want := driveL2(l, 2, 2000), driveL2(fresh, 2, 2000)
+			if !slices.Equal(got, want) {
+				t.Errorf("a reset L2's ready cycles differ from a fresh one's")
+			}
+			if l.Stats != fresh.Stats {
+				t.Errorf("reset L2 stats %+v, fresh %+v", l.Stats, fresh.Stats)
+			}
+		})
 	}
 }

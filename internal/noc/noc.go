@@ -146,18 +146,26 @@ type Crossbar struct {
 // non-positive port count (an internal wiring error, not user input —
 // the device validates options, cfg included, at New).
 func New(cfg Config, ports int) *Crossbar {
+	x := new(Crossbar)
+	x.Reset(cfg, ports)
+	return x
+}
+
+// Reset makes x the idle crossbar New builds for cfg and ports — every
+// port free, zero counters — reusing its per-port arrays when the port
+// count is unchanged.
+func (x *Crossbar) Reset(cfg Config, ports int) {
 	if ports <= 0 {
 		panic(fmt.Sprintf("noc: port count %d must be positive", ports))
 	}
-	links := make([]Link, ports)
-	for i := range links {
-		links[i] = NewLink(cfg.BytesPerCycle, cfg.Latency)
+	if len(x.ports) != ports {
+		x.ports, x.stats = make([]Link, ports), make([]Stats, ports)
 	}
-	return &Crossbar{
-		cfg:   cfg,
-		ports: links,
-		stats: make([]Stats, ports),
+	for i := range x.ports {
+		x.ports[i] = NewLink(cfg.BytesPerCycle, cfg.Latency)
 	}
+	clear(x.stats)
+	x.cfg = cfg
 }
 
 // Send injects a request of the given payload size on a port at cycle

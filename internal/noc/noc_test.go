@@ -2,6 +2,8 @@ package noc
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -130,4 +132,57 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 		}
 	}()
 	New(Default(), 0)
+}
+
+// driveCrossbar sends n seeded 128-byte requests at non-decreasing
+// cycles over the crossbar's ports — bursts that queue on them — and
+// returns every delivery cycle.
+func driveCrossbar(x *Crossbar, ports int, seed uint64, n int) []int64 {
+	rng := rand.New(rand.NewPCG(seed, 0x34))
+	out := make([]int64, n)
+	var now int64
+	for i := range out {
+		now += rng.Int64N(3)
+		out[i] = x.Send(rng.IntN(ports), now, 128)
+	}
+	return out
+}
+
+// TestCrossbarResetEqualsNew: a crossbar that carried one stream and
+// was Reset — to its own port count or another, its own timing or
+// another — delivers a second stream exactly as a fresh New does: every
+// delivery cycle, every port's counters and their total.
+func TestCrossbarResetEqualsNew(t *testing.T) {
+	narrow := Config{Latency: 5, BytesPerCycle: 8}
+	for _, c := range []struct {
+		name        string
+		ports, next int
+		cfg         Config
+	}{
+		{"same", 2, 2, narrow},
+		{"more-ports", 2, 4, narrow},
+		{"fewer-ports", 4, 2, narrow},
+		{"timing", 2, 2, Default()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			x := New(narrow, c.ports)
+			driveCrossbar(x, c.ports, 1, 1000)
+			x.Reset(c.cfg, c.next)
+			fresh := New(c.cfg, c.next)
+			if got, want := driveCrossbar(x, c.next, 2, 1000), driveCrossbar(fresh, c.next, 2, 1000); !slices.Equal(got, want) {
+				t.Errorf("a reset crossbar's delivery cycles differ from a fresh one's")
+			}
+			if len(x.stats) != c.next {
+				t.Fatalf("reset crossbar has %d ports, want %d", len(x.stats), c.next)
+			}
+			for p := range c.next {
+				if got, want := x.PortStats(p), fresh.PortStats(p); got != want {
+					t.Errorf("port %d: reset crossbar stats %+v, fresh %+v", p, got, want)
+				}
+			}
+			if got, want := x.Stats(), fresh.Stats(); got != want {
+				t.Errorf("reset crossbar stats %+v, fresh %+v", got, want)
+			}
+		})
+	}
 }
