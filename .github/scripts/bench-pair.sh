@@ -18,6 +18,14 @@
 # side), and the two medians further apart than the old side's own
 # inter-quartile distance. It prints `claim met` or `claim NOT met` with
 # the three numbers and fails when the claim is not met.
+#
+# Host time follows the 64-byte phase of the issue walk's hot functions,
+# which a change to the size of any code linked before them flips: a
+# +-10 % launch-storm or suite-regular swing can be code placement
+# alone. So the script prints, for both binaries, the address mod 64 of
+# each of those functions (go tool nm), and when the phases differ it
+# labels every host-time median "layout moved". The label changes no
+# verdict.
 set -eu
 usage() { echo "usage: [CLAIM=<metric>@<workload>] [PAIRS=n] [RUN_SECONDS=s] [OUT=dir] $0 <base-ref> [workload...]" >&2; exit 2; }
 [ $# -ge 1 ] || usage
@@ -47,6 +55,18 @@ git -C "$root" archive "$base" | tar -x -C "$out/base"
 go build -C "$out/base/bench" -o "$out/old" .
 go build -C "$root/bench" -o "$out/new" .
 
+phases() { # binary: "function=address mod 64" for each hot function of the issue walk
+	go tool nm "$1" |
+		sed -nE 's/^ *([0-9a-f]+) T repro\/internal\/sm\.\(\*SM\)\.(step|fill|pick|selectPrimary|fastForward|refreshWarp)$/\2 \1/p' |
+		sort | while read -r f a; do printf ' %s=%d' "$f" $((0x$a % 64)); done
+}
+old_phases=$(phases "$out/old")
+new_phases=$(phases "$out/new")
+echo "code layout, address mod 64, old:${old_phases}"
+echo "code layout, address mod 64, new:${new_phases}"
+layout=""
+[ "$old_phases" = "$new_phases" ] || layout="  layout moved"
+
 run() { # side workload pair: one run, its JSON line tagged and kept
 	"$out/$1" -workload "$2" -seed "$3" -seconds "$secs" | tail -n 1 |
 		jq -c --arg side "$1" --arg w "$2" --argjson pair "$3" \
@@ -63,7 +83,7 @@ for w in "$@"; do
 	done
 done
 
-jq -rs --slurpfile m "$manifest" --arg claim "$claim" '
+jq -rs --slurpfile m "$manifest" --arg claim "$claim" --arg layout "$layout" '
 # quantile(q): linear interpolation between the order statistics
 def quantile(q): sort | ((length - 1) * q) as $i | ($i | floor) as $lo
   | .[$lo] + (.[[$lo + 1, length - 1] | min] - .[$lo]) * ($i - $lo);
@@ -81,7 +101,7 @@ def pairs($e): . as $runs | [.[] | select(.side == "old") | . as $o | $runs[]
       | ($worse | map(select(. < 1)) | length) as $wins
       | (if $e.name == "alloc_mb_per_pass" then ($worse | median) > 1 + $e.bound
          else ($worse | all(. > 1 + $e.bound)) end) as $fail
-      | {fail: $fail, text: "  \($e.name): old \([$p[].o] | median | r4) new \([$p[].n] | median | r4) \($e.unit), new/old \([$p[] | .n / .o] | median | r4), new better in \($wins)/\($p | length) pairs\(if $fail then "  REGRESSION beyond \($e.bound)" else "" end)"} ) ),
+      | {fail: $fail, text: "  \($e.name): old \([$p[].o] | median | r4) new \([$p[].n] | median | r4) \($e.unit), new/old \([$p[] | .n / .o] | median | r4), new better in \($wins)/\($p | length) pairs\(if $e.name == "alloc_mb_per_pass" then "" else $layout end)\(if $fail then "  REGRESSION beyond \($e.bound)" else "" end)"} ) ),
   ( select($claim != "") | ($claim | split("@")) as [$metric, $w]
     | ($m[0].end_to_end[] | select(.name == $metric)) as $e
     | ([.[] | select(.workload == $w)] | pairs($metric)) as $p
@@ -90,6 +110,6 @@ def pairs($e): . as $runs | [.[] | select(.side == "old") | . as $o | $runs[]
     | ((([$p[].o] | median) - ([$p[].n] | median)) * $sign) as $gain
     | ([$p[].o] | quantile(0.75) - quantile(0.25)) as $iqr
     | ($wins * 10 >= ($p | length) * 9 and $gain > $iqr) as $met
-    | {fail: ($met | not), text: "claim \($claim): new better in \($wins)/\($p | length) pairs (need 9 in 10), medians old \([$p[].o] | median | r4) new \([$p[].n] | median | r4) \($e.unit) = \($gain | r4) better, old side inter-quartile distance \($iqr | r4): claim \(if $met then "met" else "NOT met" end)"} )
+    | {fail: ($met | not), text: "claim \($claim): new better in \($wins)/\($p | length) pairs (need 9 in 10), medians old \([$p[].o] | median | r4) new \([$p[].n] | median | r4) \($e.unit) = \($gain | r4) better, old side inter-quartile distance \($iqr | r4): claim \(if $met then "met" else "NOT met" end)\(if $metric == "alloc_mb_per_pass" then "" else $layout end)"} )
 ] | (.[] | .text), (map(select(.fail)) | length | if . > 0 then "bench-pair: \(.) check(s) failed\n" | halt_error(1) else "bench-pair: ok" end)
 ' "$out/runs.jsonl"

@@ -41,6 +41,8 @@ import (
 //	memsys     WithL2+WithInterconnect on 4 SMs, recorded too    SBI+SWI
 //	memsys-    one run-queue slot alternates the memsys row's    SBI+SWI
 //	recycled   device and one of other SMs, L2 and crossbar
+//	suite-     one run-queue slot alternates RunSuite on three   Baseline, SBI+SWI,
+//	recycled   devices of two warp widths and counts             Warp64
 //	streams    1, 2 and 8 streams on 1 and 4 workers             SBI+SWI
 //	replay     the flat and memsys recordings replayed at a      all five, and memsys
 //	           timing mutation, against full simulation of it
@@ -485,6 +487,32 @@ func TestLaws(t *testing.T) {
 		checkOracle(t, "memsys-recycled/2sm", cells[1])
 		checkMemsys(t, "memsys-recycled/4sm", cells[0], "memsys/1w", memsysRow().rec.cells)
 		checkMemsys(t, "memsys-recycled/2sm", cells[1], "fresh 1-worker devices", fresh)
+	})
+	// One slot shared by a Baseline device (32 warps of 32), an SBI+SWI
+	// and a Warp64 one (16 of 64), the inputs alternating through
+	// RunSuite: every launch re-arms shells of another warp width or
+	// count, over the image the benchmark's last clean run handed back.
+	// Each device's cells equal the flat row's, whose every input ran on
+	// a never-used device.
+	t.Run("suite-recycled", func(t *testing.T) {
+		t.Parallel()
+		q := NewRunQueue(1)
+		archs := []sm.Arch{sm.ArchBaseline, sbiswi, sm.ArchWarp64}
+		devs := make([]*Device, len(archs))
+		cells := make([][]lawCell, len(archs))
+		for k, a := range archs {
+			devs[k], cells[k] = mustNew(WithArch(a), WithRunQueue(q)), make([]lawCell, len(in))
+		}
+		for i := range in {
+			for k, d := range devs {
+				cells[k][i] = runSuite(d, in[i:i+1])[0]
+			}
+		}
+		for k, a := range archs {
+			row := "suite-recycled/" + a.String()
+			checkOracle(t, row, cells[k])
+			checkStats(t, row, cells[k], "flat", flatRows()[a].cells, nil)
+		}
 	})
 	t.Run("streams", func(t *testing.T) {
 		t.Parallel()

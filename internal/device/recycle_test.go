@@ -231,33 +231,53 @@ func TestRecycleStreamsEqualSerial(t *testing.T) {
 // TestRecycleShellKeepsNoLaunch: the shell a clean launch leaves on its
 // slot holds on to nothing of that launch — its memory image is
 // collectable once the caller lets go, not only when the slot is next
-// used.
+// used — and neither does the shell after a launch of another warp
+// count re-arms it: a 32-warp Baseline launch, then a 16-warp Warp64
+// one on the same slot, which runs on a prefix of the contexts the
+// first left behind.
 func TestRecycleShellKeepsNoLaunch(t *testing.T) {
-	dev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	freed := make(chan struct{})
-	func() {
-		l := launchOn(t, dev, progen.Kernel(1, 3, 1, 32))
-		runtime.SetFinalizer(l, func(*exec.Launch) { close(freed) })
-		if _, err := dev.Run(context.Background(), l); err != nil {
+	q := NewRunQueue(1)
+	var devs []*Device
+	for _, a := range []sm.Arch{sm.ArchBaseline, sm.ArchWarp64} {
+		dev, err := New(WithArch(a), WithRunQueue(q))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}()
-	if slotShells(t, dev) == nil {
-		t.Fatal("the launch left no shell on its slot")
+		devs = append(devs, dev)
 	}
-	defer runtime.KeepAlive(dev) // the device, its queue and the shell outlive the launch
+	defer runtime.KeepAlive(devs) // the devices, their queue and the shell outlive the launches
+	freed := make([]chan struct{}, len(devs))
+	for k, dev := range devs {
+		freed[k] = make(chan struct{})
+		func() {
+			l := launchOn(t, dev, progen.Kernel(1, 3, 4, 256))
+			runtime.SetFinalizer(l, func(*exec.Launch) { close(freed[k]) })
+			if _, err := dev.Run(context.Background(), l); err != nil {
+				t.Fatal(err)
+			}
+		}()
+	}
+	if slotShells(t, devs[0]) == nil {
+		t.Fatal("the launches left no shell on their slot")
+	}
+	for k, dev := range devs {
+		if !collected(freed[k]) {
+			t.Errorf("the finished %s launch (launch %d of %d on the slot) is still reachable: the idle shell pins it", dev.cfg.Arch, k+1, len(devs))
+		}
+	}
+}
+
+// collected reports whether freed closes within a hundred collections.
+func collected(freed <-chan struct{}) bool {
 	for i := 0; i < 100; i++ {
 		runtime.GC()
 		select {
 		case <-freed:
-			return
+			return true
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	t.Error("the finished launch is still reachable: the idle shell pins it")
+	return false
 }
 
 // TestWarmLaunchAllocBudget is the ratchet on what a small launch
@@ -309,6 +329,42 @@ func TestWarmLaunchAllocBudget(t *testing.T) {
 // parentWarmLaunchMallocs is what the launch of TestWarmLaunchAllocBudget
 // cost in mallocs before SM shells were recycled.
 const parentWarmLaunchMallocs = 85
+
+// TestWarmSuiteAllocBudget is the ratchet on what a suite entry
+// allocates once its benchmark and slot are warm: RunSuite over the
+// regular suite on a one-worker SBI+SWI device. Each launch refills the
+// image the benchmark's last clean run handed back instead of copying
+// its input into a new one; what is left is the entry's own plumbing.
+func TestWarmSuiteAllocBudget(t *testing.T) {
+	dev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite := kernels.Regular()
+	ctx := context.Background()
+	if _, err := dev.RunSuite(ctx, suite); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	const passes = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < passes; i++ {
+		if _, err := dev.RunSuite(ctx, suite); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perLaunch := (after.TotalAlloc - before.TotalAlloc) / uint64(passes*len(suite))
+	t.Logf("a warm suite entry allocates %d bytes", perLaunch)
+	if perLaunch > 4<<10 {
+		t.Errorf("a warm suite entry allocates %d bytes, budget 4096 (%d when every launch copied its input into a new image)", perLaunch, parentWarmSuiteLaunchBytes)
+	}
+}
+
+// parentWarmSuiteLaunchBytes is what a suite entry of
+// TestWarmSuiteAllocBudget allocated when every launch copied its input
+// into a new image.
+const parentWarmSuiteLaunchBytes = 70051
 
 // TestWarmMemsysLaunchAllocBudget is the ratchet on what a partitioned
 // launch behind the modeled memory system allocates once its slot is

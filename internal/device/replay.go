@@ -117,7 +117,10 @@ func (d *Device) runBenchmarkTraced(ctx context.Context, b *kernels.Benchmark, p
 // recording into rec or replaying tr as Device.run describes), and
 // checks the oracle — except on a replay, which never touches the
 // global image: the recording run already validated the functional
-// behavior the trace encodes.
+// behavior the trace encodes. Only a clean run hands the launch's image
+// back to the benchmark for the next launch to refill: after an error,
+// a mismatch or a panic the image goes with the failed run, as a run
+// queue slot's shells do.
 func (d *Device) runBenchmark(ctx context.Context, b *kernels.Benchmark, partition bool, rec *replay.Recorder, tr *replay.Trace) (*sm.Result, error) {
 	l, err := b.NewLaunch(d.cfg.Arch != sm.ArchBaseline)
 	if err != nil {
@@ -130,5 +133,6 @@ func (d *Device) runBenchmark(ctx context.Context, b *kernels.Benchmark, partiti
 	if tr == nil && !bytes.Equal(l.Global, b.Expected()) {
 		return nil, fmt.Errorf("device: %s on %s: simulation diverged from reference", b.Name, d.cfg.Arch)
 	}
+	b.Recycle(l)
 	return res, nil
 }

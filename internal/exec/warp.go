@@ -32,15 +32,18 @@ const (
 )
 
 // Reset makes r a zeroed register file of width lanes, reusing its
-// storage when the width is unchanged (an SM's warp contexts are reset
-// for every block they host).
+// storage whenever it is large enough (an SM's warp contexts are reset
+// for every block they host, and a recycled SM's for every warp width
+// its launches bring).
 func (r *WarpRegs) Reset(width int) {
-	if r.width == width {
+	n := (isa.NumRegs + 2) * width
+	if cap(r.rows) < n {
+		r.rows = make([]uint32, n)
+	} else {
+		r.rows = r.rows[:n]
 		clear(r.rows)
-		return
 	}
 	r.width = width
-	r.rows = make([]uint32, (isa.NumRegs+2)*width)
 }
 
 // row returns the lanes of a register the instruction must name (a

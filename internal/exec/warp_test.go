@@ -298,6 +298,29 @@ func FuzzEvalWarp(f *testing.F) {
 	})
 }
 
+// TestWarpRegsResetAcrossWidths: a register file Reset to another
+// width — narrower in the storage a wider one left, or back — is all
+// zeros whatever the file held, and once the widest has been seen,
+// alternating widths allocates nothing.
+func TestWarpRegsResetAcrossWidths(t *testing.T) {
+	var w WarpRegs
+	for _, width := range []int{64, 32, 1, 64, 16, 32} {
+		w.Reset(width)
+		if len(w.rows) != (isa.NumRegs+2)*width {
+			t.Fatalf("width %d: %d register words, want %d", width, len(w.rows), (isa.NumRegs+2)*width)
+		}
+		for i, v := range w.rows {
+			if v != 0 {
+				t.Fatalf("width %d: word %d is %#x after Reset", width, i, v)
+			}
+			w.rows[i] = ^uint32(i) // what the next Reset must clear
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { w.Reset(32); w.Reset(64) }); allocs != 0 {
+		t.Errorf("alternating widths within capacity allocates %v times", allocs)
+	}
+}
+
 // BenchmarkWarpALU measures the functional cost of one warp-instruction
 // (a 64-wide IMAD, the paper's one MAD row) under a full and a sparse
 // mask, through the warp kernel and through the per-lane scalar loop it

@@ -50,9 +50,9 @@ type Benchmark struct {
 	memo locked.Value[memo]
 }
 
-// memo is a Benchmark's lazily built state. Each value is immutable once
-// memoized, so a reference obtained under the lock stays valid after
-// releasing it.
+// memo is a Benchmark's lazily built state. Each value but spare is
+// immutable once memoized, so a reference obtained under the lock stays
+// valid after releasing it; spare changes hands under the lock.
 type memo struct {
 	// plain is RecPC-annotated, no SYNCs (baseline stack).
 	plain *isa.Program
@@ -64,6 +64,11 @@ type memo struct {
 	params [isa.NumParams]uint32
 	// expected is the memoized oracle image (do not mutate).
 	expected []byte
+	// spare is one launch image handed back by Recycle, which NewLaunch
+	// refills from pristine instead of allocating; nil when there is
+	// none. One, not a free list: a list keeps the most images ever in
+	// flight at once.
+	spare []byte
 }
 
 // Program returns the assembled kernel: the SYNC-instrumented
@@ -122,14 +127,19 @@ func (b *Benchmark) setup() (pristine []byte, params [isa.NumParams]uint32) {
 	return pristine, params
 }
 
-// NewLaunch builds a fresh launch (new memory image) for the benchmark.
+// NewLaunch builds a launch of the benchmark over the pristine input
+// image. The image is the caller's alone: it is the spare a Recycle
+// handed back, refilled, when there is one, and a new allocation
+// otherwise. Safe for concurrent use.
 func (b *Benchmark) NewLaunch(threadFrontier bool) (*exec.Launch, error) {
 	p, err := b.Program(threadFrontier)
 	if err != nil {
 		return nil, err
 	}
 	pristine, params := b.setup()
-	global := append([]byte(nil), pristine...)
+	var global []byte
+	b.memo.Do(func(m *memo) { global, m.spare = m.spare, nil })
+	global = append(global[:0], pristine...)
 	return &exec.Launch{
 		Prog:     p,
 		GridDim:  b.Grid,
@@ -137,6 +147,21 @@ func (b *Benchmark) NewLaunch(threadFrontier bool) (*exec.Launch, error) {
 		Params:   params,
 		Global:   global,
 	}, nil
+}
+
+// Recycle hands l's memory image back to the benchmark, to be refilled
+// by the next NewLaunch. Call it only for a launch of this benchmark
+// whose run has ended and whose image nothing reads any more: l.Global
+// is nil after it. An image of another size is dropped, and so is one
+// arriving while a spare is already held. Safe for concurrent use.
+func (b *Benchmark) Recycle(l *exec.Launch) {
+	global := l.Global
+	l.Global = nil
+	b.memo.Do(func(m *memo) {
+		if m.spare == nil && len(global) == len(m.pristine) {
+			m.spare = global
+		}
+	})
 }
 
 // Expected returns the expected final global image for a fresh launch.

@@ -8,7 +8,10 @@
 // are kept separate so each policy can be tested and ablated on its own.
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Shuffle selects a static thread-to-lane mapping (paper table 1).
 // Shuffling decorrelates the divergence patterns of different warps so
@@ -75,55 +78,59 @@ func (p Shuffle) Lane(tid, wid, width, numWarps int) int {
 	case ShuffleXor:
 		return tid ^ (wid % width)
 	case ShuffleXorRev:
-		return tid ^ bitrev(wid, log2(width))
+		return tid ^ bitrev(wid, bits.Len(uint(width))-1)
 	}
 	return tid
 }
 
-// Permutation fills and returns the tid->lane table for one warp,
-// reusing dst's storage when it has room for width entries.
-func (p Shuffle) Permutation(dst []int, wid, width, numWarps int) []int {
-	if cap(dst) < width {
-		dst = make([]int, width)
-	}
-	dst = dst[:width]
-	for tid := range dst {
-		dst[tid] = p.Lane(tid, wid, width, numWarps)
-	}
-	return dst
+// Lanes is one warp's thread-to-lane mapping under a Shuffle, in closed
+// form: every policy maps lane = (mirror ? width-1-tid : tid) XOR k, so
+// a thread mask transposes with at most one bit reversal and one
+// adjacent-block swap per set bit of k. The zero Lanes is the identity.
+type Lanes struct {
+	mirror bool
+	shift  uint8 // 64-width: brings a reversed mask back to the low width bits
+	k      uint8
 }
 
-// LaneMask transposes a thread-activity mask into lane space.
-func (p Shuffle) LaneMask(mask uint64, wid, width, numWarps int) uint64 {
-	if p == ShuffleIdentity {
-		return mask
+// Lanes returns warp wid's mapping, the one Lane computes thread by
+// thread.
+func (p Shuffle) Lanes(wid, width, numWarps int) Lanes {
+	m := Lanes{shift: uint8(64 - width)}
+	switch p {
+	case ShuffleMirrorOdd:
+		m.mirror = wid%2 == 1
+	case ShuffleMirrorHalf:
+		m.mirror = numWarps > 0 && wid >= numWarps/2
+	case ShuffleXor:
+		m.k = uint8(wid % width)
+	case ShuffleXorRev:
+		m.k = uint8(bitrev(wid, bits.Len(uint(width))-1))
 	}
-	var out uint64
-	for tid := 0; tid < width; tid++ {
-		if mask&(1<<uint(tid)) != 0 {
-			out |= 1 << uint(p.Lane(tid, wid, width, numWarps))
-		}
+	return m
+}
+
+// blocksLo[b] selects, in every pair of adjacent 2^b-bit blocks, the
+// lower one: XOR with 2^b swaps each such pair.
+var blocksLo = [6]uint64{
+	0x5555555555555555, 0x3333333333333333, 0x0f0f0f0f0f0f0f0f,
+	0x00ff00ff00ff00ff, 0x0000ffff0000ffff, 0x00000000ffffffff,
+}
+
+// Mask transposes a thread-activity mask into lane space.
+//
+//sbwi:hotpath
+func (m Lanes) Mask(mask uint64) uint64 {
+	if m.mirror {
+		mask = bits.Reverse64(mask) >> m.shift
 	}
-	return out
+	for k := m.k; k != 0; k &= k - 1 {
+		b := bits.TrailingZeros8(k)
+		mask = mask&blocksLo[b]<<(1<<b) | mask>>(1<<b)&blocksLo[b]
+	}
+	return mask
 }
 
 // bitrev reverses the low n bits of x (the bit-reversal function of the
 // XorRev policy).
-func bitrev(x, n int) int {
-	r := 0
-	for i := 0; i < n; i++ {
-		r = r<<1 | (x & 1)
-		x >>= 1
-	}
-	return r
-}
-
-// log2 returns floor(log2(x)) for x >= 1.
-func log2(x int) int {
-	n := 0
-	for x > 1 {
-		x >>= 1
-		n++
-	}
-	return n
-}
+func bitrev(x, n int) int { return int(bits.Reverse64(uint64(x)) >> uint(64-n)) }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/bits"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -83,12 +84,47 @@ func TestQuickShufflePermutation(t *testing.T) {
 	}
 }
 
-// LaneMask must preserve popcount (it is a permutation of bits).
+// TestLanesMatchLane holds the closed form to Lane bit by bit: every
+// policy, every width from 1 to 64, every warp id of a 48-warp SM and
+// seeded random masks (plus the full one) must transpose exactly as
+// moving each thread's bit to its lane does.
+func TestLanesMatchLane(t *testing.T) {
+	const numWarps = 48
+	rng := rand.New(rand.NewPCG(7, 0x1a7e))
+	for _, p := range Shuffles() {
+		for width := 1; width <= 64; width++ {
+			if width&(width-1) != 0 {
+				continue // Lane is defined on power-of-two widths
+			}
+			valid := uint64(1)<<uint(width) - 1 // a width of 64 shifts to 0: every bit
+			for wid := 0; wid < numWarps; wid++ {
+				m := p.Lanes(wid, width, numWarps)
+				for i := 0; i < 64; i++ {
+					mask := rng.Uint64() & valid
+					if i == 0 {
+						mask = valid
+					}
+					var want uint64
+					for tid := 0; tid < width; tid++ {
+						if mask>>uint(tid)&1 != 0 {
+							want |= 1 << uint(p.Lane(tid, wid, width, numWarps))
+						}
+					}
+					if got := m.Mask(mask); got != want {
+						t.Fatalf("%v width %d warp %d: mask %#x transposes to %#x, Lane gives %#x", p, width, wid, mask, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Mask must preserve popcount (it is a permutation of bits).
 func TestQuickLaneMaskPreservesPopcount(t *testing.T) {
 	f := func(mask uint64, widRaw uint8) bool {
 		wid := int(widRaw) % 16
 		for _, p := range Shuffles() {
-			lm := p.LaneMask(mask, wid, 64, 16)
+			lm := p.Lanes(wid, 64, 16).Mask(mask)
 			if bits.OnesCount64(lm) != bits.OnesCount64(mask) {
 				return false
 			}
@@ -107,7 +143,7 @@ func TestQuickLaneMaskSameWarpDisjoint(t *testing.T) {
 		b &^= a // force disjoint
 		wid := int(widRaw) % 16
 		for _, p := range Shuffles() {
-			if p.LaneMask(a, wid, 64, 16)&p.LaneMask(b, wid, 64, 16) != 0 {
+			if m := p.Lanes(wid, 64, 16); m.Mask(a)&m.Mask(b) != 0 {
 				return false
 			}
 		}
@@ -126,8 +162,8 @@ func TestXorRevDecorrelatesFirstThreadPattern(t *testing.T) {
 	collideID, collideXR := 0, 0
 	for wid := 0; wid < 16; wid++ {
 		mask := uint64(1) // only thread 0 active
-		id := ShuffleIdentity.LaneMask(mask, wid, 64, 16)
-		xr := ShuffleXorRev.LaneMask(mask, wid, 64, 16)
+		id := ShuffleIdentity.Lanes(wid, 64, 16).Mask(mask)
+		xr := ShuffleXorRev.Lanes(wid, 64, 16).Mask(mask)
 		if identityUnion&id != 0 {
 			collideID++
 		}

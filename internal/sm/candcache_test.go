@@ -45,9 +45,9 @@ func checkCandCache(t *testing.T, s *SM, walked int64) {
 			pc, mask, _ = w.stack.Active()
 		}
 		ins := s.prog.At(pc)
-		if int(r.pc) != pc || r.mask != mask || r.lane != w.laneMask(mask) || r.unit != ins.Op.Unit() || r.lastIssue != last {
+		if int(r.pc) != pc || r.mask != mask || r.lane != w.lanes.Mask(mask) || r.unit != ins.Op.Unit() || r.lastIssue != last {
 			t.Fatalf("cycle %d: warp %d record {pc %d mask %#x lane %#x unit %v last %d}, warp state {pc %d mask %#x lane %#x unit %v last %d}",
-				s.now, id, r.pc, r.mask, r.lane, r.unit, r.lastIssue, pc, mask, w.laneMask(mask), ins.Op.Unit(), last)
+				s.now, id, r.pc, r.mask, r.lane, r.unit, r.lastIssue, pc, mask, w.lanes.Mask(mask), ins.Op.Unit(), last)
 		}
 		hazT, structT := int64(negInf), int64(negInf)
 		hazWB, hasHaz, structWB, hasStruct := s.sb.Horizon(id, ins, s.srcsOf[pc], slot, mask, s.now-d)

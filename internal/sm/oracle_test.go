@@ -117,7 +117,7 @@ func (o *rescan) selectPrimary(pool int, out *candidate) bool {
 			o.slotWas[w.id] = int8(slot)
 		}
 		ins := s.prog.At(pc)
-		lane := w.laneMask(mask)
+		lane := w.lanes.Mask(mask)
 		if !o.clear(w, slot, pc, mask) {
 			o.stallAt[w.id] = s.now
 			continue
@@ -153,7 +153,7 @@ func (o *rescan) swiSecondary(setIdx, exclude int, primUnit isa.Unit, primLane u
 			continue
 		}
 		ins := s.prog.At(pc)
-		lane := w.laneMask(mask)
+		lane := w.lanes.Mask(mask)
 		if primUnit == isa.UnitMAD && ins.Op.Unit() == isa.UnitMAD && lane&primLane != 0 {
 			continue
 		}
@@ -199,7 +199,7 @@ func (o *rescan) substitute(setIdx int) {
 		if !ok {
 			continue
 		}
-		if o.clear(w, slot, pc, mask) && s.units.canIssue(s.prog.At(pc).Op.Unit(), w.laneMask(mask), s.now) {
+		if o.clear(w, slot, pc, mask) && s.units.canIssue(s.prog.At(pc).Op.Unit(), w.lanes.Mask(mask), s.now) {
 			o.t.Fatalf("cycle %d: the substitute search could issue warp %d, which the model drops", s.now, w.id)
 		}
 	}

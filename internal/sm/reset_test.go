@@ -5,8 +5,10 @@ import (
 	"context"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/kernels"
@@ -230,6 +232,56 @@ func TestResetFromAnyState(t *testing.T) {
 	if midSleep == 0 {
 		t.Error("no run was abandoned with a warp asleep: the Resets never cleared a calendar")
 	}
+}
+
+// TestResetDropsAbandonedLaunch: a Baseline run abandoned with blocks on
+// all 32 of its warp contexts, then a Warp64 run on the same Runner,
+// which uses the first 16: the contexts beyond the prefix must let go of the
+// abandoned launch, which is collectable while the Runner lives on.
+func TestResetDropsAbandonedLaunch(t *testing.T) {
+	r := new(Runner)
+	freed := make(chan struct{})
+	func() {
+		c := Configure(ArchBaseline)
+		l := newLaunch(assembleFor(t, "dirty", dirtyStateSrc, ArchBaseline), 5, 256, 5*256)
+		runtime.SetFinalizer(l, func(*exec.Launch) { close(freed) })
+		if err := r.Reset(c, l, 0, l.GridDim, RunOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range r.s.warps {
+			if w.block == nil {
+				t.Fatalf("warp %d hosts no block: the abandoned run does not fill every context", w.id)
+			}
+		}
+	}()
+	c := Configure(ArchWarp64)
+	l := newLaunch(assembleFor(t, "dirty", dirtyStateSrc, ArchWarp64), 2, 256, 2*256)
+	if err := r.Reset(c, l, 0, l.GridDim, RunOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	for done := false; !done; {
+		var err error
+		if done, err = r.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Result()
+	if len(r.s.ctxs) != 32 || len(r.s.warps) != c.NumWarps {
+		t.Fatalf("the Runner holds %d contexts and runs %d, want 32 and %d", len(r.s.ctxs), len(r.s.warps), c.NumWarps)
+	}
+	defer runtime.KeepAlive(r)
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("the abandoned launch is still reachable from the Runner")
 }
 
 // TestResetRejectsLikeNewRunner: a bad launch is refused by Reset on a

@@ -361,7 +361,7 @@ func (s *SM) fillCand(id int, r *issueCand) {
 	ins := s.prog.At(pc)
 	d := s.cfg.IssueDelay
 	hazWB, hasHaz, structWB, hasStruct := s.sb.Horizon(id, ins, s.srcsOf[pc], slot, mask, s.now-d)
-	r.unit, r.pc, r.mask, r.lane, r.lastIssue = ins.Op.Unit(), int32(pc), mask, w.laneMask(mask), last
+	r.unit, r.pc, r.mask, r.lane, r.lastIssue = ins.Op.Unit(), int32(pc), mask, w.lanes.Mask(mask), last
 	r.wake, r.structural = negInf, false
 	switch {
 	case hasHaz && hasStruct && structWB > hazWB:

@@ -30,7 +30,10 @@ type SM struct {
 	rng    sched.XorShift64
 	units  units
 
+	// warps are the run's warp contexts: a prefix of ctxs, every context
+	// the shell has built.
 	warps   []*warp
+	ctxs    []*warp
 	blocks  []*block
 	nextCTA int
 	ctaEnd  int
@@ -260,7 +263,8 @@ func RunRangeOpts(ctx context.Context, cfg Config, l *exec.Launch, ctaStart, cta
 // simulate the CTA sub-range [ctaStart, ctaEnd), from whatever state it
 // is in: never used (NewRunner), finished, or abandoned mid-run. Every
 // component is re-initialised in place, keeping its storage when its
-// own geometry is unchanged and reallocating otherwise, so the run that
+// own geometry is unchanged and reallocating otherwise — the warp
+// contexts and their register files whenever they fit — so the run that
 // follows — Stats, Trace, memory image — is identical to one on a newly
 // built Runner, and a Result already returned never aliases anything
 // Reset touches. An error leaves the Runner as it was.
@@ -312,15 +316,13 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 		r.max = defaultMaxCycles
 	}
 
-	// A warp's lane permutation depends on the shuffle, the width and the
-	// warp count (which replaces every context when it changes);
-	// startBlock fills it on the context's first block.
-	staleLanes := cfg.Shuffle != s.cfg.Shuffle || cfg.WarpWidth != s.cfg.WarpWidth
+	// A warp count no larger than one the shell has hosted builds no
+	// context, and each keeps its register file and reconvergence storage.
 	if len(s.warps) != cfg.NumWarps {
-		s.warps = make([]*warp, cfg.NumWarps)
-		for i := range s.warps {
-			s.warps[i] = &warp{id: i}
+		for len(s.ctxs) < cfg.NumWarps {
+			s.ctxs = append(s.ctxs, &warp{id: len(s.ctxs)})
 		}
+		s.warps = s.ctxs[:cfg.NumWarps]
 		words := (cfg.NumWarps + 63) / 64
 		sets := newWarpBits(5 * words) // all five sets from one allocation
 		s.readySet, s.sleepers = sets[:words:words], sets[words:2*words:2*words]
@@ -331,13 +333,13 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 		s.swiTies = make([]int, 0, cfg.NumWarps)
 		s.freeBuf = make([]*warp, 0, cfg.NumWarps)
 	}
-	for _, w := range s.warps {
+	for _, w := range s.ctxs {
 		// Dropping heap and stack keeps a context this run never uses out
-		// of collectHeapStats.
-		w.block, w.heap, w.stack = nil, nil, nil
-		if staleLanes {
-			w.laneOf, w.laneCacheOK = w.laneOf[:0], false
-		}
+		// of collectHeapStats, and a context beyond the prefix must hold
+		// nothing of the launch its last block ran. A lane mapping depends
+		// on the shuffle, the width and, under MirrorHalf, the warp count.
+		w.block, w.heap, w.stack, w.env.Params = nil, nil, nil, nil
+		w.lanes = cfg.Shuffle.Lanes(w.id, cfg.WarpWidth, cfg.NumWarps)
 	}
 	clear(s.readySet) // slotOf is rewritten by refreshWarp, and cands by fill, before a warp is read
 	clear(s.stale)
@@ -590,7 +592,7 @@ func (s *SM) launchBlocks() {
 
 // startBlock initializes warp state for one CTA, in storage earlier
 // blocks left behind — the block record and its shared-memory image, the
-// warps' register files, lane tables and reconvergence state — so only a
+// warps' register files and reconvergence state — so only a
 // geometry the SM has not hosted yet allocates. ws may be scratch; the
 // block keeps its own copy. A replayed run skips the register file, the
 // special-register environment and the shared-memory image: the
@@ -623,16 +625,6 @@ func (s *SM) startBlock(cta int, ws []*warp) {
 		w.atBarrier = false
 		w.deadCounted = false
 		w.lastIssue = -1
-		if len(w.laneOf) == 0 {
-			w.laneOf = s.cfg.Shuffle.Permutation(w.laneOf, w.id, s.cfg.WarpWidth, s.cfg.NumWarps)
-			w.identity = true
-			for i, l := range w.laneOf {
-				if l != i {
-					w.identity = false
-					break
-				}
-			}
-		}
 		if s.rp == nil {
 			w.regs.Reset(s.cfg.WarpWidth)
 			w.env = exec.WarpEnv{
@@ -871,7 +863,7 @@ func (s *SM) finishCandidate(w *warp, slot int, pc int, mask uint64, out *candid
 	if s.sb.ReadyAt(w.id, ins, s.srcsOf[pc], slot, mask, qnow) > qnow {
 		return false
 	}
-	lane := w.laneMask(mask)
+	lane := w.lanes.Mask(mask)
 	if !s.units.canIssue(ins.Op.Unit(), lane, s.now) {
 		return false
 	}

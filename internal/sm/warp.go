@@ -1,10 +1,9 @@
 package sm
 
 import (
-	"math/bits"
-
 	"repro/internal/exec"
 	"repro/internal/reconv"
+	"repro/internal/sched"
 )
 
 // block is one resident thread block. live and arrived are maintained
@@ -54,19 +53,9 @@ type warp struct {
 	stackStore *reconv.Stack
 	heapStore  *reconv.Heap
 
-	// laneOf maps tid -> physical lane under the configured shuffle
-	// (empty until the context's first block under that shuffle);
-	// identity marks the trivial permutation so laneMask can skip the
-	// bit-by-bit transpose on the hot path.
-	laneOf   []int
-	identity bool
-
-	// laneCache memoizes the last transposed mask for non-identity
-	// shuffles: between divergence events the same split masks are
-	// probed cycle after cycle.
-	laneCacheMask uint64
-	laneCacheLane uint64
-	laneCacheOK   bool
+	// lanes maps thread masks to lane masks under the configured
+	// shuffle; Reset sets it for every context of the run.
+	lanes sched.Lanes
 
 	// atBarrier marks a warp whose full-mask split issued BAR and now
 	// waits for the rest of the block.
@@ -89,23 +78,4 @@ func (w *warp) done() bool {
 		return w.heap.Done()
 	}
 	return w.stack.Done()
-}
-
-// laneMask transposes a thread mask into lane space.
-//
-//sbwi:hotpath
-func (w *warp) laneMask(mask uint64) uint64 {
-	if w.identity {
-		return mask
-	}
-	if w.laneCacheOK && w.laneCacheMask == mask {
-		return w.laneCacheLane
-	}
-	var out uint64
-	for m := mask; m != 0; m &= m - 1 {
-		tid := bits.TrailingZeros64(m)
-		out |= 1 << uint(w.laneOf[tid])
-	}
-	w.laneCacheMask, w.laneCacheLane, w.laneCacheOK = mask, out, true
-	return out
 }
