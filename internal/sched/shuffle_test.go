@@ -84,10 +84,10 @@ func TestQuickShufflePermutation(t *testing.T) {
 	}
 }
 
-// TestLanesMatchLane holds the closed form to Lane bit by bit: every
-// policy, every width from 1 to 64, every warp id of a 48-warp SM and
-// seeded random masks (plus the full one) must transpose exactly as
-// moving each thread's bit to its lane does.
+// TestLanesMatchLane holds the closed form to Lane bit by bit: under
+// every policy, at every power-of-two width from 1 to 64, for every
+// warp id of a 48-warp SM, seeded random masks (and the full one) must
+// transpose exactly as moving each thread's bit to its lane does.
 func TestLanesMatchLane(t *testing.T) {
 	const numWarps = 48
 	rng := rand.New(rand.NewPCG(7, 0x1a7e))
