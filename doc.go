@@ -157,13 +157,14 @@
 // bench/ workload digests; that no execution path — partitioned,
 // recycled, streamed, replayed — computes anything else is pinned by
 // internal/device's law table (TestLaws). A launch
-// does not build its SMs either: each worker slot of the run queue keeps
-// the SM shells of the last launch that finished cleanly on it, and the
-// next launch re-arms them in place (internal/sm's Runner.Reset) — the
-// result is bit-identical to a newly built SM's, and a launch that
-// fails in any way leaves nothing behind for reuse. The words a shell's
-// walk touches every cycle are allocated in whole cache lines, so the
-// shells of two worker slots never share one. The
+// does not build its SMs either, nor does a new device: a process-wide
+// store keeps the SM shells, L2 and crossbar of launches that finished
+// cleanly, and the next launch on any device re-arms them in place
+// (internal/sm's Runner.Reset, which keeps its storage across
+// configurations) — the result is bit-identical to a newly built SM's,
+// and a launch that fails in any way leaves nothing behind for reuse.
+// The words a shell's walk touches every cycle are allocated in whole
+// cache lines, so two running shells never share one. The
 // repository measures itself one way: the bench/ module (bench/README.md
 // defines the workloads and metrics), compared between two commits with
 // .github/scripts/bench-pair.sh.

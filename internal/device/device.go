@@ -110,12 +110,12 @@ import (
 )
 
 // Device is an N-SM simulation engine. It is immutable after New and
-// safe for concurrent use: every Run simulates on SM instances it holds
-// alone — the shells of the run-queue slot it was granted, re-armed so
-// that results are bit-identical to newly built SMs', and never the
-// leftovers of a failed launch (queue.go) — and, when the shared memory
-// system is modeled, on fresh L2/NoC instances; the only shared state is
-// the device-wide run queue and the optional simulation cache, both
+// safe for concurrent use: every Run simulates on SM instances — and,
+// when the shared memory system is modeled, an L2 and crossbar — that
+// it holds alone: a spare from the process-wide store, re-armed so that
+// results are bit-identical to newly built ones', and never the
+// leftovers of a failed launch (queue.go). The only shared state is the
+// run queue, the spare store and the optional simulation cache, all
 // concurrency-safe.
 type Device struct {
 	cfg       sm.Config

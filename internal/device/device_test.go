@@ -189,10 +189,12 @@ const storeOutOfBounds = `
 // once a wave has failed, so a launch that fails in wave 0 allocates no
 // more at 2^18 CTAs than at 2^12. A launch that started one goroutine
 // per wave, each parked on the run queue until the failure cancelled
-// it, would allocate per wave.
+// it, would allocate per wave. The device's spare store is its own, so
+// every failed domain builds its shell anew, whatever other tests gave
+// back to the process-wide one.
 func TestFailedWaveStopsThePartitionedLaunch(t *testing.T) {
 	leakcheck.Check(t)
-	dev, err := New(WithArch(sm.ArchSBI), WithSMs(4), WithWorkers(2), WithGridPartition(true))
+	dev, err := New(WithArch(sm.ArchSBI), WithSMs(4), privateQueue(2), WithGridPartition(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,10 +29,10 @@ import (
 // Synchronize could observe an idle device while a future is still
 // unresolved. guarded itself is the last-resort backstop for a panic
 // escaping a site's own recovery (a bug in the recovery path): it keeps
-// the process alive and reports to stderr. The SM shells, L2 and
-// crossbar a contention domain was simulating on die with it: runDomain
-// hands them back to its run-queue slot only from its clean return
-// (memsys.go).
+// the process alive and reports to stderr. The spare a contention
+// domain was simulating on — SM shells, wave buffers, L2 and crossbar —
+// dies with it: runDomain gives it back to the spare store only from
+// its clean return (memsys.go).
 //
 // # Watchdog
 //
@@ -134,16 +134,15 @@ func (d *Device) fire(site faultinject.Site) error {
 	return d.faults.Fire(site)
 }
 
-// acquireSlot takes one run-queue slot, and what it carries, for a
-// simulation, with the queue-acquire fault site in front and
-// watchdog-cause mapping behind: a slot wait aborted by the launch
-// watchdog reports the timeout, not a bare cancellation.
-func (d *Device) acquireSlot(ctx context.Context) (slot, error) {
+// acquireSlot takes one run-queue slot for a simulation, with the
+// queue-acquire fault site in front and watchdog-cause mapping behind:
+// a slot wait aborted by the launch watchdog reports the timeout, not a
+// bare cancellation.
+func (d *Device) acquireSlot(ctx context.Context) error {
 	if err := d.fire(faultinject.SiteQueueAcquire); err != nil {
-		return slot{}, err
+		return err
 	}
-	s, err := d.queue.acquire(ctx)
-	return s, watchdogErr(ctx, err)
+	return watchdogErr(ctx, d.queue.acquire(ctx))
 }
 
 // watchdogErr upgrades a bare context error to the context's

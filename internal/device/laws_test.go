@@ -35,13 +35,16 @@ import (
 //	row        path                                              architectures
 //	reference  exec.RunReference                                 -
 //	flat       a never-used device, recording each input's trace all five
-//	recycled   one run-queue slot runs every input in turn       all five
+//	recycled   one run-queue slot and spare run every input      all five
 //	partition  WithGridPartition on 1, 2 and 8 SMs               SBI+SWI
 //	auto       RunSuite under WithAutoPartition                  SBI+SWI
 //	memsys     WithL2+WithInterconnect on 4 SMs, recorded too    SBI+SWI
-//	memsys-    one run-queue slot alternates the memsys row's    SBI+SWI
+//	memsys-    one slot and spare alternate the memsys row's     SBI+SWI
 //	recycled   device and one of other SMs, L2 and crossbar
-//	suite-     one run-queue slot alternates RunSuite on three   Baseline, SBI+SWI,
+//	fresh-     a new device per input alternates the memsys      SBI+SWI
+//	devices    row's and the small one, sharing only the
+//	           process-wide spare store
+//	suite-     one slot and spare alternate RunSuite on three    Baseline, SBI+SWI,
 //	recycled   devices of two warp widths and counts             Warp64
 //	streams    1, 2 and 8 streams on 1 and 4 workers             SBI+SWI
 //	replay     the flat and memsys recordings replayed at a      all five, and memsys
@@ -149,12 +152,12 @@ func runSuite(d *Device, in []*kernels.Benchmark) []lawCell {
 }
 
 // recording is a row whose every run records: each input through
-// RunSuite on a device of its own that has never run anything, so no
-// shell is reused. The devices share one SimCache under WithTraceReplay,
-// on which the first configuration to run a benchmark records its
-// trace, so the row is also a replay row's record step. That a
-// recording run is a full simulation is the stats law between this row
-// and the plain ones.
+// RunSuite on a device of its own that has never run anything, over a
+// spare store of its own, so no shell is reused. The devices share one
+// SimCache under WithTraceReplay, on which the first configuration to
+// run a benchmark records its trace, so the row is also a replay row's
+// record step. That a recording run is a full simulation is the stats
+// law between this row and the plain ones.
 type recording struct {
 	cells  []lawCell
 	cache  *SimCache
@@ -168,7 +171,7 @@ func record(opts ...Option) recording {
 	r := recording{cells: make([]lawCell, len(in)), cache: NewSimCache(), funcFP: mustNew(opts...).funcFP, logs: make([]string, len(in))}
 	forEach(len(in), func(i int) {
 		var log bytes.Buffer
-		d := mustNew(slices.Concat(opts, []Option{WithSimCache(r.cache), WithTraceReplay(true), WithReplayLog(&log)})...)
+		d := mustNew(slices.Concat(opts, []Option{privateQueue(1), WithSimCache(r.cache), WithTraceReplay(true), WithReplayLog(&log)})...)
 		r.cells[i] = runSuite(d, in[i:i+1])[0]
 		r.logs[i] = log.String()
 	})
@@ -227,6 +230,26 @@ var memsysRow = sync.OnceValue(func() (r memsysCells) {
 	r.part = launchAll(mustNew(memsysOpts(true, WithWorkers(4))...), in, len(in))
 	r.whole = launchAll(mustNew(memsysOpts(false)...), in, len(in))
 	return r
+})
+
+// smallMemsysOpts is a second memsys device: 2 SMs, a 256 KB 4-way L2
+// and half the port bandwidth.
+func smallMemsysOpts(extra ...Option) []Option {
+	l2 := mem.DefaultL2()
+	l2.Bytes, l2.Ways = 256*1024, 4
+	xbar := noc.Default()
+	xbar.BytesPerCycle /= 2
+	return append([]Option{WithArch(sm.ArchSBISWI), WithSMs(2), WithGridPartition(true), WithL2(l2), WithInterconnect(xbar)}, extra...)
+}
+
+// smallMemsysRow is every input on a never-used small memsys device.
+var smallMemsysRow = sync.OnceValue(func() []lawCell {
+	in := lawInputs()
+	cells := make([]lawCell, len(in))
+	forEach(len(in), func(i int) {
+		cells[i] = launchAll(mustNew(smallMemsysOpts(privateQueue(1))...), in[i:i+1], 1)[0]
+	})
+	return cells
 })
 
 // checkMemsys is the stats law between two memsys rows: everything a
@@ -394,13 +417,14 @@ func TestLaws(t *testing.T) {
 			checkOracle(t, "flat/"+a.String(), flatRows()[a].cells)
 		}
 	})
-	// One slot shared by a device per architecture, each on 8 SMs: every
-	// launch re-arms the shells the one before it left, of another
-	// architecture and kernel. A whole-grid launch uses one SM whatever
-	// the device has, so this also holds the SM count invisible to it.
+	// One slot and spare shared by a device per architecture, each on 8
+	// SMs: every launch re-arms the shells the one before it left, of
+	// another architecture and kernel. A whole-grid launch uses one SM
+	// whatever the device has, so this also holds the SM count invisible
+	// to it.
 	t.Run("recycled", func(t *testing.T) {
 		t.Parallel()
-		q := NewRunQueue(1)
+		q := newRunQueue(1, new(spareStore))
 		archs := sm.Architectures()
 		devs := make([]*Device, len(archs))
 		cells := make([][]lawCell, len(archs))
@@ -459,44 +483,52 @@ func TestLaws(t *testing.T) {
 		checkOracle(t, "memsys/4w", r.part)
 		checkMemsys(t, "memsys/4w", r.part, "memsys/1w", r.rec.cells)
 	})
-	// One slot shared by the memsys row's device and one with 2 SMs, a
-	// 256 KB 4-way L2 and half the port bandwidth, the inputs
-	// alternating between them: every launch re-arms an L2 and a
-	// crossbar of the other geometry. Each device's cells equal its
-	// never-recycled ones.
+	// One slot and spare shared by the memsys row's device and the small
+	// one (smallMemsysOpts), the inputs alternating between them: every
+	// launch re-arms an L2 and a crossbar of the other geometry. Each
+	// device's cells equal its never-recycled ones.
 	t.Run("memsys-recycled", func(t *testing.T) {
 		t.Parallel()
-		l2 := mem.DefaultL2()
-		l2.Bytes, l2.Ways = 256*1024, 4
-		xbar := noc.Default()
-		xbar.BytesPerCycle /= 2
-		small := []Option{WithArch(sbiswi), WithSMs(2), WithGridPartition(true), WithL2(l2), WithInterconnect(xbar)}
-		q := NewRunQueue(1)
-		devs := []*Device{mustNew(memsysOpts(true, WithRunQueue(q))...), mustNew(slices.Concat(small, []Option{WithRunQueue(q)})...)}
+		q := newRunQueue(1, new(spareStore))
+		devs := []*Device{mustNew(memsysOpts(true, WithRunQueue(q))...), mustNew(smallMemsysOpts(WithRunQueue(q))...)}
 		cells := [][]lawCell{make([]lawCell, len(in)), make([]lawCell, len(in))}
 		for i := range in {
 			for k, d := range devs {
 				cells[k][i] = launchAll(d, in[i:i+1], 1)[0]
 			}
 		}
-		fresh := make([]lawCell, len(in))
-		forEach(len(in), func(i int) {
-			fresh[i] = launchAll(mustNew(slices.Concat(small, []Option{WithWorkers(1)})...), in[i:i+1], 1)[0]
-		})
 		checkOracle(t, "memsys-recycled/4sm", cells[0])
 		checkOracle(t, "memsys-recycled/2sm", cells[1])
 		checkMemsys(t, "memsys-recycled/4sm", cells[0], "memsys/1w", memsysRow().rec.cells)
-		checkMemsys(t, "memsys-recycled/2sm", cells[1], "fresh 1-worker devices", fresh)
+		checkMemsys(t, "memsys-recycled/2sm", cells[1], "never-used 1-worker devices", smallMemsysRow())
 	})
-	// One slot shared by a Baseline device (32 warps of 32), an SBI+SWI
-	// and a Warp64 one (16 of 64), the inputs alternating through
+	// A new device per input, the memsys row's and the small one in
+	// turn, each with a private queue: they share only the process-wide
+	// spare store, as a sweep's points do, so each re-arms the shells,
+	// wave buffers, L2 and crossbar whichever device of either geometry
+	// gave back last — the other rows' devices too. Each equals a
+	// never-used device over a store of its own.
+	t.Run("fresh-devices", func(t *testing.T) {
+		t.Parallel()
+		cells := [][]lawCell{make([]lawCell, len(in)), make([]lawCell, len(in))}
+		for i := range in {
+			cells[0][i] = launchAll(mustNew(memsysOpts(true, WithWorkers(1))...), in[i:i+1], 1)[0]
+			cells[1][i] = launchAll(mustNew(smallMemsysOpts(WithWorkers(1))...), in[i:i+1], 1)[0]
+		}
+		checkOracle(t, "fresh-devices/4sm", cells[0])
+		checkOracle(t, "fresh-devices/2sm", cells[1])
+		checkMemsys(t, "fresh-devices/4sm", cells[0], "memsys/1w", memsysRow().rec.cells)
+		checkMemsys(t, "fresh-devices/2sm", cells[1], "never-used 1-worker devices", smallMemsysRow())
+	})
+	// One slot and spare shared by a Baseline device (32 warps of 32), an
+	// SBI+SWI and a Warp64 one (16 of 64), the inputs alternating through
 	// RunSuite: every launch re-arms shells of another warp width or
 	// count, over the image the benchmark's last clean run handed back.
 	// Each device's cells equal the flat row's, whose every input ran on
 	// a never-used device.
 	t.Run("suite-recycled", func(t *testing.T) {
 		t.Parallel()
-		q := NewRunQueue(1)
+		q := newRunQueue(1, new(spareStore))
 		archs := []sm.Arch{sm.ArchBaseline, sbiswi, sm.ArchWarp64}
 		devs := make([]*Device, len(archs))
 		cells := make([][]lawCell, len(archs))

@@ -21,12 +21,12 @@ import (
 // or fits one SM, exec.PartitionWaves otherwise — grouped into
 // contention domains: the SM slots that share one lower memory level.
 // One driver, runDomain, executes a domain on one goroutine: it takes
-// one run-queue slot, re-arms the slot's sm.Runner shells — one per SM
-// slot, built on the queue slot's first use — for the waves, and
-// always advances the slot whose local clock maps to the earliest device
-// time. Waves on one slot run back-to-back: each starts at the device
-// time its predecessor ended. The shapes a launch can take are only data
-// to that driver:
+// one run-queue slot and a spare (queue.go), re-arms the spare's
+// sm.Runner shells — one per SM slot, built on the spare's first use —
+// for the waves, and always advances the slot whose local clock maps to
+// the earliest device time. Waves on one slot run back-to-back: each
+// starts at the device time its predecessor ended. The shapes a launch
+// can take are only data to that driver:
 //
 //   - whole grid: one wave, so one domain with one slot, simulated on
 //     the launch's live memory image (no copy, no fold), cycle-exact
@@ -101,19 +101,22 @@ func (p *l2Port) Access(now int64, store bool, block uint32) int64 {
 
 // smSlot is one SM's place in a contention domain: the SM shell that
 // simulates its waves one after the other, the wave currently on it,
-// the crossbar port its L1 uses (nil under the flat-latency model), the
+// the crossbar port its L1 uses under the modeled memory system, the
 // device cycle at which that wave started (the sum of its predecessors'
-// cycles on this SM), and the copy of the launch's image the wave runs
-// on (nil when it runs on the launch itself). A finished wave's copy
-// is the buffer of the slot's next wave, unless it became the domain's
-// merged image.
+// cycles on this SM), the buffer holding the copy of the launch's image
+// the wave runs on (unused when it runs on the launch itself), and its
+// replay cursors. A finished wave's buffer is the buffer of the slot's
+// next wave, unless it became the domain's merged image. The slot lives
+// in a spare (queue.go), so its shell, buffer and cursors serve the
+// next domain that takes the spare.
 type smSlot struct {
 	run    *sm.Runner
 	live   bool // a wave is simulating; false once the slot has none left
-	port   *l2Port
+	port   l2Port
 	wave   int   // index into the plan of the running wave
 	offset int64 // device-time start of the running wave
 	img    []byte
+	sess   replay.Session
 }
 
 // waveRun is one wave's outcome; err is set on the first wave of a
@@ -279,36 +282,39 @@ func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
 		}
 	}()
 	// The domain is one goroutine however many SMs it interleaves, so it
-	// occupies one run-queue slot. The slot's SM shells, L2 and crossbar
-	// come with it and go back only from the clean return at the
-	// bottom: an error, an abort or a panic drops them with the failed
-	// run.
+	// occupies one run-queue slot. Its SM shells, wave buffers, replay
+	// cursors, L2 and crossbar come from a spare, which goes back to the
+	// store only from the clean return at the bottom: an error, an abort
+	// or a panic drops it with the failed run.
 	d := e.d
-	s, err := d.acquireSlot(ctx)
-	if err != nil {
+	if err := d.acquireSlot(ctx); err != nil {
 		return err
 	}
-	var donate slot
-	defer func() { d.queue.release(donate) }()
-	for len(s.shells) < e.slots {
-		s.shells = append(s.shells, new(sm.Runner))
+	defer d.queue.release()
+	sp := d.queue.spares.take()
+	for len(sp.slots) < e.slots {
+		sp.slots = append(sp.slots, smSlot{run: new(sm.Runner)})
 	}
-
-	slots := make([]smSlot, e.slots)
+	slots := sp.slots[:e.slots]
 	if d.memsys {
-		if s.l2 == nil {
-			s.l2, s.xbar = new(mem.L2), new(noc.Crossbar)
+		if sp.l2 == nil {
+			sp.l2, sp.xbar = new(mem.L2), new(noc.Crossbar)
 		}
-		s.l2.Reset(d.l2cfg, d.cfg.Mem)
-		s.xbar.Reset(d.noccfg, e.slots)
-		for i := range slots {
-			slots[i].port = &l2Port{xbar: s.xbar, port: i, l2: s.l2, blockBytes: d.cfg.Mem.BlockBytes, faults: d.faults}
-		}
+		sp.l2.Reset(d.l2cfg, d.cfg.Mem)
+		sp.xbar.Reset(d.noccfg, e.slots)
 	}
 	for i := range slots {
-		slots[i].run = s.shells[i]
+		sl := &slots[i]
+		sl.live, sl.offset = false, 0
+		if e.images == nil {
+			// The waves run on the launch itself. Buffers ride a spare
+			// only between launches whose waves copy the image, so
+			// whole-grid and replayed launches keep none alive.
+			sl.img = nil
+		}
+		sl.port = l2Port{xbar: sp.xbar, port: i, l2: sp.l2, blockBytes: d.cfg.Mem.BlockBytes, faults: d.faults}
 		if lo+i < hi {
-			if err := e.start(&slots[i], lo+i); err != nil {
+			if err := e.start(sl, lo+i); err != nil {
 				return err
 			}
 		}
@@ -323,7 +329,7 @@ func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
 		e.runs[sl.wave].res = res
 		sl.offset += res.Stats.Cycles
 		sl.live = false
-		if sl.img != nil { // the wave ran on a copy of the launch's image
+		if e.images != nil { // the wave ran on a copy of the launch's image
 			if merged == nil {
 				merged, sl.img = sl.img, nil
 			} else if err := e.fold(merged, sl.img); err != nil {
@@ -340,16 +346,19 @@ func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
 		e.images[lo/e.span] = merged
 	}
 	if d.memsys {
-		// The counters are read here, before the next holder of the slot
+		// The counters are read here, before the spare's next holder
 		// resets its L2 and crossbar.
 		out := cmp.Or(e.out, e.runs[lo].res)
-		out.Stats.Mem.L2, out.Stats.Mem.NoC = s.l2.Stats, s.xbar.Stats()
+		out.Stats.Mem.L2, out.Stats.Mem.NoC = sp.l2.Stats, sp.xbar.Stats()
 		out.NoCPorts = make([]noc.Stats, e.slots)
 		for i := range out.NoCPorts {
-			out.NoCPorts[i] = s.xbar.PortStats(i)
+			out.NoCPorts[i] = sp.xbar.PortStats(i)
 		}
 	}
-	donate = s
+	for i := range slots {
+		slots[i].sess.Detach() // an idle spare pins no trace
+	}
+	d.queue.spares.give(sp)
 	return nil
 }
 
@@ -357,8 +366,8 @@ func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
 // over a private copy of the launch's image — in the slot's buffer,
 // allocated when it has none — or over the launch itself when the waves
 // run on it, wired to the slot's port and the trace-replay machinery —
-// a fresh recorder sink when recording, a cursor session over the
-// wave's threads when replaying.
+// a fresh recorder sink when recording, the slot's cursors re-opened
+// over the wave's threads when replaying.
 func (e *launchRun) start(sl *smSlot, w int) error {
 	wl, from, to := e.l, e.waves[w][0], e.waves[w][1]
 	if e.images != nil {
@@ -368,19 +377,18 @@ func (e *launchRun) start(sl *smSlot, w int) error {
 		wl = &c
 	}
 	var opts sm.RunOpts
-	if sl.port != nil {
+	if e.d.memsys {
 		sl.port.offset = sl.offset
-		opts.Lower = sl.port
+		opts.Lower = &sl.port
 	}
 	if e.rec != nil {
 		opts.Record = e.rec.Sink()
 	}
 	if e.tr != nil {
-		s, err := replay.NewSession(e.tr, from, to)
-		if err != nil {
+		if err := sl.sess.Reset(e.tr, from, to); err != nil {
 			return err
 		}
-		opts.Replay = s
+		opts.Replay = &sl.sess
 	}
 	if err := sl.run.Reset(e.d.cfg, wl, from, to, opts); err != nil {
 		return err
@@ -393,8 +401,9 @@ func (e *launchRun) start(sl *smSlot, w int) error {
 // and returns that wave's slot. Each step goes to the live slot whose
 // local clock maps to the earliest device time; strict < makes ties
 // resolve to the lowest SM index. The context is polled before the
-// first step and about every 1k steps; an abort is rendered through the
-// slot about to step (sm.Runner.Diagnose), so a watchdog cancellation
+// first step and about every 1k steps, through ctx.Err, which unlike
+// ctx.Done allocates nothing; an abort is rendered through the slot
+// about to step (sm.Runner.Diagnose), so a watchdog cancellation
 // carries that SM's partial-state snapshot.
 //
 //sbwi:hotpath
@@ -411,12 +420,8 @@ func stepToWaveEnd(ctx context.Context, slots []smSlot) (*smSlot, error) {
 				best, bestT = sl, t
 			}
 		}
-		if steps&1023 == 0 {
-			select {
-			case <-ctx.Done():
-				return nil, best.run.Diagnose(ctx)
-			default:
-			}
+		if steps&1023 == 0 && ctx.Err() != nil {
+			return nil, best.run.Diagnose(ctx)
 		}
 		if done, err := best.run.Step(); err != nil || done {
 			return best, err

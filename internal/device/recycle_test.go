@@ -14,14 +14,16 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/leakcheck"
 	"repro/internal/mem"
+	"repro/internal/noc"
 	"repro/internal/progen"
 	"repro/internal/sm"
 )
 
-// A launch re-arms the SM shells its run-queue slot carries. These
-// tests hold the two halves of that contract at the device boundary: a
-// recycled launch equals one on a device that has never run anything,
-// and a launch that fails — any way a launch can — donates nothing.
+// A launch re-arms the SM shells of a spare from its queue's store.
+// These tests hold the two halves of that contract at the device
+// boundary: a recycled launch equals one on a device that has never run
+// anything, and a launch that fails — any way a launch can — gives
+// nothing back.
 
 // launchOn builds b's launch in the program variant d's architecture
 // runs.
@@ -34,30 +36,27 @@ func launchOn(t *testing.T, d *Device, b *kernels.Benchmark) *exec.Launch {
 	return l
 }
 
-// heldSlot takes the device's only free slot and reports what it
-// carries.
-func heldSlot(t *testing.T, d *Device) slot {
-	t.Helper()
-	s, err := d.queue.acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.queue.release(s)
-	return s
+// privateQueue gives a device a run queue of workers slots over a
+// spare store of its own, so a test can read what the device's launches
+// give back, and a device that has run nothing re-arms nothing another
+// device left: a true never-used baseline.
+func privateQueue(workers int) Option {
+	return WithRunQueue(newRunQueue(workers, new(spareStore)))
 }
 
-// slotShells reports the shells on the device's only free slot.
-func slotShells(t *testing.T, d *Device) []*sm.Runner {
-	t.Helper()
-	return heldSlot(t, d).shells
+// storeSpares reports the spares on the store of d's queue.
+func storeSpares(d *Device) []*spare {
+	var out []*spare
+	d.queue.spares.free.Do(func(free *[]*spare) { out = slices.Clone(*free) })
+	return out
 }
 
-// TestRecycleAfterFailure: on a one-slot device a warm shell serves a
-// launch that fails — livelock, cancellation, watchdog, panic, a
-// memsys write conflict — and the slot comes back empty, no shell, L2
-// or crossbar on it; the good launch after it builds its SM, and its
-// memory system, anew and computes exactly what a never-used device
-// computes.
+// TestRecycleAfterFailure: on a one-slot device with a store of its own
+// a warm spare serves a launch that fails — livelock, cancellation,
+// watchdog, panic, a memsys write conflict — and the store stays empty:
+// the failed launch gives back no shell, L2 or crossbar. The good
+// launch after it builds its SM, and its memory system, anew and
+// computes exactly what a never-used device computes.
 func TestRecycleAfterFailure(t *testing.T) {
 	leakcheck.Check(t)
 	for _, c := range []struct {
@@ -119,8 +118,8 @@ func TestRecycleAfterFailure(t *testing.T) {
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			opts := slices.Concat([]Option{WithArch(sm.ArchSBISWI), WithWorkers(1)}, c.opts)
-			dev, err := New(opts...)
+			opts := slices.Concat([]Option{WithArch(sm.ArchSBISWI)}, c.opts)
+			dev, err := New(slices.Concat(opts, []Option{privateQueue(1)})...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,14 +127,14 @@ func TestRecycleAfterFailure(t *testing.T) {
 			if _, err := dev.Run(context.Background(), launchOn(t, dev, ks[0])); err != nil {
 				t.Fatalf("warm-up: %v", err)
 			}
-			if s := heldSlot(t, dev); s.shells == nil || dev.memsys && s.l2 == nil {
-				t.Fatalf("a clean launch left %d shell(s) and L2 %p on its slot: nothing is being recycled", len(s.shells), s.l2)
+			if sps := storeSpares(dev); len(sps) != 1 || sps[0].slots == nil || dev.memsys && sps[0].l2 == nil {
+				t.Fatalf("a clean launch left %d spare(s) on its store: nothing is being recycled", len(sps))
 			}
 			if c.fail(t, dev) == nil {
 				t.Fatal("the failing launch succeeded")
 			}
-			if s := heldSlot(t, dev); s.shells != nil || s.l2 != nil || s.xbar != nil {
-				t.Errorf("the failed launch donated %d shell(s), L2 %p and crossbar %p to its slot", len(s.shells), s.l2, s.xbar)
+			if sps := storeSpares(dev); len(sps) != 0 {
+				t.Errorf("the failed launch gave %d spare(s) back to its store", len(sps))
 			}
 
 			l := launchOn(t, dev, ks[1])
@@ -143,7 +142,7 @@ func TestRecycleAfterFailure(t *testing.T) {
 			if err != nil {
 				t.Fatalf("good launch after the failure: %v", err)
 			}
-			fresh, err := New(opts...)
+			fresh, err := New(slices.Concat(opts, []Option{privateQueue(1)})...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +184,7 @@ func TestRecycleStreamsEqualSerial(t *testing.T) {
 		}
 		want[v], images[v] = make([]sm.Stats, len(ks)), make([][]byte, len(ks))
 		for i := range ks {
-			fresh, err := New(slices.Concat(opts, []Option{WithWorkers(1)})...)
+			fresh, err := New(slices.Concat(opts, []Option{privateQueue(1)})...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,15 +227,15 @@ func TestRecycleStreamsEqualSerial(t *testing.T) {
 	}
 }
 
-// TestRecycleShellKeepsNoLaunch: the shell a clean launch leaves on its
-// slot holds on to nothing of that launch — its memory image is
-// collectable once the caller lets go, not only when the slot is next
+// TestRecycleShellKeepsNoLaunch: the shell a clean launch gives back to
+// the store holds on to nothing of that launch — its memory image is
+// collectable once the caller lets go, not only when the shell is next
 // used — and neither does the shell after a launch of another warp
 // count re-arms it: a 32-warp Baseline launch, then a 16-warp Warp64
-// one on the same slot, which runs on a prefix of the contexts the
+// one on the same spare, which runs on a prefix of the contexts the
 // first left behind.
 func TestRecycleShellKeepsNoLaunch(t *testing.T) {
-	q := NewRunQueue(1)
+	q := newRunQueue(1, new(spareStore))
 	var devs []*Device
 	for _, a := range []sm.Arch{sm.ArchBaseline, sm.ArchWarp64} {
 		dev, err := New(WithArch(a), WithRunQueue(q))
@@ -245,7 +244,7 @@ func TestRecycleShellKeepsNoLaunch(t *testing.T) {
 		}
 		devs = append(devs, dev)
 	}
-	defer runtime.KeepAlive(devs) // the devices, their queue and the shell outlive the launches
+	defer runtime.KeepAlive(devs) // the devices, their queue, its store and the shell outlive the launches
 	freed := make([]chan struct{}, len(devs))
 	for k, dev := range devs {
 		freed[k] = make(chan struct{})
@@ -257,8 +256,8 @@ func TestRecycleShellKeepsNoLaunch(t *testing.T) {
 			}
 		}()
 	}
-	if slotShells(t, devs[0]) == nil {
-		t.Fatal("the launches left no shell on their slot")
+	if sps := storeSpares(devs[0]); len(sps) != 1 || sps[0].slots == nil {
+		t.Fatal("the launches gave no shell back to their store")
 	}
 	for k, dev := range devs {
 		if !collected(freed[k]) {
@@ -281,7 +280,7 @@ func collected(freed <-chan struct{}) bool {
 }
 
 // TestWarmLaunchAllocBudget is the ratchet on what a small launch
-// allocates once its slot is warm: a 2-CTA x 64-thread generated kernel
+// allocates once its spare is warm: a 2-CTA x 64-thread generated kernel
 // through Device.Run on SBI+SWI. Building the SM for every launch cost
 // 43 KB and 85 mallocs here (62 KB and 98 on launch-storm's mix); what
 // is left, ~1.5 KB in 18, is the launch's own plumbing: stream, future,
@@ -331,7 +330,7 @@ func TestWarmLaunchAllocBudget(t *testing.T) {
 const parentWarmLaunchMallocs = 85
 
 // TestWarmSuiteAllocBudget is the ratchet on what a suite entry
-// allocates once its benchmark and slot are warm: RunSuite over the
+// allocates once its benchmark and spare are warm: RunSuite over the
 // regular suite on a one-worker SBI+SWI device. Each launch refills the
 // image the benchmark's last clean run handed back instead of copying
 // its input into a new one; what is left is the entry's own plumbing.
@@ -367,11 +366,12 @@ func TestWarmSuiteAllocBudget(t *testing.T) {
 const parentWarmSuiteLaunchBytes = 70051
 
 // TestWarmMemsysLaunchAllocBudget is the ratchet on what a partitioned
-// launch behind the modeled memory system allocates once its slot is
+// launch behind the modeled memory system allocates once its spare is
 // warm: Transpose in 9 waves on the memsys row's 4-SM device, one
-// worker. The L2 and crossbar ride the slot, and the waves share five
+// worker. The L2 and crossbar ride the spare, and the waves share five
 // image buffers, folded as they finish, where each had a clone beside a
-// pre-launch snapshot and the merge's written-byte mask.
+// pre-launch snapshot and the merge's written-byte mask; all but the
+// merged one ride the spare to the next launch.
 func TestWarmMemsysLaunchAllocBudget(t *testing.T) {
 	dev, err := New(memsysOpts(true, WithWorkers(1))...)
 	if err != nil {
@@ -408,3 +408,75 @@ func TestWarmMemsysLaunchAllocBudget(t *testing.T) {
 // L2 and crossbar, cloned a pre-launch snapshot per wave and merged the
 // clones under a written-byte mask.
 const parentWarmMemsysLaunchBytes = 1002856
+
+// TestFreshDeviceAllocBudget is the ratchet on what a launch on a new
+// device allocates once the process-wide spare store is warm: Transpose
+// in 9 waves on a new memsys-row device per launch, as a sweep builds a
+// device per point. Each device re-arms the shells, wave buffers, L2
+// and crossbar the last one gave back; what is left is the device, the
+// domain's merged image and the launch's plumbing.
+func TestFreshDeviceAllocBudget(t *testing.T) {
+	const launches = 10
+	ls := make([]*exec.Launch, launches+1)
+	for i := range ls {
+		ls[i] = mustLaunch(t, "Transpose")
+	}
+	ctx := context.Background()
+	run := func(l *exec.Launch) {
+		if _, err := mustNew(memsysOpts(true, WithWorkers(1))...).Run(ctx, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(ls[launches]) // warm-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, l := range ls[:launches] {
+		run(l)
+	}
+	runtime.ReadMemStats(&after)
+	perLaunch := (after.TotalAlloc - before.TotalAlloc) / launches
+	t.Logf("a launch on a new device allocates %d bytes", perLaunch)
+	if perLaunch >= parentFreshDeviceLaunchBytes/8 {
+		t.Errorf("a launch on a new device allocates %d bytes, want under an eighth of the %d it allocated when each device built its shells, L2 and crossbar", perLaunch, parentFreshDeviceLaunchBytes)
+	}
+}
+
+// parentFreshDeviceLaunchBytes is what the launch of
+// TestFreshDeviceAllocBudget allocated when each device's run queue
+// built its own shells, L2, crossbar and wave buffers.
+const parentFreshDeviceLaunchBytes = 1289864
+
+// TestRecycleReplayOverStaleBuffers: a replayed memsys launch runs on
+// the launch's own image, so the wave buffers its spare brings from an
+// earlier launch of another size take no part in it, neither as wave
+// images nor folded into a merged one. Histogram is
+// recorded, Transpose then leaves buffers of its own size on the one
+// spare, and Histogram's replay at half the port bandwidth over that
+// spare must still replay, with nothing logged, and equal a full
+// simulation at that bandwidth.
+func TestRecycleReplayOverStaleBuffers(t *testing.T) {
+	q := newRunQueue(1, new(spareStore))
+	cache := NewSimCache()
+	var log bytes.Buffer
+	half := noc.Default()
+	half.BytesPerCycle /= 2
+	traced := []Option{WithRunQueue(q), WithSimCache(cache), WithTraceReplay(true), WithReplayLog(&log)}
+	suite := []*kernels.Benchmark{mustBench(t, "Histogram")}
+	if c := runSuite(mustNew(memsysOpts(true, traced...)...), suite)[0]; c.err != nil {
+		t.Fatal(c.err)
+	}
+	if _, err := mustNew(memsysOpts(true, WithRunQueue(q))...).Run(context.Background(), mustLaunch(t, "Transpose")); err != nil {
+		t.Fatal(err)
+	}
+	replayed := runSuite(mustNew(memsysOpts(true, append(traced, WithInterconnect(half))...)...), suite)[0]
+	full := runSuite(mustNew(memsysOpts(true, privateQueue(1), WithInterconnect(half))...), suite)[0]
+	if replayed.err != nil || full.err != nil {
+		t.Fatalf("replay: %v, full simulation: %v", replayed.err, full.err)
+	}
+	if !replayed.res.Replayed || log.Len() > 0 {
+		t.Fatalf("the launch replayed %v and logged %q", replayed.res.Replayed, log.String())
+	}
+	if replayed.res.Stats != full.res.Stats {
+		t.Errorf("the replay differs from full simulation\ngot  %+v\nwant %+v", replayed.res.Stats, full.res.Stats)
+	}
+}

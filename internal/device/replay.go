@@ -119,8 +119,8 @@ func (d *Device) runBenchmarkTraced(ctx context.Context, b *kernels.Benchmark, p
 // global image: the recording run already validated the functional
 // behavior the trace encodes. Only a clean run hands the launch's image
 // back to the benchmark for the next launch to refill: after an error,
-// a mismatch or a panic the image goes with the failed run, as a run
-// queue slot's shells do.
+// a mismatch or a panic the image goes with the failed run, as a failed
+// domain's spare does.
 func (d *Device) runBenchmark(ctx context.Context, b *kernels.Benchmark, partition bool, rec *replay.Recorder, tr *replay.Trace) (*sm.Result, error) {
 	l, err := b.NewLaunch(d.cfg.Arch != sm.ArchBaseline)
 	if err != nil {

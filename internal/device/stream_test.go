@@ -337,12 +337,12 @@ func TestStreamQueueDepthBackpressure(t *testing.T) {
 func TestRunQueueCancelledWaiter(t *testing.T) {
 	leakcheck.Check(t)
 	q := NewRunQueue(1)
-	if _, err := q.acquire(context.Background()); err != nil { // occupy the only slot
+	if err := q.acquire(context.Background()); err != nil { // occupy the only slot
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error)
-	go func() { _, err := q.acquire(ctx); errc <- err }()
+	go func() { errc <- q.acquire(ctx) }()
 	select {
 	case err := <-errc:
 		t.Fatalf("acquire on a full queue returned %v before its cancellation", err)
@@ -352,14 +352,14 @@ func TestRunQueueCancelledWaiter(t *testing.T) {
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled acquire returned %v", err)
 	}
-	q.release(slot{})
+	q.release()
 	// The slot must be acquirable again.
 	short, cancelShort := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancelShort()
-	if _, err := q.acquire(short); err != nil {
+	if err := q.acquire(short); err != nil {
 		t.Fatalf("slot leaked: acquire after release returned %v", err)
 	}
-	q.release(slot{})
+	q.release()
 	if n := q.busy(); n != 0 {
 		t.Errorf("%d slots busy after every holder released", n)
 	}

@@ -29,27 +29,29 @@ type cacheArray struct {
 	tick  uint64 // LRU clock
 }
 
-// newCacheArray builds the tag store, panicking on geometry that does
-// not tile (internal configuration error — user input is validated by
-// the config types before construction).
-func newCacheArray(totalBytes, ways, blockBytes int) cacheArray {
+// reset makes c an empty tag store of the given geometry — every line
+// invalid, the LRU clock restarted — in the storage it has grown for
+// any earlier geometry. It panics on geometry that does not tile
+// (internal configuration error — user input is validated by the
+// config types before construction).
+func (c *cacheArray) reset(totalBytes, ways, blockBytes int) {
 	if blockBytes <= 0 || ways <= 0 || totalBytes%(blockBytes*ways) != 0 {
 		panic(fmt.Sprintf("mem: invalid cache geometry %dB / %d ways / %dB blocks",
 			totalBytes, ways, blockBytes))
 	}
 	nsets := totalBytes / (blockBytes * ways)
-	sets := make([][]line, nsets)
-	lines := make([]line, nsets*ways)
-	for i := range sets {
-		sets[i] = lines[i*ways : (i+1)*ways]
+	if cap(c.lines) < nsets*ways {
+		c.lines = make([]line, nsets*ways)
 	}
-	return cacheArray{sets: sets, lines: lines, nsets: uint32(nsets), block: uint32(blockBytes)}
-}
-
-// reset invalidates every line and restarts the LRU clock.
-func (c *cacheArray) reset() {
+	if cap(c.sets) < nsets {
+		c.sets = make([][]line, nsets)
+	}
+	c.lines, c.sets = c.lines[:nsets*ways], c.sets[:nsets]
 	clear(c.lines)
-	c.tick = 0
+	for i := range c.sets {
+		c.sets[i] = c.lines[i*ways : (i+1)*ways]
+	}
+	c.nsets, c.block, c.tick = uint32(nsets), uint32(blockBytes), 0
 }
 
 func (c *cacheArray) setIndex(blockAddr uint32) uint32 {

@@ -114,21 +114,18 @@ func NewL2(cfg L2Config, mem Config) *L2 {
 
 // Reset makes l the cold L2 NewL2 builds for cfg and mem — no line
 // valid, nothing in flight, every bank and the DRAM port idle, zero
-// Stats — reusing the tag array and the banks when their geometry is
-// unchanged (a run-queue slot's L2 is reset for every launch it serves,
-// and the slot may serve devices of different L2 geometry).
+// Stats — in the tag array and banks it has grown for any earlier
+// geometry (a spare's L2 is reset for every launch it serves, and the
+// spare may serve devices of different L2 geometry).
 func (l *L2) Reset(cfg L2Config, mem Config) {
 	if err := cfg.Validate(mem.BlockBytes); err != nil {
 		panic(err)
 	}
-	if len(l.arr.lines) > 0 && cfg.Bytes == l.cfg.Bytes && cfg.Ways == l.cfg.Ways && mem.BlockBytes == l.mem.BlockBytes {
-		l.arr.reset()
-	} else {
-		l.arr = newCacheArray(cfg.Bytes, cfg.Ways, mem.BlockBytes)
-	}
-	if len(l.banks) != cfg.Banks {
+	l.arr.reset(cfg.Bytes, cfg.Ways, mem.BlockBytes)
+	if cap(l.banks) < cfg.Banks {
 		l.banks = make([]noc.Link, cfg.Banks)
 	}
+	l.banks = l.banks[:cfg.Banks]
 	for i := range l.banks {
 		l.banks[i] = noc.NewLink(cfg.BytesPerCycle, 0)
 	}

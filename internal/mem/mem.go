@@ -174,14 +174,10 @@ func NewHierarchy(cfg Config) *Hierarchy {
 
 // Reset makes h the cold hierarchy NewHierarchy builds for cfg — no
 // line valid, nothing in flight, the DRAM port idle, the default lower
-// level, zero Stats — reusing the tag array when its geometry is
-// unchanged (an SM's hierarchy is reset for every run it hosts).
+// level, zero Stats — in the tag array it has grown for any earlier
+// geometry (an SM's hierarchy is reset for every run it hosts).
 func (h *Hierarchy) Reset(cfg Config) {
-	if len(h.arr.lines) > 0 && cfg.L1Bytes == h.cfg.L1Bytes && cfg.L1Ways == h.cfg.L1Ways && cfg.BlockBytes == h.cfg.BlockBytes {
-		h.arr.reset()
-	} else {
-		h.arr = newCacheArray(cfg.L1Bytes, cfg.L1Ways, cfg.BlockBytes)
-	}
+	h.arr.reset(cfg.L1Bytes, cfg.L1Ways, cfg.BlockBytes)
 	h.cfg = cfg
 	h.port = noc.NewLink(cfg.BytesPerCycle, cfg.MemLatency)
 	h.mshr.reset()

@@ -152,15 +152,16 @@ func New(cfg Config, ports int) *Crossbar {
 }
 
 // Reset makes x the idle crossbar New builds for cfg and ports — every
-// port free, zero counters — reusing its per-port arrays when the port
-// count is unchanged.
+// port free, zero counters — in the per-port arrays it has grown for
+// any earlier port count.
 func (x *Crossbar) Reset(cfg Config, ports int) {
 	if ports <= 0 {
 		panic(fmt.Sprintf("noc: port count %d must be positive", ports))
 	}
-	if len(x.ports) != ports {
+	if cap(x.ports) < ports {
 		x.ports, x.stats = make([]Link, ports), make([]Stats, ports)
 	}
+	x.ports, x.stats = x.ports[:ports], x.stats[:ports]
 	for i := range x.ports {
 		x.ports[i] = NewLink(cfg.BytesPerCycle, cfg.Latency)
 	}

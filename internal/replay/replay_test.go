@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -84,6 +85,44 @@ func TestFinishDetectsLeftovers(t *testing.T) {
 	s.ConsumeAddr(1)
 	if err := s.Finish(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSessionResetEqualsNew: one Session, re-opened over three traces
+// of different geometry and over a whole grid and one CTA of each after
+// consuming part of its streams, equals a new session over the same
+// range every time; a rejected Reset leaves it as it was.
+func TestSessionResetEqualsNew(t *testing.T) {
+	var s Session
+	for _, g := range [][2]int{{2, 2}, {4, 8}, {1, 3}} { // grid, block
+		r := NewRecorder(g[0], g[1])
+		k := r.Sink()
+		for tid := range g[0] * g[1] {
+			k.Branch(tid, tid%3 == 0)
+			k.Mem(tid, tid/g[1], 0, uint32(4*tid), true, true)
+		}
+		tr := r.Finalize()
+		for _, rg := range [][2]int{{0, g[0]}, {g[0] - 1, g[0]}} {
+			if err := s.Reset(tr, rg[0], rg[1]); err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewSession(tr, rg[0], rg[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(&s, want) {
+				t.Fatalf("%dx%d, CTAs [%d, %d): Reset gives %+v, NewSession %+v", g[0], g[1], rg[0], rg[1], s, *want)
+			}
+			tid := rg[0] * g[1]
+			s.Branch(tid)
+			s.ConsumeAddr(tid)
+			if err := s.Reset(tr, 0, g[0]+1); err == nil {
+				t.Fatal("range beyond the grid accepted")
+			}
+			if s.branchPos[0] != 1 || s.addrPos[0] != 1 {
+				t.Fatal("a rejected Reset moved the cursors")
+			}
+		}
 	}
 }
 

@@ -19,25 +19,40 @@ type Session struct {
 }
 
 // NewSession opens replay cursors over the CTA sub-range
-// [ctaStart, ctaEnd) of a replayable trace.
+// [ctaStart, ctaEnd) of a replayable trace: it is Reset on a new
+// Session.
 func NewSession(t *Trace, ctaStart, ctaEnd int) (*Session, error) {
+	s := new(Session)
+	if err := s.Reset(t, ctaStart, ctaEnd); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset makes s the session NewSession opens, its cursors cut from the
+// storage it has grown for any earlier range. On error s is unchanged.
+func (s *Session) Reset(t *Trace, ctaStart, ctaEnd int) error {
 	if !t.Replayable {
-		return nil, fmt.Errorf("replay: trace is not replayable: %s", t.Reason)
+		return fmt.Errorf("replay: trace is not replayable: %s", t.Reason)
 	}
 	if ctaStart < 0 || ctaEnd > t.gridDim || ctaStart >= ctaEnd {
-		return nil, fmt.Errorf("replay: CTA range [%d, %d) outside recorded grid of %d",
+		return fmt.Errorf("replay: CTA range [%d, %d) outside recorded grid of %d",
 			ctaStart, ctaEnd, t.gridDim)
 	}
-	base := ctaStart * t.blockDim
-	end := ctaEnd * t.blockDim
-	return &Session{
-		t:         t,
-		base:      base,
-		end:       end,
-		branchPos: make([]int32, end-base),
-		addrPos:   make([]int32, end-base),
-	}, nil
+	s.t, s.base, s.end = t, ctaStart*t.blockDim, ctaEnd*t.blockDim
+	n := s.end - s.base
+	if cap(s.branchPos) < n {
+		s.branchPos, s.addrPos = make([]int32, n), make([]int32, n)
+	}
+	s.branchPos, s.addrPos = s.branchPos[:n], s.addrPos[:n]
+	clear(s.branchPos)
+	clear(s.addrPos)
+	return nil
 }
+
+// Detach lets go of the trace, keeping the cursor storage for the next
+// Reset.
+func (s *Session) Detach() { s.t = nil }
 
 // Matches reports whether the session replays this launch geometry and
 // CTA sub-range.

@@ -18,26 +18,11 @@ const (
 // to set w mod numSets, so consecutive warps land in different sets —
 // matching the paper's "low-order bits of the warp identifier" indexing.
 func BuddySets(numWarps, assoc int) ([][]int, error) {
-	if numWarps <= 0 {
-		return nil, fmt.Errorf("sched: numWarps %d invalid", numWarps)
+	l, err := NewLookup(numWarps, assoc)
+	if err != nil {
+		return nil, err
 	}
-	if assoc < 0 {
-		return nil, fmt.Errorf("sched: associativity %d invalid", assoc)
-	}
-	if assoc == AssocFull || assoc >= numWarps {
-		all := make([]int, numWarps)
-		for i := range all {
-			all[i] = i
-		}
-		return [][]int{all}, nil
-	}
-	numSets := (numWarps + assoc - 1) / assoc
-	sets := make([][]int, numSets)
-	for w := 0; w < numWarps; w++ {
-		s := w % numSets
-		sets[s] = append(sets[s], w)
-	}
-	return sets, nil
+	return l.sets, nil
 }
 
 // Lookup answers "which warps may the secondary scheduler consider when
@@ -45,7 +30,8 @@ func BuddySets(numWarps, assoc int) ([][]int, error) {
 type Lookup struct {
 	assoc   int
 	numSets int
-	sets    [][]int
+	sets    [][]int // cut from members, set by set
+	members []int   // every warp once
 	setOf   []int
 }
 
@@ -61,21 +47,35 @@ func NewLookup(numWarps, assoc int) (*Lookup, error) {
 
 // Reset makes l the lookup NewLookup builds. Set membership is a pure
 // function of the two parameters, so a lookup already built for them is
-// left as it is; rebuilt reports whether it had to be built anew. On
+// left as it is; rebuilt reports whether it had to be built anew, which
+// it does in the storage it has grown for any earlier parameters. On
 // error l is unchanged.
 func (l *Lookup) Reset(numWarps, assoc int) (rebuilt bool, err error) {
 	if numWarps > 0 && len(l.setOf) == numWarps && l.assoc == assoc {
 		return false, nil
 	}
-	sets, err := BuddySets(numWarps, assoc)
-	if err != nil {
-		return false, err
+	if numWarps <= 0 {
+		return false, fmt.Errorf("sched: numWarps %d invalid", numWarps)
 	}
-	*l = Lookup{assoc: assoc, numSets: len(sets), sets: sets, setOf: make([]int, numWarps)}
-	for si, set := range sets {
-		for _, w := range set {
-			l.setOf[w] = si
+	if assoc < 0 {
+		return false, fmt.Errorf("sched: associativity %d invalid", assoc)
+	}
+	l.assoc, l.numSets = assoc, 1
+	if assoc != AssocFull && assoc < numWarps {
+		l.numSets = (numWarps + assoc - 1) / assoc
+	}
+	if cap(l.setOf) < numWarps {
+		l.setOf, l.members = make([]int, numWarps), make([]int, numWarps)
+	}
+	l.setOf, l.members, l.sets = l.setOf[:numWarps], l.members[:numWarps], l.sets[:0]
+	at := 0
+	for si := 0; si < l.numSets; si++ {
+		first := at
+		for w := si; w < numWarps; w += l.numSets {
+			l.members[at], l.setOf[w] = w, si
+			at++
 		}
+		l.sets = append(l.sets, l.members[first:at:at])
 	}
 	// Direct-mapped degenerate case: a warp's own set holds only the
 	// warp itself, which the secondary scheduler must exclude. Probe the

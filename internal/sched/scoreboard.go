@@ -115,17 +115,18 @@ func NewScoreboard(mode DepMode, numWarps, perWarp int) *Scoreboard {
 }
 
 // Reset makes s the empty scoreboard NewScoreboard builds — no entry
-// in flight, zero Stats — reusing the per-warp tables when the warp
-// count is unchanged (an SM's scoreboard is reset for every run it
-// hosts).
+// in flight, zero Stats — keeping every per-warp table it has grown,
+// whatever warp count it was last sized for (an SM's scoreboard is
+// reset for every run it hosts, on any configuration).
 func (s *Scoreboard) Reset(mode DepMode, numWarps, perWarp int) {
-	if len(s.entries) == numWarps {
-		for i := range s.entries {
-			s.entries[i] = s.entries[i][:0]
-		}
-	} else {
-		s.entries = make([][]Entry, numWarps)
+	es := s.entries[:cap(s.entries)]
+	for i := range es {
+		es[i] = es[i][:0]
 	}
+	for len(es) < numWarps {
+		es = append(es, nil)
+	}
+	s.entries = es[:numWarps]
 	if cap(s.horizon) < perWarp+2 {
 		s.horizon = make([]int64, 0, perWarp+2)
 	}

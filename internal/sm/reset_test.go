@@ -3,6 +3,7 @@ package sm
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -334,7 +335,7 @@ func TestHotWordsOwnTheirLines(t *testing.T) {
 				words any
 			}
 			hot := []span{{"readySet", s.readySet}, {"slotOf", s.slotOf}, {"index", s.idx.next}, {"keys", s.idx.key}, {"madFree", s.units.madFree}}
-			if s.setBits != nil {
+			if len(s.setBits) > 0 {
 				hot = append(hot, span{"setBits", s.setBits[0]})
 			}
 			for _, b := range hot {
@@ -351,5 +352,55 @@ func TestHotWordsOwnTheirLines(t *testing.T) {
 				t.Errorf("%s: the index's prev links do not follow its next links in their block", c.name)
 			}
 		}
+	}
+}
+
+// TestResetKeepsStorageAcrossConfigurations: one Runner cycles all five
+// architectures under every lookup associativity — so warp count and
+// width, MAD groups, buddy sets and scoreboard mode change at every
+// Reset — and each run, started over a run of the next configuration
+// abandoned with loads in flight, equals a fresh Runner's. Once it has
+// hosted every configuration, and so the largest, a whole cycle of
+// Resets allocates nothing: a shell drawn for any device re-arms in the
+// storage it has.
+func TestResetKeepsStorageAcrossConfigurations(t *testing.T) {
+	b, ok := kernels.ByName("Histogram")
+	if !ok {
+		t.Fatal("no Histogram kernel")
+	}
+	var cases []resetCase
+	for _, assoc := range []int{sched.AssocFull, 11, 3, 1} {
+		for _, a := range Architectures() {
+			c := Configure(a)
+			c.Assoc = assoc
+			cases = append(cases, resetCase{fmt.Sprintf("%s/assoc-%d", a, assoc), c, func() *exec.Launch { return benchLaunch(t, b, a) }})
+		}
+	}
+	r := new(Runner)
+	ls := make([]*exec.Launch, len(cases))
+	for i := range cases {
+		o := &cases[(i+1)%len(cases)]
+		ol := o.mk()
+		if err := r.Reset(o.cfg, ol, 0, ol.GridDim, RunOpts{}); err != nil {
+			t.Fatalf("%s: Reset: %v", o.name, err)
+		}
+		for range 200 {
+			if _, err := r.Step(); err != nil {
+				t.Fatalf("%s: %v", o.name, err)
+			}
+		}
+		got, l := runRecycled(t, r, &cases[i], RunOpts{})
+		checkEqualsFresh(t, &cases[i], RunOpts{}, got, l)
+		ls[i] = l
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for i, c := range cases {
+			if err := r.Reset(c.cfg, ls[i], 0, ls[i].GridDim, RunOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a cycle of %d Resets over configurations the Runner has hosted allocates %.0f times, want 0", len(cases), allocs)
 	}
 }

@@ -155,6 +155,7 @@ func (b warpBits) has(i int) bool { return b[i>>6]>>uint(i&63)&1 != 0 }
 // and key come in blocks of whole cache lines (ownLines).
 type index struct {
 	next, prev []int32
+	links      []int32 // the block next and prev are cut from
 	key        []int64
 	warps      int32
 }
@@ -166,12 +167,13 @@ const (
 )
 
 // reset empties every list of an index over warps warp contexts,
-// reusing its arrays when the count is unchanged.
+// reusing the arrays it has grown for any warp count.
 func (x *index) reset(warps int) {
-	if n := warps + numLists; len(x.key) != n {
-		links := ownLines[int32](2*n, 4)
-		x.next, x.prev, x.key = links[:n:n], links[n:], ownLines[int64](n, 8)
+	n := warps + numLists
+	if cap(x.key) < n {
+		x.links, x.key = ownLines[int32](2*n, 4), ownLines[int64](n, 8)
 	}
+	x.next, x.prev, x.key = x.links[:n:n], x.links[n:2*n:2*n], x.key[:n]
 	x.warps = int32(warps)
 	for l := range numLists {
 		e := x.end(l)

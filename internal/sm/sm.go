@@ -77,10 +77,12 @@ type SM struct {
 	structSleepers warpBits
 	idx            index
 	poolBit        int
+	warpSets       warpBits // the block the five warp sets are cut from
 
-	// SWI: per-buddy-set warp masks, derived from lookup; nil on the
-	// other architectures.
-	setBits []warpBits
+	// SWI: per-buddy-set warp masks, derived from lookup and cut from
+	// setMasks; empty on the other architectures.
+	setBits  []warpBits
+	setMasks warpBits
 
 	// srcsOf caches each instruction's source-register list, indexed by
 	// PC — static per program, recomputed by the seed on every probe.
@@ -308,7 +310,7 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 	}
 	swi := cfg.Arch == ArchSWI || cfg.Arch == ArchSBISWI
 	if newSets || !swi {
-		s.setBits = nil // derived from the lookup; rebuilt below for SWI
+		s.setBits = s.setBits[:0] // derived from the lookup; rebuilt below for SWI
 	}
 
 	r.max = cfg.MaxCycles
@@ -317,21 +319,25 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 	}
 
 	// A warp count no larger than one the shell has hosted builds no
-	// context, and each keeps its register file and reconvergence storage.
-	if len(s.warps) != cfg.NumWarps {
-		for len(s.ctxs) < cfg.NumWarps {
-			s.ctxs = append(s.ctxs, &warp{id: len(s.ctxs)})
+	// context, and each keeps its register file and reconvergence
+	// storage; the per-warp arrays are sized to the contexts.
+	if n, words := cfg.NumWarps, (cfg.NumWarps+63)/64; len(s.warps) != n {
+		if len(s.ctxs) < n {
+			for len(s.ctxs) < n {
+				s.ctxs = append(s.ctxs, &warp{id: len(s.ctxs)})
+			}
+			s.warpSets = newWarpBits(5 * words) // all five sets from one allocation
+			s.slotOf = ownLines[int8](n, 1)
+			s.cands = make([]issueCand, n)
+			s.swiTies = make([]int, 0, n)
+			s.freeBuf = make([]*warp, 0, n)
 		}
-		s.warps = s.ctxs[:cfg.NumWarps]
-		words := (cfg.NumWarps + 63) / 64
-		sets := newWarpBits(5 * words) // all five sets from one allocation
+		s.warps = s.ctxs[:n]
+		sets := s.warpSets
 		s.readySet, s.sleepers = sets[:words:words], sets[words:2*words:2*words]
 		s.madSleepers, s.structSleepers = sets[2*words:3*words:3*words], sets[3*words:4*words:4*words]
-		s.stale = sets[4*words:]
-		s.slotOf = ownLines[int8](cfg.NumWarps, 1)
-		s.cands = make([]issueCand, cfg.NumWarps)
-		s.swiTies = make([]int, 0, cfg.NumWarps)
-		s.freeBuf = make([]*warp, 0, cfg.NumWarps)
+		s.stale = sets[4*words : 5*words : 5*words]
+		s.slotOf, s.cands = s.slotOf[:n], s.cands[:n]
 	}
 	for _, w := range s.ctxs {
 		// Dropping heap and stack keeps a context this run never uses out
@@ -385,16 +391,20 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 		s.srcsOf[pc] = flat[start:len(flat):len(flat)]
 	}
 
-	if swi && s.setBits == nil {
-		s.setBits = make([]warpBits, s.lookup.NumSets())
+	if swi && len(s.setBits) == 0 {
 		words := (cfg.NumWarps + 63) / 64
-		masks := newWarpBits(len(s.setBits) * words) // read every cycle: no stranger's writes beside them
-		for si := range s.setBits {
+		n := s.lookup.NumSets() * words
+		if cap(s.setMasks) < n {
+			s.setMasks = newWarpBits(n) // read every cycle: no stranger's writes beside them
+		}
+		masks := s.setMasks[:n]
+		clear(masks)
+		for si := range s.lookup.NumSets() {
 			m := masks[si*words : (si+1)*words : (si+1)*words]
 			for _, wid := range s.lookup.SetWarps(si) {
 				m.set(wid)
 			}
-			s.setBits[si] = m
+			s.setBits = append(s.setBits, m)
 		}
 	}
 	return nil
@@ -734,7 +744,7 @@ func (s *SM) cycle() (bool, error) {
 		// No primary: the SWI secondary scheduler substitutes itself (§4),
 		// searching one buddy set selected round-robin. That search cannot
 		// issue, and its probes are popcounts (substitute).
-		if s.setBits != nil {
+		if len(s.setBits) > 0 {
 			s.substitute(int(s.now) % len(s.setBits))
 		}
 		return false, nil

@@ -24,13 +24,14 @@ type units struct {
 	lsuFree int64
 }
 
-// reset frees every unit for a run configured by cfg, reusing the
-// per-group table when the group count is unchanged.
+// reset frees every unit for a run configured by cfg, in the per-group
+// table it has grown for any group count.
 func (u *units) reset(cfg *Config) {
 	free := u.madFree
-	if len(free) != cfg.MADGroups {
+	if cap(free) < cfg.MADGroups {
 		free = ownLines[int64](cfg.MADGroups, 8) // probed every cycle, written at every MAD issue
 	}
+	free = free[:cfg.MADGroups]
 	clear(free)
 	*u = units{cfg: cfg, madFree: free, rowCycle: -1}
 }
