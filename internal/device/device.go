@@ -153,8 +153,8 @@ type Device struct {
 	launchTimeout time.Duration
 
 	// cfgFP / memsysFP are the precomputed cache-key digests of the SM
-	// configuration and the modeled memory system; funcFP is the
-	// functional half of cfgFP — the trace-cache key (see
+	// configuration and the modeled memory system; funcFP digests the
+	// program variant the configuration runs — the trace-cache key (see
 	// sm.Config.FunctionalFingerprint).
 	cfgFP    uint64
 	memsysFP uint64

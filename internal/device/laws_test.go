@@ -48,7 +48,9 @@ import (
 //	recycled   devices of two warp widths and counts             Warp64
 //	streams    1, 2 and 8 streams on 1 and 4 workers             SBI+SWI
 //	replay     the flat and memsys recordings replayed at a      all five, and memsys
-//	           timing mutation, against full simulation of it
+//	           timing mutation, against full simulation of it;
+//	           a thread-frontier recording also on the other
+//	           thread-frontier architectures
 //
 //	law           holds that
 //	oracle        every final image is the input's oracle (b.Expected)
@@ -272,13 +274,17 @@ type replayRow struct {
 	rec      recording
 	replayed []lawCell
 	full     []lawCell
-	verdict  []bool // the recorded trace's race verdict
-	log      string // the sweep's fallback diagnostics
+	arch     []sm.Arch // the architecture each input was replayed on
+	verdict  []bool    // the recorded trace's race verdict
+	log      string    // the sweep's fallback diagnostics
 }
 
-// timingMutations re-time a launch on architecture a without changing
-// what its threads compute: each stays inside the trace-replay validity
-// domain.
+// timingMutations re-time a launch recorded on architecture a without
+// changing what its threads compute: each stays inside the trace-replay
+// validity domain. The four thread-frontier architectures run one
+// program, so they share a recording: on one of them, mutation m
+// starts from the configuration of the thread-frontier architecture m
+// places after a — a itself every fourth.
 func timingMutations(a sm.Arch) []Option {
 	muts := []func(*sm.Config){
 		func(c *sm.Config) { c.ExecLatency = 2 },
@@ -295,9 +301,14 @@ func timingMutations(a sm.Arch) []Option {
 	if a != sm.ArchBaseline {
 		muts = append(muts, func(c *sm.Config) { c.SplitOnMemDivergence = true })
 	}
+	tf := sm.Architectures()[1:]
 	opts := make([]Option, len(muts))
-	for i, f := range muts {
-		opts[i] = tweaked(a, f)
+	for m, f := range muts {
+		on := a
+		if a != sm.ArchBaseline {
+			on = tf[(slices.Index(tf, a)+m)%len(tf)]
+		}
+		opts[m] = tweaked(on, f)
 	}
 	return opts
 }
@@ -308,7 +319,7 @@ func timingMutations(a sm.Arch) []Option {
 func sweepReplay(name string, base []Option, rec recording, muts []Option, rot int) replayRow {
 	in := lawInputs()
 	var log bytes.Buffer
-	r := replayRow{name: name, rec: rec, replayed: make([]lawCell, len(in)), full: make([]lawCell, len(in)), verdict: make([]bool, len(in))}
+	r := replayRow{name: name, rec: rec, replayed: make([]lawCell, len(in)), full: make([]lawCell, len(in)), arch: make([]sm.Arch, len(in)), verdict: make([]bool, len(in))}
 	for m, mut := range muts {
 		var idx []int
 		var sub []*kernels.Benchmark
@@ -317,10 +328,11 @@ func sweepReplay(name string, base []Option, rec recording, muts []Option, rot i
 				idx, sub = append(idx, i), append(sub, b)
 			}
 		}
-		replayed := runSuite(mustNew(slices.Concat(base, []Option{mut, WithSimCache(rec.cache), WithTraceReplay(true), WithReplayLog(&log)})...), sub)
+		d := mustNew(slices.Concat(base, []Option{mut, WithSimCache(rec.cache), WithTraceReplay(true), WithReplayLog(&log)})...)
+		replayed := runSuite(d, sub)
 		full := runSuite(mustNew(slices.Concat(base, []Option{mut})...), sub)
 		for j, i := range idx {
-			r.replayed[i], r.full[i] = replayed[j], full[j]
+			r.replayed[i], r.full[i], r.arch[i] = replayed[j], full[j], d.cfg.Arch
 		}
 	}
 	notRecorded := func() (*replay.Trace, error) { return nil, errors.New("not recorded") }
@@ -639,7 +651,7 @@ func checkReplayRow(t *testing.T, r replayRow) {
 	for i := range in {
 		got, want := r.replayed[i], r.full[i]
 		if log := r.rec.logs[i]; r.verdict[i] != (log == "") || (log != "" && (strings.Count(log, "\n") != 1 ||
-			!strings.Contains(log, " "+in[i].Name+" on ") || !strings.Contains(log, "outside the trace-replay validity domain"))) {
+			!strings.Contains(log, " program of "+in[i].Name+" is outside the trace-replay validity domain"))) {
 			t.Errorf("verdict: %s on %s is replayable %v, and its recording logged %q", in[i].Name, row, r.verdict[i], log)
 		}
 		switch {
@@ -663,7 +675,9 @@ func checkReplayRow(t *testing.T, r replayRow) {
 // architecture's replay row: a timing sweep routed through
 // WithTraceReplay — one shared SimCache, recorded by the flat row —
 // equals fresh full simulation at every point, while racy kernels
-// (BFS) fall back with the reason logged once each.
+// (BFS) fall back with the reason logged once each. Every race-free
+// input also replays, on some thread-frontier row, the recording
+// another architecture made.
 func TestTraceReplaySuiteSweepEquivalence(t *testing.T) {
 	rows := replayRows()
 	bfs := slices.IndexFunc(lawInputs(), func(b *kernels.Benchmark) bool { return b.Name == "BFS" })
@@ -671,6 +685,38 @@ func TestTraceReplaySuiteSweepEquivalence(t *testing.T) {
 		checkReplayRow(t, r)
 		if r.rec.logs[bfs] == "" {
 			t.Errorf("verdict: racy BFS recorded on %s without falling back", r.name)
+		}
+	}
+	archs := sm.Architectures()
+	for i, b := range lawInputs() {
+		cross := false
+		for k, r := range rows[1 : len(rows)-1] { // the thread-frontier rows
+			c := r.replayed[i]
+			cross = cross || c.err == nil && c.res.Replayed && r.arch[i] != archs[k+1]
+		}
+		if rows[0].verdict[i] && !cross {
+			t.Errorf("replay: race-free %s never replayed another thread-frontier architecture's recording", b.Name)
+		}
+	}
+}
+
+// TestReplayedSuiteLeavesImagesAlone: a replayed suite entry runs over
+// a launch with no memory image (kernels.Benchmark.ReplayLaunch), so
+// after the replay rows — every input re-timed on all five
+// architectures — each input's pristine image and oracle are still
+// what its generator and reference make afresh.
+func TestReplayedSuiteLeavesImagesAlone(t *testing.T) {
+	replayRows()
+	for _, b := range lawInputs() {
+		pristine, params := b.Setup(b)
+		want := append([]byte(nil), pristine...)
+		b.Reference(b, want, params)
+		l, err := b.NewLaunch(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(l.Global, pristine) || !bytes.Equal(b.Expected(), want) {
+			t.Errorf("%s: after the replay rows its pristine image or oracle moved", b.Name)
 		}
 	}
 }

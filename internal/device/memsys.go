@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -291,7 +292,10 @@ func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
 		return err
 	}
 	defer d.queue.release()
-	sp := d.queue.spares.take()
+	sp, ok := d.queue.spares.Take()
+	if !ok {
+		sp = new(spare)
+	}
 	for len(sp.slots) < e.slots {
 		sp.slots = append(sp.slots, smSlot{run: new(sm.Runner)})
 	}
@@ -358,7 +362,7 @@ func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
 	for i := range slots {
 		slots[i].sess.Detach() // an idle spare pins no trace
 	}
-	d.queue.spares.give(sp)
+	d.queue.spares.Give(sp, 1, runtime.GOMAXPROCS(0))
 	return nil
 }
 

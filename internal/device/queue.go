@@ -92,38 +92,13 @@ type spare struct {
 	xbar  *noc.Crossbar
 }
 
-// spareStore is a stack of spares, at most GOMAXPROCS deep. A domain
-// takes one once it holds a run-queue slot, and gives it back only from
-// its clean return, after reading the L2 and crossbar counters: a
-// domain that fails, is cancelled or panics gives nothing back, so no
-// state of a failed launch is ever reused. A spare has one holder at a
-// time, which touches what it holds without a lock.
-type spareStore struct {
-	free locked.Value[[]*spare]
-}
+// spareStore is the stack of spares, kept at most GOMAXPROCS deep. A
+// domain takes one once it holds a run-queue slot, and gives it back
+// only from its clean return, after reading the L2 and crossbar
+// counters: a domain that fails, is cancelled or panics gives nothing
+// back, so no state of a failed launch is ever reused. A spare has one
+// holder at a time, which touches what it holds without a lock.
+type spareStore = locked.Stack[*spare]
 
 // processSpares is the store of every queue NewRunQueue builds.
 var processSpares spareStore
-
-// take pops the top spare, or returns a new one when the store is empty.
-func (st *spareStore) take() *spare {
-	var sp *spare
-	st.free.Do(func(free *[]*spare) {
-		if n := len(*free); n > 0 {
-			sp, (*free)[n-1], *free = (*free)[n-1], nil, (*free)[:n-1]
-		}
-	})
-	if sp == nil {
-		sp = new(spare)
-	}
-	return sp
-}
-
-// give pushes sp, unless the store already holds GOMAXPROCS spares.
-func (st *spareStore) give(sp *spare) {
-	st.free.Do(func(free *[]*spare) {
-		if len(*free) < runtime.GOMAXPROCS(0) {
-			*free = append(*free, sp)
-		}
-	})
-}

@@ -44,10 +44,16 @@ func privateQueue(workers int) Option {
 	return WithRunQueue(newRunQueue(workers, new(spareStore)))
 }
 
-// storeSpares reports the spares on the store of d's queue.
+// storeSpares reports the spares on the store of d's queue, top first,
+// and leaves the store as it was.
 func storeSpares(d *Device) []*spare {
 	var out []*spare
-	d.queue.spares.free.Do(func(free *[]*spare) { out = slices.Clone(*free) })
+	for sp, ok := d.queue.spares.Take(); ok; sp, ok = d.queue.spares.Take() {
+		out = append(out, sp)
+	}
+	for i := len(out) - 1; i >= 0; i-- {
+		d.queue.spares.Give(out[i], 1, len(out))
+	}
 	return out
 }
 

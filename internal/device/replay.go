@@ -42,10 +42,11 @@ import (
 // functional fingerprint would do this) fails loudly and falls back
 // too.
 //
-// Traces are cached by (benchmark, functional fingerprint) — see
-// sm.Config.FunctionalFingerprint for the functional/timing split —
-// so one recording serves every timing configuration of a sweep, on
-// every device sharing the SimCache.
+// Traces are cached by (benchmark, program variant) — see
+// sm.Config.FunctionalFingerprint for the functional/timing split: the
+// architecture is timing-domain, so one recording of a benchmark's
+// thread-frontier program serves SBI, SWI, SBI+SWI and Warp64 at every
+// timing configuration, on every device sharing the SimCache.
 
 // WithTraceReplay routes RunSuite entries through the record-once /
 // replay-per-point engine: the first configuration to run a benchmark
@@ -89,7 +90,11 @@ func (d *Device) runBenchmarkTraced(ctx context.Context, b *kernels.Benchmark, p
 		}
 		tr := rec.Finalize()
 		if !tr.Replayable {
-			d.degradef("device: %s on %s is outside the trace-replay validity domain, sweep points run full simulations: %s", b.Name, d.cfg.Arch, tr.Reason)
+			prog := "plain"
+			if d.cfg.ThreadFrontier() {
+				prog = "thread-frontier"
+			}
+			d.degradef("device: the %s program of %s is outside the trace-replay validity domain, sweep points run full simulations: %s", prog, b.Name, tr.Reason)
 		}
 		recorded = res
 		return tr, nil
@@ -115,14 +120,18 @@ func (d *Device) runBenchmarkTraced(ctx context.Context, b *kernels.Benchmark, p
 // runBenchmark builds the benchmark's launch for the device's
 // architecture, runs it (partitioned into CTA waves when asked;
 // recording into rec or replaying tr as Device.run describes), and
-// checks the oracle — except on a replay, which never touches the
-// global image: the recording run already validated the functional
-// behavior the trace encodes. Only a clean run hands the launch's image
-// back to the benchmark for the next launch to refill: after an error,
-// a mismatch or a panic the image goes with the failed run, as a failed
-// domain's spare does.
+// checks the oracle. A replay reads and writes no global memory — the
+// recording run already validated the functional behavior the trace
+// encodes — so its launch has no image to copy, check or hand back.
+// Only a clean run hands the launch's image back to the benchmark for
+// the next launch to refill: after an error, a mismatch or a panic the
+// image goes with the failed run, as a failed domain's spare does.
 func (d *Device) runBenchmark(ctx context.Context, b *kernels.Benchmark, partition bool, rec *replay.Recorder, tr *replay.Trace) (*sm.Result, error) {
-	l, err := b.NewLaunch(d.cfg.Arch != sm.ArchBaseline)
+	launch := b.NewLaunch
+	if tr != nil {
+		launch = b.ReplayLaunch
+	}
+	l, err := launch(d.cfg.ThreadFrontier())
 	if err != nil {
 		return nil, err
 	}
@@ -130,9 +139,11 @@ func (d *Device) runBenchmark(ctx context.Context, b *kernels.Benchmark, partiti
 	if err != nil {
 		return nil, fmt.Errorf("device: %s on %s: %w", b.Name, d.cfg.Arch, err)
 	}
-	if tr == nil && !bytes.Equal(l.Global, b.Expected()) {
-		return nil, fmt.Errorf("device: %s on %s: simulation diverged from reference", b.Name, d.cfg.Arch)
+	if tr == nil {
+		if !bytes.Equal(l.Global, b.Expected()) {
+			return nil, fmt.Errorf("device: %s on %s: simulation diverged from reference", b.Name, d.cfg.Arch)
+		}
+		b.Recycle(l)
 	}
-	b.Recycle(l)
 	return res, nil
 }

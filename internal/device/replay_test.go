@@ -73,8 +73,34 @@ func TestRunTraceReplay(t *testing.T) {
 			t.Errorf("%s: second point's stats differ from a full simulation there", b.Name)
 		}
 	}
-	if n := strings.Count(log.String(), "racy on SBI+SWI is outside the trace-replay validity domain"); n != 1 || strings.Count(log.String(), "\n") != 1 {
+	if n := strings.Count(log.String(), "the thread-frontier program of racy is outside the trace-replay validity domain"); n != 1 || strings.Count(log.String(), "\n") != 1 {
 		t.Errorf("want the racy kernel's fallback reason logged once and nothing else:\n%s", log.String())
+	}
+}
+
+// TestTraceKeyIsTheProgram: a trace is keyed by the program a launch
+// runs, not by its architecture. One recording of a kernel's
+// thread-frontier program serves every thread-frontier architecture,
+// and never Baseline, which runs the plain program and records its own;
+// nothing falls back.
+func TestTraceKeyIsTheProgram(t *testing.T) {
+	cache := NewSimCache()
+	var log bytes.Buffer
+	suite := []*kernels.Benchmark{mustBench(t, "Transpose")}
+	for _, c := range []struct {
+		arch     sm.Arch
+		replayed bool
+	}{{sm.ArchSBI, false}, {sm.ArchBaseline, false}, {sm.ArchSWI, true}, {sm.ArchSBISWI, true}, {sm.ArchWarp64, true}} {
+		got, err := mustNew(WithArch(c.arch), WithSimCache(cache), WithTraceReplay(true), WithReplayLog(&log)).RunSuite(context.Background(), suite)
+		if err != nil || got[0].Err != nil {
+			t.Fatalf("%s: %v / %v", c.arch, err, got[0].Err)
+		}
+		if got[0].Result.Replayed != c.replayed {
+			t.Errorf("%s after SBI recorded: replayed %v, want %v", c.arch, got[0].Result.Replayed, c.replayed)
+		}
+	}
+	if log.Len() != 0 {
+		t.Errorf("replays logged:\n%s", log.String())
 	}
 }
 

@@ -76,9 +76,10 @@ type SimCache struct {
 	// traces memoizes recorded per-thread execution traces for the
 	// trace-replay engine (WithTraceReplay). The key is deliberately
 	// coarser than simKey — just the benchmark and the *functional*
-	// fingerprint — because a trace is valid for every timing
-	// configuration (sm.Config.FunctionalFingerprint documents the
-	// split): one recording serves a whole sweep. A non-replayable trace
+	// fingerprint, the program variant — because a trace is valid for
+	// every thread-frontier architecture at every timing configuration
+	// (sm.Config.FunctionalFingerprint documents the split): one
+	// recording serves every sweep of the program. A non-replayable trace
 	// is still a cached verdict: later points skip straight to full
 	// simulation without re-deriving (or re-logging) the reason.
 	traces flight[traceKey, *replay.Trace]
@@ -86,7 +87,8 @@ type SimCache struct {
 
 // traceKey identifies one recorded trace: the benchmark (deterministic
 // generator + kernel, so the name pins the launch) and the functional
-// configuration fingerprint (the executed program variant).
+// configuration fingerprint, which digests only the program variant:
+// Baseline's plain program or the thread-frontier one.
 type traceKey struct {
 	bench  string
 	funcFP uint64

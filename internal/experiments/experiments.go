@@ -28,7 +28,8 @@ import (
 // memoization all belong to the device engine: every device the runner
 // builds shares one run queue, which bounds the concurrent simulations,
 // and one device.SimCache, so a cell that several figures need is
-// simulated once. The cache key covers the benchmark, the whole
+// simulated once, and a program that several points run is recorded
+// once (Runner.sweep). The cache key covers the benchmark, the whole
 // configuration (sm.Config.Fingerprint), the partitioning, the SM count
 // and the memory system, so no two points of any study can alias. The
 // runner is safe for concurrent use.
@@ -48,6 +49,15 @@ type Runner struct {
 	// are serialised by progressMu, so any io.Writer will do.
 	Progress   io.Writer
 	progressMu sync.Mutex
+
+	// replayLog receives the trace-replay diagnostics: one line per
+	// program outside the replay validity domain, and one per replay
+	// that fell back to full simulation. nil means os.Stderr.
+	replayLog io.Writer
+
+	// replayed counts the cells the sweeps re-timed from a recording,
+	// under progressMu.
+	replayed int
 }
 
 // NewRunner creates an empty runner.
@@ -67,11 +77,9 @@ type point struct {
 	// between the SMs and DRAM instead of the flat-latency model.
 	noc *noc.Config
 
-	// replay routes the point through trace replay: the first point of
-	// the sweep to reach a benchmark records its per-thread trace, the
-	// others re-time it. Right for points that differ only in timing
-	// parameters (sm.Config.FunctionalFingerprint gives the split).
-	replay bool
+	// quiet keeps the point's cells out of Progress, which bench/ reads
+	// as one full launch per line: a timing sweep's points are re-timed.
+	quiet bool
 }
 
 // sweep simulates every benchmark of suite at every point and returns
@@ -86,20 +94,30 @@ type point struct {
 // after a failure, so nothing is running (and filling the shared cache)
 // once sweep returns; the first error in point-major order is reported.
 //
-// Progress receives one line per cell this sweep simulated, point-major
-// in suite order whatever the worker count and completion order, and
-// nothing for a cell the cache served. Replay-routed points log nothing:
-// most of their cells are re-timed from a trace, not simulated, and
-// bench/ counts one full launch per line.
+// A point runs through trace replay when another point of the sweep
+// runs the same program (sm.Config.FunctionalFingerprint): the first
+// point to reach a benchmark records the program's per-thread trace,
+// the others — any thread-frontier architecture at any timing
+// parameters — re-time it. The trace cache is the runner's SimCache, so
+// a program one sweep recorded serves every later sweep too.
+//
+// Progress receives one line per cell this sweep simulated or re-timed,
+// point-major in suite order whatever the worker count and completion
+// order, and nothing for a cell the cache served or a quiet point.
 func (r *Runner) sweep(ctx context.Context, suite []*kernels.Benchmark, points []point) ([][]*sm.Result, error) {
 	r.once.Do(func() { r.queue = device.NewRunQueue(r.Workers) })
+	programs := map[uint64]int{}
+	for _, p := range points {
+		programs[p.cfg.FunctionalFingerprint()]++
+	}
 	devs := make([]*device.Device, len(points))
 	for i, p := range points {
 		opts := []device.Option{
 			device.WithConfig(p.cfg),
 			device.WithRunQueue(r.queue),
 			device.WithSimCache(r.sims),
-			device.WithTraceReplay(p.replay),
+			device.WithTraceReplay(programs[p.cfg.FunctionalFingerprint()] > 1),
+			device.WithReplayLog(r.replayLog),
 		}
 		if p.sms > 0 {
 			opts = append(opts, device.WithSMs(p.sms), device.WithGridPartition(true))
@@ -139,7 +157,10 @@ func (r *Runner) sweep(ctx context.Context, suite []*kernels.Benchmark, points [
 				continue
 			}
 			res[i][j] = cell.Result
-			if r.Progress != nil && !cell.Cached && !points[i].replay {
+			if !cell.Cached && cell.Result.Replayed {
+				r.replayed++
+			}
+			if r.Progress != nil && !cell.Cached && !points[i].quiet {
 				s := &cell.Result.Stats
 				fmt.Fprintf(r.Progress, "  %-22s %-10s IPC %6.2f  (%d cycles)\n",
 					cell.Name(), points[i].cfg.Arch, s.IPC(), s.Cycles)

@@ -122,7 +122,7 @@ func TestRunnerProgress(t *testing.T) {
 // TestPrefetchProgressOrder: whatever order the simulations finish in, a
 // sweep reports one line per cell it simulated, point by point in suite
 // order, nothing for cells the cache already holds, and nothing for
-// replay-routed points.
+// quiet points.
 func TestPrefetchProgressOrder(t *testing.T) {
 	leakcheck.Check(t)
 	var buf bytes.Buffer
@@ -166,13 +166,13 @@ func TestPrefetchProgressOrder(t *testing.T) {
 	if got, want := logged(), want(sm.ArchWarp64); !reflect.DeepEqual(got, want) {
 		t.Errorf("a sweep with one new point reported %q, want only %q", got, want)
 	}
-	replayed := plain(sm.ArchSBISWI)
-	replayed[0].replay = true
-	if _, err := r.sweep(context.Background(), suite, replayed); err != nil {
+	quiet := plain(sm.ArchSBISWI)
+	quiet[0].quiet = true
+	if _, err := r.sweep(context.Background(), suite, quiet); err != nil {
 		t.Fatal(err)
 	}
 	if got := logged(); got != nil {
-		t.Errorf("a replay-routed sweep reported %q, want nothing", got)
+		t.Errorf("a quiet sweep reported %q, want nothing", got)
 	}
 }
 

@@ -28,15 +28,15 @@ var memsysBandwidths = []float64{32, 8, 2}
 // is SM i's injection port under the device-time packing), which shows
 // how unevenly the waves' traffic loads the crossbar.
 //
-// The sweep is trace-replay routed: the first point to reach a
-// benchmark records its execution trace and the others replay it
-// through the shared-clock interleaver — the NoC and L2 parameters are
-// timing-domain, so replayed statistics are bit-identical to full
-// simulations (racy benchmarks like BFS fall back, with the reason
-// logged once).
+// The sweep is trace-replay routed: the points re-time the benchmark's
+// thread-frontier recording, made by whichever sweep first ran the
+// program, through the shared-clock interleaver — the NoC and L2
+// parameters are timing-domain, so replayed statistics are
+// bit-identical to full simulations (racy benchmarks like BFS fall
+// back, with the reason logged once).
 func (r *Runner) MemoryHierarchy() (*Table, error) {
 	const sms = 4
-	flat := point{cfg: sm.Configure(sm.ArchSBISWI), sms: sms, replay: true}
+	flat := point{cfg: sm.Configure(sm.ArchSBISWI), sms: sms, quiet: true}
 	s := study{
 		title: fmt.Sprintf("Shared L2 + interconnect: device cycles on %d SMs vs. NoC port bandwidth", sms),
 		note:  "flat column: seed flat-latency DRAM model (no L2/NoC); hit rate and queue cycles (total and per-SM port) reported at the widest port",

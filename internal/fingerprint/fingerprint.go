@@ -38,35 +38,6 @@ func Hash(vs ...any) uint64 {
 	return h
 }
 
-// HashFields digests the subset of v's top-level fields selected by
-// keep (called with each exported field's name). v must be a struct;
-// nested structs inside a kept field are digested in full. The same
-// soundness rules as Hash apply within the kept subset: unexported or
-// non-value fields panic. Callers splitting one struct into
-// complementary digests (the SM configuration's functional vs timing
-// split) get automatic coverage of future fields — a new field lands
-// in whichever digest its keep predicate assigns, never in neither.
-func HashFields(v any, keep func(field string) bool) uint64 {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Struct {
-		panic(fmt.Sprintf("fingerprint: HashFields needs a struct, got %s", rv.Kind()))
-	}
-	h := uint64(offset64)
-	t := rv.Type()
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			panic(fmt.Sprintf("fingerprint: unexported field %s.%s cannot be digested", t.Name(), f.Name))
-		}
-		if !keep(f.Name) {
-			continue
-		}
-		h = hashString(h, f.Name)
-		h = hashValue(h, rv.Field(i), f.Name+".")
-	}
-	return h
-}
-
 func hashValue(h uint64, v reflect.Value, path string) uint64 {
 	switch v.Kind() {
 	case reflect.Bool:

@@ -132,21 +132,26 @@ func (b *Benchmark) setup() (pristine []byte, params [isa.NumParams]uint32) {
 // handed back, refilled, when there is one, and a new allocation
 // otherwise. Safe for concurrent use.
 func (b *Benchmark) NewLaunch(threadFrontier bool) (*exec.Launch, error) {
+	l, err := b.ReplayLaunch(threadFrontier)
+	if err == nil {
+		pristine, _ := b.setup()
+		b.memo.Do(func(m *memo) { l.Global, m.spare = m.spare, nil })
+		l.Global = append(l.Global[:0], pristine...)
+	}
+	return l, err
+}
+
+// ReplayLaunch builds a launch of the benchmark with no memory image,
+// for a run that re-times a recorded trace: a replay reads and writes no
+// global memory, so it copies no image and hands none back. Safe for
+// concurrent use.
+func (b *Benchmark) ReplayLaunch(threadFrontier bool) (*exec.Launch, error) {
 	p, err := b.Program(threadFrontier)
 	if err != nil {
 		return nil, err
 	}
-	pristine, params := b.setup()
-	var global []byte
-	b.memo.Do(func(m *memo) { global, m.spare = m.spare, nil })
-	global = append(global[:0], pristine...)
-	return &exec.Launch{
-		Prog:     p,
-		GridDim:  b.Grid,
-		BlockDim: b.Block,
-		Params:   params,
-		Global:   global,
-	}, nil
+	_, params := b.setup()
+	return &exec.Launch{Prog: p, GridDim: b.Grid, BlockDim: b.Block, Params: params}, nil
 }
 
 // Recycle hands l's memory image back to the benchmark, to be refilled

@@ -39,3 +39,26 @@ func TestDoDoesNotAllocate(t *testing.T) {
 		t.Errorf("Do allocated %v times per call, want 0", allocs)
 	}
 }
+
+// TestStackBound: Give keeps a value only while the sizes held stay
+// within its budget, Take pops the last kept first, frees its size and
+// reports an empty stack.
+func TestStackBound(t *testing.T) {
+	var s Stack[int]
+	for v := 1; v <= 3; v++ {
+		s.Give(v, v, 4) // 3 would make 6
+	}
+	s.Give(4, 1, 4)
+	for _, want := range []int{4, 2, 1} {
+		if v, ok := s.Take(); !ok || v != want {
+			t.Errorf("Take() = %d, %v, want %d, true", v, ok, want)
+		}
+	}
+	if v, ok := s.Take(); ok {
+		t.Errorf("Take() on an empty stack = %d, true", v)
+	}
+	s.Give(5, 4, 4) // the pops freed the budget
+	if v, ok := s.Take(); !ok || v != 5 {
+		t.Errorf("after emptying, Take() = %d, %v, want 5, true", v, ok)
+	}
+}

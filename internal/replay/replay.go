@@ -14,7 +14,8 @@
 // functional behavior — the sequence of conditional-branch outcomes
 // and effective addresses it produces — is invariant under every
 // timing parameter: latencies, unit widths, NoC/L2 geometry, scheduler
-// tie-breaks and warp interleavings reorder *when* threads execute,
+// tie-breaks, warp interleavings and the choice among the
+// architectures that run one program reorder *when* threads execute,
 // never *what* they compute. Recording those two per-thread streams
 // therefore captures everything a re-run needs from the functional
 // layer, while the replaying SM still runs its real scheduler,
@@ -44,6 +45,8 @@ package replay
 
 import (
 	"fmt"
+	"math"
+	"unsafe"
 
 	"repro/internal/locked"
 )
@@ -56,16 +59,16 @@ type Trace struct {
 	gridDim  int
 	blockDim int
 
-	// branchBits holds, per global thread, one bit per conditional
-	// branch the thread executed, packed little-endian in uint64 words;
-	// branchN is the per-thread bit count.
-	branchBits [][]uint64
-	branchN    []int32
-
-	// addrs holds, per global thread, the effective address of each
-	// global-memory instruction the thread advanced past, in program
-	// order.
-	addrs [][]uint32
+	// Each stream is flat, one run per thread in thread order: thread
+	// tid's branch outcomes are the bits [branchOff[tid],
+	// branchOff[tid+1]) of branchBits, packed little-endian in uint64
+	// words, and its global-memory effective addresses, in program
+	// order, are addrs[addrOff[tid]:addrOff[tid+1]]. A trace outside the
+	// validity domain has no streams.
+	branchOff  []uint32
+	branchBits []uint64
+	addrOff    []uint32
+	addrs      []uint32
 
 	// Replayable reports whether the recording is race-free and may be
 	// re-timed. Otherwise Reason names the address space, the lowest
@@ -136,20 +139,14 @@ func closeGroup(s uint64) uint64 {
 }
 
 // Recorder accumulates one launch's streams. Stream writes go through
-// per-SM Sinks: each sink is single-goroutine, and concurrent sinks
-// (the device's parallel CTA waves) write disjoint per-thread inner
-// slices, so recording needs no lock on the hot path.
+// per-SM Sinks: each sink is single-goroutine and logs into storage of
+// its own, so recording needs no lock on the hot path. What a recording
+// allocates is its Trace: the sinks, their logs and their shadow pages
+// come from a bounded process-wide store that Finalize refills.
 type Recorder struct {
 	gridDim  int
 	blockDim int
-
-	// The per-thread streams are sharded, not mutex-guarded: the outer
-	// slices are sized once by NewRecorder, and concurrent sinks write
-	// disjoint tid entries (each thread belongs to exactly one CTA
-	// wave), so no two goroutines ever touch the same inner slice.
-	branchBits [][]uint64
-	branchN    []int32
-	addrs      [][]uint32
+	threads  int
 
 	state locked.Value[recorderState]
 }
@@ -163,30 +160,43 @@ type recorderState struct {
 
 // NewRecorder sizes a recorder for a launch geometry.
 func NewRecorder(gridDim, blockDim int) *Recorder {
-	n := gridDim * blockDim
-	return &Recorder{
-		gridDim:    gridDim,
-		blockDim:   blockDim,
-		branchBits: make([][]uint64, n),
-		branchN:    make([]int32, n),
-		addrs:      make([][]uint32, n),
-	}
+	return &Recorder{gridDim: gridDim, blockDim: blockDim, threads: gridDim * blockDim}
 }
+
+// spareSinks and sparePages hold what a Finalize gives back for later
+// recordings to take before they build: sinks, whose logs and
+// shadow-page maps keep their storage, and shadow pages, zeroed. The
+// store holds at most maxSpareSinkBytes of sinks, each weighed by its
+// logs' and page map's storage (sinkBytes), and maxSparePages pages;
+// what does not fit goes with the recording. A recording that is never
+// finalized (its run failed) keeps its sinks.
+var (
+	spareSinks locked.Stack[*Sink]
+	sparePages locked.Stack[*page]
+)
+
+const (
+	maxSpareSinkBytes = 16 << 20
+	maxSparePages     = 1 << 10 // 4 MiB of shadow state
+)
 
 // Sink returns a recording handle for one SM instance. Each sink must
 // only be used from one goroutine at a time; sinks over disjoint CTA
 // ranges may run concurrently. A CTA records through exactly one sink:
 // Finalize takes a word two sinks touched as touched by two CTAs.
 func (r *Recorder) Sink() *Sink {
-	k := &Sink{r: r}
+	k, ok := spareSinks.Take()
+	if !ok {
+		k = new(Sink)
+	}
+	k.r = r
 	r.state.Do(func(st *recorderState) { st.sinks = append(st.sinks, k) })
 	return k
 }
 
-// Sink is one SM's single-goroutine recording handle: stream appends
-// go straight to the recorder's per-thread slices (disjoint across
-// concurrent sinks), the race analysis' shadow words stay sink-local
-// until Finalize.
+// Sink is one SM's single-goroutine recording handle: stream entries
+// are logged in call order, and the race analysis' shadow words stay
+// sink-local until Finalize.
 //
 // The analysis is exact under one contract, which the SM model meets
 // because a CTA lives on one SM and its barrier epoch only increments:
@@ -196,6 +206,11 @@ func (r *Recorder) Sink() *Sink {
 // Reason saying so.
 type Sink struct {
 	r *Recorder
+	// branches logs each outcome as tid<<1 | taken, addrs each global
+	// address as tid<<32 | addr. A thread's entries all reach one sink
+	// (its CTA's), so each log holds them in the thread's program order.
+	branches []uint32
+	addrs    []uint64
 	// pages is confined to the sink's goroutine until Finalize, which
 	// runs after every recording goroutine completed.
 	pages map[uint64]*page
@@ -214,33 +229,32 @@ func (k *Sink) Matches(gridDim, blockDim int) bool {
 
 // Branch records one conditional-branch outcome for a thread.
 func (k *Sink) Branch(tid int, taken bool) {
-	r := k.r
-	n := r.branchN[tid]
-	if int(n)>>6 >= len(r.branchBits[tid]) {
-		r.branchBits[tid] = append(r.branchBits[tid], 0)
+	if uint(tid) >= uint(k.r.threads) || uint64(tid) >= maxTid {
+		k.fail("branch of thread %d outside the launch", tid)
+		return
 	}
+	e := uint32(tid) << 1
 	if taken {
-		r.branchBits[tid][n>>6] |= 1 << (uint(n) & 63)
+		e |= 1
 	}
-	r.branchN[tid] = n + 1
+	k.branches = append(k.branches, e)
 }
 
 // Mem records one memory access a thread advanced past: global
-// accesses append addr to the thread's address stream; both spaces
-// update the word's shadow state. tid is the global thread id, cta its
-// block, epoch the block's barrier epoch.
+// accesses log addr to the thread's address stream; both spaces update
+// the word's shadow state. tid is the global thread id, cta its block,
+// epoch the block's barrier epoch.
 func (k *Sink) Mem(tid, cta, epoch int, addr uint32, global, store bool) {
 	r := k.r
-	if global {
-		r.addrs[tid] = append(r.addrs[tid], addr)
-	}
 	ctaBase := cta * r.blockDim
-	if uint64(tid) >= maxTid || uint64(epoch) >= maxEpoch || uint(tid-ctaBase) >= uint(r.blockDim) {
+	if uint64(tid) >= maxTid || uint64(epoch) >= maxEpoch || uint(tid) >= uint(r.threads) || uint(tid-ctaBase) >= uint(r.blockDim) {
 		k.fail("thread %d of block %d at barrier epoch %d is outside the launch or the race analysis' packed fields", tid, cta, epoch)
 		return
 	}
 	key := uint64(addr >> 2)
-	if !global {
+	if global {
+		k.addrs = append(k.addrs, uint64(tid)<<32|uint64(addr))
+	} else {
 		key |= sharedKeyBit | uint64(cta)<<32
 	}
 	if pk := key >> pageShift; k.last == nil || pk != k.lastKey {
@@ -272,15 +286,18 @@ func (k *Sink) Mem(tid, cta, epoch int, addr uint32, global, store bool) {
 	*w = closeGroup(s) | open
 }
 
-// page returns the shadow page with map key pk, allocating it on first
-// touch.
+// page returns the shadow page with map key pk, taking a spare or a
+// new one on first touch.
 func (k *Sink) page(pk uint64) *page {
 	p := k.pages[pk]
 	if p == nil {
 		if k.pages == nil {
 			k.pages = make(map[uint64]*page)
 		}
-		p = new(page)
+		var ok bool
+		if p, ok = sparePages.Take(); !ok {
+			p = new(page)
+		}
 		k.pages[pk] = p
 	}
 	return p
@@ -293,65 +310,141 @@ func (k *Sink) fail(format string, args ...any) {
 	}
 }
 
+// recycle empties the sink — logs cut to length 0, pages zeroed — and
+// gives it and its pages to the store.
+func (k *Sink) recycle() {
+	size := k.sinkBytes()
+	for _, p := range k.pages {
+		*p = page{}
+		sparePages.Give(p, 1, maxSparePages)
+	}
+	clear(k.pages)
+	k.r, k.last, k.fault = nil, nil, ""
+	k.branches, k.addrs = k.branches[:0], k.addrs[:0]
+	spareSinks.Give(k, size, maxSpareSinkBytes)
+}
+
+// sinkBytes is roughly the storage an emptied sink keeps: its logs'
+// capacity, its page map's entries (clear keeps them) and itself.
+func (k *Sink) sinkBytes() int {
+	return 4*cap(k.branches) + 8*cap(k.addrs) + 16*len(k.pages) + int(unsafe.Sizeof(*k))
+}
+
 // Finalize runs the race analysis over the sinks and returns the
-// immutable trace. Call it after every recording run completed; a
-// repeated call returns the first call's trace.
+// immutable trace, whose streams it builds from the sinks' logs when
+// the recording is replayable; the sinks go back to the store. Call it
+// after every recording run completed; a repeated call returns the
+// first call's trace.
 func (r *Recorder) Finalize() *Trace {
 	var t *Trace
 	r.state.Do(func(st *recorderState) {
 		if st.trace == nil {
-			reason := findRace(st.sinks)
-			st.trace = &Trace{
-				gridDim:    r.gridDim,
-				blockDim:   r.blockDim,
-				branchBits: r.branchBits,
-				branchN:    r.branchN,
-				addrs:      r.addrs,
-				Replayable: reason == "",
-				Reason:     reason,
+			t = &Trace{gridDim: r.gridDim, blockDim: r.blockDim}
+			if t.Reason = findRace(st.sinks); t.Reason == "" {
+				t.Reason = t.fill(st.sinks)
 			}
+			t.Replayable = t.Reason == ""
+			for _, k := range st.sinks {
+				k.recycle()
+			}
+			st.sinks, st.trace = nil, t
 		}
 		t = st.trace
 	})
 	return t
 }
 
-// findRace closes every shadow word, unions the sinks word by word and
-// returns a description of the lowest word (in key order) with a pair
-// of unordered conflicting accesses, or "". Cross-block accesses are
-// never ordered, so a store to a word two blocks touch races;
-// intra-block accesses are ordered iff their barrier epochs differ, so
-// a store plus a second thread within one (cta, epoch) group races. The
-// verdict is a property of the access set: neither the order concurrent
-// sinks ran in nor the map order below reaches it. The sinks' pages are
-// consumed.
-func findRace(sinks []*Sink) string {
-	all := make(map[uint64]*page)
+// fill builds the trace's streams from the sinks' logs, each exactly
+// sized: a counting sort by thread. The counts become each thread's
+// end offset, and a backwards walk over each log places every entry
+// just below its thread's offset, which leaves the offset at the
+// thread's start and the thread's entries in log order, its program
+// order. A stream of 2^32 entries or more is out of the domain.
+func (t *Trace) fill(sinks []*Sink) string {
+	n, nb, na := t.Threads(), 0, 0
 	for _, k := range sinks {
+		nb, na = nb+len(k.branches), na+len(k.addrs)
+	}
+	if nb > math.MaxUint32 || na > math.MaxUint32 {
+		return "a stream of the recording is too long to re-time"
+	}
+	off := make([]uint32, 2*(n+1))
+	t.branchOff, t.addrOff = off[:n+1:n+1], off[n+1:]
+	for _, k := range sinks {
+		for _, e := range k.branches {
+			t.branchOff[e>>1]++
+		}
+		for _, e := range k.addrs {
+			t.addrOff[e>>32]++
+		}
+	}
+	for i := 1; i < n; i++ {
+		t.branchOff[i] += t.branchOff[i-1]
+		t.addrOff[i] += t.addrOff[i-1]
+	}
+	t.branchOff[n], t.addrOff[n] = uint32(nb), uint32(na)
+	t.branchBits, t.addrs = make([]uint64, (nb+63)/64), make([]uint32, na)
+	for _, k := range sinks {
+		for i := len(k.branches) - 1; i >= 0; i-- {
+			e := k.branches[i]
+			t.branchOff[e>>1]--
+			p := t.branchOff[e>>1]
+			t.branchBits[p>>6] |= uint64(e&1) << (p & 63)
+		}
+		for i := len(k.addrs) - 1; i >= 0; i-- {
+			e := k.addrs[i]
+			t.addrOff[e>>32]--
+			t.addrs[t.addrOff[e>>32]] = uint32(e)
+		}
+	}
+	return ""
+}
+
+// findRace closes every shadow word, unions the sinks word by word into
+// the first sink's pages and returns a description of the lowest word
+// (in key order) with a pair of unordered conflicting accesses, or "".
+// Cross-block accesses are never ordered, so a store to a word two
+// blocks touch races; intra-block accesses are ordered iff their
+// barrier epochs differ, so a store plus a second thread within one
+// (cta, epoch) group races. The verdict is a property of the access
+// set: neither the order concurrent sinks ran in nor the map order
+// below reaches it. A page moves to the first sink when no earlier sink
+// has its key, so each page stays in exactly one sink's map.
+func findRace(sinks []*Sink) string {
+	if len(sinks) == 0 {
+		return ""
+	}
+	all := sinks[0]
+	for i, k := range sinks {
 		if k.fault != "" {
 			return k.fault
 		}
 		for pk, p := range k.pages {
-			m := all[pk]
-			if m == nil {
-				all[pk] = p // first sink to touch the page: closed in place
-			}
-			for i, s := range p {
-				s = closeGroup(s)
-				if m == nil {
-					p[i] = s
-					continue
+			m := all.pages[pk]
+			if i == 0 || m == nil {
+				for j, s := range p {
+					p[j] = closeGroup(s)
 				}
-				if s&m[i]&wLive != 0 {
+				if i > 0 {
+					if all.pages == nil {
+						all.pages = make(map[uint64]*page)
+					}
+					all.pages[pk] = p
+					delete(k.pages, pk)
+				}
+				continue
+			}
+			for j, s := range p {
+				s = closeGroup(s)
+				if s&m[j]&wLive != 0 {
 					s |= wMultiCTA // touched through two sinks, hence by two CTAs
 				}
-				m[i] |= s
+				m[j] |= s
 			}
 		}
-		k.pages, k.last = nil, nil
 	}
 	lowest, scope := uint64(0), ""
-	for pk, p := range all {
+	for pk, p := range all.pages {
 		for i, s := range p {
 			key := pk<<pageShift | uint64(i)
 			racy := s&wRacyGroup != 0 || s&(wStore|wMultiCTA) == wStore|wMultiCTA

@@ -3,7 +3,8 @@ package replay
 import "fmt"
 
 // Session is one replaying SM's cursor state over a Trace: a read
-// position per covered thread into the branch and address streams.
+// position per covered thread into its runs of the branch and address
+// streams.
 // A Session is single-goroutine (like the SM that owns it) and covers
 // one CTA sub-range; independent sessions over one Trace may run
 // concurrently, matching the device's wave partitioning. All cursor
@@ -14,8 +15,8 @@ type Session struct {
 	base int // first covered global thread (ctaStart * blockDim)
 	end  int // one past the last covered global thread
 
-	branchPos []int32
-	addrPos   []int32
+	branchPos []uint32
+	addrPos   []uint32
 }
 
 // NewSession opens replay cursors over the CTA sub-range
@@ -42,7 +43,7 @@ func (s *Session) Reset(t *Trace, ctaStart, ctaEnd int) error {
 	s.t, s.base, s.end = t, ctaStart*t.blockDim, ctaEnd*t.blockDim
 	n := s.end - s.base
 	if cap(s.branchPos) < n {
-		s.branchPos, s.addrPos = make([]int32, n), make([]int32, n)
+		s.branchPos, s.addrPos = make([]uint32, n), make([]uint32, n)
 	}
 	s.branchPos, s.addrPos = s.branchPos[:n], s.addrPos[:n]
 	clear(s.branchPos)
@@ -70,11 +71,12 @@ func (s *Session) Matches(gridDim, blockDim, ctaStart, ctaEnd int) bool {
 func (s *Session) Branch(tid int) (taken, ok bool) {
 	i := tid - s.base
 	pos := s.branchPos[i]
-	if pos >= s.t.branchN[tid] {
+	bit := s.t.branchOff[tid] + pos
+	if bit >= s.t.branchOff[tid+1] {
 		return false, false
 	}
 	s.branchPos[i] = pos + 1
-	return s.t.branchBits[tid][pos>>6]>>(uint(pos)&63)&1 == 1, true
+	return s.t.branchBits[bit>>6]>>(bit&63)&1 == 1, true
 }
 
 // PeekAddr returns the thread's next recorded global-memory address
@@ -85,13 +87,11 @@ func (s *Session) Branch(tid int) (taken, ok bool) {
 //
 //sbwi:hotpath
 func (s *Session) PeekAddr(tid int) (addr uint32, ok bool) {
-	i := tid - s.base
-	pos := s.addrPos[i]
-	stream := s.t.addrs[tid]
-	if int(pos) >= len(stream) {
+	at := s.t.addrOff[tid] + s.addrPos[tid-s.base]
+	if at >= s.t.addrOff[tid+1] {
 		return 0, false
 	}
-	return stream[pos], true
+	return s.t.addrs[at], true
 }
 
 // ConsumeAddr advances the thread's address cursor past the entry a
@@ -101,7 +101,7 @@ func (s *Session) PeekAddr(tid int) (addr uint32, ok bool) {
 //sbwi:hotpath
 func (s *Session) ConsumeAddr(tid int) {
 	i := tid - s.base
-	if int(s.addrPos[i]) < len(s.t.addrs[tid]) {
+	if s.t.addrOff[tid]+s.addrPos[i] < s.t.addrOff[tid+1] {
 		s.addrPos[i]++
 	}
 }
@@ -114,13 +114,13 @@ func (s *Session) ConsumeAddr(tid int) {
 func (s *Session) Finish() error {
 	for tid := s.base; tid < s.end; tid++ {
 		i := tid - s.base
-		if s.branchPos[i] != s.t.branchN[tid] {
+		if n := s.t.branchOff[tid+1] - s.t.branchOff[tid]; s.branchPos[i] != n {
 			return fmt.Errorf("replay: thread %d consumed %d of %d recorded branch outcomes — execution diverged from the recording",
-				tid, s.branchPos[i], s.t.branchN[tid])
+				tid, s.branchPos[i], n)
 		}
-		if int(s.addrPos[i]) != len(s.t.addrs[tid]) {
+		if n := s.t.addrOff[tid+1] - s.t.addrOff[tid]; s.addrPos[i] != n {
 			return fmt.Errorf("replay: thread %d consumed %d of %d recorded memory addresses — execution diverged from the recording",
-				tid, s.addrPos[i], len(s.t.addrs[tid]))
+				tid, s.addrPos[i], n)
 		}
 	}
 	return nil

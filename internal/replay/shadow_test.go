@@ -182,35 +182,89 @@ func TestShadowMatchesSortedLog(t *testing.T) {
 
 // TestRecorderStateScalesWithWords pins what the race analysis costs in
 // memory: O(words touched), not O(accesses). 1024 threads re-reading
-// the same 64 global words 256 times may allocate no more, outside the
-// per-thread address streams (pre-sized here), than reading them once.
+// the same 64 shared words of their block 256 times may hold no more
+// shadow pages than reading them once. Shared accesses log nothing, so
+// the pages are all the recording holds.
 func TestRecorderStateScalesWithWords(t *testing.T) {
 	const threads, block, nwords = 1024, 256, 64
-	allocated := func(rounds int) uint64 {
+	pages := func(rounds int) int {
 		r := NewRecorder(threads/block, block)
-		for tid := range r.addrs {
-			r.addrs[tid] = make([]uint32, 0, nwords)
-		}
 		k := r.Sink()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
 		for round := 0; round < rounds; round++ {
 			for tid := 0; tid < threads; tid++ {
-				r.addrs[tid] = r.addrs[tid][:0] // the streams are not what is measured
 				for w := uint32(0); w < nwords; w++ {
-					k.Mem(tid, tid/block, 0, w*4, true, false)
+					k.Mem(tid, tid/block, 0, w*4, false, false)
 				}
 			}
 		}
-		tr := r.Finalize()
-		runtime.ReadMemStats(&after)
-		if !tr.Replayable {
+		n := len(k.pages)
+		if tr := r.Finalize(); !tr.Replayable {
 			t.Fatalf("read-only recording not replayable: %s", tr.Reason)
 		}
-		return after.TotalAlloc - before.TotalAlloc
+		return n
 	}
-	once, many := allocated(1), allocated(256)
-	if once == 0 || many > once {
-		t.Fatalf("256 rounds over the same words allocated %d bytes, one round %d: race-analysis state must not grow with accesses", many, once)
+	once, many := pages(1), pages(256)
+	if once == 0 || many != once {
+		t.Fatalf("256 rounds over the same words held %d shadow pages, one round %d: race-analysis state must not grow with accesses", many, once)
+	}
+}
+
+// TestSpareStoreIsBounded: Finalize gives back no more sink storage
+// than maxSpareSinkBytes. Of a sink whose log alone outgrows it and two
+// that fit it only one at a time, the store keeps one.
+func TestSpareStoreIsBounded(t *testing.T) {
+	for _, ok := spareSinks.Take(); ok; _, ok = spareSinks.Take() {
+	}
+	r := NewRecorder(1, 1)
+	// Branch-log capacities in 4-byte entries: over the whole budget,
+	// then three quarters of it twice.
+	for _, entries := range []int{maxSpareSinkBytes/4 + 1, maxSpareSinkBytes / 16 * 3, maxSpareSinkBytes / 16 * 3} {
+		k := r.Sink()
+		k.branches = make([]uint32, 0, entries)
+		k.Branch(0, true)
+	}
+	r.Finalize()
+	var kept []int
+	for k, ok := spareSinks.Take(); ok; k, ok = spareSinks.Take() {
+		kept = append(kept, k.sinkBytes())
+	}
+	if len(kept) != 1 || kept[0] > maxSpareSinkBytes {
+		t.Errorf("the store kept sinks of %v bytes, want one within %d", kept, maxSpareSinkBytes)
+	}
+}
+
+// TestWarmRecorderAllocatesOnlyItsTrace: once the sink store holds a
+// sink, a recording allocates its Trace — the flat streams and their
+// offsets — and two small headers, whatever its logs and shadow pages
+// hold. The streams are a memory-bound loop's: one branch and one
+// global load per thread per iteration, every thread its own words.
+func TestWarmRecorderAllocatesOnlyItsTrace(t *testing.T) {
+	const grid, block, iters = 4, 256, 16
+	record := func() *Trace {
+		r := NewRecorder(grid, block)
+		k := r.Sink()
+		for i := 0; i < iters; i++ {
+			for tid := 0; tid < grid*block; tid++ {
+				k.Branch(tid, (tid+i)%3 == 0)
+				k.Mem(tid, tid/block, 0, uint32(4*(i*grid*block+tid)), true, false)
+			}
+		}
+		return r.Finalize()
+	}
+	record() // fills the store
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := record()
+	runtime.ReadMemStats(&after)
+	if !tr.Replayable {
+		t.Fatalf("race-free recording not replayable: %s", tr.Reason)
+	}
+	// Six objects: the Recorder, its sink list, the Trace, the offsets,
+	// the branch bits and the addresses; the bytes allow the allocator's
+	// size-class rounding (at most 1/8) and the headers.
+	trace := 4*(len(tr.branchOff)+len(tr.addrOff)+len(tr.addrs)) + 8*len(tr.branchBits)
+	got, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	if objects > 6 || got > uint64(trace+trace/8+512) {
+		t.Fatalf("a warm recording allocated %d objects, %d bytes, for a trace of %d bytes", objects, got, trace)
 	}
 }

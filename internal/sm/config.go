@@ -207,39 +207,27 @@ func (c *Config) Fingerprint() uint64 {
 	return fingerprint.Hash(*c)
 }
 
-// functionalFields names the Config fields that select *what* a launch
-// computes rather than *when*: Arch picks the executed program variant
-// (plain RecPC-annotated code for the baseline stack vs the
-// SYNC-instrumented thread-frontier variant) and is kept whole —
-// conservatively, since the thread-frontier architectures share a
-// program, but per-architecture trace keying costs one extra recording
-// per sweep at most. Every other field is timing-domain: the replay
-// engine re-runs the full scheduling/timing machinery, so latencies,
-// unit geometry, scheduler knobs, seeds and the memory hierarchy may
-// all change between record and replay (package replay documents why).
-// A future field added to Config lands in the timing digest by
-// default; if it ever changes functional behavior it MUST be added
-// here, or the trace cache would alias functionally different runs.
-var functionalFields = map[string]bool{"Arch": true}
-
-// FunctionalFingerprint digests the functional subset of the
-// configuration — the trace-cache key half: two configurations with
-// equal functional fingerprints record identical per-thread traces for
-// identical launches.
+// FunctionalFingerprint digests what selects *what* a launch computes
+// rather than *when*: the program variant alone (ThreadFrontier). The
+// thread-frontier architectures run one SYNC-instrumented program, and
+// every other field — Arch included — is timing-domain: the replay
+// engine re-runs the full scheduling/timing machinery, so the
+// architecture, latencies, unit geometry, scheduler knobs, seeds and
+// the memory hierarchy may all change between record and replay
+// (package replay documents why). It is the trace-cache key half: two
+// configurations with equal functional fingerprints record identical
+// per-thread traces for identical race-free launches. The timing digest
+// is Fingerprint itself. A future Config field that changes what a
+// thread computes MUST be digested here, or the trace cache would alias
+// functionally different runs.
 func (c *Config) FunctionalFingerprint() uint64 {
-	return fingerprint.HashFields(*c, func(f string) bool { return functionalFields[f] })
+	return fingerprint.Hash(c.ThreadFrontier())
 }
 
-// TimingFingerprint digests the complementary timing subset; the two
-// split digests together cover every Config field, which
-// TestFingerprintSplit pins.
-func (c *Config) TimingFingerprint() uint64 {
-	return fingerprint.HashFields(*c, func(f string) bool { return !functionalFields[f] })
-}
-
-// usesHeap reports whether the architecture reconverges via the
-// thread-frontier heap (vs. the baseline stack).
-func (c *Config) usesHeap() bool { return c.Arch != ArchBaseline }
+// ThreadFrontier reports whether the configuration runs a benchmark's
+// SYNC-instrumented thread-frontier program, reconverging on the sorted
+// heap, rather than the plain program the baseline's stack runs.
+func (c *Config) ThreadFrontier() bool { return c.Arch != ArchBaseline }
 
 // hotSlots is how many warp-splits per warp the front-end may schedule:
 // two for SBI-class designs, one otherwise.
@@ -296,7 +284,7 @@ func (c *Config) Validate() error {
 	if err := c.Mem.Validate(); err != nil {
 		return err
 	}
-	if c.SplitOnMemDivergence && !c.usesHeap() {
+	if c.SplitOnMemDivergence && !c.ThreadFrontier() {
 		return fmt.Errorf("sm: memory-divergence splitting requires a thread-frontier architecture")
 	}
 	return nil

@@ -222,7 +222,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			if k.wire != nil {
 				k.wire(&cfg, &opts)
 			}
-			if cfg.SplitOnMemDivergence && !cfg.usesHeap() {
+			if cfg.SplitOnMemDivergence && !cfg.ThreadFrontier() {
 				continue // the split needs a thread-frontier architecture
 			}
 			t.Run(k.name+"/"+a.String(), func(t *testing.T) {

@@ -68,43 +68,44 @@ func perturbLeaves(t *testing.T, v reflect.Value, path string, check func(string
 }
 
 // TestFingerprintSplit pins the functional/timing digest split the
-// trace cache keys on: together the two digests cover every Config
-// field (perturbing any leaf moves exactly one of them), and each
-// field lands in the digest functionalFields assigns it to. A new
-// Config field automatically lands in the timing digest; if it changes
-// functional behavior it must be added to functionalFields, and this
-// test documents which digest reacts.
+// trace cache keys on: the functional digest is the program variant
+// alone, so of every Config leaf only Arch can move it, and only when
+// the perturbation changes the variant; the timing digest, Fingerprint,
+// moves with every leaf. Baseline against a thread-frontier
+// architecture moves the functional digest; two thread-frontier
+// architectures move only the timing digest, so one recording serves
+// them all.
 func TestFingerprintSplit(t *testing.T) {
-	base := Configure(ArchSBISWI)
-	refFunc := base.FunctionalFingerprint()
-	refTiming := base.TimingFingerprint()
-
-	v := reflect.ValueOf(&base).Elem()
-	total := 0
-	for i := 0; i < v.NumField(); i++ {
-		name := v.Type().Field(i).Name
-		wantFunctional := functionalFields[name]
-		total += perturbLeaves(t, v.Field(i), "Config."+name, func(path string) {
-			funcMoved := base.FunctionalFingerprint() != refFunc
-			timingMoved := base.TimingFingerprint() != refTiming
-			if funcMoved != wantFunctional {
-				t.Errorf("perturbing %s: functional digest moved = %v, want %v", path, funcMoved, wantFunctional)
+	for _, a := range []Arch{ArchBaseline, ArchSBISWI} {
+		base := Configure(a)
+		refFunc, refTiming := base.FunctionalFingerprint(), base.Fingerprint()
+		total := perturbLeaves(t, reflect.ValueOf(&base).Elem(), "Config", func(path string) {
+			wantFunctional := path == "Config.Arch" && a == ArchBaseline // Baseline+1 is Warp64
+			if moved := base.FunctionalFingerprint() != refFunc; moved != wantFunctional {
+				t.Errorf("%s, perturbing %s: functional digest moved = %v, want %v", a, path, moved, wantFunctional)
 			}
-			if timingMoved == wantFunctional {
-				t.Errorf("perturbing %s: timing digest moved = %v, want %v", path, timingMoved, !wantFunctional)
+			if base.Fingerprint() == refTiming {
+				t.Errorf("%s, perturbing %s: timing digest did not move", a, path)
 			}
 		})
-	}
-	if total < 20 {
-		t.Fatalf("only %d leaves perturbed — reflection walk is broken", total)
+		if total < 20 {
+			t.Fatalf("only %d leaves perturbed — reflection walk is broken", total)
+		}
 	}
 
-	// The split must separate the program variants: the baseline runs
-	// un-instrumented code, so its traces may not alias the
-	// thread-frontier architectures'.
-	b, s := Configure(ArchBaseline), Configure(ArchSBISWI)
-	if b.FunctionalFingerprint() == s.FunctionalFingerprint() {
-		t.Error("Baseline and SBI+SWI share a functional fingerprint")
+	b := Configure(ArchBaseline)
+	for _, a := range Architectures()[1:] {
+		c := Configure(a)
+		if b.FunctionalFingerprint() == c.FunctionalFingerprint() {
+			t.Errorf("Baseline and %s share a functional fingerprint: Baseline could replay a thread-frontier trace", a)
+		}
+		for _, o := range Architectures()[1:] {
+			d := Configure(o)
+			if a != o && (c.FunctionalFingerprint() != d.FunctionalFingerprint() || c.Fingerprint() == d.Fingerprint()) {
+				t.Errorf("%s and %s: functional digests equal %v, timing digests equal %v; want true, false",
+					a, o, c.FunctionalFingerprint() == d.FunctionalFingerprint(), c.Fingerprint() == d.Fingerprint())
+			}
+		}
 	}
 }
 

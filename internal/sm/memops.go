@@ -20,10 +20,6 @@ func (s *SM) execMem(c *candidate) error {
 	w, ins := c.w, c.ins
 
 	global := ins.Op.IsGlobal()
-	space, image := "global", s.launch.Global
-	if !global {
-		space, image = "shared", w.block.shared
-	}
 
 	// Per-thread addresses. The architectural load is applied only to
 	// the threads that advance past the instruction: under
@@ -67,6 +63,10 @@ func (s *SM) execMem(c *candidate) error {
 				}
 			}
 			return nil
+		}
+		space, image := "global", s.launch.Global
+		if !global {
+			space, image = "shared", w.block.shared
 		}
 		if err := exec.LoadStoreWarp(ins, &w.regs, space, image, addrs[:], mask, c.pc); err != nil {
 			return err

@@ -286,7 +286,7 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 		return fmt.Errorf("sm: block of %d threads needs %d warps, SM has %d",
 			l.BlockDim, warpsPerBlock, cfg.NumWarps)
 	}
-	if !cfg.usesHeap() {
+	if !cfg.ThreadFrontier() {
 		for pc := range l.Prog.Code {
 			ins := &l.Prog.Code[pc]
 			if ins.Conditional() && ins.RecPC < 0 {
@@ -645,7 +645,7 @@ func (s *SM) startBlock(cta int, ws []*warp) {
 				Params:  &s.launch.Params,
 			}
 		}
-		if s.cfg.usesHeap() {
+		if s.cfg.ThreadFrontier() {
 			if w.heapStore == nil {
 				w.heapStore = new(reconv.Heap) //sbwi:alloc-ok the context's first block under the heap model
 			}
