@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -285,167 +286,169 @@ func collected(freed <-chan struct{}) bool {
 	return false
 }
 
-// TestWarmLaunchAllocBudget is the ratchet on what a small launch
-// allocates once its spare is warm: a 2-CTA x 64-thread generated kernel
-// through Device.Run on SBI+SWI. Building the SM for every launch cost
-// 43 KB and 85 mallocs here (62 KB and 98 on launch-storm's mix); what
-// is left, ~1.5 KB in 18, is the launch's own plumbing: stream, future,
-// goroutine, contexts, the wave plan, the Result.
-func TestWarmLaunchAllocBudget(t *testing.T) {
-	dev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(1))
+// allocFigure is what one launch allocates.
+type allocFigure struct{ bytes, mallocs uint64 }
+
+// measureAllocs runs launch(n) to warm up, then launch(0) … launch(n-1),
+// and returns what they allocated per launch. Like testing.AllocsPerRun
+// it measures on one P.
+func measureAllocs(n int, launch func(i int)) allocFigure {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	launch(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range n {
+		launch(i)
+	}
+	runtime.ReadMemStats(&after)
+	return allocFigure{(after.TotalAlloc - before.TotalAlloc) / uint64(n), (after.Mallocs - before.Mallocs) / uint64(n)}
+}
+
+// allocBudgets are the ratchets on what a launch allocates once the
+// storage it re-arms is warm, one row per test, each named after its
+// test. setup builds the row's device and its n+1 launches; base, where
+// the bound is relative, is the launch the bound compares with. within
+// holds the row's bound, which it keeps with the figure recorded before
+// that storage was re-armed, and bound says it.
+var allocBudgets = map[string]struct {
+	n      int
+	setup  func(t *testing.T) (launch, base func(i int))
+	within func(got, base allocFigure) bool
+	bound  string
+}{
+	// A 2-CTA x 64-thread generated kernel through Device.Run on SBI+SWI.
+	// Building the SM for every launch cost 43 KB and 85 mallocs here (62
+	// KB and 98 on launch-storm's mix); what is left, ~1.5 KB in 18, is
+	// the launch's own plumbing: stream, future, goroutine, contexts, the
+	// wave plan, the Result.
+	"TestWarmLaunchAllocBudget": {200, func(t *testing.T) (launch, base func(int)) {
+		dev, k := mustNew(WithArch(sm.ArchSBISWI), WithWorkers(1)), progen.Kernel(1, 3, 2, 64)
+		ls := make([]*exec.Launch, 201)
+		for i := range ls {
+			ls[i] = launchOn(t, dev, k)
+		}
+		return func(i int) { runOn(t, dev, ls[i]) }, nil
+	}, func(got, _ allocFigure) bool {
+		return got.bytes <= 8<<10 && got.mallocs < parentWarmLaunchMallocs/2
+	}, fmt.Sprintf("at most 8192 bytes in fewer than half the %d mallocs it made when every launch built its SM", parentWarmLaunchMallocs)},
+	// RunSuite over the 10 regular kernels on a one-worker SBI+SWI
+	// device, a pass per launch. Each suite entry refills the image the
+	// benchmark's last clean run handed back instead of copying its input
+	// into a new one; what is left is the entry's own plumbing.
+	"TestWarmSuiteAllocBudget": {5, func(t *testing.T) (launch, base func(int)) {
+		dev := mustNew(WithArch(sm.ArchSBISWI), WithWorkers(1))
+		return func(int) {
+			if _, err := dev.RunSuite(context.Background(), kernels.Regular()); err != nil {
+				t.Fatal(err)
+			}
+		}, nil
+	}, func(got, _ allocFigure) bool {
+		return got.bytes/uint64(len(kernels.Regular())) <= 4<<10
+	}, fmt.Sprintf("at most 4096 bytes a suite entry, where each allocated %d when every launch copied its input into a new image", parentWarmSuiteLaunchBytes)},
+	// Transpose in 9 waves on the memsys row's 4-SM device, one worker.
+	// The L2 and crossbar ride the spare, and the waves share five image
+	// buffers, folded as they finish, where each had a clone beside a
+	// pre-launch snapshot and the merge's written-byte mask; all but the
+	// merged one ride the spare to the next launch.
+	"TestWarmMemsysLaunchAllocBudget": {10, func(t *testing.T) (launch, base func(int)) {
+		dev := mustNew(memsysOpts(true, WithWorkers(1))...)
+		ls := make([]*exec.Launch, 11)
+		for i := range ls {
+			ls[i] = mustLaunch(t, "Transpose")
+		}
+		return func(i int) {
+			if res := runOn(t, dev, ls[i]); len(res.Waves) != 9 {
+				t.Fatalf("Transpose ran in %d waves, want 9", len(res.Waves))
+			}
+		}, nil
+	}, func(got, _ allocFigure) bool {
+		return got.bytes < parentWarmMemsysLaunchBytes/2
+	}, fmt.Sprintf("under half the %d bytes it allocated when every launch built its L2, crossbar and snapshots", parentWarmMemsysLaunchBytes)},
+	// Transpose in 9 waves on a new memsys-row device per launch, as a
+	// sweep builds a device per point. Each device re-arms the shells,
+	// wave buffers, L2 and crossbar the last one gave back to the
+	// process-wide store; what is left is the device, the domain's merged
+	// image and the launch's plumbing.
+	"TestFreshDeviceAllocBudget": {10, func(t *testing.T) (launch, base func(int)) {
+		ls := make([]*exec.Launch, 11)
+		for i := range ls {
+			ls[i] = mustLaunch(t, "Transpose")
+		}
+		return func(i int) { runOn(t, mustNew(memsysOpts(true, WithWorkers(1))...), ls[i]) }, nil
+	}, func(got, _ allocFigure) bool {
+		return got.bytes < parentFreshDeviceLaunchBytes/8
+	}, fmt.Sprintf("under an eighth of the %d bytes it allocated when each device built its shells, L2 and crossbar", parentFreshDeviceLaunchBytes)},
+	// A partitioned launch that fails in wave 0, at 2^18 CTAs against
+	// 2^12. It claims its waves on at most the run queue's goroutines and
+	// stops claiming once a wave has failed; a launch that started one
+	// goroutine per wave, each parked on the run queue until the failure
+	// cancelled it, would allocate per wave. The device's spare store is
+	// its own, so every failed domain builds its shell anew, whatever
+	// other tests gave back to the process-wide one.
+	"TestFailedWaveStopsThePartitionedLaunch": {3, func(t *testing.T) (launch, base func(int)) {
+		leakcheck.Check(t)
+		dev := mustNew(WithArch(sm.ArchSBI), WithSMs(4), privateQueue(2), WithGridPartition(true))
+		p := mustProgram(t, "store-out-of-bounds", storeOutOfBounds)
+		failing := func(grid int) func(int) {
+			return func(int) {
+				l := &exec.Launch{Prog: p, GridDim: grid, BlockDim: 32, Global: make([]byte, 64)}
+				if _, err := dev.Run(context.Background(), l); err == nil {
+					t.Fatalf("grid %d: a launch storing out of bounds succeeded", grid)
+				}
+			}
+		}
+		return failing(1 << 18), failing(1 << 12)
+	}, func(got, base allocFigure) bool {
+		return got.mallocs <= base.mallocs+16
+	}, "within 16 mallocs of the same launch at 2^12 CTAs, not growing with the grid"},
+}
+
+// checkAllocBudget measures the test's row of allocBudgets, logs the
+// figure and checks the row's bound.
+func checkAllocBudget(t *testing.T) {
+	row := allocBudgets[t.Name()]
+	launch, base := row.setup(t)
+	got, ref := measureAllocs(row.n, launch), allocFigure{}
+	t.Logf("a launch allocates %d bytes in %d mallocs", got.bytes, got.mallocs)
+	if base != nil {
+		ref = measureAllocs(row.n, base)
+		t.Logf("the launch it is held to allocates %d bytes in %d mallocs", ref.bytes, ref.mallocs)
+	}
+	if !row.within(got, ref) {
+		t.Errorf("a launch allocates %d bytes in %d mallocs, want %s", got.bytes, got.mallocs, row.bound)
+	}
+}
+
+// runOn runs l on dev and returns its Result.
+func runOn(t *testing.T, dev *Device, l *exec.Launch) *sm.Result {
+	t.Helper()
+	res, err := dev.Run(context.Background(), l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := progen.Kernel(1, 3, 2, 64)
-	ctx := context.Background()
-	const launches = 200
-	ls := make([]*exec.Launch, launches+1)
-	for i := range ls {
-		ls[i] = launchOn(t, dev, k)
-	}
-	if _, err := dev.Run(ctx, ls[launches]); err != nil { // warm-up
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, l := range ls[:launches] {
-		if _, err := dev.Run(ctx, l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	perLaunch := (after.TotalAlloc - before.TotalAlloc) / launches
-	l := launchOn(t, dev, k)
-	mallocs := testing.AllocsPerRun(100, func() {
-		clear(l.Global)
-		if _, err := dev.Run(ctx, l); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("a warm launch allocates %d bytes in %.0f mallocs", perLaunch, mallocs)
-	if perLaunch > 8<<10 {
-		t.Errorf("a warm launch allocates %d bytes, budget 8192", perLaunch)
-	}
-	if mallocs >= parentWarmLaunchMallocs/2 {
-		t.Errorf("a warm launch makes %.0f mallocs, want fewer than half the %d it made when every launch built its SM", mallocs, parentWarmLaunchMallocs)
-	}
+	return res
 }
+
+func TestWarmLaunchAllocBudget(t *testing.T)               { checkAllocBudget(t) }
+func TestWarmSuiteAllocBudget(t *testing.T)                { checkAllocBudget(t) }
+func TestWarmMemsysLaunchAllocBudget(t *testing.T)         { checkAllocBudget(t) }
+func TestFreshDeviceAllocBudget(t *testing.T)              { checkAllocBudget(t) }
+func TestFailedWaveStopsThePartitionedLaunch(t *testing.T) { checkAllocBudget(t) }
 
 // parentWarmLaunchMallocs is what the launch of TestWarmLaunchAllocBudget
 // cost in mallocs before SM shells were recycled.
 const parentWarmLaunchMallocs = 85
-
-// TestWarmSuiteAllocBudget is the ratchet on what a suite entry
-// allocates once its benchmark and spare are warm: RunSuite over the
-// regular suite on a one-worker SBI+SWI device. Each launch refills the
-// image the benchmark's last clean run handed back instead of copying
-// its input into a new one; what is left is the entry's own plumbing.
-func TestWarmSuiteAllocBudget(t *testing.T) {
-	dev, err := New(WithArch(sm.ArchSBISWI), WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite := kernels.Regular()
-	ctx := context.Background()
-	if _, err := dev.RunSuite(ctx, suite); err != nil { // warm-up
-		t.Fatal(err)
-	}
-	const passes = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < passes; i++ {
-		if _, err := dev.RunSuite(ctx, suite); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	perLaunch := (after.TotalAlloc - before.TotalAlloc) / uint64(passes*len(suite))
-	t.Logf("a warm suite entry allocates %d bytes", perLaunch)
-	if perLaunch > 4<<10 {
-		t.Errorf("a warm suite entry allocates %d bytes, budget 4096 (%d when every launch copied its input into a new image)", perLaunch, parentWarmSuiteLaunchBytes)
-	}
-}
 
 // parentWarmSuiteLaunchBytes is what a suite entry of
 // TestWarmSuiteAllocBudget allocated when every launch copied its input
 // into a new image.
 const parentWarmSuiteLaunchBytes = 70051
 
-// TestWarmMemsysLaunchAllocBudget is the ratchet on what a partitioned
-// launch behind the modeled memory system allocates once its spare is
-// warm: Transpose in 9 waves on the memsys row's 4-SM device, one
-// worker. The L2 and crossbar ride the spare, and the waves share five
-// image buffers, folded as they finish, where each had a clone beside a
-// pre-launch snapshot and the merge's written-byte mask; all but the
-// merged one ride the spare to the next launch.
-func TestWarmMemsysLaunchAllocBudget(t *testing.T) {
-	dev, err := New(memsysOpts(true, WithWorkers(1))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const launches = 10
-	ls := make([]*exec.Launch, launches+1)
-	for i := range ls {
-		ls[i] = mustLaunch(t, "Transpose")
-	}
-	ctx := context.Background()
-	if res, err := dev.Run(ctx, ls[launches]); err != nil { // warm-up
-		t.Fatal(err)
-	} else if len(res.Waves) != 9 {
-		t.Fatalf("Transpose ran in %d waves, want 9", len(res.Waves))
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, l := range ls[:launches] {
-		if _, err := dev.Run(ctx, l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	perLaunch := (after.TotalAlloc - before.TotalAlloc) / launches
-	t.Logf("a warm memsys launch allocates %d bytes", perLaunch)
-	if perLaunch >= parentWarmMemsysLaunchBytes/2 {
-		t.Errorf("a warm memsys launch allocates %d bytes, want under half the %d it allocated when every launch built its L2, crossbar and snapshots", perLaunch, parentWarmMemsysLaunchBytes)
-	}
-}
-
 // parentWarmMemsysLaunchBytes is what the launch of
 // TestWarmMemsysLaunchAllocBudget allocated when every launch built its
 // L2 and crossbar, cloned a pre-launch snapshot per wave and merged the
 // clones under a written-byte mask.
 const parentWarmMemsysLaunchBytes = 1002856
-
-// TestFreshDeviceAllocBudget is the ratchet on what a launch on a new
-// device allocates once the process-wide spare store is warm: Transpose
-// in 9 waves on a new memsys-row device per launch, as a sweep builds a
-// device per point. Each device re-arms the shells, wave buffers, L2
-// and crossbar the last one gave back; what is left is the device, the
-// domain's merged image and the launch's plumbing.
-func TestFreshDeviceAllocBudget(t *testing.T) {
-	const launches = 10
-	ls := make([]*exec.Launch, launches+1)
-	for i := range ls {
-		ls[i] = mustLaunch(t, "Transpose")
-	}
-	ctx := context.Background()
-	run := func(l *exec.Launch) {
-		if _, err := mustNew(memsysOpts(true, WithWorkers(1))...).Run(ctx, l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run(ls[launches]) // warm-up
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, l := range ls[:launches] {
-		run(l)
-	}
-	runtime.ReadMemStats(&after)
-	perLaunch := (after.TotalAlloc - before.TotalAlloc) / launches
-	t.Logf("a launch on a new device allocates %d bytes", perLaunch)
-	if perLaunch >= parentFreshDeviceLaunchBytes/8 {
-		t.Errorf("a launch on a new device allocates %d bytes, want under an eighth of the %d it allocated when each device built its shells, L2 and crossbar", perLaunch, parentFreshDeviceLaunchBytes)
-	}
-}
 
 // parentFreshDeviceLaunchBytes is what the launch of
 // TestFreshDeviceAllocBudget allocated when each device's run queue

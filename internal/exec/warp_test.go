@@ -6,9 +6,11 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/statcheck"
 )
 
 // The warp kernels are held to the scalar functions, which are the
@@ -298,26 +300,28 @@ func FuzzEvalWarp(f *testing.F) {
 	})
 }
 
-// TestWarpRegsResetAcrossWidths: a register file Reset to another
-// width — narrower in the storage a wider one left, or back — is all
-// zeros whatever the file held, and once the widest has been seen,
-// alternating widths allocates nothing.
+// TestWarpRegsResetAcrossWidths is the register file's row of the
+// Reset ≡ New law (statcheck.CheckReset), over widths narrower in the
+// storage a wider one left, and back. A use observes every register
+// word, which must be the zeros of a new file of that width, and then
+// dirties them all.
 func TestWarpRegsResetAcrossWidths(t *testing.T) {
-	var w WarpRegs
-	for _, width := range []int{64, 32, 1, 64, 16, 32} {
-		w.Reset(width)
-		if len(w.rows) != (isa.NumRegs+2)*width {
-			t.Fatalf("width %d: %d register words, want %d", width, len(w.rows), (isa.NumRegs+2)*width)
+	use := func(w *WarpRegs, _ int, seed uint64, _ bool) any {
+		seen := []any{w.width, slices.Clone(w.rows)}
+		for i := range w.rows {
+			w.rows[i] = ^uint32(i) ^ uint32(seed) // what the next Reset must clear
 		}
-		for i, v := range w.rows {
-			if v != 0 {
-				t.Fatalf("width %d: word %d is %#x after Reset", width, i, v)
-			}
-			w.rows[i] = ^uint32(i) // what the next Reset must clear
-		}
+		return seen
 	}
-	if allocs := testing.AllocsPerRun(10, func() { w.Reset(32); w.Reset(64) }); allocs != 0 {
-		t.Errorf("alternating widths within capacity allocates %v times", allocs)
+	for _, p := range statcheck.CheckReset(statcheck.ResetRow[WarpRegs, int]{
+		Fresh: func(width int, seed uint64) any {
+			return use(&WarpRegs{width: width, rows: make([]uint32, (isa.NumRegs+2)*width)}, width, seed, false)
+		},
+		Reset:   func(w *WarpRegs, width int) error { w.Reset(width); return nil },
+		Use:     use,
+		Configs: []int{64, 32, 1, 16},
+	}) {
+		t.Error(p)
 	}
 }
 

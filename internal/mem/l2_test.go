@@ -3,8 +3,9 @@ package mem
 import (
 	"math"
 	"math/rand/v2"
-	"slices"
 	"testing"
+
+	"repro/internal/statcheck"
 )
 
 // tinyL2 is a 4-set, 2-way, 2-bank L2 over 128-byte blocks: 2 KB.
@@ -265,13 +266,21 @@ func driveL2(l *L2, seed uint64, n int) []int64 {
 	return out
 }
 
-// TestL2ResetEqualsNew: an L2 that served one stream and was Reset —
-// to its own geometry or another — answers a second stream exactly as
-// a fresh NewL2 does: every ready cycle and every counter. The first
-// stream leaves lines valid, fills in flight and banks and the DRAM
-// port booked far ahead of the second stream's cycles.
+// TestL2ResetEqualsNew is the L2's row of the Reset ≡ New law
+// (statcheck.CheckReset). A use is a seeded stream of accesses, whose
+// ready cycles and counters it observes; it ends, abandoned or not,
+// with lines valid, fills in flight and the banks and the DRAM port
+// booked far ahead of the next use's cycles. Each subtest adds a
+// configuration that changes one parameter of the first, and walks
+// every ordered pair of the configurations so far.
 func TestL2ResetEqualsNew(t *testing.T) {
 	mc := Default()
+	use := func(l *L2, _ L2Config, seed uint64, _ bool) any { return []any{driveL2(l, seed, 2000), l.Stats} }
+	row := statcheck.ResetRow[L2, L2Config]{
+		Fresh: func(c L2Config, seed uint64) any { return use(NewL2(c, mc), c, seed, false) },
+		Reset: func(l *L2, c L2Config) error { l.Reset(c, mc); return nil },
+		Use:   use,
+	}
 	tiny := L2Config{Bytes: 2 * 1024, Ways: 2, Banks: 2, HitLatency: 10, BytesPerCycle: 32}
 	for _, c := range []struct {
 		name string
@@ -283,19 +292,12 @@ func TestL2ResetEqualsNew(t *testing.T) {
 		{"banks", func(c *L2Config) { c.Banks = 4 }},
 		{"timing", func(c *L2Config) { c.HitLatency, c.BytesPerCycle = 30, 8 }},
 	} {
+		next := tiny
+		c.next(&next)
+		row.Configs = append(row.Configs, next)
 		t.Run(c.name, func(t *testing.T) {
-			next := tiny
-			c.next(&next)
-			l := NewL2(tiny, mc)
-			driveL2(l, 1, 2000)
-			l.Reset(next, mc)
-			fresh := NewL2(next, mc)
-			got, want := driveL2(l, 2, 2000), driveL2(fresh, 2, 2000)
-			if !slices.Equal(got, want) {
-				t.Errorf("a reset L2's ready cycles differ from a fresh one's")
-			}
-			if l.Stats != fresh.Stats {
-				t.Errorf("reset L2 stats %+v, fresh %+v", l.Stats, fresh.Stats)
+			for _, p := range statcheck.CheckReset(row) {
+				t.Error(p)
 			}
 		})
 	}

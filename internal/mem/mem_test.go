@@ -3,6 +3,8 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/statcheck"
 )
 
 func TestGeometry(t *testing.T) {
@@ -142,44 +144,42 @@ func TestSetLowerNilDisarmsStoreBuffer(t *testing.T) {
 	}
 }
 
-// TestHierarchyResetEqualsFresh drives a hierarchy that has served a
-// buffered lower level — lines valid, fills and store-buffer entries
-// outstanding, the DRAM port booked — through Reset, then checks it
-// answers an access sequence exactly like a new one, under both the
-// same and every kind of different geometry.
+// TestHierarchyResetEqualsFresh is the L1 hierarchy's row of the
+// Reset ≡ New law (statcheck.CheckReset), over the default geometry and
+// a smaller, a narrower and a finer-grained one. A use observes every
+// ready cycle of a seeded sequence of loads and stores, on the flat path
+// and then behind a lower level, and the counters; abandoned, it runs
+// behind a slow lower level and leaves lines valid, fills and
+// store-buffer entries outstanding and the DRAM port booked.
 func TestHierarchyResetEqualsFresh(t *testing.T) {
 	small, narrow, fine := Default(), Default(), Default()
 	small.L1Bytes, small.StoreQueue = 12*1024, 2
 	narrow.L1Ways = 3
 	fine.BlockBytes = 64
-	for _, next := range []Config{Default(), small, narrow, fine} {
-		h := NewHierarchy(Default())
-		h.Store(0, 0)
-		h.SetLower(&fixedLower{l: 900})
-		for i := uint32(0); i < 40; i++ {
-			h.Load(int64(i), i*128)
-			h.Store(int64(i), i*128)
+	use := func(h *Hierarchy, c Config, seed uint64, abandon bool) any {
+		lowers, n := []Lower{nil, &fixedLower{l: 50}}, uint32(3000)
+		if abandon {
+			lowers, n = []Lower{&fixedLower{l: 900}}, 120
 		}
-		h.Reset(next)
-		fresh := NewHierarchy(next)
-		for _, lower := range []Lower{nil, &fixedLower{l: 50}} {
+		var ready []int64
+		for _, lower := range lowers {
 			h.SetLower(lower)
-			fresh.SetLower(lower)
 			// More blocks than lines, revisited: hits depend on the set
 			// mapping and on which line each fill evicted.
-			for i := uint32(0); i < 3000; i++ {
-				now, addr := int64(i/3), i*2654435761>>16%1200*64&^uint32(next.BlockBytes-1) // hashed, not cyclic: LRU would miss every time
-				if got, want := h.Load(now, addr), fresh.Load(now, addr); got != want {
-					t.Fatalf("load %d: reset hierarchy ready at %d, fresh at %d", i, got, want)
-				}
-				if got, want := h.Store(now, addr+64*128), fresh.Store(now, addr+64*128); got != want {
-					t.Fatalf("store %d: reset hierarchy retires at %d, fresh at %d", i, got, want)
-				}
+			for i := range n {
+				now, addr := int64(i/3), (i+uint32(seed))*2654435761>>16%1200*64&^uint32(c.BlockBytes-1) // hashed, not cyclic: LRU would miss every time
+				ready = append(ready, h.Load(now, addr), h.Store(now, addr+64*128))
 			}
 		}
-		if h.Stats != fresh.Stats {
-			t.Errorf("stats after reset = %+v, fresh = %+v", h.Stats, fresh.Stats)
-		}
+		return []any{ready, h.Stats}
+	}
+	for _, p := range statcheck.CheckReset(statcheck.ResetRow[Hierarchy, Config]{
+		Fresh:   func(c Config, seed uint64) any { return use(NewHierarchy(c), c, seed, false) },
+		Reset:   func(h *Hierarchy, c Config) error { h.Reset(c); return nil },
+		Use:     use,
+		Configs: []Config{Default(), small, narrow, fine},
+	}) {
+		t.Error(p)
 	}
 }
 

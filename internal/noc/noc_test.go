@@ -3,8 +3,9 @@ package noc
 import (
 	"math"
 	"math/rand/v2"
-	"slices"
 	"testing"
+
+	"repro/internal/statcheck"
 )
 
 func TestValidate(t *testing.T) {
@@ -148,40 +149,43 @@ func driveCrossbar(x *Crossbar, ports int, seed uint64, n int) []int64 {
 	return out
 }
 
-// TestCrossbarResetEqualsNew: a crossbar that carried one stream and
-// was Reset — to its own port count or another, its own timing or
-// another — delivers a second stream exactly as a fresh New does: every
-// delivery cycle, every port's counters and their total.
+// TestCrossbarResetEqualsNew is the crossbar's row of the Reset ≡ New
+// law (statcheck.CheckReset). A use is a seeded stream of requests,
+// whose delivery cycles, per-port counters and total it observes; it
+// ends, abandoned or not, with the ports booked. Each subtest adds a
+// configuration — more ports, fewer, other timing — and walks every
+// ordered pair of the configurations so far.
 func TestCrossbarResetEqualsNew(t *testing.T) {
+	type shape struct {
+		cfg   Config
+		ports int
+	}
+	use := func(x *Crossbar, c shape, seed uint64, _ bool) any {
+		obs := []any{driveCrossbar(x, c.ports, seed, 1000), x.Stats()}
+		for p := range c.ports {
+			obs = append(obs, x.PortStats(p))
+		}
+		return obs
+	}
+	row := statcheck.ResetRow[Crossbar, shape]{
+		Fresh: func(c shape, seed uint64) any { return use(New(c.cfg, c.ports), c, seed, false) },
+		Reset: func(x *Crossbar, c shape) error { x.Reset(c.cfg, c.ports); return nil },
+		Use:   use,
+	}
 	narrow := Config{Latency: 5, BytesPerCycle: 8}
 	for _, c := range []struct {
-		name        string
-		ports, next int
-		cfg         Config
+		name string
+		next shape
 	}{
-		{"same", 2, 2, narrow},
-		{"more-ports", 2, 4, narrow},
-		{"fewer-ports", 4, 2, narrow},
-		{"timing", 2, 2, Default()},
+		{"same", shape{narrow, 2}},
+		{"more-ports", shape{narrow, 4}},
+		{"fewer-ports", shape{narrow, 1}},
+		{"timing", shape{Default(), 2}},
 	} {
+		row.Configs = append(row.Configs, c.next)
 		t.Run(c.name, func(t *testing.T) {
-			x := New(narrow, c.ports)
-			driveCrossbar(x, c.ports, 1, 1000)
-			x.Reset(c.cfg, c.next)
-			fresh := New(c.cfg, c.next)
-			if got, want := driveCrossbar(x, c.next, 2, 1000), driveCrossbar(fresh, c.next, 2, 1000); !slices.Equal(got, want) {
-				t.Errorf("a reset crossbar's delivery cycles differ from a fresh one's")
-			}
-			if len(x.stats) != c.next {
-				t.Fatalf("reset crossbar has %d ports, want %d", len(x.stats), c.next)
-			}
-			for p := range c.next {
-				if got, want := x.PortStats(p), fresh.PortStats(p); got != want {
-					t.Errorf("port %d: reset crossbar stats %+v, fresh %+v", p, got, want)
-				}
-			}
-			if got, want := x.Stats(), fresh.Stats(); got != want {
-				t.Errorf("reset crossbar stats %+v, fresh %+v", got, want)
+			for _, p := range statcheck.CheckReset(row) {
+				t.Error(p)
 			}
 		})
 	}

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/statcheck"
 )
 
 func TestHeapInitial(t *testing.T) {
@@ -437,5 +439,51 @@ func TestAdvanceInOrderEqualsRebuild(t *testing.T) {
 	}
 	if inPlace == 0 {
 		t.Error("no advance took the in-order path")
+	}
+}
+
+// TestHeapResetEqualsNew is the sorted heap's row of the Reset ≡ New law
+// (statcheck.CheckReset), over warps of several widths and CCT
+// capacities. A use runs seeded advances, divergences, exits, waits and
+// parks and observes the slot masks, the split count and each hot
+// slot's eligibility after each, and the counters; abandoned, it leaves
+// contexts in the CCT.
+func TestHeapResetEqualsNew(t *testing.T) {
+	type shape struct {
+		mask   uint64
+		cctCap int
+	}
+	use := func(h *Heap, _ shape, seed uint64, abandon bool) any {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		var obs []any
+		for now := int64(1); now <= 40 && !h.Done() && !(abandon && now == 15); now++ {
+			slot := rng.Intn(HotContexts)
+			c := h.Slot(slot)
+			if c == nil {
+				slot, c = 0, h.Slot(0)
+			}
+			switch op := rng.Intn(10); {
+			case op < 3:
+				h.Advance(slot, c.PC+1+rng.Intn(3), now)
+			case op < 7:
+				h.Diverge(c.PC, c.PC+2+rng.Intn(5), c.PC+1, c.Mask&rng.Uint64(), now)
+			case op == 7:
+				h.Exit(slot, now)
+			case op == 8:
+				h.Wait(slot, rng.Intn(c.PC+1))
+			default:
+				h.Park(slot)
+			}
+			obs = append(obs, h.SlotMasks(), h.Splits(), h.Eligible(0), h.Eligible(1))
+		}
+		return []any{obs, h.Stats}
+	}
+	for _, p := range statcheck.CheckReset(statcheck.ResetRow[Heap, shape]{
+		Fresh:   func(c shape, seed uint64) any { return use(NewHeap(c.mask, c.cctCap), c, seed, false) },
+		Reset:   func(h *Heap, c shape) error { h.Reset(c.mask, c.cctCap); return nil },
+		Use:     use,
+		Configs: []shape{{0xFFFF, ColdContexts}, {^uint64(0), 1}, {0x3, 2}, {0xF0F0F0F0, ColdContexts}},
+	}) {
+		t.Error(p)
 	}
 }

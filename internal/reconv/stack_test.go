@@ -1,6 +1,11 @@
 package reconv
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/statcheck"
+)
 
 func TestStackStraightLine(t *testing.T) {
 	s := NewStack(0xF)
@@ -103,5 +108,43 @@ func TestStackAllTakenNoDivergence(t *testing.T) {
 	pc, mask, _ := s.Active()
 	if pc != 5 || mask != 0xF {
 		t.Fatalf("active = %d %#x", pc, mask)
+	}
+}
+
+// TestStackResetEqualsNew is the reconvergence stack's row of the
+// Reset ≡ New law (statcheck.CheckReset), over warps of several widths
+// and thread masks. A use runs seeded advances, jumps, divergences and
+// exits and observes the active PC and mask after each, the threads
+// alive and the high-water mark; abandoned, it leaves entries pushed.
+func TestStackResetEqualsNew(t *testing.T) {
+	use := func(s *Stack, _ uint64, seed uint64, abandon bool) any {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		var obs []uint64
+		for i := 0; i < 40 && !(abandon && i == 15); i++ {
+			pc, mask, ok := s.Active()
+			if !ok {
+				break
+			}
+			obs = append(obs, uint64(pc), mask)
+			switch rng.Intn(5) {
+			case 0:
+				s.Advance()
+			case 1:
+				s.Jump(pc + rng.Intn(4))
+			case 2, 3:
+				s.Diverge(pc, pc+2+rng.Intn(6), pc+3+rng.Intn(10), mask&rng.Uint64())
+			default:
+				s.Exit(mask & rng.Uint64() & rng.Uint64())
+			}
+		}
+		return []any{obs, s.Alive(), s.MaxDepth()}
+	}
+	for _, p := range statcheck.CheckReset(statcheck.ResetRow[Stack, uint64]{
+		Fresh:   func(mask uint64, seed uint64) any { return use(NewStack(mask), mask, seed, false) },
+		Reset:   func(s *Stack, mask uint64) error { s.Reset(mask); return nil },
+		Use:     use,
+		Configs: []uint64{0xFFFFFFFF, ^uint64(0), 1, 0xF0F0},
+	}) {
+		t.Error(p)
 	}
 }

@@ -1,9 +1,11 @@
 package replay
 
 import (
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/statcheck"
 )
 
 func TestStreamRoundTrip(t *testing.T) {
@@ -88,12 +90,25 @@ func TestFinishDetectsLeftovers(t *testing.T) {
 	}
 }
 
-// TestSessionResetEqualsNew: one Session, re-opened over three traces
-// of different geometry and over a whole grid and one CTA of each after
-// consuming part of its streams, equals a new session over the same
-// range every time; a rejected Reset leaves it as it was.
+// TestSessionResetEqualsNew is the replay session's row of the Reset ≡
+// New law (statcheck.CheckReset), over traces of three geometries, each
+// over its whole grid and over its last CTA. A use observes the cursors
+// a Reset left and then reads one branch outcome and one address of a
+// seeded thread. A range beyond the grid, an empty range and a trace
+// that is not replayable are refused.
 func TestSessionResetEqualsNew(t *testing.T) {
-	var s Session
+	type span struct {
+		tr         *Trace
+		start, end int
+	}
+	use := func(s *Session, c span, seed uint64, _ bool) any {
+		seen := Session{s.t, s.base, s.end, slices.Clone(s.branchPos), slices.Clone(s.addrPos)}
+		tid := s.base + int(seed)%(s.end-s.base)
+		s.Branch(tid)
+		s.ConsumeAddr(tid)
+		return seen
+	}
+	var spans []span
 	for _, g := range [][2]int{{2, 2}, {4, 8}, {1, 3}} { // grid, block
 		r := NewRecorder(g[0], g[1])
 		k := r.Sink()
@@ -102,27 +117,26 @@ func TestSessionResetEqualsNew(t *testing.T) {
 			k.Mem(tid, tid/g[1], 0, uint32(4*tid), true, true)
 		}
 		tr := r.Finalize()
-		for _, rg := range [][2]int{{0, g[0]}, {g[0] - 1, g[0]}} {
-			if err := s.Reset(tr, rg[0], rg[1]); err != nil {
-				t.Fatal(err)
-			}
-			want, err := NewSession(tr, rg[0], rg[1])
+		spans = append(spans, span{tr, 0, g[0]}, span{tr, g[0] - 1, g[0]})
+	}
+	racy := NewRecorder(1, 2)
+	k := racy.Sink()
+	k.Mem(0, 0, 0, 0x0, true, true)
+	k.Mem(1, 0, 0, 0x0, true, false)
+	for _, p := range statcheck.CheckReset(statcheck.ResetRow[Session, span]{
+		Fresh: func(c span, seed uint64) any {
+			s, err := NewSession(c.tr, c.start, c.end)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(&s, want) {
-				t.Fatalf("%dx%d, CTAs [%d, %d): Reset gives %+v, NewSession %+v", g[0], g[1], rg[0], rg[1], s, *want)
-			}
-			tid := rg[0] * g[1]
-			s.Branch(tid)
-			s.ConsumeAddr(tid)
-			if err := s.Reset(tr, 0, g[0]+1); err == nil {
-				t.Fatal("range beyond the grid accepted")
-			}
-			if s.branchPos[0] != 1 || s.addrPos[0] != 1 {
-				t.Fatal("a rejected Reset moved the cursors")
-			}
-		}
+			return use(s, c, seed, false)
+		},
+		Reset:   func(s *Session, c span) error { return s.Reset(c.tr, c.start, c.end) },
+		Use:     use,
+		Configs: spans,
+		Rejects: []span{{spans[2].tr, 0, 5}, {spans[2].tr, 2, 2}, {racy.Finalize(), 0, 1}},
+	}) {
+		t.Error(p)
 	}
 }
 

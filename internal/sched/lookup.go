@@ -13,20 +13,12 @@ const (
 	AssocFull = 0
 )
 
-// BuddySets partitions numWarps warps into sets of size at most assoc
-// (assoc = AssocFull means one set holding everything). Warp w belongs
-// to set w mod numSets, so consecutive warps land in different sets —
-// matching the paper's "low-order bits of the warp identifier" indexing.
-func BuddySets(numWarps, assoc int) ([][]int, error) {
-	l, err := NewLookup(numWarps, assoc)
-	if err != nil {
-		return nil, err
-	}
-	return l.sets, nil
-}
-
 // Lookup answers "which warps may the secondary scheduler consider when
-// the primary issued warp w" with precomputed set membership.
+// the primary issued warp w" with precomputed set membership. It
+// partitions numWarps warps into sets of size at most assoc (assoc =
+// AssocFull means one set holding everything). Warp w belongs to set w
+// mod numSets, so consecutive warps land in different sets — matching
+// the paper's "low-order bits of the warp identifier" indexing.
 type Lookup struct {
 	assoc   int
 	numSets int
@@ -115,10 +107,6 @@ func (l *Lookup) SetWarps(si int) []int {
 // NumSets returns the number of instruction-buffer banks the
 // configuration implies.
 func (l *Lookup) NumSets() int { return l.numSets }
-
-// Assoc returns the configured associativity (AssocFull = fully
-// associative).
-func (l *Lookup) Assoc() int { return l.assoc }
 
 // XorShift64 is the pseudo-random tie-breaker used by the secondary
 // scheduler's best-fit policy (§4: "pseudo-random tie-breaking"),

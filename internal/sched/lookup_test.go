@@ -1,31 +1,33 @@
 package sched
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/statcheck"
 )
 
 func TestBuddySetsFull(t *testing.T) {
-	sets, err := BuddySets(16, AssocFull)
+	l, err := NewLookup(16, AssocFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sets) != 1 || len(sets[0]) != 16 {
-		t.Errorf("full assoc: %v", sets)
+	if l.NumSets() != 1 || len(l.SetWarps(0)) != 16 {
+		t.Errorf("full assoc: %d sets, set 0 is %v", l.NumSets(), l.SetWarps(0))
 	}
 }
 
 func TestBuddySetsDirectMapped(t *testing.T) {
-	sets, err := BuddySets(16, 1)
+	l, err := NewLookup(16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sets) != 16 {
-		t.Fatalf("direct mapped should have 16 singleton sets, got %d", len(sets))
+	if l.NumSets() != 16 {
+		t.Fatalf("direct mapped should have 16 singleton sets, got %d", l.NumSets())
 	}
-	for i, s := range sets {
-		if len(s) != 1 || s[0] != i {
+	for i := range 16 {
+		if s := l.SetWarps(i); len(s) != 1 || s[0] != i {
 			t.Errorf("set %d = %v", i, s)
 		}
 	}
@@ -34,26 +36,23 @@ func TestBuddySetsDirectMapped(t *testing.T) {
 func TestBuddySetsLowOrderBitsInterleave(t *testing.T) {
 	// assoc 4 over 16 warps -> 4 sets; warp w in set w%4, so set 0 holds
 	// warps {0,4,8,12}: consecutive warps are spread across sets.
-	sets, err := BuddySets(16, 4)
+	l, err := NewLookup(16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sets) != 4 {
-		t.Fatalf("sets = %d", len(sets))
+	if l.NumSets() != 4 {
+		t.Fatalf("sets = %d", l.NumSets())
 	}
-	want := []int{0, 4, 8, 12}
-	for i, w := range want {
-		if sets[0][i] != w {
-			t.Errorf("set0 = %v, want %v", sets[0], want)
-		}
+	if got, want := l.SetWarps(0), []int{0, 4, 8, 12}; !slices.Equal(got, want) {
+		t.Errorf("set0 = %v, want %v", got, want)
 	}
 }
 
 func TestBuddySetsErrors(t *testing.T) {
-	if _, err := BuddySets(0, 4); err == nil {
+	if _, err := NewLookup(0, 4); err == nil {
 		t.Error("want error for zero warps")
 	}
-	if _, err := BuddySets(16, -1); err == nil {
+	if _, err := NewLookup(16, -1); err == nil {
 		t.Error("want error for negative associativity")
 	}
 }
@@ -64,12 +63,13 @@ func TestQuickBuddySetsPartition(t *testing.T) {
 	f := func(nRaw, aRaw uint8) bool {
 		n := 1 + int(nRaw)%64
 		a := 1 + int(aRaw)%16
-		sets, err := BuddySets(n, a)
+		l, err := NewLookup(n, a)
 		if err != nil {
 			return false
 		}
 		seen := make([]bool, n)
-		for _, set := range sets {
+		for si := range l.NumSets() {
+			set := l.SetWarps(si)
 			if len(set) > a {
 				return false
 			}
@@ -80,12 +80,7 @@ func TestQuickBuddySetsPartition(t *testing.T) {
 				seen[w] = true
 			}
 		}
-		for _, s := range seen {
-			if !s {
-				return false
-			}
-		}
-		return true
+		return !slices.Contains(seen, false)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -111,9 +106,6 @@ func TestLookupCandidates(t *testing.T) {
 	if l.NumSets() != 6 {
 		t.Errorf("NumSets = %d", l.NumSets())
 	}
-	if l.Assoc() != 3 {
-		t.Errorf("Assoc = %d", l.Assoc())
-	}
 }
 
 func TestLookupDirectMappedProbesBuddy(t *testing.T) {
@@ -131,31 +123,33 @@ func TestLookupDirectMappedProbesBuddy(t *testing.T) {
 	}
 }
 
-// TestLookupReset: a lookup is rebuilt exactly when a parameter changed
-// — the caller re-derives its own tables from that answer — equals a
-// new one afterwards, and is left alone by a rejected Reset.
+// TestLookupReset is the lookup's row of the Reset ≡ New law
+// (statcheck.CheckReset): a lookup is a pure function of its two
+// parameters, so a use observes the whole structure. Reset also reports
+// whether it rebuilt the sets, which it must do exactly when a
+// parameter changed: the SM re-derives its buddy-set masks from that
+// answer.
 func TestLookupReset(t *testing.T) {
+	for _, p := range statcheck.CheckReset(statcheck.ResetRow[Lookup, [2]int]{
+		Fresh: func(c [2]int, _ uint64) any {
+			l, _ := NewLookup(c[0], c[1])
+			return *l
+		},
+		Reset:   func(l *Lookup, c [2]int) error { _, err := l.Reset(c[0], c[1]); return err },
+		Use:     func(l *Lookup, _ [2]int, _ uint64, _ bool) any { return *l },
+		Configs: [][2]int{{16, 3}, {16, AssocFull}, {32, AssocFull}, {32, 1}, {7, 11}},
+		Rejects: [][2]int{{0, AssocFull}, {32, -1}},
+	}) {
+		t.Error(p)
+	}
 	var l Lookup
 	for _, step := range []struct {
 		warps, assoc int
 		rebuilt      bool
 	}{{16, 3, true}, {16, 3, false}, {16, AssocFull, true}, {32, AssocFull, true}, {32, 1, true}, {32, 1, false}} {
-		rebuilt, err := l.Reset(step.warps, step.assoc)
-		if err != nil || rebuilt != step.rebuilt {
+		if rebuilt, err := l.Reset(step.warps, step.assoc); err != nil || rebuilt != step.rebuilt {
 			t.Fatalf("Reset(%d, %d) = rebuilt %v, %v; want rebuilt %v", step.warps, step.assoc, rebuilt, err, step.rebuilt)
 		}
-		fresh, _ := NewLookup(step.warps, step.assoc)
-		if !reflect.DeepEqual(&l, fresh) {
-			t.Fatalf("after Reset(%d, %d): %+v, a new lookup is %+v", step.warps, step.assoc, l, *fresh)
-		}
-	}
-	for _, bad := range [][2]int{{0, AssocFull}, {32, -1}} {
-		if _, err := l.Reset(bad[0], bad[1]); err == nil {
-			t.Errorf("Reset(%d, %d) succeeded", bad[0], bad[1])
-		}
-	}
-	if fresh, _ := NewLookup(32, 1); !reflect.DeepEqual(&l, fresh) {
-		t.Error("a rejected Reset changed the lookup")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/isa"
+	"repro/internal/statcheck"
 )
 
 func mkIns(op isa.Opcode, dst, a, b isa.Reg) *isa.Instruction {
@@ -395,5 +396,47 @@ func TestTransitionBetweenEqualMasksIsIdentityOnLiveRows(t *testing.T) {
 				t.Fatalf("step %d: entry row %v has a bit on an empty slot of %x", step, e.Row, slots)
 			}
 		}
+	}
+}
+
+// TestScoreboardResetEqualsNew is the scoreboard's row of the Reset ≡
+// New law (statcheck.CheckReset), over every dependency mode and warp
+// counts and entry limits that grow and shrink. A use issues seeded
+// instructions on random warps, slots and masks, moves rows by random
+// transitions, and observes every ReadyAt, Horizon and InFlight answer
+// and the counters; it ends, abandoned or not, with entries in flight
+// past the next use's cycles.
+func TestScoreboardResetEqualsNew(t *testing.T) {
+	type shape struct {
+		mode           DepMode
+		warps, perWarp int
+	}
+	use := func(s *Scoreboard, c shape, seed uint64, _ bool) any {
+		rng := rand.New(rand.NewPCG(seed, 0x5b))
+		var obs []int64
+		now := int64(0)
+		for range 600 {
+			now += rng.Int64N(3)
+			w, slot, mask := rng.IntN(c.warps), rng.IntN(3), rng.Uint64()&0xFF
+			ins := mkIns(isa.OpIAdd, isa.Reg(rng.IntN(6)), isa.Reg(rng.IntN(6)), isa.Reg(rng.IntN(6)))
+			hz, _, st, _ := s.Horizon(w, ins, srcsOf(ins), slot, mask, now)
+			ready := s.ReadyAt(w, ins, srcsOf(ins), slot, mask, now)
+			obs = append(obs, ready, hz, st, int64(s.InFlight(w, now)))
+			if ready <= now {
+				s.Issue(w, ins, slot, mask, now+1+rng.Int64N(60))
+			}
+			if rng.IntN(4) == 0 {
+				s.Transition(w, Transition([3]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}, [3]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64()}))
+			}
+		}
+		return []any{obs, s.Stats}
+	}
+	for _, p := range statcheck.CheckReset(statcheck.ResetRow[Scoreboard, shape]{
+		Fresh:   func(c shape, seed uint64) any { return use(NewScoreboard(c.mode, c.warps, c.perWarp), c, seed, false) },
+		Reset:   func(s *Scoreboard, c shape) error { s.Reset(c.mode, c.warps, c.perWarp); return nil },
+		Use:     use,
+		Configs: []shape{{DepWarp, 4, 6}, {DepMatrix, 8, 2}, {DepMask, 2, 6}, {DepMatrix, 16, 1}, {DepWarp, 1, 9}},
+	}) {
+		t.Error(p)
 	}
 }

@@ -4,18 +4,16 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"reflect"
-	"runtime"
-	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/kernels"
-	"repro/internal/mem"
 	"repro/internal/progen"
 	"repro/internal/sched"
+	"repro/internal/statcheck"
 )
 
 // A recycled Runner must be indistinguishable from a new one: these
@@ -31,12 +29,22 @@ func (stubLower) Access(now int64, store bool, block uint32) int64 {
 	return now + 40 + int64(block>>7&7)
 }
 
-// resetCase is one launch on one configuration; mk builds it anew
-// (fresh memory image) on every call.
+// resetCase is one launch on one configuration: a launch built once,
+// its image refilled from input before every run.
 type resetCase struct {
-	name string
-	cfg  Config
-	mk   func() *exec.Launch
+	name       string
+	cfg        Config
+	l          *exec.Launch
+	input      []byte
+	start, end int
+	opts       RunOpts
+}
+
+func (c *resetCase) String() string { return c.name }
+
+// newResetCase builds the case of launch l, over its whole grid, on cfg.
+func newResetCase(name string, cfg Config, l *exec.Launch) *resetCase {
+	return &resetCase{name: name, cfg: cfg, l: l, input: bytes.Clone(l.Global), end: l.GridDim}
 }
 
 // resetCases lists all 22 suite kernels on all five architectures and
@@ -47,7 +55,7 @@ type resetCase struct {
 // heap, lookup and L1 geometry and shuffle policy all change between
 // consecutive entries. Every other entry runs behind
 // a stub lower level, every third with a bounded trace.
-func resetCases(t *testing.T, seed uint64, n int) []resetCase {
+func resetCases(t *testing.T, seed uint64, n int) []*resetCase {
 	t.Helper()
 	// What a shell sizes or derives from the configuration, each changed
 	// on its own against the table-2 defaults.
@@ -60,9 +68,9 @@ func resetCases(t *testing.T, seed uint64, n int) []resetCase {
 		func(c *Config) { c.Mem.L1Bytes = 12 * 1024; c.Mem.StoreQueue = 2; c.ScoreboardEntries = 3 },
 		func(c *Config) { c.Seed = 0x1234; c.Shuffle = sched.ShuffleMirrorHalf; c.DepMode = sched.DepMask },
 	}
-	var cases []resetCase
+	var cases []*resetCase
 	add := func(b *kernels.Benchmark, a Arch, c Config) {
-		cases = append(cases, resetCase{b.Name + "/" + a.String(), c, func() *exec.Launch { return benchLaunch(t, b, a) }})
+		cases = append(cases, newResetCase(b.Name+"/"+a.String(), c, benchLaunch(t, b, a)))
 	}
 	for _, b := range kernels.All() {
 		for _, a := range Architectures() {
@@ -81,15 +89,16 @@ func resetCases(t *testing.T, seed uint64, n int) []resetCase {
 	for _, a := range Architectures() {
 		p := assembleFor(t, "dirty", dirtyStateSrc, a)
 		for _, grid := range []int{2, 5} {
-			cases = append(cases, resetCase{"dirty/" + a.String(), Configure(a), func() *exec.Launch {
-				return newLaunch(p, grid, 256, grid*256)
-			}})
+			cases = append(cases, newResetCase("dirty/"+a.String(), Configure(a), newLaunch(p, grid, 256, grid*256)))
 		}
 	}
 	rand.New(rand.NewPCG(seed, 0x5e7)).Shuffle(len(cases), func(i, j int) { cases[i], cases[j] = cases[j], cases[i] })
-	for i := range cases {
+	for i, c := range cases {
+		if i%2 == 1 {
+			c.opts.Lower = stubLower{}
+		}
 		if i%3 == 0 {
-			cases[i].cfg.TraceCap = 64
+			c.cfg.TraceCap = 64
 		}
 	}
 	return cases
@@ -112,203 +121,99 @@ const dirtyStateSrc = `
 	exit
 `
 
-func lowerFor(i int) RunOpts {
-	if i%2 == 1 {
-		return RunOpts{Lower: mem.Lower(stubLower{})}
-	}
-	return RunOpts{}
-}
-
-// runRecycled re-arms r for the case and steps it to completion.
-func runRecycled(t *testing.T, r *Runner, c *resetCase, opts RunOpts) (*Result, *exec.Launch) {
-	t.Helper()
-	l := c.mk()
-	if err := r.Reset(c.cfg, l, 0, l.GridDim, opts); err != nil {
-		t.Fatalf("%s: Reset: %v", c.name, err)
-	}
-	checkIndexEmpty(t, c.name, &r.s)
-	for {
-		done, err := r.Step()
-		if err != nil {
-			t.Fatalf("%s: recycled run: %v", c.name, err)
-		}
-		if done {
-			return r.Result(), l
-		}
-	}
-}
-
-// checkIndexEmpty requires a shell just Reset to hold no ready, stale or
-// sleeping warp and an empty index and calendar, whatever the run it
-// abandoned left there.
-func checkIndexEmpty(t *testing.T, name string, s *SM) {
-	t.Helper()
-	for l := range numLists {
-		if e := s.idx.end(l); s.idx.next[e] != e || s.idx.prev[e] != e {
-			t.Fatalf("%s: Reset left list %d linking %d and %d", name, l, s.idx.next[e], s.idx.prev[e])
-		}
-	}
-	for i, set := range []warpBits{s.readySet, s.stale, s.sleepers, s.madSleepers, s.structSleepers} {
-		for _, word := range set {
-			if word != 0 {
-				t.Fatalf("%s: Reset left warp set %d holding %#x", name, i, word)
+// runnerRow is the Runner's row of the Reset ≡ New law
+// (statcheck.CheckReset), without its configurations. A use refills the
+// case's image and steps the Runner to completion, or abandons it after
+// a seeded number of steps, up to 400. It observes the Result — Stats,
+// trace — and the memory image, and counts what an earlier run left
+// when it starts: warps in the ready, stale and sleeper sets, entries
+// in the index and calendar lists, and contexts beyond the run's prefix
+// that hold a block or the parameters of an earlier launch, which they
+// would pin. A Runner built for the run has none. The fresh side is
+// RunRangeOpts, which builds its Runner from zero.
+func runnerRow(t *testing.T) statcheck.ResetRow[Runner, *resetCase] {
+	return statcheck.ResetRow[Runner, *resetCase]{
+		Fresh: func(c *resetCase, _ uint64) any {
+			copy(c.l.Global, c.input)
+			res, err := RunRangeOpts(context.Background(), c.cfg, c.l, c.start, c.end, c.opts)
+			if err != nil {
+				t.Fatalf("%s: fresh run: %v", c, err)
 			}
-		}
+			return []any{0, *res, bytes.Clone(c.l.Global)}
+		},
+		Reset: func(r *Runner, c *resetCase) error { return r.Reset(c.cfg, c.l, c.start, c.end, c.opts) },
+		Use: func(r *Runner, c *resetCase, seed uint64, abandon bool) any {
+			copy(c.l.Global, c.input)
+			left := 0
+			for _, set := range []warpBits{r.s.readySet, r.s.stale, r.s.sleepers, r.s.madSleepers, r.s.structSleepers} {
+				for _, word := range set {
+					left += bits.OnesCount64(word)
+				}
+			}
+			for l := range numLists {
+				if e := r.s.idx.end(l); r.s.idx.next[e] != e {
+					left++
+				}
+			}
+			for _, w := range r.s.ctxs[len(r.s.warps):] {
+				if w.block != nil || w.env.Params != nil {
+					left++
+				}
+			}
+			for steps := seed * 0x9e3779b9 % 400; !abandon || steps > 0; steps-- {
+				done, err := r.Step()
+				if err != nil {
+					t.Fatalf("%s: %v", c, err)
+				}
+				if done {
+					return []any{left, *r.Result(), bytes.Clone(c.l.Global)}
+				}
+			}
+			return nil
+		},
 	}
 }
 
-// checkEqualsFresh compares a recycled run with a run of the same case
-// on a Runner built from zero.
-func checkEqualsFresh(t *testing.T, c *resetCase, opts RunOpts, got *Result, gotL *exec.Launch) {
-	t.Helper()
-	l := c.mk()
-	want, err := RunRangeOpts(context.Background(), c.cfg, l, 0, l.GridDim, opts)
-	if err != nil {
-		t.Fatalf("%s: fresh run: %v", c.name, err)
-	}
-	if got.Stats != want.Stats {
-		t.Fatalf("%s: recycled Stats differ from a fresh run's\nrecycled %+v\nfresh    %+v", c.name, got.Stats, want.Stats)
-	}
-	if !bytes.Equal(gotL.Global, l.Global) {
-		t.Fatalf("%s: recycled run left a different memory image", c.name)
-	}
-	if !reflect.DeepEqual(got.Trace, want.Trace) {
-		t.Fatalf("%s: recycled trace differs from a fresh run's", c.name)
-	}
-}
-
-// snapshot deep-copies a Result, so comparing it with the original
-// later shows whether the Result shares memory its Runner reuses.
-func snapshot(res *Result) *Result {
-	cp := *res
-	if res.Trace != nil {
-		tr := *res.Trace
-		tr.Events = slices.Clone(tr.Events)
-		cp.Trace = &tr
-	}
-	return &cp
-}
-
-// TestResetFromAnyState: a Runner abandoned after a seeded-random
-// number of steps — mid-divergence, at a barrier, with fills and
-// scoreboard entries outstanding, warps asleep on the calendar, blocks
-// resident — and Reset to a different launch holds an empty index and
-// equals a fresh run of that launch; and the Result of each run is not
-// disturbed by the abandoned and finished runs that follow it on the
-// same Runner.
+// TestResetFromAnyState walks the Runner's row over every suite kernel
+// and generated kernels in random order: a Runner abandoned after a
+// seeded-random number of steps — mid-divergence, at a barrier, with
+// fills and scoreboard entries outstanding, warps asleep on the
+// calendar, blocks resident — and Reset to a different launch equals a
+// fresh run of that launch, its index empty; and the Result of
+// each run is not disturbed by the abandoned and finished runs that
+// follow it on the same Runner. Every third case records a bounded
+// trace, whose Reset allocates it, so the walk checks no allocation.
 func TestResetFromAnyState(t *testing.T) {
 	cases := resetCases(t, 2, 40)
+	row := runnerRow(t)
 	rng := rand.New(rand.NewPCG(2, 0xabad))
 	r := new(Runner)
-	var prev, prevCopy *Result
+	var prev, prevWant any
 	midSleep := 0
-	for i := range cases {
-		// Abandon a run of some other case part-way (or, now and then,
-		// right after Reset or exactly at completion).
-		o := &cases[rng.IntN(len(cases))]
-		ol := o.mk()
-		if err := r.Reset(o.cfg, ol, 0, ol.GridDim, lowerFor(i+1)); err != nil {
-			t.Fatalf("%s: Reset: %v", o.name, err)
+	for _, c := range cases {
+		o := cases[rng.IntN(len(cases))]
+		if err := row.Reset(r, o); err != nil {
+			t.Fatalf("%s: Reset: %v", o, err)
 		}
-		for steps := rng.IntN(400); steps > 0; steps-- {
-			done, err := r.Step()
-			if err != nil {
-				t.Fatalf("%s: %v", o.name, err)
-			}
-			if done {
-				break
-			}
-		}
+		row.Use(r, o, rng.Uint64(), true)
 		if e := r.s.idx.end(calendar); r.s.idx.next[e] != e {
 			midSleep++
 		}
-		opts := lowerFor(i)
-		got, l := runRecycled(t, r, &cases[i], opts)
-		checkEqualsFresh(t, &cases[i], opts, got, l)
-		if prev != nil && !reflect.DeepEqual(prev, prevCopy) {
-			t.Fatalf("%s: a returned Result changed while its Runner was reused: it aliases shell memory", cases[i-1].name)
+		if err := row.Reset(r, c); err != nil {
+			t.Fatalf("%s: Reset: %v", c, err)
 		}
-		prev, prevCopy = got, snapshot(got)
+		got, want := row.Use(r, c, 0, false), row.Fresh(c, 0)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the recycled run observes\n%+v\nwhere a fresh one observes\n%+v", c, got.([]any)[:2], want.([]any)[:2])
+		}
+		if prev != nil && !reflect.DeepEqual(prev, prevWant) {
+			t.Fatal("a returned Result changed while its Runner was reused: it aliases shell memory")
+		}
+		prev, prevWant = got, want
 	}
 	if midSleep == 0 {
 		t.Error("no run was abandoned with a warp asleep: the Resets never cleared a calendar")
 	}
-}
-
-// TestResetDropsAbandonedLaunch: a Baseline run abandoned with blocks on
-// all 32 of its warp contexts, then a Warp64 run on the same Runner,
-// which uses the first 16: the contexts beyond the prefix must let go of the
-// abandoned launch, which is collectable while the Runner lives on.
-func TestResetDropsAbandonedLaunch(t *testing.T) {
-	r := new(Runner)
-	freed := make(chan struct{})
-	func() {
-		c := Configure(ArchBaseline)
-		l := newLaunch(assembleFor(t, "dirty", dirtyStateSrc, ArchBaseline), 5, 256, 5*256)
-		runtime.SetFinalizer(l, func(*exec.Launch) { close(freed) })
-		if err := r.Reset(c, l, 0, l.GridDim, RunOpts{}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Step(); err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range r.s.warps {
-			if w.block == nil {
-				t.Fatalf("warp %d hosts no block: the abandoned run does not fill every context", w.id)
-			}
-		}
-	}()
-	c := Configure(ArchWarp64)
-	l := newLaunch(assembleFor(t, "dirty", dirtyStateSrc, ArchWarp64), 2, 256, 2*256)
-	if err := r.Reset(c, l, 0, l.GridDim, RunOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	for done := false; !done; {
-		var err error
-		if done, err = r.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r.Result()
-	if len(r.s.ctxs) != 32 || len(r.s.warps) != c.NumWarps {
-		t.Fatalf("the Runner holds %d contexts and runs %d, want 32 and %d", len(r.s.ctxs), len(r.s.warps), c.NumWarps)
-	}
-	defer runtime.KeepAlive(r)
-	for i := 0; i < 100; i++ {
-		runtime.GC()
-		select {
-		case <-freed:
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	t.Error("the abandoned launch is still reachable from the Runner")
-}
-
-// TestResetRejectsLikeNewRunner: a bad launch is refused by Reset on a
-// used Runner exactly as by NewRunner, and the Runner stays good for
-// the next launch.
-func TestResetRejectsLikeNewRunner(t *testing.T) {
-	cases := resetCases(t, 3, 4)
-	r := new(Runner)
-	runRecycled(t, r, &cases[0], RunOpts{})
-	l := cases[1].mk()
-	bad := cases[1].cfg
-	bad.NumWarps = 0
-	for _, c := range []struct {
-		name  string
-		reset func() error
-	}{
-		{"config", func() error { return r.Reset(bad, l, 0, l.GridDim, RunOpts{}) }},
-		{"CTA range", func() error { return r.Reset(cases[1].cfg, l, 0, l.GridDim+1, RunOpts{}) }},
-		{"launch", func() error { return r.Reset(cases[1].cfg, nil, 0, 1, RunOpts{}) }},
-	} {
-		if err := c.reset(); err == nil {
-			t.Errorf("Reset with a bad %s succeeded", c.name)
-		}
-	}
-	got, gl := runRecycled(t, r, &cases[2], RunOpts{})
-	checkEqualsFresh(t, &cases[2], RunOpts{}, got, gl)
 }
 
 // TestHotWordsOwnTheirLines: the few words the walk reads every cycle
@@ -324,9 +229,8 @@ func TestHotWordsOwnTheirLines(t *testing.T) {
 	for shell := 0; shell < 4; shell++ {
 		r := new(Runner)
 		for i := shell; i < len(cases); i += 4 {
-			c := &cases[i]
-			l := c.mk()
-			if err := r.Reset(c.cfg, l, 0, l.GridDim, RunOpts{}); err != nil {
+			c := cases[i]
+			if err := r.Reset(c.cfg, c.l, 0, c.l.GridDim, RunOpts{}); err != nil {
 				t.Fatalf("%s: Reset: %v", c.name, err)
 			}
 			s := &r.s
@@ -355,52 +259,35 @@ func TestHotWordsOwnTheirLines(t *testing.T) {
 	}
 }
 
-// TestResetKeepsStorageAcrossConfigurations: one Runner cycles all five
-// architectures under every lookup associativity — so warp count and
-// width, MAD groups, buddy sets and scoreboard mode change at every
-// Reset — and each run, started over a run of the next configuration
-// abandoned with loads in flight, equals a fresh Runner's. Once it has
+// TestRunnerResetEqualsNew walks the Runner's row of the Reset ≡ New
+// law over a cycle: one Runner hosts all five architectures under every
+// lookup associativity — so warp count and width, MAD groups, buddy
+// sets and scoreboard mode change at every Reset — each run starting
+// over an abandoned run of the next configuration. A bad
+// configuration, CTA range or launch is refused as NewRunner refuses
+// it, and leaves the Runner good for the run that follows. Once it has
 // hosted every configuration, and so the largest, a whole cycle of
 // Resets allocates nothing: a shell drawn for any device re-arms in the
 // storage it has.
-func TestResetKeepsStorageAcrossConfigurations(t *testing.T) {
+func TestRunnerResetEqualsNew(t *testing.T) {
 	b, ok := kernels.ByName("Histogram")
 	if !ok {
 		t.Fatal("no Histogram kernel")
 	}
-	var cases []resetCase
+	row := runnerRow(t)
 	for _, assoc := range []int{sched.AssocFull, 11, 3, 1} {
 		for _, a := range Architectures() {
 			c := Configure(a)
 			c.Assoc = assoc
-			cases = append(cases, resetCase{fmt.Sprintf("%s/assoc-%d", a, assoc), c, func() *exec.Launch { return benchLaunch(t, b, a) }})
+			row.Configs = append(row.Configs, newResetCase(fmt.Sprintf("%s/assoc-%d", a, assoc), c, benchLaunch(t, b, a)))
 		}
 	}
-	r := new(Runner)
-	ls := make([]*exec.Launch, len(cases))
-	for i := range cases {
-		o := &cases[(i+1)%len(cases)]
-		ol := o.mk()
-		if err := r.Reset(o.cfg, ol, 0, ol.GridDim, RunOpts{}); err != nil {
-			t.Fatalf("%s: Reset: %v", o.name, err)
-		}
-		for range 200 {
-			if _, err := r.Step(); err != nil {
-				t.Fatalf("%s: %v", o.name, err)
-			}
-		}
-		got, l := runRecycled(t, r, &cases[i], RunOpts{})
-		checkEqualsFresh(t, &cases[i], RunOpts{}, got, l)
-		ls[i] = l
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		for i, c := range cases {
-			if err := r.Reset(c.cfg, ls[i], 0, ls[i].GridDim, RunOpts{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("a cycle of %d Resets over configurations the Runner has hosted allocates %.0f times, want 0", len(cases), allocs)
+	noWarps, pastGrid, noLaunch := *row.Configs[0], *row.Configs[0], *row.Configs[0]
+	noWarps.name, noWarps.cfg.NumWarps = "no warps", 0
+	pastGrid.name, pastGrid.end = "CTA range past the grid", pastGrid.l.GridDim+1
+	noLaunch.name, noLaunch.l = "no launch", nil
+	row.Rejects, row.Cycle = []*resetCase{&noWarps, &pastGrid, &noLaunch}, true
+	for _, p := range statcheck.CheckReset(row) {
+		t.Error(p)
 	}
 }

@@ -263,13 +263,15 @@ func RunRangeOpts(ctx context.Context, cfg Config, l *exec.Launch, ctaStart, cta
 
 // Reset validates the configuration and launch and arms the Runner to
 // simulate the CTA sub-range [ctaStart, ctaEnd), from whatever state it
-// is in: never used (NewRunner), finished, or abandoned mid-run. Every
-// component is re-initialised in place, keeping its storage when its
-// own geometry is unchanged and reallocating otherwise — the warp
-// contexts and their register files whenever they fit — so the run that
-// follows — Stats, Trace, memory image — is identical to one on a newly
-// built Runner, and a Result already returned never aliases anything
-// Reset touches. An error leaves the Runner as it was.
+// is in: never used (NewRunner), finished, or abandoned mid-run. It
+// keeps the contract of every re-armable type in the model
+// (statcheck.CheckReset): the run that follows — Stats, Trace, memory
+// image — is identical to one on a newly built Runner, whatever
+// configurations the Runner hosted before; every component is
+// re-initialised in the storage it has grown for any of them, so
+// re-arming for a configuration it has hosted allocates nothing but the
+// Trace a TraceCap asks for; and an error leaves the Runner as it was.
+// A Result already returned never aliases anything Reset touches.
 func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -304,6 +306,13 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 		return fmt.Errorf("sm: %s: replay session covers a different launch geometry or CTA range", l.Prog.Name)
 	}
 	s := &r.s
+	// The SWI buddy-set masks are derived from the lookup, so an
+	// unchanged lookup keeps the masks its last SWI run built and only a
+	// rebuilt one drops them. Re-deriving them on every Reset would let
+	// Lookup.Reset stop reporting rebuilt, but it changes this function's
+	// size, and with it the 64-byte code phase of the issue walk linked
+	// after it (step and selectPrimary among them), which host-time
+	// measurements follow.
 	newSets, err := s.lookup.Reset(cfg.NumWarps, cfg.Assoc)
 	if err != nil {
 		return err

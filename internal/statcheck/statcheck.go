@@ -1,8 +1,12 @@
-// Package statcheck verifies the algebra of statistics Merge methods
-// by reflection, exhaustively over every numeric leaf field (including
-// nested structs and arrays). It exists so that adding a counter to a
-// Stats struct without teaching Merge about it is a test failure, not
-// a silently dropped number.
+// Package statcheck holds the two laws the model's reusable values
+// obey, each checked by one function for every type that has the
+// method: CheckMerge for statistics Merge methods, and CheckReset for
+// the Reset methods that re-arm a value in the storage it has grown.
+//
+// CheckMerge works by reflection, exhaustively over every numeric leaf
+// field (including nested structs and arrays). It exists so that adding
+// a counter to a Stats struct without teaching Merge about it is a test
+// failure, not a silently dropped number.
 //
 // The contract checked for s.Merge(o):
 //
@@ -18,6 +22,7 @@ package statcheck
 import (
 	"fmt"
 	"reflect"
+	"testing"
 )
 
 // leaf is one numeric field, addressed by its index path.
@@ -136,4 +141,87 @@ func CheckMerge(zero func() any, merge func(dst, src any)) []string {
 		problems = append(problems, fmt.Sprintf("merging into the zero value lost data:\n got %+v\nwant %+v", got, want))
 	}
 	return problems
+}
+
+// ResetRow describes a re-armable type T, configured by C, to
+// CheckReset.
+type ResetRow[T, C any] struct {
+	// Fresh reports what a value the type's constructor builds for c
+	// observes in the use seeded by seed.
+	Fresh func(c C, seed uint64) any
+	// Reset re-arms v for c.
+	Reset func(v *T, c C) error
+	// Use drives v, armed for c, through the use seeded by seed and
+	// returns what it observed. With abandon the law ignores what it
+	// observed and re-arms v next, so it may stop part-way, leaving in
+	// flight whatever it had started.
+	Use func(v *T, c C, seed uint64, abandon bool) any
+	// Configs are the configurations Reset must accept, Rejects those
+	// it must refuse.
+	Configs, Rejects []C
+	// Cycle walks Configs once round, each after an abandoned use of
+	// the next, instead of every ordered pair: for types whose use
+	// costs milliseconds.
+	Cycle bool
+}
+
+// CheckReset verifies the law every re-armable type obeys: a value
+// re-armed by Reset computes exactly what a newly built one would. One
+// value, starting from the zero value, is walked over every ordered
+// pair (a, b) of the row's configurations: Reset(a), a use abandoned
+// part-way, Reset(b), every reject refused, and a use that must observe
+// what a fresh build for b does. A refused Reset must leave the value
+// as it was, so the use after it still observes the fresh build's
+// answer. Once every configuration has been seen, a whole cycle of
+// Resets over them must allocate nothing. It returns one line per
+// violation; an empty slice means the law holds.
+func CheckReset[T, C any](row ResetRow[T, C]) []string {
+	var problems []string
+	v, n, seed := new(T), len(row.Configs), uint64(0)
+	step := func(a, b C) {
+		seed++
+		err := row.Reset(v, a)
+		if err == nil {
+			row.Use(v, a, seed, true)
+			err = row.Reset(v, b)
+		}
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("Reset to %s, then to %s: %v", brief(a), brief(b), err))
+			return
+		}
+		for _, bad := range row.Rejects {
+			if row.Reset(v, bad) == nil {
+				problems = append(problems, fmt.Sprintf("Reset(%s) succeeded, want it refused", brief(bad)))
+			}
+		}
+		if got, want := row.Use(v, b, seed, false), row.Fresh(b, seed); !reflect.DeepEqual(got, want) {
+			problems = append(problems, fmt.Sprintf("%s re-armed over an abandoned use of %s observes\n  %s\nwhere a fresh build observes\n  %s",
+				brief(b), brief(a), brief(got), brief(want)))
+		}
+	}
+	for i, b := range row.Configs {
+		for j, a := range row.Configs {
+			if !row.Cycle || j == (i+1)%n {
+				step(a, b)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, c := range row.Configs {
+			row.Reset(v, c)
+		}
+	})
+	if allocs != 0 {
+		problems = append(problems, fmt.Sprintf("a cycle of %d Resets over configurations already seen allocates %.0f times, want 0", n, allocs))
+	}
+	return problems
+}
+
+// brief renders x for a violation line, cut to a readable length.
+func brief(x any) string {
+	s := fmt.Sprintf("%+v", x)
+	if r := []rune(s); len(r) > 160 {
+		return string(r[:160]) + "…"
+	}
+	return s
 }

@@ -1,6 +1,8 @@
 package statcheck
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -66,5 +68,76 @@ func TestCheckMergeCatchesNonCommutativeMerge(t *testing.T) {
 	)
 	if len(problems) == 0 {
 		t.Error("overwrite merge must be flagged")
+	}
+}
+
+// tally is a sample re-armable type: slots, as many as its
+// configuration says, and a running total.
+type tally struct {
+	slots []int
+	total int
+}
+
+// resetTally is tally's sound Reset: fewer than one slot is refused.
+func resetTally(t *tally, n int) error {
+	if n < 1 {
+		return errors.New("no slots")
+	}
+	if cap(t.slots) < n {
+		t.slots = make([]int, n)
+	}
+	t.slots, t.total = t.slots[:n], 0
+	clear(t.slots)
+	return nil
+}
+
+// useTally adds seeded amounts into the slots and the total, and
+// observes both.
+func useTally(t *tally, _ int, seed uint64, abandon bool) any {
+	for i := range 12 {
+		if abandon && i == 5 {
+			return nil
+		}
+		t.slots[(int(seed)+i)%len(t.slots)] += i
+		t.total += i * int(seed)
+	}
+	return []any{slices.Clone(t.slots), t.total}
+}
+
+// TestCheckReset: a sound Reset passes the law, and each unsound one
+// fails it with the line that names its fault.
+func TestCheckReset(t *testing.T) {
+	for _, c := range []struct {
+		name, want string // want "" for no violation
+		reset      func(*tally, int) error
+	}{
+		{"sound", "", resetTally},
+		{"forgets the total", "observes", func(t *tally, n int) error {
+			total := t.total
+			err := resetTally(t, n)
+			t.total = total
+			return err
+		}},
+		{"allocates on a seen configuration", "allocates", func(t *tally, n int) error {
+			err := resetTally(t, n)
+			t.slots = make([]int, len(t.slots))
+			return err
+		}},
+		{"refused Reset mutates", "observes", func(t *tally, n int) error {
+			t.total += min(n, 0)
+			return resetTally(t, n)
+		}},
+		{"accepts a reject", "succeeded", func(t *tally, n int) error { return resetTally(t, max(n, 1)) }},
+	} {
+		problems := CheckReset(ResetRow[tally, int]{
+			Fresh:   func(n int, seed uint64) any { return useTally(&tally{slots: make([]int, n)}, n, seed, false) },
+			Reset:   c.reset,
+			Use:     useTally,
+			Configs: []int{3, 1, 8},
+			Rejects: []int{0, -2},
+		})
+		if joined := strings.Join(problems, "\n"); c.want == "" && joined != "" || !strings.Contains(joined, c.want) {
+			t.Errorf("%s: want a line containing %q, got:\n%s", c.name, c.want, joined)
+		}
 	}
 }
