@@ -28,9 +28,9 @@ import (
 // names the results that must agree bit for bit whatever the shape,
 // SM count, worker count, stream count or shell history. This file
 // holds that contract in one place: every path a launch can take is a
-// row, run over the same inputs — the 22 suite kernels and
-// progen.Kernels' generated ones — and every law is a column checked on
-// each row it applies to.
+// row, run over the same inputs — the 22 suite kernels and generated
+// ones (lawInputs) — and every law is a column checked on each row it
+// applies to.
 //
 //	row        path                                              architectures
 //	reference  exec.RunReference                                 -
@@ -48,8 +48,9 @@ import (
 //	recycled   devices of two warp widths and counts             Warp64
 //	streams    1, 2 and 8 streams on 1 and 4 workers             SBI+SWI
 //	replay     the flat and memsys recordings replayed at a      all five, and memsys
-//	           timing mutation, against full simulation of it;
-//	           a thread-frontier recording also on the other
+//	           timing mutation or at the recording's own
+//	           timing, against full simulation of it; a
+//	           thread-frontier recording also on the other
 //	           thread-frontier architectures
 //
 //	law           holds that
@@ -86,10 +87,12 @@ type lawCell struct {
 	err   error
 }
 
-// lawInputs is the table's input set: the suite, then 64 generated
-// kernels whose oracle is the functional reference.
+// lawInputs is the table's input set: the suite, then generated
+// kernels whose oracle is the functional reference — progen.Kernels'
+// 64, and one of 192-thread blocks, which no other input has: six warps
+// of 32, three of 64.
 var lawInputs = sync.OnceValue(func() []*kernels.Benchmark {
-	return append(kernels.All(), progen.Kernels(64)...)
+	return append(kernels.All(), append(progen.Kernels(64), progen.Kernel(65, 6, 2, 192))...)
 })
 
 // forEach runs f(0) … f(n-1) on GOMAXPROCS goroutines.
@@ -281,12 +284,16 @@ type replayRow struct {
 
 // timingMutations re-time a launch recorded on architecture a without
 // changing what its threads compute: each stays inside the trace-replay
-// validity domain. The four thread-frontier architectures run one
-// program, so they share a recording: on one of them, mutation m
-// starts from the configuration of the thread-frontier architecture m
-// places after a — a itself every fourth.
+// validity domain. The first keeps the recording's own timing: a trace
+// bound changes the configuration's cache key but no Stats, so the
+// point replays instead of finding the recording's result. The four
+// thread-frontier architectures run one program, so they share a
+// recording: on one of them, mutation m starts from the configuration
+// of the thread-frontier architecture m places after a — a itself every
+// fourth, the first included.
 func timingMutations(a sm.Arch) []Option {
 	muts := []func(*sm.Config){
+		func(c *sm.Config) { c.TraceCap = 64 },
 		func(c *sm.Config) { c.ExecLatency = 2 },
 		func(c *sm.Config) { c.ExecLatency = 32 },
 		func(c *sm.Config) { c.SharedLatency = 9 },
@@ -297,6 +304,7 @@ func timingMutations(a sm.Arch) []Option {
 		func(c *sm.Config) { c.Mem.MemLatency, c.Mem.HitLatency = 41, 9 },
 		func(c *sm.Config) { c.Mem.L1Bytes, c.Mem.L1Ways = 4096, 2 },
 		func(c *sm.Config) { c.Seed, c.Shuffle = 0xDEADBEEF, sched.ShuffleMirrorHalf },
+		func(c *sm.Config) { c.Seed, c.Shuffle = 0x1234, sched.ShuffleXorRev },
 	}
 	if a != sm.ArchBaseline {
 		muts = append(muts, func(c *sm.Config) { c.SplitOnMemDivergence = true })

@@ -147,7 +147,8 @@ type launchRun struct {
 
 	// out is a partitioned launch's Result, in which the memsys domain
 	// leaves the L2 and crossbar counters; nil when the launch is one
-	// wave, whose own Result is the launch's.
+	// wave, whose own Result is the launch's. Its Waves are allocated at
+	// the commit, so a launch that fails pays for none of them.
 	out *sm.Result
 }
 
@@ -189,7 +190,7 @@ func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *r
 		if tr == nil {
 			e.images = make([][]byte, n/e.span)
 		}
-		e.out = &sm.Result{Waves: make([]sm.Stats, n), SMCycles: make([]int64, d.sms)}
+		e.out = &sm.Result{SMCycles: make([]int64, d.sms)}
 	}
 	e.runs = make([]waveRun, n)
 
@@ -235,7 +236,8 @@ func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *r
 
 	out := cmp.Or(e.out, e.runs[0].res)
 	if e.out != nil {
-		out.Trace = e.runs[0].res.Trace // wave clocks are not comparable; keep the first wave's trace
+		// Wave clocks are not comparable; keep the first wave's trace.
+		out.Trace, out.Waves = e.runs[0].res.Trace, make([]sm.Stats, len(e.runs))
 		for i := range e.runs {
 			st := &e.runs[i].res.Stats
 			out.Waves[i] = *st

@@ -382,9 +382,10 @@ var allocBudgets = map[string]struct {
 	// 2^12. It claims its waves on at most the run queue's goroutines and
 	// stops claiming once a wave has failed; a launch that started one
 	// goroutine per wave, each parked on the run queue until the failure
-	// cancelled it, would allocate per wave. The device's spare store is
-	// its own, so every failed domain builds its shell anew, whatever
-	// other tests gave back to the process-wide one.
+	// cancelled it, would allocate per wave, and so would one that sized
+	// every wave's Stats before the first wave ran. The device's spare
+	// store is its own, so every failed domain builds its shell anew,
+	// whatever other tests gave back to the process-wide one.
 	"TestFailedWaveStopsThePartitionedLaunch": {3, func(t *testing.T) (launch, base func(int)) {
 		leakcheck.Check(t)
 		dev := mustNew(WithArch(sm.ArchSBI), WithSMs(4), privateQueue(2), WithGridPartition(true))
@@ -399,8 +400,8 @@ var allocBudgets = map[string]struct {
 		}
 		return failing(1 << 18), failing(1 << 12)
 	}, func(got, base allocFigure) bool {
-		return got.mallocs <= base.mallocs+16
-	}, "within 16 mallocs of the same launch at 2^12 CTAs, not growing with the grid"},
+		return got.mallocs <= base.mallocs+16 && got.bytes < parentFailedWaveLaunchBytes/6
+	}, fmt.Sprintf("within 16 mallocs of the same launch at 2^12 CTAs, not growing with the grid, and under a sixth of the %d bytes it allocated when the launch sized every wave's Stats before running one", parentFailedWaveLaunchBytes)},
 }
 
 // checkAllocBudget measures the test's row of allocBudgets, logs the
@@ -454,6 +455,11 @@ const parentWarmMemsysLaunchBytes = 1002856
 // TestFreshDeviceAllocBudget allocated when each device's run queue
 // built its own shells, L2, crossbar and wave buffers.
 const parentFreshDeviceLaunchBytes = 1289864
+
+// parentFailedWaveLaunchBytes is what the 2^18-CTA launch of
+// TestFailedWaveStopsThePartitionedLaunch allocated when the launch sized
+// every wave's Stats before its first wave ran.
+const parentFailedWaveLaunchBytes = 8042448
 
 // TestRecycleReplayOverStaleBuffers: a replayed memsys launch runs on
 // the launch's own image, so the wave buffers its spare brings from an

@@ -142,8 +142,10 @@ type Config struct {
 	MaxCycles int64
 
 	// TraceCap, when positive, records up to that many issue events for
-	// pipeline visualization (figure 2). A partitioned device launch
-	// keeps its first CTA wave's trace.
+	// pipeline visualization (figure 2). The run allocates its Trace at
+	// its first issue, not at Reset, so re-arming a shell allocates
+	// nothing. A partitioned device launch keeps its first CTA wave's
+	// trace.
 	TraceCap int
 }
 

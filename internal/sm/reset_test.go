@@ -174,42 +174,39 @@ func runnerRow(t *testing.T) statcheck.ResetRow[Runner, *resetCase] {
 	}
 }
 
-// TestResetFromAnyState walks the Runner's row over every suite kernel
-// and generated kernels in random order: a Runner abandoned after a
-// seeded-random number of steps — mid-divergence, at a barrier, with
-// fills and scoreboard entries outstanding, warps asleep on the
-// calendar, blocks resident — and Reset to a different launch equals a
-// fresh run of that launch, its index empty; and the Result of
-// each run is not disturbed by the abandoned and finished runs that
-// follow it on the same Runner. Every third case records a bounded
-// trace, whose Reset allocates it, so the walk checks no allocation.
+// TestResetFromAnyState walks the Runner's row of the Reset ≡ New law
+// over a cycle of every suite kernel and generated kernels in random
+// order: a Runner abandoned after a seeded-random number of steps —
+// mid-divergence, at a barrier, with fills and scoreboard entries
+// outstanding, warps asleep on the calendar, blocks resident — and
+// Reset to a different launch equals a fresh run of that launch, its
+// index empty, and a cycle of Resets over them all, bounded traces
+// included, allocates nothing. The Result of each run is not disturbed
+// by the abandoned and finished runs that follow it on the same Runner.
 func TestResetFromAnyState(t *testing.T) {
-	cases := resetCases(t, 2, 40)
 	row := runnerRow(t)
-	rng := rand.New(rand.NewPCG(2, 0xabad))
-	r := new(Runner)
-	var prev, prevWant any
+	row.Configs, row.Cycle = resetCases(t, 2, 40), true
+	use, fresh := row.Use, row.Fresh
+	var got, prev, prevWant any
 	midSleep := 0
-	for _, c := range cases {
-		o := cases[rng.IntN(len(cases))]
-		if err := row.Reset(r, o); err != nil {
-			t.Fatalf("%s: Reset: %v", o, err)
-		}
-		row.Use(r, o, rng.Uint64(), true)
-		if e := r.s.idx.end(calendar); r.s.idx.next[e] != e {
+	row.Use = func(r *Runner, c *resetCase, seed uint64, abandon bool) any {
+		got = use(r, c, seed, abandon)
+		if e := r.s.idx.end(calendar); abandon && r.s.idx.next[e] != e {
 			midSleep++
 		}
-		if err := row.Reset(r, c); err != nil {
-			t.Fatalf("%s: Reset: %v", c, err)
-		}
-		got, want := row.Use(r, c, 0, false), row.Fresh(c, 0)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: the recycled run observes\n%+v\nwhere a fresh one observes\n%+v", c, got.([]any)[:2], want.([]any)[:2])
-		}
+		return got
+	}
+	// The law asks for a fresh run right after each finished one: by
+	// then the finished run before that has had its Runner used again.
+	row.Fresh = func(c *resetCase, seed uint64) any {
 		if prev != nil && !reflect.DeepEqual(prev, prevWant) {
-			t.Fatal("a returned Result changed while its Runner was reused: it aliases shell memory")
+			t.Error("a returned Result changed while its Runner was reused: it aliases shell memory")
 		}
-		prev, prevWant = got, want
+		prev, prevWant = got, fresh(c, seed)
+		return prevWant
+	}
+	for _, p := range statcheck.CheckReset(row) {
+		t.Error(p)
 	}
 	if midSleep == 0 {
 		t.Error("no run was abandoned with a warp asleep: the Resets never cleared a calendar")

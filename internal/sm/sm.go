@@ -269,8 +269,9 @@ func RunRangeOpts(ctx context.Context, cfg Config, l *exec.Launch, ctaStart, cta
 // image — is identical to one on a newly built Runner, whatever
 // configurations the Runner hosted before; every component is
 // re-initialised in the storage it has grown for any of them, so
-// re-arming for a configuration it has hosted allocates nothing but the
-// Trace a TraceCap asks for; and an error leaves the Runner as it was.
+// re-arming for a configuration it has hosted allocates nothing (the
+// Trace a TraceCap asks for is built by the run, at its first issue);
+// and an error leaves the Runner as it was.
 // A Result already returned never aliases anything Reset touches.
 func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts RunOpts) error {
 	if err := cfg.Validate(); err != nil {
@@ -382,10 +383,7 @@ func (r *Runner) Reset(cfg Config, l *exec.Launch, ctaStart, ctaEnd int, opts Ru
 	s.nextCTA, s.ctaEnd, s.now = ctaStart, ctaEnd, 0
 	s.warpsPerBlock, s.freeWarps, s.finished = warpsPerBlock, cfg.NumWarps, 0
 	s.stats = Stats{}
-	s.trace = nil
-	if cfg.TraceCap > 0 {
-		s.trace = &Trace{cap: cfg.TraceCap}
-	}
+	s.trace = nil // an abandoned run's; issue builds the next at the run's first issue
 
 	n := l.Prog.Len()
 	if cap(s.srcsOf) < n {
@@ -1075,7 +1073,10 @@ func (s *SM) issue(c *candidate, secondary bool, p prov) error {
 	} else {
 		s.stats.PrimaryIssues++
 	}
-	if s.trace != nil {
+	if s.cfg.TraceCap > 0 {
+		if s.trace == nil {
+			s.trace = &Trace{cap: s.cfg.TraceCap}
+		}
 		s.trace.add(IssueEvent{
 			Cycle: s.now, Warp: w.id, Slot: boolInt(secondary),
 			PC: c.pc, Mask: c.mask, Lane: c.lane, Op: ins.Op, Unit: ins.Op.Unit(),

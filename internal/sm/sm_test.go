@@ -219,26 +219,6 @@ func TestAllArchsMatchReference(t *testing.T) {
 	}
 }
 
-func TestDeterminism(t *testing.T) {
-	for _, a := range Architectures() {
-		p1 := assembleFor(t, "loop", loopSrc, a)
-		l1 := newLaunch(p1, 4, 256, 4*256, 0)
-		r1, err := Run(Configure(a), l1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2 := assembleFor(t, "loop", loopSrc, a)
-		l2 := newLaunch(p2, 4, 256, 4*256, 0)
-		r2, err := Run(Configure(a), l2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1.Stats != r2.Stats {
-			t.Errorf("%s: non-deterministic stats:\n%+v\n%+v", a, r1.Stats, r2.Stats)
-		}
-	}
-}
-
 // SBI must co-issue the two divergent paths of the balanced if/else:
 // secondary issues with SBI provenance, and the divergent section must
 // beat the single-issue thread-frontier reference.
