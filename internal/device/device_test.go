@@ -306,7 +306,7 @@ func TestShapesAgreeOnErrors(t *testing.T) {
 					// Device.run directly: Stream.Launch would turn the
 					// pre-cancelled context away before the engine saw it.
 					l := twoWaveLaunch(t, c.name, c.src)
-					if _, err := dev.run(c.ctx, l, dev.partition, nil, nil); !c.check(shape.name, err) {
+					if _, err := dev.run(c.ctx, l, dev.partition, nil, nil, nil); !c.check(shape.name, err) {
 						t.Errorf("err = %v (%T)", err, err)
 					}
 				})

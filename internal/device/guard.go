@@ -30,7 +30,7 @@ import (
 // unresolved. guarded itself is the last-resort backstop for a panic
 // escaping a site's own recovery (a bug in the recovery path): it keeps
 // the process alive and reports to stderr. The spare a contention
-// domain was simulating on — SM shells, wave buffers, L2 and crossbar —
+// domain was simulating on — SM shells, image buffers, L2 and crossbar —
 // dies with it: runDomain gives it back to the spare store only from
 // its clean return (memsys.go).
 //

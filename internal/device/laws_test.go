@@ -543,9 +543,9 @@ func TestLaws(t *testing.T) {
 	// One slot and spare shared by a Baseline device (32 warps of 32), an
 	// SBI+SWI and a Warp64 one (16 of 64), the inputs alternating through
 	// RunSuite: every launch re-arms shells of another warp width or
-	// count, over the image the benchmark's last clean run handed back.
-	// Each device's cells equal the flat row's, whose every input ran on
-	// a never-used device.
+	// count, and runs on the slot buffer the last entry left, refilled
+	// from the benchmark's pristine image. Each device's cells equal the
+	// flat row's, whose every input ran on a never-used device.
 	t.Run("suite-recycled", func(t *testing.T) {
 		t.Parallel()
 		q := newRunQueue(1, new(spareStore))

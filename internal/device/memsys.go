@@ -1,8 +1,10 @@
 package device
 
 import (
+	"bytes"
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -10,6 +12,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/faultinject"
+	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/replay"
@@ -30,9 +33,10 @@ import (
 // can take are only data to that driver:
 //
 //   - whole grid: one wave, so one domain with one slot, simulated on
-//     the launch's live memory image (no copy, no fold), cycle-exact
-//     with sm.Run. With the memory system modeled (WithL2 /
-//     WithInterconnect) the slot's L1 talks to a one-port crossbar.
+//     the launch's live memory image (no copy, no fold; a suite entry's
+//     on a slot buffer, below), cycle-exact with sm.Run. With the
+//     memory system modeled (WithL2 / WithInterconnect) the slot's L1
+//     talks to a one-port crossbar.
 //   - flat partitioning: under the flat-latency DRAM model nothing is
 //     shared below the L1s, so every wave is its own single-slot domain
 //     and the domains are claimed in wave order by at most the run
@@ -49,14 +53,22 @@ import (
 // Waves of a partitioned launch each run on a copy of the launch's
 // image, which nothing writes until the commit, and are folded with
 // exec.MergeWave, which asserts the write-sharing contract: a domain's
-// first wave to finish becomes its merged image and every later one is
-// folded into it as it finishes, its buffer going to the next wave on
-// its slot. Flat partitioning's one-wave domains are folded after the
-// last, in wave order. The merged image is committed to the launch's
-// image once, after every domain has succeeded, so a failed or
-// cancelled partitioned launch leaves the caller's image untouched. A
-// replayed launch (tr) never touches memory, so it skips copies and
-// folds.
+// first wave to finish becomes its merged image, its slot taking the
+// buffer its spare keeps for one, and every later one is folded into
+// it as it finishes, its buffer going to the next wave on its slot. A
+// plan of one domain — every whole-grid and every memsys plan —
+// commits before its spare goes back, so a merged image goes back
+// with it; flat partitioning's one-wave domains are folded after the
+// last, in wave order, and committed there. The merged image reaches
+// the launch's image only once every domain has succeeded, so a failed
+// or cancelled partitioned launch leaves the caller's image untouched.
+// A suite entry (bench) brings no image of its own: its launch's image
+// is the benchmark's shared pristine one, which the engine only reads.
+// Its waves copy it as any partitioned launch's do, a whole grid runs
+// on a slot buffer filled from it, and the commit compares the final
+// image with the oracle instead of writing it back, so launch images
+// are reused in one place, the spares. A replayed launch (tr) never
+// touches memory, so it skips copies and folds.
 //
 // Determinism. A domain's driver is serial and its pick rule is a pure
 // function of the configuration — minimum device time, lowest SM index
@@ -105,11 +117,12 @@ func (p *l2Port) Access(now int64, store bool, block uint32) int64 {
 // the crossbar port its L1 uses under the modeled memory system, the
 // device cycle at which that wave started (the sum of its predecessors'
 // cycles on this SM), the buffer holding the copy of the launch's image
-// the wave runs on (unused when it runs on the launch itself), and its
-// replay cursors. A finished wave's buffer is the buffer of the slot's
-// next wave, unless it became the domain's merged image. The slot lives
-// in a spare (queue.go), so its shell, buffer and cursors serve the
-// next domain that takes the spare.
+// the wave runs on (unused when it runs on the launch itself), its
+// replay cursors, and the recorder sink its waves record into, held for
+// the domain's life. A finished wave's buffer is the buffer of the
+// slot's next wave, unless it became the domain's merged image. The
+// slot lives in a spare (queue.go), so its shell, buffer and cursors
+// serve the next domain that takes the spare; its sink does not.
 type smSlot struct {
 	run    *sm.Runner
 	live   bool // a wave is simulating; false once the slot has none left
@@ -118,6 +131,7 @@ type smSlot struct {
 	offset int64 // device-time start of the running wave
 	img    []byte
 	sess   replay.Session
+	sink   *replay.Sink
 }
 
 // waveRun is one wave's outcome; err is set on the first wave of a
@@ -127,7 +141,9 @@ type waveRun struct {
 	err error
 }
 
-// launchRun is one launch's pass through the wave engine.
+// launchRun is one launch's pass through the wave engine. It is 144
+// bytes, a size class of its own, allocated once per launch: a field
+// more moves every launch into the next class.
 type launchRun struct {
 	d      *Device
 	l      *exec.Launch
@@ -135,14 +151,20 @@ type launchRun struct {
 	tr     *replay.Trace
 	cancel context.CancelFunc
 
+	// bench is a suite entry's benchmark: l.Global is its pristine
+	// image, which the waves only read, and the commit compares the
+	// final image with its oracle. nil when the launch's image is the
+	// caller's.
+	bench *kernels.Benchmark
+
 	waves [][2]int // the wave plan: CTA ranges
 	span  int      // waves per contention domain
-	slots int      // SM slots per contention domain
 	runs  []waveRun
 	next  atomic.Int64 // the first wave of the next domain to claim
 
 	// images holds each domain's merged image, awaiting the commit; nil
-	// when the waves run on l itself.
+	// when the waves run on l itself, or once a plan's only domain has
+	// committed.
 	images [][]byte
 
 	// out is a partitioned launch's Result, in which the memsys domain
@@ -158,8 +180,10 @@ type launchRun struct {
 // per-thread traces; with tr the functional layer is replaced by the
 // recorded streams while every timing path runs exactly as in a full
 // simulation, and the result says so (Replayed). At most one of rec/tr
-// may be non-nil.
-func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *replay.Recorder, tr *replay.Trace) (*sm.Result, error) {
+// may be non-nil. With bench, l.Global is that benchmark's pristine
+// image and the run fails with errDiverged unless it ends in the
+// oracle's.
+func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *replay.Recorder, tr *replay.Trace, bench *kernels.Benchmark) (*sm.Result, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
@@ -175,7 +199,7 @@ func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *r
 
 	// An over-subscribed block yields no plan; it runs whole so the SM
 	// rejects it with its precise error.
-	e := &launchRun{d: d, l: l, rec: rec, tr: tr, cancel: cancel, span: 1, slots: 1}
+	e := &launchRun{d: d, l: l, rec: rec, tr: tr, cancel: cancel, bench: bench, span: 1}
 	e.waves = [][2]int{{0, l.GridDim}}
 	if partition {
 		if plan := exec.PartitionWaves(l.GridDim, sm.ResidentCTAs(d.cfg, l)); len(plan) > 1 {
@@ -185,7 +209,7 @@ func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *r
 	n := len(e.waves)
 	if n > 1 {
 		if d.memsys {
-			e.span, e.slots = n, d.sms
+			e.span = n
 		}
 		if tr == nil {
 			e.images = make([][]byte, n/e.span)
@@ -220,18 +244,17 @@ func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *r
 		return nil, firstErr
 	}
 
-	// The commit: flat partitioning's one-wave domains are folded here,
-	// in wave order, and the merged image becomes the launch's.
+	// The commit of a plan of several domains, flat partitioning's
+	// one-wave ones: they are folded here, in wave order.
 	if e.images != nil {
-		if err := d.fire(faultinject.SiteWaveMerge); err != nil {
-			return nil, err
-		}
 		for _, img := range e.images[1:] {
 			if err := e.fold(e.images[0], img); err != nil {
 				return nil, err
 			}
 		}
-		copy(l.Global, e.images[0])
+		if err := e.commit(e.images[0]); err != nil {
+			return nil, err
+		}
 	}
 
 	out := cmp.Or(e.out, e.runs[0].res)
@@ -254,6 +277,31 @@ func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *r
 func (e *launchRun) fold(merged, img []byte) error {
 	if err := exec.MergeWave(merged, e.l.Global, img); err != nil {
 		return fmt.Errorf("device: %s: %w", e.l.Prog.Name, err)
+	}
+	return nil
+}
+
+// errDiverged fails a suite entry whose final image is not its oracle's.
+var errDiverged = errors.New("simulation diverged from reference")
+
+// commit makes a partitioned launch's merged image the launch's, behind
+// the wave-merge fault site: it is copied into l.Global, or checked
+// against the oracle when l.Global is a suite entry's pristine image.
+func (e *launchRun) commit(merged []byte) error {
+	if err := e.d.fire(faultinject.SiteWaveMerge); err != nil {
+		return err
+	}
+	if e.bench == nil {
+		copy(e.l.Global, merged)
+		return nil
+	}
+	return e.check(merged)
+}
+
+// check compares a suite entry's final image with its oracle.
+func (e *launchRun) check(img []byte) error {
+	if !bytes.Equal(img, e.bench.Expected()) {
+		return errDiverged
 	}
 	return nil
 }
@@ -285,10 +333,11 @@ func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
 		}
 	}()
 	// The domain is one goroutine however many SMs it interleaves, so it
-	// occupies one run-queue slot. Its SM shells, wave buffers, replay
+	// occupies one run-queue slot. Its SM shells, image buffers, replay
 	// cursors, L2 and crossbar come from a spare, which goes back to the
-	// store only from the clean return at the bottom: an error, an abort
-	// or a panic drops it with the failed run.
+	// store only from the clean return at the bottom, after the commit of
+	// a plan of one domain: an error, an abort, a panic or a suite entry
+	// that diverged from its oracle drops it with the failed run.
 	d := e.d
 	if err := d.acquireSlot(ctx); err != nil {
 		return err
@@ -298,26 +347,24 @@ func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
 	if !ok {
 		sp = new(spare)
 	}
-	for len(sp.slots) < e.slots {
+	n := 1 // SM slots: a memsys domain has the device's, any other one
+	if e.span > 1 {
+		n = d.sms
+	}
+	for len(sp.slots) < n {
 		sp.slots = append(sp.slots, smSlot{run: new(sm.Runner)})
 	}
-	slots := sp.slots[:e.slots]
+	slots := sp.slots[:n]
 	if d.memsys {
 		if sp.l2 == nil {
 			sp.l2, sp.xbar = new(mem.L2), new(noc.Crossbar)
 		}
 		sp.l2.Reset(d.l2cfg, d.cfg.Mem)
-		sp.xbar.Reset(d.noccfg, e.slots)
+		sp.xbar.Reset(d.noccfg, n)
 	}
 	for i := range slots {
 		sl := &slots[i]
-		sl.live, sl.offset = false, 0
-		if e.images == nil {
-			// The waves run on the launch itself. Buffers ride a spare
-			// only between launches whose waves copy the image, so
-			// whole-grid and replayed launches keep none alive.
-			sl.img = nil
-		}
+		sl.live, sl.offset, sl.sink = false, 0, nil
 		sl.port = l2Port{xbar: sp.xbar, port: i, l2: sp.l2, blockBytes: d.cfg.Mem.BlockBytes, faults: d.faults}
 		if lo+i < hi {
 			if err := e.start(sl, lo+i); err != nil {
@@ -337,50 +384,65 @@ func (e *launchRun) runDomain(ctx context.Context, lo, hi int) (err error) {
 		sl.live = false
 		if e.images != nil { // the wave ran on a copy of the launch's image
 			if merged == nil {
-				merged, sl.img = sl.img, nil
+				merged, sl.img, sp.img = sl.img, sp.img, nil
 			} else if err := e.fold(merged, sl.img); err != nil {
 				return err
 			}
 		}
-		if next := sl.wave + e.slots; next < hi {
+		if next := sl.wave + n; next < hi {
 			if err := e.start(sl, next); err != nil {
 				return err
 			}
 		}
 	}
-	if e.images != nil {
-		e.images[lo/e.span] = merged
+	switch {
+	case e.images != nil && e.span < len(e.runs): // one of several domains: Device.run commits
+		e.images[lo] = merged
+	case e.images != nil: // the plan's only domain commits, and its spare keeps the buffer
+		err, sp.img, e.images = e.commit(merged), merged, nil
+	case e.bench != nil: // a suite entry's whole grid ran on its slot's buffer
+		err, e.l.Global = e.check(e.l.Global), nil
+	}
+	if err != nil {
+		return err
 	}
 	if d.memsys {
 		// The counters are read here, before the spare's next holder
 		// resets its L2 and crossbar.
 		out := cmp.Or(e.out, e.runs[lo].res)
 		out.Stats.Mem.L2, out.Stats.Mem.NoC = sp.l2.Stats, sp.xbar.Stats()
-		out.NoCPorts = make([]noc.Stats, e.slots)
+		out.NoCPorts = make([]noc.Stats, n)
 		for i := range out.NoCPorts {
 			out.NoCPorts[i] = sp.xbar.PortStats(i)
 		}
 	}
 	for i := range slots {
 		slots[i].sess.Detach() // an idle spare pins no trace
+		slots[i].sink = nil    // nor a recording
 	}
 	d.queue.spares.Give(sp, 1, runtime.GOMAXPROCS(0))
 	return nil
 }
 
 // start puts wave w of the plan on the slot: the slot's SM re-armed
-// over a private copy of the launch's image — in the slot's buffer,
-// allocated when it has none — or over the launch itself when the waves
-// run on it, wired to the slot's port and the trace-replay machinery —
-// a fresh recorder sink when recording, the slot's cursors re-opened
-// over the wave's threads when replaying.
+// over a private copy of the launch's image in the slot's buffer,
+// allocated when it has none — for a suite entry's whole grid, the
+// launch's image becomes that buffer — or over the launch itself when
+// the waves run on it, wired to the slot's port and the trace-replay
+// machinery: the slot's recorder sink, taken at its first wave, when
+// recording, the slot's cursors re-opened over the wave's threads when
+// replaying.
 func (e *launchRun) start(sl *smSlot, w int) error {
 	wl, from, to := e.l, e.waves[w][0], e.waves[w][1]
-	if e.images != nil {
+	if e.images != nil || e.bench != nil {
 		sl.img = append(sl.img[:0], e.l.Global...)
-		c := *e.l
-		c.Global = sl.img
-		wl = &c
+		if e.images == nil {
+			e.l.Global = sl.img
+		} else {
+			c := *e.l
+			c.Global = sl.img
+			wl = &c
+		}
 	}
 	var opts sm.RunOpts
 	if e.d.memsys {
@@ -388,7 +450,10 @@ func (e *launchRun) start(sl *smSlot, w int) error {
 		opts.Lower = &sl.port
 	}
 	if e.rec != nil {
-		opts.Record = e.rec.Sink()
+		if sl.sink == nil {
+			sl.sink = e.rec.Sink()
+		}
+		opts.Record = sl.sink
 	}
 	if e.tr != nil {
 		if err := sl.sess.Reset(e.tr, from, to); err != nil {

@@ -15,7 +15,7 @@ import (
 // for as long as that domain simulates, granted first-come. Ordering is
 // not its job — RunSuite decides who asks first (device.go). A slot
 // carries nothing. What a domain re-arms instead of building — its SM
-// shells, wave buffers and replay cursors, and a memsys domain's L2 and
+// shells, image buffers and replay cursors, and a memsys domain's L2 and
 // crossbar — is a spare it takes from the queue's store once it holds a
 // slot (spareStore). The queue never changes what a simulation
 // computes: results are bit-identical for every slot count and whatever
@@ -82,12 +82,17 @@ func (q *RunQueue) release() { q.slots <- struct{}{} }
 
 // spare is the storage one contention domain re-arms instead of
 // building: an smSlot per SM it has run — its shell, wave buffer and
-// replay cursors — and, once a memsys domain has run on it, the shared
-// L2 and crossbar. Each re-arm (Runner.Reset, L2.Reset, Crossbar.Reset,
+// replay cursors — the buffer a plan's only domain folds its merged
+// image into, and, once a memsys domain has run on it, the shared L2
+// and crossbar. It is the one home of launch images: every buffer a
+// wave runs on or a domain merges into is one a spare keeps, refilled
+// from the launch's image before a wave runs on it, so a stale buffer
+// is never read. Each re-arm (Runner.Reset, L2.Reset, Crossbar.Reset,
 // Session.Reset) keeps its storage across configurations, so a spare
 // serves any device. The zero spare holds nothing.
 type spare struct {
 	slots []smSlot
+	img   []byte
 	l2    *mem.L2
 	xbar  *noc.Crossbar
 }

@@ -2,11 +2,13 @@ package device
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -290,18 +292,55 @@ func collected(freed <-chan struct{}) bool {
 type allocFigure struct{ bytes, mallocs uint64 }
 
 // measureAllocs runs launch(n) to warm up, then launch(0) … launch(n-1),
-// and returns what they allocated per launch. Like testing.AllocsPerRun
-// it measures on one P.
+// and returns what they allocated per launch, counted exactly from a
+// rate-1 heap profile of that window. Only allocations with a frame of
+// this module on their stack count, so the runtime's own goroutines
+// cannot reach the figure. Like testing.AllocsPerRun it measures on one
+// P.
 func measureAllocs(n int, launch func(i int)) allocFigure {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	launch(n)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := moduleAllocs()
 	for i := range n {
 		launch(i)
 	}
-	runtime.ReadMemStats(&after)
-	return allocFigure{(after.TotalAlloc - before.TotalAlloc) / uint64(n), (after.Mallocs - before.Mallocs) / uint64(n)}
+	after := moduleAllocs()
+	return allocFigure{(after.bytes - before.bytes) / uint64(n), (after.mallocs - before.mallocs) / uint64(n)}
+}
+
+// moduleAllocs sums the heap profile's records with a frame of this
+// module on their stack, every allocation made so far included
+// (runtime.GC publishes them), and leaves out its own: the records it
+// reads are allocated inside the window it measures.
+func moduleAllocs() allocFigure {
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var sum allocFigure
+	for _, r := range recs[:n] {
+		ours := false
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			if f.Function == "repro/internal/device.moduleAllocs" {
+				ours = false
+				break
+			}
+			ours = ours || strings.HasPrefix(f.Function, "repro/")
+		}
+		if ours {
+			sum.bytes += uint64(r.AllocBytes)
+			sum.mallocs += uint64(r.AllocObjects)
+		}
+	}
+	return sum
 }
 
 // allocBudgets are the ratchets on what a launch allocates once the
@@ -332,9 +371,10 @@ var allocBudgets = map[string]struct {
 		return got.bytes <= 8<<10 && got.mallocs < parentWarmLaunchMallocs/2
 	}, fmt.Sprintf("at most 8192 bytes in fewer than half the %d mallocs it made when every launch built its SM", parentWarmLaunchMallocs)},
 	// RunSuite over the 10 regular kernels on a one-worker SBI+SWI
-	// device, a pass per launch. Each suite entry refills the image the
-	// benchmark's last clean run handed back instead of copying its input
-	// into a new one; what is left is the entry's own plumbing.
+	// device, a pass per launch. Each suite entry's grid runs on a buffer
+	// its spare keeps, filled from the benchmark's pristine image, instead
+	// of on a new copy of its input; what is left is the entry's own
+	// plumbing.
 	"TestWarmSuiteAllocBudget": {5, func(t *testing.T) (launch, base func(int)) {
 		dev := mustNew(WithArch(sm.ArchSBISWI), WithWorkers(1))
 		return func(int) {
@@ -348,8 +388,8 @@ var allocBudgets = map[string]struct {
 	// Transpose in 9 waves on the memsys row's 4-SM device, one worker.
 	// The L2 and crossbar ride the spare, and the waves share five image
 	// buffers, folded as they finish, where each had a clone beside a
-	// pre-launch snapshot and the merge's written-byte mask; all but the
-	// merged one ride the spare to the next launch.
+	// pre-launch snapshot and the merge's written-byte mask; all five,
+	// the merged one too, ride the spare to the next launch.
 	"TestWarmMemsysLaunchAllocBudget": {10, func(t *testing.T) (launch, base func(int)) {
 		dev := mustNew(memsysOpts(true, WithWorkers(1))...)
 		ls := make([]*exec.Launch, 11)
@@ -362,13 +402,13 @@ var allocBudgets = map[string]struct {
 			}
 		}, nil
 	}, func(got, _ allocFigure) bool {
-		return got.bytes < parentWarmMemsysLaunchBytes/2
-	}, fmt.Sprintf("under half the %d bytes it allocated when every launch built its L2, crossbar and snapshots", parentWarmMemsysLaunchBytes)},
+		return got.bytes < 16<<10
+	}, fmt.Sprintf("under 16384 bytes, where it allocated %d when every launch built its L2, crossbar and snapshots", parentWarmMemsysLaunchBytes)},
 	// Transpose in 9 waves on a new memsys-row device per launch, as a
 	// sweep builds a device per point. Each device re-arms the shells,
-	// wave buffers, L2 and crossbar the last one gave back to the
-	// process-wide store; what is left is the device, the domain's merged
-	// image and the launch's plumbing.
+	// image buffers, L2 and crossbar the last one gave back to the
+	// process-wide store; what is left is the device and the launch's
+	// plumbing.
 	"TestFreshDeviceAllocBudget": {10, func(t *testing.T) (launch, base func(int)) {
 		ls := make([]*exec.Launch, 11)
 		for i := range ls {
@@ -376,8 +416,32 @@ var allocBudgets = map[string]struct {
 		}
 		return func(i int) { runOn(t, mustNew(memsysOpts(true, WithWorkers(1))...), ls[i]) }, nil
 	}, func(got, _ allocFigure) bool {
-		return got.bytes < parentFreshDeviceLaunchBytes/8
-	}, fmt.Sprintf("under an eighth of the %d bytes it allocated when each device built its shells, L2 and crossbar", parentFreshDeviceLaunchBytes)},
+		return got.bytes < 16<<10
+	}, fmt.Sprintf("under 16384 bytes, where it allocated %d when each device built its shells, L2 and crossbar", parentFreshDeviceLaunchBytes)},
+	// Transpose through RunSuite on the memsys row's 4-SM device, in 9
+	// partitioned waves, on one worker over a store of its own. The
+	// entry's waves copy the benchmark's pristine image into buffers its
+	// spare keeps, and the merged image folds into one, so the entry
+	// allocates no image, where its merged one escaped to the commit.
+	// The buffers the spare keeps are dirtied before every pass, so a
+	// domain that runs a wave on one it did not refill from the pristine
+	// image fails the entry.
+	"TestWarmMemsysSuiteAllocBudget": {10, func(t *testing.T) (launch, base func(int)) {
+		dev := mustNew(memsysOpts(true, privateQueue(1))...)
+		suite := []*kernels.Benchmark{mustBench(t, "Transpose")}
+		return func(int) {
+			dirtySpare(dev)
+			rs, err := dev.RunSuite(context.Background(), suite)
+			if err = cmp.Or(err, rs[0].Err); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(rs[0].Result.Waves); n != 9 {
+				t.Fatalf("Transpose ran in %d waves, want 9", n)
+			}
+		}, nil
+	}, func(got, _ allocFigure) bool {
+		return got.bytes < 16<<10
+	}, fmt.Sprintf("under 16384 bytes, where it allocated %d when its merged image escaped to the commit", parentWarmMemsysSuiteBytes)},
 	// A partitioned launch that fails in wave 0, at 2^18 CTAs against
 	// 2^12. It claims its waves on at most the run queue's goroutines and
 	// stops claiming once a wave has failed; a launch that started one
@@ -385,10 +449,13 @@ var allocBudgets = map[string]struct {
 	// cancelled it, would allocate per wave, and so would one that sized
 	// every wave's Stats before the first wave ran. The device's spare
 	// store is its own, so every failed domain builds its shell anew,
-	// whatever other tests gave back to the process-wide one.
+	// whatever other tests gave back to the process-wide one. Its queue
+	// has one slot, so the launch has one claimer: a second one runs a
+	// domain of its own, a spare's build more, whenever the scheduler
+	// runs it before the first wave fails, which a busy host decides.
 	"TestFailedWaveStopsThePartitionedLaunch": {3, func(t *testing.T) (launch, base func(int)) {
 		leakcheck.Check(t)
-		dev := mustNew(WithArch(sm.ArchSBI), WithSMs(4), privateQueue(2), WithGridPartition(true))
+		dev := mustNew(WithArch(sm.ArchSBI), WithSMs(4), privateQueue(1), WithGridPartition(true))
 		p := mustProgram(t, "store-out-of-bounds", storeOutOfBounds)
 		failing := func(grid int) func(int) {
 			return func(int) {
@@ -434,6 +501,7 @@ func TestWarmLaunchAllocBudget(t *testing.T)               { checkAllocBudget(t)
 func TestWarmSuiteAllocBudget(t *testing.T)                { checkAllocBudget(t) }
 func TestWarmMemsysLaunchAllocBudget(t *testing.T)         { checkAllocBudget(t) }
 func TestFreshDeviceAllocBudget(t *testing.T)              { checkAllocBudget(t) }
+func TestWarmMemsysSuiteAllocBudget(t *testing.T)          { checkAllocBudget(t) }
 func TestFailedWaveStopsThePartitionedLaunch(t *testing.T) { checkAllocBudget(t) }
 
 // parentWarmLaunchMallocs is what the launch of TestWarmLaunchAllocBudget
@@ -455,6 +523,31 @@ const parentWarmMemsysLaunchBytes = 1002856
 // TestFreshDeviceAllocBudget allocated when each device's run queue
 // built its own shells, L2, crossbar and wave buffers.
 const parentFreshDeviceLaunchBytes = 1289864
+
+// parentWarmMemsysSuiteBytes is what the suite entry of
+// TestWarmMemsysSuiteAllocBudget allocated when its benchmark handed it
+// a launch image before it held a slot and the domain's merged image
+// escaped to the commit.
+const parentWarmMemsysSuiteBytes = 85328
+
+// dirtySpare flips every byte of every image buffer the spare on top of
+// d's store keeps, and gives it back.
+func dirtySpare(d *Device) {
+	sp, ok := d.queue.spares.Take()
+	if !ok {
+		return
+	}
+	flip := func(img []byte) {
+		for i := range img {
+			img[i] ^= 0xa5
+		}
+	}
+	flip(sp.img)
+	for i := range sp.slots {
+		flip(sp.slots[i].img)
+	}
+	d.queue.spares.Give(sp, 1, 1)
+}
 
 // parentFailedWaveLaunchBytes is what the 2^18-CTA launch of
 // TestFailedWaveStopsThePartitionedLaunch allocated when the launch sized

@@ -161,7 +161,7 @@ func (s *Stream) Launch(ctx context.Context, l *exec.Launch) *Pending {
 		if err := s.dev.fire(faultinject.SiteStreamDispatch); err != nil {
 			return nil, err
 		}
-		return s.dev.run(ctx, l, s.dev.partition, nil, nil)
+		return s.dev.run(ctx, l, s.dev.partition, nil, nil, nil)
 	}, ctx, s.depth != nil)
 	return p
 }

@@ -50,9 +50,9 @@ type Benchmark struct {
 	memo locked.Value[memo]
 }
 
-// memo is a Benchmark's lazily built state. Each value but spare is
-// immutable once memoized, so a reference obtained under the lock stays
-// valid after releasing it; spare changes hands under the lock.
+// memo is a Benchmark's lazily built state. Each value is immutable
+// once memoized, so a reference obtained under the lock stays valid
+// after releasing it.
 type memo struct {
 	// plain is RecPC-annotated, no SYNCs (baseline stack).
 	plain *isa.Program
@@ -64,11 +64,6 @@ type memo struct {
 	params [isa.NumParams]uint32
 	// expected is the memoized oracle image (do not mutate).
 	expected []byte
-	// spare is one launch image handed back by Recycle, which NewLaunch
-	// refills from pristine instead of allocating; nil when there is
-	// none. One, not a free list: a list keeps the most images ever in
-	// flight at once.
-	spare []byte
 }
 
 // Program returns the assembled kernel: the SYNC-instrumented
@@ -78,11 +73,9 @@ type memo struct {
 func (b *Benchmark) Program(threadFrontier bool) (p *isa.Program, err error) {
 	b.memo.Do(func(m *memo) {
 		if m.plain == nil {
-			var plain, tf *isa.Program
-			if plain, tf, err = b.assemble(); err != nil {
-				return // an assembly error is not memoized
+			if m.plain, m.tf, err = b.assemble(); err != nil {
+				return // an assembly error is not memoized: both are nil
 			}
-			m.plain, m.tf = plain, tf
 		}
 		p = m.plain
 		if threadFrontier {
@@ -107,14 +100,14 @@ func (b *Benchmark) assemble() (plain, tf *isa.Program, err error) {
 	return plain, tf, nil
 }
 
-// setup returns the benchmark's pristine pre-launch image (shared —
+// Pristine returns the benchmark's pristine pre-launch image (shared —
 // callers must copy before mutating) and kernel parameters. The input
 // generators are deterministic, so Setup runs once per benchmark and
 // the image is memoized; repeated launches across experiment passes
 // copy from the cache instead of regenerating the inputs. Safe for
 // concurrent use: the memoization fills under the memo lock, and the
 // returned image is immutable once memoized.
-func (b *Benchmark) setup() (pristine []byte, params [isa.NumParams]uint32) {
+func (b *Benchmark) Pristine() (pristine []byte, params [isa.NumParams]uint32) {
 	b.memo.Do(func(m *memo) {
 		if m.pristine == nil {
 			m.pristine, m.params = b.Setup(b)
@@ -127,46 +120,29 @@ func (b *Benchmark) setup() (pristine []byte, params [isa.NumParams]uint32) {
 	return pristine, params
 }
 
-// NewLaunch builds a launch of the benchmark over the pristine input
-// image. The image is the caller's alone: it is the spare a Recycle
-// handed back, refilled, when there is one, and a new allocation
-// otherwise. Safe for concurrent use.
+// NewLaunch builds a launch of the benchmark over a new copy of the
+// pristine input image, the caller's alone. Safe for concurrent use.
 func (b *Benchmark) NewLaunch(threadFrontier bool) (*exec.Launch, error) {
 	l, err := b.ReplayLaunch(threadFrontier)
 	if err == nil {
-		pristine, _ := b.setup()
-		b.memo.Do(func(m *memo) { l.Global, m.spare = m.spare, nil })
-		l.Global = append(l.Global[:0], pristine...)
+		pristine, _ := b.Pristine()
+		l.Global = append([]byte(nil), pristine...)
 	}
 	return l, err
 }
 
-// ReplayLaunch builds a launch of the benchmark with no memory image,
-// for a run that re-times a recorded trace: a replay reads and writes no
-// global memory, so it copies no image and hands none back. Safe for
+// ReplayLaunch builds a launch of the benchmark with no memory image:
+// its program and parameters. A run that re-times a recorded trace
+// reads and writes no global memory, and the device fills a suite
+// entry's image from Pristine into storage of its own. Safe for
 // concurrent use.
 func (b *Benchmark) ReplayLaunch(threadFrontier bool) (*exec.Launch, error) {
 	p, err := b.Program(threadFrontier)
 	if err != nil {
 		return nil, err
 	}
-	_, params := b.setup()
+	_, params := b.Pristine()
 	return &exec.Launch{Prog: p, GridDim: b.Grid, BlockDim: b.Block, Params: params}, nil
-}
-
-// Recycle hands l's memory image back to the benchmark, to be refilled
-// by the next NewLaunch. Call it only for a launch of this benchmark
-// whose run has ended and whose image nothing reads any more: l.Global
-// is nil after it. An image of another size is dropped, and so is one
-// arriving while a spare is already held. Safe for concurrent use.
-func (b *Benchmark) Recycle(l *exec.Launch) {
-	global := l.Global
-	l.Global = nil
-	b.memo.Do(func(m *memo) {
-		if m.spare == nil && len(global) == len(m.pristine) {
-			m.spare = global
-		}
-	})
 }
 
 // Expected returns the expected final global image for a fresh launch.
@@ -174,10 +150,10 @@ func (b *Benchmark) Recycle(l *exec.Launch) {
 // pristine image) and the result is memoized — callers compare against
 // it and must not mutate it. Safe for concurrent use.
 func (b *Benchmark) Expected() []byte {
-	// Fetch the pristine image through the self-locking setup first;
+	// Fetch the pristine image through the self-locking Pristine first;
 	// the memo lock is not reentrant, and running the oracle outside it
 	// would let two racers both fill expected.
-	pristine, params := b.setup()
+	pristine, params := b.Pristine()
 	var expected []byte
 	b.memo.Do(func(m *memo) {
 		if m.expected == nil {

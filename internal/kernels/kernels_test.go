@@ -191,44 +191,3 @@ func TestDivergenceClassification(t *testing.T) {
 		}
 	}
 }
-
-// TestRecycleRefillsPristine: NewLaunch after Recycle reuses the
-// handed-back image and refills it with the pristine input even when
-// the buffer was dirtied after the hand-back, and two launches with no
-// Recycle between them never share a backing array.
-func TestRecycleRefillsPristine(t *testing.T) {
-	b, _ := ByName("Histogram")
-	l, err := b.NewLaunch(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pristine := bytes.Clone(l.Global)
-	buf := l.Global
-	b.Recycle(l)
-	if l.Global != nil {
-		t.Error("Recycle left the image on the launch")
-	}
-	for i := range buf {
-		buf[i] ^= 0xa5
-	}
-	again, err := b.NewLaunch(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &again.Global[0] != &buf[0] {
-		t.Error("NewLaunch after Recycle allocated a new image instead of refilling the spare")
-	}
-	if !bytes.Equal(again.Global, pristine) {
-		t.Error("NewLaunch after Recycle returned a dirty image, not the pristine input")
-	}
-	other, err := b.NewLaunch(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &other.Global[0] == &again.Global[0] {
-		t.Error("two launches without a Recycle between them share one image")
-	}
-	if !bytes.Equal(other.Global, pristine) {
-		t.Error("a new image is not the pristine input")
-	}
-}

@@ -180,10 +180,13 @@ const (
 	maxSparePages     = 1 << 10 // 4 MiB of shadow state
 )
 
-// Sink returns a recording handle for one SM instance. Each sink must
-// only be used from one goroutine at a time; sinks over disjoint CTA
-// ranges may run concurrently. A CTA records through exactly one sink:
-// Finalize takes a word two sinks touched as touched by two CTAs.
+// Sink returns a recording handle for one SM instance, which may serve
+// several CTAs in turn, as an SM slot serves its successive waves. Each
+// sink must only be used from one goroutine at a time; sinks over
+// disjoint CTA ranges may run concurrently. A CTA records through
+// exactly one sink: Finalize takes a word two sinks touched as touched
+// by two CTAs, just as Mem takes a word two CTAs touched through one
+// sink.
 func (r *Recorder) Sink() *Sink {
 	k, ok := spareSinks.Take()
 	if !ok {
