@@ -54,12 +54,14 @@
 // The device's execution model separates three independent axes:
 //
 //   - WithSMs(n) sets the modeled hardware width. Together with
-//     WithGridPartition(true) it dispatches a launch's CTA waves across
-//     n independent SM instances; Result.DeviceCycles reports the
-//     modeled wall-clock under that packing.
-//   - WithWorkers(n) bounds host parallelism — how many SM simulations
-//     run concurrently on the host, across CTA waves and batch entries
-//     alike.
+//     WithGridPartition(true) it packs a launch's CTA waves, each
+//     simulated on a cold SM, onto n SMs; Result.DeviceCycles reports
+//     the modeled wall-clock under that packing. Partitioning is a
+//     timing model, not host parallelism: a launch's waves run one after
+//     another.
+//   - WithWorkers(n) bounds host parallelism — how many launches
+//     simulate concurrently on the host, stream launches and batch
+//     entries alike.
 //   - Device.RunSuite runs a whole benchmark batch through the worker
 //     pool and validates every result against the benchmark's Go
 //     oracle; the experiment harness (NewExperiments) is built on it
@@ -91,10 +93,11 @@
 // # Batch scheduling and memoization
 //
 // RunSuite claims its entries longest-job-first by measured or
-// calibrated cost, WithAutoPartition spreads a batch's heavy tail
-// across CTA waves, and WithSimCache memoizes oracle-validated entries
-// under a key that digests the whole configuration; none of the three
-// can change a result. SuiteResult.Cached says whether an entry was
+// calibrated cost, WithAutoPartition runs a batch's heavy tail in the
+// partitioned timing model (waves on cold SMs, not host parallelism),
+// and WithSimCache memoizes oracle-validated entries under a key that
+// digests the whole configuration; none of the three can change a
+// result. SuiteResult.Cached says whether an entry was
 // simulated for the call or served by the cache. Package
 // internal/device's comment ("Admission and ordering", "Batch
 // scheduling and memoization") owns the description,

@@ -7,10 +7,9 @@
 // # Admission and ordering
 //
 // Two mechanisms, one job each. The RunQueue (queue.go) bounds
-// concurrency: a counting semaphore of worker slots, and every
-// contention domain of every launch — the whole launch, or each CTA
-// wave of a flat-partitioned grid — holds one slot while its SMs
-// simulate. Device.Run, stream launches (stream.go) and RunSuite entries
+// concurrency: a counting semaphore of worker slots, and every launch —
+// one contention domain, however many SMs and CTA waves it simulates —
+// holds one slot while its SMs simulate. Device.Run, stream launches (stream.go) and RunSuite entries
 // all reach it through the wave engine, so interactive streams and batch
 // suites share one host-parallelism bound; slots are granted first-come.
 // RunSuite orders by cost: it is the only place that ranks work, claiming
@@ -25,29 +24,29 @@
 // # Execution model
 //
 // One engine simulates every launch (memsys.go): the launch becomes a
-// plan of CTA waves, the waves are grouped into contention domains — the
-// SM slots sharing one lower memory level — and one driver steps each
-// domain's SMs in device-time order. By default the plan is a single
-// wave: the launch runs whole on one SM over its live memory image,
-// cycle-exact with the classic sm.Run path — Stats are bit-identical to
-// it for every kernel, whatever the SM or worker count, which keeps the
-// paper reproduction stable while RunSuite fans independent launches out
-// across the worker pool.
+// plan of CTA waves, run as one contention domain — the SM slots sharing
+// one lower memory level — by one driver that steps the domain's SMs in
+// device-time order on the launch's goroutine. By default the plan is a
+// single wave: the launch runs whole on one SM over its live memory
+// image, cycle-exact with the classic sm.Run path — Stats are
+// bit-identical to it for every kernel, whatever the SM or worker count,
+// which keeps the paper reproduction stable while RunSuite fans
+// independent launches out across the worker pool.
 //
 // With WithGridPartition the grid is instead split into waves of
 // contiguous CTAs, each sized to fill one SM's warp contexts
-// (sm.ResidentCTAs); wave j runs on SM j mod N. Every wave is simulated
-// on a cold SM over a copy of the pre-launch global image; the per-wave
-// images are folded together with exec.MergeWave, which asserts the
-// write-sharing contract (different CTAs may only write the same
+// (sm.ResidentCTAs); wave j counts toward SM j mod N. Every wave is
+// simulated on a cold SM over a copy of the pre-launch global image; the
+// per-wave images are folded together with exec.MergeWave, which asserts
+// the write-sharing contract (different CTAs may only write the same
 // location with the same value), the result is committed to the
 // launch's image once every wave has succeeded, and the per-wave
-// statistics are merged in wave order with Stats.Merge.
-// Relative to the unpartitioned shape this trades the cross-wave
-// pipelining of one big SM run for wave-level parallel scaling (each
-// wave starts on a cold SM), leaving functional results untouched.
-// Result.SMCycles/DeviceCycles report how the waves pack onto the
-// configured SMs.
+// statistics are merged in wave order with Stats.Merge. Partitioning is
+// a timing model, not host parallelism: it trades the cross-wave
+// pipelining of one big SM run for waves on cold SMs packed on N SMs,
+// leaving functional results untouched, and its waves run one after
+// another on the host. Result.SMCycles/DeviceCycles report how the
+// waves pack onto the configured SMs.
 //
 // # Batch scheduling and memoization
 //
@@ -58,10 +57,10 @@
 // last. Each claimed entry then takes a
 // run-queue slot like any other launch, so the batch shares the pool
 // with concurrent streams and with other batches on a shared queue. With
-// WithAutoPartition the heavy tail itself is decomposed: entries whose
-// static cost exceeds the batch mean and whose grids span several CTA
-// waves run in the wave-partitioned shape, so even a single dominant
-// kernel spreads across the pool. With WithSimCache, oracle-validated
+// WithAutoPartition the heavy tail runs in the partitioned timing model:
+// entries whose static cost exceeds the batch mean and whose grids span
+// several CTA waves are simulated as waves on cold SMs, still in one
+// slot each. With WithSimCache, oracle-validated
 // entries are memoized by (benchmark, configuration fingerprint,
 // partitioning, memory system, SM count) and shared across passes and
 // devices. All three mechanisms are result-neutral by construction:
@@ -78,13 +77,13 @@
 // MSHR-backed shared L2 (mem.L2) in front of the single DRAM port —
 // inline, at the cycle each transaction leaves its L1. Under the flat
 // model nothing is shared below the L1s, so the waves of a partitioned
-// launch are independent domains simulated in parallel and their Stats
-// never depend on the SM count; with the hierarchy modeled all SMs form
-// one domain contending on one device clock, and contention-aware
-// results — Stats.Mem.L2, Stats.Mem.NoC, per-wave Stats, SMCycles and
-// DeviceCycles — depend on the SM count, an architectural parameter
-// deciding how many waves share the hierarchy at once. Either way every
-// result is bit-identical across host worker counts and repeat runs
+// launch run back-to-back on one SM slot and their Stats never depend on
+// the SM count; with the hierarchy modeled all SMs contend on one device
+// clock, and contention-aware results — Stats.Mem.L2, Stats.Mem.NoC,
+// per-wave Stats, SMCycles and DeviceCycles — depend on the SM count, an
+// architectural parameter deciding how many waves share the hierarchy at
+// once. Either way a launch is one serial domain, so every result, and
+// every error, is identical across host worker counts and repeat runs
 // (memsys.go gives the argument). Both options are off by default,
 // keeping every default-path number seed-exact.
 package device
@@ -205,8 +204,8 @@ const (
 
 // WithSMs sets the number of streaming multiprocessors, 1 to MaxSMs
 // (default 1).
-// More SMs shorten the modeled device wall-clock (Result.DeviceCycles)
-// and widen host-side parallelism. Under the default flat-latency
+// More SMs shorten the modeled device wall-clock (Result.DeviceCycles);
+// host parallelism is WithWorkers' alone. Under the default flat-latency
 // memory model the SM count never changes merged statistics; with the
 // modeled shared memory system (WithL2/WithInterconnect) it decides how
 // many waves contend for the hierarchy at once, so contention counters
@@ -217,8 +216,8 @@ func WithSMs(n int) Option {
 
 // WithWorkers sets the slot count of the device's private run queue:
 // the bound on host goroutines simulating concurrently across everything
-// the device runs (stream launches, waves and suite entries alike), at
-// most MaxWorkers. Default (n <= 0): GOMAXPROCS. Worker count never
+// the device runs (stream launches and suite entries alike, each one
+// launch at a time), at most MaxWorkers. Default (n <= 0): GOMAXPROCS. Worker count never
 // changes results. Ignored when WithRunQueue shares a queue — that
 // queue's slot count is the bound.
 func WithWorkers(n int) Option {
@@ -244,21 +243,25 @@ func WithStreamQueueDepth(n int) Option {
 	return func(s *settings) { s.streamDepth = n }
 }
 
-// WithGridPartition enables intra-launch parallelism: the grid is split
-// into SM-sized CTA waves dispatched across the device's SMs (see the
-// package comment for the exact semantics and the write-sharing
-// contract it relies on). Off by default, which keeps Run cycle-exact
-// with the classic single-SM path.
+// WithGridPartition selects the partitioned timing model: the grid is
+// split into SM-sized CTA waves, each simulated on a cold SM and packed
+// onto the device's SMs (see the package comment for the exact semantics
+// and the write-sharing contract it relies on). It is not host
+// parallelism: a launch's waves run one after another in one run-queue
+// slot. Off by default, which keeps Run cycle-exact with the classic
+// single-SM path.
 func WithGridPartition(on bool) Option {
 	return func(s *settings) { s.partition = on }
 }
 
 // WithAutoPartition lets RunSuite route individual heavy entries
-// through the wave-partitioned shape on its own: an entry whose
+// through the partitioned timing model on its own: an entry whose
 // static cost estimate exceeds the batch mean and whose grid
-// decomposes into at least two CTA waves is simulated as parallel
-// waves (exactly as under WithGridPartition), while light entries keep
-// the whole-grid shape. The decision is a pure function of the batch —
+// decomposes into at least two CTA waves is simulated as waves on cold
+// SMs (exactly as under WithGridPartition), while light entries keep
+// the whole-grid shape. It is a timing-model switch only: the waves run
+// one after another in the entry's run-queue slot, so it spreads no
+// entry across host workers. The decision is a pure function of the batch —
 // never of the worker count, the SM count or measured timings — so
 // RunSuite results remain bit-identical across every parallelism
 // setting and across passes. Off by default: the default suite path
@@ -411,8 +414,8 @@ func (r *SuiteResult) Name() string { return r.Bench.Name }
 // worker pool with any streams running on the device. Dispatch order
 // can never change results — only which worker simulates what, when.
 //
-// With WithAutoPartition, heavy entries additionally run as parallel
-// CTA waves (see the option's comment); with WithSimCache, entries are
+// With WithAutoPartition, heavy entries run in the partitioned timing
+// model (see the option's comment); with WithSimCache, entries are
 // memoized across passes and devices.
 func (d *Device) RunSuite(ctx context.Context, suite []*kernels.Benchmark) ([]*SuiteResult, error) {
 	results := make([]*SuiteResult, len(suite))

@@ -162,19 +162,6 @@ const conflictingStores = `
 	exit
 `
 
-func TestPartitionedRunDetectsWriteConflicts(t *testing.T) {
-	l := twoWaveLaunch(t, "conflict", conflictingStores)
-	dev, err := New(WithArch(sm.ArchSBISWI), WithSMs(2), WithGridPartition(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = dev.Run(context.Background(), l)
-	var conflict *exec.WriteConflict
-	if !errors.As(err, &conflict) {
-		t.Fatalf("err = %v, want a WriteConflict", err)
-	}
-}
-
 // storeOutOfBounds has every thread store past the end of a 64-byte
 // image, so every wave of its launch fails at its first store.
 const storeOutOfBounds = `
@@ -264,6 +251,30 @@ func TestFailedPartitionedRunLeavesImageUntouched(t *testing.T) {
 	}
 }
 
+// lateFirstWaveFault has both waves of twoWaveLaunch store out of
+// bounds, each CTA at 4096 + ctaid<<12, but wave 0's CTAs (0-3) first
+// spin for as long as TestShapesAgreeOnErrors' cycle limit allows, so a
+// host running wave 1 beside wave 0 would meet wave 1's fault first. A
+// flat launch reports wave 0's fault, which comes first in wave order,
+// and a memsys one wave 1's, which comes first on the shared clock,
+// whatever the worker count.
+const lateFirstWaveFault = `
+	mov  r5, %ctaid
+	mov  r6, 120
+	mov  r7, 0
+	isetp.lt r8, r5, 4
+	selp r2, r6, r7, r8
+	mov  r1, 0
+loop:
+	iadd r1, r1, 1
+	isetp.lt r3, r1, r2
+	bra  r3, loop
+	shl  r4, r5, 12
+	iadd r4, r4, 4096
+	st.g [r4], r1
+	exit
+`
+
 // busy returns the number of granted slots (test hook).
 func (q *RunQueue) busy() int { return cap(q.slots) - len(q.slots) }
 
@@ -271,7 +282,10 @@ func (q *RunQueue) busy() int { return cap(q.slots) - len(q.slots) }
 // launch, and however many host workers it has, a livelocking kernel
 // fails with *sm.LivelockError, a write-conflicting kernel with the
 // merge's *exec.WriteConflict (except whole-grid, which has nothing to
-// merge), and a pre-cancelled context with context.Canceled.
+// merge), a kernel whose first wave faults last with an out-of-bounds
+// access, and a pre-cancelled context with context.Canceled. Each
+// error's text at 4 workers is its text at 1: the host's parallelism
+// never decides which failure a launch reports.
 func TestShapesAgreeOnErrors(t *testing.T) {
 	leakcheck.Check(t)
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -289,11 +303,15 @@ func TestShapesAgreeOnErrors(t *testing.T) {
 			var wc *exec.WriteConflict
 			return errors.As(err, &wc) || (shape == "whole-grid" && err == nil)
 		}},
+		{"late-first-wave-fault", lateFirstWaveFault, context.Background(), func(_ string, err error) bool {
+			return err != nil && strings.Contains(err.Error(), "global access at")
+		}},
 		{"pre-cancelled", storeThenSpin, cancelled, func(_ string, err error) bool {
 			return errors.Is(err, context.Canceled)
 		}},
 	}
 	for _, shape := range engineShapes {
+		texts := map[string]string{} // each case's error text at 1 worker
 		for _, workers := range []int{1, 4} {
 			opts := append([]Option{WithSMs(2), WithWorkers(workers),
 				tweaked(sm.ArchSBISWI, func(c *sm.Config) { c.MaxCycles = 5000 })}, shape.opts...)
@@ -306,8 +324,15 @@ func TestShapesAgreeOnErrors(t *testing.T) {
 					// Device.run directly: Stream.Launch would turn the
 					// pre-cancelled context away before the engine saw it.
 					l := twoWaveLaunch(t, c.name, c.src)
-					if _, err := dev.run(c.ctx, l, dev.partition, nil, nil, nil); !c.check(shape.name, err) {
+					_, err := dev.run(c.ctx, l, dev.partition, nil, nil, nil)
+					if !c.check(shape.name, err) {
 						t.Errorf("err = %v (%T)", err, err)
+					}
+					text := fmt.Sprint(err)
+					if workers == 1 {
+						texts[c.name] = text
+					} else if want, ok := texts[c.name]; ok && text != want {
+						t.Errorf("err = %q at %d workers, %q at 1", text, workers, want)
 					}
 				})
 			}

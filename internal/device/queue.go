@@ -11,8 +11,8 @@ import (
 )
 
 // RunQueue bounds how many SM simulations run at once: a counting
-// semaphore, one slot per contention domain of a wave plan (memsys.go)
-// for as long as that domain simulates, granted first-come. Ordering is
+// semaphore, one slot per launch — its one contention domain (memsys.go)
+// — for as long as that domain simulates, granted first-come. Ordering is
 // not its job — RunSuite decides who asks first (device.go). A slot
 // carries nothing. What a domain re-arms instead of building — its SM
 // shells, image buffers and replay cursors, and a memsys domain's L2 and
@@ -82,7 +82,7 @@ func (q *RunQueue) release() { q.slots <- struct{}{} }
 
 // spare is the storage one contention domain re-arms instead of
 // building: an smSlot per SM it has run — its shell, wave buffer and
-// replay cursors — the buffer a plan's only domain folds its merged
+// replay cursors — the buffer a partitioned launch folds its merged
 // image into, and, once a memsys domain has run on it, the shared L2
 // and crossbar. It is the one home of launch images: every buffer a
 // wave runs on or a domain merges into is one a spare keeps, refilled

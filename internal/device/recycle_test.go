@@ -62,8 +62,9 @@ func storeSpares(d *Device) []*spare {
 
 // TestRecycleAfterFailure: on a one-slot device with a store of its own
 // a warm spare serves a launch that fails — livelock, cancellation,
-// watchdog, panic, a memsys write conflict — and the store stays empty:
-// the failed launch gives back no shell, L2 or crossbar. The good
+// watchdog, panic, a write conflict with and without the memory system —
+// and the store stays empty: the failed launch gives back no shell, L2
+// or crossbar. The good
 // launch after it builds its SM, and its memory system, anew and
 // computes exactly what a never-used device computes.
 func TestRecycleAfterFailure(t *testing.T) {
@@ -115,16 +116,11 @@ func TestRecycleAfterFailure(t *testing.T) {
 			}
 			return err
 		}},
-		// A memsys domain folds each wave as it finishes, so the second
-		// writer's wave fails the launch while the domain holds its slot.
-		{"memsys-conflict", []Option{WithSMs(2), WithGridPartition(true), WithL2(mem.DefaultL2())}, func(t *testing.T, d *Device) error {
-			_, err := d.Run(context.Background(), twoWaveLaunch(t, "conflict", conflictingStores))
-			var wc *exec.WriteConflict
-			if !errors.As(err, &wc) {
-				t.Fatalf("err %v, want *exec.WriteConflict", err)
-			}
-			return err
-		}},
+		// A partitioned launch folds each wave as it finishes, so the
+		// second writer's wave fails the launch while its domain holds the
+		// spare, with the memory system modeled or not.
+		{"memsys-conflict", []Option{WithSMs(2), WithGridPartition(true), WithL2(mem.DefaultL2())}, failsWithWriteConflict},
+		{"flat-conflict", []Option{WithSMs(2), WithGridPartition(true)}, failsWithWriteConflict},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			opts := slices.Concat([]Option{WithArch(sm.ArchSBISWI)}, c.opts)
@@ -165,6 +161,17 @@ func TestRecycleAfterFailure(t *testing.T) {
 			}
 		})
 	}
+}
+
+// failsWithWriteConflict runs a launch whose two waves write different
+// values to one word on d, and requires the merge's *exec.WriteConflict.
+func failsWithWriteConflict(t *testing.T, d *Device) error {
+	_, err := d.Run(context.Background(), twoWaveLaunch(t, "conflict", conflictingStores))
+	var wc *exec.WriteConflict
+	if !errors.As(err, &wc) {
+		t.Fatalf("err %v, want *exec.WriteConflict", err)
+	}
+	return err
 }
 
 // TestRecycleStreamsEqualSerial: 8 streams x 200 generated launches
@@ -442,17 +449,41 @@ var allocBudgets = map[string]struct {
 	}, func(got, _ allocFigure) bool {
 		return got.bytes < 16<<10
 	}, fmt.Sprintf("under 16384 bytes, where it allocated %d when its merged image escaped to the commit", parentWarmMemsysSuiteBytes)},
+	// Transpose through RunSuite on a flat 4-SM device with grid
+	// partitioning, in 9 waves, on one worker over a store of its own.
+	// The waves run back-to-back on one slot, each refilling the slot's
+	// buffer from the benchmark's pristine image, and fold into the
+	// buffer the spare keeps for the merged image, so the entry allocates
+	// no image, where each wave's buffer used to escape to a fold after
+	// the last. The buffers are dirtied before every pass, as in the
+	// memsys row.
+	"TestWarmFlatSuiteAllocBudget": {10, func(t *testing.T) (launch, base func(int)) {
+		dev := mustNew(WithArch(sm.ArchSBISWI), WithSMs(4), WithGridPartition(true), privateQueue(1))
+		suite := []*kernels.Benchmark{mustBench(t, "Transpose")}
+		return func(int) {
+			dirtySpare(dev)
+			rs, err := dev.RunSuite(context.Background(), suite)
+			if err = cmp.Or(err, rs[0].Err); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(rs[0].Result.Waves); n != 9 {
+				t.Fatalf("Transpose ran in %d waves, want 9", n)
+			}
+		}, nil
+	}, func(got, _ allocFigure) bool {
+		return got.bytes < 16<<10
+	}, fmt.Sprintf("under 16384 bytes, where it allocated %d when each wave's image escaped to the commit", parentWarmFlatSuiteBytes)},
 	// A partitioned launch that fails in wave 0, at 2^18 CTAs against
-	// 2^12. It claims its waves on at most the run queue's goroutines and
-	// stops claiming once a wave has failed; a launch that started one
-	// goroutine per wave, each parked on the run queue until the failure
-	// cancelled it, would allocate per wave, and so would one that sized
-	// every wave's Stats before the first wave ran. The device's spare
-	// store is its own, so every failed domain builds its shell anew,
-	// whatever other tests gave back to the process-wide one. Its queue
-	// has one slot, so the launch has one claimer: a second one runs a
-	// domain of its own, a spare's build more, whenever the scheduler
-	// runs it before the first wave fails, which a busy host decides.
+	// 2^12. Its waves run in wave order in its one domain, which stops at
+	// the first failure; a launch that started one goroutine per wave,
+	// each parked on the run queue until the failure cancelled it, would
+	// allocate per wave, and so would one that sized every wave's Stats
+	// before the first wave ran. What still grows with the grid is the
+	// wave plan and a Result slot per wave, 24 bytes a wave: 571 040 B at
+	// 2^18 CTAs, where each wave's error and image slot beside them made
+	// 1 226 672 B. The device's spare store is its own, so every
+	// failed launch builds its shell anew, whatever other tests gave back
+	// to the process-wide one.
 	"TestFailedWaveStopsThePartitionedLaunch": {3, func(t *testing.T) (launch, base func(int)) {
 		leakcheck.Check(t)
 		dev := mustNew(WithArch(sm.ArchSBI), WithSMs(4), privateQueue(1), WithGridPartition(true))
@@ -502,6 +533,7 @@ func TestWarmSuiteAllocBudget(t *testing.T)                { checkAllocBudget(t)
 func TestWarmMemsysLaunchAllocBudget(t *testing.T)         { checkAllocBudget(t) }
 func TestFreshDeviceAllocBudget(t *testing.T)              { checkAllocBudget(t) }
 func TestWarmMemsysSuiteAllocBudget(t *testing.T)          { checkAllocBudget(t) }
+func TestWarmFlatSuiteAllocBudget(t *testing.T)            { checkAllocBudget(t) }
 func TestFailedWaveStopsThePartitionedLaunch(t *testing.T) { checkAllocBudget(t) }
 
 // parentWarmLaunchMallocs is what the launch of TestWarmLaunchAllocBudget
@@ -529,6 +561,11 @@ const parentFreshDeviceLaunchBytes = 1289864
 // a launch image before it held a slot and the domain's merged image
 // escaped to the commit.
 const parentWarmMemsysSuiteBytes = 85328
+
+// parentWarmFlatSuiteBytes is what the suite entry of
+// TestWarmFlatSuiteAllocBudget allocated when each wave ran in a domain
+// of its own and its image escaped to a fold after the last wave.
+const parentWarmFlatSuiteBytes = 675225
 
 // dirtySpare flips every byte of every image buffer the spare on top of
 // d's store keeps, and gives it back.

@@ -48,15 +48,16 @@ func WithConfig(cfg Config) Option { return device.WithConfig(cfg) }
 
 // WithSMs sets the number of streaming multiprocessors the device
 // models, 1 to 1024 (default 1). With grid partitioning enabled, a
-// launch's CTA waves are dispatched across the SMs round-robin and
-// Result.DeviceCycles reports the busiest SM's total; statistics are
-// bit-identical for every SM count by construction.
+// launch's CTA waves are packed onto the SMs round-robin and
+// Result.DeviceCycles reports the busiest SM's total; under the flat
+// memory model statistics are bit-identical for every SM count by
+// construction. The SM count is modeled hardware, not host parallelism.
 func WithSMs(n int) Option { return device.WithSMs(n) }
 
 // WithWorkers sets the slot count of the device's private run queue:
 // the bound on host goroutines simulating concurrently across
-// everything the device runs — stream launches, CTA waves and RunSuite
-// entries alike, at most 65536 (default: GOMAXPROCS). The worker count
+// everything the device runs — stream launches and RunSuite entries
+// alike, one launch per goroutine, at most 65536 (default: GOMAXPROCS). The worker count
 // never changes results, only wall-clock. Ignored when WithRunQueue
 // shares a queue: that queue's slot count is the bound then.
 func WithWorkers(n int) Option { return device.WithWorkers(n) }
@@ -75,22 +76,25 @@ func WithRunQueue(q *RunQueue) Option { return device.WithRunQueue(q) }
 // unbounded.
 func WithStreamQueueDepth(n int) Option { return device.WithStreamQueueDepth(n) }
 
-// WithGridPartition enables intra-launch parallelism: the grid is
-// split into SM-sized CTA waves, each simulated on an independent SM
-// instance from a snapshot of global memory and merged back under the
-// write-sharing contract (CTAs may only write the same global location
-// with the same value). Off by default, which keeps Device.Run
-// cycle-exact with the classic single-SM Run path.
+// WithGridPartition selects the partitioned timing model: the grid is
+// split into SM-sized CTA waves, each simulated on a cold SM from a copy
+// of global memory, packed onto the device's SMs, and merged back under
+// the write-sharing contract (CTAs may only write the same global
+// location with the same value). It models waves on cold SMs; it is not
+// host parallelism — a launch's waves run one after another. Off by
+// default, which keeps Device.Run cycle-exact with the classic
+// single-SM Run path.
 func WithGridPartition(on bool) Option { return device.WithGridPartition(on) }
 
 // WithAutoPartition lets Device.RunSuite route heavy suite entries
-// through the wave-partitioned engine on its own: entries whose static
+// through the partitioned timing model on its own: entries whose static
 // cost estimate exceeds the batch mean and whose grids span several
-// CTA waves run as parallel waves, so a batch is no longer tail-bound
-// by one dominant kernel. The decision is a pure function of the batch
-// — results stay bit-identical for every worker and SM count — but
-// auto-partitioned entries carry the partitioned timing model's
-// numbers (each wave starts on a cold SM). Off by default, which keeps
+// CTA waves are simulated as waves on cold SMs, as under
+// WithGridPartition. It is a timing-model switch only: an entry's waves
+// still run one after another on one host worker. The decision is a
+// pure function of the batch — results stay bit-identical for every
+// worker and SM count — but auto-partitioned entries carry the
+// partitioned timing model's numbers (each wave starts on a cold SM). Off by default, which keeps
 // RunSuite statistics cycle-exact with the seed path.
 func WithAutoPartition(on bool) Option { return device.WithAutoPartition(on) }
 
