@@ -26,12 +26,16 @@
 // One engine simulates every launch (memsys.go): the launch becomes a
 // plan of CTA waves, run as one contention domain — the SM slots sharing
 // one lower memory level — by one driver that steps the domain's SMs in
-// device-time order on the launch's goroutine. By default the plan is a
-// single wave: the launch runs whole on one SM over its live memory
-// image, cycle-exact with the classic sm.Run path — Stats are
-// bit-identical to it for every kernel, whatever the SM or worker count,
-// which keeps the paper reproduction stable while RunSuite fans
-// independent launches out across the worker pool.
+// device-time order on the launch's goroutine. Every full simulation
+// runs on buffers of the domain's spare, filled from the launch's memory
+// image, and commits once every wave has succeeded: a failed or
+// cancelled launch of any shape leaves the caller's image untouched, and
+// a successful one writes it once, at the commit. By default the plan is
+// a single wave: the launch runs whole on one SM, cycle-exact with the
+// classic sm.Run path — Stats are bit-identical to it for every kernel,
+// whatever the SM or worker count, which keeps the paper reproduction
+// stable while RunSuite fans independent launches out across the worker
+// pool.
 //
 // With WithGridPartition the grid is instead split into waves of
 // contiguous CTAs, each sized to fill one SM's warp contexts
@@ -372,12 +376,11 @@ func (d *Device) Workers() int { return d.queue.Workers() }
 // result (merged across CTA waves when grid partitioning is enabled).
 // It is sugar for a one-launch stream — enqueue, then wait — so
 // concurrent Run calls share the run queue's slots with streams and
-// suites. Global memory is mutated in
-// place, exactly like sm.Run. The context cancels the simulation
-// promptly (the wave engine polls it about every 1k steps); a cancelled
-// or failed partitioned run leaves the launch's memory image unchanged,
-// while the unpartitioned shape may have partially mutated it just as
-// sm.Run would.
+// suites. A failed or cancelled launch of any shape leaves the
+// launch's memory image untouched, and a successful one writes it once,
+// at the commit, where sm.Run writes it as it simulates. The context
+// cancels the simulation promptly (the wave engine polls it about every
+// 1k steps).
 func (d *Device) Run(ctx context.Context, l *exec.Launch) (*sm.Result, error) {
 	return d.NewStream().Launch(ctx, l).Wait()
 }

@@ -200,27 +200,39 @@ spin:
 	exit
 `
 
-// TestFailedPartitionedRunLeavesImageUntouched pins Device.Run's
-// documented promise: a partitioned launch that fails or is cancelled
-// mid-run leaves the caller's memory image exactly as it was, because
-// its waves only ever wrote to private clones. The whole-grid shape is
-// the control showing the kernel really stores before it fails: it runs
-// on the live image and may leave it partially written.
+// TestFailedPartitionedRunLeavesImageUntouched pins Device.Run's one
+// failure contract: a launch of any shape, the whole grid included,
+// that fails or is cancelled mid-run leaves the caller's memory image
+// exactly as it was, because its waves only ever write to buffers of
+// its spare and the image is written once, at the commit. The control
+// shows the kernel really stores before it fails: sm.Run of the same
+// launch at the same cycle limit, which runs on the image it is given,
+// changes a clone of it.
 func TestFailedPartitionedRunLeavesImageUntouched(t *testing.T) {
 	leakcheck.Check(t)
+	limited := sm.Configure(sm.ArchSBISWI)
+	limited.MaxCycles = 5000
+	control := *twoWaveLaunch(t, "store-then-spin", storeThenSpin)
+	before := bytes.Clone(control.Global)
+	var le *sm.LivelockError
+	if _, err := sm.Run(limited, &control); !errors.As(err, &le) {
+		t.Fatalf("control: err = %v, want *sm.LivelockError", err)
+	}
+	if bytes.Equal(control.Global, before) {
+		t.Fatal("control: sm.Run never stored, so this test proves nothing")
+	}
 	for _, shape := range engineShapes {
 		for _, abort := range []string{"livelock", "cancel"} {
 			t.Run(shape.name+"/"+abort, func(t *testing.T) {
 				opts := append([]Option{WithArch(sm.ArchSBISWI), WithSMs(2), WithWorkers(2)}, shape.opts...)
 				if abort == "livelock" {
-					opts = append(opts, tweaked(sm.ArchSBISWI, func(c *sm.Config) { c.MaxCycles = 5000 }))
+					opts = append(opts, WithConfig(limited))
 				}
 				dev, err := New(opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				l := twoWaveLaunch(t, "store-then-spin", storeThenSpin)
-				before := bytes.Clone(l.Global)
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				p := dev.NewStream().Launch(ctx, l)
@@ -241,10 +253,8 @@ func TestFailedPartitionedRunLeavesImageUntouched(t *testing.T) {
 				if abort == "cancel" && !errors.Is(err, context.Canceled) {
 					t.Fatalf("err = %v, want context.Canceled", err)
 				}
-				if untouched := bytes.Equal(l.Global, before); shape.opts != nil && !untouched {
-					t.Errorf("failed partitioned launch changed the caller's image: %v", l.Global[:4])
-				} else if shape.opts == nil && abort == "livelock" && untouched {
-					t.Error("control: the whole-grid run never stored, so this test proves nothing")
+				if !bytes.Equal(l.Global, before) {
+					t.Errorf("the failed launch changed the caller's image: %v", l.Global[:4])
 				}
 			})
 		}

@@ -30,11 +30,9 @@ import (
 // re-armed cold and starts at the device time its predecessor ended.
 // The shapes a launch can take are only data to that driver:
 //
-//   - whole grid: one wave on one slot, simulated on the launch's live
-//     memory image (no copy, no fold; a suite entry's on a slot buffer,
-//     below), cycle-exact with sm.Run. With the memory system modeled
-//     (WithL2 / WithInterconnect) the slot's L1 talks to a one-port
-//     crossbar.
+//   - whole grid: one wave on one slot, cycle-exact with sm.Run. With
+//     the memory system modeled (WithL2 / WithInterconnect) the slot's L1
+//     talks to a one-port crossbar.
 //   - flat partitioning: under the flat-latency DRAM model nothing is
 //     shared below the L1s, so the waves run back-to-back on one slot,
 //     in wave order, each on a cold SM. Partitioning is a timing model —
@@ -48,23 +46,23 @@ import (
 //     hierarchy: wave j runs on SM j mod N and all waves contend on one
 //     device clock.
 //
-// Waves of a partitioned launch each run on a copy of the launch's
-// image, which nothing writes until the commit, and are folded with
-// exec.MergeWave, which asserts the write-sharing contract: the first
-// wave to finish becomes the merged image, its slot taking the buffer
-// its spare keeps for one, and every later one is folded into it as it
-// finishes (in wave order under flat partitioning), its buffer going to
-// the next wave on its slot. The domain commits before its spare goes
-// back, so the merged image goes back with it, and only once every wave
-// has succeeded, so a failed or cancelled partitioned launch leaves the
-// caller's image untouched. A suite entry (bench) brings no image of
-// its own: its launch's image is the benchmark's shared pristine one,
-// which the engine only reads. Its waves copy it as any partitioned
-// launch's do, a whole grid runs on a slot buffer filled from it, and
-// the commit compares the final image with the oracle instead of
-// writing it back, so launch images are reused in one place, the
-// spares. A replayed launch (tr) never touches memory, so it skips
-// copies and folds.
+// Every wave of a full simulation runs on its slot's buffer, refilled
+// from the launch's image before the wave starts, and nothing writes the
+// launch's image until the commit. The first wave to finish becomes the
+// merged image, its slot taking the buffer its spare keeps for one, and
+// every later one is folded into it with exec.MergeWave, which asserts
+// the write-sharing contract, as it finishes (in wave order under flat
+// partitioning), its buffer going to the next wave on its slot. The
+// domain commits once, before its spare goes back, so the merged image
+// goes back with it, and only once every wave has succeeded: a failed or
+// cancelled launch of any shape leaves the caller's image untouched, and
+// a successful one writes it once, at the commit. A suite entry (bench)
+// brings no image of its own: its launch's image is the benchmark's
+// shared pristine one, which the engine only reads, and its commit
+// compares the merged image with the oracle instead of writing it back,
+// so launch images are reused in one place, the spares. A replayed
+// launch (tr) has no image and never touches memory, so it runs on the
+// launch itself and skips the buffers, the fold and the commit.
 //
 // Determinism. The driver is serial and its pick rule is a pure
 // function of the configuration — minimum device time, lowest SM index
@@ -114,12 +112,13 @@ func (p *l2Port) Access(now int64, store bool, block uint32) int64 {
 // the crossbar port its L1 uses under the modeled memory system, the
 // device cycle at which that wave started (the sum of its predecessors'
 // cycles on this SM), the buffer holding the copy of the launch's image
-// the wave runs on (unused when it runs on the launch itself), its
-// replay cursors, and the recorder sink its waves record into, held for
-// the domain's life. A finished wave's buffer is the buffer of the
-// slot's next wave, unless it became the merged image. The
-// slot lives in a spare (queue.go), so its shell, buffer and cursors
-// serve the next domain that takes the spare; its sink does not.
+// the wave runs on and the launch header that points at it (both unused
+// by a replay), its replay cursors, and the recorder sink its waves
+// record into, held for the domain's life. A finished wave's buffer is
+// the buffer of the slot's next wave, unless it became the merged
+// image. The slot lives in a spare (queue.go), so its shell, buffer,
+// header and cursors serve the next domain that takes the spare; its
+// sink does not, nor does its header keep the launch's program.
 type smSlot struct {
 	run    *sm.Runner
 	live   bool // a wave is simulating; false once the slot has none left
@@ -127,13 +126,14 @@ type smSlot struct {
 	wave   int   // index into the plan of the running wave
 	offset int64 // device-time start of the running wave
 	img    []byte
+	launch exec.Launch // the launch, with img as its image
 	sess   replay.Session
 	sink   *replay.Sink
 }
 
 // launchRun is one launch's pass through the wave engine, allocated
-// once per launch. It is 104 bytes, in the 112-byte size class: one
-// more word fits, a second moves every launch into the next class.
+// once per launch. It is 96 bytes, a size class of its own: one more
+// word moves every launch into the 112-byte class.
 type launchRun struct {
 	d   *Device
 	l   *exec.Launch
@@ -148,11 +148,6 @@ type launchRun struct {
 
 	waves [][2]int     // the wave plan: CTA ranges
 	runs  []*sm.Result // each wave's Result, in wave order
-
-	// copies is set when the waves run on copies of the launch's image,
-	// folded into a merged one and committed: a partitioned launch that
-	// does not replay.
-	copies bool
 
 	// out is a partitioned launch's Result, in which the memsys domain
 	// leaves the L2 and crossbar counters; nil when the launch is one
@@ -193,7 +188,6 @@ func (d *Device) run(ctx context.Context, l *exec.Launch, partition bool, rec *r
 		}
 	}
 	if len(e.waves) > 1 {
-		e.copies = tr == nil
 		e.out = &sm.Result{SMCycles: make([]int64, d.sms)}
 	}
 	e.runs = make([]*sm.Result, len(e.waves))
@@ -227,23 +221,16 @@ func (e *launchRun) fold(merged, img []byte) error {
 // errDiverged fails a suite entry whose final image is not its oracle's.
 var errDiverged = errors.New("simulation diverged from reference")
 
-// commit makes a partitioned launch's merged image the launch's, behind
-// the wave-merge fault site: it is copied into l.Global, or checked
-// against the oracle when l.Global is a suite entry's pristine image.
+// commit makes a full simulation's merged image the launch's, behind
+// the wave-merge fault site: it is copied into l.Global, or compared
+// with the oracle when l.Global is a suite entry's pristine image.
 func (e *launchRun) commit(merged []byte) error {
 	if err := e.d.fire(faultinject.SiteWaveMerge); err != nil {
 		return err
 	}
 	if e.bench == nil {
 		copy(e.l.Global, merged)
-		return nil
-	}
-	return e.check(merged)
-}
-
-// check compares a suite entry's final image with its oracle.
-func (e *launchRun) check(img []byte) error {
-	if !bytes.Equal(img, e.bench.Expected()) {
+	} else if !bytes.Equal(merged, e.bench.Expected()) {
 		return errDiverged
 	}
 	return nil
@@ -308,7 +295,7 @@ func (e *launchRun) runDomain(ctx context.Context) (err error) {
 		e.runs[sl.wave] = res
 		sl.offset += res.Stats.Cycles
 		sl.live = false
-		if e.copies {
+		if e.tr == nil {
 			if merged == nil {
 				merged, sl.img, sp.img = sl.img, sp.img, nil
 			} else if err := e.fold(merged, sl.img); err != nil {
@@ -321,14 +308,10 @@ func (e *launchRun) runDomain(ctx context.Context) (err error) {
 			}
 		}
 	}
-	switch {
-	case e.copies: // the spare keeps the merged buffer
-		err, sp.img = e.commit(merged), merged
-	case e.bench != nil: // a suite entry's whole grid ran on its slot's buffer
-		err, e.l.Global = e.check(e.l.Global), nil
-	}
-	if err != nil {
-		return err
+	if e.tr == nil { // the spare keeps the merged buffer
+		if err, sp.img = e.commit(merged), merged; err != nil {
+			return err
+		}
 	}
 	if d.memsys {
 		// The counters are read here, before the spare's next holder
@@ -341,32 +324,28 @@ func (e *launchRun) runDomain(ctx context.Context) (err error) {
 		}
 	}
 	for i := range slots {
-		slots[i].sess.Detach() // an idle spare pins no trace
-		slots[i].sink = nil    // nor a recording
+		slots[i].sess.Detach()          // an idle spare pins no trace
+		slots[i].sink = nil             // nor a recording
+		slots[i].launch = exec.Launch{} // nor a program
 	}
 	d.queue.spares.Give(sp, 1, runtime.GOMAXPROCS(0))
 	return nil
 }
 
 // start puts wave w of the plan on the slot: the slot's SM re-armed
-// over a private copy of the launch's image in the slot's buffer,
-// allocated when it has none — for a suite entry's whole grid, the
-// launch's image becomes that buffer — or over the launch itself when
-// the waves run on it, wired to the slot's port and the trace-replay
-// machinery: the slot's recorder sink, taken at its first wave, when
-// recording, the slot's cursors re-opened over the wave's threads when
-// replaying.
+// over the slot's launch header, the launch with a private copy of its
+// image in the slot's buffer (allocated when the slot has none), or
+// over the launch itself when it replays, wired to the slot's port and
+// the trace-replay machinery: the slot's recorder sink, taken at its
+// first wave, when recording, the slot's cursors re-opened over the
+// wave's threads when replaying.
 func (e *launchRun) start(sl *smSlot, w int) error {
 	wl, from, to := e.l, e.waves[w][0], e.waves[w][1]
-	if e.copies || e.bench != nil {
+	if e.tr == nil {
 		sl.img = append(sl.img[:0], e.l.Global...)
-		if !e.copies {
-			e.l.Global = sl.img
-		} else {
-			c := *e.l
-			c.Global = sl.img
-			wl = &c
-		}
+		sl.launch = *e.l
+		sl.launch.Global = sl.img
+		wl = &sl.launch
 	}
 	var opts sm.RunOpts
 	if e.d.memsys {

@@ -81,15 +81,18 @@ func (q *RunQueue) acquire(ctx context.Context) error {
 func (q *RunQueue) release() { q.slots <- struct{}{} }
 
 // spare is the storage one contention domain re-arms instead of
-// building: an smSlot per SM it has run — its shell, wave buffer and
-// replay cursors — the buffer a partitioned launch folds its merged
-// image into, and, once a memsys domain has run on it, the shared L2
-// and crossbar. It is the one home of launch images: every buffer a
-// wave runs on or a domain merges into is one a spare keeps, refilled
-// from the launch's image before a wave runs on it, so a stale buffer
-// is never read. Each re-arm (Runner.Reset, L2.Reset, Crossbar.Reset,
-// Session.Reset) keeps its storage across configurations, so a spare
-// serves any device. The zero spare holds nothing.
+// building: an smSlot per SM it has run — its shell, wave buffer, launch
+// header and replay cursors — the buffer a full simulation's first wave
+// to finish becomes, which every later wave is folded into and which
+// the domain commits once, and, once a memsys domain has run on it, the
+// shared L2 and crossbar. It is the one home of launch images: every
+// buffer a wave of any shape runs on or a domain merges into is one a
+// spare keeps, refilled from the launch's image before a wave runs on
+// it, so a stale buffer is never read, and the launch's own image is
+// written only at the commit. Each re-arm (Runner.Reset, L2.Reset,
+// Crossbar.Reset, Session.Reset) keeps its storage across
+// configurations, so a spare serves any device. The zero spare holds
+// nothing.
 type spare struct {
 	slots []smSlot
 	img   []byte

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/faultinject"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/leakcheck"
 	"repro/internal/mem"
@@ -244,12 +245,13 @@ func TestRecycleStreamsEqualSerial(t *testing.T) {
 }
 
 // TestRecycleShellKeepsNoLaunch: the shell a clean launch gives back to
-// the store holds on to nothing of that launch — its memory image is
-// collectable once the caller lets go, not only when the shell is next
-// used — and neither does the shell after a launch of another warp
-// count re-arms it: a 32-warp Baseline launch, then a 16-warp Warp64
-// one on the same spare, which runs on a prefix of the contexts the
-// first left behind.
+// the store holds on to nothing of that launch — neither its memory
+// image nor its program is kept reachable by the idle spare, its shell
+// or the launch header of its slot once the caller lets go, not only
+// when the shell is next used — and neither does the shell after a
+// launch of another warp count re-arms it: a 32-warp Baseline launch,
+// then a 16-warp Warp64 one on the same spare, which runs on a prefix
+// of the contexts the first left behind.
 func TestRecycleShellKeepsNoLaunch(t *testing.T) {
 	q := newRunQueue(1, new(spareStore))
 	var devs []*Device
@@ -261,12 +263,15 @@ func TestRecycleShellKeepsNoLaunch(t *testing.T) {
 		devs = append(devs, dev)
 	}
 	defer runtime.KeepAlive(devs) // the devices, their queue, its store and the shell outlive the launches
-	freed := make([]chan struct{}, len(devs))
+	// Each launch's finalizer closes its first channel, its program's the
+	// second.
+	freed := make([][2]chan struct{}, len(devs))
 	for k, dev := range devs {
-		freed[k] = make(chan struct{})
+		freed[k] = [2]chan struct{}{make(chan struct{}), make(chan struct{})}
 		func() {
 			l := launchOn(t, dev, progen.Kernel(1, 3, 4, 256))
-			runtime.SetFinalizer(l, func(*exec.Launch) { close(freed[k]) })
+			runtime.SetFinalizer(l, func(*exec.Launch) { close(freed[k][0]) })
+			runtime.SetFinalizer(l.Prog, func(*isa.Program) { close(freed[k][1]) })
 			if _, err := dev.Run(context.Background(), l); err != nil {
 				t.Fatal(err)
 			}
@@ -276,8 +281,10 @@ func TestRecycleShellKeepsNoLaunch(t *testing.T) {
 		t.Fatal("the launches gave no shell back to their store")
 	}
 	for k, dev := range devs {
-		if !collected(freed[k]) {
-			t.Errorf("the finished %s launch (launch %d of %d on the slot) is still reachable: the idle shell pins it", dev.cfg.Arch, k+1, len(devs))
+		for i, what := range []string{"launch", "launch's program"} {
+			if !collected(freed[k][i]) {
+				t.Errorf("the finished %s %s (launch %d of %d on the slot) is still reachable: the idle spare pins it", dev.cfg.Arch, what, k+1, len(devs))
+			}
 		}
 	}
 }
@@ -364,9 +371,12 @@ var allocBudgets = map[string]struct {
 }{
 	// A 2-CTA x 64-thread generated kernel through Device.Run on SBI+SWI.
 	// Building the SM for every launch cost 43 KB and 85 mallocs here (62
-	// KB and 98 on launch-storm's mix); what is left, ~1.5 KB in 18, is
+	// KB and 98 on launch-storm's mix); what is left, 1 026 B in 11, is
 	// the launch's own plumbing: stream, future, goroutine, contexts, the
-	// wave plan, the Result.
+	// wave plan, the Result. The grid runs on a buffer of its spare and
+	// commits into the launch's image, and the second buffer the spare
+	// keeps for the merged image is allocated once, 2 B a launch over the
+	// window, where the grid ran in place on its image for 1 024 B.
 	"TestWarmLaunchAllocBudget": {200, func(t *testing.T) (launch, base func(int)) {
 		dev, k := mustNew(WithArch(sm.ArchSBISWI), WithWorkers(1)), progen.Kernel(1, 3, 2, 64)
 		ls := make([]*exec.Launch, 201)
@@ -396,7 +406,9 @@ var allocBudgets = map[string]struct {
 	// The L2 and crossbar ride the spare, and the waves share five image
 	// buffers, folded as they finish, where each had a clone beside a
 	// pre-launch snapshot and the merge's written-byte mask; all five,
-	// the merged one too, ride the spare to the next launch.
+	// the merged one too, ride the spare to the next launch, and so does
+	// each slot's launch header: 10 112 B in 24 mallocs, where a header
+	// allocated per wave made 11 120 B in 33.
 	"TestWarmMemsysLaunchAllocBudget": {10, func(t *testing.T) (launch, base func(int)) {
 		dev := mustNew(memsysOpts(true, WithWorkers(1))...)
 		ls := make([]*exec.Launch, 11)
@@ -409,13 +421,13 @@ var allocBudgets = map[string]struct {
 			}
 		}, nil
 	}, func(got, _ allocFigure) bool {
-		return got.bytes < 16<<10
-	}, fmt.Sprintf("under 16384 bytes, where it allocated %d when every launch built its L2, crossbar and snapshots", parentWarmMemsysLaunchBytes)},
+		return got.bytes < 16<<10 && got.mallocs < 30
+	}, fmt.Sprintf("under 16384 bytes, where it allocated %d when every launch built its L2, crossbar and snapshots, in fewer than the 33 mallocs a launch header per wave made", parentWarmMemsysLaunchBytes)},
 	// Transpose in 9 waves on a new memsys-row device per launch, as a
 	// sweep builds a device per point. Each device re-arms the shells,
 	// image buffers, L2 and crossbar the last one gave back to the
 	// process-wide store; what is left is the device and the launch's
-	// plumbing.
+	// plumbing: 11 488 B, where a launch header per wave made 12 496 B.
 	"TestFreshDeviceAllocBudget": {10, func(t *testing.T) (launch, base func(int)) {
 		ls := make([]*exec.Launch, 11)
 		for i := range ls {
@@ -432,7 +444,8 @@ var allocBudgets = map[string]struct {
 	// allocates no image, where its merged one escaped to the commit.
 	// The buffers the spare keeps are dirtied before every pass, so a
 	// domain that runs a wave on one it did not refill from the pristine
-	// image fails the entry.
+	// image fails the entry. 10 152 B in 27 mallocs, where a launch header
+	// per wave made 11 160 B in 36.
 	"TestWarmMemsysSuiteAllocBudget": {10, func(t *testing.T) (launch, base func(int)) {
 		dev := mustNew(memsysOpts(true, privateQueue(1))...)
 		suite := []*kernels.Benchmark{mustBench(t, "Transpose")}
@@ -456,7 +469,8 @@ var allocBudgets = map[string]struct {
 	// buffer the spare keeps for the merged image, so the entry allocates
 	// no image, where each wave's buffer used to escape to a fold after
 	// the last. The buffers are dirtied before every pass, as in the
-	// memsys row.
+	// memsys row. 10 024 B in 26 mallocs, where a launch header per wave
+	// made 11 032 B in 35.
 	"TestWarmFlatSuiteAllocBudget": {10, func(t *testing.T) (launch, base func(int)) {
 		dev := mustNew(WithArch(sm.ArchSBISWI), WithSMs(4), WithGridPartition(true), privateQueue(1))
 		suite := []*kernels.Benchmark{mustBench(t, "Transpose")}
@@ -471,15 +485,15 @@ var allocBudgets = map[string]struct {
 			}
 		}, nil
 	}, func(got, _ allocFigure) bool {
-		return got.bytes < 16<<10
-	}, fmt.Sprintf("under 16384 bytes, where it allocated %d when each wave's image escaped to the commit", parentWarmFlatSuiteBytes)},
+		return got.bytes < 16<<10 && got.mallocs < 30
+	}, fmt.Sprintf("under 16384 bytes, where it allocated %d when each wave's image escaped to the commit, in fewer than the 35 mallocs a launch header per wave made", parentWarmFlatSuiteBytes)},
 	// A partitioned launch that fails in wave 0, at 2^18 CTAs against
 	// 2^12. Its waves run in wave order in its one domain, which stops at
 	// the first failure; a launch that started one goroutine per wave,
 	// each parked on the run queue until the failure cancelled it, would
 	// allocate per wave, and so would one that sized every wave's Stats
 	// before the first wave ran. What still grows with the grid is the
-	// wave plan and a Result slot per wave, 24 bytes a wave: 571 040 B at
+	// wave plan and a Result slot per wave, 24 bytes a wave: 571 056 B at
 	// 2^18 CTAs, where each wave's error and image slot beside them made
 	// 1 226 672 B. The device's spare store is its own, so every
 	// failed launch builds its shell anew, whatever other tests gave back
@@ -591,14 +605,14 @@ func dirtySpare(d *Device) {
 // every wave's Stats before its first wave ran.
 const parentFailedWaveLaunchBytes = 8042448
 
-// TestRecycleReplayOverStaleBuffers: a replayed memsys launch runs on
-// the launch's own image, so the wave buffers its spare brings from an
-// earlier launch of another size take no part in it, neither as wave
-// images nor folded into a merged one. Histogram is
-// recorded, Transpose then leaves buffers of its own size on the one
-// spare, and Histogram's replay at half the port bandwidth over that
-// spare must still replay, with nothing logged, and equal a full
-// simulation at that bandwidth.
+// TestRecycleReplayOverStaleBuffers: a replayed memsys launch has no
+// image and runs on the launch itself, so the wave buffers and launch
+// headers its spare brings from an earlier launch of another size take
+// no part in it, neither as wave images nor folded into a merged one,
+// and it commits nothing. Histogram is recorded, Transpose then leaves
+// buffers of its own size on the one spare, and Histogram's replay at
+// half the port bandwidth over that spare must still replay, with
+// nothing logged, and equal a full simulation at that bandwidth.
 func TestRecycleReplayOverStaleBuffers(t *testing.T) {
 	q := newRunQueue(1, new(spareStore))
 	cache := NewSimCache()

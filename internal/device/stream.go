@@ -130,9 +130,11 @@ func (d *Device) NewStream() *Stream {
 // exec.Launch.Validate (nil included) also returns an already-failed
 // Pending, without joining the FIFO chain or poisoning the stream.
 //
-// Global memory is mutated in place exactly as Device.Run mutates it.
-// Launches sharing a global slice must be ordered — by one stream or
-// by events — or they race just like concurrent Device.Run calls.
+// The launch's memory image is written as Device.Run writes it: once, at
+// the commit of a successful launch, and not at all by a failed or
+// cancelled one, whatever its shape. Launches sharing a global slice
+// must be ordered — by one stream or by events — or they race just like
+// concurrent Device.Run calls.
 func (s *Stream) Launch(ctx context.Context, l *exec.Launch) *Pending {
 	p := newPending()
 	// A launch whose context is already dead fails before it joins the

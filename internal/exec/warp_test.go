@@ -300,12 +300,12 @@ func FuzzEvalWarp(f *testing.F) {
 	})
 }
 
-// TestWarpRegsResetAcrossWidths is the register file's row of the
+// TestWarpRegsResetEqualsNew is the register file's row of the
 // Reset ≡ New law (statcheck.CheckReset), over widths narrower in the
 // storage a wider one left, and back. A use observes every register
 // word, which must be the zeros of a new file of that width, and then
 // dirties them all.
-func TestWarpRegsResetAcrossWidths(t *testing.T) {
+func TestWarpRegsResetEqualsNew(t *testing.T) {
 	use := func(w *WarpRegs, _ int, seed uint64, _ bool) any {
 		seen := []any{w.width, slices.Clone(w.rows)}
 		for i := range w.rows {

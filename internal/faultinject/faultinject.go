@@ -57,9 +57,10 @@ const (
 	// error-class faults at this site are raised as panics (MustFire).
 	SiteMemAccess Site = "mem-access"
 
-	// SiteWaveMerge fires before a partitioned launch's merged memory
-	// image is committed to the live image: after every wave has
-	// succeeded, before flat partitioning's per-wave images are folded.
+	// SiteWaveMerge fires before every full simulation's commit: after
+	// every wave of the launch, whatever its shape, has succeeded and
+	// been folded into the merged image, before that image is copied
+	// into the launch's (or compared with a suite entry's oracle).
 	SiteWaveMerge Site = "wave-merge"
 
 	// SiteReplayFallback fires at the start of a trace-replay attempt,

@@ -144,14 +144,14 @@ func TestSetLowerNilDisarmsStoreBuffer(t *testing.T) {
 	}
 }
 
-// TestHierarchyResetEqualsFresh is the L1 hierarchy's row of the
+// TestHierarchyResetEqualsNew is the L1 hierarchy's row of the
 // Reset ≡ New law (statcheck.CheckReset), over the default geometry and
 // a smaller, a narrower and a finer-grained one. A use observes every
 // ready cycle of a seeded sequence of loads and stores, on the flat path
 // and then behind a lower level, and the counters; abandoned, it runs
 // behind a slow lower level and leaves lines valid, fills and
 // store-buffer entries outstanding and the DRAM port booked.
-func TestHierarchyResetEqualsFresh(t *testing.T) {
+func TestHierarchyResetEqualsNew(t *testing.T) {
 	small, narrow, fine := Default(), Default(), Default()
 	small.L1Bytes, small.StoreQueue = 12*1024, 2
 	narrow.L1Ways = 3

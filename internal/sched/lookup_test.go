@@ -123,13 +123,13 @@ func TestLookupDirectMappedProbesBuddy(t *testing.T) {
 	}
 }
 
-// TestLookupReset is the lookup's row of the Reset ≡ New law
+// TestLookupResetEqualsNew is the lookup's row of the Reset ≡ New law
 // (statcheck.CheckReset): a lookup is a pure function of its two
 // parameters, so a use observes the whole structure. Reset also reports
 // whether it rebuilt the sets, which it must do exactly when a
 // parameter changed: the SM re-derives its buddy-set masks from that
 // answer.
-func TestLookupReset(t *testing.T) {
+func TestLookupResetEqualsNew(t *testing.T) {
 	for _, p := range statcheck.CheckReset(statcheck.ResetRow[Lookup, [2]int]{
 		Fresh: func(c [2]int, _ uint64) any {
 			l, _ := NewLookup(c[0], c[1])
